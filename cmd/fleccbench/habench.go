@@ -6,8 +6,11 @@ package main
 // replication (inline and windowed-async sessions vs an unreplicated
 // baseline) plus the standby bootstrap path (snapshot restore + image
 // absorb) — the numbers behind the "replication lag" column of the HA
-// story. Everything runs on the in-process transport so the rows measure
-// protocol cost, not loopback TCP.
+// story — and the ha_batch rows: what one replicated push+pull costs with
+// 16, 256 and 4096 registered views, which must be flat because a batch
+// carries what changed, not what exists. Everything runs on the
+// in-process transport so the rows measure protocol cost, not loopback
+// TCP.
 
 import (
 	"encoding/json"
@@ -23,6 +26,7 @@ import (
 	"flecc/internal/property"
 	"flecc/internal/transport"
 	"flecc/internal/vclock"
+	"flecc/internal/wire"
 )
 
 // benchKV is a minimal mutex-guarded codec for the HA benchmarks.
@@ -39,6 +43,20 @@ func (c *benchKV) Extract(props property.Set) (*image.Image, error) {
 	img := image.New(props.Clone())
 	for k, v := range c.data {
 		img.Put(image.Entry{Key: k, Value: v})
+	}
+	return img, nil
+}
+
+// ExtractKeys makes the codec keyed, like the airline database and
+// image.MapCodec: a delta extract reads the changed keys, not everything.
+func (c *benchKV) ExtractKeys(props property.Set, keys []string) (*image.Image, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	img := image.New(props.Clone())
+	for _, k := range keys {
+		if v, ok := c.data[k]; ok {
+			img.Put(image.Entry{Key: k, Value: v})
+		}
 	}
 	return img, nil
 }
@@ -60,7 +78,10 @@ func (c *benchKV) Merge(img *image.Image, props property.Set) error {
 // the given replication session config. The returned cleanup tears the
 // whole pair down.
 func haPair(cfg directory.ReplConfig) (*directory.Manager, *directory.Manager, func(), error) {
-	net := transport.NewInproc()
+	return haPairOn(transport.NewInproc(), cfg)
+}
+
+func haPairOn(net transport.Network, cfg directory.ReplConfig) (*directory.Manager, *directory.Manager, func(), error) {
 	clock := vclock.NewReal()
 	prim, err := directory.New("dm", newBenchKV(), clock, net, directory.Options{})
 	if err != nil {
@@ -98,6 +119,74 @@ func benchCommits(dm *directory.Manager) testing.BenchmarkResult {
 			}
 		}
 	})
+}
+
+// benchBatch measures the replication stream's steady state at a given
+// number of registered views: each iteration is one push of one key and
+// one pull by the same view, i.e. two inline batches — a one-key commit
+// and a one-view touch — each built, encoded, decoded and applied before
+// the request returns. The other views are registered on disjoint data
+// and never speak, so anything that grows with their number is overhead.
+func benchBatch(views int) (testing.BenchmarkResult, error) {
+	net := transport.NewInproc()
+	prim, sb, cleanup, err := haPairOn(net, directory.ReplConfig{Inline: true})
+	if err != nil {
+		return testing.BenchmarkResult{}, err
+	}
+	defer cleanup()
+	view := func(i int) (string, property.Set) {
+		return fmt.Sprintf("v%04d", i), property.NewSet(property.New("Flights", property.DiscreteRange(i, i)))
+	}
+	ctl, err := net.Attach("ctl", func(*wire.Message) *wire.Message { return nil })
+	if err != nil {
+		return testing.BenchmarkResult{}, err
+	}
+	defer ctl.Close()
+	for i := 0; i < views; i++ {
+		name, props := view(i)
+		if _, err := ctl.Call("dm", &wire.Message{Type: wire.TRegister, View: name, Props: props}); err != nil {
+			return testing.BenchmarkResult{}, err
+		}
+	}
+	name, props := view(0)
+	ep, err := net.Attach(name, func(*wire.Message) *wire.Message { return nil })
+	if err != nil {
+		return testing.BenchmarkResult{}, err
+	}
+	defer ep.Close()
+	reply, err := ep.Call("dm", &wire.Message{Type: wire.TInit})
+	if err != nil {
+		return testing.BenchmarkResult{}, err
+	}
+	since := reply.Version
+	var failed error
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			delta := image.New(props)
+			delta.Put(image.Entry{Key: "f/0", Value: []byte("NYC|SFO|200|57|19900")})
+			if _, err := ep.Call("dm", &wire.Message{Type: wire.TPush, Img: delta, Ops: 1}); err != nil {
+				failed = err
+				return
+			}
+			reply, err := ep.Call("dm", &wire.Message{Type: wire.TPull, Since: since})
+			if err != nil {
+				failed = err
+				return
+			}
+			since = reply.Version
+		}
+	})
+	if failed != nil {
+		return r, failed
+	}
+	if got, want := sb.CurrentVersion(), prim.CurrentVersion(); got != want {
+		return r, fmt.Errorf("ha_batch views=%d: standby at v%d, primary at v%d", views, got, want)
+	}
+	if got := len(sb.Views()); got != views {
+		return r, fmt.Errorf("ha_batch views=%d: standby holds %d views", views, got)
+	}
+	return r, nil
 }
 
 func haRow(name string, r testing.BenchmarkResult, extra map[string]float64) wireBenchResult {
@@ -208,6 +297,27 @@ func runHABenchmarks() ([]wireBenchResult, error) {
 		}
 	})
 	out = append(out, haRow("ha_capture/snapshot_1k", rCap, nil))
+
+	// O(Δ) stream: the same push+pull at 16, 256 and 4096 registered
+	// views. The rows must be flat; a batch that grows with the view count
+	// fails the run, not just the reader's eye.
+	var small wireBenchResult
+	for _, views := range []int{16, 256, 4096} {
+		r, err := benchBatch(views)
+		if err != nil {
+			return nil, err
+		}
+		row := haRow(fmt.Sprintf("ha_batch/views=%d", views), r, map[string]float64{"views": float64(views)})
+		if views == 16 {
+			small = row
+		}
+		row.Extra["vs_16_views_x"] = row.NsPerOp / small.NsPerOp
+		out = append(out, row)
+		if row.NsPerOp > 2*small.NsPerOp || row.AllocsPerOp > 2*small.AllocsPerOp {
+			return out, fmt.Errorf("%s is not flat: %.0f ns / %d allocs against %.0f ns / %d allocs at 16 views (bar: 2x)",
+				row.Name, row.NsPerOp, row.AllocsPerOp, small.NsPerOp, small.AllocsPerOp)
+		}
+	}
 
 	return out, nil
 }

@@ -127,11 +127,7 @@ func TestHATickCoordinatorPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := directory.PromoteMessage(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, err := ctl.Call("db", pm)
+	reply, err := ctl.Call("db", directory.PromoteMessage(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package directory
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flecc/internal/image"
@@ -109,6 +110,23 @@ type viewState struct {
 	// read-aware extension uses it to decide whether an active view must
 	// be invalidated by a reader.
 	lastOp wire.OpClass
+	// gone marks a state whose view was unregistered. The replication
+	// change journal may still reference it; it then ships as a removal.
+	gone bool
+	// replicated marks a view this manager knows only from a primary's
+	// replication stream. Full view state from that stream is
+	// authoritative for exactly these: one it no longer lists is dropped.
+	replicated bool
+
+	// Replication change tracking (viewlog.go). regDirty and queued are
+	// set by the mutation sites without any lock; nextDirty links the
+	// manager's dirty stack and belongs to whoever won the queued flag;
+	// jSeq and jRegSeq are the view's latest journal sequences, guarded
+	// by the journal's lock.
+	regDirty      atomic.Bool
+	queued        atomic.Bool
+	nextDirty     *viewState
+	jSeq, jRegSeq uint64
 }
 
 // Manager is the Flecc directory manager: one per original component.
@@ -136,6 +154,12 @@ type Manager struct {
 	// that serialized every request's state access.
 	vmu   sync.RWMutex
 	views map[string]*viewState
+
+	// dirtyViews heads the lock-free stack of views whose replicated
+	// state changed since the replicator last drained it; tracking is set
+	// while a replicator is attached to drain it (viewlog.go).
+	dirtyViews atomic.Pointer[viewState]
+	tracking   atomic.Bool
 
 	// lanes is the conflict-group execution-lane table (lanes.go); nil
 	// unless Options.Lanes > 1.
@@ -274,6 +298,9 @@ func (m *Manager) handle(req *wire.Message) *wire.Message {
 			// Revival adds conflict edges back; in laned mode it drains
 			// the execution lanes like any structural change.
 			m.structuralDo(func() { m.reg.SetLost(req.From, false) })
+			if vs, ok := m.viewState(req.From); ok {
+				m.viewChanged(vs, true)
+			}
 		}
 	}
 	switch req.Type {
@@ -318,19 +345,23 @@ func (m *Manager) handleRegister(req *wire.Message) *wire.Message {
 		return errf("bad validity trigger for %s: %v", view, err)
 	}
 	// Registration changes the conflict structure (it can add edges), so
-	// in laned mode it drains the execution lanes first.
-	return m.structural(func() *wire.Message {
+	// in laned mode it drains the execution lanes first. The replication
+	// barrier runs after the lanes are released: a slow standby must not
+	// stall every commit lane for the length of a round trip.
+	return m.synced(m.structural(func() *wire.Message {
 		if m.reg.Has(view) {
 			return m.reRegister(view, req, val)
 		}
 		if err := m.reg.Register(view, req.Props); err != nil {
 			return errf("%v", err)
 		}
+		vs := &viewState{name: view, mode: req.Mode, validity: val, lastOp: req.Op}
 		m.vmu.Lock()
-		m.views[view] = &viewState{name: view, mode: req.Mode, validity: val, lastOp: req.Op}
+		m.views[view] = vs
 		m.vmu.Unlock()
-		return m.synced(&wire.Message{Type: wire.TAck, Version: m.store.Current()})
-	})
+		m.viewChanged(vs, true)
+		return &wire.Message{Type: wire.TAck, Version: m.store.Current()}
+	}))
 }
 
 // reRegister handles a register for a name that is already on the books.
@@ -350,7 +381,8 @@ func (m *Manager) reRegister(view string, req *wire.Message, val trigger.Trigger
 		vs.lastOp = req.Op
 		vs.mu.Unlock()
 		m.reg.SetLost(view, false)
-		return m.synced(&wire.Message{Type: wire.TAck, Version: m.store.Current()})
+		m.viewChanged(vs, true)
+		return &wire.Message{Type: wire.TAck, Version: m.store.Current()}
 	}
 	if !m.reg.Lost(view) {
 		return errf("registry: view %q already registered", view)
@@ -361,21 +393,41 @@ func (m *Manager) reRegister(view string, req *wire.Message, val trigger.Trigger
 		return errf("%v", err)
 	}
 	m.reg.SetLost(view, false)
-	m.vmu.Lock()
-	m.views[view] = &viewState{name: view, mode: req.Mode, validity: val, lastOp: req.Op}
-	m.vmu.Unlock()
-	return m.synced(&wire.Message{Type: wire.TAck, Version: m.store.Current()})
+	if !ok {
+		vs = &viewState{name: view}
+		m.vmu.Lock()
+		m.views[view] = vs
+		m.vmu.Unlock()
+	}
+	vs.mu.Lock()
+	vs.mode, vs.seen, vs.validity, vs.lastOp = req.Mode, 0, val, req.Op
+	vs.mu.Unlock()
+	m.viewChanged(vs, true)
+	return &wire.Message{Type: wire.TAck, Version: m.store.Current()}
 }
 
 func (m *Manager) handleUnregister(req *wire.Message) *wire.Message {
-	view := req.From
-	return m.structural(func() *wire.Message {
-		m.reg.Unregister(view)
-		m.vmu.Lock()
-		delete(m.views, view)
-		m.vmu.Unlock()
-		return m.synced(&wire.Message{Type: wire.TAck})
-	})
+	return m.synced(m.structural(func() *wire.Message {
+		m.dropView(req.From)
+		return &wire.Message{Type: wire.TAck}
+	}))
+}
+
+// dropView unregisters a view and discards its state, marked gone so
+// that the replication journal ships its removal. Caller holds the
+// structural gate.
+func (m *Manager) dropView(view string) {
+	m.reg.Unregister(view)
+	m.vmu.Lock()
+	vs, ok := m.views[view]
+	delete(m.views, view)
+	m.vmu.Unlock()
+	if ok {
+		vs.mu.Lock()
+		vs.gone = true
+		vs.mu.Unlock()
+		m.viewChanged(vs, true)
+	}
 }
 
 func (m *Manager) viewState(view string) (*viewState, bool) {
@@ -400,6 +452,7 @@ func (m *Manager) handleInit(req *wire.Message) *wire.Message {
 	vs.seen = img.Version
 	vs.mu.Unlock()
 	m.reg.SetActive(view, true)
+	m.viewChanged(vs, false)
 	return m.synced(&wire.Message{Type: wire.TImage, Img: img, Version: img.Version})
 }
 
@@ -419,6 +472,7 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 	mode := vs.mode
 	vs.lastOp = req.Op
 	vs.mu.Unlock()
+	m.viewChanged(vs, false)
 
 	// 1. Invalidation set: a strong-mode pull stops every conflicting
 	// active view; a weak-mode pull only stops conflicting active
@@ -496,6 +550,7 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 	vs.seen = img.Version
 	vs.mu.Unlock()
 	m.reg.SetActive(view, true)
+	m.viewChanged(vs, false)
 	// One barrier covers the whole pull: the gathered/invalidated commits
 	// above and the registration-state changes land on the standbys
 	// before the requester sees its image.
@@ -645,6 +700,7 @@ func (m *Manager) callView(target string, req *wire.Message) (*wire.Message, err
 // from the view revives it.
 func (m *Manager) evictView(target string) {
 	m.reg.SetLost(target, true)
+	m.activeChanged(target)
 	m.evictions.Inc()
 }
 
@@ -663,6 +719,7 @@ func (m *Manager) invalidateView(target string, pre *wire.Frame) error {
 		return err
 	}
 	m.reg.SetActive(target, false)
+	m.activeChanged(target)
 	return m.commitReply(target, reply)
 }
 
@@ -797,6 +854,7 @@ func (m *Manager) propagate(writer string, ver vclock.Version) error {
 				os.seen = ver
 			}
 			os.mu.Unlock()
+			m.viewChanged(os, false)
 		}
 		return nil
 	})
@@ -810,18 +868,22 @@ func (m *Manager) handleSetMode(req *wire.Message) *wire.Message {
 	vs.mu.Lock()
 	vs.mode = req.Mode
 	vs.mu.Unlock()
+	m.viewChanged(vs, false)
 	return m.synced(&wire.Message{Type: wire.TAck})
 }
 
 func (m *Manager) handleSetProps(req *wire.Message) *wire.Message {
 	// A property change rewires conflict groups; drain the lanes so no
 	// commit runs under the group map it invalidates.
-	return m.structural(func() *wire.Message {
+	return m.synced(m.structural(func() *wire.Message {
 		if err := m.reg.SetProps(req.From, req.Props); err != nil {
 			return errf("%v", err)
 		}
-		return m.synced(&wire.Message{Type: wire.TAck})
-	})
+		if vs, ok := m.viewState(req.From); ok {
+			m.viewChanged(vs, true)
+		}
+		return &wire.Message{Type: wire.TAck}
+	}))
 }
 
 // CompactLog drops update-log records that every registered view has

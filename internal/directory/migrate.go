@@ -80,10 +80,7 @@ func (m *Manager) TakeHandover(names []string) (*Handover, error) {
 	}
 	m.structuralDo(func() {
 		for _, n := range names {
-			m.reg.Unregister(n)
-			m.vmu.Lock()
-			delete(m.views, n)
-			m.vmu.Unlock()
+			m.dropView(n)
 		}
 	})
 	return h, nil
@@ -102,34 +99,65 @@ func (m *Manager) AbsorbHandover(h *Handover) error {
 	return m.installViews(h.Views)
 }
 
-// installViews registers the carried per-view records with their previous
-// mode, seen version, and triggers. Shared by handover absorption,
-// snapshot restore, and hot-standby replication.
+// installViews installs the carried per-view records (handover
+// absorption and snapshot restore).
 func (m *Manager) installViews(views []HandoverView) error {
-	var firstErr error
-	m.structuralDo(func() {
-		for _, hv := range views {
-			val, err := trigger.Compile(hv.Validity)
-			if err != nil {
-				firstErr = fmt.Errorf("directory %s: handover validity trigger for %s: %v", m.name, hv.Name, err)
-				return
-			}
-			if err := m.reg.Register(hv.Name, hv.Props); err != nil {
-				// Already present (e.g. a replayed migration): refresh props.
-				if err := m.reg.SetProps(hv.Name, hv.Props); err != nil {
-					firstErr = fmt.Errorf("directory %s: absorb %s: %w", m.name, hv.Name, err)
-					return
-				}
-			}
-			m.reg.SetActive(hv.Name, hv.Active)
-			m.vmu.Lock()
-			m.views[hv.Name] = &viewState{
-				name: hv.Name, mode: hv.Mode, seen: hv.Seen, validity: val, lastOp: hv.Op,
-			}
-			m.vmu.Unlock()
+	for _, hv := range views {
+		if err := m.installView(hv, false); err != nil {
+			return err
 		}
-	})
-	return firstErr
+	}
+	return nil
+}
+
+// installView registers one carried view with its previous mode, seen
+// version, and triggers, or refreshes it in place when it is already on
+// the books: the registry is touched — under the structural gate — only
+// for a new name or a changed property set, and an unchanged validity
+// trigger is not recompiled. Shared by handover absorption, snapshot
+// restore, and hot-standby replication's registration records (which
+// set replicated; a handover or restore makes the view this manager's
+// own).
+func (m *Manager) installView(hv HandoverView, replicated bool) error {
+	vs, known := m.viewState(hv.Name)
+	var val trigger.Trigger
+	if known {
+		vs.mu.Lock()
+		val = vs.validity
+		vs.mu.Unlock()
+	}
+	if val.Source() != hv.Validity {
+		var err error
+		if val, err = trigger.Compile(hv.Validity); err != nil {
+			return fmt.Errorf("directory %s: handover validity trigger for %s: %v", m.name, hv.Name, err)
+		}
+	}
+	if prev, ok := m.reg.Props(hv.Name); !ok || !known || !prev.Equal(hv.Props) {
+		var err error
+		m.structuralDo(func() {
+			if !ok {
+				err = m.reg.Register(hv.Name, hv.Props)
+			} else if !prev.Equal(hv.Props) {
+				err = m.reg.SetProps(hv.Name, hv.Props)
+			}
+			if err == nil && !known {
+				vs = &viewState{name: hv.Name}
+				m.vmu.Lock()
+				m.views[hv.Name] = vs
+				m.vmu.Unlock()
+			}
+		})
+		if err != nil {
+			return fmt.Errorf("directory %s: absorb %s: %w", m.name, hv.Name, err)
+		}
+	}
+	vs.mu.Lock()
+	vs.mode, vs.seen, vs.validity, vs.lastOp = hv.Mode, hv.Seen, val, hv.Op
+	vs.replicated = replicated
+	vs.mu.Unlock()
+	m.reg.SetActive(hv.Name, hv.Active)
+	m.viewChanged(vs, true)
+	return nil
 }
 
 // Absorb merges a snapshot into a live store, in contrast to Restore which
@@ -138,11 +166,62 @@ func (m *Manager) installViews(views []HandoverView) error {
 // version tie (so a round-trip migration does not duplicate records), and
 // the counter only fast-forwards — it never goes back, which is what
 // rules out version regressions across a migration.
+//
+// A snapshot that strictly extends the local log with version-ordered
+// shadow records — every batch of a healthy replication stream — is
+// appended in place: the log grows by the tail and the dirty index by
+// exactly the absorbed keys. Anything else (a migration handover, a
+// resend overlapping what already landed) takes the general merge and
+// rebuilds the index.
 func (s *Store) Absorb(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("directory: nil snapshot")
 	}
 	defer s.lockStore()()
+	if s.extendedByLocked(snap) {
+		for _, r := range snap.Shadow {
+			st := s.stripeFor(r.Key)
+			cur, existed := st.shadow[r.Key]
+			if existed && cur.version >= r.Version {
+				continue
+			}
+			if existed {
+				st.stale++
+			}
+			st.shadow[r.Key] = shadowEntry{version: r.Version, writer: r.Writer, deleted: r.Deleted}
+			st.insertDirty(dirtyRec{version: r.Version, key: r.Key})
+			if st.stale > len(st.shadow)+16 {
+				st.rebuild()
+			}
+		}
+		s.log = append(s.log, snap.Log...)
+	} else {
+		s.mergeLocked(snap)
+	}
+	s.counter.AdvanceTo(snap.Version)
+	s.gen++
+	return nil
+}
+
+// extendedByLocked reports whether snap qualifies for Absorb's append
+// path: its log starts after the local log ends, and its shadow records
+// arrive in version order (so each dirty-index insert lands at or near
+// the tail instead of shifting the index).
+func (s *Store) extendedByLocked(snap *Snapshot) bool {
+	if len(snap.Log) > 0 && len(s.log) > 0 && snap.Log[0].Version <= s.log[len(s.log)-1].Version {
+		return false
+	}
+	for i := 1; i < len(snap.Shadow); i++ {
+		if snap.Shadow[i].Version < snap.Shadow[i-1].Version {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeLocked is Absorb's general path: per-key newer-wins over the
+// shadow, a two-way merge of the logs, and a full dirty-index rebuild.
+func (s *Store) mergeLocked(snap *Snapshot) {
 	for _, r := range snap.Shadow {
 		st := s.stripeFor(r.Key)
 		if cur, ok := st.shadow[r.Key]; !ok || cur.version < r.Version {
@@ -168,12 +247,9 @@ func (s *Store) Absorb(snap *Snapshot) error {
 	merged = append(merged, s.log[i:]...)
 	merged = append(merged, snap.Log[j:]...)
 	s.log = merged
-	s.counter.AdvanceTo(snap.Version)
 	for _, st := range s.stripes {
 		st.rebuild()
 	}
-	s.gen++
-	return nil
 }
 
 // EncodeHandover serializes a handover (gob).

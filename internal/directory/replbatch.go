@@ -1,0 +1,246 @@
+package directory
+
+import (
+	"fmt"
+
+	"flecc/internal/image"
+	"flecc/internal/vclock"
+	"flecc/internal/wire"
+)
+
+// ReplBatch is the unit of primary→standby log shipping, carried in a
+// TReplicate message's Blob in the binary form below. A batch costs what
+// changed since the target's watermarks: the shadow records and log tail
+// after Since, the values behind them, and records for just the views
+// whose state moved after ViewSince. Full state is the same batch with
+// both watermarks zero.
+type ReplBatch struct {
+	// Epoch is the sender's fencing epoch. Receivers refuse batches from
+	// an older epoch; promotion installs a higher one.
+	Epoch uint64
+	// Since is the watermark this delta starts after: the batch carries
+	// everything committed in (Since, Snap.Version]. A receiver whose own
+	// watermark is below Since refuses the batch (a hole would otherwise
+	// open) and reports its honest watermark in the ack.
+	Since vclock.Version
+	// Snap is the metadata delta: shadow records and log tail after
+	// Since. Snap.Views holds the batch's registration records — the full
+	// state (props, validity trigger, mode, op, seen, active) of every
+	// view that was registered, re-registered, re-propertied or revived
+	// after ViewSince; with ViewSince 0, of every view. Nil for a
+	// promote-only batch.
+	Snap *Snapshot
+	// Img carries the primary values committed after Since, so a standby
+	// replicates application data as well as metadata. Nil when nothing
+	// was committed.
+	Img *image.Image
+	// ViewSince and ViewSeq bound the view records the way Since and
+	// Snap.Version bound the data: the batch carries every view change
+	// the sender journaled in (ViewSince, ViewSeq]. ViewSince 0 marks
+	// full view state, which a receiver always accepts; otherwise it
+	// refuses a batch whose ViewSince it has not reached.
+	ViewSince, ViewSeq uint64
+	// Touches are the small per-request records: views whose mode, op
+	// class, seen version or active bit moved but whose registration did
+	// not.
+	Touches []ViewTouch
+	// Removed names the views unregistered after ViewSince.
+	Removed []string
+	// Promote orders the receiver to take over as primary under Epoch.
+	Promote bool
+}
+
+// ViewTouch is the part of a view's directory state that ordinary
+// requests move: a pull changes Seen, Op and Active, a set-mode Mode, an
+// invalidation Active. Props and the validity trigger — the expensive
+// part to ship and to install — travel in registration records only.
+type ViewTouch struct {
+	Name   string
+	Mode   wire.Mode
+	Op     wire.OpClass
+	Seen   vclock.Version
+	Active bool
+}
+
+// replFormat is the first byte of every encoded batch; bump it on an
+// incompatible change. (Version 1 replaced the gob encoding, whose
+// streams never start with this byte.)
+const replFormat = 1
+
+const (
+	replFlagPromote = 1 << iota
+	replFlagData
+)
+
+// EncodeReplBatch serializes a batch with the wire package's pooled
+// encoder.
+func EncodeReplBatch(b *ReplBatch) []byte {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	e.U8(replFormat)
+	var flags uint8
+	if b.Promote {
+		flags |= replFlagPromote
+	}
+	if b.Snap != nil {
+		flags |= replFlagData
+	}
+	e.U8(flags)
+	e.U64(b.Epoch)
+	if b.Snap == nil {
+		return e.Copy()
+	}
+	e.U64(uint64(b.Since))
+	e.U64(uint64(b.Snap.Version))
+	e.U64(b.ViewSince)
+	e.U64(b.ViewSeq)
+	e.U32(uint32(len(b.Snap.Shadow)))
+	for _, r := range b.Snap.Shadow {
+		e.Str(r.Key)
+		e.U64(uint64(r.Version))
+		e.Str(r.Writer)
+		e.Bool(r.Deleted)
+	}
+	e.U32(uint32(len(b.Snap.Log)))
+	for _, r := range b.Snap.Log {
+		e.U64(uint64(r.Version))
+		e.Str(r.Writer)
+		e.PropSet(r.Props)
+		e.U64(uint64(r.Ops))
+		e.U64(uint64(r.At))
+	}
+	e.U32(uint32(len(b.Snap.Views)))
+	for _, v := range b.Snap.Views {
+		encodeTouch(e, ViewTouch{Name: v.Name, Mode: v.Mode, Op: v.Op, Seen: v.Seen, Active: v.Active})
+		e.PropSet(v.Props)
+		e.Str(v.Validity)
+	}
+	e.U32(uint32(len(b.Touches)))
+	for _, t := range b.Touches {
+		encodeTouch(e, t)
+	}
+	e.U32(uint32(len(b.Removed)))
+	for _, n := range b.Removed {
+		e.Str(n)
+	}
+	e.Bool(b.Img != nil)
+	if b.Img != nil {
+		e.PropSet(b.Img.Props)
+		e.ImageEntries(b.Img)
+	}
+	return e.Copy()
+}
+
+func encodeTouch(e *wire.Encoder, t ViewTouch) {
+	e.Str(t.Name)
+	e.U8(uint8(t.Mode))
+	e.U8(uint8(t.Op))
+	e.U64(uint64(t.Seen))
+	e.Bool(t.Active)
+}
+
+func decodeTouch(d *wire.Decoder) ViewTouch {
+	return ViewTouch{
+		Name:   d.Str(),
+		Mode:   wire.Mode(d.U8()),
+		Op:     wire.OpClass(d.U8()),
+		Seen:   vclock.Version(d.U64()),
+		Active: d.Bool(),
+	}
+}
+
+// Smallest encodings of each record kind (empty strings and sets): the
+// decoder sizes slices by the declared count only after checking the
+// input that remains could hold that many.
+const (
+	minShadowRec = 4 + 8 + 4 + 1
+	minLogRec    = 8 + 4 + 4 + 8 + 8
+	minTouchRec  = 4 + 1 + 1 + 8 + 1
+	minRegRec    = minTouchRec + 4 + 4
+	minName      = 4
+)
+
+// DecodeReplBatch parses EncodeReplBatch's output. It is total on hostile
+// input: every length is checked against the bytes that remain before
+// anything is allocated for it.
+func DecodeReplBatch(data []byte) (*ReplBatch, error) {
+	d := wire.NewDecoder(data)
+	if v := d.U8(); d.Err() == nil && v != replFormat {
+		return nil, fmt.Errorf("directory: unsupported replication batch format %d (want %d)", v, replFormat)
+	}
+	flags := d.U8()
+	b := &ReplBatch{Promote: flags&replFlagPromote != 0, Epoch: d.U64()}
+	if flags&replFlagData != 0 {
+		decodeReplData(d, b)
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("directory: decode repl batch: %w", err)
+	}
+	if n := d.Remaining(); n != 0 {
+		return nil, fmt.Errorf("directory: decode repl batch: %d trailing bytes", n)
+	}
+	return b, nil
+}
+
+func decodeReplData(d *wire.Decoder, b *ReplBatch) {
+	b.Since = vclock.Version(d.U64())
+	snap := &Snapshot{Version: vclock.Version(d.U64())}
+	b.Snap = snap
+	b.ViewSince = d.U64()
+	b.ViewSeq = d.U64()
+	if n := d.Count(minShadowRec); n > 0 {
+		snap.Shadow = make([]ShadowRec, n)
+		for i := range snap.Shadow {
+			snap.Shadow[i] = ShadowRec{
+				Key: d.Str(), Version: vclock.Version(d.U64()), Writer: d.Str(), Deleted: d.Bool(),
+			}
+		}
+	}
+	if n := d.Count(minLogRec); n > 0 {
+		snap.Log = make([]UpdateRec, n)
+		for i := range snap.Log {
+			snap.Log[i] = UpdateRec{
+				Version: vclock.Version(d.U64()), Writer: d.Str(), Props: d.PropSet(),
+				Ops: int(d.U64()), At: vclock.Time(d.U64()),
+			}
+		}
+	}
+	if n := d.Count(minRegRec); n > 0 {
+		snap.Views = make([]HandoverView, n)
+		for i := range snap.Views {
+			t := decodeTouch(d)
+			snap.Views[i] = HandoverView{
+				Name: t.Name, Mode: t.Mode, Op: t.Op, Seen: t.Seen, Active: t.Active,
+				Props: d.PropSet(), Validity: d.Str(),
+			}
+		}
+	}
+	if n := d.Count(minTouchRec); n > 0 {
+		b.Touches = make([]ViewTouch, n)
+		for i := range b.Touches {
+			b.Touches[i] = decodeTouch(d)
+		}
+	}
+	if n := d.Count(minName); n > 0 {
+		b.Removed = make([]string, n)
+		for i := range b.Removed {
+			b.Removed[i] = d.Str()
+		}
+	}
+	if d.Bool() {
+		b.Img = image.New(d.PropSet())
+		_ = d.ImageEntries(b.Img) // latched in d.Err
+	}
+}
+
+// ReplMessage wraps a batch in its TReplicate envelope.
+func ReplMessage(b *ReplBatch) *wire.Message {
+	return &wire.Message{Type: wire.TReplicate, Blob: EncodeReplBatch(b)}
+}
+
+// PromoteMessage builds the promote-only TReplicate a coordinator (the
+// shard router, or an operator tool) sends to a standby to make it
+// primary under the given epoch.
+func PromoteMessage(epoch uint64) *wire.Message {
+	return ReplMessage(&ReplBatch{Epoch: epoch, Promote: true})
+}

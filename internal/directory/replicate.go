@@ -1,8 +1,6 @@
 package directory
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"strings"
@@ -45,86 +43,46 @@ import (
 // Promotion itself travels as a ReplBatch with Promote set, so the wire
 // surface stays exactly the TReplicate/TReplAck pair.
 
-// ReplBatch is the unit of primary→standby log shipping, carried
-// gob-encoded in a TReplicate message's Blob.
-type ReplBatch struct {
-	// Epoch is the sender's fencing epoch. Receivers refuse batches from
-	// an older epoch; promotion installs a higher one.
-	Epoch uint64
-	// Since is the watermark this delta starts after: the batch carries
-	// everything committed in (Since, Snap.Version]. A receiver whose own
-	// watermark is below Since refuses the batch (a hole would otherwise
-	// open) and reports its honest watermark in the ack.
-	Since vclock.Version
-	// Snap is the metadata delta: shadow records and log tail after
-	// Since, plus the primary's full view-registration state in Views.
-	// Nil for a promote-only batch.
-	Snap *Snapshot
-	// Img carries the primary values committed after Since, so a standby
-	// replicates application data as well as metadata. Nil when Snap is.
-	Img *image.Image
-	// Promote orders the receiver to take over as primary under Epoch.
-	Promote bool
-}
-
-// EncodeReplBatch serializes a batch (gob).
-func EncodeReplBatch(b *ReplBatch) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(b); err != nil {
-		return nil, fmt.Errorf("directory: encode repl batch: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeReplBatch parses EncodeReplBatch's output.
-func DecodeReplBatch(data []byte) (*ReplBatch, error) {
-	var b ReplBatch
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&b); err != nil {
-		return nil, fmt.Errorf("directory: decode repl batch: %w", err)
-	}
-	return &b, nil
-}
-
-// ReplMessage wraps a batch in its TReplicate envelope.
-func ReplMessage(b *ReplBatch) (*wire.Message, error) {
-	blob, err := EncodeReplBatch(b)
-	if err != nil {
-		return nil, err
-	}
-	return &wire.Message{Type: wire.TReplicate, Blob: blob}, nil
-}
-
-// PromoteMessage builds the promote-only TReplicate a coordinator (the
-// shard router, or an operator tool) sends to a standby to make it
-// primary under the given epoch.
-func PromoteMessage(epoch uint64) (*wire.Message, error) {
-	return ReplMessage(&ReplBatch{Epoch: epoch, Promote: true})
-}
-
 // staleEpochMark is the substring a stale-epoch refusal carries; a
 // deposed primary recognizes it in the remote error and fences itself.
 const staleEpochMark = "stale epoch"
 
 // SnapshotSince captures the metadata committed strictly after since:
-// shadow records newer than since (sorted by key, so encodings are
-// deterministic) and the log tail. SnapshotSince(0) is a full snapshot.
+// shadow records newer than since, in (version, key) order so encodings
+// are deterministic and a receiver can append them, and the log tail.
+// SnapshotSince(0) is a full snapshot. The records come from the
+// version-ordered dirty index, so the capture costs what changed after
+// since, not the size of the store.
+//
 // In striped mode the capture quiesces in-flight lane commits (commit
-// gate, write side), so a replication batch closed at snap.Version really
+// gate, write side). With nothing in flight the published watermark
+// equals the counter, so a replication batch closed at snap.Version
 // carries every commit ≤ snap.Version — lanes drain into TReplicate
 // batches in version-counter order with no holes.
 func (s *Store) SnapshotSince(since vclock.Version) *Snapshot {
 	defer s.rlockStore()()
 	snap := &Snapshot{Version: s.counter.Current()}
 	for _, st := range s.stripes {
-		for k, sh := range st.shadow {
-			if sh.version > since {
-				snap.Shadow = append(snap.Shadow, ShadowRec{
-					Key: k, Version: sh.version, Writer: sh.writer, Deleted: sh.deleted,
-				})
+		start := sort.Search(len(st.dirty), func(i int) bool { return st.dirty[i].version > since })
+		for _, rec := range st.dirty[start:] {
+			sh, ok := st.shadow[rec.key]
+			if !ok || sh.version != rec.version {
+				continue // superseded record; the key's current version has its own
 			}
+			snap.Shadow = append(snap.Shadow, ShadowRec{
+				Key: rec.key, Version: sh.version, Writer: sh.writer, Deleted: sh.deleted,
+			})
 		}
 	}
-	sort.Slice(snap.Shadow, func(i, j int) bool { return snap.Shadow[i].Key < snap.Shadow[j].Key })
+	if len(snap.Shadow) > 1 {
+		sort.Slice(snap.Shadow, func(i, j int) bool {
+			a, b := snap.Shadow[i], snap.Shadow[j]
+			if a.Version != b.Version {
+				return a.Version < b.Version
+			}
+			return a.Key < b.Key
+		})
+	}
 	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].Version > since })
 	snap.Log = append([]UpdateRec(nil), s.log[i:]...)
 	return snap
@@ -159,6 +117,14 @@ type haState struct {
 	gen      uint64
 	lastRepl vclock.Time
 	haveRepl bool // lastRepl is meaningful
+
+	// applyMu serializes batch application on a standby (transports run
+	// one handler goroutine per request, and a pipelined sender keeps
+	// several batches in flight). viewSeq, guarded by it, is the view
+	// watermark: the sender's view-change sequence this standby has
+	// applied through.
+	applyMu sync.Mutex
+	viewSeq uint64
 }
 
 // Epoch returns the manager's current fencing epoch.
@@ -234,8 +200,13 @@ func (m *Manager) replBarrier() error {
 
 // synced finalizes a mutating handler: it barriers on replication —
 // nothing a client can observe escapes the primary unreplicated — and
-// converts a barrier failure into the handler's error reply.
+// converts a barrier failure into the handler's error reply. A handler
+// that already failed changed nothing and passes through. Handlers that
+// hold the structural gate call it only after releasing the gate.
 func (m *Manager) synced(reply *wire.Message) *wire.Message {
+	if reply.Type == wire.TErr {
+		return reply
+	}
 	if err := m.replBarrier(); err != nil {
 		return errf("replicate: %v", err)
 	}
@@ -266,14 +237,16 @@ func (m *Manager) haGate(req *wire.Message) *wire.Message {
 	return errf("directory %s: %s (standby awaiting promotion)", m.name, wire.NotServingMark)
 }
 
-// handleReplicate absorbs one replication batch: epoch check, gap check,
-// metadata+values absorb, view-state install, optional promotion. The
-// TReplAck always reports the receiver's honest watermark.
+// handleReplicate absorbs one replication batch: epoch check, gap checks,
+// metadata+values absorb, view records, optional promotion. The TReplAck
+// always reports the receiver's honest watermarks — Version for the
+// data, Since for the view-change sequence.
 //
-// Note the view install only adds and refreshes — it never prunes: a
-// standby may also hold views of its own (a serving replica absorbing a
-// migration), and a stale extra registration is harmless (it is evicted
-// on first unreachable contact after promotion).
+// View records add, refresh and remove the views they name. Full view
+// state (ViewSince 0) additionally drops every view this manager learned
+// from replication that the batch no longer lists — unregistered while
+// the standby was unreachable. Views the standby holds on its own (a
+// serving replica that absorbed a migration) are never touched.
 func (m *Manager) handleReplicate(req *wire.Message) *wire.Message {
 	b, err := DecodeReplBatch(req.Blob)
 	if err != nil {
@@ -298,12 +271,17 @@ func (m *Manager) handleReplicate(req *wire.Message) *wire.Message {
 	m.ha.haveRepl = true
 	m.ha.mu.Unlock()
 
+	m.ha.applyMu.Lock()
+	defer m.ha.applyMu.Unlock()
+	ack := func() *wire.Message {
+		return &wire.Message{Type: wire.TReplAck, Version: m.store.Current(), Since: vclock.Version(m.ha.viewSeq)}
+	}
 	if b.Snap != nil {
-		cur := m.store.Current()
-		if b.Since > cur {
-			// Refuse: absorbing would open a hole (Since, b.Since]. The
-			// honest watermark in the ack rewinds the sender.
-			return &wire.Message{Type: wire.TReplAck, Version: cur}
+		if b.Since > m.store.Current() || b.ViewSince > m.ha.viewSeq {
+			// Refuse: absorbing would open a hole — commits in (cur,
+			// b.Since], or view changes this standby never saw. The honest
+			// watermarks in the ack rewind the sender.
+			return ack()
 		}
 		if err := m.store.Absorb(b.Snap); err != nil {
 			return errf("%v", err)
@@ -311,8 +289,15 @@ func (m *Manager) handleReplicate(req *wire.Message) *wire.Message {
 		if err := m.store.AbsorbImage(b.Img); err != nil {
 			return errf("%v", err)
 		}
-		if err := m.installViews(b.Snap.Views); err != nil {
-			return errf("%v", err)
+		// A batch closing at or below the watermark is a duplicate of
+		// view state already applied (a resend that lost the race with
+		// its original); full view state always applies and re-bases the
+		// watermark on the sender's sequence.
+		if b.ViewSince == 0 || b.ViewSeq > m.ha.viewSeq {
+			if err := m.applyViewRecords(b); err != nil {
+				return errf("%v", err)
+			}
+			m.ha.viewSeq = b.ViewSeq
 		}
 	}
 	if b.Promote {
@@ -321,7 +306,43 @@ func (m *Manager) handleReplicate(req *wire.Message) *wire.Message {
 		m.ha.fenced = false
 		m.ha.mu.Unlock()
 	}
-	return &wire.Message{Type: wire.TReplAck, Version: m.store.Current()}
+	return ack()
+}
+
+// applyViewRecords applies a batch's view records: removals, then
+// registrations, then touches — a name unregistered and registered again
+// within one batch ends up registered. Only removals and registrations
+// that change the registry take the structural gate; a touch updates the
+// existing state under its own lock.
+func (m *Manager) applyViewRecords(b *ReplBatch) error {
+	removed := b.Removed
+	if b.ViewSince == 0 {
+		removed = append(m.unlistedReplicated(b.Snap.Views), removed...)
+	}
+	if len(removed) > 0 {
+		m.structuralDo(func() {
+			for _, name := range removed {
+				m.dropView(name)
+			}
+		})
+	}
+	for _, hv := range b.Snap.Views {
+		if err := m.installView(hv, true); err != nil {
+			return err
+		}
+	}
+	for _, t := range b.Touches {
+		vs, ok := m.viewState(t.Name)
+		if !ok {
+			continue // removed since; nothing to refresh
+		}
+		vs.mu.Lock()
+		vs.mode, vs.lastOp, vs.seen = t.Mode, t.Op, t.Seen
+		vs.mu.Unlock()
+		m.reg.SetActive(t.Name, t.Active)
+		m.viewChanged(vs, false)
+	}
+	return nil
 }
 
 // captureViews snapshots the per-view registration state (sorted by name
@@ -376,16 +397,45 @@ func (m *Manager) RestoreSnapshot(snap *Snapshot) error {
 	return m.installViews(snap.Views)
 }
 
-// buildReplBatch assembles the delta batch after since: metadata
-// snapshot, view state, and the primary values committed after since
-// (extracted under the empty property set, i.e. everything).
-func (m *Manager) buildReplBatch(since vclock.Version, epoch uint64) (*ReplBatch, error) {
-	snap := m.CaptureSince(since)
-	img, err := m.store.Extract(property.NewSet(), since)
-	if err != nil {
-		return nil, fmt.Errorf("directory %s: build repl batch: %w", m.name, err)
+// unlistedReplicated returns the views known only from replication that
+// a full-view-state batch's registration records do not list.
+func (m *Manager) unlistedReplicated(listed []HandoverView) []string {
+	keep := make(map[string]bool, len(listed))
+	for _, hv := range listed {
+		keep[hv.Name] = true
 	}
-	return &ReplBatch{Epoch: epoch, Since: since, Snap: snap, Img: img}, nil
+	var out []string
+	m.vmu.RLock()
+	for name, vs := range m.views {
+		vs.mu.Lock()
+		if vs.replicated && !keep[name] {
+			out = append(out, name)
+		}
+		vs.mu.Unlock()
+	}
+	m.vmu.RUnlock()
+	return out
+}
+
+// buildBatch assembles the batch after the given watermarks: the views
+// that changed, then the metadata delta, then — when anything was
+// committed — the primary values behind it (extracted under the empty
+// property set, i.e. everything). Views go first so no record's Seen can
+// exceed the version the batch closes at.
+func (r *Replicator) buildBatch(since vclock.Version, viewSince, epoch uint64) (*ReplBatch, error) {
+	b := &ReplBatch{Epoch: epoch, Since: since, ViewSince: viewSince}
+	regs := r.captureViewChanges(b)
+	snap := r.m.store.SnapshotSince(since)
+	snap.Views = regs
+	b.Snap = snap
+	if snap.Version > since {
+		img, err := r.m.store.Extract(property.NewSet(), since)
+		if err != nil {
+			return nil, fmt.Errorf("directory %s: build repl batch: %w", r.m.name, err)
+		}
+		b.Img = img
+	}
+	return b, nil
 }
 
 // ReplLag returns the primary-version gap between this manager and its
@@ -449,11 +499,16 @@ type replTarget struct {
 
 	sentVer  vclock.Version // highest version shipped (optimistic)
 	ackedVer vclock.Version // standby's honest watermark
-	sentGen  uint64         // state generation captured by the newest shipped batch
-	ackedGen uint64         // state generation the standby has absorbed
-	kick     bool           // forced ship requested (heartbeat / probe)
-	down     bool           // degraded: unreachable, excluded from barriers
-	downAt   vclock.Time
+	// sentView and ackedView are the same pair in the view-change
+	// sequence. They rewind whenever the version pair does; zero means
+	// the next batch carries full view state.
+	sentView  uint64
+	ackedView uint64
+	sentGen   uint64 // state generation captured by the newest shipped batch
+	ackedGen  uint64 // state generation the standby has absorbed
+	kick      bool   // forced ship requested (heartbeat / probe)
+	down      bool   // degraded: unreachable, excluded from barriers
+	downAt    vclock.Time
 }
 
 // Replicator is a primary's replication session fanning out to its
@@ -469,6 +524,10 @@ type Replicator struct {
 	closed  bool
 	targets []*replTarget
 	wg      sync.WaitGroup
+
+	// journal orders the manager's view changes for shipping (viewlog.go).
+	// Lock order: mu before journal.mu.
+	journal viewJournal
 
 	batches  *metrics.Counter // batches shipped
 	degraded *metrics.Counter // barriers released with a standby down
@@ -504,6 +563,10 @@ func (m *Manager) StartReplication(cfg ReplConfig, targets ...ReplTarget) (*Repl
 		m.ha.mu.Unlock()
 		return nil, fmt.Errorf("directory %s: replication already started", m.name)
 	}
+	// Track view changes from before the first barrier can reach r: its
+	// first batch is full state, and nothing after that capture may go
+	// unrecorded.
+	m.tracking.Store(true)
 	m.ha.repl = r
 	m.ha.mu.Unlock()
 	if !cfg.Inline {
@@ -625,54 +688,79 @@ func (r *Replicator) shipInline(gen uint64) error {
 			if r.fenced {
 				return fmt.Errorf("directory %s: fenced (deposed primary, epoch %d)", r.m.name, r.epoch)
 			}
-			since := t.sentVer
 			g := r.m.haGen()
-			batch, err := r.m.buildReplBatch(since, r.epoch)
-			if err != nil {
-				return err
-			}
-			msg, err := ReplMessage(batch)
+			batch, err := r.buildBatch(t.sentVer, t.sentView, r.epoch)
 			if err != nil {
 				return err
 			}
 			r.batches.Inc()
-			reply, err := transport.CallRetry(t.ep, t.name, msg, r.cfg.Retry)
+			reply, err := transport.CallRetry(t.ep, t.name, ReplMessage(batch), r.cfg.Retry)
 			if err != nil {
 				if !transport.IsTransportError(err) && strings.Contains(err.Error(), staleEpochMark) {
 					r.fenceLocked()
 				}
 				return fmt.Errorf("directory %s: replicate to %s: %w", r.m.name, t.name, err)
 			}
-			r.applyAckLocked(t, batch.Snap.Version, g, reply)
+			r.applyAckLocked(t, batch.Snap.Version, batch.ViewSeq, g, reply)
 		}
 	}
 	return nil
 }
 
-// applyAckLocked folds one TReplAck into the target's watermarks. end is
-// the shipped batch's closing version, gen the state generation it
-// captured. An ack at or beyond end means the batch was absorbed; a
-// lower ack is a refusal (or partial knowledge) and rewinds the sender
-// to the standby's honest watermark.
-func (r *Replicator) applyAckLocked(t *replTarget, end vclock.Version, gen uint64, reply *wire.Message) {
+// applyAckLocked folds one TReplAck into the target's watermarks. end and
+// viewEnd are where the shipped batch closed, gen the state generation it
+// captured. An ack at or beyond both means the batch was absorbed; a
+// lower one is a refusal (or partial knowledge) and rewinds the sender to
+// the standby's honest watermarks — each pair to what the standby
+// reports for it, so a batch refused for a view gap does not re-ship
+// data the standby holds, and the other way round.
+func (r *Replicator) applyAckLocked(t *replTarget, end vclock.Version, viewEnd, gen uint64, reply *wire.Message) {
 	if reply == nil || reply.Type != wire.TReplAck {
 		return
 	}
+	ackedView := uint64(reply.Since)
 	if reply.Version >= end {
-		if end > t.ackedVer {
-			t.ackedVer = end
-		}
-		if end > t.sentVer {
-			t.sentVer = end
-		}
-		if gen > t.ackedGen {
-			t.ackedGen = gen
-		}
+		t.ackedVer = max(t.ackedVer, end)
+		t.sentVer = max(t.sentVer, end)
 	} else {
-		t.ackedVer = reply.Version
-		t.sentVer = reply.Version
+		t.ackedVer, t.sentVer = reply.Version, reply.Version
 	}
+	if ackedView >= viewEnd {
+		t.ackedView = max(t.ackedView, viewEnd)
+		t.sentView = max(t.sentView, viewEnd)
+	} else {
+		t.ackedView, t.sentView = ackedView, ackedView
+	}
+	if reply.Version >= end && ackedView >= viewEnd {
+		t.ackedGen = max(t.ackedGen, gen)
+	} else {
+		// The refused batch's state still has to ship: without this the
+		// sender would see nothing pending and the barrier would wait for
+		// the next heartbeat.
+		t.sentGen = t.ackedGen
+	}
+	r.trimJournalLocked()
 	r.cond.Broadcast()
+}
+
+// rewindLocked backs the target's optimistic watermarks up to what the
+// standby acknowledged, so the next batch refills whatever the lost ones
+// carried.
+func (t *replTarget) rewindLocked() {
+	t.sentVer, t.sentView, t.sentGen = t.ackedVer, t.ackedView, t.ackedGen
+}
+
+// trimJournalLocked drops the journal records every live target has
+// acknowledged. A down target is probed with full view state, so it pins
+// nothing.
+func (r *Replicator) trimJournalLocked() {
+	upTo := ^uint64(0)
+	for _, t := range r.targets {
+		if !t.down && t.ackedView < upTo {
+			upTo = t.ackedView
+		}
+	}
+	r.journal.trim(upTo)
 }
 
 func (r *Replicator) fenceLocked() {
@@ -695,11 +783,12 @@ func (r *Replicator) pendingLocked(t *replTarget) bool {
 // shipCall abstracts "a batch on the wire": a pipelined transport.Call
 // on async-capable endpoints, an already-resolved pair elsewhere.
 type shipCall struct {
-	call  *transport.Call
-	end   vclock.Version
-	gen   uint64
-	reply *wire.Message
-	err   error
+	call    *transport.Call
+	end     vclock.Version
+	viewEnd uint64
+	gen     uint64
+	reply   *wire.Message
+	err     error
 }
 
 func (s *shipCall) wait(timeout time.Duration) (*wire.Message, error) {
@@ -733,21 +822,18 @@ func (r *Replicator) runSender(t *replTarget) {
 		}
 		for len(inflight) < r.window() && r.pendingLocked(t) {
 			probe := t.down
-			since := t.sentVer
+			since, viewSince := t.sentVer, t.sentView
 			epoch := r.epoch
 			t.kick = false
 			r.mu.Unlock()
-			sc := r.issue(t, since, epoch)
+			sc := r.issue(t, since, viewSince, epoch)
 			r.mu.Lock()
 			if sc == nil { // batch build failed; wait for the next change
 				break
 			}
-			if sc.end > t.sentVer {
-				t.sentVer = sc.end
-			}
-			if sc.gen > t.sentGen {
-				t.sentGen = sc.gen
-			}
+			t.sentVer = max(t.sentVer, sc.end)
+			t.sentView = max(t.sentView, sc.viewEnd)
+			t.sentGen = max(t.sentGen, sc.gen)
 			inflight = append(inflight, sc)
 			if probe {
 				break // one probe at a time while degraded
@@ -769,18 +855,15 @@ func (r *Replicator) runSender(t *replTarget) {
 // issue builds and sends one batch (no locks held). Returns nil when the
 // batch could not be built (primary codec error); the sender retries on
 // the next state change.
-func (r *Replicator) issue(t *replTarget, since vclock.Version, epoch uint64) *shipCall {
+func (r *Replicator) issue(t *replTarget, since vclock.Version, viewSince, epoch uint64) *shipCall {
 	gen := r.m.haGen()
-	batch, err := r.m.buildReplBatch(since, epoch)
+	batch, err := r.buildBatch(since, viewSince, epoch)
 	if err != nil {
 		return nil
 	}
-	msg, err := ReplMessage(batch)
-	if err != nil {
-		return nil
-	}
+	msg := ReplMessage(batch)
 	r.batches.Inc()
-	sc := &shipCall{end: batch.Snap.Version, gen: gen}
+	sc := &shipCall{end: batch.Snap.Version, viewEnd: batch.ViewSeq, gen: gen}
 	if ac, ok := t.ep.(transport.AsyncCaller); ok {
 		sc.call = ac.CallAsync(t.name, msg)
 	} else {
@@ -797,9 +880,11 @@ func (r *Replicator) senderAckLocked(t *replTarget, sc *shipCall, reply *wire.Me
 				t.downAt = r.m.clock.Now()
 			}
 			// Rewind so the post-recovery probe refills everything the
-			// lost batches carried.
-			t.sentVer = t.ackedVer
-			t.sentGen = t.ackedGen
+			// lost batches carried. The probe ships full view state: the
+			// journal stops retaining records on a down target's behalf.
+			t.ackedView = 0
+			t.rewindLocked()
+			r.trimJournalLocked()
 			r.cond.Broadcast() // release barriers into degraded mode
 			return
 		}
@@ -809,15 +894,14 @@ func (r *Replicator) senderAckLocked(t *replTarget, sc *shipCall, reply *wire.Me
 		}
 		// Remote (protocol) error: the standby answered but refused the
 		// batch; rewind and retry from its honest state.
-		t.sentVer = t.ackedVer
-		t.sentGen = t.ackedGen
+		t.rewindLocked()
 		r.cond.Broadcast()
 		return
 	}
 	if t.down {
 		t.down = false
 	}
-	r.applyAckLocked(t, sc.end, sc.gen, reply)
+	r.applyAckLocked(t, sc.end, sc.viewEnd, sc.gen, reply)
 }
 
 // Heartbeat kicks every sender: idle standbys get an empty batch (which
@@ -860,4 +944,7 @@ func (r *Replicator) Close() {
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	r.wg.Wait()
+	// Nobody drains the change stack any more.
+	r.m.tracking.Store(false)
+	r.m.dirtyViews.Store(nil)
 }

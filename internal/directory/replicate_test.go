@@ -59,11 +59,7 @@ func ctlEndpoint(t *testing.T, net transport.Network) transport.Endpoint {
 
 func promote(t *testing.T, ep transport.Endpoint, target string, epoch uint64) *wire.Message {
 	t.Helper()
-	msg, err := directory.PromoteMessage(epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, err := ep.Call(target, msg)
+	reply, err := ep.Call(target, directory.PromoteMessage(epoch))
 	if err != nil {
 		t.Fatalf("promote %s: %v", target, err)
 	}
@@ -217,12 +213,9 @@ func TestReplicationGapRefusal(t *testing.T) {
 	ctl := ctlEndpoint(t, net)
 
 	// A gapped delta: claims to start after version 5, standby is at 0.
-	gapped, err := directory.ReplMessage(&directory.ReplBatch{
+	gapped := directory.ReplMessage(&directory.ReplBatch{
 		Since: 5, Snap: &directory.Snapshot{Version: 7},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reply, err := ctl.Call("dm!b", gapped)
 	if err != nil {
 		t.Fatalf("gapped batch should be refused via ack, not error: %v", err)
@@ -250,12 +243,9 @@ func TestReplicationGapRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := directory.ReplMessage(&directory.ReplBatch{
+	full := directory.ReplMessage(&directory.ReplBatch{
 		Since: 0, Snap: aDM.CaptureSince(0), Img: img,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reply, err = ctl.Call("dm!b", full)
 	if err != nil {
 		t.Fatal(err)
@@ -465,10 +455,7 @@ func TestAbsorbRestoreEquivalence(t *testing.T) {
 	}
 	defer absorbed.Close()
 	ctl := ctlEndpoint(t, net)
-	msg, err := directory.ReplMessage(&directory.ReplBatch{Since: 0, Snap: snap, Img: img})
-	if err != nil {
-		t.Fatal(err)
-	}
+	msg := directory.ReplMessage(&directory.ReplBatch{Since: 0, Snap: snap, Img: img})
 	if _, err := ctl.Call("dm!s", msg); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,698 @@
+package directory
+
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"flecc/internal/image"
+	"flecc/internal/property"
+	"flecc/internal/transport"
+	"flecc/internal/vclock"
+	"flecc/internal/wire"
+)
+
+// replLink is the primary→standby endpoint of the stream tests: it can
+// lose the next batch before delivery, lose the next ack after delivery,
+// or hold every call until released.
+type replLink struct {
+	transport.Endpoint // embedding the interface hides CallAsync: one batch per round trip
+
+	mu         sync.Mutex
+	dropBatch  int
+	dropAck    int
+	hold       chan struct{} // non-nil: calls wait for close
+	heldOnce   sync.Once
+	heldSignal chan struct{} // closed when the first call starts waiting
+}
+
+func (l *replLink) Call(to string, req *wire.Message) (*wire.Message, error) {
+	l.mu.Lock()
+	hold := l.hold
+	dropBatch, dropAck := l.dropBatch > 0, false
+	if dropBatch {
+		l.dropBatch--
+	} else if l.dropAck > 0 {
+		l.dropAck--
+		dropAck = true
+	}
+	l.mu.Unlock()
+	if hold != nil {
+		l.heldOnce.Do(func() { close(l.heldSignal) })
+		<-hold
+	}
+	if dropBatch {
+		return nil, transport.ErrInjected
+	}
+	reply, err := l.Endpoint.Call(to, req)
+	if dropAck {
+		return nil, transport.ErrInjected
+	}
+	return reply, err
+}
+
+// streamRig is a primary/standby pair over a replLink plus raw view
+// endpoints driving the primary with protocol messages.
+type streamRig struct {
+	t        *testing.T
+	net      *transport.Inproc
+	clock    *vclock.Sim
+	lanes    int
+	prim, sb *Manager
+	primKV   *laneKV
+	sbKV     *laneKV
+	link     *replLink
+	repl     *Replicator
+	eps      map[string]transport.Endpoint
+}
+
+func newStreamRig(t *testing.T, lanes int, cfg ReplConfig) *streamRig {
+	t.Helper()
+	r := &streamRig{
+		t: t, net: transport.NewInproc(), clock: vclock.NewSim(), lanes: lanes,
+		primKV: newLaneKV(), eps: map[string]transport.Endpoint{},
+	}
+	var err error
+	if r.prim, err = New("dm", r.primKV, r.clock, r.net, Options{Lanes: lanes, FanOut: 1}); err != nil {
+		t.Fatal(err)
+	}
+	r.bootStandby()
+	ep, err := r.net.Attach("dm!repl", func(*wire.Message) *wire.Message { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.link = &replLink{Endpoint: ep, heldSignal: make(chan struct{})}
+	if r.repl, err = r.prim.StartReplication(cfg, ReplTarget{Name: "dmr", Ep: r.link}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		r.repl.Close()
+		r.sb.Close()
+		r.prim.Close()
+	})
+	return r
+}
+
+func (r *streamRig) bootStandby() {
+	r.t.Helper()
+	r.sbKV = newLaneKV()
+	sb, err := New("dmr", r.sbKV, r.clock, r.net, Options{Standby: true, Lanes: r.lanes})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.sb = sb
+}
+
+// send issues one request to the primary as the named view and returns
+// the reply (TErr included — the caller decides whether it is expected).
+func (r *streamRig) send(view string, req *wire.Message) *wire.Message {
+	r.t.Helper()
+	ep, ok := r.eps[view]
+	if !ok {
+		var err error
+		ep, err = r.net.Attach(view, func(*wire.Message) *wire.Message {
+			return &wire.Message{Type: wire.TAck}
+		})
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		r.eps[view] = ep
+	}
+	req.From = view
+	reply, err := ep.Call("dm", req)
+	if err != nil {
+		if reply == nil {
+			r.t.Fatalf("%s from %s: %v", req.Type, view, err)
+		}
+	}
+	return reply
+}
+
+func (r *streamRig) mustSend(view string, req *wire.Message) *wire.Message {
+	r.t.Helper()
+	reply := r.send(view, req)
+	if reply.Type == wire.TErr {
+		r.t.Fatalf("%s from %s: %s", req.Type, view, reply.Err)
+	}
+	return reply
+}
+
+// applied is mustSend for a stream with injected faults: the inline
+// barrier surfaces a lost batch to the request that waited on it, after
+// the request took effect on the primary. Any other error is fatal.
+func (r *streamRig) applied(view string, req *wire.Message) *wire.Message {
+	r.t.Helper()
+	reply := r.send(view, req)
+	if reply.Type == wire.TErr && !strings.HasPrefix(reply.Err, "replicate: ") {
+		r.t.Fatalf("%s from %s: %s", req.Type, view, reply.Err)
+	}
+	return reply
+}
+
+// settle heals the link, probes the standby back up if a fault degraded
+// it, and runs one more barrier so everything shipped has been absorbed.
+func (r *streamRig) settle(anyView string) {
+	r.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		r.repl.Heartbeat()
+		reply := r.send(anyView, &wire.Message{Type: wire.TSetMode, Mode: r.prim.Mode(anyView)})
+		if reply.Type != wire.TErr && !r.repl.Degraded() && r.repl.Lag() == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			r.t.Fatalf("standby never caught up: degraded=%v lag=%d last reply %v", r.repl.Degraded(), r.repl.Lag(), reply)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// assertConverged checks the standby's captured state — shadow, log,
+// views with props/mode/seen/validity/active — and values equal the
+// primary's.
+func (r *streamRig) assertConverged() {
+	r.t.Helper()
+	want, got := r.prim.CaptureSnapshot(), r.sb.CaptureSnapshot()
+	if want.Version != got.Version {
+		r.t.Fatalf("version: standby v%d, primary v%d", got.Version, want.Version)
+	}
+	if !reflect.DeepEqual(want.Shadow, got.Shadow) {
+		r.t.Fatalf("shadow diverged:\nstandby: %+v\nprimary: %+v", got.Shadow, want.Shadow)
+	}
+	if !reflect.DeepEqual(want.Log, got.Log) {
+		r.t.Fatalf("log diverged:\nstandby: %+v\nprimary: %+v", got.Log, want.Log)
+	}
+	if !reflect.DeepEqual(want.Views, got.Views) {
+		r.t.Fatalf("views diverged:\nstandby: %+v\nprimary: %+v", got.Views, want.Views)
+	}
+	r.primKV.mu.Lock()
+	r.sbKV.mu.Lock()
+	same := reflect.DeepEqual(r.primKV.data, r.sbKV.data)
+	r.sbKV.mu.Unlock()
+	r.primKV.mu.Unlock()
+	if !same {
+		r.t.Fatalf("values diverged:\nstandby: %v\nprimary: %v", r.sbKV.data, r.primKV.data)
+	}
+	if err := r.prim.CheckInvariants(); err != nil {
+		r.t.Fatalf("primary invariants: %v", err)
+	}
+	if err := r.sb.CheckInvariants(); err != nil {
+		r.t.Fatalf("standby invariants: %v", err)
+	}
+}
+
+// TestReplicationCarriesViewRemoval: a killed view leaves the standby too
+// (it used to stay registered — and in the conflict index — forever).
+func TestReplicationCarriesViewRemoval(t *testing.T) {
+	r := newStreamRig(t, 1, ReplConfig{Inline: true})
+	props := property.MustSet("P={0..3}")
+	r.mustSend("keeper", &wire.Message{Type: wire.TRegister, Props: props})
+	r.mustSend("v1", &wire.Message{Type: wire.TRegister, Props: props, Mode: wire.Weak})
+	r.mustSend("v1", &wire.Message{Type: wire.TInit})
+	r.mustSend("v1", &wire.Message{Type: wire.TPull})
+	if got := r.sb.Views(); !reflect.DeepEqual(got, []string{"keeper", "v1"}) {
+		t.Fatalf("standby views before kill = %v", got)
+	}
+	r.mustSend("v1", &wire.Message{Type: wire.TUnregister})
+	if got, want := r.sb.Views(), r.prim.Views(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("standby views after kill = %v, primary %v", got, want)
+	}
+	if got := r.sb.reg.ConflictingWith("keeper", false); len(got) != 0 {
+		t.Fatalf("killed view still in the standby's conflict index: %v", got)
+	}
+	r.assertConverged()
+}
+
+// TestReplicationFullStatePrunesOnlyReplicatedViews: full view state
+// drops a replicated view the primary no longer lists, and leaves a view
+// the standby holds on its own alone.
+func TestReplicationFullStatePrunesOnlyReplicatedViews(t *testing.T) {
+	r := newStreamRig(t, 1, ReplConfig{Inline: true})
+	props := property.MustSet("P={0..3}")
+	r.mustSend("v1", &wire.Message{Type: wire.TRegister, Props: props})
+	r.mustSend("v2", &wire.Message{Type: wire.TRegister, Props: props})
+	if err := r.sb.installViews([]HandoverView{{Name: "own", Props: props}}); err != nil {
+		t.Fatal(err)
+	}
+	// v2 is unregistered while the standby hears nothing, then the stream
+	// restarts from full state.
+	r.prim.structuralDo(func() { r.prim.dropView("v2") })
+	batch, err := r.repl.buildBatch(0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply := r.sb.handleReplicate(ReplMessage(batch)); reply.Type != wire.TReplAck {
+		t.Fatalf("full batch refused: %v", reply)
+	}
+	if got := r.sb.Views(); !reflect.DeepEqual(got, []string{"own", "v1"}) {
+		t.Fatalf("standby views = %v, want [own v1]", got)
+	}
+}
+
+// TestBarrierOutsideStructuralGate: a register waiting on a slow
+// standby's ack must not hold the lane gate — a push in a disjoint
+// conflict group commits while the register is still inside its barrier.
+func TestBarrierOutsideStructuralGate(t *testing.T) {
+	r := newStreamRig(t, 4, ReplConfig{AckTimeout: 30 * time.Second})
+	pushProps := property.MustSet("A={0..3}")
+	r.mustSend("pusher", &wire.Message{Type: wire.TRegister, Props: pushProps})
+	r.send("late", &wire.Message{Type: wire.TSetMode}) // attach the endpoint up front
+
+	hold := make(chan struct{})
+	r.link.mu.Lock()
+	r.link.hold = hold
+	r.link.mu.Unlock()
+
+	registered := make(chan *wire.Message, 1)
+	go func() {
+		registered <- r.send("late", &wire.Message{Type: wire.TRegister, Props: property.MustSet("B={0..3}")})
+	}()
+	select {
+	case <-r.link.heldSignal:
+	case <-time.After(5 * time.Second):
+		t.Fatal("register's batch never reached the standby link")
+	}
+
+	pushed := make(chan *wire.Message, 1)
+	go func() {
+		d := image.New(pushProps.Clone())
+		d.Put(image.Entry{Key: "a/0", Value: []byte("x")})
+		pushed <- r.send("pusher", &wire.Message{Type: wire.TPush, Img: d, Ops: 1})
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for r.prim.CurrentVersion() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("push in a disjoint group did not commit while a register waited on its barrier")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case reply := <-registered:
+		t.Fatalf("register returned before the standby answered: %v", reply)
+	default:
+	}
+
+	close(hold)
+	for _, ch := range []chan *wire.Message{registered, pushed} {
+		select {
+		case reply := <-ch:
+			if reply.Type == wire.TErr {
+				t.Fatalf("after release: %s", reply.Err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("request still blocked after the standby was released")
+		}
+	}
+	r.settle("pusher")
+	r.assertConverged()
+}
+
+// TestReplicationDeltaEqualsFull drives random reconfiguration and data
+// traffic through a replicating primary while batches and acks get lost
+// and the standby restarts, and checks that the incrementally fed standby
+// ends up exactly where a full transfer would put it: its captured state
+// deep-equals the primary's.
+func TestReplicationDeltaEqualsFull(t *testing.T) {
+	seeds := 12
+	if testing.Short() {
+		seeds = 3
+	}
+	for _, lanes := range []int{1, 4} {
+		for _, inline := range []bool{true, false} {
+			for seed := 1; seed <= seeds; seed++ {
+				name := fmt.Sprintf("lanes=%d/inline=%v/seed=%d", lanes, inline, seed)
+				t.Run(name, func(t *testing.T) { deltaEqualsFull(t, lanes, inline, int64(seed)) })
+			}
+		}
+	}
+}
+
+func deltaEqualsFull(t *testing.T, lanes int, inline bool, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	r := newStreamRig(t, lanes, ReplConfig{
+		Inline: inline, AckTimeout: 5 * time.Second,
+		Retry: transport.RetryPolicy{Attempts: 4, Sleep: func(time.Duration) {}},
+	})
+	propPool := []string{"P={0..3}", "P={2..5}", "P={6..9}", "Q={0..1}", "Q={1..2}; P={9}"}
+	validities := []string{"", "staleness < 3", "version > 2"}
+	seen := map[string]vclock.Version{}
+	var live []string
+	next := 0
+	pick := func() string { return live[rng.Intn(len(live))] }
+	register := func() {
+		name := fmt.Sprintf("v%d", next)
+		next++
+		r.applied(name, &wire.Message{
+			Type: wire.TRegister, Props: property.MustSet(propPool[rng.Intn(len(propPool))]),
+			Mode: wire.Mode(rng.Intn(2)), Trig: wire.Triggers{Validity: validities[rng.Intn(len(validities))]},
+		})
+		live = append(live, name)
+	}
+	register()
+	register()
+
+	for step := 0; step < 120; step++ {
+		switch op := rng.Intn(20); {
+		case op < 2 && len(live) < 8:
+			register()
+		case op < 4:
+			r.applied(pick(), &wire.Message{Type: wire.TSetProps, Props: property.MustSet(propPool[rng.Intn(len(propPool))])})
+		case op < 6:
+			r.applied(pick(), &wire.Message{Type: wire.TSetMode, Mode: wire.Mode(rng.Intn(2))})
+		case op < 10:
+			v := pick()
+			typ, since := wire.TPull, seen[v]
+			if rng.Intn(4) == 0 {
+				typ, since = wire.TInit, 0
+			}
+			if reply := r.applied(v, &wire.Message{Type: typ, Since: since, Op: wire.OpClass(rng.Intn(2))}); reply.Type == wire.TImage {
+				seen[v] = reply.Version
+			}
+		case op < 16:
+			v := pick()
+			props, _ := r.prim.reg.Props(v)
+			d := image.New(props)
+			for i := 1 + rng.Intn(3); i > 0; i-- {
+				e := image.Entry{Key: fmt.Sprintf("k%d", rng.Intn(12)), Value: []byte(fmt.Sprintf("%s@%d", v, step))}
+				e.Deleted = rng.Intn(8) == 0
+				d.Put(e)
+			}
+			r.applied(v, &wire.Message{Type: wire.TPush, Img: d, Ops: uint32(1 + rng.Intn(3))})
+		case op < 17 && len(live) > 2:
+			i := rng.Intn(len(live))
+			r.applied(live[i], &wire.Message{Type: wire.TUnregister})
+			delete(seen, live[i])
+			live = append(live[:i], live[i+1:]...)
+		case op < 18:
+			r.link.mu.Lock()
+			r.link.dropBatch += 1 + rng.Intn(2)
+			r.link.mu.Unlock()
+		case op < 19:
+			r.link.mu.Lock()
+			r.link.dropAck++
+			r.link.mu.Unlock()
+		default:
+			// The standby loses everything and comes back empty under the
+			// same name.
+			r.sb.Close()
+			r.bootStandby()
+		}
+	}
+	r.settle(live[0])
+	r.assertConverged()
+}
+
+// sampleBatch is a batch carrying every record kind.
+func sampleBatch() *ReplBatch {
+	img := image.New(property.NewSet())
+	img.Version = 9
+	img.Put(image.Entry{Key: "f/100", Value: []byte("seats=3"), Version: 9, Writer: "v1"})
+	img.Put(image.Entry{Key: "f/101", Version: 8, Writer: "v2", Deleted: true})
+	return &ReplBatch{
+		Epoch: 3, Since: 7, ViewSince: 40, ViewSeq: 44,
+		Snap: &Snapshot{
+			Version: 9,
+			Shadow: []ShadowRec{
+				{Key: "f/101", Version: 8, Writer: "v2", Deleted: true},
+				{Key: "f/100", Version: 9, Writer: "v1"},
+			},
+			Log: []UpdateRec{
+				{Version: 8, Writer: "v2", Props: property.MustSet("Flights={100..102}"), Ops: 1, At: 12},
+				{Version: 9, Writer: "v1", Props: property.MustSet("Seats=[0,400]; Flights={100}"), Ops: 3, At: 15},
+			},
+			Views: []HandoverView{{
+				Name: "v3", Props: property.MustSet("Flights={100..102}"), Mode: wire.Strong,
+				Op: wire.OpRead, Seen: 9, Validity: "staleness < 3", Active: true,
+			}},
+		},
+		Img:     img,
+		Touches: []ViewTouch{{Name: "v1", Mode: wire.Weak, Op: wire.OpWrite, Seen: 9, Active: true}},
+		Removed: []string{"v0"},
+	}
+}
+
+// replSeeds are the fuzz seeds: every record kind, promote-only, empty
+// data section, truncations, and oversized declared counts and lengths.
+func replSeeds() [][]byte {
+	full := EncodeReplBatch(sampleBatch())
+	seeds := [][]byte{
+		full,
+		EncodeReplBatch(&ReplBatch{Epoch: 5, Promote: true}),
+		EncodeReplBatch(&ReplBatch{Epoch: 1, Snap: &Snapshot{Version: 4}, Since: 4, ViewSince: 2, ViewSeq: 2}),
+		EncodeReplBatch(&ReplBatch{Snap: &Snapshot{}, Touches: []ViewTouch{{Name: "v1", Seen: 1}}}),
+		EncodeReplBatch(&ReplBatch{Snap: &Snapshot{}, Removed: []string{"a", "b"}}),
+		nil,
+		{replFormat},
+		full[:len(full)/2],
+		full[:len(full)-1],
+		append(bytes.Clone(full), 0xFF),
+		append([]byte{99}, full[1:]...),
+	}
+	// Declared counts and lengths far beyond the input, at each section.
+	head := full[:2+8+4*8] // format, flags, epoch, since, version, viewSince, viewSeq
+	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
+	seeds = append(seeds, append(bytes.Clone(head), huge...))
+	oneShadow := append(bytes.Clone(head), 1, 0, 0, 0)
+	seeds = append(seeds, append(oneShadow, huge...)) // key length
+	return seeds
+}
+
+func TestReplBatchRoundTrip(t *testing.T) {
+	for _, b := range []*ReplBatch{
+		sampleBatch(),
+		{Epoch: 5, Promote: true},
+		{Epoch: 2, Since: 3, Snap: &Snapshot{Version: 3}, ViewSince: 9, ViewSeq: 9},
+	} {
+		enc := EncodeReplBatch(b)
+		if enc[0] != replFormat {
+			t.Fatalf("first byte = %d, want the format version %d", enc[0], replFormat)
+		}
+		got, err := DecodeReplBatch(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, b) {
+			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, b)
+		}
+	}
+	for i, seed := range replSeeds()[5:] {
+		if _, err := DecodeReplBatch(seed); err == nil {
+			t.Errorf("malformed seed %d accepted", i)
+		}
+	}
+}
+
+// TestDecodeReplBatchBoundsAllocation: a declared count or length the
+// input cannot hold is refused before anything is sized by it.
+func TestDecodeReplBatchBoundsAllocation(t *testing.T) {
+	seeds := replSeeds()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, seed := range seeds[len(seeds)-2:] {
+		if _, err := DecodeReplBatch(seed); err == nil {
+			t.Fatal("oversized declaration accepted")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("decoding %d-byte hostile inputs allocated %d bytes", len(seeds[len(seeds)-1]), grew)
+	}
+}
+
+func FuzzDecodeReplBatch(f *testing.F) {
+	for _, seed := range replSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeReplBatch(data)
+		if err != nil {
+			return
+		}
+		// Whatever the decoder accepts re-encodes to a fixed point.
+		enc := EncodeReplBatch(b)
+		b2, err := DecodeReplBatch(enc)
+		if err != nil {
+			t.Fatalf("re-decode of accepted input failed: %v", err)
+		}
+		if !bytes.Equal(enc, EncodeReplBatch(b2)) {
+			t.Fatal("decode∘encode is not stable")
+		}
+	})
+}
+
+// TestReplicateRefusesOldFormat: a gob-encoded batch (the pre-O(Δ)
+// format) draws a typed error reply from a standby, not a panic.
+func TestReplicateRefusesOldFormat(t *testing.T) {
+	type oldBatch struct {
+		Epoch   uint64
+		Since   vclock.Version
+		Snap    *Snapshot
+		Promote bool
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&oldBatch{Epoch: 1, Snap: &Snapshot{Version: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	r := newStreamRig(t, 1, ReplConfig{Inline: true})
+	for _, blob := range [][]byte{buf.Bytes(), nil, {replFormat, 0xFF}} {
+		reply := r.sb.handleReplicate(&wire.Message{Type: wire.TReplicate, Blob: blob})
+		if reply.Type != wire.TErr {
+			t.Fatalf("blob %x: reply %v, want TErr", blob, reply.Type)
+		}
+	}
+	if r.sb.CurrentVersion() != 0 {
+		t.Fatal("a refused blob advanced the standby")
+	}
+}
+
+// TestReplBatchAllocs pins the steady-state cost of the two batches a
+// replicated request pair ships — a one-key commit and a one-view touch —
+// so the O(Δ) stream cannot silently regress to per-batch work
+// proportional to anything else. Ceilings carry a little headroom.
+func TestReplBatchAllocs(t *testing.T) {
+	const runs = 200
+	r := newStreamRig(t, 4, ReplConfig{Inline: true})
+	for i := 0; i < 16; i++ {
+		name := fmt.Sprintf("v%02d", i)
+		r.mustSend(name, &wire.Message{Type: wire.TRegister, Props: property.MustSet(fmt.Sprintf("Flights={%d..%d}", i*4, i*4+3))})
+		r.mustSend(name, &wire.Message{Type: wire.TInit})
+	}
+	props, _ := r.prim.reg.Props("v03")
+	vs, _ := r.prim.viewState("v03")
+
+	// Build the batches the way the sender does, but keep them: the
+	// standby half below replays them one per measured run.
+	var commits, touches []*ReplBatch
+	var since vclock.Version = r.prim.CurrentVersion()
+	r.repl.mu.Lock()
+	viewSince := r.repl.targets[0].sentView
+	r.repl.mu.Unlock()
+	step := func() {
+		d := image.New(props.Clone())
+		d.Put(image.Entry{Key: fmt.Sprintf("f/%03d", 12+len(commits)%4), Value: []byte("NYC|SFO|200|57|19900")})
+		if _, _, _, err := r.prim.store.Commit("v03", d, 1); err != nil {
+			t.Fatal(err)
+		}
+		b, err := r.repl.buildBatch(since, viewSince, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		since, viewSince = b.Snap.Version, b.ViewSeq
+		commits = append(commits, b)
+
+		vs.mu.Lock()
+		vs.seen = since
+		vs.mu.Unlock()
+		r.prim.viewChanged(vs, false)
+		if b, err = r.repl.buildBatch(since, viewSince, 0); err != nil {
+			t.Fatal(err)
+		}
+		viewSince = b.ViewSeq
+		touches = append(touches, b)
+	}
+	for i := 0; i < runs+8; i++ {
+		step()
+	}
+	if b := commits[len(commits)-1]; len(b.Snap.Shadow) != 1 || len(b.Snap.Log) != 1 || b.Img.Len() != 1 || len(b.Touches)+len(b.Snap.Views) != 0 {
+		t.Fatalf("commit batch is not one key: %+v", b)
+	}
+	if b := touches[len(touches)-1]; len(b.Touches) != 1 || len(b.Snap.Shadow)+len(b.Snap.Log)+len(b.Snap.Views) != 0 || b.Img != nil {
+		t.Fatalf("touch batch is not one touch: %+v", b)
+	}
+
+	pin := func(what string, max float64, f func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(runs, f); got > max {
+			t.Errorf("%s allocs/op = %.1f, want <= %.0f", what, got, max)
+		}
+	}
+	// Encode: the result copy, one property set (the log record's) and the
+	// image's key slice.
+	pin("encode 1-key batch", 8, func() { EncodeReplBatch(commits[0]) })
+	pin("encode 1-touch batch", 1, func() { EncodeReplBatch(touches[0]) })
+
+	// Decode + apply on the standby, a fresh batch per run, interleaved as
+	// the stream does: commit n, touch n, commit n+1, ...
+	mallocs := func(b *ReplBatch) float64 {
+		blob := EncodeReplBatch(b)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		reply := r.sb.handleReplicate(&wire.Message{Type: wire.TReplicate, Blob: blob})
+		runtime.ReadMemStats(&after)
+		if reply.Type != wire.TReplAck {
+			t.Fatalf("batch refused: %v", reply)
+		}
+		return float64(after.Mallocs - before.Mallocs)
+	}
+	var commitAllocs, touchAllocs float64
+	for n := range commits {
+		c, tc := mallocs(commits[n]), mallocs(touches[n])
+		if n >= len(commits)-runs { // past warm-up
+			commitAllocs += c
+			touchAllocs += tc
+		}
+	}
+	commitAllocs /= runs
+	touchAllocs /= runs
+	if got, want := r.sb.CurrentVersion(), since; got != want {
+		t.Fatalf("standby at v%d after replay, want v%d", got, want)
+	}
+	if commitAllocs > 32 {
+		t.Errorf("decode+apply 1-key batch allocs/op = %.1f, want <= 32", commitAllocs)
+	}
+	if touchAllocs > 8 {
+		t.Errorf("decode+apply 1-touch batch allocs/op = %.1f, want <= 8", touchAllocs)
+	}
+	t.Logf("decode+apply allocs/op: 1-key %.1f, 1-touch %.1f; encoded %d and %d bytes",
+		commitAllocs, touchAllocs, len(EncodeReplBatch(commits[0])), len(EncodeReplBatch(touches[0])))
+}
+
+// TestViewTrackingIdleWithoutReplicator: with nobody to drain it, the
+// change stack records nothing — an unreplicated daemon serving
+// open/kill sessions must not accumulate dead view states — and marking a
+// change costs no allocation either way.
+func TestViewTrackingIdleWithoutReplicator(t *testing.T) {
+	h := newLaneHarness(t, Options{Lanes: 4})
+	for i := 0; i < 50; i++ {
+		name := fmt.Sprintf("s%d", i)
+		ep := h.register(name, "P={0..3}")
+		for _, typ := range []wire.Type{wire.TInit, wire.TPull, wire.TUnregister} {
+			if reply, err := ep.Call("dm", &wire.Message{Type: typ, From: name}); err != nil {
+				t.Fatalf("%s: %v (%v)", typ, err, reply)
+			}
+		}
+		ep.Close()
+	}
+	if h.dm.dirtyViews.Load() != nil {
+		t.Fatal("change stack grew with no replicator attached")
+	}
+
+	h.register("v", "P={0..3}")
+	vs, _ := h.dm.viewState("v")
+	if got := testing.AllocsPerRun(100, func() { h.dm.viewChanged(vs, false) }); got != 0 {
+		t.Fatalf("viewChanged allocs/op = %.1f detached, want 0", got)
+	}
+	sb, err := New("dmr", newLaneKV(), vclock.NewSim(), h.net, Options{Standby: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	repl, err := h.dm.StartReplication(ReplConfig{Inline: true}, ReplTarget{Name: "dmr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repl.Close()
+	if got := testing.AllocsPerRun(100, func() { h.dm.viewChanged(vs, true) }); got != 0 {
+		t.Fatalf("viewChanged allocs/op = %.1f attached, want 0", got)
+	}
+	if h.dm.dirtyViews.Load() != vs {
+		t.Fatal("attached replicator: the changed view is not on the stack")
+	}
+}

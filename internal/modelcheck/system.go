@@ -577,10 +577,7 @@ func (s *system) apply(a Action) error {
 		return s.verify(a, nil)
 
 	case APromoteStandby:
-		msg, err := directory.PromoteMessage(s.dms[1].Epoch() + 1)
-		if err != nil {
-			return violationf("promote-standby: build promote batch: %v", err)
-		}
+		msg := directory.PromoteMessage(s.dms[1].Epoch() + 1)
 		if _, err := callRetry(s.ctl, "dm!b", msg); err != nil {
 			return violationf("promote-standby failed: %v", err)
 		}

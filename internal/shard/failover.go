@@ -191,10 +191,7 @@ func (r *Router) failover(shard string) bool {
 // call itself runs off the lock.
 func (r *Router) promoteLocked(shard string, ha *haShard) bool {
 	epoch := ha.epoch + 1
-	msg, err := directory.PromoteMessage(epoch)
-	if err != nil {
-		return false
-	}
+	msg := directory.PromoteMessage(epoch)
 	retry := r.retry
 	r.mu.Unlock()
 	reply, err := transport.CallRetry(r.ep, ha.standby, msg, retry)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"flecc/internal/image"
@@ -26,63 +27,106 @@ const (
 	codecVersion = 2
 )
 
-type encoder struct{ buf []byte }
+// Encoder is the append-only little-endian writer behind every encoding in
+// this package. Encoders are pooled: GetEncoder hands out a recycled
+// scratch buffer, PutEncoder returns it. Other packages that put their own
+// records on the wire (the directory manager's replication batches) build
+// them from the same primitives, so there is one binary dialect.
+type Encoder struct{ buf []byte }
 
 // encoders pools encode scratch buffers: the hot path (every Call on every
 // transport) serializes into a recycled buffer and copies out the exact
 // result, instead of growing a fresh slice per message.
 var encoders = sync.Pool{
-	New: func() any { return &encoder{buf: make([]byte, 0, 512)} },
+	New: func() any { return &Encoder{buf: make([]byte, 0, 512)} },
 }
 
 // maxPooledBuf caps the scratch we keep: an occasional huge image must not
 // pin its buffer in the pool forever.
 const maxPooledBuf = 1 << 20
 
-func getEncoder() *encoder {
-	e := encoders.Get().(*encoder)
+// GetEncoder returns an empty pooled encoder. Release it with PutEncoder
+// once the bytes have been copied out or written.
+func GetEncoder() *Encoder {
+	e := encoders.Get().(*Encoder)
 	e.buf = e.buf[:0]
 	return e
 }
 
-func putEncoder(e *encoder) {
+// PutEncoder recycles an encoder; its buffer must not be used afterwards.
+func PutEncoder(e *Encoder) {
 	if cap(e.buf) <= maxPooledBuf {
 		encoders.Put(e)
 	}
 }
 
-func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
-func (e *encoder) bool(v bool) {
+// U8 appends one byte.
+func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
+
+// Bool appends a presence/flag byte.
+func (e *Encoder) Bool(v bool) {
 	if v {
-		e.u8(1)
+		e.U8(1)
 	} else {
-		e.u8(0)
+		e.U8(0)
 	}
 }
-func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
+
+// U32 appends a little-endian uint32.
+func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+
+// U64 appends a little-endian uint64.
+func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+
+// Str appends a u32-length-prefixed string.
+func (e *Encoder) Str(s string) {
+	e.U32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
 }
-func (e *encoder) bytes(b []byte) {
-	e.u32(uint32(len(b)))
+
+// Bytes appends a u32-length-prefixed byte slice.
+func (e *Encoder) Bytes(b []byte) {
+	e.U32(uint32(len(b)))
 	e.buf = append(e.buf, b...)
 }
 
-type decoder struct {
+// Copy returns the encoded bytes in a fresh slice the caller keeps; the
+// encoder itself can go back to the pool.
+func (e *Encoder) Copy() []byte {
+	out := make([]byte, len(e.buf))
+	copy(out, e.buf)
+	return out
+}
+
+// Decoder is the bounds-checked reader matching Encoder. The first short
+// read latches an error (Err) and every later read returns zero values, so
+// callers decode a whole record and check once. Strings and byte slices
+// are copied out of the input, and nothing is allocated before the
+// declared length has been checked against the bytes that remain.
+type Decoder struct {
 	buf []byte
 	off int
 	err error
 }
 
-func (d *decoder) fail(what string) {
+// NewDecoder reads from b, which it never modifies or retains past the
+// values it returns.
+func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
+
+// Err returns the first decoding error (nil while everything fit).
+func (d *Decoder) Err() error { return d.err }
+
+// Remaining returns the number of unread bytes.
+func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+
+func (d *Decoder) fail(what string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("wire: truncated message reading %s at offset %d", what, d.off)
 	}
 }
 
-func (d *decoder) u8() uint8 {
+// U8 reads one byte.
+func (d *Decoder) U8() uint8 {
 	if d.err != nil || d.off+1 > len(d.buf) {
 		d.fail("u8")
 		return 0
@@ -92,9 +136,11 @@ func (d *decoder) u8() uint8 {
 	return v
 }
 
-func (d *decoder) bool() bool { return d.u8() != 0 }
+// Bool reads a presence/flag byte.
+func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
-func (d *decoder) u32() uint32 {
+// U32 reads a little-endian uint32.
+func (d *Decoder) U32() uint32 {
 	if d.err != nil || d.off+4 > len(d.buf) {
 		d.fail("u32")
 		return 0
@@ -104,7 +150,8 @@ func (d *decoder) u32() uint32 {
 	return v
 }
 
-func (d *decoder) u64() uint64 {
+// U64 reads a little-endian uint64.
+func (d *Decoder) U64() uint64 {
 	if d.err != nil || d.off+8 > len(d.buf) {
 		d.fail("u64")
 		return 0
@@ -114,29 +161,41 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) str() string {
-	n := d.u32()
-	if d.err != nil || d.off+int(n) > len(d.buf) {
-		d.fail("string")
+// Count reads a u32 element count for a sequence whose elements occupy at
+// least minSize encoded bytes each, and fails when the input that remains
+// cannot hold that many — so a caller may size a slice by the result
+// without trusting the declared number.
+func (d *Decoder) Count(minSize int) int { return d.length("count", minSize) }
+
+func (d *Decoder) length(what string, minSize int) int {
+	n := d.U32()
+	if d.err != nil || uint64(n)*uint64(minSize) > uint64(d.Remaining()) {
+		d.fail(what)
+		return 0
+	}
+	return int(n)
+}
+
+// Str reads a u32-length-prefixed string.
+func (d *Decoder) Str() string {
+	n := d.length("string", 1)
+	if d.err != nil {
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
+	s := string(d.buf[d.off : d.off+n])
+	d.off += n
 	return s
 }
 
-func (d *decoder) bytes() []byte {
-	n := d.u32()
-	if d.err != nil || d.off+int(n) > len(d.buf) {
-		d.fail("bytes")
-		return nil
-	}
-	if n == 0 {
+// Bytes reads a u32-length-prefixed byte slice (nil when empty).
+func (d *Decoder) Bytes() []byte {
+	n := d.length("bytes", 1)
+	if d.err != nil || n == 0 {
 		return nil
 	}
 	b := make([]byte, n)
-	copy(b, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
+	copy(b, d.buf[d.off:d.off+n])
+	d.off += n
 	return b
 }
 
@@ -144,15 +203,14 @@ func (d *decoder) bytes() []byte {
 // The result is the caller's to keep — encoding scratch is pooled
 // internally.
 func Encode(m *Message) []byte {
-	e := getEncoder()
+	e := GetEncoder()
 	e.message(m)
-	out := make([]byte, len(e.buf))
-	copy(out, e.buf)
-	putEncoder(e)
+	out := e.Copy()
+	PutEncoder(e)
 	return out
 }
 
-func (e *encoder) message(m *Message) {
+func (e *Encoder) message(m *Message) {
 	e.header(m)
 	if m.Pre != nil {
 		e.buf = append(e.buf, m.Pre.body...)
@@ -164,81 +222,113 @@ func (e *encoder) message(m *Message) {
 // header serializes the per-link fields: the ones a fan-out round stamps
 // freshly for every target (Type, Seq, From, View) plus the codec version.
 // header followed by body is byte-identical to the pre-split encoding.
-func (e *encoder) header(m *Message) {
-	e.u8(codecVersion)
-	e.u8(uint8(m.Type))
-	e.u64(m.Seq)
-	e.str(m.From)
-	e.str(m.View)
+func (e *Encoder) header(m *Message) {
+	e.U8(codecVersion)
+	e.U8(uint8(m.Type))
+	e.U64(m.Seq)
+	e.Str(m.From)
+	e.Str(m.View)
 }
 
 // body serializes everything after the header — the shareable part a
 // Preencode captures once per round.
-func (e *encoder) body(m *Message) {
-	e.u8(uint8(m.Mode))
-	e.u8(uint8(m.Op))
-	e.u64(uint64(m.Since))
-	e.u64(uint64(m.Version))
-	e.u32(m.Ops)
+func (e *Encoder) body(m *Message) {
+	e.U8(uint8(m.Mode))
+	e.U8(uint8(m.Op))
+	e.U64(uint64(m.Since))
+	e.U64(uint64(m.Version))
+	e.U32(m.Ops)
 	// Props: presence + textual form (round-trips exactly; see property
 	// package tests).
 	if m.Props.IsEmpty() {
-		e.bool(false)
+		e.Bool(false)
 	} else {
-		e.bool(true)
-		e.str(m.Props.String())
+		e.Bool(true)
+		e.Str(m.Props.String())
 	}
-	e.str(m.Trig.Push)
-	e.str(m.Trig.Pull)
-	e.str(m.Trig.Validity)
+	e.Str(m.Trig.Push)
+	e.Str(m.Trig.Pull)
+	e.Str(m.Trig.Validity)
 	if m.Img == nil {
-		e.bool(false)
+		e.Bool(false)
 	} else {
-		e.bool(true)
+		e.Bool(true)
 		encodeImage(e, m.Img)
 	}
-	e.bytes(m.Blob)
-	e.str(m.Err)
+	e.Bytes(m.Blob)
+	e.Str(m.Err)
 }
 
-func encodeImage(e *encoder, im *image.Image) {
+func encodeImage(e *Encoder, im *image.Image) {
 	if im.Props.IsEmpty() {
-		e.bool(false)
+		e.Bool(false)
 	} else {
-		e.bool(true)
-		e.str(im.Props.String())
+		e.Bool(true)
+		e.Str(im.Props.String())
 	}
-	e.u64(uint64(im.Version))
-	e.u32(uint32(im.Len()))
+	e.ImageEntries(im)
+}
+
+// ImageEntries appends an image's version and entries in key order — the
+// image encoding minus its property set, which the caller places in
+// whichever form its format uses.
+func (e *Encoder) ImageEntries(im *image.Image) {
+	e.U64(uint64(im.Version))
+	e.U32(uint32(im.Len()))
 	for _, k := range im.Keys() {
 		ent := im.Entries[k]
-		e.str(ent.Key)
-		e.bytes(ent.Value)
-		e.u64(uint64(ent.Version))
-		e.str(ent.Writer)
-		e.bool(ent.Deleted)
+		e.Str(ent.Key)
+		e.Bytes(ent.Value)
+		e.U64(uint64(ent.Version))
+		e.Str(ent.Writer)
+		e.Bool(ent.Deleted)
+	}
+}
+
+// PropSet appends a property set in binary form: the properties in name
+// order, each as name, kind, and either the interval bounds (IEEE-754
+// bits) or the sorted discrete members. Unlike the textual form Message
+// carries, decoding it runs no parser.
+func (e *Encoder) PropSet(s property.Set) {
+	props := s.Properties()
+	e.U32(uint32(len(props)))
+	for _, p := range props {
+		e.Str(p.Name)
+		e.U8(uint8(p.Domain.Kind()))
+		switch p.Domain.Kind() {
+		case property.KindInterval:
+			lo, hi := p.Domain.Bounds()
+			e.U64(math.Float64bits(lo))
+			e.U64(math.Float64bits(hi))
+		case property.KindDiscrete:
+			members := p.Domain.Members()
+			e.U32(uint32(len(members)))
+			for _, m := range members {
+				e.Str(m)
+			}
+		}
 	}
 }
 
 // Decode parses a message produced by Encode.
 func Decode(b []byte) (*Message, error) {
-	d := &decoder{buf: b}
-	ver := d.u8()
+	d := NewDecoder(b)
+	ver := d.U8()
 	if d.err == nil && ver != codecVersion {
 		return nil, fmt.Errorf("wire: unsupported codec version %d", ver)
 	}
 	m := &Message{}
-	m.Type = Type(d.u8())
-	m.Seq = d.u64()
-	m.From = d.str()
-	m.View = d.str()
-	m.Mode = Mode(d.u8())
-	m.Op = OpClass(d.u8())
-	m.Since = vclock.Version(d.u64())
-	m.Version = vclock.Version(d.u64())
-	m.Ops = d.u32()
-	if d.bool() {
-		txt := d.str()
+	m.Type = Type(d.U8())
+	m.Seq = d.U64()
+	m.From = d.Str()
+	m.View = d.Str()
+	m.Mode = Mode(d.U8())
+	m.Op = OpClass(d.U8())
+	m.Since = vclock.Version(d.U64())
+	m.Version = vclock.Version(d.U64())
+	m.Ops = d.U32()
+	if d.Bool() {
+		txt := d.Str()
 		if d.err == nil {
 			props, err := property.ParseSet(txt)
 			if err != nil {
@@ -247,18 +337,18 @@ func Decode(b []byte) (*Message, error) {
 			m.Props = props
 		}
 	}
-	m.Trig.Push = d.str()
-	m.Trig.Pull = d.str()
-	m.Trig.Validity = d.str()
-	if d.bool() {
+	m.Trig.Push = d.Str()
+	m.Trig.Pull = d.Str()
+	m.Trig.Validity = d.Str()
+	if d.Bool() {
 		im, err := decodeImage(d)
 		if err != nil {
 			return nil, err
 		}
 		m.Img = im
 	}
-	m.Blob = d.bytes()
-	m.Err = d.str()
+	m.Blob = d.Bytes()
+	m.Err = d.Str()
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -268,10 +358,10 @@ func Decode(b []byte) (*Message, error) {
 	return m, nil
 }
 
-func decodeImage(d *decoder) (*image.Image, error) {
+func decodeImage(d *Decoder) (*image.Image, error) {
 	var props property.Set
-	if d.bool() {
-		txt := d.str()
+	if d.Bool() {
+		txt := d.Str()
 		if d.err == nil {
 			p, err := property.ParseSet(txt)
 			if err != nil {
@@ -281,36 +371,71 @@ func decodeImage(d *decoder) (*image.Image, error) {
 		}
 	}
 	im := image.New(props)
-	im.Version = vclock.Version(d.u64())
-	n := d.u32()
-	if d.err != nil {
-		return nil, d.err
+	if err := d.ImageEntries(im); err != nil {
+		return nil, err
 	}
-	if int(n) > maxFrame/8 {
-		return nil, fmt.Errorf("wire: implausible entry count %d", n)
-	}
-	for i := uint32(0); i < n; i++ {
+	return im, nil
+}
+
+// imageEntryMin is the smallest encoded image entry: three empty
+// length-prefixed fields, a version and the tombstone flag.
+const imageEntryMin = 4 + 4 + 8 + 4 + 1
+
+// ImageEntries reads what Encoder.ImageEntries wrote into im.
+func (d *Decoder) ImageEntries(im *image.Image) error {
+	im.Version = vclock.Version(d.U64())
+	n := d.Count(imageEntryMin)
+	for i := 0; i < n; i++ {
 		var ent image.Entry
-		ent.Key = d.str()
-		ent.Value = d.bytes()
-		ent.Version = vclock.Version(d.u64())
-		ent.Writer = d.str()
-		ent.Deleted = d.bool()
+		ent.Key = d.Str()
+		ent.Value = d.Bytes()
+		ent.Version = vclock.Version(d.U64())
+		ent.Writer = d.Str()
+		ent.Deleted = d.Bool()
 		if d.err != nil {
-			return nil, d.err
+			break
 		}
 		im.Put(ent)
 	}
-	return im, nil
+	return d.err
+}
+
+// PropSet reads what Encoder.PropSet wrote. A property with no name, an
+// empty domain (inverted or NaN bounds, no members) or an unknown kind is
+// an error, not a silently shorter set.
+func (d *Decoder) PropSet() property.Set {
+	n := d.Count(4 + 1)
+	s := property.NewSet()
+	for i := 0; i < n && d.err == nil; i++ {
+		name := d.Str()
+		var dom property.Domain
+		switch kind := property.Kind(d.U8()); kind {
+		case property.KindInterval:
+			lo := math.Float64frombits(d.U64())
+			hi := math.Float64frombits(d.U64())
+			dom = property.Interval(lo, hi)
+		case property.KindDiscrete:
+			members := make([]string, d.Count(4))
+			for j := range members {
+				members[j] = d.Str()
+			}
+			dom = property.Discrete(members...)
+		}
+		if d.err == nil && (name == "" || dom.IsEmpty()) {
+			d.err = fmt.Errorf("wire: bad property %q in binary set at offset %d", name, d.off)
+		}
+		s.Put(property.New(name, dom))
+	}
+	return s
 }
 
 // WriteFrame writes one length-prefixed message to w. It encodes into a
 // pooled buffer with the length prefix in place, so a frame costs one
 // Write and no per-message allocation.
 func WriteFrame(w io.Writer, m *Message) error {
-	e := getEncoder()
-	defer putEncoder(e)
-	e.u32(0) // length prefix, patched below
+	e := GetEncoder()
+	defer PutEncoder(e)
+	e.U32(0) // length prefix, patched below
 	e.message(m)
 	payload := len(e.buf) - 4
 	if payload > maxFrame {

@@ -32,11 +32,10 @@ type Frame struct {
 // message's body fields must stay untouched afterwards (byte-stream
 // transports trust the Frame to match them).
 func Preencode(m *Message) *Frame {
-	e := getEncoder()
+	e := GetEncoder()
 	e.body(m)
-	body := make([]byte, len(e.buf))
-	copy(body, e.buf)
-	putEncoder(e)
+	body := e.Copy()
+	PutEncoder(e)
 	return &Frame{body: body}
 }
 
@@ -54,7 +53,7 @@ const inlineBody = 4 << 10
 // EncodeFrame and must be released exactly once after the bytes have been
 // written (or abandoned) — the write queue takes ownership on enqueue.
 type EncodedFrame struct {
-	enc  *encoder // pooled; enc.buf = length prefix + header [+ body]
+	enc  *Encoder // pooled; enc.buf = length prefix + header [+ body]
 	body []byte   // shared pre-encoded body, nil when inlined in enc.buf
 }
 
@@ -63,8 +62,8 @@ type EncodedFrame struct {
 // fan-out round's body bytes are serialized once and shared by every
 // target's frame.
 func EncodeFrame(m *Message) (*EncodedFrame, error) {
-	e := getEncoder()
-	e.u32(0) // length prefix, patched below
+	e := GetEncoder()
+	e.U32(0) // length prefix, patched below
 	e.header(m)
 	f := &EncodedFrame{enc: e}
 	switch {
@@ -112,7 +111,7 @@ func (f *EncodedFrame) WriteTo(w io.Writer) (int64, error) {
 // Segments slices taken from it) must not be used afterwards.
 func (f *EncodedFrame) Release() {
 	if f.enc != nil {
-		putEncoder(f.enc)
+		PutEncoder(f.enc)
 		f.enc = nil
 	}
 	f.body = nil

@@ -97,13 +97,17 @@ const (
 
 	// TReplicate ships a replication batch from a primary directory
 	// manager to a standby: Blob carries the encoded directory.ReplBatch
-	// (snapshot-since metadata, values, view-registration state, and the
-	// sender's epoch). A batch with Promote set orders the receiver to
-	// take over as primary under a higher epoch.
+	// (metadata and values committed since the standby's watermark, records
+	// for the views that changed since its view watermark, and the
+	// sender's epoch), built from this package's Encoder primitives. A
+	// batch with Promote set orders the receiver to take over as primary
+	// under a higher epoch.
 	TReplicate
 	// TReplAck acknowledges TReplicate; Version reports the standby's
-	// durable watermark (its highest absorbed primary version), which the
-	// primary uses to rewind after gaps and to size catch-up deltas.
+	// durable watermark (its highest absorbed primary version) and Since
+	// its view watermark (the sender's view-change sequence it has
+	// applied through), which the primary uses to rewind after gaps and
+	// to size catch-up deltas.
 	TReplAck
 )
 

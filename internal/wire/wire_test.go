@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -319,5 +320,49 @@ func TestEntryMetadataOrderIndependent(t *testing.T) {
 	mb := Encode(&Message{Type: TPush, Img: b})
 	if !reflect.DeepEqual(ma, mb) {
 		t.Fatal("encoding should be insertion-order independent")
+	}
+}
+
+// TestPropSetBinaryRoundTrip: the binary property-set form (used by
+// records other packages build from the Encoder primitives) round-trips
+// every domain kind, and refuses what it cannot represent.
+func TestPropSetBinaryRoundTrip(t *testing.T) {
+	for _, src := range []string{
+		"", "Flights={100..139}", "Seats=[0,400]", "Class={economy,first}; Seats=[-1.5,2.25]; Flights={7}",
+	} {
+		want := property.MustSet(src)
+		e := GetEncoder()
+		e.PropSet(want)
+		d := NewDecoder(e.Copy())
+		PutEncoder(e)
+		got := d.PropSet()
+		if d.Err() != nil || d.Remaining() != 0 {
+			t.Fatalf("%q: err %v, %d bytes left", src, d.Err(), d.Remaining())
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%q round-tripped to %q", src, got)
+		}
+	}
+	e := GetEncoder()
+	defer PutEncoder(e)
+	for name, build := range map[string]func(){
+		"unknown kind": func() { e.U32(1); e.Str("P"); e.U8(9) },
+		"inverted interval": func() {
+			e.U32(1)
+			e.Str("P")
+			e.U8(uint8(property.KindInterval))
+			e.U64(math.Float64bits(2))
+			e.U64(math.Float64bits(1))
+		},
+		"no members":      func() { e.U32(1); e.Str("P"); e.U8(uint8(property.KindDiscrete)); e.U32(0) },
+		"no name":         func() { e.U32(1); e.Str(""); e.U8(uint8(property.KindDiscrete)); e.U32(1); e.Str("x") },
+		"oversized count": func() { e.U32(1 << 30) },
+	} {
+		e.buf = e.buf[:0]
+		build()
+		d := NewDecoder(e.Copy())
+		if d.PropSet(); d.Err() == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
