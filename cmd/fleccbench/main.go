@@ -13,7 +13,7 @@
 //	fleccbench -exp wire                # E13: wire-path micro-benchmarks
 //	fleccbench -exp conflict            # E16: conflict-index micro-benchmarks
 //	fleccbench -exp ha                  # E17: hot-standby replication micro-benchmarks
-//	fleccbench -exp scale               # E18: conflict-group-striped commit throughput
+//	fleccbench -exp scale               # E18: commit throughput at 1 lane vs 8, by disjoint-group count
 //	fleccbench -exp all                 # everything
 //
 // Figure parameters can be scaled with -agents/-ops; the defaults are the

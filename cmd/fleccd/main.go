@@ -51,7 +51,7 @@ func main() {
 		faultDelay   = flag.Duration("fault-delay", 0, "inject faults: fixed delay added before delivering each message")
 		faultSeed    = flag.Int64("fault-seed", 1, "seed for the fault injector's random stream (deterministic runs)")
 		fanOut       = flag.Int("fanout", 0, "max concurrent views contacted per invalidate/gather/propagate round (0 = directory default, 1 = serial)")
-		lanes        = flag.Int("lanes", 0, "conflict-group execution lanes: commits of disjoint conflict groups run in parallel (0 or 1 = serial)")
+		lanes        = flag.Int("lanes", 0, "conflict-group execution lanes: commits of disjoint conflict groups run in parallel (0 = 1 lane: commits run one at a time)")
 		compactEvery = flag.Duration("compact-every", 0, "update-log compaction interval (0 disables)")
 		debugAddr    = flag.String("debug-addr", "", "serve observability HTTP on this address: /metrics (text or ?format=json), /trace, /spans, /debug/pprof (empty disables)")
 		standby      = flag.Bool("standby", false, "run as a hot standby: refuse client traffic until promoted (pair with a primary's -replicate-to; single-DM mode)")
@@ -117,7 +117,7 @@ func run(addr, name string, flights, capacity, shards int, statusEvery time.Dura
 	retry := transport.RetryPolicy{Jitter: 0.2, Rand: transport.NewRand(faults.seed)}
 	opts := directory.Options{Resolver: airline.SeatResolver, FanOut: fanOut, Lanes: lanes, Retry: retry}
 	if lanes > 1 {
-		log.Printf("fleccd: conflict-group striping on (%d lanes)", lanes)
+		log.Printf("fleccd: %d conflict-group commit lanes", lanes)
 	}
 
 	if ha.standby {

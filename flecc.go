@@ -65,7 +65,8 @@ type (
 	Entry = image.Entry
 	// Codec is the application-supplied extract/merge implementation
 	// (the paper's extractFromObject/mergeIntoObject and
-	// extractFromView/mergeIntoView).
+	// extractFromView/mergeIntoView). Its methods are called
+	// concurrently; see image.Merger for the contract.
 	Codec = image.Codec
 	// Conflict is a concurrent-update conflict handed to a Resolver.
 	Conflict = image.Conflict
@@ -167,13 +168,12 @@ func WithFanOut(n int) Option {
 	return func(c *sysConfig) { c.fanOut = n }
 }
 
-// WithLanes enables conflict-group-striped execution at the directory
-// manager: commits from disjoint conflict groups run through n parallel
-// execution lanes, with the store's per-key metadata striped and codec
-// calls moved outside global locks. Requests within one conflict group
-// keep arrival order. The default (0 or 1) is the serial path —
-// byte-identical protocol behavior, which the deterministic experiment
-// harness relies on.
+// WithLanes sets the number of execution lanes at the directory manager:
+// commits from disjoint conflict groups run through n lanes in parallel,
+// commits within one conflict group keep arrival order. The default (0,
+// meaning 1) runs every commit through the one lane in arrival order; it
+// is the same commit path at every n, so a single-client run behaves
+// identically whatever the count.
 func WithLanes(n int) Option {
 	return func(c *sysConfig) { c.lanes = n }
 }

@@ -3,41 +3,43 @@ package directory
 import (
 	"sync"
 
+	"flecc/internal/image"
+	"flecc/internal/vclock"
 	"flecc/internal/wire"
 )
 
 // Execution lanes (the request half of conflict-group striping): each
 // commit is routed to the lane of its writer's conflict group, so commits
-// within one group keep arrival order — exactly today's serialization —
-// while commits of disjoint groups proceed in parallel. The group map is
-// derived from the registry's conflict structure (the PR 8 property
-// index) and cached per registry mutation epoch: repeated commits between
-// structural changes never re-query the index.
+// within one group keep arrival order while commits of disjoint groups
+// proceed in parallel. The group map is derived from the registry's
+// conflict structure (the PR 8 property index) and cached per registry
+// mutation epoch: repeated commits between structural changes never
+// re-query the index. With one lane (Options.Lanes ≤ 1) there is nothing
+// to map: every commit takes lane 0, in arrival order.
 //
-// Two rules keep this safe:
+// This file is also where the manager meets the store's gate, the
+// package's one quiesce point. Two rules keep it safe:
 //
-//   - A lane lock is scoped to the Store.Commit call alone — never held
-//     across a DM-initiated network round (invalidate, gather,
-//     propagate). A cache manager answering an invalidation may itself be
-//     waiting to push; holding a lane across the round would deadlock the
-//     pair.
+//   - A lane lock, and the gate's read side with it, is scoped to the
+//     store commit alone — never held across a DM-initiated network round
+//     (invalidate, gather, propagate). A cache manager answering an
+//     invalidation may itself be waiting to push; holding a lane across
+//     the round would deadlock the pair.
 //   - Anything that can change the conflict structure — register,
 //     unregister, set-props, revival, static-map seeding, migration
-//     handover — takes the lane gate exclusively, draining every
-//     in-flight commit before the structure moves. Commits started after
-//     the change see the bumped registry epoch and rebuild the map.
-//     Evictions (SetLost true) only remove conflict edges, so in-flight
-//     commits running under the pre-eviction, coarser grouping stay
-//     correct; the map catches up on its next lazy rebuild.
+//     handover — takes the gate exclusively, draining every in-flight
+//     commit before the structure moves. Commits started after the change
+//     see the bumped registry epoch and rebuild the map. Evictions
+//     (SetLost true) only remove conflict edges, so in-flight commits
+//     running under the pre-eviction, coarser grouping stay correct; the
+//     map catches up on its next lazy rebuild.
 
 type laneSet struct {
-	m *Manager
-	// gate drains the lanes: commits hold the read side for the duration
-	// of their store commit, structural changes the write side.
-	gate  sync.RWMutex
+	m     *Manager
 	lanes []sync.Mutex
 
-	// mu guards the lazily rebuilt group map below.
+	// mu guards the lazily rebuilt group map below. Taken under the gate's
+	// read side and released before the lane is locked.
 	mu    sync.Mutex
 	epoch uint64
 	built bool
@@ -48,6 +50,8 @@ func newLaneSet(m *Manager, n int) *laneSet {
 	return &laneSet{m: m, lanes: make([]sync.Mutex, n)}
 }
 
+// fnvLane hashes a name onto one of n slots: lanes here, key stripes in
+// the store.
 func fnvLane(s string, n int) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -57,9 +61,13 @@ func fnvLane(s string, n int) uint32 {
 	return h % uint32(n)
 }
 
-// laneFor maps a view to its conflict group's lane. Caller holds gate.R,
-// which pins the conflict structure: structural changes need gate.W.
+// laneFor maps a view to its conflict group's lane. Caller holds the
+// gate's read side, which pins the conflict structure: structural changes
+// need the write side.
 func (ls *laneSet) laneFor(view string) *sync.Mutex {
+	if len(ls.lanes) == 1 {
+		return &ls.lanes[0]
+	}
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if e := ls.m.reg.Epoch(); !ls.built || e != ls.epoch {
@@ -113,32 +121,26 @@ func (ls *laneSet) rebuildLocked(epoch uint64) {
 	ls.built = true
 }
 
-// withCommitLane runs fn (a Store.Commit call site) under the writer's
-// conflict-group lane. Without lanes it is a plain call — the serial path
-// stays untouched.
-func (m *Manager) withCommitLane(writer string, fn func()) {
-	if m.lanes == nil {
-		fn()
-		return
-	}
-	m.lanes.gate.RLock()
-	defer m.lanes.gate.RUnlock()
+// commit runs one store commit under the writer's conflict-group lane:
+// it serializes against the writer's own group only, and holds the gate's
+// read side from before the lane is picked until the commit has landed.
+func (m *Manager) commit(writer string, delta *image.Image, ops int) (vclock.Version, *image.Image, error) {
+	m.store.gate.RLock()
+	defer m.store.gate.RUnlock()
 	lane := m.lanes.laneFor(writer)
 	lane.Lock()
 	defer lane.Unlock()
-	fn()
+	ver, _, rejected, err := m.store.commitGated(writer, delta, ops)
+	return ver, rejected, err
 }
 
-// structuralDo runs fn with the lanes drained (gate held exclusively) —
-// for conflict-structure changes and whole-store commits. Without lanes
-// it is a plain call.
+// structuralDo runs fn with the gate held exclusively — every lane
+// drained, every whole-store operation excluded — for conflict-structure
+// changes and the primary's own commits. fn must not call a Store method
+// that takes the gate itself.
 func (m *Manager) structuralDo(fn func()) {
-	if m.lanes == nil {
-		fn()
-		return
-	}
-	m.lanes.gate.Lock()
-	defer m.lanes.gate.Unlock()
+	m.store.gate.Lock()
+	defer m.store.gate.Unlock()
 	fn()
 }
 

@@ -2,7 +2,9 @@ package directory
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"testing"
@@ -339,17 +341,22 @@ func laneScript(t *testing.T, opts Options) []byte {
 	return buf.Bytes()
 }
 
-// TestLanesSerialByteIdentical pins the opt-in contract: Lanes=1 is the
-// serial path, byte-identical to the default, and even Lanes>1 produces
-// the identical capture under a sequential (single-client) script, since
-// one-at-a-time commits leave no room for reordering.
-func TestLanesSerialByteIdentical(t *testing.T) {
-	base := laneScript(t, Options{})
-	if got := laneScript(t, Options{Lanes: 1}); !bytes.Equal(base, got) {
-		t.Fatal("Lanes=1 capture differs from the serial default")
-	}
-	if got := laneScript(t, Options{Lanes: 8}); !bytes.Equal(base, got) {
-		t.Fatal("Lanes=8 sequential capture differs from the serial default")
+// laneScriptGolden is the SHA-256 of laneScript's capture as recorded at
+// the last commit that still had the serial store path (PR 13, d875be8),
+// from its default Options{} run. It pins that deleting the serial twin
+// moved no byte of a single-client run's metadata or view state.
+const laneScriptGolden = "5e92c4fd9f57f5075f7c4b305f39bd6948a06a94fdaff98e6079cec7872e5f26"
+
+// TestLaneCountByteIdentical pins that Options.Lanes is a count, not a
+// mode: under a sequential (single-client) script, where one-at-a-time
+// commits leave no room for reordering, the default, one lane and eight
+// lanes all produce the golden capture.
+func TestLaneCountByteIdentical(t *testing.T) {
+	for _, lanes := range []int{0, 1, 8} {
+		sum := sha256.Sum256(laneScript(t, Options{Lanes: lanes}))
+		if got := hex.EncodeToString(sum[:]); got != laneScriptGolden {
+			t.Errorf("Lanes=%d: capture hash %s, want golden %s", lanes, got, laneScriptGolden)
+		}
 	}
 }
 

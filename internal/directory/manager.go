@@ -82,14 +82,13 @@ type Options struct {
 	// self-test seeds a skipped-invalidation bug through it and proves
 	// the checker renders the resulting violation.
 	InvalFilter func(requester string, targets []string) []string
-	// Lanes enables conflict-group-striped execution (lanes.go,
-	// stripe.go): commits from disjoint conflict groups run through
-	// separate execution lanes in parallel, with the store's per-key
-	// metadata striped and codec calls moved outside global locks.
-	// Requests within one conflict group keep today's arrival order.
-	// 0 or 1 keeps the serial path — byte-identical behavior, which the
-	// deterministic experiment harness and the model checker rely on.
-	// Real deployments opt in via flecc.WithLanes / fleccd -lanes.
+	// Lanes is the number of execution lanes (lanes.go): commits from
+	// disjoint conflict groups run through separate lanes in parallel,
+	// commits within one conflict group keep arrival order. 0 means 1 —
+	// every commit takes the one lane, in arrival order, which is what
+	// the deterministic experiment harness and the model checker run. It
+	// is a count, not a mode: every value runs the same commit path.
+	// Deployments set it via flecc.WithLanes / fleccd -lanes.
 	Lanes int
 }
 
@@ -161,8 +160,7 @@ type Manager struct {
 	dirtyViews atomic.Pointer[viewState]
 	tracking   atomic.Bool
 
-	// lanes is the conflict-group execution-lane table (lanes.go); nil
-	// unless Options.Lanes > 1.
+	// lanes is the conflict-group execution-lane table (lanes.go).
 	lanes *laneSet
 
 	// ha is the hot-standby replication state (replicate.go): role,
@@ -190,10 +188,7 @@ func New(name string, primary image.Codec, clock vclock.Clock, net transport.Net
 	if opts.Resolver != nil {
 		m.store.SetResolver(opts.Resolver)
 	}
-	if opts.Lanes > 1 {
-		m.store.EnableStriping()
-		m.lanes = newLaneSet(m, opts.Lanes)
-	}
+	m.lanes = newLaneSet(m, max(1, opts.Lanes))
 	if opts.Snapshot != nil {
 		if err := m.store.Restore(opts.Snapshot); err != nil {
 			return nil, err
@@ -295,8 +290,8 @@ func (m *Manager) handle(req *wire.Message) *wire.Message {
 	case wire.TRegister, wire.TRouted, wire.TMigrateTake, wire.TMigrateApply, wire.TReplicate:
 	default:
 		if req.From != "" && m.reg.Lost(req.From) {
-			// Revival adds conflict edges back; in laned mode it drains
-			// the execution lanes like any structural change.
+			// Revival adds conflict edges back; it drains the execution
+			// lanes like any structural change.
 			m.structuralDo(func() { m.reg.SetLost(req.From, false) })
 			if vs, ok := m.viewState(req.From); ok {
 				m.viewChanged(vs, true)
@@ -345,7 +340,7 @@ func (m *Manager) handleRegister(req *wire.Message) *wire.Message {
 		return errf("bad validity trigger for %s: %v", view, err)
 	}
 	// Registration changes the conflict structure (it can add edges), so
-	// in laned mode it drains the execution lanes first. The replication
+	// it drains the execution lanes first. The replication
 	// barrier runs after the lanes are released: a slow standby must not
 	// stall every commit lane for the length of a round trip.
 	return m.synced(m.structural(func() *wire.Message {
@@ -746,10 +741,7 @@ func (m *Manager) commitReply(writer string, reply *wire.Message) error {
 	// Rejected winners are not pushed back here: invalidated views must
 	// pull before their next use anyway, and fetched views will see the
 	// winning values on their next pull.
-	var err error
-	m.withCommitLane(writer, func() {
-		_, _, _, err = m.store.Commit(writer, reply.Img, int(reply.Ops))
-	})
+	_, _, err := m.commit(writer, reply.Img, int(reply.Ops))
 	return err
 }
 
@@ -760,16 +752,9 @@ func (m *Manager) handlePush(req *wire.Message) *wire.Message {
 	if _, ok := m.viewState(view); !ok {
 		return errf("push from unregistered view %s", view)
 	}
-	var (
-		ver      vclock.Version
-		rejected *image.Image
-		err      error
-	)
 	// The pusher's execution lane serializes this commit against its own
 	// conflict group only; disjoint groups commit in parallel.
-	m.withCommitLane(view, func() {
-		ver, _, rejected, err = m.store.Commit(view, req.Img, int(req.Ops))
-	})
+	ver, rejected, err := m.commit(view, req.Img, int(req.Ops))
 	if err != nil {
 		return errf("%v", err)
 	}
@@ -936,6 +921,16 @@ func (m *Manager) CheckInvariants() error {
 			return fmt.Errorf("directory %s: lost view %q is active", m.name, name)
 		}
 	}
+	if err := m.checkViews(reg, cur); err != nil {
+		return err
+	}
+	// The store check takes the gate, which ranks above vmu: it runs with
+	// vmu released.
+	return m.store.CheckInvariants()
+}
+
+// checkViews is CheckInvariants' pass over the views map, under vmu.
+func (m *Manager) checkViews(reg map[string]bool, cur vclock.Version) error {
 	m.vmu.RLock()
 	defer m.vmu.RUnlock()
 	for name, vs := range m.views {
@@ -954,7 +949,7 @@ func (m *Manager) CheckInvariants() error {
 			return fmt.Errorf("directory %s: registry entry %q has no view state", m.name, name)
 		}
 	}
-	return m.store.CheckInvariants()
+	return nil
 }
 
 // Mode reports a view's current mode (Weak for unknown views).
@@ -993,8 +988,8 @@ func (m *Manager) CommitLocal(delta *image.Image, ops int) (vclock.Version, erro
 		err error
 	)
 	// A primary-local commit has no conflict group (it may touch any
-	// keys), so in laned mode it runs exclusively — all lanes drained.
-	m.structuralDo(func() { v, _, _, err = m.store.Commit("", delta, ops) })
+	// keys), so it runs exclusively — all lanes drained.
+	m.structuralDo(func() { v, _, _, err = m.store.commitGated("", delta, ops) })
 	if err != nil {
 		return v, err
 	}

@@ -199,7 +199,6 @@ func (s *Store) Absorb(snap *Snapshot) error {
 		s.mergeLocked(snap)
 	}
 	s.counter.AdvanceTo(snap.Version)
-	s.gen++
 	return nil
 }
 

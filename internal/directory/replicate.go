@@ -54,8 +54,8 @@ const staleEpochMark = "stale epoch"
 // version-ordered dirty index, so the capture costs what changed after
 // since, not the size of the store.
 //
-// In striped mode the capture quiesces in-flight lane commits (commit
-// gate, write side). With nothing in flight the published watermark
+// The capture quiesces in-flight lane commits (the gate's write side).
+// With nothing in flight the published watermark
 // equals the counter, so a replication batch closed at snap.Version
 // carries every commit ≤ snap.Version — lanes drain into TReplicate
 // batches in version-counter order with no holes.
@@ -90,16 +90,18 @@ func (s *Store) SnapshotSince(since vclock.Version) *Snapshot {
 
 // AbsorbImage merges replicated primary values into the original
 // component's codec without issuing new versions — the entries keep the
-// version/writer stamps the primary committed them under.
+// version/writer stamps the primary committed them under. It quiesces
+// commits and extracts (the gate's write side) but touches no store
+// metadata, so it takes no other store lock across the codec call.
 func (s *Store) AbsorbImage(img *image.Image) error {
 	if img == nil || img.Len() == 0 {
 		return nil
 	}
-	defer s.lockStore()()
+	s.gate.Lock()
+	defer s.gate.Unlock()
 	if err := s.primary.Merge(img, img.Props); err != nil {
 		return fmt.Errorf("directory: absorb image: %w", err)
 	}
-	s.gen++
 	return nil
 }
 

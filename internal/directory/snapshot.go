@@ -42,9 +42,8 @@ type Snapshot struct {
 	Views []HandoverView
 }
 
-// Snapshot captures the store's current metadata. In striped mode it
-// quiesces in-flight commits first, so the capture is complete up to its
-// Version.
+// Snapshot captures the store's current metadata. It quiesces in-flight
+// commits first, so the capture is complete up to its Version.
 func (s *Store) Snapshot() *Snapshot {
 	defer s.rlockStore()()
 	snap := &Snapshot{Version: s.counter.Current()}
@@ -81,7 +80,6 @@ func (s *Store) Restore(snap *Snapshot) error {
 	for _, st := range s.stripes {
 		st.rebuild()
 	}
-	s.gen++
 	return nil
 }
 

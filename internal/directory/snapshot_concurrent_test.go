@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"flecc/internal/image"
 	"flecc/internal/property"
 	"flecc/internal/vclock"
 )
@@ -107,6 +108,49 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 	}
 	if got := standby.UnseenOps(0, "observer", property.MustSet("F={1}")); got == 0 {
 		t.Fatal("restored log should report unseen ops")
+	}
+}
+
+// TestStoreSetResolverDuringCommits swaps the resolver while conflicting
+// commits run (go test -race): Commit loads it once, under Store.mu.
+func TestStoreSetResolverDuringCommits(t *testing.T) {
+	st := NewStore(newMapStore(), vclock.NewSim())
+	theirs := func(c image.Conflict) (image.Entry, error) { return c.Theirs, nil }
+
+	var writers sync.WaitGroup
+	var done atomic.Bool
+	for w := 0; w < 2; w++ { // one key per goroutine: concurrent commits stay disjoint
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 200; i++ {
+				// Alternating writers on a stale base: every commit but the
+				// first conflicts, so the resolver is consulted.
+				writer := fmt.Sprintf("w%d-%d", w, i%2)
+				d := delta("F={1}", fmt.Sprintf("k%d", w), fmt.Sprint(i))
+				if _, _, _, err := st.Commit(writer, d, 1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	go func() {
+		writers.Wait()
+		done.Store(true)
+	}()
+	for i := 0; !done.Load(); i++ {
+		if i%2 == 0 {
+			st.SetResolver(theirs)
+		} else {
+			st.SetResolver(nil)
+		}
+	}
+	if got := st.ConflictsSeen(); got != 2*199 {
+		t.Fatalf("conflicts seen = %d, want %d", got, 2*199)
+	}
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -52,12 +52,11 @@ type dirtyRec struct {
 }
 
 // storeStripe is one key-hash shard of the store's per-key metadata: a
-// shadow map plus the version-ordered dirty index over its keys. In
-// serial mode the store has exactly one stripe and every access runs
-// under Store.mu, so stripe.mu is never touched and behavior is exactly
-// the pre-striping store. In striped mode (EnableStriping) there are
-// stripeCount stripes, each guarded by its own lock, so commits of
-// disjoint conflict groups publish metadata without contending.
+// shadow map plus the version-ordered dirty index over its keys. Each
+// stripe has its own lock, so commits of disjoint conflict groups publish
+// metadata without contending. mu is a leaf lock: held for a map read or
+// update only, never across a codec call and never together with another
+// stripe's lock, Store.mu or pubTracker.mu.
 type storeStripe struct {
 	mu     sync.RWMutex
 	shadow map[string]shadowEntry
@@ -71,10 +70,10 @@ func newStoreStripe() *storeStripe {
 	return &storeStripe{shadow: map[string]shadowEntry{}}
 }
 
-// stripeCount is the fixed key-hash fan-out in striped mode. Keys hash to
-// stripes independently of conflict groups: disjoint groups have disjoint
-// keys, so their publishes never collide on an entry, and a shared stripe
-// only costs a short map-update critical section (all codec work happens
+// stripeCount is the fixed key-hash fan-out. Keys hash to stripes
+// independently of conflict groups: disjoint groups have disjoint keys,
+// so their publishes never collide on an entry, and a shared stripe only
+// costs a short map-update critical section (all codec work happens
 // outside stripe locks).
 const stripeCount = 16
 
@@ -84,12 +83,23 @@ const stripeCount = 16
 // detection, and the update log used for quality accounting. Store is the
 // application-neutral half of the directory manager: it never interprets
 // entry payloads.
+//
+// The primary codec's methods are called outside every store lock, and
+// concurrently whenever commits and extracts overlap; the codec must be
+// safe for that (see image.Merger). What the store itself coordinates is
+// listed at the top of stripe.go.
 type Store struct {
-	// mu is a reader/writer lock: commits take the write side, extracts and
-	// quality queries the read side, so concurrent pulls of non-conflicting
-	// views no longer serialize on the store. In striped mode it shrinks to
-	// guarding the update log, gen, and conflictsSeen — per-key metadata
-	// moves under the stripe locks.
+	// gate is the directory's one quiesce point. Commits hold the read
+	// side for their whole duration, extracts while they read the stripes;
+	// whole-store operations (snapshot, restore, absorb, invariant checks)
+	// and the manager's structural changes (lanes.go) hold the write side —
+	// acquiring it exclusively drains every in-flight commit, which is
+	// what keeps replication batches complete. It is the store's outermost
+	// lock; PROTOCOL.md "Concurrency model" has the package's full order.
+	gate sync.RWMutex
+	// mu guards the update log, the resolver and conflictsSeen. A leaf
+	// lock: never held across a codec call. Per-key metadata lives under
+	// the stripe locks.
 	mu      sync.RWMutex
 	primary image.Codec
 	// keyed is primary's keyed-extraction extension when it has one; nil
@@ -97,13 +107,7 @@ type Store struct {
 	keyed   image.KeyedExtractor
 	clock   vclock.Clock
 	counter vclock.Counter
-	// gen counts metadata mutations (commits, restores, absorbs). Extract
-	// snapshots it, calls the primary codec *outside* the lock, and
-	// revalidates: an unchanged gen proves nothing moved underneath the
-	// unlocked codec call.
-	gen uint64
-	// stripes holds the per-key metadata: one stripe in serial mode,
-	// stripeCount key-hash stripes in striped mode.
+	// stripes holds the per-key metadata in stripeCount key-hash stripes.
 	stripes []*storeStripe
 	log     []UpdateRec
 	// resolver adjudicates concurrent-update conflicts; nil means
@@ -112,42 +116,28 @@ type Store struct {
 	resolver image.Resolver
 	// conflictsSeen counts conflicts detected across all commits.
 	conflictsSeen int
-
-	// striped marks the store as running the concurrent-commit paths
-	// (stripe.go). gate is the striped-mode commit gate: commits and
-	// extracts hold the read side, whole-store operations (snapshot,
-	// restore, absorb, invariant checks) the write side — acquiring it
-	// exclusively quiesces every in-flight commit, which is what keeps
-	// replication batches complete. pub tracks the published watermark
-	// striped extracts stamp images with.
-	striped bool
-	gate    sync.RWMutex
-	pub     pubTracker
+	// pub tracks the published watermark extracts stamp images with.
+	pub pubTracker
 }
 
 // NewStore builds a store around the original component's codec.
 func NewStore(primary image.Codec, clock vclock.Clock) *Store {
 	keyed, _ := primary.(image.KeyedExtractor)
-	return &Store{
+	s := &Store{
 		primary: primary,
 		keyed:   keyed,
 		clock:   clock,
-		stripes: []*storeStripe{newStoreStripe()},
+		stripes: make([]*storeStripe, stripeCount),
 	}
+	for i := range s.stripes {
+		s.stripes[i] = newStoreStripe()
+	}
+	return s
 }
 
-// stripeFor maps a key to its metadata stripe (the single stripe in
-// serial mode).
+// stripeFor maps a key to its metadata stripe.
 func (s *Store) stripeFor(k string) *storeStripe {
-	if len(s.stripes) == 1 {
-		return s.stripes[0]
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
-		h *= 16777619
-	}
-	return s.stripes[h%uint32(len(s.stripes))]
+	return s.stripes[fnvLane(k, stripeCount)]
 }
 
 // SetResolver installs the application's conflict resolver (nil restores
@@ -183,60 +173,87 @@ func (s *Store) ConflictsSeen() int {
 // of silently keeping its rejected value.
 //
 // An empty delta commits nothing and returns the current version.
+//
+// Concurrent Commit calls must touch disjoint keys: the shadow entries
+// for a delta's keys must not move while its commit runs. The directory
+// manager's execution lanes (lanes.go) guarantee it — two commits in
+// flight at once are never in the same conflict group; a caller driving
+// a bare Store concurrently has to.
 func (s *Store) Commit(writer string, delta *image.Image, ops int) (vclock.Version, int, *image.Image, error) {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	return s.commitGated(writer, delta, ops)
+}
+
+// commitGated is Commit for a caller that already holds the gate: the
+// manager's lane dispatch (read side) and CommitLocal (write side).
+func (s *Store) commitGated(writer string, delta *image.Image, ops int) (vclock.Version, int, *image.Image, error) {
 	if delta == nil || delta.Len() == 0 {
 		return s.counter.Current(), 0, nil, nil
 	}
-	if s.striped {
-		return s.commitStriped(writer, delta, ops)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stripes[0]
+	s.mu.RLock()
+	resolver := s.resolver
+	s.mu.RUnlock()
 
-	// Detect conflicting keys via the shadow.
+	// Detect conflicting keys via the shadow, remembering the prior
+	// entries the resolver stamps "ours" with.
+	keys := delta.Keys()
 	var conflictKeys []string
-	for _, k := range delta.Keys() {
-		e := delta.Entries[k]
-		if sh, ok := st.shadow[k]; ok && sh.version > e.Version && sh.writer != writer {
+	prior := map[string]shadowEntry{}
+	for _, k := range keys {
+		st := s.stripeFor(k)
+		st.mu.RLock()
+		sh, ok := st.shadow[k]
+		st.mu.RUnlock()
+		if !ok {
+			continue
+		}
+		prior[k] = sh
+		if sh.version > delta.Entries[k].Version && sh.writer != writer {
 			conflictKeys = append(conflictKeys, k)
+		}
+	}
+
+	// Resolver inputs come from a keyed extract of just the conflicting
+	// keys, outside every lock. With no resolver installed the incoming
+	// update wins and no extract is needed at all.
+	var current *image.Image
+	if len(conflictKeys) > 0 && resolver != nil {
+		var err error
+		if s.keyed != nil {
+			current, err = s.keyed.ExtractKeys(delta.Props, conflictKeys)
+		} else {
+			current, err = s.primary.Extract(delta.Props)
+		}
+		if err != nil {
+			return 0, 0, nil, fmt.Errorf("directory: extract for conflict resolution: %w", err)
 		}
 	}
 
 	apply := image.New(delta.Props.Clone())
 	rejected := image.New(delta.Props.Clone())
-	newVer := s.counter.Next()
-
-	var current *image.Image
-	if len(conflictKeys) > 0 {
-		// We need the primary's current values to give the resolver both
-		// sides.
-		var err error
-		current, err = s.primary.Extract(delta.Props)
-		if err != nil {
-			return 0, 0, nil, fmt.Errorf("directory: extract for conflict resolution: %w", err)
-		}
-	}
 	conflicts := 0
 	isConflict := map[string]bool{}
 	for _, k := range conflictKeys {
 		isConflict[k] = true
 	}
-	for _, k := range delta.Keys() {
+	// Resolve before allocating the version, so a resolver error burns
+	// nothing.
+	for _, k := range keys {
 		theirs := delta.Entries[k].Clone()
 		if isConflict[k] {
 			conflicts++
 			winner := theirs
-			if s.resolver != nil {
+			if resolver != nil {
 				var ours image.Entry
 				if current != nil {
 					if ce, ok := current.Get(k); ok {
 						ours = ce
-						ours.Version = st.shadow[k].version
-						ours.Writer = st.shadow[k].writer
+						ours.Version = prior[k].version
+						ours.Writer = prior[k].writer
 					}
 				}
-				w, err := s.resolver(image.Conflict{Key: k, Ours: ours, Theirs: theirs})
+				w, err := resolver(image.Conflict{Key: k, Ours: ours, Theirs: theirs})
 				if err != nil {
 					return 0, 0, nil, fmt.Errorf("directory: resolve %q: %w", k, err)
 				}
@@ -251,35 +268,53 @@ func (s *Store) Commit(writer string, delta *image.Image, ops int) (vclock.Versi
 			}
 			theirs = winner
 		}
-		theirs.Version = newVer
-		theirs.Writer = writer
 		apply.Put(theirs)
-		if _, existed := st.shadow[k]; existed {
-			// The key's previous dirty record is now superseded.
-			st.stale++
-		}
-		st.shadow[k] = shadowEntry{version: newVer, writer: writer, deleted: theirs.Deleted}
-		st.dirty = append(st.dirty, dirtyRec{version: newVer, key: k})
-	}
-	s.conflictsSeen += conflicts
-	if st.stale > len(st.shadow)+16 {
-		st.rebuild()
 	}
 
+	newVer := s.pub.begin(&s.counter)
+	// Every allocated version must land, or the watermark would wedge
+	// behind it forever — a failed merge lands its version empty.
+	defer s.pub.end(newVer)
+
+	for k, e := range apply.Entries {
+		e.Version = newVer
+		e.Writer = writer
+		apply.Entries[k] = e
+	}
 	apply.Version = newVer
 	if apply.Len() > 0 {
+		// Merge into the codec before publishing the shadow stamps: a
+		// reader that sees a new stamp is guaranteed the codec already
+		// holds at least that value, and a failed merge leaves no stamp.
 		if err := s.primary.Merge(apply, delta.Props); err != nil {
 			return 0, 0, nil, fmt.Errorf("directory: merge into primary: %w", err)
 		}
 	}
-	s.log = append(s.log, UpdateRec{
+	for k, e := range apply.Entries {
+		st := s.stripeFor(k)
+		st.mu.Lock()
+		if _, existed := st.shadow[k]; existed {
+			// The key's previous dirty record is now superseded.
+			st.stale++
+		}
+		st.shadow[k] = shadowEntry{version: newVer, writer: writer, deleted: e.Deleted}
+		st.insertDirty(dirtyRec{version: newVer, key: k})
+		if st.stale > len(st.shadow)+16 {
+			st.rebuild()
+		}
+		st.mu.Unlock()
+	}
+	s.mu.Lock()
+	s.conflictsSeen += conflicts
+	s.insertLogLocked(UpdateRec{
 		Version: newVer,
 		Writer:  writer,
 		Props:   delta.Props.Clone(),
 		Ops:     ops,
 		At:      s.clock.Now(),
 	})
-	s.gen++
+	s.mu.Unlock()
+
 	rejected.Version = newVer
 	if rejected.Len() == 0 {
 		return newVer, conflicts, nil, nil
@@ -289,9 +324,9 @@ func (s *Store) Commit(writer string, delta *image.Image, ops int) (vclock.Versi
 
 // rebuild regenerates the stripe's dirty index from its shadow: one
 // record per key at its current version, sorted by (version, key). Called
-// with the stripe exclusively held (under Store.mu in serial mode, the
-// stripe lock or the commit gate in striped mode) when stale records pile
-// up or when the shadow is replaced wholesale (Restore/Absorb).
+// with the stripe exclusively held (its lock, or the gate's write side)
+// when stale records pile up or when the shadow is replaced wholesale
+// (Restore/Absorb).
 func (st *storeStripe) rebuild() {
 	st.dirty = st.dirty[:0]
 	for k, sh := range st.shadow {
@@ -308,69 +343,61 @@ func (st *storeStripe) rebuild() {
 
 // Extract snapshots the primary copy restricted to props, stamps entries
 // with their shadow metadata, and — when since > 0 — trims the result to
-// entries committed after since (a delta). The image's Version is always
-// the current primary version.
+// entries committed after since (a delta).
+//
+// The image's Version is the published watermark, read BEFORE touching
+// the codec or the dirty index: every commit at or below the watermark
+// landed (merge included) before the watermark advanced, so it is fully
+// visible to this extract; commits above it may or may not appear, and
+// stamping the image below them keeps them in the reader's next delta
+// window either way. With no commit in flight the watermark is the
+// current primary version.
 //
 // Delta pulls of a keyed primary take the incremental path: the dirty-key
 // index pinpoints exactly which keys changed after since, so only those
 // keys are extracted instead of snapshotting everything and discarding
-// most of it. Either way the primary codec is called outside the store
-// lock — a generation check detects a racing commit and retries.
+// most of it. Either way the primary codec is called outside every lock.
 func (s *Store) Extract(props property.Set, since vclock.Version) (*image.Image, error) {
-	if s.striped {
-		return s.extractStriped(props, since)
-	}
 	if since > 0 && s.keyed != nil {
-		img, ok, err := s.extractDelta(props, since)
-		if ok {
-			return img, err
-		}
+		return s.extractDelta(props, since)
 	}
 	return s.extractFull(props, since)
+}
+
+// stampGated overwrites each entry's provenance with its shadow stamp.
+// Caller holds the gate's read side.
+func (s *Store) stampGated(img *image.Image) {
+	for k, e := range img.Entries {
+		st := s.stripeFor(k)
+		st.mu.RLock()
+		if sh, ok := st.shadow[k]; ok {
+			e.Version = sh.version
+			e.Writer = sh.writer
+			img.Entries[k] = e
+		}
+		st.mu.RUnlock()
+	}
 }
 
 // extractFull is the classic path: full primary snapshot, shadow overlay,
 // tombstone synthesis, optional DeltaSince trim.
 func (s *Store) extractFull(props property.Set, since vclock.Version) (*image.Image, error) {
-	st := s.stripes[0]
-	for attempt := 0; ; attempt++ {
-		// After two generation-check failures, hold the read lock across the
-		// codec call; progress beats parallelism under a commit storm.
-		locked := attempt >= 2
-		s.mu.RLock()
-		gen := s.gen
-		ver := s.counter.Current()
-		if !locked {
-			s.mu.RUnlock()
-		}
-		img, err := s.primary.Extract(props)
-		if err != nil {
-			if locked {
-				s.mu.RUnlock()
-			}
-			return nil, fmt.Errorf("directory: extract from primary: %w", err)
-		}
-		if img == nil {
-			img = image.New(props.Clone())
-		}
-		if !locked {
-			s.mu.RLock()
-			if s.gen != gen {
-				s.mu.RUnlock()
-				continue // a commit raced the unlocked snapshot; retry
-			}
-		}
-		for k, e := range img.Entries {
-			if sh, ok := st.shadow[k]; ok {
-				e.Version = sh.version
-				e.Writer = sh.writer
-				img.Entries[k] = e
-			}
-		}
-		// Deleted keys are gone from the primary extract, so a puller would
-		// never learn about them; synthesize tombstones from the shadow.
-		// (Merging a tombstone for a key a view never held is a harmless
-		// no-op, so tombstones are not filtered by props.)
+	pubVer := s.pub.published()
+	img, err := s.primary.Extract(props)
+	if err != nil {
+		return nil, fmt.Errorf("directory: extract from primary: %w", err)
+	}
+	if img == nil {
+		img = image.New(props.Clone())
+	}
+	s.gate.RLock()
+	s.stampGated(img)
+	// Deleted keys are gone from the primary extract, so a puller would
+	// never learn about them; synthesize tombstones from the shadow.
+	// (Merging a tombstone for a key a view never held is a harmless
+	// no-op, so tombstones are not filtered by props.)
+	for _, st := range s.stripes {
+		st.mu.RLock()
 		for k, sh := range st.shadow {
 			if !sh.deleted {
 				continue
@@ -380,42 +407,44 @@ func (s *Store) extractFull(props property.Set, since vclock.Version) (*image.Im
 			}
 			img.Put(image.Entry{Key: k, Version: sh.version, Writer: sh.writer, Deleted: true})
 		}
-		s.mu.RUnlock()
-		img.Version = ver
-		if since > 0 {
-			img = img.DeltaSince(since)
-		}
-		return img, nil
+		st.mu.RUnlock()
 	}
+	s.gate.RUnlock()
+	img.Version = pubVer
+	if since > 0 {
+		img = img.DeltaSince(since)
+	}
+	return img, nil
 }
 
 // extractDelta serves Extract(props, since>0) from the dirty-key index:
-// binary-search the index for the first change after since, partition the
-// tail into live keys and tombstones, and ask the keyed primary for just
-// the live keys. Returns ok=false to fall back to the full path when a
-// commit races the unlocked codec call.
-func (s *Store) extractDelta(props property.Set, since vclock.Version) (*image.Image, bool, error) {
-	st := s.stripes[0]
-	s.mu.RLock()
-	gen := s.gen
-	ver := s.counter.Current()
-	start := sort.Search(len(st.dirty), func(i int) bool { return st.dirty[i].version > since })
+// binary-search each stripe's index for the first change after since,
+// partition the tail into live keys and tombstones, and ask the keyed
+// primary for just the live keys.
+func (s *Store) extractDelta(props property.Set, since vclock.Version) (*image.Image, error) {
+	pubVer := s.pub.published()
 	var liveKeys []string
 	var tombs []image.Entry
-	for i := start; i < len(st.dirty); i++ {
-		rec := st.dirty[i]
-		sh, ok := st.shadow[rec.key]
-		if !ok || sh.version != rec.version {
-			continue // superseded record; the key's current version has its own
+	s.gate.RLock()
+	for _, st := range s.stripes {
+		st.mu.RLock()
+		start := sort.Search(len(st.dirty), func(i int) bool { return st.dirty[i].version > since })
+		for i := start; i < len(st.dirty); i++ {
+			rec := st.dirty[i]
+			sh, ok := st.shadow[rec.key]
+			if !ok || sh.version != rec.version {
+				continue // superseded record; the key's current version has its own
+			}
+			if sh.deleted {
+				// Tombstones are not filtered by props, mirroring the full path.
+				tombs = append(tombs, image.Entry{Key: rec.key, Version: sh.version, Writer: sh.writer, Deleted: true})
+			} else {
+				liveKeys = append(liveKeys, rec.key)
+			}
 		}
-		if sh.deleted {
-			// Tombstones are not filtered by props, mirroring the full path.
-			tombs = append(tombs, image.Entry{Key: rec.key, Version: sh.version, Writer: sh.writer, Deleted: true})
-		} else {
-			liveKeys = append(liveKeys, rec.key)
-		}
+		st.mu.RUnlock()
 	}
-	s.mu.RUnlock()
+	s.gate.RUnlock()
 
 	var img *image.Image
 	if len(liveKeys) == 0 {
@@ -424,33 +453,23 @@ func (s *Store) extractDelta(props property.Set, since vclock.Version) (*image.I
 		var err error
 		img, err = s.keyed.ExtractKeys(props, liveKeys)
 		if err != nil {
-			return nil, true, fmt.Errorf("directory: extract from primary: %w", err)
+			return nil, fmt.Errorf("directory: extract from primary: %w", err)
 		}
 		if img == nil {
 			img = image.New(props.Clone())
 		}
 	}
 
-	s.mu.RLock()
-	if s.gen != gen {
-		s.mu.RUnlock()
-		return nil, false, nil // a commit raced; take the full path
-	}
-	for k, e := range img.Entries {
-		if sh, ok := st.shadow[k]; ok {
-			e.Version = sh.version
-			e.Writer = sh.writer
-			img.Entries[k] = e
-		}
-	}
-	s.mu.RUnlock()
+	s.gate.RLock()
+	s.stampGated(img)
+	s.gate.RUnlock()
 	for _, t := range tombs {
 		if _, present := img.Get(t.Key); !present {
 			img.Put(t)
 		}
 	}
-	img.Version = ver
-	return img, true, nil
+	img.Version = pubVer
+	return img, nil
 }
 
 // UnseenOps implements the paper's data-quality metric for the committed
@@ -487,20 +506,15 @@ func (s *Store) UnseenOps(since vclock.Version, viewer string, props property.Se
 //   - the update log is strictly version-ordered and bounded by the counter;
 //   - every shadow entry's current version has a live dirty-index record,
 //     and no dirty record claims a version newer than the counter;
-//   - the stale count never exceeds the index length.
+//   - the stale count never exceeds the index length;
+//   - the published watermark has caught up with the counter.
 func (s *Store) CheckInvariants() error {
-	if s.striped {
-		// Quiesce in-flight commits so the cross-stripe view is coherent,
-		// and check the published watermark caught up to the counter.
-		s.gate.Lock()
-		defer s.gate.Unlock()
-		if pub, cur := s.pub.published(), s.counter.Current(); pub != cur {
-			return fmt.Errorf("store: published watermark v%d behind counter v%d with no commit in flight", pub, cur)
-		}
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	// Quiesce in-flight commits so the cross-stripe view is coherent.
+	defer s.rlockStore()()
 	cur := s.counter.Current()
+	if pub := s.pub.published(); pub != cur {
+		return fmt.Errorf("store: published watermark v%d behind counter v%d with no commit in flight", pub, cur)
+	}
 	var prev vclock.Version
 	for i, rec := range s.log {
 		if rec.Version <= prev {

@@ -2,6 +2,8 @@ package directory
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"flecc/internal/image"
@@ -10,14 +12,19 @@ import (
 )
 
 // mapStore is a trivial primary component: a map of key->string with the
-// image codec implemented over it.
+// image codec implemented over it. The codec methods lock, as the codec
+// contract (image.Merger) requires; single-goroutine tests read data
+// directly.
 type mapStore struct {
+	mu   sync.Mutex
 	data map[string]string
 }
 
 func newMapStore() *mapStore { return &mapStore{data: map[string]string{}} }
 
 func (s *mapStore) Extract(props property.Set) (*image.Image, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	img := image.New(props.Clone())
 	for k, v := range s.data {
 		img.Put(image.Entry{Key: k, Value: []byte(v)})
@@ -26,6 +33,8 @@ func (s *mapStore) Extract(props property.Set) (*image.Image, error) {
 }
 
 func (s *mapStore) Merge(img *image.Image, props property.Set) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for k, e := range img.Entries {
 		if e.Deleted {
 			delete(s.data, k)
@@ -188,6 +197,133 @@ func TestStoreResolverError(t *testing.T) {
 	d.Entries["k"] = e
 	if _, _, _, err := st.Commit("v2", d, 1); err == nil {
 		t.Fatal("resolver error should propagate")
+	}
+}
+
+// flakyStore is a mapStore whose Merge can be made to fail.
+type flakyStore struct {
+	*mapStore
+	failMerge bool
+}
+
+func (s *flakyStore) Merge(img *image.Image, props property.Set) error {
+	if s.failMerge {
+		return fmt.Errorf("merge refused")
+	}
+	return s.mapStore.Merge(img, props)
+}
+
+// TestStoreFailedCommitLeavesNoTrace: a commit that fails — in the codec's
+// Merge, after its version was allocated, or in the resolver, before —
+// leaves the shadow, the dirty index and the log exactly as they were,
+// never shows up as a key stamp in a later extract, does not wedge the
+// published watermark, and does not get in the way of the next commit. A
+// resolver failure additionally allocates no version.
+func TestStoreFailedCommitLeavesNoTrace(t *testing.T) {
+	props := property.MustSet("F={1}")
+	cases := []struct {
+		name string
+		// arm makes the next commit of k fail and returns the delta entry's
+		// base version: 1 is current (no conflict, so the commit reaches
+		// Merge), 0 is stale (a conflict, so it reaches the resolver).
+		arm         func(st *Store, ms *flakyStore) vclock.Version
+		burnVersion bool
+	}{
+		{
+			name:        "merge error",
+			arm:         func(st *Store, ms *flakyStore) vclock.Version { ms.failMerge = true; return 1 },
+			burnVersion: true,
+		},
+		{
+			name: "resolver error",
+			arm: func(st *Store, ms *flakyStore) vclock.Version {
+				st.SetResolver(func(image.Conflict) (image.Entry, error) {
+					return image.Entry{}, fmt.Errorf("cannot resolve")
+				})
+				return 0
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ms := &flakyStore{mapStore: newMapStore()}
+			st := NewStore(ms, vclock.NewSim())
+			if _, _, _, err := st.Commit("v1", delta("F={1}", "k", "a", "j", "x"), 1); err != nil {
+				t.Fatal(err)
+			}
+			stripe := st.stripeFor("k")
+			shadowBefore := stripe.shadow["k"]
+			dirtyBefore := append([]dirtyRec(nil), stripe.dirty...)
+			logBefore := st.Log()
+
+			d := delta("F={1}", "k", "b")
+			e := d.Entries["k"]
+			e.Version = tc.arm(st, ms)
+			d.Entries["k"] = e
+			if _, _, _, err := st.Commit("v2", d, 1); err == nil {
+				t.Fatal("commit should have failed")
+			}
+
+			want := vclock.Version(1)
+			if tc.burnVersion {
+				want = 2
+			}
+			if got := st.Current(); got != want {
+				t.Fatalf("counter at v%d after the failed commit, want v%d", got, want)
+			}
+			if got := stripe.shadow["k"]; got != shadowBefore {
+				t.Fatalf("shadow of k moved: %+v -> %+v", shadowBefore, got)
+			}
+			if !reflect.DeepEqual(stripe.dirty, dirtyBefore) {
+				t.Fatalf("dirty index moved: %v -> %v", dirtyBefore, stripe.dirty)
+			}
+			if got := st.Log(); !reflect.DeepEqual(got, logBefore) {
+				t.Fatalf("log moved: %v -> %v", logBefore, got)
+			}
+			if ms.data["k"] != "a" {
+				t.Fatalf("primary holds %q for k, want the pre-failure value", ms.data["k"])
+			}
+			// The landed defer did its job: watermark == counter.
+			if err := st.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			full, err := st.Extract(props, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Version != want {
+				t.Fatalf("extract stamped v%d, want the watermark v%d", full.Version, want)
+			}
+			for k, ent := range full.Entries {
+				if ent.Version != 1 || ent.Writer != "v1" {
+					t.Fatalf("key %s stamped v%d by %q after the failed commit", k, ent.Version, ent.Writer)
+				}
+			}
+			if since, err := st.Extract(props, 1); err != nil || since.Len() != 0 {
+				t.Fatalf("delta since v1 carries %v (err %v), want nothing", since, err)
+			}
+
+			// The next commit is unaffected.
+			ms.failMerge = false
+			st.SetResolver(nil)
+			next, _, _, err := st.Commit("v2", d, 1)
+			if err != nil || next != want+1 {
+				t.Fatalf("next commit: v%d err=%v, want v%d", next, err, want+1)
+			}
+			if got := stripe.shadow["k"]; got.version != next || got.writer != "v2" {
+				t.Fatalf("shadow of k after the next commit: %+v", got)
+			}
+			since, err := st.Extract(props, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ent, ok := since.Get("k"); !ok || since.Len() != 1 || ent.Version != next || string(ent.Value) != "b" {
+				t.Fatalf("delta since v1 = %v, want exactly k at v%d", since, next)
+			}
+			if err := st.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

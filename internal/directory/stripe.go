@@ -1,21 +1,17 @@
 package directory
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 
-	"flecc/internal/image"
-	"flecc/internal/property"
 	"flecc/internal/vclock"
 )
 
-// Striped-commit mode (the conflict-group execution engine): commits of
-// disjoint conflict groups run concurrently through one store. The
-// directory manager's lane table (lanes.go) guarantees that two commits
-// in flight at once never touch the same conflict group — and therefore,
-// by the conflict-group premise (overlapping data ⇒ same group), never
-// the same keys. What is left for the store to coordinate:
+// Concurrency inside the store: commits of disjoint conflict groups run
+// concurrently through one store. The directory manager's lane table
+// (lanes.go) guarantees that two commits in flight at once never touch
+// the same conflict group — and therefore, by the conflict-group premise
+// (overlapping data ⇒ same group), never the same keys. What is left for
+// the store to coordinate:
 //
 //   - the per-key metadata maps themselves (key-hash stripes, each with
 //     its own short-critical-section lock),
@@ -26,25 +22,20 @@ import (
 //     which every commit has fully landed, so a reader can never record
 //     a seen version that silently skips a mid-flight commit), and
 //   - whole-store operations (snapshot capture for replication and
-//     checkpoints, restore, absorb): they take the commit gate
-//     exclusively, quiescing in-flight commits, so a replication batch
-//     closed at version V really contains everything ≤ V.
+//     checkpoints, restore, absorb): they take the gate exclusively,
+//     quiescing in-flight commits, so a replication batch closed at
+//     version V really contains everything ≤ V.
 //
-// Codec calls — the expensive part of a commit — run outside every lock.
-// Conflict-resolution inputs come from a keyed extract of just the
-// conflicting keys instead of the serial path's full primary snapshot
-// under the store write lock, and the merge is ordered before the shadow
-// publish so the only reachable read race is a value newer than its
-// stamp, which the next delta pull heals.
-//
-// Lanes ≤ 1 never enters this file: the store stays on the serial
-// single-stripe paths in store.go, byte-identical to the pre-striping
-// behavior.
+// Codec calls — the expensive part of a commit — run outside every lock
+// but the gate's read side. Conflict-resolution inputs come from a keyed
+// extract of just the conflicting keys, and the merge is ordered before
+// the shadow publish so the only reachable read race is a value newer
+// than its stamp, which the next delta pull heals.
 
-// pubTracker tracks the striped-mode published watermark: the highest
-// version V such that every commit with a version ≤ V has fully landed
-// (codec merged, shadow/dirty/log published). Versions are allocated
-// under its lock so the in-flight set is gapless.
+// pubTracker tracks the published watermark: the highest version V such
+// that every commit with a version ≤ V has fully landed (codec merged,
+// shadow/dirty/log published). Versions are allocated under its lock so
+// the in-flight set is gapless. mu is a leaf lock.
 type pubTracker struct {
 	mu       sync.Mutex
 	pub      vclock.Version
@@ -83,7 +74,7 @@ func (p *pubTracker) published() vclock.Version {
 }
 
 // reset fast-forwards the watermark after a quiesced counter jump
-// (restore/absorb under the commit gate; nothing is in flight).
+// (restore/absorb under the gate; nothing is in flight).
 func (p *pubTracker) reset(v vclock.Version) {
 	p.mu.Lock()
 	if v > p.pub {
@@ -92,44 +83,18 @@ func (p *pubTracker) reset(v vclock.Version) {
 	p.mu.Unlock()
 }
 
-// EnableStriping switches the store into striped-commit mode. Called once
-// by the directory manager at construction (Options.Lanes > 1), before
-// the store serves concurrent traffic; any metadata already present
-// (e.g. a restored snapshot installed earlier) is re-sharded.
-func (s *Store) EnableStriping() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.striped {
-		return
-	}
-	old := s.stripes[0]
-	s.stripes = make([]*storeStripe, stripeCount)
-	for i := range s.stripes {
-		s.stripes[i] = newStoreStripe()
-	}
-	for k, sh := range old.shadow {
-		s.stripeFor(k).shadow[k] = sh
-	}
-	for _, st := range s.stripes {
-		st.rebuild()
-	}
-	s.striped = true
-	s.pub.reset(s.counter.Current())
-}
-
-// Striped reports whether the store runs the concurrent-commit paths.
-func (s *Store) Striped() bool { return s.striped }
+// EnableStriping does nothing: every store is striped. It is retained
+// only because bench/replay.go, which a change to internal/directory may
+// not edit, still calls it; the next benchmark-only PR drops the call and
+// this method with it.
+func (s *Store) EnableStriping() {}
 
 // lockStore acquires the store exclusively for a whole-store mutation
-// (restore/absorb): serial mode takes Store.mu; striped mode first takes
-// the commit gate, quiescing every in-flight commit and extract. The
+// (restore/absorb): the gate's write side quiesces every in-flight commit
+// and extract, Store.mu fences the log readers that bypass the gate. The
 // returned release fast-forwards the published watermark to the (possibly
 // advanced) counter before letting commits back in.
 func (s *Store) lockStore() func() {
-	if !s.striped {
-		s.mu.Lock()
-		return s.mu.Unlock
-	}
 	s.gate.Lock()
 	s.mu.Lock()
 	return func() {
@@ -139,16 +104,12 @@ func (s *Store) lockStore() func() {
 	}
 }
 
-// rlockStore acquires the store for a whole-store read (snapshot
-// capture): Store.mu read side; striped mode additionally holds the
-// commit gate exclusively so the multi-stripe capture is coherent and —
-// critically for replication — complete up to the counter: a batch
-// closed at version V contains every commit ≤ V, in-flight lanes drained.
+// rlockStore acquires the store for a whole-store read (snapshot capture,
+// invariant check): the gate's write side, so the multi-stripe capture is
+// coherent and — critically for replication — complete up to the counter
+// (a batch closed at version V contains every commit ≤ V, in-flight lanes
+// drained), plus Store.mu's read side for the log.
 func (s *Store) rlockStore() func() {
-	if !s.striped {
-		s.mu.RLock()
-		return s.mu.RUnlock
-	}
 	s.gate.Lock()
 	s.mu.RLock()
 	return func() {
@@ -159,7 +120,7 @@ func (s *Store) rlockStore() func() {
 
 // insertDirty adds a record keeping the stripe's dirty index
 // version-ordered. Commits land mostly in order, so the scan from the
-// back is O(1) amortized. Caller holds the stripe lock.
+// back is O(1) amortized. Caller holds the stripe exclusively.
 func (st *storeStripe) insertDirty(rec dirtyRec) {
 	i := len(st.dirty)
 	for i > 0 && st.dirty[i-1].version > rec.version {
@@ -180,262 +141,4 @@ func (s *Store) insertLogLocked(rec UpdateRec) {
 	s.log = append(s.log, UpdateRec{})
 	copy(s.log[i+1:], s.log[i:])
 	s.log[i] = rec
-}
-
-// commitStriped is Commit for a striped store. The caller's lane
-// serializes commits within a conflict group, so the shadow entries for
-// this delta's keys cannot move underneath the commit; stripe locks only
-// fence the maps against unrelated groups' publishes.
-func (s *Store) commitStriped(writer string, delta *image.Image, ops int) (vclock.Version, int, *image.Image, error) {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-
-	// Detect conflicting keys via the shadow, remembering the prior
-	// entries the resolver stamps "ours" with.
-	keys := delta.Keys()
-	var conflictKeys []string
-	prior := map[string]shadowEntry{}
-	for _, k := range keys {
-		st := s.stripeFor(k)
-		st.mu.RLock()
-		sh, ok := st.shadow[k]
-		st.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		prior[k] = sh
-		if sh.version > delta.Entries[k].Version && sh.writer != writer {
-			conflictKeys = append(conflictKeys, k)
-		}
-	}
-
-	// Resolver inputs come from a keyed extract of just the conflicting
-	// keys, outside every lock — never the serial path's full primary
-	// snapshot under the store write lock. With no resolver installed the
-	// incoming update wins and no extract is needed at all.
-	var current *image.Image
-	if len(conflictKeys) > 0 && s.resolver != nil {
-		var err error
-		if s.keyed != nil {
-			current, err = s.keyed.ExtractKeys(delta.Props, conflictKeys)
-		} else {
-			current, err = s.primary.Extract(delta.Props)
-		}
-		if err != nil {
-			return 0, 0, nil, fmt.Errorf("directory: extract for conflict resolution: %w", err)
-		}
-	}
-
-	apply := image.New(delta.Props.Clone())
-	rejected := image.New(delta.Props.Clone())
-	conflicts := 0
-	isConflict := map[string]bool{}
-	for _, k := range conflictKeys {
-		isConflict[k] = true
-	}
-	// Resolve before allocating the version, so a resolver error burns
-	// nothing.
-	for _, k := range keys {
-		theirs := delta.Entries[k].Clone()
-		if isConflict[k] {
-			conflicts++
-			winner := theirs
-			if s.resolver != nil {
-				var ours image.Entry
-				if current != nil {
-					if ce, ok := current.Get(k); ok {
-						ours = ce
-						ours.Version = prior[k].version
-						ours.Writer = prior[k].writer
-					}
-				}
-				w, err := s.resolver(image.Conflict{Key: k, Ours: ours, Theirs: theirs})
-				if err != nil {
-					return 0, 0, nil, fmt.Errorf("directory: resolve %q: %w", k, err)
-				}
-				winner = w
-				if winner.Equal(ours) {
-					// The primary's value survives: keep the shadow as-is,
-					// skip the merge for this key, and report the winning
-					// value back to the pusher so it converges.
-					rejected.Put(ours)
-					continue
-				}
-			}
-			theirs = winner
-		}
-		apply.Put(theirs)
-	}
-
-	newVer := s.pub.begin(&s.counter)
-	landed := false
-	// A failed merge must still land the (empty) version, or the
-	// watermark would wedge behind it forever.
-	defer func() {
-		if !landed {
-			s.pub.end(newVer)
-		}
-	}()
-
-	for k, e := range apply.Entries {
-		e.Version = newVer
-		e.Writer = writer
-		apply.Entries[k] = e
-	}
-	apply.Version = newVer
-	if apply.Len() > 0 {
-		// Merge into the codec before publishing the shadow stamps: a
-		// reader that sees a new stamp is guaranteed the codec already
-		// holds at least that value.
-		if err := s.primary.Merge(apply, delta.Props); err != nil {
-			return 0, 0, nil, fmt.Errorf("directory: merge into primary: %w", err)
-		}
-	}
-	for k, e := range apply.Entries {
-		st := s.stripeFor(k)
-		st.mu.Lock()
-		if _, existed := st.shadow[k]; existed {
-			// The key's previous dirty record is now superseded.
-			st.stale++
-		}
-		st.shadow[k] = shadowEntry{version: newVer, writer: writer, deleted: e.Deleted}
-		st.insertDirty(dirtyRec{version: newVer, key: k})
-		if st.stale > len(st.shadow)+16 {
-			st.rebuild()
-		}
-		st.mu.Unlock()
-	}
-	s.mu.Lock()
-	s.conflictsSeen += conflicts
-	s.insertLogLocked(UpdateRec{
-		Version: newVer,
-		Writer:  writer,
-		Props:   delta.Props.Clone(),
-		Ops:     ops,
-		At:      s.clock.Now(),
-	})
-	s.gen++
-	s.mu.Unlock()
-	landed = true
-	s.pub.end(newVer)
-
-	rejected.Version = newVer
-	if rejected.Len() == 0 {
-		return newVer, conflicts, nil, nil
-	}
-	return newVer, conflicts, rejected, nil
-}
-
-// extractStriped serves Extract on a striped store. Images are stamped
-// with the published watermark, read BEFORE touching the codec or the
-// dirty index: every commit at or below the watermark landed (merge
-// included) before the watermark advanced, so it is fully visible to this
-// extract; commits above it may or may not appear, and stamping the image
-// below them keeps them in the reader's next delta window either way.
-func (s *Store) extractStriped(props property.Set, since vclock.Version) (*image.Image, error) {
-	if since > 0 && s.keyed != nil {
-		return s.extractDeltaStriped(props, since)
-	}
-	return s.extractFullStriped(props, since)
-}
-
-func (s *Store) extractFullStriped(props property.Set, since vclock.Version) (*image.Image, error) {
-	pubVer := s.pub.published()
-	img, err := s.primary.Extract(props)
-	if err != nil {
-		return nil, fmt.Errorf("directory: extract from primary: %w", err)
-	}
-	if img == nil {
-		img = image.New(props.Clone())
-	}
-	s.gate.RLock()
-	for k, e := range img.Entries {
-		st := s.stripeFor(k)
-		st.mu.RLock()
-		if sh, ok := st.shadow[k]; ok {
-			e.Version = sh.version
-			e.Writer = sh.writer
-			img.Entries[k] = e
-		}
-		st.mu.RUnlock()
-	}
-	// Tombstone synthesis, mirroring the serial path.
-	for _, st := range s.stripes {
-		st.mu.RLock()
-		for k, sh := range st.shadow {
-			if !sh.deleted {
-				continue
-			}
-			if _, present := img.Get(k); present {
-				continue
-			}
-			img.Put(image.Entry{Key: k, Version: sh.version, Writer: sh.writer, Deleted: true})
-		}
-		st.mu.RUnlock()
-	}
-	s.gate.RUnlock()
-	img.Version = pubVer
-	if since > 0 {
-		img = img.DeltaSince(since)
-	}
-	return img, nil
-}
-
-func (s *Store) extractDeltaStriped(props property.Set, since vclock.Version) (*image.Image, error) {
-	pubVer := s.pub.published()
-	var liveKeys []string
-	var tombs []image.Entry
-	s.gate.RLock()
-	for _, st := range s.stripes {
-		st.mu.RLock()
-		start := sort.Search(len(st.dirty), func(i int) bool { return st.dirty[i].version > since })
-		for i := start; i < len(st.dirty); i++ {
-			rec := st.dirty[i]
-			sh, ok := st.shadow[rec.key]
-			if !ok || sh.version != rec.version {
-				continue // superseded record; the key's current version has its own
-			}
-			if sh.deleted {
-				tombs = append(tombs, image.Entry{Key: rec.key, Version: sh.version, Writer: sh.writer, Deleted: true})
-			} else {
-				liveKeys = append(liveKeys, rec.key)
-			}
-		}
-		st.mu.RUnlock()
-	}
-	s.gate.RUnlock()
-
-	var img *image.Image
-	if len(liveKeys) == 0 {
-		img = image.New(props.Clone())
-	} else {
-		var err error
-		img, err = s.keyed.ExtractKeys(props, liveKeys)
-		if err != nil {
-			return nil, fmt.Errorf("directory: extract from primary: %w", err)
-		}
-		if img == nil {
-			img = image.New(props.Clone())
-		}
-	}
-
-	s.gate.RLock()
-	for k, e := range img.Entries {
-		st := s.stripeFor(k)
-		st.mu.RLock()
-		if sh, ok := st.shadow[k]; ok {
-			e.Version = sh.version
-			e.Writer = sh.writer
-			img.Entries[k] = e
-		}
-		st.mu.RUnlock()
-	}
-	s.gate.RUnlock()
-	for _, t := range tombs {
-		if _, present := img.Get(t.Key); !present {
-			img.Put(t)
-		}
-	}
-	img.Version = pubVer
-	return img, nil
 }

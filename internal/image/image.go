@@ -154,12 +154,23 @@ func (im *Image) String() string {
 // the given property set. Views implement extractFromView; the original
 // component implements extractFromObject — both have this shape (paper
 // Figure 3).
+//
+// Extract may be called concurrently with itself and with Merge; see
+// Merger for the codec's concurrency contract.
 type Extractor interface {
 	Extract(props property.Set) (*Image, error)
 }
 
 // Merger folds an image into a replica's state. Views implement
 // mergeIntoView; the original component implements mergeIntoObject.
+//
+// Concurrency contract, for every codec method (Extract, ExtractKeys,
+// Merge): the protocol layers call them outside their own locks, so a
+// codec must be safe for concurrent use. The directory store runs one
+// Merge per commit in flight and Extract/ExtractKeys for every pull
+// beside them; the only ordering it provides is that two concurrent Merge
+// calls never carry the same key (directory.Store.Commit). A codec
+// guarding its state with one mutex satisfies the contract.
 type Merger interface {
 	Merge(img *Image, props property.Set) error
 }
@@ -176,6 +187,7 @@ type Merger interface {
 // restriction Extract applies; keys that are absent or filtered out are
 // simply omitted. Entry Version/Writer must be left zero, exactly as
 // Extract leaves them — the store stamps provenance from its shadow.
+// ExtractKeys is called concurrently like Extract (see Merger).
 type KeyedExtractor interface {
 	ExtractKeys(props property.Set, keys []string) (*Image, error)
 }

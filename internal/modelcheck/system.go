@@ -34,7 +34,9 @@ func violationf(format string, args ...any) error {
 // string map codec. Like the protocol test suite's kvView, it ignores the
 // property restriction on extract — properties drive conflict accounting,
 // not data slicing — which keeps set-props reconfigurations from
-// synthesizing spurious deletions.
+// synthesizing spurious deletions. It takes no lock: the explorer drives
+// the whole system from one goroutine (FanOut 1, one lane, inline
+// replication), so the codec contract's concurrent calls cannot occur.
 type kvstore struct {
 	data map[string]string
 }
