@@ -783,3 +783,60 @@ func benchShardedAirline(b *testing.B, shards int) {
 		b.ReportMetric(float64(total)/float64(max), "capacity-x")
 	}
 }
+
+// cmCodecs are the two ways the BenchmarkCM* benchmarks deploy the same
+// airline view: with its capabilities visible to the cache manager
+// (image.ChangeExtractor, image.KeyedExtractor) and hidden behind the bare
+// Codec, which is the whole-view path every codec without them takes.
+var cmCodecs = []struct {
+	name string
+	wrap func(*airline.ReservationSystem) image.Codec
+}{
+	{"tracked", func(rs *airline.ReservationSystem) image.Codec { return rs }},
+	{"hidden", func(rs *airline.ReservationSystem) image.Codec { return hiddenCodec{rs} }},
+}
+
+// benchCM runs op in a loop against an n-flight view, once per cmCodecs
+// deployment.
+func benchCM(b *testing.B, n int, op func(b *testing.B, r *cmRig, i int)) {
+	for _, c := range cmCodecs {
+		b.Run(c.name, func(b *testing.B) {
+			r := newCMRig(b, n, c.wrap)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(b, r, i)
+			}
+		})
+	}
+}
+
+// BenchmarkCMFetchClean measures a directory-initiated fetch of a
+// 64-flight view with nothing pending — what 14 of the 15 sharers answer
+// in every Fig. 4 gather.
+func BenchmarkCMFetchClean(b *testing.B) {
+	benchCM(b, 64, func(b *testing.B, r *cmRig, _ int) { r.fetch(b) })
+}
+
+func benchCMPushOneOf(b *testing.B, n int) {
+	benchCM(b, n, func(b *testing.B, r *cmRig, i int) {
+		if err := r.rs.ConfirmTickets(1, firstFlight+i%n); err != nil {
+			b.Fatal(err)
+		}
+		if err := r.cm.PushImage(); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkCMPushOneOf8 and BenchmarkCMPushOneOf64 measure reserve + push
+// of one flight out of a view of 8 (the benchmark agents' range) and 64
+// (a session_mix browse view).
+func BenchmarkCMPushOneOf8(b *testing.B)  { benchCMPushOneOf(b, 8) }
+func BenchmarkCMPushOneOf64(b *testing.B) { benchCMPushOneOf(b, 64) }
+
+// BenchmarkCMPullApplyOneOf64 measures a pull whose reply carries one
+// changed flight into a 64-flight view.
+func BenchmarkCMPullApplyOneOf64(b *testing.B) {
+	benchCM(b, 64, func(b *testing.B, r *cmRig, i int) { r.pullOne(b, i+1) })
+}

@@ -1,0 +1,395 @@
+package flecc_test
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"flecc"
+	"flecc/internal/airline"
+	"flecc/internal/cache"
+	"flecc/internal/image"
+	"flecc/internal/property"
+	"flecc/internal/transport"
+	"flecc/internal/vclock"
+	"flecc/internal/wire"
+)
+
+// cmRig is one cache manager over an n-flight airline view, talking to a
+// scripted directory manager on an in-process network: the cache manager's
+// own costs with nothing of the real directory in them. The cost pins and
+// the BenchmarkCM* benchmarks share it.
+type cmRig struct {
+	cm  *cache.Manager
+	rs  *airline.ReservationSystem
+	dm  transport.Endpoint
+	ver vclock.Version
+	// pullReply, when set, is what the scripted directory answers the
+	// view's next TPull with (once).
+	pullReply *image.Image
+	// lastFetch is the view's latest reply to a directory-initiated fetch.
+	lastFetch *wire.Message
+}
+
+// hiddenCodec exposes a codec's extract/merge pair and none of its
+// optional capabilities.
+type hiddenCodec struct{ image.Codec }
+
+// firstFlight is the lowest flight number a cmRig view holds.
+const firstFlight = 100
+
+// newCMRig deploys the view behind wrap(its codec), initializes it with n
+// flights and runs one empty push so change tracking has a watermark.
+func newCMRig(tb testing.TB, n int, wrap func(*airline.ReservationSystem) image.Codec) *cmRig {
+	tb.Helper()
+	r := &cmRig{rs: airline.NewReservationSystem(), ver: 1}
+	net := transport.NewInproc()
+	props := property.NewSet(property.New(airline.PropFlights, property.DiscreteRange(firstFlight, firstFlight+n-1)))
+	seed := airline.NewReservationSystem()
+	airline.SeedFlights(seed, firstFlight, n, 1<<30)
+	var err error
+	r.dm, err = net.Attach("dm", func(req *wire.Message) *wire.Message {
+		switch req.Type {
+		case wire.TInit:
+			img, err := seed.Extract(props)
+			if err != nil {
+				tb.Error(err)
+			}
+			return &wire.Message{Type: wire.TImage, Img: img, Version: r.ver}
+		case wire.TPull:
+			img := r.pullReply
+			r.pullReply = nil
+			return &wire.Message{Type: wire.TImage, Img: img, Version: r.ver}
+		case wire.TPush:
+			r.ver++
+			return &wire.Message{Type: wire.TAck, Version: r.ver}
+		default:
+			return &wire.Message{Type: wire.TAck}
+		}
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.cm, err = cache.New(cache.Config{
+		Name: "v1", Directory: "dm", Net: net, View: wrap(r.rs), Props: props, Clock: vclock.NewSim(),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.cm.InitImage(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.cm.PushImage(); err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// fetch plays a directory-initiated fetch against the view.
+func (r *cmRig) fetch(tb testing.TB) {
+	reply, err := r.dm.Call("v1", &wire.Message{Type: wire.TPull, View: "v1"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.lastFetch = reply
+}
+
+// pullOne makes the view pull a reply carrying one changed flight.
+func (r *cmRig) pullOne(tb testing.TB, reserved int) {
+	img := image.New(property.Set{})
+	r.ver++
+	f := airline.Flight{Origin: "NYC", Dest: "BOS", Capacity: 1 << 30, Reserved: reserved}
+	img.Put(image.Entry{Key: airline.FlightKey(firstFlight), Value: f.Encode(), Version: r.ver})
+	r.pullReply = img
+	if err := r.cm.PullImage(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// countingCodec forwards every capability of the airline codec and counts
+// the entries the view encodes for the cache manager.
+type countingCodec struct {
+	rs      *airline.ReservationSystem
+	encoded int
+}
+
+func (c *countingCodec) count(img *image.Image) *image.Image {
+	if img != nil {
+		for _, e := range img.Entries {
+			if !e.Deleted {
+				c.encoded++
+			}
+		}
+	}
+	return img
+}
+
+func (c *countingCodec) Extract(props property.Set) (*image.Image, error) {
+	img, err := c.rs.Extract(props)
+	return c.count(img), err
+}
+
+func (c *countingCodec) ExtractKeys(props property.Set, keys []string) (*image.Image, error) {
+	img, err := c.rs.ExtractKeys(props, keys)
+	return c.count(img), err
+}
+
+func (c *countingCodec) ExtractChanged(props property.Set, since uint64) (*image.Image, uint64, error) {
+	img, rev, err := c.rs.ExtractChanged(props, since)
+	return c.count(img), rev, err
+}
+
+func (c *countingCodec) Merge(img *image.Image, props property.Set) error {
+	return c.rs.Merge(img, props)
+}
+
+func newCountingRig(t *testing.T, n int) (*cmRig, *countingCodec) {
+	var c *countingCodec
+	r := newCMRig(t, n, func(rs *airline.ReservationSystem) image.Codec {
+		c = &countingCodec{rs: rs}
+		return c
+	})
+	c.encoded = 0
+	return r, c
+}
+
+// A clean view answers a fetch without encoding anything and without an
+// image on the reply.
+func TestCMCostCleanFetch(t *testing.T) {
+	r, c := newCountingRig(t, 64)
+	r.fetch(t)
+	if c.encoded != 0 {
+		t.Errorf("clean fetch encoded %d entries, want 0", c.encoded)
+	}
+	if r.lastFetch.Type != wire.TImage || r.lastFetch.Img != nil {
+		t.Errorf("clean fetch replied %s with image %v, want an image-less %s", r.lastFetch.Type, r.lastFetch.Img, wire.TImage)
+	}
+	// Measured 3 (request, its stamped copy, reply) against 273 for the
+	// same view behind hiddenCodec: the clean path builds no image, clones
+	// no property set and encodes no flight.
+	if n := testing.AllocsPerRun(100, func() { r.fetch(t) }); n > 4 {
+		t.Errorf("clean fetch: %v allocs, want <= 4", n)
+	}
+	// The view is still tracked correctly afterwards.
+	if err := r.rs.ConfirmTickets(1, firstFlight+3); err != nil {
+		t.Fatal(err)
+	}
+	r.fetch(t)
+	if r.lastFetch.Img == nil || r.lastFetch.Img.Len() != 1 || c.encoded != 1 {
+		t.Fatalf("fetch after one write: image %v, %d entries encoded; want 1 and 1", r.lastFetch.Img, c.encoded)
+	}
+}
+
+// A push after one write to a 64-flight view encodes that one flight.
+func TestCMCostPushOneOf64(t *testing.T) {
+	r, c := newCountingRig(t, 64)
+	if err := r.rs.ConfirmTickets(1, firstFlight+17); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.cm.PushImage(); err != nil {
+		t.Fatal(err)
+	}
+	if c.encoded != 1 {
+		t.Errorf("push after one write to a 64-entry view encoded %d entries, want 1", c.encoded)
+	}
+	if got := r.cm.Base().Entries[airline.FlightKey(firstFlight+17)]; !strings.Contains(string(got.Value), "|1|") {
+		t.Errorf("base did not adopt the pushed flight: %q", got.Value)
+	}
+	// Measured 19 against 280 for the same view behind hiddenCodec; the
+	// ceiling leaves no room for work per held flight.
+	n := testing.AllocsPerRun(100, func() {
+		r.rs.ConfirmTickets(1, firstFlight+17)
+		if err := r.cm.PushImage(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 24 {
+		t.Errorf("1-of-64 push: %v allocs, want <= 24", n)
+	}
+}
+
+// Applying a pull reply of k entries reads k entries from the view.
+func TestCMCostPullApply(t *testing.T) {
+	r, c := newCountingRig(t, 64)
+	r.pullOne(t, 7)
+	if c.encoded > 1 {
+		t.Errorf("applying a 1-entry pull reply made the view encode %d entries, want <= 1", c.encoded)
+	}
+	if f, _ := r.rs.Flight(firstFlight); f.Reserved != 7 {
+		t.Fatalf("pulled flight not merged: %+v", f)
+	}
+	// The merged flight is a change like any other: the next push looks at
+	// it, finds it equal to base, sends nothing, and moves the watermark.
+	c.encoded = 0
+	if err := r.cm.PushImage(); err != nil {
+		t.Fatal(err)
+	}
+	if c.encoded != 1 {
+		t.Errorf("push after the pull encoded %d entries, want 1 (the merged flight, re-checked once)", c.encoded)
+	}
+	c.encoded = 0
+	r.fetch(t)
+	if c.encoded != 0 || r.lastFetch.Img != nil {
+		t.Errorf("fetch after the re-check encoded %d entries, image %v; want a clean view", c.encoded, r.lastFetch.Img)
+	}
+}
+
+// A fetch or invalidate has always replaced base with a fresh extract,
+// which zeroes every entry's Version/Writer and forgets tombstones. Later
+// pushes carry those stamps, so the fold that replaced the wholesale
+// assignment must leave base in the same state.
+func TestCMCostFetchResetsBaseStamps(t *testing.T) {
+	r, _ := newCountingRig(t, 8)
+	r.pullOne(t, 3) // base now holds one entry stamped with a version
+	gone := image.New(property.Set{})
+	gone.Delete(airline.FlightKey(firstFlight+1), 0, "")
+	if err := r.rs.Merge(gone, property.Set{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.cm.PushImage(); err != nil { // base now holds a tombstone
+		t.Fatal(err)
+	}
+	before := r.cm.Base()
+	if e := before.Entries[airline.FlightKey(firstFlight)]; e.Version == 0 {
+		t.Fatal("setup: expected a stamped base entry")
+	}
+	if e := before.Entries[airline.FlightKey(firstFlight+1)]; !e.Deleted {
+		t.Fatal("setup: expected a base tombstone")
+	}
+	r.fetch(t)
+	for k, e := range r.cm.Base().Entries {
+		if e.Deleted || e.Version != 0 || e.Writer != "" {
+			t.Errorf("after a fetch base[%s] = v%d %q deleted=%t, want a live entry with zero stamps", k, e.Version, e.Writer, e.Deleted)
+		}
+	}
+	if n := r.cm.Base().Len(); n != 7 {
+		t.Errorf("after a fetch base holds %d entries, want the view's 7 live flights", n)
+	}
+}
+
+// mapChanged renders MapCodec.ExtractChanged's answer as "key=value" /
+// "key:deleted".
+func mapChanged(t *testing.T, m *flecc.MapCodec, since uint64) (string, uint64) {
+	t.Helper()
+	img, rev, err := m.ExtractChanged(flecc.Props{}, since)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img == nil {
+		return "", rev
+	}
+	var out []string
+	for _, k := range img.Keys() {
+		e := img.Entries[k]
+		if e.Version != 0 || e.Writer != "" {
+			t.Errorf("%s: ExtractChanged must leave Version/Writer zero", k)
+		}
+		if e.Deleted {
+			out = append(out, k+":deleted")
+		} else {
+			out = append(out, k+"="+string(e.Value))
+		}
+	}
+	return strings.Join(out, ","), rev
+}
+
+func TestChangeExtractorMapCodec(t *testing.T) {
+	m := flecc.NewMapCodec()
+	if got, rev := mapChanged(t, m, 0); got != "" || rev != 0 {
+		t.Fatalf("empty codec: %q at revision %d", got, rev)
+	}
+	var last uint64
+	step := func(what string, mutate func(), want string) {
+		t.Helper()
+		mutate()
+		got, rev := mapChanged(t, m, last)
+		if rev <= last {
+			t.Fatalf("%s: revision %d did not advance past %d", what, rev, last)
+		}
+		if got != want {
+			t.Fatalf("%s: changed after %d = %q, want %q", what, last, got, want)
+		}
+		last = rev
+	}
+	step("Set", func() { m.SetString("a", "1") }, "a=1")
+	step("Set second", func() { m.SetString("b", "2") }, "b=2")
+	step("Set overwrite", func() { m.SetString("a", "3") }, "a=3")
+	step("Delete", func() { m.Delete("b") }, "b:deleted")
+	step("Merge", func() {
+		img := image.New(flecc.Props{})
+		img.Put(image.Entry{Key: "c", Value: []byte("4")})
+		img.Delete("a", 0, "")
+		if err := m.Merge(img, flecc.Props{}); err != nil {
+			t.Fatal(err)
+		}
+	}, "a:deleted,c=4")
+	step("re-add after delete", func() { m.SetString("b", "5") }, "b=5") // the live entry, not the tombstone
+
+	// Writes that change nothing report nothing.
+	m.SetString("b", "5")
+	m.Delete("never-there")
+	if got, rev := mapChanged(t, m, last); got != "" || rev != last {
+		t.Fatalf("no-op writes: %q at revision %d, want nothing at %d", got, rev, last)
+	}
+
+	// since == 0 is Extract.
+	full, err := m.Extract(flecc.Props{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, _, err := m.ExtractChanged(flecc.Props{}, 0)
+	if err != nil || !all.Equal(full) {
+		t.Fatalf("ExtractChanged(0) = %v, Extract = %v (%v)", all.Keys(), full.Keys(), err)
+	}
+
+	// The deletion records are bounded by the keys currently absent.
+	for round := 0; round < 50; round++ {
+		m.SetString("x", strconv.Itoa(round))
+		m.Delete("x")
+	}
+	if got, _ := mapChanged(t, m, last); got != "x:deleted" {
+		t.Fatalf("50 set/delete rounds of one key: changed = %q, want one tombstone", got)
+	}
+}
+
+// Mutators, merges and extracts at once: run under -race.
+func TestChangeExtractorMapCodecConcurrent(t *testing.T) {
+	m := flecc.NewMapCodec()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				k := fmt.Sprintf("k%d", (w+i)%8)
+				switch i % 3 {
+				case 0:
+					m.SetString(k, strconv.Itoa(i))
+				case 1:
+					m.Delete(k)
+				default:
+					img := image.New(flecc.Props{})
+					img.Put(image.Entry{Key: k, Value: []byte("m")})
+					m.Merge(img, flecc.Props{})
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var since uint64
+		for i := 0; i < 300; i++ {
+			_, rev, err := m.ExtractChanged(flecc.Props{}, since)
+			if err != nil || rev < since {
+				t.Errorf("ExtractChanged: revision %d after %d, err %v", rev, since, err)
+				return
+			}
+			since = rev
+			m.Extract(flecc.Props{})
+		}
+	}()
+	wg.Wait()
+}

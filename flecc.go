@@ -38,6 +38,7 @@
 package flecc
 
 import (
+	"bytes"
 	"fmt"
 
 	"flecc/internal/cache"
@@ -66,8 +67,17 @@ type (
 	// Codec is the application-supplied extract/merge implementation
 	// (the paper's extractFromObject/mergeIntoObject and
 	// extractFromView/mergeIntoView). Its methods are called
-	// concurrently; see image.Merger for the contract.
+	// concurrently; see image.Merger for the contract. A codec may also
+	// implement image.KeyedExtractor and ChangeExtractor; both are
+	// optional and only change what an operation costs, never what it
+	// does.
 	Codec = image.Codec
+	// ChangeExtractor is the optional codec capability "extract what
+	// changed since revision r" (you may over-report, never
+	// under-report). A view codec with it makes pushes and
+	// directory-initiated fetches and invalidates cost the keys the view
+	// changed, not the keys it holds.
+	ChangeExtractor = image.ChangeExtractor
 	// Conflict is a concurrent-update conflict handed to a Resolver.
 	Conflict = image.Conflict
 	// Resolver adjudicates conflicts.
@@ -429,29 +439,68 @@ func (v *View) StopTriggers() { v.cm.StopTriggers() }
 func (v *View) Close() error { return v.cm.KillImage() }
 
 // MapCodec is a ready-made Codec over a string-keyed byte map, convenient
-// for applications whose shared state is naturally a key/value bag. The
-// zero value is not usable; construct with NewMapCodec.
+// for applications whose shared state is naturally a key/value bag. It
+// implements image.KeyedExtractor and ChangeExtractor, so as a view codec its
+// pushes and directory-initiated fetches cost the keys written since the
+// last synchronization, and as a primary its delta pulls cost the keys
+// committed since the puller's version. The zero value is not usable;
+// construct with NewMapCodec.
 type MapCodec struct {
 	mu   chan struct{} // 1-buffered semaphore; avoids copying sync.Mutex
-	data map[string][]byte
+	data map[string]mapValue
+	// Change tracking: rev advances on every state change; a value carries
+	// the revision of its last write, deleted the revision at which a key
+	// that is currently absent was removed (a re-set key leaves it).
+	rev     uint64
+	deleted map[string]uint64
+}
+
+type mapValue struct {
+	b   []byte
+	rev uint64
 }
 
 // NewMapCodec returns an empty map-backed codec.
 func NewMapCodec() *MapCodec {
-	m := &MapCodec{mu: make(chan struct{}, 1), data: map[string][]byte{}}
-	return m
+	return &MapCodec{mu: make(chan struct{}, 1), data: map[string]mapValue{}, deleted: map[string]uint64{}}
 }
 
 func (m *MapCodec) lock()   { m.mu <- struct{}{} }
 func (m *MapCodec) unlock() { <-m.mu }
 
+// copyBytes returns a non-nil copy of b.
+func copyBytes(b []byte) []byte {
+	cp := make([]byte, len(b))
+	copy(cp, b)
+	return cp
+}
+
+// set stores a copy of value unless the key already holds it. Caller
+// holds the lock.
+func (m *MapCodec) set(key string, value []byte) {
+	if old, ok := m.data[key]; ok && bytes.Equal(old.b, value) {
+		return
+	}
+	m.rev++
+	m.data[key] = mapValue{b: copyBytes(value), rev: m.rev}
+	delete(m.deleted, key)
+}
+
+// remove deletes a key if present. Caller holds the lock.
+func (m *MapCodec) remove(key string) {
+	if _, ok := m.data[key]; !ok {
+		return
+	}
+	delete(m.data, key)
+	m.rev++
+	m.deleted[key] = m.rev
+}
+
 // Set stores a value.
 func (m *MapCodec) Set(key string, value []byte) {
 	m.lock()
 	defer m.unlock()
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	m.data[key] = cp
+	m.set(key, value)
 }
 
 // SetString stores a string value.
@@ -465,9 +514,7 @@ func (m *MapCodec) Get(key string) []byte {
 	if !ok {
 		return nil
 	}
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return cp
+	return copyBytes(v.b)
 }
 
 // GetString loads a string value ("" if absent).
@@ -477,7 +524,7 @@ func (m *MapCodec) GetString(key string) string { return string(m.Get(key)) }
 func (m *MapCodec) Delete(key string) {
 	m.lock()
 	defer m.unlock()
-	delete(m.data, key)
+	m.remove(key)
 }
 
 // Len returns the number of keys.
@@ -489,15 +536,41 @@ func (m *MapCodec) Len() int {
 
 // Extract implements Codec.
 func (m *MapCodec) Extract(props Props) (*Image, error) {
+	img, _, err := m.ExtractChanged(props, 0)
+	if img == nil {
+		img = image.New(props.Clone())
+	}
+	return img, err
+}
+
+// ExtractChanged implements ChangeExtractor: the keys written after
+// revision since (every key when since is 0), the keys deleted after it
+// as tombstones, and the current revision; a nil image when there are
+// none. Like Extract, it does not interpret props.
+func (m *MapCodec) ExtractChanged(props Props, since uint64) (*Image, uint64, error) {
 	m.lock()
 	defer m.unlock()
-	img := image.New(props.Clone())
-	for k, v := range m.data {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		img.Put(image.Entry{Key: k, Value: cp})
+	var img *Image
+	put := func(e image.Entry) {
+		if img == nil {
+			img = image.New(props.Clone())
+		}
+		img.Put(e)
 	}
-	return img, nil
+	for k, v := range m.data {
+		if v.rev > since {
+			put(image.Entry{Key: k, Value: copyBytes(v.b)})
+		}
+	}
+	if since == 0 {
+		return img, m.rev, nil
+	}
+	for k, rev := range m.deleted {
+		if rev > since {
+			put(image.Entry{Key: k, Deleted: true})
+		}
+	}
+	return img, m.rev, nil
 }
 
 // ExtractKeys implements image.KeyedExtractor: it snapshots just the
@@ -509,13 +582,9 @@ func (m *MapCodec) ExtractKeys(props Props, keys []string) (*Image, error) {
 	defer m.unlock()
 	img := image.New(props.Clone())
 	for _, k := range keys {
-		v, ok := m.data[k]
-		if !ok {
-			continue
+		if v, ok := m.data[k]; ok {
+			img.Put(image.Entry{Key: k, Value: copyBytes(v.b)})
 		}
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		img.Put(image.Entry{Key: k, Value: cp})
 	}
 	return img, nil
 }
@@ -526,15 +595,16 @@ func (m *MapCodec) Merge(img *Image, props Props) error {
 	defer m.unlock()
 	for k, e := range img.Entries {
 		if e.Deleted {
-			delete(m.data, k)
-			continue
+			m.remove(k)
+		} else {
+			m.set(k, e.Value)
 		}
-		cp := make([]byte, len(e.Value))
-		copy(cp, e.Value)
-		m.data[k] = cp
 	}
 	return nil
 }
 
-var _ Codec = (*MapCodec)(nil)
-var _ image.KeyedExtractor = (*MapCodec)(nil)
+var (
+	_ Codec                = (*MapCodec)(nil)
+	_ image.KeyedExtractor = (*MapCodec)(nil)
+	_ ChangeExtractor      = (*MapCodec)(nil)
+)

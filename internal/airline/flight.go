@@ -61,24 +61,49 @@ func ParseFlightKey(key string) (int, error) {
 }
 
 // Encode renders the flight payload ("origin|dest|capacity|reserved|fare").
+// The payload is assembled in a stack scratch buffer and copied out at its
+// exact length: entry values are retained (base snapshots, the primary's
+// update log), so the one allocation carries no slack.
 func (f Flight) Encode() []byte {
-	return []byte(fmt.Sprintf("%s|%s|%d|%d|%d", f.Origin, f.Dest, f.Capacity, f.Reserved, f.Fare))
+	var scratch [64]byte
+	b := append(scratch[:0], f.Origin...)
+	b = append(b, '|')
+	b = append(b, f.Dest...)
+	for _, n := range [...]int{f.Capacity, f.Reserved, f.Fare} {
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
 }
 
 // DecodeFlight parses an encoded flight payload for the given number.
 func DecodeFlight(number int, b []byte) (Flight, error) {
-	parts := strings.Split(string(b), "|")
-	if len(parts) != 5 {
+	// Exactly five '|'-separated fields; sep[i] is the i-th separator.
+	var sep [4]int
+	n := 0
+	for i, c := range b {
+		if c != '|' {
+			continue
+		}
+		if n == len(sep) {
+			return Flight{}, fmt.Errorf("airline: bad flight payload %q", b)
+		}
+		sep[n] = i
+		n++
+	}
+	if n != len(sep) {
 		return Flight{}, fmt.Errorf("airline: bad flight payload %q", b)
 	}
-	capn, err1 := strconv.Atoi(parts[2])
-	res, err2 := strconv.Atoi(parts[3])
-	fare, err3 := strconv.Atoi(parts[4])
+	capn, err1 := strconv.Atoi(string(b[sep[1]+1 : sep[2]]))
+	res, err2 := strconv.Atoi(string(b[sep[2]+1 : sep[3]]))
+	fare, err3 := strconv.Atoi(string(b[sep[3]+1:]))
 	if err1 != nil || err2 != nil || err3 != nil {
 		return Flight{}, fmt.Errorf("airline: bad numbers in flight payload %q", b)
 	}
 	return Flight{
-		Number: number, Origin: parts[0], Dest: parts[1],
+		Number: number, Origin: string(b[:sep[0]]), Dest: string(b[sep[0]+1 : sep[1]]),
 		Capacity: capn, Reserved: res, Fare: fare,
 	}, nil
 }
@@ -93,21 +118,52 @@ var (
 // implements the Flecc image codec (extractFromObject/mergeIntoObject and
 // extractFromView/mergeIntoView are the same shape, per the paper's
 // Figure 3).
+//
+// It also tracks what changed (image.ChangeExtractor): rev advances on
+// every state change, each record remembers the revision of its last
+// change, and deleted remembers when a flight that is currently absent
+// was removed. A re-added flight leaves the map again, so it never holds
+// more than the distinct flights ever removed.
 type ReservationSystem struct {
 	mu      sync.Mutex
-	flights map[int]*Flight
+	flights map[int]*flightRec
+	rev     uint64
+	deleted map[int]uint64
+}
+
+// flightRec is a stored flight plus the revision of its last change.
+type flightRec struct {
+	Flight
+	rev uint64
 }
 
 // NewReservationSystem returns an empty system.
 func NewReservationSystem() *ReservationSystem {
-	return &ReservationSystem{flights: map[int]*Flight{}}
+	return &ReservationSystem{flights: map[int]*flightRec{}, deleted: map[int]uint64{}}
+}
+
+// touch stamps a record that just changed. Caller holds mu.
+func (rs *ReservationSystem) touch(f *flightRec) {
+	rs.rev++
+	f.rev = rs.rev
+}
+
+// put inserts or replaces a flight. Caller holds mu.
+func (rs *ReservationSystem) put(f Flight) {
+	rec, ok := rs.flights[f.Number]
+	if !ok {
+		rec = &flightRec{}
+		rs.flights[f.Number] = rec
+		delete(rs.deleted, f.Number)
+	}
+	rec.Flight = f
+	rs.touch(rec)
 }
 
 // AddFlight inserts or replaces a flight.
 func (rs *ReservationSystem) AddFlight(f Flight) {
 	rs.mu.Lock()
-	cp := f
-	rs.flights[f.Number] = &cp
+	rs.put(f)
 	rs.mu.Unlock()
 }
 
@@ -119,7 +175,7 @@ func (rs *ReservationSystem) Flight(number int) (Flight, bool) {
 	if !ok {
 		return Flight{}, false
 	}
-	return *f, true
+	return f.Flight, true
 }
 
 // Flights returns copies of all flights, ordered by number.
@@ -128,7 +184,7 @@ func (rs *ReservationSystem) Flights() []Flight {
 	defer rs.mu.Unlock()
 	out := make([]Flight, 0, len(rs.flights))
 	for _, f := range rs.flights {
-		out = append(out, *f)
+		out = append(out, f.Flight)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
 	return out
@@ -149,7 +205,7 @@ func (rs *ReservationSystem) Browse(origin, dest string) []Flight {
 	var out []Flight
 	for _, f := range rs.flights {
 		if (origin == "" || f.Origin == origin) && (dest == "" || f.Dest == dest) && f.Available() > 0 {
-			out = append(out, *f)
+			out = append(out, f.Flight)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
@@ -180,6 +236,7 @@ func (rs *ReservationSystem) ConfirmTickets(count, number int) error {
 		return fmt.Errorf("%w: flight %d has %d seats, want %d", ErrSoldOut, number, f.Available(), count)
 	}
 	f.Reserved += count
+	rs.touch(f)
 	return nil
 }
 
@@ -195,6 +252,7 @@ func (rs *ReservationSystem) CancelTickets(count, number int) error {
 	if f.Reserved < 0 {
 		f.Reserved = 0
 	}
+	rs.touch(f)
 	return nil
 }
 
@@ -224,17 +282,44 @@ func flightsDomain(props property.Set) (property.Domain, bool) {
 // extractFromView): it snapshots the flights selected by the property
 // set's "Flights" domain (all flights when the property is absent).
 func (rs *ReservationSystem) Extract(props property.Set) (*image.Image, error) {
+	img, _, err := rs.ExtractChanged(props, 0)
+	if img == nil {
+		img = image.New(props.Clone())
+	}
+	return img, err
+}
+
+// ExtractChanged implements image.ChangeExtractor: the selected flights
+// that changed after revision since (all of them when since is 0), the
+// selected flights removed after it as tombstones, and the current
+// revision. It compares a revision per record and encodes only the
+// records it returns; when none qualifies the image is nil and nothing is
+// allocated.
+func (rs *ReservationSystem) ExtractChanged(props property.Set, since uint64) (*image.Image, uint64, error) {
 	dom, restricted := flightsDomain(props)
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	img := image.New(props.Clone())
-	for n, f := range rs.flights {
-		if restricted && !dom.ContainsValue(float64(n)) {
-			continue
+	var img *image.Image
+	put := func(e image.Entry) {
+		if img == nil {
+			img = image.New(props.Clone())
 		}
-		img.Put(image.Entry{Key: f.Key(), Value: f.Encode()})
+		img.Put(e)
 	}
-	return img, nil
+	for n, f := range rs.flights {
+		if f.rev > since && (!restricted || dom.ContainsValue(float64(n))) {
+			put(image.Entry{Key: f.Key(), Value: f.Encode()})
+		}
+	}
+	if since == 0 {
+		return img, rs.rev, nil
+	}
+	for n, rev := range rs.deleted {
+		if rev > since && (!restricted || dom.ContainsValue(float64(n))) {
+			put(image.Entry{Key: FlightKey(n), Deleted: true})
+		}
+	}
+	return img, rs.rev, nil
 }
 
 // ExtractKeys implements image.KeyedExtractor: it snapshots just the
@@ -279,22 +364,31 @@ func (rs *ReservationSystem) Merge(img *image.Image, props property.Set) error {
 		if restricted && !dom.ContainsValue(float64(n)) {
 			continue
 		}
+		old, exists := rs.flights[n]
 		if e.Deleted {
-			delete(rs.flights, n)
+			if exists {
+				delete(rs.flights, n)
+				rs.rev++
+				rs.deleted[n] = rs.rev
+			}
 			continue
 		}
 		f, err := DecodeFlight(n, e.Value)
 		if err != nil {
 			return err
 		}
-		rs.flights[n] = &f
+		if exists && old.Flight == f {
+			continue // nothing changed: the key stays clean
+		}
+		rs.put(f)
 	}
 	return nil
 }
 
 var (
-	_ image.Codec          = (*ReservationSystem)(nil)
-	_ image.KeyedExtractor = (*ReservationSystem)(nil)
+	_ image.Codec           = (*ReservationSystem)(nil)
+	_ image.KeyedExtractor  = (*ReservationSystem)(nil)
+	_ image.ChangeExtractor = (*ReservationSystem)(nil)
 )
 
 // SeatResolver is the application conflict resolver for concurrent

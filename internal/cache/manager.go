@@ -95,12 +95,18 @@ type Config struct {
 
 // Manager is the view-side protocol endpoint.
 type Manager struct {
-	name  string
-	dir   string
-	view  image.Codec
-	vars  trigger.Env
-	clock vclock.Clock
-	op    wire.OpClass
+	name string
+	dir  string
+	view image.Codec
+	// keyed and changes are the view codec's optional capabilities, probed
+	// once in New and nil when absent: with keyed a pull reply reads just
+	// the incoming keys from the view, with changes a push, fetch or
+	// invalidate extracts just the keys the view touched (see syncedRev).
+	keyed   image.KeyedExtractor
+	changes image.ChangeExtractor
+	vars    trigger.Env
+	clock   vclock.Clock
+	op      wire.OpClass
 	// nets holds the primary network followed by Config.Fallbacks; netIdx
 	// (guarded by recon.mu) points at the one the current endpoint dialed.
 	nets   []transport.Network
@@ -122,8 +128,18 @@ type Manager struct {
 	initialized bool
 	killed      bool
 	base        *image.Image // last synchronized snapshot
-	seen        vclock.Version
-	pendingOps  int
+	// syncedRev is the view codec's revision (image.ChangeExtractor) up to
+	// which base is known to match the view. Invariant: every key whose
+	// view value differs from base changed at a revision > syncedRev, so
+	// the keys changed after it are the only delta candidates. 0 means
+	// "every key is a candidate" — the value it always has for a codec
+	// without the capability, and after SetProps. syncGen counts the times
+	// it moved, so a round that extracted before someone else moved it
+	// does not advance it past keys that round never looked at.
+	syncedRev  uint64
+	syncGen    uint64
+	seen       vclock.Version
+	pendingOps int
 	// lastPull/lastPush are virtual times for the sincePull/sincePush
 	// trigger variables.
 	lastPull, lastPush vclock.Time
@@ -184,6 +200,8 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Reconnect != nil {
 		m.recon = newReconnector(cfg.Name, *cfg.Reconnect)
 	}
+	m.keyed, _ = cfg.View.(image.KeyedExtractor)
+	m.changes, _ = cfg.View.(image.ChangeExtractor)
 	m.cond = sync.NewCond(&m.mu)
 	ep, err := cfg.Net.Attach(cfg.Name, m.handle)
 	if err != nil {
@@ -323,12 +341,13 @@ func (m *Manager) PushImage() error {
 		m.mu.Unlock()
 		return ErrNotInitialized
 	}
-	delta, ops, cur, err := m.extractDeltaLocked()
+	x, err := m.extractDeltaLocked()
 	if err != nil {
 		m.mu.Unlock()
 		return err
 	}
-	if delta.Len() == 0 {
+	if x.delta == nil {
+		m.foldLocked(x, 0)
 		m.pendingOps = 0
 		m.lastPush = m.clock.Now()
 		m.mu.Unlock()
@@ -336,13 +355,13 @@ func (m *Manager) PushImage() error {
 	}
 	m.mu.Unlock()
 
-	reply, err := m.call(&wire.Message{Type: wire.TPush, Img: delta, Ops: uint32(ops)})
+	reply, err := m.call(&wire.Message{Type: wire.TPush, Img: x.delta, Ops: uint32(x.ops)})
 	if err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.finishPushLocked(delta, cur, reply, ops)
+	return m.finishPushLocked(x, reply)
 }
 
 // StartUse marks the beginning of a mutually exclusive work window on the
@@ -418,6 +437,10 @@ func (m *Manager) SetProps(props property.Set) error {
 	}
 	m.mu.Lock()
 	m.props = props.Clone()
+	// What the view extracts under the new properties is a different set
+	// of keys: the next delta looks at all of them.
+	m.syncedRev = 0
+	m.syncGen++
 	m.mu.Unlock()
 	return nil
 }
@@ -458,23 +481,29 @@ func (m *Manager) applyIncomingLocked(img *image.Image, ver vclock.Version) erro
 	if img != nil && img.Len() > 0 {
 		apply := img
 		if m.initialized {
-			if cur, err := m.view.Extract(m.props); err == nil && cur != nil {
-				apply = image.New(img.Props.Clone())
-				apply.Version = img.Version
-				for _, k := range img.Keys() {
-					in := img.Entries[k]
-					ce, curOK := cur.Get(k)
-					be, baseOK := m.base.Get(k)
-					dirty := curOK != (baseOK && !be.Deleted) ||
-						(curOK && baseOK && !ce.Equal(be))
-					if dirty && !(curOK && ce.Equal(in)) {
-						// Keep the local pending change; skip this entry
-						// (and leave its base snapshot untouched so the
-						// push carries the old base version).
-						continue
-					}
-					apply.Put(in.Clone())
+			keys := img.Keys()
+			cur, err := m.viewValuesLocked(keys)
+			if err != nil {
+				// Without the view's current values the pending local
+				// changes cannot be told apart; merging anyway would
+				// overwrite them.
+				return fmt.Errorf("cache: extract from view: %w", err)
+			}
+			apply = image.New(img.Props.Clone())
+			apply.Version = img.Version
+			for _, k := range keys {
+				in := img.Entries[k]
+				ce, curOK := cur.Get(k)
+				be, baseOK := m.base.Get(k)
+				dirty := curOK != (baseOK && !be.Deleted) ||
+					(curOK && baseOK && !ce.Equal(be))
+				if dirty && !(curOK && ce.Equal(in)) {
+					// Keep the local pending change; skip this entry
+					// (and leave its base snapshot untouched so the
+					// push carries the old base version).
+					continue
 				}
+				apply.Put(in.Clone())
 			}
 		}
 		// Merging into the view is the application's mergeIntoView; a
@@ -497,41 +526,123 @@ func (m *Manager) applyIncomingLocked(img *image.Image, ver vclock.Version) erro
 	return nil
 }
 
-// extractDeltaLocked extracts the current view state and returns the
-// changed entries (relative to base), the pending op count, and the full
-// current snapshot. Delta entries carry the version of the base data they
-// supersede. Caller holds mu.
-func (m *Manager) extractDeltaLocked() (*image.Image, int, *image.Image, error) {
-	cur, err := m.view.Extract(m.props)
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("cache: extract from view: %w", err)
+// viewValuesLocked reads the view's current entries for the given keys:
+// a lookup of just those keys when the codec can do one, the whole view
+// otherwise. Caller holds mu.
+func (m *Manager) viewValuesLocked(keys []string) (*image.Image, error) {
+	var cur *image.Image
+	var err error
+	if m.keyed != nil {
+		cur, err = m.keyed.ExtractKeys(m.props, keys)
+	} else {
+		cur, err = m.view.Extract(m.props)
 	}
 	if cur == nil {
-		cur = image.New(m.props.Clone())
+		cur = noImage
 	}
-	cur.Props = m.props.Clone()
-	delta := image.New(m.props.Clone())
-	for k, e := range cur.Entries {
+	return cur, err
+}
+
+// noImage stands in, read-only, for the nil image a codec may return when
+// it has nothing to report.
+var noImage = &image.Image{}
+
+// extracted is one delta taken from the view — what a push round or a
+// fetch/invalidate reply carries — with what folding it into base needs.
+type extracted struct {
+	delta *image.Image // changed entries, stamped with the base version they supersede; nil when the view is clean
+	cur   *image.Image // the candidates as the view holds them
+	ops   int          // pending op count the delta carries
+	rev   uint64       // codec revision of the snapshot cur was taken from
+	gen   uint64       // syncGen at extraction
+}
+
+// extractDeltaLocked diffs the view against base and returns the changed
+// entries. The candidates are the keys the codec reports changed after
+// syncedRev; a codec that cannot say (and any codec while syncedRev is 0)
+// is asked for the whole view, and then a live base key missing from the
+// answer is a deletion. Caller holds mu.
+func (m *Manager) extractDeltaLocked() (extracted, error) {
+	x := extracted{ops: m.pendingOps, gen: m.syncGen}
+	var err error
+	if m.changes != nil {
+		x.cur, x.rev, err = m.changes.ExtractChanged(m.props, m.syncedRev)
+	} else {
+		x.cur, err = m.view.Extract(m.props)
+	}
+	if err != nil {
+		return x, fmt.Errorf("cache: extract from view: %w", err)
+	}
+	if x.cur == nil {
+		x.cur = noImage
+	}
+	emit := func(e image.Entry) {
+		if x.delta == nil {
+			x.delta = image.New(m.props.Clone())
+		}
+		x.delta.Put(e)
+	}
+	for k, e := range x.cur.Entries {
 		be, ok := m.base.Get(k)
-		if ok && e.Equal(be) {
-			continue
+		if ok && e.Equal(be) || !ok && e.Deleted {
+			continue // unchanged, or added and removed between two synchronizations
 		}
 		out := e.Clone()
-		if ok {
-			out.Version = be.Version // version the change was based on
-		} else {
-			out.Version = 0
-		}
+		out.Version = be.Version // version the change was based on (0 for a new key)
 		out.Writer = m.name
-		delta.Put(out)
+		emit(out)
 	}
-	// Deletions: keys in base missing from the current extract.
-	for k, be := range m.base.Entries {
-		if _, ok := cur.Get(k); !ok && !be.Deleted {
-			delta.Put(image.Entry{Key: k, Version: be.Version, Writer: m.name, Deleted: true})
+	if m.syncedRev == 0 {
+		for k, be := range m.base.Entries {
+			if _, ok := x.cur.Get(k); !ok && !be.Deleted {
+				emit(image.Entry{Key: k, Version: be.Version, Writer: m.name, Deleted: true})
+			}
 		}
 	}
-	return delta, m.pendingOps, cur, nil
+	return x, nil
+}
+
+// foldLocked adopts an extracted delta into base once its entries are with
+// the directory manager: a changed key takes the value the view held at
+// extraction, a deleted key becomes a tombstone at ver. Everything the
+// extraction looked at now matches base up to x.rev — unless someone else
+// moved syncedRev in the meantime (an interleaved fetch, SetProps), in
+// which case only the lower of the two watermarks is safe. Caller holds
+// mu.
+func (m *Manager) foldLocked(x extracted, ver vclock.Version) {
+	if x.delta != nil {
+		for k, e := range x.delta.Entries {
+			if e.Deleted {
+				m.base.Put(image.Entry{Key: k, Version: ver, Writer: m.name, Deleted: true})
+			} else {
+				ce, _ := x.cur.Get(k)
+				m.base.Put(ce.Clone())
+			}
+		}
+	}
+	if m.syncGen == x.gen || x.rev < m.syncedRev {
+		m.syncedRev = x.rev
+	}
+	m.syncGen++
+}
+
+// surrenderLocked is foldLocked for a delta handed over in a fetch or
+// invalidate reply. On that path base has always been replaced by a fresh
+// extract of the view, which besides adopting the values zeroes every
+// entry's Version/Writer and forgets tombstones; the stamps ride on later
+// pushes, so they are reset here the same way (a pass over base that
+// encodes nothing). Caller holds mu.
+func (m *Manager) surrenderLocked(x extracted) {
+	m.foldLocked(x, 0)
+	for k, be := range m.base.Entries {
+		switch {
+		case be.Deleted:
+			delete(m.base.Entries, k)
+		case be.Version != 0 || be.Writer != "":
+			be.Version, be.Writer = 0, ""
+			m.base.Entries[k] = be
+		}
+	}
 }
 
 // handle serves directory-manager-initiated commands.
@@ -560,15 +671,15 @@ func (m *Manager) handleInvalidate() *wire.Message {
 	if !m.initialized {
 		return &wire.Message{Type: wire.TImage}
 	}
-	delta, ops, cur, err := m.extractDeltaLocked()
+	x, err := m.extractDeltaLocked()
 	if err != nil {
 		return &wire.Message{Type: wire.TErr, Err: err.Error()}
 	}
-	m.base = cur
+	m.surrenderLocked(x)
 	m.pendingOps = 0
 	m.valid = false
 	m.invalidations++
-	return &wire.Message{Type: wire.TImage, Img: delta, Ops: uint32(ops)}
+	return &wire.Message{Type: wire.TImage, Img: x.delta, Ops: uint32(x.ops)}
 }
 
 // handleFetch surrenders pending updates without stopping the view
@@ -582,13 +693,13 @@ func (m *Manager) handleFetch() *wire.Message {
 	if !m.initialized {
 		return &wire.Message{Type: wire.TImage}
 	}
-	delta, ops, cur, err := m.extractDeltaLocked()
+	x, err := m.extractDeltaLocked()
 	if err != nil {
 		return &wire.Message{Type: wire.TErr, Err: err.Error()}
 	}
-	m.base = cur
+	m.surrenderLocked(x)
 	m.pendingOps = 0
-	return &wire.Message{Type: wire.TImage, Img: delta, Ops: uint32(ops)}
+	return &wire.Message{Type: wire.TImage, Img: x.delta, Ops: uint32(x.ops)}
 }
 
 // handleUpdate applies a DM-initiated update (push-propagation, used by

@@ -289,6 +289,116 @@ func TestMergeErrorsSurface(t *testing.T) {
 	}
 }
 
+// flakyExtractor fails the view's next extract — the whole-view one, or
+// the keyed one when keyed is set — once.
+type flakyExtractor struct {
+	image.Codec
+	keyed image.KeyedExtractor
+	fail  *bool
+}
+
+func (f flakyExtractor) tripped() error {
+	if !*f.fail {
+		return nil
+	}
+	*f.fail = false
+	return errors.New("application extract failed")
+}
+
+func (f flakyExtractor) Extract(props property.Set) (*image.Image, error) {
+	if err := f.tripped(); err != nil {
+		return nil, err
+	}
+	return f.Codec.Extract(props)
+}
+
+type flakyKeyedExtractor struct{ flakyExtractor }
+
+func (f flakyKeyedExtractor) ExtractKeys(props property.Set, keys []string) (*image.Image, error) {
+	if err := f.tripped(); err != nil {
+		return nil, err
+	}
+	return f.keyed.ExtractKeys(props, keys)
+}
+
+// A pull reply is filtered against the view's current values so pending
+// local changes survive it. When reading those values fails the pull must
+// fail too: merging the unfiltered reply would overwrite the pending
+// change with the primary's value — a silent lost update.
+func TestPullSurfacesViewExtractError(t *testing.T) {
+	for _, keyed := range []bool{false, true} {
+		r := newRig(t, directory.Options{})
+		kv := newKV(nil)
+		fail := false
+		flaky := flakyExtractor{Codec: kv, keyed: keyedKV{kv}, fail: &fail}
+		var codec image.Codec = flaky
+		if keyed {
+			codec = flakyKeyedExtractor{flaky}
+		}
+		cm, err := cache.New(cache.Config{
+			Name: "v1", Directory: "dm", Net: r.net, View: codec,
+			Props: property.MustSet("P={x}"), Clock: r.clock,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cm.InitImage(); err != nil {
+			t.Fatal(err)
+		}
+		// v1 holds a pending local change; v2 commits a different value.
+		cm.StartUse()
+		kv.Set("k", "local")
+		cm.EndUse()
+		v2 := newKV(nil)
+		cm2 := r.view(t, "v2", "P={x}", wire.Weak, v2)
+		cm2.InitImage()
+		cm2.StartUse()
+		v2.Set("k", "remote")
+		cm2.EndUse()
+		if err := cm2.PushImage(); err != nil {
+			t.Fatal(err)
+		}
+
+		fail = true
+		if err := cm.PullImage(); err == nil {
+			t.Fatalf("keyed=%t: pull should surface the application extract failure", keyed)
+		}
+		if fail {
+			t.Fatalf("keyed=%t: the pull did not read the view through the expected extract", keyed)
+		}
+		if got := kv.Get("k"); got != "local" {
+			t.Fatalf("keyed=%t: failed pull overwrote the pending change: k = %q", keyed, got)
+		}
+		if err := cm.PullImage(); err != nil {
+			t.Fatal(err)
+		}
+		if got := kv.Get("k"); got != "local" {
+			t.Fatalf("keyed=%t: retried pull overwrote the pending change: k = %q", keyed, got)
+		}
+		if err := cm.PushImage(); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.prim.Get("k"); got != "local" {
+			t.Fatalf("keyed=%t: the push after the failed pull did not carry the pending change: primary k = %q", keyed, got)
+		}
+	}
+}
+
+// keyedKV gives a kvView the keyed-extract capability.
+type keyedKV struct{ *kvView }
+
+func (v keyedKV) ExtractKeys(props property.Set, keys []string) (*image.Image, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	img := image.New(props.Clone())
+	for _, k := range keys {
+		if val, ok := v.data[k]; ok {
+			img.Put(image.Entry{Key: k, Value: []byte(val)})
+		}
+	}
+	return img, nil
+}
+
 func TestAcquireAgainstPlainDM(t *testing.T) {
 	r := newRig(t, directory.Options{})
 	cm := r.view(t, "v1", "P={x}", wire.Weak, newKV(nil))

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"flecc/internal/image"
 	"flecc/internal/transport"
 	"flecc/internal/wire"
 )
@@ -54,8 +53,8 @@ func (f *PushFuture) Wait() error {
 // into a single TPush and keeps per-key version bookkeeping exact.
 type pushRound struct {
 	fut *PushFuture
-	ops int    // pending-op count the dispatched delta carried
-	gen uint64 // session generation at creation; stale rounds are dead
+	x   extracted // the dispatched delta; zero until dispatch
+	gen uint64    // session generation at creation; stale rounds are dead
 }
 
 // PushImageAsync starts (or joins) an asynchronous push round and returns
@@ -142,14 +141,15 @@ func (m *Manager) pump() {
 			m.mu.Unlock()
 			continue
 		}
-		delta, ops, cur, err := m.extractDeltaLocked()
+		x, err := m.extractDeltaLocked()
 		if err != nil {
 			m.resolveRoundLocked(r, err)
 			m.mu.Unlock()
 			continue
 		}
-		if delta.Len() == 0 {
-			m.pendingOps -= ops
+		if x.delta == nil {
+			m.foldLocked(x, 0)
+			m.pendingOps -= x.ops
 			if m.pendingOps < 0 {
 				m.pendingOps = 0
 			}
@@ -158,9 +158,9 @@ func (m *Manager) pump() {
 			m.mu.Unlock()
 			continue
 		}
-		r.ops = ops
+		r.x = x
 		m.inflight = r
-		req := &wire.Message{Type: wire.TPush, Img: delta, Ops: uint32(ops)}
+		req := &wire.Message{Type: wire.TPush, Img: x.delta, Ops: uint32(x.ops)}
 		ep := m.ep
 		m.mu.Unlock()
 
@@ -173,19 +173,19 @@ func (m *Manager) pump() {
 				// Synchronous transport (or an immediate failure): finish
 				// inline and keep pumping on this goroutine.
 				reply, cerr := call.Wait()
-				m.completeRound(r, delta, cur, reply, cerr)
+				m.completeRound(r, reply, cerr)
 				continue
 			default:
 				go func() {
 					reply, cerr := call.Wait()
-					m.completeRound(r, delta, cur, reply, cerr)
+					m.completeRound(r, reply, cerr)
 					m.pump()
 				}()
 				return
 			}
 		}
 		reply, cerr := ep.Call(m.dir, req)
-		m.completeRound(r, delta, cur, reply, cerr)
+		m.completeRound(r, reply, cerr)
 	}
 }
 
@@ -194,7 +194,7 @@ func (m *Manager) pump() {
 // transport-level failure resets the whole session (this round AND the
 // buffered one fail with ErrSessionReset — their writes stay pending
 // locally); a remote protocol error fails only this round.
-func (m *Manager) completeRound(r *pushRound, delta, cur *image.Image, reply *wire.Message, err error) {
+func (m *Manager) completeRound(r *pushRound, reply *wire.Message, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.inflight == r {
@@ -217,29 +217,23 @@ func (m *Manager) completeRound(r *pushRound, delta, cur *image.Image, reply *wi
 		}
 		return
 	}
-	m.resolveRoundLocked(r, m.finishPushLocked(delta, cur, reply, r.ops))
+	m.resolveRoundLocked(r, m.finishPushLocked(r.x, reply))
 }
 
 // finishPushLocked is the shared push-ack bookkeeping for the sync and
 // async paths: fold the pushed keys into the base snapshot, retire the
 // ops the round carried, and adopt resolver winners. Caller holds mu.
-func (m *Manager) finishPushLocked(delta, cur *image.Image, reply *wire.Message, ops int) error {
+func (m *Manager) finishPushLocked(x extracted, reply *wire.Message) error {
 	// Fold only the pushed keys into the base snapshot. The manager was
 	// unlocked during the call, so a propagated update or a reconnect
 	// re-pull may have merged fresh remote entries meanwhile; wholesale
 	// replacing base with the pre-call extract would regress those keys,
 	// leaving the view looking dirty with stale data that a later push
 	// would echo over newer commits.
-	for k, e := range delta.Entries {
-		if ce, ok := cur.Get(k); ok {
-			m.base.Put(ce.Clone())
-		} else if e.Deleted {
-			m.base.Put(image.Entry{Key: k, Version: reply.Version, Writer: m.name, Deleted: true})
-		}
-	}
+	m.foldLocked(x, reply.Version)
 	// Retire only the ops this round carried: use windows closed while
 	// the round was on the wire belong to the next one.
-	m.pendingOps -= ops
+	m.pendingOps -= x.ops
 	if m.pendingOps < 0 {
 		m.pendingOps = 0
 	}

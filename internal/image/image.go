@@ -156,7 +156,9 @@ func (im *Image) String() string {
 // Figure 3).
 //
 // Extract may be called concurrently with itself and with Merge; see
-// Merger for the codec's concurrency contract.
+// Merger for the codec's concurrency contract. Two optional capabilities
+// let the protocol layers avoid walking the whole replica: KeyedExtractor
+// (the caller names the keys) and ChangeExtractor (the codec names them).
 type Extractor interface {
 	Extract(props property.Set) (*Image, error)
 }
@@ -190,6 +192,34 @@ type Merger interface {
 // ExtractKeys is called concurrently like Extract (see Merger).
 type KeyedExtractor interface {
 	ExtractKeys(props property.Set, keys []string) (*Image, error)
+}
+
+// ChangeExtractor is an optional extension of Extractor: a codec that can
+// say which keys changed. The cache manager uses it so that a push, a
+// DM-initiated fetch and an invalidate encode only what the view touched
+// since the last synchronization instead of the whole view; a codec
+// without it is asked for everything every time.
+//
+// Contract: the codec keeps a private revision counter that every state
+// change advances. ExtractChanged returns, under one consistent snapshot,
+// (a) an image of every key inside props whose value or existence changed
+// at a revision greater than since — a key that exists as a live entry
+// with its current value, a key that was removed as an entry with Deleted
+// set and no value — and (b) rev, the counter's value at that snapshot,
+// which the caller hands back as since once it has dealt with the image.
+// The codec may over-report (return a key that did not change, or report
+// a change that restored the old value) and must never under-report: a
+// missed key is a lost update. since == 0 means "everything": the result
+// is exactly Extract(props), live entries only, and the caller infers
+// removals from absence. Version/Writer are left zero, as in Extract. When
+// nothing qualifies the image may be nil, so the common "nothing changed"
+// answer need not allocate.
+//
+// A revision is meaningful only to the codec instance that returned it;
+// it is never compared across instances or persisted. ExtractChanged is
+// called concurrently like Extract (see Merger).
+type ChangeExtractor interface {
+	ExtractChanged(props property.Set, since uint64) (img *Image, rev uint64, err error)
 }
 
 // Codec combines both directions; most application components implement
