@@ -474,7 +474,8 @@ func BenchmarkStoreExtractDelta(b *testing.B) {
 }
 
 // benchFakeView attaches an endpoint that answers DM-initiated calls with
-// empty success replies and registers it as an active weak view.
+// empty success replies and registers it as an active weak view whose
+// validity trigger never accepts the primary copy (every pull gathers).
 func benchFakeView(b *testing.B, net transport.Network, name string, props property.Set) transport.Endpoint {
 	b.Helper()
 	ep, err := net.Attach(name, func(req *wire.Message) *wire.Message {
@@ -488,7 +489,7 @@ func benchFakeView(b *testing.B, net transport.Network, name string, props prope
 	if err != nil {
 		b.Fatal(err)
 	}
-	if reply, err := ep.Call("dm", &wire.Message{Type: wire.TRegister, View: name, Mode: wire.Weak, Props: props}); err != nil || reply.Type == wire.TErr {
+	if reply, err := ep.Call("dm", &wire.Message{Type: wire.TRegister, View: name, Mode: wire.Weak, Props: props, Trig: wire.Triggers{Validity: "false"}}); err != nil || reply.Type == wire.TErr {
 		b.Fatalf("register %s: %v %v", name, err, reply)
 	}
 	if reply, err := ep.Call("dm", &wire.Message{Type: wire.TInit}); err != nil || reply.Type == wire.TErr {
@@ -523,10 +524,7 @@ func BenchmarkPullContention(b *testing.B) {
 	for _, fanout := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
 			f, props := benchContentionNet(b, members)
-			dm, err := directory.New("dm", flecc.NewMapCodec(), vclock.NewSim(), f, directory.Options{
-				AlwaysGather: true,
-				FanOut:       fanout,
-			})
+			dm, err := directory.New("dm", flecc.NewMapCodec(), vclock.NewSim(), f, directory.Options{FanOut: fanout})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -568,10 +566,7 @@ func BenchmarkPullContentionObserved(b *testing.B) {
 				f.AddObserver(trace.NewRecorder(2048))
 				f.AddObserver(trace.NewSpanRecorder("dm", 256))
 			}
-			dm, err := directory.New("dm", flecc.NewMapCodec(), vclock.NewSim(), f, directory.Options{
-				AlwaysGather: true,
-				FanOut:       8,
-			})
+			dm, err := directory.New("dm", flecc.NewMapCodec(), vclock.NewSim(), f, directory.Options{FanOut: 8})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -50,7 +50,7 @@ func main() {
 		faultDrop    = flag.Float64("fault-drop", 0, "inject faults: probability [0,1] of dropping any message before delivery")
 		faultDelay   = flag.Duration("fault-delay", 0, "inject faults: fixed delay added before delivering each message")
 		faultSeed    = flag.Int64("fault-seed", 1, "seed for the fault injector's random stream (deterministic runs)")
-		fanOut       = flag.Int("fanout", 0, "max concurrent views contacted per invalidate/gather/propagate round (0 = directory default, 1 = serial)")
+		fanOut       = flag.Int("fanout", 0, "width of an invalidate/gather/propagate round: views contacted at a time (0 = directory default of 4, 1 = serial)")
 		lanes        = flag.Int("lanes", 0, "conflict-group execution lanes: commits of disjoint conflict groups run in parallel (0 = 1 lane: commits run one at a time)")
 		compactEvery = flag.Duration("compact-every", 0, "update-log compaction interval (0 disables)")
 		debugAddr    = flag.String("debug-addr", "", "serve observability HTTP on this address: /metrics (text or ?format=json), /trace, /spans, /debug/pprof (empty disables)")

@@ -167,13 +167,13 @@ func WithReadAware() Option {
 	return func(c *sysConfig) { c.readAware = true }
 }
 
-// WithFanOut bounds how many views the directory manager contacts
-// concurrently per invalidate/gather/propagate round. The default is 1:
-// a System runs on the simulated network, where virtual latency is
-// charged serially, so serial rounds cost nothing and keep traces and
-// virtual timestamps deterministic. Raise it to exercise the concurrent
-// hot path (real deployments via internal/directory default to
-// directory.DefaultFanOut).
+// WithFanOut sets the width of the directory manager's
+// invalidate/gather/propagate rounds: how many views it contacts at a
+// time. The default, and any n <= 0, is 1: a System runs on the simulated
+// network, where virtual latency is charged serially, so serial rounds
+// cost nothing and keep traces and virtual timestamps deterministic.
+// Raise it to exercise the concurrent hot path (real deployments via
+// internal/directory default to directory.DefaultFanOut).
 func WithFanOut(n int) Option {
 	return func(c *sysConfig) { c.fanOut = n }
 }
@@ -233,15 +233,12 @@ func New(name string, primary Codec, opts ...Option) (*System, error) {
 		rec = trace.NewRecorder(cfg.traceCap)
 		net.AddObserver(rec)
 	}
-	fanOut := cfg.fanOut
-	if fanOut == 0 {
-		fanOut = 1 // serial by default on the simulated network (see WithFanOut)
-	}
 	dm, err := directory.New(name, primary, cfg.clock, net, directory.Options{
 		Resolver:  cfg.resolver,
 		ReadAware: cfg.readAware,
-		FanOut:    fanOut,
-		Lanes:     cfg.lanes,
+		// Serial unless raised: the simulated network (see WithFanOut).
+		FanOut: max(1, cfg.fanOut),
+		Lanes:  cfg.lanes,
 	})
 	if err != nil {
 		return nil, err

@@ -1,10 +1,14 @@
 package flecc_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"flecc"
 )
@@ -331,5 +335,79 @@ func TestParseProps(t *testing.T) {
 	}
 	if _, err := flecc.ParseProps("!!!"); err == nil {
 		t.Fatal("bad props should fail")
+	}
+}
+
+// goidCodec hides MapCodec's change-tracking capabilities and records
+// which goroutine runs each Extract, dwelling there long enough for any
+// concurrent fan-out worker to pick up the next target.
+type goidCodec struct {
+	flecc.Codec
+	mu  *sync.Mutex
+	ids *[]string
+}
+
+func (c goidCodec) Extract(props flecc.Props) (*flecc.Image, error) {
+	c.mu.Lock()
+	*c.ids = append(*c.ids, goid())
+	c.mu.Unlock()
+	time.Sleep(time.Millisecond)
+	return c.Codec.Extract(props)
+}
+
+// goid returns the running goroutine's id as the runtime prints it.
+func goid() string {
+	b := make([]byte, 64)
+	return string(bytes.Fields(b[:runtime.Stack(b, false)])[1])
+}
+
+// TestWithFanOutNonPositiveIsSerial: WithFanOut documents serial rounds as
+// the simulated network's default; a non-positive n must select that, not
+// the directory's concurrent default. A serial gather round runs every
+// fetch — and so every sharer's Extract — on the puller's own goroutine.
+func TestWithFanOutNonPositiveIsSerial(t *testing.T) {
+	for _, n := range []int{-1, 0} {
+		sys, _ := newSystem(t, flecc.WithFanOut(n))
+		var (
+			mu  sync.Mutex
+			ids []string
+		)
+		const sharers = 6
+		for i := 0; i < sharers; i++ {
+			replica := flecc.NewMapCodec()
+			v, err := sys.NewView(flecc.ViewConfig{
+				Name:  fmt.Sprintf("sharer-%d", i),
+				View:  goidCodec{replica, &mu, &ids},
+				Props: flecc.MustProps("Data={greeting}"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Leave a pending update for the gather to fetch.
+			if err := v.Use(func() error { replica.SetString("greeting", v.Name()); return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		puller, err := sys.NewView(flecc.ViewConfig{
+			Name: "puller", View: flecc.NewMapCodec(),
+			Props: flecc.MustProps("Data={greeting}"), ValidityTrigger: "false",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		ids = nil
+		mu.Unlock()
+		if err := puller.Pull(); err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != sharers {
+			t.Fatalf("WithFanOut(%d): gather extracted from %d sharers, want %d", n, len(ids), sharers)
+		}
+		for _, id := range ids {
+			if id != goid() {
+				t.Fatalf("WithFanOut(%d): gather ran on goroutines %v, want all on the puller's (%s)", n, ids, goid())
+			}
+		}
 	}
 }

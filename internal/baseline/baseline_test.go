@@ -222,7 +222,7 @@ func TestMulticastGathersFromEveryone(t *testing.T) {
 		cm, err := cache.New(cache.Config{
 			Name: string(rune('a' + i)), Directory: "dm", Net: net,
 			View: views[i], Props: property.MustSet("F={" + string(rune('0'+i)) + "}"),
-			Mode: wire.Weak, Clock: clock,
+			Mode: wire.Weak, Clock: clock, ValidityTrigger: "false",
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"flecc/internal/image"
 	"flecc/internal/metrics"
 	"flecc/internal/property"
+	"flecc/internal/registry"
 	"flecc/internal/shard"
 	"flecc/internal/transport"
 	"flecc/internal/vclock"
@@ -950,8 +951,15 @@ func TestMessageCountsPerOperation(t *testing.T) {
 	}
 }
 
-func TestGatherAllOption(t *testing.T) {
-	r := newRig(t, directory.Options{GatherAll: true, AlwaysGather: true})
+// TestWorstCaseDefaultGathersFromEveryone is the multicast comparator in
+// the paper's vocabulary: the static default set to 1 ("all views
+// conflict") and views whose validity trigger never accepts the primary
+// copy.
+func TestWorstCaseDefaultGathersFromEveryone(t *testing.T) {
+	r := newRig(t, directory.Options{})
+	for _, dm := range r.dms() {
+		dm.Registry().SetDefaultRelation(registry.Conflict)
+	}
 	views := make([]*kvView, 4)
 	cms := make([]*cache.Manager, 4)
 	names := []string{"a", "b", "c", "d"}
@@ -959,7 +967,7 @@ func TestGatherAllOption(t *testing.T) {
 		views[i] = newKV(nil)
 		// All disjoint properties — Flecc would never gather; multicast
 		// fetches from everyone anyway.
-		cms[i] = r.view(t, names[i], "F={"+string(rune('0'+i))+"}", wire.Weak, views[i])
+		cms[i] = r.view(t, names[i], "F={"+string(rune('0'+i))+"}", wire.Weak, views[i], "", "", "false")
 		cms[i].InitImage()
 	}
 	r.stats.Reset()
@@ -970,17 +978,20 @@ func TestGatherAllOption(t *testing.T) {
 	}
 }
 
-func TestNeverGatherOption(t *testing.T) {
-	r := newRig(t, directory.Options{NeverGather: true})
+// TestNoValidityTriggerSkipsGather is the time-sharing comparator's pull:
+// a view that registers no validity trigger accepts the primary copy
+// as-is, so its pull never gathers, even from an active conflicting view.
+func TestNoValidityTriggerSkipsGather(t *testing.T) {
+	r := newRig(t, directory.Options{})
 	v1 := newKV(nil)
 	v2 := newKV(nil)
-	r.view(t, "v1", "P={x}", wire.Weak, v1).InitImage()
-	cm2 := r.view(t, "v2", "P={x}", wire.Weak, v2, "", "", "false")
+	r.view(t, "v1", "P={x}", wire.Weak, v1, "", "", "false").InitImage()
+	cm2 := r.view(t, "v2", "P={x}", wire.Weak, v2)
 	cm2.InitImage()
 	r.stats.Reset()
 	cm2.PullImage()
 	if got := r.stats.Total(); got != 2 {
-		t.Fatalf("NeverGather pull = %d messages, want 2", got)
+		t.Fatalf("pull without a validity trigger = %d messages, want 2", got)
 	}
 }
 

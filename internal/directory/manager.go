@@ -17,22 +17,12 @@ import (
 )
 
 // Options tunes the directory manager's policies. The zero value is the
-// Flecc protocol as described in the paper; the baseline protocols in
-// internal/baseline are expressed as option presets.
+// Flecc protocol as described in the paper. Who conflicts with whom and
+// when a pull gathers are not options: the application states them with
+// the paper's own inputs — the static conflict matrix (Registry,
+// SeedStatic) and each view's validity trigger — and the comparator
+// protocols in internal/baseline are written with exactly those.
 type Options struct {
-	// GatherAll makes every pull gather updates from ALL active views
-	// instead of only the conflicting ones — the multicast baseline
-	// ("does not discriminate between cache managers and asks all of them
-	// to send updates").
-	GatherAll bool
-	// AlwaysGather forces gathering on every pull even when the view's
-	// validity trigger says the primary data is good enough (or when the
-	// view registered no validity trigger).
-	AlwaysGather bool
-	// NeverGather disables gathering entirely; pulls serve whatever the
-	// primary holds. Used by the time-sharing baseline, where serial
-	// execution makes gathering unnecessary.
-	NeverGather bool
 	// PropagateOnPush switches weak-mode update distribution from
 	// pull-based (peers learn of changes when they next pull) to
 	// push-based: every committed push is immediately forwarded, as a
@@ -47,10 +37,6 @@ type Options struct {
 	// Resolver is the application conflict resolver installed on the
 	// store.
 	Resolver image.Resolver
-	// Handler, if non-nil, is consulted before the built-in dispatch; a
-	// non-nil reply short-circuits. Protocol variants (e.g. the
-	// time-sharing baseline's token grants) hook in here.
-	Handler func(req *wire.Message) *wire.Message
 	// Snapshot, if non-nil, restores a failed directory manager's
 	// protocol metadata into this (standby) instance before it starts
 	// serving — the fail-safe mechanism sketched in §4.1. A snapshot
@@ -69,11 +55,13 @@ type Options struct {
 	// target view unreachable and evicting it. The zero value uses the
 	// transport defaults.
 	Retry transport.RetryPolicy
-	// FanOut bounds how many views a DM-initiated round (invalidate,
-	// gather, propagate) contacts concurrently. 0 means DefaultFanOut;
-	// 1 preserves the serial, deterministic contact order the experiment
-	// harness depends on (and what the paper describes). With FanOut > 1 a
-	// slow or dying view costs its own retry budget, not everyone else's.
+	// FanOut is the width of a DM-initiated round (invalidate, gather,
+	// propagate): how many views it contacts at a time (forEachTarget).
+	// 0 means DefaultFanOut. It is a count, not a mode: at 1 the calling
+	// goroutine is the only worker, so the round is serial in conflict-set
+	// order — what the deterministic experiment harness and the model
+	// checker run (and what the paper describes); at n > 1 a slow or dying
+	// view costs its own retry budget, not everyone else's.
 	FanOut int
 	// InvalFilter, if non-nil, rewrites the invalidation target set of
 	// each pull before the round runs (receiving the requesting view and
@@ -92,7 +80,7 @@ type Options struct {
 	Lanes int
 }
 
-// DefaultFanOut is the fan-out bound applied when Options.FanOut is 0.
+// DefaultFanOut is the fan-out width applied when Options.FanOut is 0.
 const DefaultFanOut = 4
 
 // viewState is the DM-side record for one registered view. Its mutable
@@ -273,11 +261,6 @@ func (m *Manager) Seen(view string) vclock.Version {
 
 // handle is the DM protocol FSM entry point.
 func (m *Manager) handle(req *wire.Message) *wire.Message {
-	if m.opts.Handler != nil {
-		if reply := m.opts.Handler(req); reply != nil {
-			return reply
-		}
-	}
 	if reply := m.haGate(req); reply != nil {
 		return reply
 	}
@@ -475,7 +458,7 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 	// violated by a second active sharer). The whole set is built under
 	// one views-map acquisition — not one lock round-trip per candidate —
 	// with each candidate's mode/lastOp snapshotted via its own lock.
-	conflicting := m.conflictSet(view, true)
+	conflicting := m.reg.ConflictingWith(view, true)
 	var inval []string
 	m.vmu.RLock()
 	for _, other := range conflicting {
@@ -519,8 +502,8 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 
 	// 2. Gathering: when the primary's data is not "good enough" for this
 	// view, fetch pending updates from the other active sharers first.
-	if m.shouldGather(vs, req) {
-		targets := m.gatherTargets(view)
+	if m.shouldGather(vs) {
+		targets := m.reg.ConflictingWith(view, true)
 		var pre *wire.Frame
 		if len(targets) > 0 {
 			pre = wire.Preencode(&wire.Message{Type: wire.TPull})
@@ -552,25 +535,9 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 	return m.synced(&wire.Message{Type: wire.TImage, Img: img, Version: img.Version})
 }
 
-// conflictSet returns the views whose data overlaps the given view's,
-// honoring the static map; with GatherAll it is simply everyone else.
-// Both paths take one coherent registry snapshot: ConflictingWith runs
-// the O(log n + matches) conflict index, and Others replaces the old
-// Views+Active round-trip-per-candidate scan.
-func (m *Manager) conflictSet(view string, activeOnly bool) []string {
-	if m.opts.GatherAll {
-		return m.reg.Others(view, activeOnly)
-	}
-	return m.reg.ConflictingWith(view, activeOnly)
-}
-
-func (m *Manager) shouldGather(vs *viewState, req *wire.Message) bool {
-	if m.opts.NeverGather {
-		return false
-	}
-	if m.opts.AlwaysGather {
-		return true
-	}
+// shouldGather evaluates the view's validity trigger: a pull gathers
+// exactly when the trigger says the primary data is not good enough.
+func (m *Manager) shouldGather(vs *viewState) bool {
 	vs.mu.Lock()
 	val := vs.validity
 	seen := vs.seen
@@ -622,11 +589,7 @@ func (e *validityEnv) Lookup(name string) (float64, bool) {
 	return 0, false
 }
 
-func (m *Manager) gatherTargets(view string) []string {
-	return m.conflictSet(view, true)
-}
-
-// fanOut resolves the effective fan-out bound.
+// fanOut resolves the effective fan-out width.
 func (m *Manager) fanOut() int {
 	if m.opts.FanOut > 0 {
 		return m.opts.FanOut
@@ -634,40 +597,36 @@ func (m *Manager) fanOut() int {
 	return DefaultFanOut
 }
 
-// forEachTarget runs one DM-initiated round — call once per target —
-// bounded by the configured fan-out. At FanOut=1 (or a single target) the
-// calls run serially in slice order and the round aborts on the first
-// error, exactly the pre-concurrency behavior the deterministic experiment
-// harness relies on. At FanOut>1 every target is contacted regardless of
-// other targets' failures (each call carries its own eviction semantics),
-// and the first error in slice order is reported afterwards.
+// forEachTarget runs one DM-initiated round — call once per target — at
+// the configured fan-out width: the caller plus min(width, len(targets))-1
+// helper goroutines take target indices from one shared counter. Every
+// target is contacted regardless of other targets' failures (each call
+// carries its own eviction semantics), and the first error in slice order
+// is reported afterwards. At width 1 the caller is the only worker, so the
+// calls run one at a time in slice order on the calling goroutine — the
+// contact order the deterministic experiment harness relies on.
 func (m *Manager) forEachTarget(targets []string, call func(target string) error) error {
 	if len(targets) == 0 {
 		return nil
 	}
 	start := time.Now()
 	defer func() { m.latFanout.Observe(time.Since(start)) }()
-	fo := m.fanOut()
-	if fo <= 1 || len(targets) == 1 {
-		for _, t := range targets {
-			if err := call(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	sem := make(chan struct{}, fo)
 	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, t string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = call(t)
-		}(i, t)
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(targets)); i = next.Add(1) - 1 {
+			errs[i] = call(targets[i])
+		}
 	}
+	var wg sync.WaitGroup
+	for helpers := min(m.fanOut(), len(targets)) - 1; helpers > 0; helpers-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -788,7 +747,7 @@ func (m *Manager) propagate(writer string, ver vclock.Version) error {
 	payloads := map[string]*prepared{}
 	var targets []string
 	reqs := map[string]*wire.Message{}
-	for _, other := range m.conflictSet(writer, true) {
+	for _, other := range m.reg.ConflictingWith(writer, true) {
 		os, ok := m.viewState(other)
 		if !ok {
 			continue

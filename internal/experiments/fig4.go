@@ -86,12 +86,13 @@ func runFig4Once(cfg Fig4Config, groupSize int, proto Protocol) (int64, error) {
 		GroupSize: groupSize,
 		Latency:   0, // message counts are latency-independent
 	}
-	// "Always execute on the most current data": under Flecc this is a
-	// validity trigger that never accepts the primary copy as good
-	// enough, forcing a gather from the conflicting active agents. The
-	// multicast baseline gathers from everyone by construction; the
-	// time-sharing baseline needs no gathering (serial execution).
-	if proto == ProtoFlecc {
+	// "Always execute on the most current data" is a validity trigger
+	// that never accepts the primary copy as good enough, forcing a gather
+	// from the conflicting active agents — the property-sharing ones under
+	// Flecc, everyone under the multicast baseline's static default of 1.
+	// The time-sharing baseline needs no gathering (serial execution), so
+	// its agents register no validity trigger.
+	if proto != ProtoTimeSharing {
 		dcfg.Validity = "false"
 	}
 	d, err := NewDeployment(dcfg)

@@ -62,18 +62,18 @@ func BenchmarkConflictQuery(b *testing.B) {
 		skewed bool
 	}{{"uniform", false}, {"skew", true}} {
 		for _, n := range []int{1000, 10000, 100000} {
-			for _, mode := range []string{"indexed", "brute"} {
-				b.Run(fmt.Sprintf("%s/n%d/%s", tc.label, n, mode), func(b *testing.B) {
+			for _, mode := range []struct {
+				label string
+				query func(r *Registry, name string, activeOnly bool) []string
+			}{{"indexed", (*Registry).ConflictingWith}, {"brute", bruteConflictingWith}} {
+				b.Run(fmt.Sprintf("%s/n%d/%s", tc.label, n, mode.label), func(b *testing.B) {
 					r := New()
-					if mode == "brute" {
-						r.disableIndex()
-					}
 					names := fillRegistry(b, r, n, tc.skewed)
 					b.ReportAllocs()
 					b.ResetTimer()
 					matches := 0
 					for i := 0; i < b.N; i++ {
-						matches += len(r.ConflictingWith(names[i%len(names)], true))
+						matches += len(mode.query(r, names[i%len(names)], true))
 					}
 					b.StopTimer()
 					b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
@@ -84,20 +84,13 @@ func BenchmarkConflictQuery(b *testing.B) {
 }
 
 func BenchmarkRegister(b *testing.B) {
-	for _, mode := range []string{"indexed", "brute"} {
-		b.Run(mode, func(b *testing.B) {
-			r := New()
-			if mode == "brute" {
-				r.disableIndex()
-			}
-			rng := rand.New(rand.NewSource(42))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := r.Register(fmt.Sprintf("view-%09d", i), uniformProps(rng)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	r := New()
+	rng := rand.New(rand.NewSource(42))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := r.Register(fmt.Sprintf("view-%09d", i), uniformProps(rng)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -111,15 +104,14 @@ func TestSpeedupAtTenK(t *testing.T) {
 		t.Skip("speedup measurement skipped in -short")
 	}
 	const n = 10000
-	indexed, brute := New(), New()
-	brute.disableIndex()
-	names := fillRegistryT(t, indexed, n)
-	fillRegistryT(t, brute, n)
+	r := New()
+	names := fillRegistryT(t, r, n)
+	indexed, brute := (*Registry).ConflictingWith, bruteConflictingWith
 
-	q := func(r *Registry, iters int) float64 {
+	q := func(query func(*Registry, string, bool) []string, iters int) float64 {
 		t0 := nowNano()
 		for i := 0; i < iters; i++ {
-			r.ConflictingWith(names[i%len(names)], true)
+			query(r, names[i%len(names)], true)
 		}
 		return float64(nowNano()-t0) / float64(iters)
 	}

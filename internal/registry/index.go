@@ -40,7 +40,7 @@ import (
 
 // indexInsertLocked adds a view's postings. Caller holds r.mu (write).
 func (r *Registry) indexInsertLocked(v *ViewInfo) {
-	if r.noIndex || v.Lost {
+	if v.Lost {
 		return
 	}
 	r.idx.Insert(v.Name, v.Props)
@@ -48,21 +48,7 @@ func (r *Registry) indexInsertLocked(v *ViewInfo) {
 
 // indexRemoveLocked drops a view's postings. Caller holds r.mu (write).
 func (r *Registry) indexRemoveLocked(name string) {
-	if r.noIndex {
-		return
-	}
 	r.idx.Remove(name)
-}
-
-// disableIndex switches the registry to the retained brute-force
-// reference implementation (a single-snapshot pairwise scan). Unexported:
-// it exists for the equivalence tests and benchmarks in this package and
-// for RegisterBruteForce-style harness hooks, not for production callers.
-func (r *Registry) disableIndex() {
-	r.mu.Lock()
-	r.noIndex = true
-	r.idx = nil
-	r.mu.Unlock()
 }
 
 // cachedStructuralLocked returns the view's sorted structural conflict
@@ -131,9 +117,9 @@ func (r *Registry) conflictingWithLocked(name string, activeOnly bool) []string 
 	if !ok {
 		return nil
 	}
-	if r.noIndex || r.defaultRel == Conflict {
-		// Brute-force reference, and the only possible plan when every
-		// unlisted pair conflicts by default.
+	if r.defaultRel == Conflict {
+		// The only possible plan when every unlisted pair conflicts by
+		// default.
 		return r.bruteConflictingWithLocked(self, activeOnly)
 	}
 
@@ -177,10 +163,10 @@ func (r *Registry) conflictingWithLocked(name string, activeOnly bool) []string 
 	return out
 }
 
-// bruteConflictingWithLocked is the retained reference implementation: a
-// pairwise scan over the whole view table under the same single snapshot.
-// The equivalence tests pit it against the indexed plan; it also serves
-// the defaultRel == Conflict mode, where the answer is inherently O(n).
+// bruteConflictingWithLocked is a pairwise scan over the whole view table
+// under the same single snapshot: the plan for defaultRel == Conflict,
+// where the answer is inherently O(n) (the multicast baseline runs it),
+// and the reference the equivalence tests pit the indexed plans against.
 func (r *Registry) bruteConflictingWithLocked(self *ViewInfo, activeOnly bool) []string {
 	var out []string
 	for n, v := range r.views {
@@ -190,24 +176,6 @@ func (r *Registry) bruteConflictingWithLocked(self *ViewInfo, activeOnly bool) [
 		if r.conflictsLocked(self.Name, n) {
 			out = append(out, n)
 		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// othersLocked lists every registered view except self, optionally
-// filtered to active ones — the GatherAll ("everyone conflicts") set.
-// Caller holds r.mu (read).
-func (r *Registry) othersLocked(self string, activeOnly bool) []string {
-	var out []string
-	for n, v := range r.views {
-		if n == self {
-			continue
-		}
-		if activeOnly && !v.Active {
-			continue
-		}
-		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out

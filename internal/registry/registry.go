@@ -83,9 +83,7 @@ type Registry struct {
 	// defaultRel applies to pairs without a static entry.
 	defaultRel Relation
 	// idx is the dynamic conflict index over non-lost registered views.
-	// nil when noIndex is set (brute-force reference mode, tests only).
-	idx     *property.Index
-	noIndex bool
+	idx *property.Index
 	// epoch counts structural mutations: anything that can change a
 	// conflict set (register, unregister, property changes, lost
 	// transitions, static-matrix and default-relation edits). Activity
@@ -351,11 +349,6 @@ func (r *Registry) Conflicts(a, b string) bool {
 func (r *Registry) ConflictingWith(name string, activeOnly bool) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.noIndex {
-		// Brute-force reference mode stays uncached so the equivalence
-		// suite measures the scan itself.
-		return r.conflictingWithLocked(name, activeOnly)
-	}
 	structural := r.cachedStructuralLocked(name)
 	out := make([]string, 0, len(structural))
 	for _, n := range structural {
@@ -367,16 +360,6 @@ func (r *Registry) ConflictingWith(name string, activeOnly bool) []string {
 		return nil
 	}
 	return out
-}
-
-// Others returns the sorted names of every registered view except the
-// given one, optionally restricted to active views — the conflict set of
-// a GatherAll ("application-oblivious") deployment, computed under one
-// read lock instead of a Views+Active lock round-trip per candidate.
-func (r *Registry) Others(name string, activeOnly bool) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.othersLocked(name, activeOnly)
 }
 
 // SharedInterest returns the intersection of the two views' current
