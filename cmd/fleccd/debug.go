@@ -56,6 +56,7 @@ func newObservability(name string, tnet transport.Network, d *deployment) *obser
 		o.reg.RegisterLatencyAs(prefix+"fanout", fanout)
 		o.reg.RegisterGauge(prefix+"version", func() int64 { return int64(dm.CurrentVersion()) })
 		o.reg.RegisterGauge(prefix+"views", func() int64 { return int64(len(dm.Views())) })
+		o.reg.RegisterGauge(prefix+"log_len", func() int64 { return int64(dm.Store().LogLen()) })
 		o.reg.RegisterGauge(prefix+"views_evicted", dm.ViewsEvicted)
 		o.reg.RegisterGauge(prefix+"conflicts_resolved", func() int64 { return int64(dm.Store().ConflictsSeen()) })
 	}

@@ -38,29 +38,28 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:7070", "listen address")
-		name         = flag.String("name", "db", "directory manager node name")
-		flights      = flag.Int("flights", 100, "number of synthetic flights to seed (starting at 100)")
-		capacity     = flag.Int("capacity", 200, "seats per flight")
-		shards       = flag.Int("shards", 1, "number of directory shards (1 = plain single directory manager)")
-		interval     = flag.Duration("status", 10*time.Second, "status log interval (0 disables)")
-		key          = flag.String("key", "", "shared secret; when set, the link is protected by an encryptor/decryptor pair")
-		ckptPath     = flag.String("checkpoint", "", "file to write protocol-metadata snapshots to (enables fail-over; per-shard files get a .sN suffix)")
-		ckptEvery    = flag.Duration("checkpoint-every", 30*time.Second, "snapshot interval when -checkpoint is set")
-		faultDrop    = flag.Float64("fault-drop", 0, "inject faults: probability [0,1] of dropping any message before delivery")
-		faultDelay   = flag.Duration("fault-delay", 0, "inject faults: fixed delay added before delivering each message")
-		faultSeed    = flag.Int64("fault-seed", 1, "seed for the fault injector's random stream (deterministic runs)")
-		fanOut       = flag.Int("fanout", 0, "width of an invalidate/gather/propagate round: views contacted at a time (0 = directory default of 4, 1 = serial)")
-		lanes        = flag.Int("lanes", 0, "conflict-group execution lanes: commits of disjoint conflict groups run in parallel (0 = 1 lane: commits run one at a time)")
-		compactEvery = flag.Duration("compact-every", 0, "update-log compaction interval (0 disables)")
-		debugAddr    = flag.String("debug-addr", "", "serve observability HTTP on this address: /metrics (text or ?format=json), /trace, /spans, /debug/pprof (empty disables)")
-		standby      = flag.Bool("standby", false, "run as a hot standby: refuse client traffic until promoted (pair with a primary's -replicate-to; single-DM mode)")
-		replicateTo  = flag.String("replicate-to", "", "stream replication to the standby fleccd at this address (single-DM mode)")
-		haLease      = flag.Duration("ha-lease", 2*time.Second, "HA lease: a standby silent past this self-promotes; a primary unable to reach its standby past this fences itself")
+		addr        = flag.String("addr", "127.0.0.1:7070", "listen address")
+		name        = flag.String("name", "db", "directory manager node name")
+		flights     = flag.Int("flights", 100, "number of synthetic flights to seed (starting at 100)")
+		capacity    = flag.Int("capacity", 200, "seats per flight")
+		shards      = flag.Int("shards", 1, "number of directory shards (1 = plain single directory manager)")
+		interval    = flag.Duration("status", 10*time.Second, "status log interval (0 disables)")
+		key         = flag.String("key", "", "shared secret; when set, the link is protected by an encryptor/decryptor pair")
+		ckptPath    = flag.String("checkpoint", "", "file to write protocol-metadata snapshots to (enables fail-over; per-shard files get a .sN suffix)")
+		ckptEvery   = flag.Duration("checkpoint-every", 30*time.Second, "snapshot interval when -checkpoint is set")
+		faultDrop   = flag.Float64("fault-drop", 0, "inject faults: probability [0,1] of dropping any message before delivery")
+		faultDelay  = flag.Duration("fault-delay", 0, "inject faults: fixed delay added before delivering each message")
+		faultSeed   = flag.Int64("fault-seed", 1, "seed for the fault injector's random stream (deterministic runs)")
+		fanOut      = flag.Int("fanout", 0, "width of an invalidate/gather/propagate round: views contacted at a time (0 = directory default of 4, 1 = serial)")
+		lanes       = flag.Int("lanes", 0, "conflict-group execution lanes: commits of disjoint conflict groups run in parallel (0 = 1 lane: commits run one at a time)")
+		debugAddr   = flag.String("debug-addr", "", "serve observability HTTP on this address: /metrics (text or ?format=json), /trace, /spans, /debug/pprof (empty disables)")
+		standby     = flag.Bool("standby", false, "run as a hot standby: refuse client traffic until promoted (pair with a primary's -replicate-to; single-DM mode)")
+		replicateTo = flag.String("replicate-to", "", "stream replication to the standby fleccd at this address (single-DM mode)")
+		haLease     = flag.Duration("ha-lease", 2*time.Second, "HA lease: a standby silent past this self-promotes; a primary unable to reach its standby past this fences itself")
 	)
 	flag.Parse()
 	if err := run(*addr, *name, *flights, *capacity, *shards, *interval, *key, *ckptPath, *ckptEvery,
-		faultOpts{drop: *faultDrop, delay: *faultDelay, seed: *faultSeed}, *fanOut, *lanes, *compactEvery, *debugAddr,
+		faultOpts{drop: *faultDrop, delay: *faultDelay, seed: *faultSeed}, *fanOut, *lanes, *debugAddr,
 		haOpts{standby: *standby, replicateTo: *replicateTo, lease: *haLease}); err != nil {
 		fmt.Fprintln(os.Stderr, "fleccd:", err)
 		os.Exit(1)
@@ -76,7 +75,7 @@ type faultOpts struct {
 
 func (f faultOpts) enabled() bool { return f.drop > 0 || f.delay > 0 }
 
-func run(addr, name string, flights, capacity, shards int, statusEvery time.Duration, key, ckptPath string, ckptEvery time.Duration, faults faultOpts, fanOut, lanes int, compactEvery time.Duration, debugAddr string, ha haOpts) error {
+func run(addr, name string, flights, capacity, shards int, statusEvery time.Duration, key, ckptPath string, ckptEvery time.Duration, faults faultOpts, fanOut, lanes int, debugAddr string, ha haOpts) error {
 	if shards < 1 {
 		return fmt.Errorf("-shards must be >= 1")
 	}
@@ -207,12 +206,6 @@ func run(addr, name string, flights, capacity, shards int, statusEvery time.Dura
 		defer ticker.Stop()
 		tick = ticker.C
 	}
-	var compactTick <-chan time.Time
-	if compactEvery > 0 {
-		t := time.NewTicker(compactEvery)
-		defer t.Stop()
-		compactTick = t.C
-	}
 	var haTickC <-chan time.Time
 	if ha.enabled() {
 		t, c := haTicker(ha)
@@ -231,10 +224,6 @@ func run(addr, name string, flights, capacity, shards int, statusEvery time.Dura
 		case <-haTickC:
 			if msg := haTick(d.dm, repl, ha, &wasFenced, &wasStandby); msg != "" {
 				log.Printf("fleccd: %s", msg)
-			}
-		case <-compactTick:
-			if n := d.compact(); n > 0 {
-				log.Printf("fleccd: compacted %d update-log records", n)
 			}
 		case <-tick:
 			log.Printf("fleccd: %s", d.status())
@@ -435,20 +424,12 @@ func sizeString(n int64) string {
 	}
 }
 
-// compact drops update-log records every live view has already seen.
-func (d *deployment) compact() int {
-	if d.dm != nil {
-		return d.dm.CompactLog()
-	}
-	return d.svc.CompactAll()
-}
-
 func (d *deployment) status() string {
 	var b strings.Builder
 	if d.dm != nil {
 		views := d.dm.Views()
-		fmt.Fprintf(&b, "v%d, %d views registered %v, %d conflicts resolved",
-			d.dm.CurrentVersion(), len(views), views, d.dm.Store().ConflictsSeen())
+		fmt.Fprintf(&b, "v%d, %d views registered %v, %d conflicts resolved, log %d",
+			d.dm.CurrentVersion(), len(views), views, d.dm.Store().ConflictsSeen(), d.dm.Store().LogLen())
 		if n := d.dm.ViewsEvicted(); n > 0 {
 			fmt.Fprintf(&b, ", %d views evicted %v", n, d.dm.LostViews())
 		}
@@ -460,7 +441,7 @@ func (d *deployment) status() string {
 		var evicted int64
 		for i := 0; i < d.svc.NumShards(); i++ {
 			dm := d.svc.Shard(i)
-			fmt.Fprintf(&b, "; %s v%d %d views", shard.Node(d.svc.Name(), i), dm.CurrentVersion(), len(dm.Views()))
+			fmt.Fprintf(&b, "; %s v%d %d views log %d", shard.Node(d.svc.Name(), i), dm.CurrentVersion(), len(dm.Views()), dm.Store().LogLen())
 			evicted += dm.ViewsEvicted()
 		}
 		if evicted > 0 {

@@ -35,7 +35,7 @@ func startDaemon(addr, ckpt string, shards int) chan error {
 	errc := make(chan error, 1)
 	go func() {
 		errc <- run(addr, "db", 5, 50, shards, 0, "", ckpt, 0,
-			faultOpts{seed: 1}, 0, 0, 0, "", haOpts{})
+			faultOpts{seed: 1}, 0, 0, "", haOpts{})
 	}()
 	return errc
 }

@@ -124,7 +124,9 @@ func (ls *laneSet) rebuildLocked(epoch uint64) {
 // commit runs one store commit under the writer's conflict-group lane:
 // it serializes against the writer's own group only, and holds the gate's
 // read side from before the lane is picked until the commit has landed.
+// Once both are released it does the log bookkeeping (maybeCompact).
 func (m *Manager) commit(writer string, delta *image.Image, ops int) (vclock.Version, *image.Image, error) {
+	defer m.maybeCompact() // deferred first, so it runs after the unlocks
 	m.store.gate.RLock()
 	defer m.store.gate.RUnlock()
 	lane := m.lanes.laneFor(writer)

@@ -2,6 +2,7 @@ package directory
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,7 +156,15 @@ type Manager struct {
 	// fencing epoch, attached replicator, and the batch-visible state
 	// generation every mutating handler bumps.
 	ha haState
+
+	// compactAt is the update-log length past which the next commit runs
+	// CompactLog (maybeCompact); compaction itself re-arms it.
+	compactAt atomic.Int64
 }
+
+// minCompactAt is the smallest update-log length that triggers a
+// compaction: below it a floor scan is not worth its cost.
+const minCompactAt = 64
 
 // New creates a directory manager named name around the original
 // component's codec and attaches it to the network. Initially only the
@@ -177,6 +186,7 @@ func New(name string, primary image.Codec, clock vclock.Clock, net transport.Net
 		m.store.SetResolver(opts.Resolver)
 	}
 	m.lanes = newLaneSet(m, max(1, opts.Lanes))
+	m.compactAt.Store(minCompactAt)
 	if opts.Snapshot != nil {
 		if err := m.store.Restore(opts.Snapshot); err != nil {
 			return nil, err
@@ -830,15 +840,19 @@ func (m *Manager) handleSetProps(req *wire.Message) *wire.Message {
 	}))
 }
 
-// CompactLog drops update-log records that every registered view has
-// already observed (version ≤ min(seen)). It returns the number of
-// records dropped. Deployments with long-lived views call this
-// periodically to bound the quality-accounting log; records still needed
-// by any view are never dropped, so UnseenCommitted stays exact.
+// CompactLog drops the update-log records every live view has already
+// observed — version ≤ the floor, min seen over registered, non-lost
+// views (the whole log when there are none) — and returns how many it
+// dropped. Records any live view still needs are never dropped, so
+// UnseenCommitted stays exact for every view that has pulled since it
+// last joined. Commits run it themselves (maybeCompact); it re-arms their
+// trigger at max(minCompactAt, views, 2 × records kept), which keeps the
+// O(views) floor scan and the O(kept) shift at O(1) per commit, amortised.
+// It holds no gate or lane; PROTOCOL.md "Lock order" places its locks.
 func (m *Manager) CompactLog() int {
 	m.vmu.RLock()
-	min := vclock.Version(0)
-	first := true
+	views := len(m.views)
+	floor, live := vclock.Version(0), false
 	for _, vs := range m.views {
 		// A lost view's stale seen must not pin the log forever; if it
 		// reappears with a gap, its delta pull still serves everything
@@ -849,17 +863,29 @@ func (m *Manager) CompactLog() int {
 		vs.mu.Lock()
 		seen := vs.seen
 		vs.mu.Unlock()
-		if first || seen < min {
-			min = seen
-			first = false
+		if !live || seen < floor {
+			floor, live = seen, true
 		}
 	}
 	m.vmu.RUnlock()
-	if first {
-		// No views: everything is droppable.
-		min = m.store.Current()
+	if !live {
+		floor = m.store.Current()
 	}
-	return m.store.CompactLog(min)
+	dropped := m.store.CompactLog(floor)
+	m.compactAt.Store(int64(max(minCompactAt, views, 2*m.store.LogLen())))
+	return dropped
+}
+
+// maybeCompact is the commit path's log bookkeeping: once the update log
+// has grown past the trigger, one caller — the one whose compare-and-swap
+// disarms the trigger — runs CompactLog, which re-arms it. Callers hold
+// no gate, lane or view lock.
+func (m *Manager) maybeCompact() {
+	at := m.compactAt.Load()
+	if int64(m.store.LogLen()) <= at || !m.compactAt.CompareAndSwap(at, math.MaxInt64) {
+		return
+	}
+	m.CompactLog()
 }
 
 // CheckInvariants verifies the manager's cross-structure bookkeeping —
@@ -949,6 +975,7 @@ func (m *Manager) CommitLocal(delta *image.Image, ops int) (vclock.Version, erro
 	// A primary-local commit has no conflict group (it may touch any
 	// keys), so it runs exclusively — all lanes drained.
 	m.structuralDo(func() { v, _, _, err = m.store.commitGated("", delta, ops) })
+	m.maybeCompact()
 	if err != nil {
 		return v, err
 	}

@@ -274,6 +274,10 @@ func (m *Manager) handleReplicate(req *wire.Message) *wire.Message {
 	m.ha.mu.Unlock()
 
 	m.ha.applyMu.Lock()
+	// A standby keeps its copy of the log bounded the same way a primary
+	// does, from the replicated seen values; deferred first, so it runs
+	// once applyMu is released.
+	defer m.maybeCompact()
 	defer m.ha.applyMu.Unlock()
 	ack := func() *wire.Message {
 		return &wire.Message{Type: wire.TReplAck, Version: m.store.Current(), Since: vclock.Version(m.ha.viewSeq)}

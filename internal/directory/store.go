@@ -245,7 +245,9 @@ func (s *Store) commitGated(writer string, delta *image.Image, ops int) (vclock.
 			conflicts++
 			winner := theirs
 			if resolver != nil {
-				var ours image.Entry
+				// A key the primary no longer holds is, on the primary's
+				// side, a tombstone stamped with its shadow provenance.
+				ours := image.Entry{Key: k, Deleted: true, Version: prior[k].version, Writer: prior[k].writer}
 				if current != nil {
 					if ce, ok := current.Get(k); ok {
 						ours = ce
@@ -569,16 +571,27 @@ func (s *Store) Log() []UpdateRec {
 	return out
 }
 
-// CompactLog drops log records at or below the given version; callers use
-// it once every registered view has seen past that point.
+// LogLen returns the number of records in the update log.
+func (s *Store) LogLen() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.log)
+}
+
+// CompactLog drops log records at or below the given version and returns
+// how many it dropped; Manager.CompactLog calls it with the floor every
+// live view has seen past. The kept tail shifts down in place and the
+// vacated slots are cleared, so dropped records' property sets are freed
+// and the backing array is reused by later commits.
 func (s *Store) CompactLog(upTo vclock.Version) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := 0
-	for i < len(s.log) && s.log[i].Version <= upTo {
-		i++
+	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].Version > upTo })
+	if i == 0 {
+		return 0
 	}
-	dropped := i
-	s.log = append([]UpdateRec(nil), s.log[i:]...)
-	return dropped
+	n := copy(s.log, s.log[i:])
+	clear(s.log[n:])
+	s.log = s.log[:n]
+	return i
 }

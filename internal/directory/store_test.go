@@ -185,6 +185,38 @@ func TestStoreResolverKeepsOurs(t *testing.T) {
 	}
 }
 
+// TestStoreResolverKeepsOursDeleted: when the primary no longer holds the
+// key (it was deleted) and the resolver keeps "ours", ours is the
+// primary's tombstone — the rejected image hands the pusher that deletion
+// under the key's shadow stamp, not an entry with an empty key.
+func TestStoreResolverKeepsOursDeleted(t *testing.T) {
+	ms := newMapStore()
+	st := NewStore(ms, vclock.NewSim())
+	st.SetResolver(func(c image.Conflict) (image.Entry, error) { return c.Ours, nil })
+	st.Commit("v1", delta("F={1}", "k", "a"), 1)
+	del := image.New(property.MustSet("F={1}"))
+	del.Put(image.Entry{Key: "k", Deleted: true, Version: 1})
+	delVer, _, _, err := st.Commit("v1", del, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := delta("F={1}", "k", "theirs") // based on v0: conflicts with v1's delete
+	_, conflicts, rejected, err := st.Commit("v2", d, 1)
+	if err != nil || conflicts != 1 {
+		t.Fatalf("conflicts=%d err=%v", conflicts, err)
+	}
+	if _, ok := ms.data["k"]; ok {
+		t.Fatalf("resolver kept the deletion, but the primary holds k=%q", ms.data["k"])
+	}
+	if rejected == nil || rejected.Len() != 1 {
+		t.Fatalf("rejected = %v, want exactly k's tombstone", rejected)
+	}
+	got, ok := rejected.Get("k")
+	if !ok || !got.Deleted || got.Version != delVer || got.Writer != "v1" {
+		t.Fatalf("rejected entries %+v, want k deleted at v%d by v1", rejected.Entries, delVer)
+	}
+}
+
 func TestStoreResolverError(t *testing.T) {
 	st := NewStore(newMapStore(), vclock.NewSim())
 	st.SetResolver(func(c image.Conflict) (image.Entry, error) {
@@ -354,9 +386,23 @@ func TestStoreCompactLog(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		st.Commit("v", delta("F={1}", "k", fmt.Sprintf("x%d", i)), 1)
 	}
+	backing := &st.log[0]
 	dropped := st.CompactLog(3)
 	if dropped != 3 || len(st.Log()) != 2 {
 		t.Fatalf("dropped=%d remaining=%d", dropped, len(st.Log()))
+	}
+	// In place: the tail shifted down into the same array, and the
+	// vacated slots were cleared so their property sets can be freed.
+	if &st.log[0] != backing || st.log[0].Version != 4 {
+		t.Fatalf("compaction reallocated the log or kept the wrong records: %+v", st.log)
+	}
+	for i, rec := range st.log[len(st.log):cap(st.log)] {
+		if rec.Version != 0 || rec.Writer != "" || !rec.Props.IsEmpty() {
+			t.Fatalf("vacated slot %d not cleared: %+v", len(st.log)+i, rec)
+		}
+	}
+	if st.CompactLog(3) != 0 {
+		t.Fatal("a second compaction at the same floor dropped records")
 	}
 	// Quality for seen>=3 still correct after compaction.
 	if got := st.UnseenOps(3, "other", property.MustSet("F={1}")); got != 2 {

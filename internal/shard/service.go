@@ -290,32 +290,6 @@ func (s *Service) Seen(view string) vclock.Version {
 	return dm.Seen(view)
 }
 
-// CompactAll runs log compaction on every shard concurrently and returns
-// the total number of update records dropped. Each shard only drops what
-// all of its own live views have already seen, so quality accounting stays
-// exact; the fan-out just keeps one busy shard's store lock from
-// serializing the sweep.
-func (s *Service) CompactAll() int {
-	s.mu.Lock()
-	dms := append([]*directory.Manager(nil), s.dms...)
-	s.mu.Unlock()
-	dropped := make([]int, len(dms))
-	var wg sync.WaitGroup
-	for i, dm := range dms {
-		wg.Add(1)
-		go func(i int, dm *directory.Manager) {
-			defer wg.Done()
-			dropped[i] = dm.CompactLog()
-		}(i, dm)
-	}
-	wg.Wait()
-	total := 0
-	for _, n := range dropped {
-		total += n
-	}
-	return total
-}
-
 // Close detaches the router, stops the replication sessions, and closes
 // every shard directory manager (standbys included). The manager
 // teardowns fan out concurrently; a TCP-backed deployment with many
