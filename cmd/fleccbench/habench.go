@@ -265,7 +265,7 @@ func runHABenchmarks() ([]wireBenchResult, error) {
 			return nil, err
 		}
 	}
-	snap := st.Snapshot()
+	snap := st.SnapshotSince(0)
 	img, err := st.Extract(property.NewSet(), 0)
 	if err != nil {
 		return nil, err
@@ -291,7 +291,7 @@ func runHABenchmarks() ([]wireBenchResult, error) {
 	rCap := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if s := st.Snapshot(); s == nil {
+			if s := st.SnapshotSince(0); s == nil {
 				b.Fatal("nil snapshot")
 			}
 		}

@@ -163,11 +163,7 @@ func run(addr, name string, flights, capacity, shards int, statusEvery time.Dura
 			return
 		}
 		for _, c := range d.checkpoints() {
-			blob, err := directory.EncodeSnapshot(c.snap)
-			if err != nil {
-				log.Printf("fleccd: snapshot: %v", err)
-				continue
-			}
+			blob := directory.EncodeSnapshot(c.snap)
 			// Write-sync-rename-sync: the blob is durable before the rename
 			// publishes it, and the rename itself is durable once the
 			// directory entry is synced. A crash at any point leaves either
@@ -369,13 +365,13 @@ func syncDir(path string) error {
 
 func (d *deployment) checkpoints() []checkpointUnit {
 	if d.dm != nil {
-		return []checkpointUnit{{path: d.ckpt, snap: d.dm.Store().Snapshot()}}
+		return []checkpointUnit{{path: d.ckpt, snap: d.dm.Store().SnapshotSince(0)}}
 	}
 	out := make([]checkpointUnit, 0, d.svc.NumShards())
 	for i := 0; i < d.svc.NumShards(); i++ {
 		out = append(out, checkpointUnit{
 			path: shardCheckpointPath(d.ckpt, i),
-			snap: d.svc.Shard(i).Store().Snapshot(),
+			snap: d.svc.Shard(i).Store().SnapshotSince(0),
 		})
 	}
 	return out

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/hex"
 	"log"
 	"net"
 	"os"
@@ -90,10 +91,29 @@ func guardSIGTERM(t *testing.T) {
 	t.Cleanup(func() { signal.Stop(guard) })
 }
 
+// gobCheckpointHex is a checkpoint as fleccd wrote it before snapshots
+// moved to the wire codec — the gob encoding of a v42 store snapshot with
+// two shadow records and one log record, captured at the last gob-era
+// commit (43a37c2).
+const gobCheckpointHex = "" +
+	"417f03010108536e617073686f7401ff80000104010756657273696f6e0106000106536861646f7701ff840001034c6f" +
+	"6701ff8a000105566965777301ff8e00000024ff83020101155b5d6469726563746f72792e536861646f7752656301ff" +
+	"840001ff82000042ff8103010109536861646f7752656301ff8200010401034b6579010c00010756657273696f6e0106" +
+	"000106577269746572010c00010744656c65746564010200000024ff89020101155b5d6469726563746f72792e557064" +
+	"61746552656301ff8a0001ff86000048ff850301010955706461746552656301ff86000105010756657273696f6e0106" +
+	"000106577269746572010c00010550726f707301ff880001034f70730104000102417401040000000fff870501010353" +
+	"657401ff8800000027ff8d020101185b5d6469726563746f72792e48616e646f7665725669657701ff8e0001ff8c0000" +
+	"5fff8b0301010c48616e646f7665725669657701ff8c00010701044e616d65010c00010550726f707301ff880001044d" +
+	"6f646501060001024f7001060001045365656e010600010856616c6964697479010c0001064163746976650102000000" +
+	"60ff80012a01020105662f313030012a01076167656e742d31000105662f313031012901076167656e742d3201010001" +
+	"01012a01076167656e742d31011d466c69676874733d7b3130302c3130312c3130322c3130332c3130347d0102010e00" +
+	"00"
+
 // TestCheckpointDurableWriteAndCorruptFallback covers the checkpoint
 // file discipline: the write-sync-rename-sync sequence round-trips, a
-// missing file is a silent cold start, and a corrupt blob is a LOUD cold
-// start — never a boot failure.
+// missing file is a silent cold start, and a corrupt blob — garbage, a
+// gob-era checkpoint nothing reads any more, or records Restore would
+// refuse — is a LOUD cold start, never a boot failure.
 func TestCheckpointDurableWriteAndCorruptFallback(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.ckpt")
@@ -102,10 +122,7 @@ func TestCheckpointDurableWriteAndCorruptFallback(t *testing.T) {
 		t.Fatalf("missing checkpoint: snap=%v err=%v, want cold start", snap, err)
 	}
 
-	blob, err := directory.EncodeSnapshot(&directory.Snapshot{Version: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := directory.EncodeSnapshot(&directory.Snapshot{Version: 42})
 	tmp := path + ".tmp"
 	if err := writeFileSync(tmp, blob); err != nil {
 		t.Fatal(err)
@@ -121,20 +138,30 @@ func TestCheckpointDurableWriteAndCorruptFallback(t *testing.T) {
 		t.Fatalf("round trip: snap=%+v err=%v", snap, err)
 	}
 
-	// Corrupt blob (a torn pre-fsync write, a bad disk): loud log, cold
-	// start, no error.
-	if err := os.WriteFile(path, []byte("not a gob stream"), 0o644); err != nil {
+	// Corrupt blob (a torn pre-fsync write, a bad disk, a gob-era file,
+	// records that would set the counter below a version they hold): loud
+	// log, cold start, no error.
+	gobBlob, err := hex.DecodeString(gobCheckpointHex)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var logged bytes.Buffer
-	log.SetOutput(&logged)
-	snap, err = readCheckpoint(path)
-	log.SetOutput(os.Stderr)
-	if err != nil || snap != nil {
-		t.Fatalf("corrupt checkpoint: snap=%v err=%v, want loud cold start", snap, err)
-	}
-	if !bytes.Contains(logged.Bytes(), []byte("CHECKPOINT CORRUPT")) {
-		t.Fatalf("corrupt checkpoint was not loudly logged: %q", logged.String())
+	inconsistent := directory.EncodeSnapshot(&directory.Snapshot{
+		Version: 2, Shadow: []directory.ShadowRec{{Key: "f/100", Version: 5}},
+	})
+	for _, bad := range [][]byte{[]byte("not a snapshot"), gobBlob, inconsistent} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var logged bytes.Buffer
+		log.SetOutput(&logged)
+		snap, err = readCheckpoint(path)
+		log.SetOutput(os.Stderr)
+		if err != nil || snap != nil {
+			t.Fatalf("corrupt checkpoint %.16q: snap=%v err=%v, want loud cold start", bad, snap, err)
+		}
+		if !bytes.Contains(logged.Bytes(), []byte("CHECKPOINT CORRUPT")) {
+			t.Fatalf("corrupt checkpoint %.16q was not loudly logged: %q", bad, logged.String())
+		}
 	}
 }
 

@@ -51,10 +51,7 @@ func main() {
 
 	// Checkpoint the protocol metadata (in production this would be
 	// written periodically to stable storage).
-	blob, err := directory.EncodeSnapshot(dm1.Store().Snapshot())
-	if err != nil {
-		log.Fatal(err)
-	}
+	blob := directory.EncodeSnapshot(dm1.Store().SnapshotSince(0))
 	fmt.Printf("checkpoint taken (%d bytes)\n", len(blob))
 
 	// The directory manager fails.

@@ -59,7 +59,7 @@ func TestFallbackNetworkRotation(t *testing.T) {
 
 	// The standby daemon lives on its own network (its own listener, in
 	// the TCP deployment), hot with the primary's state.
-	snap := dm1.CaptureSnapshot()
+	snap := dm1.CaptureSince(0)
 	img, err := dm1.Store().Extract(property.NewSet(), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func TestDMRestartCMReconnect(t *testing.T) {
 
 	// Daemon restart: snapshot the protocol metadata, tear the server down
 	// (the view's connection dies with it), come back on the same address.
-	snap := dm1.Store().Snapshot()
+	snap := dm1.Store().SnapshotSince(0)
 	if err := dm1.Close(); err != nil {
 		t.Fatal(err)
 	}

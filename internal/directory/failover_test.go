@@ -50,11 +50,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := st.Snapshot()
-	blob, err := directory.EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := st.SnapshotSince(0)
+	blob := directory.EncodeSnapshot(snap)
 	back, err := directory.DecodeSnapshot(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +123,7 @@ func TestDirectoryFailover(t *testing.T) {
 	verBefore := dm1.CurrentVersion()
 
 	// Checkpoint, then the primary DM fails.
-	blob, err := directory.EncodeSnapshot(dm1.Store().Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := directory.EncodeSnapshot(dm1.Store().SnapshotSince(0))
 	if err := dm1.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package directory
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"sync"
@@ -298,7 +297,7 @@ func TestLaneHammerOverlapping(t *testing.T) {
 }
 
 // laneScript drives one deterministic single-threaded protocol run and
-// returns the gob encoding of the full capture (metadata + view state).
+// returns the encoding of the full capture (metadata + view state).
 func laneScript(t *testing.T, opts Options) []byte {
 	t.Helper()
 	h := newLaneHarness(t, opts)
@@ -334,18 +333,15 @@ func laneScript(t *testing.T, opts Options) []byte {
 	if err := h.dm.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h.dm.CaptureSince(0)); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return EncodeSnapshot(h.dm.CaptureSince(0))
 }
 
-// laneScriptGolden is the SHA-256 of laneScript's capture as recorded at
-// the last commit that still had the serial store path (PR 13, d875be8),
-// from its default Options{} run. It pins that deleting the serial twin
-// moved no byte of a single-client run's metadata or view state.
-const laneScriptGolden = "5e92c4fd9f57f5075f7c4b305f39bd6948a06a94fdaff98e6079cec7872e5f26"
+// laneScriptGolden is the SHA-256 of laneScript's capture from its
+// default Options{} run, re-pinned when snapshots moved from gob to the
+// wire codec: computed at 43a37c2 (the last gob-era commit) with only the
+// new encoder added, so the capture's content is the one PR 13 (d875be8,
+// the last commit with the serial store path) pinned.
+const laneScriptGolden = "1d6224d215a81031948f98325761b0a0bc9e6ed6216a8622c0ed9af0ebcc7296"
 
 // TestLaneCountByteIdentical pins that Options.Lanes is a count, not a
 // mode: under a sequential (single-client) script, where one-at-a-time
@@ -422,14 +418,8 @@ func TestLaneReplication(t *testing.T) {
 		t.Fatalf("standby at v%d, primary at v%d after inline barriers", got, want)
 	}
 	psnap, ssnap := prim.Store().SnapshotSince(0), sb.Store().SnapshotSince(0)
-	pb, err := EncodeSnapshot(&Snapshot{Version: psnap.Version, Shadow: psnap.Shadow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sbb, err := EncodeSnapshot(&Snapshot{Version: ssnap.Version, Shadow: ssnap.Shadow})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pb := EncodeSnapshot(&Snapshot{Version: psnap.Version, Shadow: psnap.Shadow})
+	sbb := EncodeSnapshot(&Snapshot{Version: ssnap.Version, Shadow: ssnap.Shadow})
 	if !bytes.Equal(pb, sbb) {
 		t.Fatal("standby shadow state diverged from primary")
 	}

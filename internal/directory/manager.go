@@ -41,7 +41,7 @@ type Options struct {
 	// Snapshot, if non-nil, restores a failed directory manager's
 	// protocol metadata into this (standby) instance before it starts
 	// serving — the fail-safe mechanism sketched in §4.1. A snapshot
-	// carrying view-registration state (Manager.CaptureSnapshot) also
+	// carrying view-registration state (Manager.CaptureSince) also
 	// reinstalls the views, so cache managers resume without
 	// re-register/re-pull.
 	Snapshot *Snapshot

@@ -1,8 +1,6 @@
 package directory
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"flecc/internal/property"
@@ -13,10 +11,10 @@ import (
 
 // Live shard migration (internal/shard) moves a set of views — and the
 // protocol metadata needed to keep serving them without version
-// regressions — from one directory manager to another. The mechanism
-// reuses the fail-over snapshot (snapshot.go): the source hands over its
-// full store metadata plus per-view records, the target absorbs them with
-// merge semantics, and the router re-points the views. Because the target
+// regressions — from one directory manager to another. The handover is a
+// fail-over Snapshot (snapshot.go): the source's full store metadata plus
+// the moved views' records, which the target absorbs with merge
+// semantics before the router re-points the views. Because the target
 // fast-forwards its version counter to at least the source's, a migrated
 // view can never observe a smaller primary version than it already saw.
 
@@ -39,48 +37,32 @@ type HandoverView struct {
 	Active bool
 }
 
-// Handover is the unit of live shard migration: the source store's full
-// metadata snapshot plus the records of the views being moved.
-type Handover struct {
-	// Snap is the source store's protocol-metadata snapshot. It may cover
-	// more keys than the handed-over views touch; Absorb merges it
-	// version-wise, so a superset is harmless.
-	Snap *Snapshot
-	// Views are the handed-over views.
-	Views []HandoverView
-}
-
 // TakeHandover captures a handover for the named views (all registered
 // views when names is empty) and stops serving them: the views are
-// unregistered and their state removed. It fails — without removing
+// unregistered and their state removed. The handover is the full capture
+// (CaptureSince(0)) with Views cut down to the moved views; its store
+// metadata may cover more keys than they touch, which Absorb's
+// version-wise merge makes harmless. It fails — without removing
 // anything — if any name is unknown.
-func (m *Manager) TakeHandover(names []string) (*Handover, error) {
-	if len(names) == 0 {
-		names = m.reg.Views()
-	}
-	h := &Handover{Snap: m.store.Snapshot()}
-	for _, n := range names {
-		vs, ok := m.viewState(n)
-		if !ok {
-			return nil, fmt.Errorf("directory %s: handover of unknown view %s", m.name, n)
+func (m *Manager) TakeHandover(names []string) (*Snapshot, error) {
+	h := m.CaptureSince(0)
+	if len(names) > 0 {
+		byName := make(map[string]HandoverView, len(h.Views))
+		for _, v := range h.Views {
+			byName[v.Name] = v
 		}
-		vs.mu.Lock()
-		rec := HandoverView{
-			Name:     n,
-			Mode:     vs.mode,
-			Op:       vs.lastOp,
-			Seen:     vs.seen,
-			Validity: vs.validity.Source(),
+		h.Views = h.Views[:0]
+		for _, n := range names {
+			v, ok := byName[n]
+			if !ok {
+				return nil, fmt.Errorf("directory %s: handover of unknown view %s", m.name, n)
+			}
+			h.Views = append(h.Views, v)
 		}
-		vs.mu.Unlock()
-		props, _ := m.reg.Props(n)
-		rec.Props = props
-		rec.Active = m.reg.Active(n)
-		h.Views = append(h.Views, rec)
 	}
 	m.structuralDo(func() {
-		for _, n := range names {
-			m.dropView(n)
+		for _, v := range h.Views {
+			m.dropView(v.Name)
 		}
 	})
 	return h, nil
@@ -89,11 +71,8 @@ func (m *Manager) TakeHandover(names []string) (*Handover, error) {
 // AbsorbHandover merges a handover into this (target) directory manager:
 // the store metadata is absorbed version-wise and every carried view is
 // registered with its previous mode, seen version, and triggers.
-func (m *Manager) AbsorbHandover(h *Handover) error {
-	if h == nil || h.Snap == nil {
-		return fmt.Errorf("directory %s: nil handover", m.name)
-	}
-	if err := m.store.Absorb(h.Snap); err != nil {
+func (m *Manager) AbsorbHandover(h *Snapshot) error {
+	if err := m.store.Absorb(h); err != nil {
 		return err
 	}
 	return m.installViews(h.Views)
@@ -173,9 +152,15 @@ func (m *Manager) installView(hv HandoverView, replicated bool) error {
 // exactly the absorbed keys. Anything else (a migration handover, a
 // resend overlapping what already landed) takes the general merge and
 // rebuilds the index.
+//
+// A snapshot that fails check is refused before anything is locked or
+// changed.
 func (s *Store) Absorb(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("directory: nil snapshot")
+	}
+	if err := snap.check(); err != nil {
+		return err
 	}
 	defer s.lockStore()()
 	if s.extendedByLocked(snap) {
@@ -251,42 +236,24 @@ func (s *Store) mergeLocked(snap *Snapshot) {
 	}
 }
 
-// EncodeHandover serializes a handover (gob).
-func EncodeHandover(h *Handover) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-		return nil, fmt.Errorf("directory: encode handover: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeHandover parses EncodeHandover's output.
-func DecodeHandover(b []byte) (*Handover, error) {
-	var h Handover
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&h); err != nil {
-		return nil, fmt.Errorf("directory: decode handover: %w", err)
-	}
-	return &h, nil
-}
-
 // EncodeViewList serializes the view-name list a TMigrateTake carries.
-func EncodeViewList(names []string) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(names); err != nil {
-		return nil, fmt.Errorf("directory: encode view list: %w", err)
-	}
-	return buf.Bytes(), nil
+func EncodeViewList(names []string) []byte {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	encodeNames(e, names)
+	return e.Copy()
 }
 
-// DecodeViewList parses EncodeViewList's output. A nil blob is the empty
-// list ("all views").
-func DecodeViewList(b []byte) ([]string, error) {
+// decodeViewList parses EncodeViewList's output. An empty blob is the
+// empty list ("all views").
+func decodeViewList(b []byte) ([]string, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	var names []string
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&names); err != nil {
-		return nil, fmt.Errorf("directory: decode view list: %w", err)
+	d := wire.NewDecoder(b)
+	names := decodeNames(d)
+	if err := decoded(d, "view list"); err != nil {
+		return nil, err
 	}
 	return names, nil
 }
@@ -309,7 +276,7 @@ func (m *Manager) handleRouted(req *wire.Message) *wire.Message {
 }
 
 func (m *Manager) handleMigrateTake(req *wire.Message) *wire.Message {
-	names, err := DecodeViewList(req.Blob)
+	names, err := decodeViewList(req.Blob)
 	if err != nil {
 		return errf("%v", err)
 	}
@@ -317,15 +284,11 @@ func (m *Manager) handleMigrateTake(req *wire.Message) *wire.Message {
 	if err != nil {
 		return errf("%v", err)
 	}
-	blob, err := EncodeHandover(h)
-	if err != nil {
-		return errf("%v", err)
-	}
-	return m.synced(&wire.Message{Type: wire.TAck, Version: m.store.Current(), Blob: blob})
+	return m.synced(&wire.Message{Type: wire.TAck, Version: m.store.Current(), Blob: EncodeSnapshot(h)})
 }
 
 func (m *Manager) handleMigrateApply(req *wire.Message) *wire.Message {
-	h, err := DecodeHandover(req.Blob)
+	h, err := DecodeSnapshot(req.Blob)
 	if err != nil {
 		return errf("%v", err)
 	}

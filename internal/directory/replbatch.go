@@ -94,35 +94,12 @@ func EncodeReplBatch(b *ReplBatch) []byte {
 	e.U64(uint64(b.Snap.Version))
 	e.U64(b.ViewSince)
 	e.U64(b.ViewSeq)
-	e.U32(uint32(len(b.Snap.Shadow)))
-	for _, r := range b.Snap.Shadow {
-		e.Str(r.Key)
-		e.U64(uint64(r.Version))
-		e.Str(r.Writer)
-		e.Bool(r.Deleted)
-	}
-	e.U32(uint32(len(b.Snap.Log)))
-	for _, r := range b.Snap.Log {
-		e.U64(uint64(r.Version))
-		e.Str(r.Writer)
-		e.PropSet(r.Props)
-		e.U64(uint64(r.Ops))
-		e.U64(uint64(r.At))
-	}
-	e.U32(uint32(len(b.Snap.Views)))
-	for _, v := range b.Snap.Views {
-		encodeTouch(e, ViewTouch{Name: v.Name, Mode: v.Mode, Op: v.Op, Seen: v.Seen, Active: v.Active})
-		e.PropSet(v.Props)
-		e.Str(v.Validity)
-	}
+	encodeSnapSections(e, b.Snap)
 	e.U32(uint32(len(b.Touches)))
 	for _, t := range b.Touches {
 		encodeTouch(e, t)
 	}
-	e.U32(uint32(len(b.Removed)))
-	for _, n := range b.Removed {
-		e.Str(n)
-	}
+	encodeNames(e, b.Removed)
 	e.Bool(b.Img != nil)
 	if b.Img != nil {
 		e.PropSet(b.Img.Props)
@@ -149,16 +126,27 @@ func decodeTouch(d *wire.Decoder) ViewTouch {
 	}
 }
 
-// Smallest encodings of each record kind (empty strings and sets): the
-// decoder sizes slices by the declared count only after checking the
-// input that remains could hold that many.
-const (
-	minShadowRec = 4 + 8 + 4 + 1
-	minLogRec    = 8 + 4 + 4 + 8 + 8
-	minTouchRec  = 4 + 1 + 1 + 8 + 1
-	minRegRec    = minTouchRec + 4 + 4
-	minName      = 4
-)
+// encodeNames writes a name list: its count, then each name. Batches'
+// removal records and TMigrateTake's view list share it.
+func encodeNames(e *wire.Encoder, names []string) {
+	e.U32(uint32(len(names)))
+	for _, n := range names {
+		e.Str(n)
+	}
+}
+
+// decodeNames reads what encodeNames wrote (nil for an empty list).
+func decodeNames(d *wire.Decoder) []string {
+	n := d.Count(minName)
+	if n == 0 {
+		return nil
+	}
+	names := make([]string, n)
+	for i := range names {
+		names[i] = d.Str()
+	}
+	return names
+}
 
 // DecodeReplBatch parses EncodeReplBatch's output. It is total on hostile
 // input: every length is checked against the bytes that remain before
@@ -173,11 +161,8 @@ func DecodeReplBatch(data []byte) (*ReplBatch, error) {
 	if flags&replFlagData != 0 {
 		decodeReplData(d, b)
 	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("directory: decode repl batch: %w", err)
-	}
-	if n := d.Remaining(); n != 0 {
-		return nil, fmt.Errorf("directory: decode repl batch: %d trailing bytes", n)
+	if err := decoded(d, "repl batch"); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -188,45 +173,14 @@ func decodeReplData(d *wire.Decoder, b *ReplBatch) {
 	b.Snap = snap
 	b.ViewSince = d.U64()
 	b.ViewSeq = d.U64()
-	if n := d.Count(minShadowRec); n > 0 {
-		snap.Shadow = make([]ShadowRec, n)
-		for i := range snap.Shadow {
-			snap.Shadow[i] = ShadowRec{
-				Key: d.Str(), Version: vclock.Version(d.U64()), Writer: d.Str(), Deleted: d.Bool(),
-			}
-		}
-	}
-	if n := d.Count(minLogRec); n > 0 {
-		snap.Log = make([]UpdateRec, n)
-		for i := range snap.Log {
-			snap.Log[i] = UpdateRec{
-				Version: vclock.Version(d.U64()), Writer: d.Str(), Props: d.PropSet(),
-				Ops: int(d.U64()), At: vclock.Time(d.U64()),
-			}
-		}
-	}
-	if n := d.Count(minRegRec); n > 0 {
-		snap.Views = make([]HandoverView, n)
-		for i := range snap.Views {
-			t := decodeTouch(d)
-			snap.Views[i] = HandoverView{
-				Name: t.Name, Mode: t.Mode, Op: t.Op, Seen: t.Seen, Active: t.Active,
-				Props: d.PropSet(), Validity: d.Str(),
-			}
-		}
-	}
+	decodeSnapSections(d, snap)
 	if n := d.Count(minTouchRec); n > 0 {
 		b.Touches = make([]ViewTouch, n)
 		for i := range b.Touches {
 			b.Touches[i] = decodeTouch(d)
 		}
 	}
-	if n := d.Count(minName); n > 0 {
-		b.Removed = make([]string, n)
-		for i := range b.Removed {
-			b.Removed[i] = d.Str()
-		}
-	}
+	b.Removed = decodeNames(d)
 	if d.Bool() {
 		b.Img = image.New(d.PropSet())
 		_ = d.ImageEntries(b.Img) // latched in d.Err

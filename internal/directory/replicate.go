@@ -379,28 +379,13 @@ func (m *Manager) captureViews() []HandoverView {
 }
 
 // CaptureSince captures a snapshot of everything committed after since
-// plus the full view-registration state — the unit both replication
-// batches and checkpoint files are built from. CaptureSince(0) is a full
-// view-state-carrying snapshot.
+// plus the full view-registration state. CaptureSince(0) is the full
+// capture: restoring it (Options.Snapshot) brings a standby to the point
+// where cache managers resume without re-register/re-pull.
 func (m *Manager) CaptureSince(since vclock.Version) *Snapshot {
 	snap := m.store.SnapshotSince(since)
 	snap.Views = m.captureViews()
 	return snap
-}
-
-// CaptureSnapshot captures the full store metadata plus view-registration
-// state. Restoring it (Options.Snapshot or RestoreSnapshot) brings a
-// standby to the point where cache managers resume without
-// re-register/re-pull.
-func (m *Manager) CaptureSnapshot() *Snapshot { return m.CaptureSince(0) }
-
-// RestoreSnapshot replaces the store metadata with the snapshot's and
-// installs its carried view-registration state.
-func (m *Manager) RestoreSnapshot(snap *Snapshot) error {
-	if err := m.store.Restore(snap); err != nil {
-		return err
-	}
-	return m.installViews(snap.Views)
 }
 
 // unlistedReplicated returns the views known only from replication that

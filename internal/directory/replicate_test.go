@@ -378,8 +378,8 @@ func TestReplicationCarriesViewState(t *testing.T) {
 	}
 
 	// The standby's registration state mirrors the primary's exactly.
-	want := a.CaptureSnapshot().Views
-	got := b.CaptureSnapshot().Views
+	want := a.CaptureSince(0).Views
+	got := b.CaptureSince(0).Views
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("view state diverged:\nstandby: %+v\nprimary: %+v", got, want)
 	}
@@ -431,7 +431,7 @@ func TestAbsorbRestoreEquivalence(t *testing.T) {
 	pushThrough(t, cm, view, "k1", "one")
 	pushThrough(t, cm, view, "k2", "two")
 
-	snap := a.CaptureSnapshot()
+	snap := a.CaptureSince(0)
 	img, err := a.Store().Extract(property.NewSet(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +463,7 @@ func TestAbsorbRestoreEquivalence(t *testing.T) {
 	if rv, av := restored.CurrentVersion(), absorbed.CurrentVersion(); rv != av || rv != a.CurrentVersion() {
 		t.Fatalf("versions diverged: restored v%d, absorbed v%d, primary v%d", rv, av, a.CurrentVersion())
 	}
-	rs, as := restored.CaptureSnapshot(), absorbed.CaptureSnapshot()
+	rs, as := restored.CaptureSince(0), absorbed.CaptureSince(0)
 	if !reflect.DeepEqual(rs.Views, as.Views) {
 		t.Fatalf("view state diverged:\nrestored: %+v\nabsorbed: %+v", rs.Views, as.Views)
 	}

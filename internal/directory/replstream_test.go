@@ -2,7 +2,9 @@ package directory
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -179,7 +181,7 @@ func (r *streamRig) settle(anyView string) {
 // primary's.
 func (r *streamRig) assertConverged() {
 	r.t.Helper()
-	want, got := r.prim.CaptureSnapshot(), r.sb.CaptureSnapshot()
+	want, got := r.prim.CaptureSince(0), r.sb.CaptureSince(0)
 	if want.Version != got.Version {
 		r.t.Fatalf("version: standby v%d, primary v%d", got.Version, want.Version)
 	}
@@ -489,6 +491,22 @@ func TestReplBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// replBatchGolden is the SHA-256 of the five well-formed replSeeds
+// batches, recorded at 43a37c2, before the shadow, log and registration
+// sections moved into the encoder snapshots share: the batch layout did
+// not change, and replFormat stays 1.
+const replBatchGolden = "c304f5a5ce6a31eb647a8c11a15a30993615a5eaa680c57a6b191238a39ce802"
+
+func TestReplBatchBytesGolden(t *testing.T) {
+	h := sha256.New()
+	for _, seed := range replSeeds()[:5] {
+		h.Write(seed)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != replBatchGolden {
+		t.Fatalf("batch bytes hash %s, want golden %s", got, replBatchGolden)
+	}
+}
+
 // TestDecodeReplBatchBoundsAllocation: a declared count or length the
 // input cannot hold is refused before anything is sized by it.
 func TestDecodeReplBatchBoundsAllocation(t *testing.T) {
@@ -530,14 +548,15 @@ func FuzzDecodeReplBatch(f *testing.F) {
 // TestReplicateRefusesOldFormat: a gob-encoded batch (the pre-O(Δ)
 // format) draws a typed error reply from a standby, not a panic.
 func TestReplicateRefusesOldFormat(t *testing.T) {
+	type oldSnap struct{ Version vclock.Version }
 	type oldBatch struct {
 		Epoch   uint64
 		Since   vclock.Version
-		Snap    *Snapshot
+		Snap    *oldSnap
 		Promote bool
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&oldBatch{Epoch: 1, Snap: &Snapshot{Version: 3}}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&oldBatch{Epoch: 1, Snap: &oldSnap{Version: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	r := newStreamRig(t, 1, ReplConfig{Inline: true})

@@ -1,11 +1,10 @@
 package directory
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"flecc/internal/vclock"
+	"flecc/internal/wire"
 )
 
 // The paper notes that the centralized protocol assumes the original
@@ -26,7 +25,11 @@ type ShadowRec struct {
 	Deleted bool
 }
 
-// Snapshot is a serializable capture of a Store's protocol metadata.
+// Snapshot is the one form a directory manager's state takes when it
+// leaves the process: a checkpoint file, a live-migration handover
+// (TakeHandover) and a replication batch's data (ReplBatch.Snap) are all
+// Snapshots, captured by Store.SnapshotSince or Manager.CaptureSince and
+// written by the same section encoder.
 type Snapshot struct {
 	// Version is the last issued primary version.
 	Version vclock.Version
@@ -34,29 +37,37 @@ type Snapshot struct {
 	Shadow []ShadowRec
 	// Log is the update log (quality accounting).
 	Log []UpdateRec
-	// Views carries the per-view registration state (modes, seen
-	// versions, validity triggers) when the snapshot was captured by
-	// Manager.CaptureSnapshot. A standby that restores such a snapshot
-	// takes over without forcing every CM through re-register/re-pull.
-	// Store-level Snapshot leaves it nil; decoders of old blobs see nil.
+	// Views carries per-view registration state (modes, seen versions,
+	// validity triggers): every view for Manager.CaptureSince, the moved
+	// views for TakeHandover, the changed views for a replication batch.
+	// A standby that restores it takes over without forcing every CM
+	// through re-register/re-pull. Store.SnapshotSince leaves it nil.
 	Views []HandoverView
 }
 
-// Snapshot captures the store's current metadata. It quiesces in-flight
-// commits first, so the capture is complete up to its Version.
-func (s *Store) Snapshot() *Snapshot {
-	defer s.rlockStore()()
-	snap := &Snapshot{Version: s.counter.Current()}
-	for _, st := range s.stripes {
-		for k, sh := range st.shadow {
-			snap.Shadow = append(snap.Shadow, ShadowRec{
-				Key: k, Version: sh.version, Writer: sh.writer, Deleted: sh.deleted,
-			})
+// check enforces what a store needs of any snapshot it restores or
+// absorbs — checkpoints come from disk and handovers and batches from a
+// peer: every shadow version lies in 1..Version, and the log is strictly
+// version-ordered and bounded by Version. Without it the counter could
+// land below versions the store already holds and the next commit would
+// reissue one.
+func (snap *Snapshot) check() error {
+	for _, r := range snap.Shadow {
+		if r.Version == 0 || r.Version > snap.Version {
+			return fmt.Errorf("directory: snapshot shadow %q at v%d outside v1..v%d", r.Key, r.Version, snap.Version)
 		}
 	}
-	snap.Log = make([]UpdateRec, len(s.log))
-	copy(snap.Log, s.log)
-	return snap
+	var prev vclock.Version
+	for i, r := range snap.Log {
+		if r.Version <= prev {
+			return fmt.Errorf("directory: snapshot log[%d] v%d not strictly after v%d", i, r.Version, prev)
+		}
+		prev = r.Version
+	}
+	if prev > snap.Version {
+		return fmt.Errorf("directory: snapshot log ends at v%d beyond its version v%d", prev, snap.Version)
+	}
+	return nil
 }
 
 // Restore replaces the store's metadata with the snapshot's. The primary
@@ -66,6 +77,9 @@ func (s *Store) Snapshot() *Snapshot {
 func (s *Store) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("directory: nil snapshot")
+	}
+	if err := snap.check(); err != nil {
+		return err
 	}
 	defer s.lockStore()()
 	for _, st := range s.stripes {
@@ -83,21 +97,122 @@ func (s *Store) Restore(snap *Snapshot) error {
 	return nil
 }
 
-// EncodeSnapshot serializes a snapshot (gob; property sets travel in their
-// textual form through their TextMarshaler implementation).
-func EncodeSnapshot(snap *Snapshot) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("directory: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+// snapFormat is the first byte of an encoded snapshot; bump it on an
+// incompatible change. (Version 2 replaced the gob encoding, which is not
+// read: a gob checkpoint fails to decode and fleccd starts cold.)
+const snapFormat = 2
+
+// EncodeSnapshot serializes a snapshot — a checkpoint file or a
+// migration handover — as its format byte, its version, and the sections
+// a replication batch carries.
+func EncodeSnapshot(snap *Snapshot) []byte {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	e.U8(snapFormat)
+	e.U64(uint64(snap.Version))
+	encodeSnapSections(e, snap)
+	return e.Copy()
 }
 
-// DecodeSnapshot parses EncodeSnapshot's output.
-func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	var snap Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("directory: decode snapshot: %w", err)
+// DecodeSnapshot parses EncodeSnapshot's output. Like DecodeReplBatch it
+// is total on hostile input and refuses trailing bytes. It also refuses a
+// snapshot that fails check, so a bad checkpoint is a decode failure —
+// fleccd's loud cold start, not a boot failure — and a bad handover fails
+// TMigrateApply, which aborts the migration.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
+	d := wire.NewDecoder(data)
+	if v := d.U8(); d.Err() == nil && v != snapFormat {
+		return nil, fmt.Errorf("directory: unsupported snapshot format %d (want %d)", v, snapFormat)
 	}
-	return &snap, nil
+	snap := &Snapshot{Version: vclock.Version(d.U64())}
+	decodeSnapSections(d, snap)
+	if err := decoded(d, "snapshot"); err != nil {
+		return nil, err
+	}
+	if err := snap.check(); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
+// decoded closes a top-level decode: the first error d latched, or the
+// trailing bytes a well-formed blob never has.
+func decoded(d *wire.Decoder, what string) error {
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("directory: decode %s: %w", what, err)
+	}
+	if n := d.Remaining(); n != 0 {
+		return fmt.Errorf("directory: decode %s: %d trailing bytes", what, n)
+	}
+	return nil
+}
+
+// Smallest encodings of each record kind (empty strings and sets): the
+// decoder sizes slices by the declared count only after checking the
+// input that remains could hold that many.
+const (
+	minShadowRec = 4 + 8 + 4 + 1
+	minLogRec    = 8 + 4 + 4 + 8 + 8
+	minTouchRec  = 4 + 1 + 1 + 8 + 1
+	minRegRec    = minTouchRec + 4 + 4
+	minName      = 4
+)
+
+// encodeSnapSections writes a snapshot's shadow, log and registration
+// sections — everything but its version, which checkpoints and batches
+// place differently.
+func encodeSnapSections(e *wire.Encoder, snap *Snapshot) {
+	e.U32(uint32(len(snap.Shadow)))
+	for _, r := range snap.Shadow {
+		e.Str(r.Key)
+		e.U64(uint64(r.Version))
+		e.Str(r.Writer)
+		e.Bool(r.Deleted)
+	}
+	e.U32(uint32(len(snap.Log)))
+	for _, r := range snap.Log {
+		e.U64(uint64(r.Version))
+		e.Str(r.Writer)
+		e.PropSet(r.Props)
+		e.U64(uint64(r.Ops))
+		e.U64(uint64(r.At))
+	}
+	e.U32(uint32(len(snap.Views)))
+	for _, v := range snap.Views {
+		encodeTouch(e, ViewTouch{Name: v.Name, Mode: v.Mode, Op: v.Op, Seen: v.Seen, Active: v.Active})
+		e.PropSet(v.Props)
+		e.Str(v.Validity)
+	}
+}
+
+// decodeSnapSections reads what encodeSnapSections wrote into snap;
+// errors latch in d.
+func decodeSnapSections(d *wire.Decoder, snap *Snapshot) {
+	if n := d.Count(minShadowRec); n > 0 {
+		snap.Shadow = make([]ShadowRec, n)
+		for i := range snap.Shadow {
+			snap.Shadow[i] = ShadowRec{
+				Key: d.Str(), Version: vclock.Version(d.U64()), Writer: d.Str(), Deleted: d.Bool(),
+			}
+		}
+	}
+	if n := d.Count(minLogRec); n > 0 {
+		snap.Log = make([]UpdateRec, n)
+		for i := range snap.Log {
+			snap.Log[i] = UpdateRec{
+				Version: vclock.Version(d.U64()), Writer: d.Str(), Props: d.PropSet(),
+				Ops: int(d.U64()), At: vclock.Time(d.U64()),
+			}
+		}
+	}
+	if n := d.Count(minRegRec); n > 0 {
+		snap.Views = make([]HandoverView, n)
+		for i := range snap.Views {
+			t := decodeTouch(d)
+			snap.Views[i] = HandoverView{
+				Name: t.Name, Mode: t.Mode, Op: t.Op, Seen: t.Seen, Active: t.Active,
+				Props: d.PropSet(), Validity: d.Str(),
+			}
+		}
+	}
 }

@@ -44,7 +44,7 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 		defer snapWG.Done()
 		var lastVer vclock.Version
 		for !stop.Load() {
-			snap := st.Snapshot()
+			snap := st.SnapshotSince(0)
 			if snap.Version < lastVer {
 				t.Errorf("snapshot version regressed: %d -> %d", lastVer, snap.Version)
 				return
@@ -67,12 +67,7 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 				}
 			}
 			// The serialized form must round-trip even mid-traffic.
-			b, err := EncodeSnapshot(snap)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			back, err := DecodeSnapshot(b)
+			back, err := DecodeSnapshot(EncodeSnapshot(snap))
 			if err != nil {
 				t.Error(err)
 				return
@@ -95,7 +90,7 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 
 	// The final snapshot restores into a standby that picks up exactly
 	// where the counter left off.
-	final := st.Snapshot()
+	final := st.SnapshotSince(0)
 	if final.Version != vclock.Version(writers*commits) {
 		t.Fatalf("final version %d, want %d", final.Version, writers*commits)
 	}
@@ -173,14 +168,14 @@ func TestStoreAbsorbMergeSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := b.Absorb(a.Snapshot()); err != nil {
+	if err := b.Absorb(a.SnapshotSince(0)); err != nil {
 		t.Fatal(err)
 	}
 	// Counter fast-forwarded to a's (2), never back.
 	if b.Current() != 2 {
 		t.Fatalf("absorbed counter = %d, want 2", b.Current())
 	}
-	snap := b.Snapshot()
+	snap := b.SnapshotSince(0)
 	byKey := map[string]ShadowRec{}
 	for _, r := range snap.Shadow {
 		byKey[r.Key] = r
@@ -207,13 +202,13 @@ func TestStoreAbsorbMergeSemantics(t *testing.T) {
 	// must not grow the log with duplicate versions (the round-trip
 	// migration case: moving views back to a shard that already holds a
 	// superset of the snapshot's log).
-	if err := b.Absorb(a.Snapshot()); err != nil {
+	if err := b.Absorb(a.SnapshotSince(0)); err != nil {
 		t.Fatal(err)
 	}
 	if b.Current() != 2 {
 		t.Fatalf("re-absorb moved the counter to %d", b.Current())
 	}
-	if got := len(b.Snapshot().Log); got != 2 {
+	if got := len(b.SnapshotSince(0).Log); got != 2 {
 		t.Fatalf("re-absorb grew the log to %d entries, want 2", got)
 	}
 }

@@ -127,7 +127,7 @@ func TestExtractDeltaAfterRestore(t *testing.T) {
 	versions := commitHistory(t, keyedStore, fullStore)
 
 	standby := directory.NewStore(primary, vclock.NewSim())
-	if err := standby.Restore(keyedStore.Snapshot()); err != nil {
+	if err := standby.Restore(keyedStore.SnapshotSince(0)); err != nil {
 		t.Fatal(err)
 	}
 	props := property.MustSet("Flights={100..160}")

@@ -553,12 +553,9 @@ func (s *system) apply(a Action) error {
 	case AMigrate:
 		// The handover runs over the wire exactly as the shard router
 		// drives it; a bounded retry absorbs a scheduled drop between
-		// take and apply, as the router's retry policy would.
-		blob, err := directory.EncodeViewList(nil)
-		if err != nil {
-			return violationf("migrate: encode view list: %v", err)
-		}
-		takeReply, err := callRetry(s.ctl, "dm!a", &wire.Message{Type: wire.TMigrateTake, Blob: blob})
+		// take and apply, as the router's retry policy would. An empty
+		// view list takes every view.
+		takeReply, err := callRetry(s.ctl, "dm!a", &wire.Message{Type: wire.TMigrateTake})
 		if err != nil {
 			return violationf("migrate: take failed: %v", err)
 		}

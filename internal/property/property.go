@@ -216,11 +216,4 @@ func (s *Set) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// GobEncode makes Set usable with encoding/gob (the directory manager's
-// fail-over snapshots); the payload is the textual form.
-func (s Set) GobEncode() ([]byte, error) { return s.MarshalText() }
-
-// GobDecode implements gob.GobDecoder.
-func (s *Set) GobDecode(b []byte) error { return s.UnmarshalText(b) }
-
 var _ fmt.Stringer = Set{}

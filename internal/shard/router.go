@@ -467,11 +467,8 @@ func (r *Router) Migrate(from, to string, views ...string) error {
 // the target now holds the views — it can be true even on error, in which
 // case the caller must still re-point routing at the target.
 func (r *Router) handover(from, to string, views []string) (absorbed bool, err error) {
-	blob, err := directory.EncodeViewList(views)
-	if err != nil {
-		return false, err
-	}
-	takeReply, err := transport.CallRetry(r.ep, from, &wire.Message{Type: wire.TMigrateTake, Blob: blob}, r.retryPolicy())
+	take := &wire.Message{Type: wire.TMigrateTake, Blob: directory.EncodeViewList(views)}
+	takeReply, err := transport.CallRetry(r.ep, from, take, r.retryPolicy())
 	if err != nil {
 		return false, fmt.Errorf("shard router %s: take from %s: %w", r.name, from, err)
 	}

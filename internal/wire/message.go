@@ -76,10 +76,10 @@ const (
 	// had called it directly.
 	TRouted
 	// TMigrateTake asks a shard directory manager to hand over its
-	// protocol metadata (directory.Handover) for the views listed in Blob
+	// protocol metadata (a directory.Snapshot) for the views listed in Blob
 	// (all its views when the list is empty) and to stop serving them.
 	TMigrateTake
-	// TMigrateApply delivers a directory.Handover (in Blob) to the target
+	// TMigrateApply delivers a directory.Snapshot (in Blob) to the target
 	// shard, which absorbs the metadata and starts serving the views.
 	TMigrateApply
 
@@ -232,7 +232,7 @@ type Message struct {
 	Img *image.Image
 	// Blob carries an opaque nested payload: the encoded inner message for
 	// TRouted, the encoded view-name list for TMigrateTake, and the encoded
-	// directory.Handover for TMigrateApply (and TMigrateTake's TAck reply).
+	// directory.Snapshot for TMigrateApply (and TMigrateTake's TAck reply).
 	Blob []byte
 	// Err is the error text for TErr.
 	Err string
