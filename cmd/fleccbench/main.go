@@ -4,24 +4,19 @@
 //
 // Usage:
 //
-//	fleccbench -exp fig4                # Figure 4 (efficiency)
-//	fleccbench -exp fig5                # Figure 5 (adaptability)
-//	fleccbench -exp fig6                # Figure 6 (flexibility)
-//	fleccbench -exp ablation-conflict   # E5: conflict-decision policy
-//	fleccbench -exp ablation-rw         # E6: read/write semantics
-//	fleccbench -exp ablation-peer       # E7: centralized vs decentralized
-//	fleccbench -exp wire                # E13: wire-path micro-benchmarks
-//	fleccbench -exp conflict            # E16: conflict-index micro-benchmarks
-//	fleccbench -exp ha                  # E17: hot-standby replication micro-benchmarks
-//	fleccbench -exp scale               # E18: commit throughput at 1 lane vs 8, by disjoint-group count
-//	fleccbench -exp all                 # everything
+//	fleccbench -exp fig4                   # Figure 4 (efficiency)
+//	fleccbench -exp fig5                   # Figure 5 (adaptability)
+//	fleccbench -exp fig6                   # Figure 6 (flexibility)
+//	fleccbench -exp ablation-conflict      # E5: conflict-decision policy
+//	fleccbench -exp ablation-rw            # E6: read/write semantics
+//	fleccbench -exp ablation-peer          # E7: centralized vs decentralized
+//	fleccbench -exp buyermix               # E9: buyer-mix sweep
+//	fleccbench -exp ablation-propagation   # E10: pull- vs push-based updates
+//	fleccbench -exp all                    # everything
 //
 // Figure parameters can be scaled with -agents/-ops; the defaults are the
-// paper's settings. The wire and conflict experiments support -json, which
-// writes a machine-readable report (default BENCH_wire.json resp.
-// BENCH_conflict.json, override with -out) instead of the text table — the
-// format CI's benchmark trajectory diffs. For the conflict experiment,
-// -agents caps the largest view-table size (CI smoke uses -agents 1000).
+// paper's settings. Micro-benchmarks of single layers are `go test -bench`
+// targets beside their code; the end-to-end benchmark lives in bench/.
 package main
 
 import (
@@ -34,33 +29,19 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig4, fig5, fig6, ablation-conflict, ablation-rw, ablation-peer, ablation-propagation, buyermix, wire, conflict, ha, scale, all")
-		agents  = flag.Int("agents", 0, "override agent count (0 = paper default); for -exp conflict, caps the largest view-table size")
-		ops     = flag.Int("ops", 0, "override per-agent/per-phase op count (0 = paper default)")
-		check   = flag.Bool("check", true, "verify the qualitative shape of each result")
-		jsonOut = flag.Bool("json", false, "wire/conflict experiments: write a JSON report instead of a text table")
-		out     = flag.String("out", "", "wire/conflict experiments: JSON report path (with -json; default BENCH_wire.json / BENCH_conflict.json)")
+		exp    = flag.String("exp", "all", "experiment: fig4, fig5, fig6, ablation-conflict, ablation-rw, ablation-peer, ablation-propagation, buyermix, all")
+		agents = flag.Int("agents", 0, "override the figures' agent count (0 = paper default)")
+		ops    = flag.Int("ops", 0, "override the figures' per-agent/per-phase op count (0 = paper default)")
+		check  = flag.Bool("check", true, "verify the qualitative shape of each result")
 	)
 	flag.Parse()
-	if err := run(*exp, *agents, *ops, *check, *jsonOut, *out); err != nil {
+	if err := run(*exp, *agents, *ops, *check); err != nil {
 		fmt.Fprintln(os.Stderr, "fleccbench:", err)
 		os.Exit(1)
 	}
 }
 
-// benchDest resolves the JSON report path for a benchmark experiment:
-// empty when -json is off, the per-experiment default when -out is unset.
-func benchDest(jsonOut bool, out, def string) string {
-	if !jsonOut {
-		return ""
-	}
-	if out == "" {
-		return def
-	}
-	return out
-}
-
-func run(exp string, agents, ops int, check, jsonOut bool, out string) error {
+func run(exp string, agents, ops int, check bool) error {
 	switch exp {
 	case "fig4":
 		return runFig4(agents, ops, check)
@@ -78,17 +59,9 @@ func run(exp string, agents, ops int, check, jsonOut bool, out string) error {
 		return runBuyerMix(check)
 	case "ablation-propagation":
 		return runPropagation(check)
-	case "wire":
-		return runWire(benchDest(jsonOut, out, "BENCH_wire.json"))
-	case "conflict":
-		return runConflict(benchDest(jsonOut, out, "BENCH_conflict.json"), agents)
-	case "ha":
-		return runHA(benchDest(jsonOut, out, "BENCH_ha.json"))
-	case "scale":
-		return runScale(benchDest(jsonOut, out, "BENCH_scale.json"), agents, ops)
 	case "all":
-		for _, e := range []string{"fig4", "fig5", "fig6", "ablation-conflict", "ablation-rw", "ablation-peer", "ablation-propagation", "buyermix", "wire", "conflict", "ha", "scale"} {
-			if err := run(e, agents, ops, check, jsonOut, out); err != nil {
+		for _, e := range []string{"fig4", "fig5", "fig6", "ablation-conflict", "ablation-rw", "ablation-peer", "ablation-propagation", "buyermix"} {
+			if err := run(e, agents, ops, check); err != nil {
 				return err
 			}
 			fmt.Println()
@@ -104,10 +77,9 @@ func runFig4(agents, ops int, check bool) error {
 	if agents > 0 {
 		cfg.Agents = agents
 		cfg.Groups = nil
-		for g := agents / 10; g <= agents; g += agents / 10 {
-			if g > 0 {
-				cfg.Groups = append(cfg.Groups, g)
-			}
+		step := max(1, agents/10)
+		for g := step; g <= agents; g += step {
+			cfg.Groups = append(cfg.Groups, g)
 		}
 	}
 	if ops > 0 {

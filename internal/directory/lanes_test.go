@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"flecc/internal/image"
 	"flecc/internal/property"
@@ -60,12 +61,12 @@ func (c *laneKV) Merge(img *image.Image, props property.Set) error {
 
 // laneHarness is one laned DM plus registered writer endpoints.
 type laneHarness struct {
-	t   *testing.T
+	t   testing.TB
 	net *transport.Inproc
 	dm  *Manager
 }
 
-func newLaneHarness(t *testing.T, opts Options) *laneHarness {
+func newLaneHarness(t testing.TB, opts Options) *laneHarness {
 	t.Helper()
 	net := transport.NewInproc()
 	dm, err := New("dm", newLaneKV(), vclock.NewSim(), net, opts)
@@ -425,5 +426,87 @@ func TestLaneReplication(t *testing.T) {
 	}
 	if err := prim.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkLaneCommit measures commit throughput at one execution lane
+// against eight (E18). g disjoint conflict groups × 2 writers push
+// conflicting 8-key deltas under an incoming-wins resolver, so every
+// commit runs a keyed extract of the primary's side and the resolver. A
+// group's views share a property no other group touches, so with eight
+// lanes disjoint groups commit in parallel; commits/s at lanes=8 over
+// lanes=1 at the same g is the lane speedup.
+func BenchmarkLaneCommit(b *testing.B) {
+	const (
+		writers = 2   // per group
+		keys    = 192 // seeded keys per group
+		window  = 8   // keys per pushed delta
+	)
+	incomingWins := func(c image.Conflict) (image.Entry, error) { return c.Theirs, nil }
+	for _, lanes := range []int{1, 8} {
+		for _, groups := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("lanes=%d/g=%d", lanes, groups), func(b *testing.B) {
+				h := newLaneHarness(b, Options{Lanes: lanes, Resolver: incomingWins})
+				type writer struct {
+					name  string
+					ep    transport.Endpoint
+					props property.Set
+					group int
+				}
+				var ws []writer
+				for g := 0; g < groups; g++ {
+					props := property.MustSet(fmt.Sprintf("P%d={0..9}", g))
+					for w := 0; w < writers; w++ {
+						name := fmt.Sprintf("g%dw%d", g, w)
+						ws = append(ws, writer{name, h.register(name, props.String()), props, g})
+					}
+					// Seeded by the primary, so every push against base
+					// version 0 is a detected conflict.
+					seed := image.New(props.Clone())
+					for k := 0; k < keys; k++ {
+						seed.Put(image.Entry{Key: fmt.Sprintf("g%d:k%03d", g, k), Value: []byte("seed")})
+					}
+					if _, err := h.dm.CommitLocal(seed, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				push := func(w writer, i int) error {
+					kv := make(map[string]string, window)
+					for k := 0; k < window; k++ {
+						kv[fmt.Sprintf("g%d:k%03d", w.group, (i*window+k)%keys)] = "v"
+					}
+					_, err := lanePush(w.ep, w.name, w.props, kv)
+					return err
+				}
+				for _, w := range ws {
+					if err := push(w, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+
+				// b.N commits in all, spread over the writers.
+				b.ResetTimer()
+				start := time.Now()
+				var wg sync.WaitGroup
+				for wi, w := range ws {
+					n := b.N / len(ws)
+					if wi < b.N%len(ws) {
+						n++
+					}
+					wg.Add(1)
+					go func(w writer, n int) {
+						defer wg.Done()
+						for i := 1; i <= n; i++ {
+							if err := push(w, i); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(w, n)
+				}
+				wg.Wait()
+				b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "commits/s")
+			})
+		}
 	}
 }

@@ -673,6 +673,90 @@ func TestReplBatchAllocs(t *testing.T) {
 		commitAllocs, touchAllocs, len(EncodeReplBatch(commits[0])), len(EncodeReplBatch(touches[0])))
 }
 
+// TestReplBatchFlatInViews pins that the replication stream is O(Δ) in
+// the view count: one replicated push+pull by one view allocates the same
+// with 256 or 4,096 other views registered as with 16. The other views sit
+// on disjoint flights and never speak, so a batch that carried what exists
+// rather than what changed would grow with them.
+func TestReplBatchFlatInViews(t *testing.T) {
+	measure := func(views int) float64 {
+		net := transport.NewInproc()
+		clock := vclock.NewSim()
+		prim, err := New("dm", newLaneKV(), clock, net, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer prim.Close()
+		sb, err := New("dmr", newLaneKV(), clock, net, Options{Standby: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sb.Close()
+		repl, err := prim.StartReplication(ReplConfig{Inline: true}, ReplTarget{Name: "dmr"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer repl.Close()
+
+		ctl, err := net.Attach("ctl", func(*wire.Message) *wire.Message { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ctl.Close()
+		for i := 0; i < views; i++ {
+			reply, err := ctl.Call("dm", &wire.Message{Type: wire.TRegister, View: fmt.Sprintf("v%04d", i),
+				Props: property.MustSet(fmt.Sprintf("Flights={%d..%d}", i, i))})
+			if err != nil || reply.Type == wire.TErr {
+				t.Fatalf("register v%04d: %v %v", i, err, reply)
+			}
+		}
+		ep, err := net.Attach("v0000", func(*wire.Message) *wire.Message { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		reply, err := ep.Call("dm", &wire.Message{Type: wire.TInit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		since := reply.Version
+		props := property.MustSet("Flights={0..0}")
+		call := func(req *wire.Message) *wire.Message {
+			reply, err := ep.Call("dm", req)
+			if err != nil || reply.Type == wire.TErr {
+				t.Fatalf("%v: %v %v", req.Type, err, reply)
+			}
+			return reply
+		}
+		pushPull := func() {
+			delta := image.New(props)
+			delta.Put(image.Entry{Key: "f/0", Value: []byte("NYC|SFO|200|57|19900")})
+			call(&wire.Message{Type: wire.TPush, Img: delta, Ops: 1})
+			since = call(&wire.Message{Type: wire.TPull, Since: since}).Version
+		}
+		for i := 0; i < 50; i++ {
+			pushPull()
+		}
+		allocs := testing.AllocsPerRun(100, pushPull)
+		if got, want := sb.CurrentVersion(), prim.CurrentVersion(); got != want {
+			t.Fatalf("views=%d: standby at v%d, primary at v%d", views, got, want)
+		}
+		if got := len(sb.Views()); got != views {
+			t.Fatalf("views=%d: standby holds %d views", views, got)
+		}
+		return allocs
+	}
+	// The counts are equal in a plain build. The one alloc of slack is for
+	// -race, whose sync.Pool drops items at random.
+	small := measure(16)
+	for _, views := range []int{256, 4096} {
+		if got := measure(views); got > small+1 {
+			t.Errorf("push+pull allocs/op = %.1f at %d views, %.1f at 16: the stream grows with idle views", got, views, small)
+		}
+	}
+	t.Logf("push+pull allocs/op: %.1f", small)
+}
+
 // TestViewTrackingIdleWithoutReplicator: with nobody to drain it, the
 // change stack records nothing — an unreplicated daemon serving
 // open/kill sessions must not accumulate dead view states — and marking a

@@ -16,8 +16,7 @@ func nowNano() int64 { return time.Now().UnixNano() }
 // registered views. The uniform workload places each view on a narrow
 // interval drawn uniformly from the property space, tuned so a query
 // matches ~1% of the table; the skewed workload gives a slice of the
-// views one shared hot property. `fleccbench -exp conflict -json` runs
-// the same shapes into BENCH_conflict.json.
+// views one shared hot property.
 
 // uniformProps returns view i's property set for the uniform workload:
 // one interval of width 0.5 on a [0,100] space — pairwise overlap
@@ -96,9 +95,9 @@ func BenchmarkRegister(b *testing.B) {
 
 // TestSpeedupAtTenK is the acceptance pin behind the benchmark: at 10k
 // uniformly distributed views (~1% match rate) the indexed query must
-// beat the brute-force scan by at least 20x. Run with a generous margin
-// check so CI noise does not flake it; the committed BENCH_conflict.json
-// rows carry the measured numbers.
+// beat the brute-force scan by at least 20x. The margin is generous so CI
+// noise does not flake it; BenchmarkConflictQuery reports the measured
+// numbers.
 func TestSpeedupAtTenK(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup measurement skipped in -short")

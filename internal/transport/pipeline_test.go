@@ -281,6 +281,7 @@ func BenchmarkPipelineWindow(b *testing.B) {
 			if err := <-done; err != nil {
 				b.Fatal(err)
 			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 		})
 	}
 }

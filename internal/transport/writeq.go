@@ -285,24 +285,6 @@ func (q *writeQueue) writeBatch(batch []*wire.EncodedFrame) error {
 	return err
 }
 
-// Coalescer exposes the group-commit write path over an arbitrary writer,
-// for tools and benchmarks that want TCP-peer write semantics (order
-// preserved, concurrent sends batched into single writes) without a peer:
-// fleccbench drives it to measure the coalescing ratio.
-type Coalescer struct{ q *writeQueue }
-
-// NewCoalescer wraps w with a group-commit queue. stats may be nil.
-func NewCoalescer(w io.Writer, stats *WireStats) *Coalescer {
-	return &Coalescer{q: newWriteQueue(w, stats)}
-}
-
-// Send writes m, possibly batched with concurrent senders' frames; it
-// returns once the frame has been written or the coalescer has failed.
-func (c *Coalescer) Send(m *wire.Message) error { return c.q.send(m) }
-
-// Fail poisons the coalescer: pending and future sends return err.
-func (c *Coalescer) Fail(err error) { c.q.fail(err) }
-
 // fail poisons the queue: queued-but-unwritten senders (and all future
 // ones) get err, and their frames are released. The peer's shutdown path
 // calls it so no sender blocks on a dead connection.
