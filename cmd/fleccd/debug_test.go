@@ -2,14 +2,17 @@ package main
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"flecc/internal/directory"
 	"flecc/internal/image"
 	"flecc/internal/property"
 	"flecc/internal/shard"
 	"flecc/internal/transport"
+	"flecc/internal/wire"
 )
 
 // TestLogLenOnDebugAndStatus: every directory manager's update-log length
@@ -60,4 +63,51 @@ func TestLogLenOnDebugAndStatus(t *testing.T) {
 			t.Fatalf("status line has no per-shard log length: %q", s)
 		}
 	})
+}
+
+// TestWireGaugesOnDebug: the listener's wire counters the status line
+// prints are gauges on the debug registry too.
+func TestWireGaugesOnDebug(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snet := transport.NewServerNetwork(ln, 5*time.Second)
+	d, err := newDeployment("db", newMapCodec(), snet, 1, directory.Options{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close()
+	d.snet = snet
+	o := newObservability("db", snet, d)
+
+	c, err := transport.Dial(ln.Addr().String(), "agent", func(*wire.Message) *wire.Message {
+		return &wire.Message{Type: wire.TAck}
+	}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Call("db", &wire.Message{Type: wire.TRegister, Props: property.MustSet("P={x}")}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The reply can reach the client before the server's flusher counts
+	// it; wait for the handshake ack and the register ack to be counted.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		g := o.reg.Snapshot().Gauges
+		ws := snet.WireStats()
+		if g["wire_frames"] >= 2 && g["wire_frames"] == ws.Frames && g["wire_flushes"] == ws.Flushes &&
+			g["wire_bytes"] == ws.Bytes && g["wire_bytes"] > 0 {
+			if late, ok := g["wire_late_replies"]; !ok || late != 0 {
+				t.Fatalf("wire_late_replies = %d (registered %v), want 0", late, ok)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("wire gauges %v never matched the listener's counters %+v", g, ws)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

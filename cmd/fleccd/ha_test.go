@@ -26,7 +26,7 @@ func newMapCodec() *mapCodec { return &mapCodec{data: map[string]string{}} }
 func (c *mapCodec) Extract(props property.Set) (*image.Image, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	img := image.New(props.Clone())
+	img := image.New(props)
 	for k, v := range c.data {
 		img.Put(image.Entry{Key: k, Value: []byte(v)})
 	}

@@ -535,7 +535,7 @@ func (m *MapCodec) Len() int {
 func (m *MapCodec) Extract(props Props) (*Image, error) {
 	img, _, err := m.ExtractChanged(props, 0)
 	if img == nil {
-		img = image.New(props.Clone())
+		img = image.New(props)
 	}
 	return img, err
 }
@@ -550,7 +550,7 @@ func (m *MapCodec) ExtractChanged(props Props, since uint64) (*Image, uint64, er
 	var img *Image
 	put := func(e image.Entry) {
 		if img == nil {
-			img = image.New(props.Clone())
+			img = image.New(props)
 		}
 		img.Put(e)
 	}
@@ -577,7 +577,7 @@ func (m *MapCodec) ExtractChanged(props Props, since uint64) (*Image, uint64, er
 func (m *MapCodec) ExtractKeys(props Props, keys []string) (*Image, error) {
 	m.lock()
 	defer m.unlock()
-	img := image.New(props.Clone())
+	img := image.New(props)
 	for _, k := range keys {
 		if v, ok := m.data[k]; ok {
 			img.Put(image.Entry{Key: k, Value: copyBytes(v.b)})

@@ -235,7 +235,7 @@ func (m *Manager) registerMsg() *wire.Message {
 		View:  m.name,
 		Mode:  m.mode,
 		Op:    m.op,
-		Props: m.props.Clone(),
+		Props: m.props,
 		Trig:  m.trigSrc,
 	}
 }

@@ -18,7 +18,7 @@ type kv struct{ data map[string]string }
 func newKV() *kv { return &kv{data: map[string]string{}} }
 
 func (v *kv) Extract(props property.Set) (*image.Image, error) {
-	img := image.New(props.Clone())
+	img := image.New(props)
 	for k, val := range v.data {
 		img.Put(image.Entry{Key: k, Value: []byte(val)})
 	}

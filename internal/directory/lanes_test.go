@@ -27,7 +27,7 @@ func newLaneKV() *laneKV { return &laneKV{data: map[string][]byte{}} }
 func (c *laneKV) Extract(props property.Set) (*image.Image, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	img := image.New(props.Clone())
+	img := image.New(props)
 	for k, v := range c.data {
 		img.Put(image.Entry{Key: k, Value: v})
 	}
@@ -37,7 +37,7 @@ func (c *laneKV) Extract(props property.Set) (*image.Image, error) {
 func (c *laneKV) ExtractKeys(props property.Set, keys []string) (*image.Image, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	img := image.New(props.Clone())
+	img := image.New(props)
 	for _, k := range keys {
 		if v, ok := c.data[k]; ok {
 			img.Put(image.Entry{Key: k, Value: v})
@@ -98,7 +98,7 @@ func (h *laneHarness) register(name string, props string) transport.Endpoint {
 }
 
 func lanePush(ep transport.Endpoint, from string, props property.Set, kv map[string]string) (*wire.Message, error) {
-	delta := image.New(props.Clone())
+	delta := image.New(props)
 	for k, v := range kv {
 		delta.Put(image.Entry{Key: k, Value: []byte(v)})
 	}
@@ -462,7 +462,7 @@ func BenchmarkLaneCommit(b *testing.B) {
 					}
 					// Seeded by the primary, so every push against base
 					// version 0 is a detected conflict.
-					seed := image.New(props.Clone())
+					seed := image.New(props)
 					for k := 0; k < keys; k++ {
 						seed.Put(image.Entry{Key: fmt.Sprintf("g%d:k%03d", g, k), Value: []byte("seed")})
 					}

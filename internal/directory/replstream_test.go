@@ -284,7 +284,7 @@ func TestBarrierOutsideStructuralGate(t *testing.T) {
 
 	pushed := make(chan *wire.Message, 1)
 	go func() {
-		d := image.New(pushProps.Clone())
+		d := image.New(pushProps)
 		d.Put(image.Entry{Key: "a/0", Value: []byte("x")})
 		pushed <- r.send("pusher", &wire.Message{Type: wire.TPush, Img: d, Ops: 1})
 	}()
@@ -594,7 +594,7 @@ func TestReplBatchAllocs(t *testing.T) {
 	viewSince := r.repl.targets[0].sentView
 	r.repl.mu.Unlock()
 	step := func() {
-		d := image.New(props.Clone())
+		d := image.New(props)
 		d.Put(image.Entry{Key: fmt.Sprintf("f/%03d", 12+len(commits)%4), Value: []byte("NYC|SFO|200|57|19900")})
 		if _, _, _, err := r.prim.store.Commit("v03", d, 1); err != nil {
 			t.Fatal(err)

@@ -25,7 +25,7 @@ func newMapStore() *mapStore { return &mapStore{data: map[string]string{}} }
 func (s *mapStore) Extract(props property.Set) (*image.Image, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	img := image.New(props.Clone())
+	img := image.New(props)
 	for k, v := range s.data {
 		img.Put(image.Entry{Key: k, Value: []byte(v)})
 	}

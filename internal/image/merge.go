@@ -182,7 +182,7 @@ func Diff(a, b *Image) []string {
 // Version greater than since. The directory manager sends deltas rather
 // than full snapshots when a view pulls and already holds an older image.
 func (im *Image) DeltaSince(since vclock.Version) *Image {
-	out := New(im.Props.Clone())
+	out := New(im.Props)
 	out.Version = im.Version
 	for k, e := range im.Entries {
 		if e.Version > since {

@@ -45,7 +45,7 @@ func newKVStore() *kvstore { return &kvstore{data: map[string]string{}} }
 
 // Extract implements image.Extractor.
 func (s *kvstore) Extract(props property.Set) (*image.Image, error) {
-	img := image.New(props.Clone())
+	img := image.New(props)
 	for k, v := range s.data {
 		img.Put(image.Entry{Key: k, Value: []byte(v)})
 	}

@@ -155,7 +155,9 @@ func (d Domain) Size() int {
 }
 
 // ContainsValue reports whether the numeric value v lies in the domain.
-// For discrete domains the value is matched against integer renderings.
+// For discrete domains the value is matched against integer renderings,
+// rendered into a stack buffer and searched by hand so that a membership
+// test allocates nothing (codecs call it once per record they scope).
 func (d Domain) ContainsValue(v float64) bool {
 	switch d.kind {
 	case KindInterval:
@@ -164,7 +166,18 @@ func (d Domain) ContainsValue(v float64) bool {
 		if v != math.Trunc(v) {
 			return false
 		}
-		return d.ContainsMember(strconv.FormatInt(int64(v), 10))
+		var buf [20]byte
+		b := strconv.AppendInt(buf[:0], int64(v), 10)
+		lo, hi := 0, len(d.members)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if d.members[mid] < string(b) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo < len(d.members) && d.members[lo] == string(b)
 	default:
 		return false
 	}

@@ -1,8 +1,10 @@
 package property
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +114,54 @@ func TestContainsValue(t *testing.T) {
 	}
 	if Empty().ContainsValue(0) {
 		t.Fatal("empty contains nothing")
+	}
+}
+
+// TestContainsValueNoAlloc: a discrete membership test renders the value
+// on the stack; it is on every codec's per-record scoping path.
+func TestContainsValueNoAlloc(t *testing.T) {
+	d := DiscreteRange(100, 139)
+	var hit bool
+	if got := testing.AllocsPerRun(200, func() {
+		hit = d.ContainsValue(117)
+		hit = d.ContainsValue(-4) || hit
+	}); got != 0 {
+		t.Fatalf("ContainsValue allocs/op = %.1f, want 0", got)
+	}
+	if !hit {
+		t.Fatal("117 should be a member")
+	}
+}
+
+// TestContainsValueMatchesFormatInt checks ContainsValue against the
+// rendering it replaced, ContainsMember(FormatInt(int64(v))), across small
+// integers, the float64 exact-integer limit, non-integers, NaN and ±Inf,
+// on domains holding negative, large and non-numeric members.
+func TestContainsValueMatchesFormatInt(t *testing.T) {
+	const p53 = 1 << 53
+	values := []float64{p53, -p53, p53 - 1, -p53 + 1, p53 + 2, 0.5, -0.5, 99.999, 1e300, -1e300,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.Copysign(0, -1)}
+	for v := -1000; v <= 1000; v++ {
+		values = append(values, float64(v))
+	}
+	domains := []Domain{
+		DiscreteRange(-1000, 1000),
+		DiscreteInts(-7, 0, 3, 10, 100, 999, p53, -p53, p53-1),
+		Discrete("-0", "007", "1e3", "abc", "5", "50", "500", strconv.Itoa(math.MinInt64)),
+		DiscreteInts(42),
+	}
+	ref := func(d Domain, v float64) bool {
+		if v != math.Trunc(v) {
+			return false
+		}
+		return d.ContainsMember(strconv.FormatInt(int64(v), 10))
+	}
+	for _, d := range domains {
+		for _, v := range values {
+			if got, want := d.ContainsValue(v), ref(d, v); got != want {
+				t.Fatalf("%v.ContainsValue(%v) = %v, reference says %v", d, v, got, want)
+			}
+		}
 	}
 }
 

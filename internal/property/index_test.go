@@ -127,13 +127,13 @@ func randDomain(rng *rand.Rand) Domain {
 
 func randSet(rng *rand.Rand) Set {
 	names := []string{"F", "S", "T"}
-	s := NewSet()
+	var props []Property
 	for _, n := range names {
 		if rng.Intn(2) == 0 {
-			s.Put(New(n, randDomain(rng)))
+			props = append(props, New(n, randDomain(rng)))
 		}
 	}
-	return s
+	return NewSet(props...)
 }
 
 func TestIndexMatchesBruteForceRandom(t *testing.T) {

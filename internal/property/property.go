@@ -44,9 +44,10 @@ func (p Property) Equal(q Property) bool {
 func (p Property) String() string { return p.Name + "=" + p.Domain.String() }
 
 // Set is a set of properties. The paper assumes no two properties in a set
-// share a name, so Set is keyed by name. The zero value is an empty,
-// ready-to-use set — but note Set has map semantics (mutations are shared);
-// use Clone for an independent copy.
+// share a name, so Set is keyed by name. The zero value is the empty set.
+// A Set is immutable once built: no method changes it, so a set is shared
+// freely by value across goroutines and layers and never needs copying.
+// Changing a view's properties means building a new set.
 type Set struct {
 	byName map[string]Property
 }
@@ -77,22 +78,6 @@ func (s Set) Get(name string) (Property, bool) {
 	return p, ok
 }
 
-// Put inserts or replaces a property in the set (mutating). Empty
-// properties are removals.
-func (s *Set) Put(p Property) {
-	if s.byName == nil {
-		s.byName = make(map[string]Property)
-	}
-	if p.IsEmpty() {
-		delete(s.byName, p.Name)
-		return
-	}
-	s.byName[p.Name] = p
-}
-
-// Remove deletes the named property, if present.
-func (s *Set) Remove(name string) { delete(s.byName, name) }
-
 // Names returns the sorted property names.
 func (s Set) Names() []string {
 	out := make([]string, 0, len(s.byName))
@@ -110,15 +95,6 @@ func (s Set) Properties() []Property {
 		out = append(out, s.byName[n])
 	}
 	return out
-}
-
-// Clone returns an independent copy of the set.
-func (s Set) Clone() Set {
-	c := Set{byName: make(map[string]Property, len(s.byName))}
-	for k, v := range s.byName {
-		c.byName[k] = v
-	}
-	return c
 }
 
 // Intersect implements Definition 2: P ∩ Q = { p_i ∩ q_j | non-empty }.
@@ -206,7 +182,7 @@ func DynConfl(p, q Set) int {
 // with encoding-aware code.
 func (s Set) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
-// UnmarshalText parses the ParseSet syntax in place.
+// UnmarshalText parses the ParseSet syntax and replaces *s with the result.
 func (s *Set) UnmarshalText(b []byte) error {
 	parsed, err := ParseSet(string(b))
 	if err != nil {

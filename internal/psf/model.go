@@ -63,13 +63,11 @@ func (c *Component) ImplementsInterface(name string) bool {
 // Vars returns the union of the component's interface property sets (V_c
 // in §3.2).
 func (c *Component) Vars() property.Set {
-	out := property.NewSet()
+	var props []property.Property
 	for _, i := range c.Implements {
-		for _, p := range i.Props.Properties() {
-			out.Put(p)
-		}
+		props = append(props, i.Props.Properties()...)
 	}
-	return out
+	return property.NewSet(props...)
 }
 
 // IsViewOf implements the paper's view definition (§3.2): v is a view of c

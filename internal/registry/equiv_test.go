@@ -58,13 +58,13 @@ func randDomain(rng *rand.Rand) property.Domain {
 }
 
 func randPropSet(rng *rand.Rand) property.Set {
-	s := property.NewSet()
+	var props []property.Property
 	for _, n := range []string{"F", "S", "T"} {
 		if rng.Intn(2) == 0 {
-			s.Put(property.New(n, randDomain(rng)))
+			props = append(props, property.New(n, randDomain(rng)))
 		}
 	}
-	return s
+	return property.NewSet(props...)
 }
 
 func TestIndexEquivalenceRandomOps(t *testing.T) {

@@ -101,22 +101,26 @@ func TestSetPropsUnregistered(t *testing.T) {
 	}
 }
 
-func TestPropsClonedBothWays(t *testing.T) {
+// TestPropsIsRegisteredSet: Props hands back the set a view registered (or
+// last set), shared rather than copied since sets are immutable, and the
+// empty set for an unknown view — the set the directory then scopes by.
+func TestPropsIsRegisteredSet(t *testing.T) {
 	r := New()
-	in := property.MustSet("P={1}")
+	in := property.MustSet("P={1}; Q=[0,9]")
 	r.Register("a", in)
-	in.Put(property.New("Q", property.DiscreteInts(9)))
 	got, ok := r.Props("a")
-	if !ok || got.Len() != 1 {
-		t.Fatal("registry should have cloned the input set")
+	if !ok || !got.Equal(in) {
+		t.Fatalf("Props = %v, %v; want the registered %v", got, ok, in)
 	}
-	got.Put(property.New("R", property.DiscreteInts(3)))
-	again, _ := r.Props("a")
-	if again.Len() != 1 {
-		t.Fatal("Props should return a clone")
+	next := property.MustSet("P={2}")
+	if err := r.SetProps("a", next); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := r.Props("ghost"); ok {
-		t.Fatal("Props of unknown view should report !ok")
+	if got, _ := r.Props("a"); !got.Equal(next) {
+		t.Fatalf("after SetProps, Props = %v; want %v", got, next)
+	}
+	if got, ok := r.Props("ghost"); ok || !got.IsEmpty() {
+		t.Fatalf("Props of an unknown view = %v, %v; want the empty set, !ok", got, ok)
 	}
 }
 

@@ -211,7 +211,7 @@ func (r *Router) acquire(view string, t wire.Type, props property.Set) (shard st
 				// Record the placement now so concurrent registrations of
 				// conflicting views see it; rolled back if the shard refuses.
 				r.assign[view] = shard
-				r.vprops[view] = props.Clone()
+				r.vprops[view] = props
 				r.pidx.Insert(view, r.vprops[view])
 			} else if t == wire.TSetProps {
 				// The view keeps its shard (assignments are sticky), so the
@@ -341,7 +341,7 @@ func (r *Router) settle(shard, view string, t wire.Type, props property.Set, pla
 		if !failed {
 			// Record the new set so future conflict-affinity placements see
 			// it; acquire already refused sets that overlap other shards.
-			r.vprops[view] = props.Clone()
+			r.vprops[view] = props
 			r.pidx.Update(view, r.vprops[view])
 		}
 	}

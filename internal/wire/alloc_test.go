@@ -30,9 +30,10 @@ func allocTestMessage(entries int) *Message {
 
 // TestCodecEncodeAllocs pins the allocation budget of the encode hot path.
 // With the pooled scratch buffer, Encode allocates the returned slice plus
-// the Props/Keys rendering — not a chain of buffer growths proportional to
-// message size. The bounds are ceilings with a little headroom; a failure
-// here means someone dropped the pool or added a per-entry allocation.
+// the image's Keys slice — not a chain of buffer growths proportional to
+// message size, and no rendering of the image's property set, which is not
+// sent. The bounds are the measured counts plus two; a failure here means
+// someone dropped the pool or added a per-entry allocation.
 func TestCodecEncodeAllocs(t *testing.T) {
 	m := allocTestMessage(40)
 	// Warm the pool so the measurement sees steady state.
@@ -40,9 +41,8 @@ func TestCodecEncodeAllocs(t *testing.T) {
 		Encode(m)
 	}
 	got := testing.AllocsPerRun(100, func() { Encode(m) })
-	// Result copy (1) + two Props.String() renderings + one Keys() slice,
-	// each a handful of allocations.
-	const maxEncode = 12
+	// Result copy (1) + one Keys() slice (1).
+	const maxEncode = 4
 	if got > maxEncode {
 		t.Errorf("Encode allocs/op = %.1f, want <= %d", got, maxEncode)
 	}
@@ -53,7 +53,7 @@ func TestCodecEncodeAllocs(t *testing.T) {
 		}
 	})
 	// WriteFrame reuses the pooled buffer outright: no result copy.
-	const maxFrameAllocs = 11
+	const maxFrameAllocs = 3
 	if got > maxFrameAllocs {
 		t.Errorf("WriteFrame allocs/op = %.1f, want <= %d", got, maxFrameAllocs)
 	}
@@ -90,8 +90,9 @@ func TestRoundTripAllocs(t *testing.T) {
 		// WriteFrame is alloc-free.
 		{"small-ack", &Message{Type: TAck, Seq: 7, From: "dm", Version: 9}, 3},
 		// A keyed-image push pays for the decoded image: per entry a key,
-		// a value copy, a writer string, and the map insert.
-		{"keyed-push", allocTestMessage(8), 60},
+		// a value copy, a writer string, and the map insert — and nothing
+		// for a property set, which images no longer carry (32 measured).
+		{"keyed-push", allocTestMessage(8), 34},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,8 +23,9 @@ const (
 	// against corrupted length prefixes.
 	maxFrame = 16 << 20
 	// codecVersion is bumped on incompatible format changes.
-	// v2 appended the Blob payload (routed/migration traffic).
-	codecVersion = 2
+	// v2 appended the Blob payload (routed/migration traffic); v3 dropped
+	// the property set from images (an image is its version and entries).
+	codecVersion = 3
 )
 
 // Encoder is the append-only little-endian writer behind every encoding in
@@ -239,7 +240,7 @@ func (e *Encoder) body(m *Message) {
 	e.U64(uint64(m.Version))
 	e.U32(m.Ops)
 	// Props: presence + textual form (round-trips exactly; see property
-	// package tests).
+	// package tests). Only registration messages set it.
 	if m.Props.IsEmpty() {
 		e.Bool(false)
 	} else {
@@ -249,29 +250,18 @@ func (e *Encoder) body(m *Message) {
 	e.Str(m.Trig.Push)
 	e.Str(m.Trig.Pull)
 	e.Str(m.Trig.Validity)
-	if m.Img == nil {
-		e.Bool(false)
-	} else {
-		e.Bool(true)
-		encodeImage(e, m.Img)
+	e.Bool(m.Img != nil)
+	if m.Img != nil {
+		e.ImageEntries(m.Img)
 	}
 	e.Bytes(m.Blob)
 	e.Str(m.Err)
 }
 
-func encodeImage(e *Encoder, im *image.Image) {
-	if im.Props.IsEmpty() {
-		e.Bool(false)
-	} else {
-		e.Bool(true)
-		e.Str(im.Props.String())
-	}
-	e.ImageEntries(im)
-}
-
-// ImageEntries appends an image's version and entries in key order — the
-// image encoding minus its property set, which the caller places in
-// whichever form its format uses.
+// ImageEntries appends an image's version and entries in key order. It is
+// the whole of an image on a message: the property set stays behind, since
+// the receiver scopes by the set the view registered. Records that do keep
+// a set (replication batches) place it beside this in their own form.
 func (e *Encoder) ImageEntries(im *image.Image) {
 	e.U64(uint64(im.Version))
 	e.U32(uint32(im.Len()))
@@ -341,11 +331,10 @@ func Decode(b []byte) (*Message, error) {
 	m.Trig.Pull = d.Str()
 	m.Trig.Validity = d.Str()
 	if d.Bool() {
-		im, err := decodeImage(d)
-		if err != nil {
+		m.Img = image.New(property.Set{})
+		if err := d.ImageEntries(m.Img); err != nil {
 			return nil, err
 		}
-		m.Img = im
 	}
 	m.Blob = d.Bytes()
 	m.Err = d.Str()
@@ -356,25 +345,6 @@ func Decode(b []byte) (*Message, error) {
 		return nil, fmt.Errorf("wire: %d trailing bytes after message", len(b)-d.off)
 	}
 	return m, nil
-}
-
-func decodeImage(d *Decoder) (*image.Image, error) {
-	var props property.Set
-	if d.Bool() {
-		txt := d.Str()
-		if d.err == nil {
-			p, err := property.ParseSet(txt)
-			if err != nil {
-				return nil, fmt.Errorf("wire: bad image props: %w", err)
-			}
-			props = p
-		}
-	}
-	im := image.New(props)
-	if err := d.ImageEntries(im); err != nil {
-		return nil, err
-	}
-	return im, nil
 }
 
 // imageEntryMin is the smallest encoded image entry: three empty
@@ -405,7 +375,7 @@ func (d *Decoder) ImageEntries(im *image.Image) error {
 // an error, not a silently shorter set.
 func (d *Decoder) PropSet() property.Set {
 	n := d.Count(4 + 1)
-	s := property.NewSet()
+	props := make([]property.Property, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		name := d.Str()
 		var dom property.Domain
@@ -424,9 +394,9 @@ func (d *Decoder) PropSet() property.Set {
 		if d.err == nil && (name == "" || dom.IsEmpty()) {
 			d.err = fmt.Errorf("wire: bad property %q in binary set at offset %d", name, d.off)
 		}
-		s.Put(property.New(name, dom))
+		props = append(props, property.New(name, dom))
 	}
-	return s
+	return property.NewSet(props...)
 }
 
 // WriteFrame writes one length-prefixed message to w. It encodes into a

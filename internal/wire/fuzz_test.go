@@ -56,9 +56,10 @@ func seedCorpus() [][]byte {
 	seeds = append(seeds,
 		nil,
 		[]byte{codecVersion},
-		full[:len(full)/2],                   // truncated mid-message
-		append([]byte{99}, full[1:]...),      // bad codec version
-		append(bytes.Clone(full), 0xFF),      // trailing garbage
+		full[:len(full)/2],              // truncated mid-message
+		append([]byte{99}, full[1:]...), // bad codec version
+		append([]byte{2}, full[1:]...),  // v2: images still carried a property set
+		append(bytes.Clone(full), 0xFF), // trailing garbage
 		bytes.Repeat([]byte{codecVersion}, 64),
 	)
 	return seeds

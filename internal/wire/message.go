@@ -228,7 +228,8 @@ type Message struct {
 	// Trig carries trigger sources (TRegister).
 	Trig Triggers
 	// Img carries an object image (TPush, TImage, TUpdate, TInvalidate
-	// replies).
+	// replies): its version and entries. Img.Props is not transmitted, so
+	// a decoded image's set is empty.
 	Img *image.Image
 	// Blob carries an opaque nested payload: the encoded inner message for
 	// TRouted, the encoded view-name list for TMigrateTake, and the encoded

@@ -40,6 +40,9 @@ func sampleMessage() *Message {
 	}
 }
 
+// messagesEqual reports whether decoded message b carries everything the
+// codec transmits of a. An image travels as its version and entries only,
+// so b's image must come back with an empty property set whatever a's was.
 func messagesEqual(a, b *Message) bool {
 	if a.Type != b.Type || a.Seq != b.Seq || a.From != b.From || a.View != b.View ||
 		a.Mode != b.Mode || a.Op != b.Op || a.Since != b.Since || a.Version != b.Version ||
@@ -53,7 +56,7 @@ func messagesEqual(a, b *Message) bool {
 		return false
 	}
 	if a.Img != nil {
-		if a.Img.Version != b.Img.Version || !a.Img.Equal(b.Img) || !a.Img.Props.Equal(b.Img.Props) {
+		if a.Img.Version != b.Img.Version || !a.Img.Equal(b.Img) || !b.Img.Props.IsEmpty() {
 			return false
 		}
 		// Entry metadata must survive too.
@@ -163,6 +166,23 @@ func TestDecodeBadVersion(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesV2: a v2 frame — whose images still carried a property
+// set — is refused outright rather than misread as v3.
+func TestDecodeRefusesV2(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, sampleMessage()); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	frame[4] = 2 // the version byte follows the u32 length prefix
+	if _, err := Decode(frame[4:]); err == nil || !strings.Contains(err.Error(), "unsupported codec version 2") {
+		t.Fatalf("Decode of a v2 message: want the version error, got %v", err)
+	}
+	if _, err := NewFrameReader(bytes.NewReader(frame)).Read(); err == nil || !strings.Contains(err.Error(), "unsupported codec version 2") {
+		t.Fatalf("FrameReader on a v2 frame: want the version error, got %v", err)
+	}
+}
+
 func TestDecodeBadProps(t *testing.T) {
 	m := &Message{Type: TRegister, From: "x", Props: property.MustSet("A={1}")}
 	b := Encode(m)
@@ -241,7 +261,7 @@ func genMessage(r *rand.Rand) *Message {
 		m.Props = property.NewSet(property.New("P", property.DiscreteInts(r.Intn(10), r.Intn(10)+10)))
 	}
 	if r.Intn(2) == 0 {
-		im := image.New(m.Props.Clone())
+		im := image.New(m.Props)
 		for i := r.Intn(4); i > 0; i-- {
 			im.Put(image.Entry{
 				Key:     randWord(r),
