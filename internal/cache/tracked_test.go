@@ -96,12 +96,9 @@ const (
 var eqRanges = [][2]int{{0, eqKeys - 1}, {0, 4}, {3, eqKeys - 1}}
 
 // eqResolver rejects roughly half of the conflicting pushes (the primary's
-// value wins and rides back on the ack). A deletion always goes through:
-// rejecting the deletions a narrowing SetProps emits would hand the view
-// back keys outside its properties — see PROTOCOL.md "View-side change
-// tracking" for why that case is left out. So does a push of a key the
-// primary does not hold: there Ours is the zero entry, and keeping it
-// makes the store report a winner with an empty key (ROADMAP follow-up).
+// value wins and rides back on the ack). A deletion always goes through,
+// and so does a push of a key the primary does not hold (Ours carries no
+// value) — see PROTOCOL.md "View-side change tracking".
 func eqResolver(c image.Conflict) (image.Entry, error) {
 	if c.Ours.Value == nil || c.Theirs.Deleted || len(c.Theirs.Value) == 0 {
 		return c.Theirs, nil
