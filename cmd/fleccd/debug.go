@@ -63,6 +63,18 @@ func newObservability(name string, tnet transport.Network, d *deployment) *obser
 	if d.dm != nil {
 		registerDM("", d.dm)
 		o.reg.RegisterGauge("repl_lag", func() int64 { return int64(d.dm.ReplLag()) })
+		o.reg.RegisterGauge("repl_batches", func() int64 {
+			if r := d.dm.Replication(); r != nil {
+				return r.BatchesShipped()
+			}
+			return 0
+		})
+		o.reg.RegisterGauge("repl_degraded_barriers", func() int64 {
+			if r := d.dm.Replication(); r != nil {
+				return r.DegradedBarriers()
+			}
+			return 0
+		})
 		o.reg.RegisterGauge("ha_epoch", func() int64 { return int64(d.dm.Epoch()) })
 		o.reg.RegisterGauge("ha_standby", func() int64 {
 			if d.dm.Standby() {

@@ -12,6 +12,7 @@ import (
 	"flecc/internal/property"
 	"flecc/internal/shard"
 	"flecc/internal/transport"
+	"flecc/internal/vclock"
 	"flecc/internal/wire"
 )
 
@@ -109,5 +110,58 @@ func TestWireGaugesOnDebug(t *testing.T) {
 			t.Fatalf("wire gauges %v never matched the listener's counters %+v", g, ws)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReplCountersOnDebug: the replication session's shipped batches and
+// degraded barriers are gauges beside repl_lag, reading zero before a
+// session is attached.
+func TestReplCountersOnDebug(t *testing.T) {
+	net := transport.NewInproc()
+	d, err := newDeployment("db", newMapCodec(), net, 1, directory.Options{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close()
+	o := newObservability("db", net, d)
+	gauge := func(name string) int64 {
+		t.Helper()
+		got, ok := o.reg.Snapshot().Gauges[name]
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		return got
+	}
+	if b, g := gauge("repl_batches"), gauge("repl_degraded_barriers"); b != 0 || g != 0 {
+		t.Fatalf("before replication: repl_batches = %d, repl_degraded_barriers = %d", b, g)
+	}
+
+	sb, err := directory.New("dbr", newMapCodec(), vclock.NewReal(), net, directory.Options{Standby: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl, err := d.dm.StartReplication(directory.ReplConfig{
+		Retry: transport.RetryPolicy{Attempts: 1},
+	}, directory.ReplTarget{Name: "dbr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repl.Close()
+	commit := func() {
+		t.Helper()
+		delta := image.New(property.NewSet())
+		delta.Put(image.Entry{Key: "k", Value: []byte("v")})
+		if _, err := d.dm.CommitLocal(delta, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit()
+	if b, g := gauge("repl_batches"), gauge("repl_degraded_barriers"); b < 1 || g != 0 {
+		t.Fatalf("healthy standby: repl_batches = %d, repl_degraded_barriers = %d", b, g)
+	}
+	sb.Close()
+	commit()
+	if g := gauge("repl_degraded_barriers"); g != 1 {
+		t.Fatalf("standby gone: repl_degraded_barriers = %d, want 1", g)
 	}
 }

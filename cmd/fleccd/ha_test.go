@@ -68,7 +68,7 @@ func TestHATickStandbySelfPromotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sb.Close()
-	repl, err := prim.StartReplication(directory.ReplConfig{Inline: true}, directory.ReplTarget{Name: "db"})
+	repl, err := prim.StartReplication(directory.ReplConfig{}, directory.ReplTarget{Name: "db"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -374,7 +374,7 @@ func TestLaneReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sb.Close()
-	repl, err := prim.StartReplication(ReplConfig{Inline: true}, ReplTarget{Name: "dmr"})
+	repl, err := prim.StartReplication(ReplConfig{}, ReplTarget{Name: "dmr"})
 	if err != nil {
 		t.Fatal(err)
 	}

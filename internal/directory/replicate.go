@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"flecc/internal/image"
 	"flecc/internal/metrics"
@@ -30,8 +29,8 @@ import (
 //     unreplicated. A standby that stops answering is degraded
 //     (availability over replication) and the degradation is counted.
 //   - Batches are deltas since the standby's acknowledged watermark,
-//     shipped through CallAsync windowed pipelining so several batches
-//     overlap one RTT. The ack carries the standby's honest watermark: a
+//     shipped one at a time by a sender goroutine per standby under the
+//     retry policy. The ack carries the standby's honest watermark: a
 //     low ack rewinds the sender, and the standby refuses batches whose
 //     Since it has not reached, so a lost batch leaves no hole — only a
 //     resend, which Absorb's merge semantics make idempotent.
@@ -121,8 +120,8 @@ type haState struct {
 	haveRepl bool // lastRepl is meaningful
 
 	// applyMu serializes batch application on a standby (transports run
-	// one handler goroutine per request, and a pipelined sender keeps
-	// several batches in flight). viewSeq, guarded by it, is the view
+	// one handler goroutine per request, and several primaries may
+	// address one standby across a failover). viewSeq, guarded by it, is the view
 	// watermark: the sender's view-change sequence this standby has
 	// applied through.
 	applyMu sync.Mutex
@@ -452,19 +451,8 @@ type ReplTarget struct {
 
 // ReplConfig tunes a replication session.
 type ReplConfig struct {
-	// Inline ships batches synchronously inside the commit barrier, on
-	// the caller's goroutine — fully deterministic, used by the model
-	// checker and simulation tests. The default (false) runs one sender
-	// goroutine per standby with CallAsync windowed pipelining.
-	Inline bool
-	// Window bounds the in-flight batches per standby (async mode).
-	// 0 means DefaultReplWindow.
-	Window int
-	// AckTimeout bounds how long the async sender waits for one batch's
-	// ack before declaring the standby unreachable. 0 means
-	// DefaultReplAckTimeout.
-	AckTimeout time.Duration
-	// Retry is the inline-mode per-batch retry policy.
+	// Retry is the sender's per-batch policy: a batch whose every attempt
+	// fails at the transport marks its standby down.
 	Retry transport.RetryPolicy
 	// Lease is the primary's lease duration (virtual time). A standby
 	// whose silence exceeds it may self-promote; with FenceOnLapse the
@@ -477,25 +465,16 @@ type ReplConfig struct {
 	FenceOnLapse bool
 }
 
-// DefaultReplWindow is the async pipelining window when Window is 0.
-const DefaultReplWindow = 4
-
-// DefaultReplAckTimeout is the per-batch ack bound when AckTimeout is 0.
-const DefaultReplAckTimeout = 5 * time.Second
-
-// replTarget is the sender-side state for one standby.
+// replTarget is the sender-side state for one standby. Its watermarks
+// are what the standby acknowledged; the next batch starts there.
 type replTarget struct {
 	name string
 	ep   transport.Endpoint
 
-	sentVer  vclock.Version // highest version shipped (optimistic)
 	ackedVer vclock.Version // standby's honest watermark
-	// sentView and ackedView are the same pair in the view-change
-	// sequence. They rewind whenever the version pair does; zero means
-	// the next batch carries full view state.
-	sentView  uint64
+	// ackedView is the same watermark in the view-change sequence; zero
+	// means the next batch carries full view state.
 	ackedView uint64
-	sentGen   uint64 // state generation captured by the newest shipped batch
 	ackedGen  uint64 // state generation the standby has absorbed
 	kick      bool   // forced ship requested (heartbeat / probe)
 	down      bool   // degraded: unreachable, excluded from barriers
@@ -524,9 +503,9 @@ type Replicator struct {
 	degraded *metrics.Counter // barriers released with a standby down
 }
 
-// StartReplication attaches a replication session to the manager and —
-// in async mode — starts one sender per standby. The manager's commit
-// and registration paths barrier on it from then on.
+// StartReplication attaches a replication session to the manager and
+// starts one sender per standby. The manager's commit and registration
+// paths barrier on it from then on.
 func (m *Manager) StartReplication(cfg ReplConfig, targets ...ReplTarget) (*Replicator, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("directory %s: replication needs at least one target", m.name)
@@ -544,9 +523,6 @@ func (m *Manager) StartReplication(cfg ReplConfig, targets ...ReplTarget) (*Repl
 		if ep == nil {
 			ep = m.ep
 		}
-		if ws, ok := ep.(transport.WindowSetter); ok && !cfg.Inline {
-			ws.SetWindow(r.window())
-		}
 		r.targets = append(r.targets, &replTarget{name: tgt.Name, ep: ep})
 	}
 	m.ha.mu.Lock()
@@ -560,11 +536,9 @@ func (m *Manager) StartReplication(cfg ReplConfig, targets ...ReplTarget) (*Repl
 	m.tracking.Store(true)
 	m.ha.repl = r
 	m.ha.mu.Unlock()
-	if !cfg.Inline {
-		for _, t := range r.targets {
-			r.wg.Add(1)
-			go r.runSender(t)
-		}
+	for _, t := range r.targets {
+		r.wg.Add(1)
+		go r.runSender(t)
 	}
 	return r, nil
 }
@@ -575,20 +549,6 @@ func (m *Manager) Replication() *Replicator {
 	m.ha.mu.Lock()
 	defer m.ha.mu.Unlock()
 	return m.ha.repl
-}
-
-func (r *Replicator) window() int {
-	if r.cfg.Window > 0 {
-		return r.cfg.Window
-	}
-	return DefaultReplWindow
-}
-
-func (r *Replicator) ackTimeout() time.Duration {
-	if r.cfg.AckTimeout > 0 {
-		return r.cfg.AckTimeout
-	}
-	return DefaultReplAckTimeout
 }
 
 // Lag returns the version gap to the slowest live standby.
@@ -633,9 +593,6 @@ func (r *Replicator) DegradedBarriers() int64 { return r.degraded.Value() }
 // commit). Standbys marked down are skipped — availability over
 // replication — and the skip is counted. A fenced replicator fails.
 func (r *Replicator) WaitSynced(gen uint64) error {
-	if r.cfg.Inline {
-		return r.shipInline(gen)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.cond.Broadcast() // wake senders: new state to ship
@@ -667,78 +624,87 @@ func (r *Replicator) WaitSynced(gen uint64) error {
 	}
 }
 
-// shipInline is the deterministic barrier: build-and-send batches on the
-// caller's goroutine until every target has absorbed generation gen.
-// Transport failures surface to the commit (the model checker's drop
-// schedules land here); they do not degrade the target.
-func (r *Replicator) shipInline(gen uint64) error {
+// runSender is the per-standby pump: it waits until the target has
+// unshipped state, ships one batch from the target's acknowledged
+// watermarks under the retry policy, and folds the outcome. Because it
+// wakes only on a barrier's or heartbeat's broadcast and ships one batch
+// at a time, a caller that issues one request at a time sees the same
+// batches in the same order on every run.
+func (r *Replicator) runSender(t *replTarget) {
+	defer r.wg.Done()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, t := range r.targets {
-		for t.ackedGen < gen {
-			if r.fenced {
-				return fmt.Errorf("directory %s: fenced (deposed primary, epoch %d)", r.m.name, r.epoch)
-			}
-			g := r.m.haGen()
-			batch, err := r.buildBatch(t.sentVer, t.sentView, r.epoch)
-			if err != nil {
-				return err
-			}
+	for {
+		for !r.closed && !r.fenced && !r.pendingLocked(t) {
+			r.cond.Wait()
+		}
+		if r.closed || r.fenced {
+			return
+		}
+		t.kick = false
+		since, viewSince, epoch := t.ackedVer, t.ackedView, r.epoch
+		r.mu.Unlock()
+		gen := r.m.haGen()
+		batch, err := r.buildBatch(since, viewSince, epoch)
+		var reply *wire.Message
+		if err == nil {
 			r.batches.Inc()
-			reply, err := transport.CallRetry(t.ep, t.name, ReplMessage(batch), r.cfg.Retry)
-			if err != nil {
-				if !transport.IsTransportError(err) && strings.Contains(err.Error(), staleEpochMark) {
-					r.fenceLocked()
-				}
-				return fmt.Errorf("directory %s: replicate to %s: %w", r.m.name, t.name, err)
-			}
-			r.applyAckLocked(t, batch.Snap.Version, batch.ViewSeq, g, reply)
+			reply, err = transport.CallRetry(t.ep, t.name, ReplMessage(batch), r.cfg.Retry)
+		}
+		r.mu.Lock()
+		switch {
+		case err == nil && reply != nil && reply.Type == wire.TReplAck:
+			r.applyAckLocked(t, batch.Snap.Version, batch.ViewSeq, gen, reply)
+		case err != nil && !transport.IsTransportError(err) && strings.Contains(err.Error(), staleEpochMark):
+			r.fenceLocked()
+		default:
+			// Retries exhausted, a refusal, or a batch the primary could
+			// not build: resending at once would fail the same way, so the
+			// barriers release degraded and the next heartbeat probes.
+			r.degradeLocked(t)
 		}
 	}
-	return nil
 }
 
 // applyAckLocked folds one TReplAck into the target's watermarks. end and
 // viewEnd are where the shipped batch closed, gen the state generation it
 // captured. An ack at or beyond both means the batch was absorbed; a
 // lower one is a refusal (or partial knowledge) and rewinds the sender to
-// the standby's honest watermarks — each pair to what the standby
-// reports for it, so a batch refused for a view gap does not re-ship
-// data the standby holds, and the other way round.
+// the standby's honest watermarks — each to what the standby reports for
+// it, so a batch refused for a view gap does not re-ship data the standby
+// holds, and the other way round. The refused batch's state is still
+// pending, so the sender re-ships at once.
 func (r *Replicator) applyAckLocked(t *replTarget, end vclock.Version, viewEnd, gen uint64, reply *wire.Message) {
-	if reply == nil || reply.Type != wire.TReplAck {
-		return
-	}
 	ackedView := uint64(reply.Since)
 	if reply.Version >= end {
 		t.ackedVer = max(t.ackedVer, end)
-		t.sentVer = max(t.sentVer, end)
 	} else {
-		t.ackedVer, t.sentVer = reply.Version, reply.Version
+		t.ackedVer = reply.Version
 	}
 	if ackedView >= viewEnd {
 		t.ackedView = max(t.ackedView, viewEnd)
-		t.sentView = max(t.sentView, viewEnd)
 	} else {
-		t.ackedView, t.sentView = ackedView, ackedView
+		t.ackedView = ackedView
 	}
 	if reply.Version >= end && ackedView >= viewEnd {
 		t.ackedGen = max(t.ackedGen, gen)
-	} else {
-		// The refused batch's state still has to ship: without this the
-		// sender would see nothing pending and the barrier would wait for
-		// the next heartbeat.
-		t.sentGen = t.ackedGen
 	}
+	t.down = false
 	r.trimJournalLocked()
 	r.cond.Broadcast()
 }
 
-// rewindLocked backs the target's optimistic watermarks up to what the
-// standby acknowledged, so the next batch refills whatever the lost ones
-// carried.
-func (t *replTarget) rewindLocked() {
-	t.sentVer, t.sentView, t.sentGen = t.ackedVer, t.ackedView, t.ackedGen
+// degradeLocked marks the target down: barriers stop waiting for it
+// until a heartbeat probe is acked. The probe ships full view state, so
+// the journal stops retaining records on a down target's behalf.
+func (r *Replicator) degradeLocked(t *replTarget) {
+	if !t.down {
+		t.down = true
+		t.downAt = r.m.clock.Now()
+	}
+	t.ackedView = 0
+	r.trimJournalLocked()
+	r.cond.Broadcast() // release barriers into degraded mode
 }
 
 // trimJournalLocked drops the journal records every live target has
@@ -762,137 +728,14 @@ func (r *Replicator) fenceLocked() {
 	r.cond.Broadcast()
 }
 
-// pendingLocked reports whether the target has unshipped state. A down
-// target only ships when kicked (the heartbeat doubles as its probe).
+// pendingLocked reports whether the target has state it has not
+// acknowledged. A down target only ships when kicked (the heartbeat
+// doubles as its probe).
 func (r *Replicator) pendingLocked(t *replTarget) bool {
 	if t.down {
 		return t.kick
 	}
-	return t.kick || t.sentGen < r.m.haGen()
-}
-
-// shipCall abstracts "a batch on the wire": a pipelined transport.Call
-// on async-capable endpoints, an already-resolved pair elsewhere.
-type shipCall struct {
-	call    *transport.Call
-	end     vclock.Version
-	viewEnd uint64
-	gen     uint64
-	reply   *wire.Message
-	err     error
-}
-
-func (s *shipCall) wait(timeout time.Duration) (*wire.Message, error) {
-	if s.call == nil {
-		return s.reply, s.err
-	}
-	if timeout > 0 {
-		return s.call.WaitTimeout(timeout)
-	}
-	return s.call.Wait()
-}
-
-// runSender is the per-standby async pump: it keeps up to Window batches
-// in flight (PR 7's pipelined-session machinery), processes acks in
-// order, rewinds on refusals, degrades the target on transport failure,
-// and probes a down target whenever kicked.
-func (r *Replicator) runSender(t *replTarget) {
-	defer r.wg.Done()
-	var inflight []*shipCall
-	for {
-		r.mu.Lock()
-		for !r.closed && !r.fenced && len(inflight) == 0 && !r.pendingLocked(t) {
-			r.cond.Wait()
-		}
-		if r.closed || r.fenced {
-			r.mu.Unlock()
-			for _, p := range inflight {
-				_, _ = p.wait(r.ackTimeout())
-			}
-			return
-		}
-		for len(inflight) < r.window() && r.pendingLocked(t) {
-			probe := t.down
-			since, viewSince := t.sentVer, t.sentView
-			epoch := r.epoch
-			t.kick = false
-			r.mu.Unlock()
-			sc := r.issue(t, since, viewSince, epoch)
-			r.mu.Lock()
-			if sc == nil { // batch build failed; wait for the next change
-				break
-			}
-			t.sentVer = max(t.sentVer, sc.end)
-			t.sentView = max(t.sentView, sc.viewEnd)
-			t.sentGen = max(t.sentGen, sc.gen)
-			inflight = append(inflight, sc)
-			if probe {
-				break // one probe at a time while degraded
-			}
-		}
-		r.mu.Unlock()
-		if len(inflight) == 0 {
-			continue
-		}
-		sc := inflight[0]
-		inflight = inflight[1:]
-		reply, err := sc.wait(r.ackTimeout())
-		r.mu.Lock()
-		r.senderAckLocked(t, sc, reply, err)
-		r.mu.Unlock()
-	}
-}
-
-// issue builds and sends one batch (no locks held). Returns nil when the
-// batch could not be built (primary codec error); the sender retries on
-// the next state change.
-func (r *Replicator) issue(t *replTarget, since vclock.Version, viewSince, epoch uint64) *shipCall {
-	gen := r.m.haGen()
-	batch, err := r.buildBatch(since, viewSince, epoch)
-	if err != nil {
-		return nil
-	}
-	msg := ReplMessage(batch)
-	r.batches.Inc()
-	sc := &shipCall{end: batch.Snap.Version, viewEnd: batch.ViewSeq, gen: gen}
-	if ac, ok := t.ep.(transport.AsyncCaller); ok {
-		sc.call = ac.CallAsync(t.name, msg)
-	} else {
-		sc.reply, sc.err = t.ep.Call(t.name, msg)
-	}
-	return sc
-}
-
-func (r *Replicator) senderAckLocked(t *replTarget, sc *shipCall, reply *wire.Message, err error) {
-	if err != nil {
-		if transport.IsTransportError(err) {
-			if !t.down {
-				t.down = true
-				t.downAt = r.m.clock.Now()
-			}
-			// Rewind so the post-recovery probe refills everything the
-			// lost batches carried. The probe ships full view state: the
-			// journal stops retaining records on a down target's behalf.
-			t.ackedView = 0
-			t.rewindLocked()
-			r.trimJournalLocked()
-			r.cond.Broadcast() // release barriers into degraded mode
-			return
-		}
-		if strings.Contains(err.Error(), staleEpochMark) {
-			r.fenceLocked()
-			return
-		}
-		// Remote (protocol) error: the standby answered but refused the
-		// batch; rewind and retry from its honest state.
-		t.rewindLocked()
-		r.cond.Broadcast()
-		return
-	}
-	if t.down {
-		t.down = false
-	}
-	r.applyAckLocked(t, sc.end, sc.viewEnd, sc.gen, reply)
+	return t.kick || t.ackedGen < r.m.haGen()
 }
 
 // Heartbeat kicks every sender: idle standbys get an empty batch (which
@@ -924,7 +767,8 @@ func (r *Replicator) Heartbeat() {
 	r.cond.Broadcast()
 }
 
-// Close stops the senders. Outstanding barriers are released.
+// Close stops the senders, waiting out a batch in flight. Outstanding
+// barriers are released.
 func (r *Replicator) Close() {
 	r.mu.Lock()
 	if r.closed {

@@ -1,8 +1,10 @@
 package directory_test
 
 import (
+	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,16 +17,19 @@ import (
 	"flecc/internal/wire"
 )
 
-// noRetry is the inline-replication retry policy used where a failure
-// should surface immediately.
-var noRetry = transport.RetryPolicy{Attempts: 1, Sleep: func(time.Duration) {}}
-
 // replPair builds a replicating primary "dm!a" (codec primA) and a hot
-// standby "dm!b" (codec primB) on net, with an inline replication session
-// already attached unless cfg.Inline is false (async mode).
+// standby "dm!b" (codec primB) on net, with a replication session already
+// attached.
 func replPair(t *testing.T, net transport.Network, clock vclock.Clock, cfg directory.ReplConfig) (a, b *directory.Manager, primA, primB *kv) {
 	t.Helper()
 	primA, primB = newKV(), newKV()
+	a, b = replPairOver(t, net, clock, cfg, primA, primB)
+	return a, b, primA, primB
+}
+
+// replPairOver is replPair over caller-supplied codecs.
+func replPairOver(t *testing.T, net transport.Network, clock vclock.Clock, cfg directory.ReplConfig, primA, primB image.Codec) (a, b *directory.Manager) {
+	t.Helper()
 	a, err := directory.New("dm!a", primA, clock, net, directory.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +48,7 @@ func replPair(t *testing.T, net transport.Network, clock vclock.Clock, cfg direc
 		a.Close()
 		b.Close()
 	})
-	return a, b, primA, primB
+	return a, b
 }
 
 // ctlEndpoint attaches a control endpoint (a stand-in for the shard
@@ -78,15 +83,15 @@ func pushThrough(t *testing.T, cm *cache.Manager, view *kv, k, v string) {
 	}
 }
 
-// TestReplicationSemiSyncCommit: with an inline replication session
-// attached, every acknowledged commit is already on the standby when the
-// client's ack is released — metadata (version), primary values, and the
+// TestReplicationSemiSyncCommit: with a replication session attached,
+// every acknowledged commit is already on the standby when the client's
+// ack is released — metadata (version), primary values, and the
 // standby's own codec all agree with the primary, and the lag gauge
 // reads zero.
 func TestReplicationSemiSyncCommit(t *testing.T) {
 	net := transport.NewInproc()
 	clock := vclock.NewSim()
-	a, b, primA, primB := replPair(t, net, clock, directory.ReplConfig{Inline: true, Retry: noRetry})
+	a, b, primA, primB := replPair(t, net, clock, directory.ReplConfig{})
 
 	view := newKV()
 	cm, err := cache.New(cache.Config{
@@ -122,13 +127,14 @@ func TestReplicationSemiSyncCommit(t *testing.T) {
 	}
 }
 
-// TestReplicationAsyncBarrier: the same guarantee through the async
-// sender (one goroutine per standby, windowed shipping): a commit's ack
-// is not released until the standby has absorbed a batch covering it.
+// TestReplicationAsyncBarrier: the sender goroutine ships off the
+// committing request's path, yet every commit's ack is held until the
+// standby has absorbed a batch covering it — checked after each of
+// several overwrites of one key, not only at the end.
 func TestReplicationAsyncBarrier(t *testing.T) {
 	net := transport.NewInproc()
 	clock := vclock.NewSim()
-	a, b, _, primB := replPair(t, net, clock, directory.ReplConfig{Window: 2, AckTimeout: 2 * time.Second})
+	a, b, _, primB := replPair(t, net, clock, directory.ReplConfig{})
 
 	view := newKV()
 	cm, err := cache.New(cache.Config{
@@ -152,6 +158,89 @@ func TestReplicationAsyncBarrier(t *testing.T) {
 	}
 }
 
+// refusingKV is a codec whose Merge fails while refuse is set.
+type refusingKV struct {
+	*kv
+	refuse atomic.Bool
+}
+
+func (v *refusingKV) Merge(img *image.Image, props property.Set) error {
+	if v.refuse.Load() {
+		return errors.New("refusing merge")
+	}
+	return v.kv.Merge(img, props)
+}
+
+// TestReplicationRefusedBatchDegrades: a standby that answers but refuses
+// every batch degrades like an unreachable one instead of hanging the
+// commit — the barrier releases degraded, the sender does not re-ship the
+// refused batch in a loop, and once the standby accepts again the next
+// heartbeat's probe brings it back in sync.
+func TestReplicationRefusedBatchDegrades(t *testing.T) {
+	net := transport.NewInproc()
+	clock := vclock.NewSim()
+	primB := &refusingKV{kv: newKV()}
+	a, _ := replPairOver(t, net, clock, directory.ReplConfig{}, newKV(), primB)
+	r := a.Replication()
+
+	view := newKV()
+	cm, err := cache.New(cache.Config{
+		Name: "v1", Directory: "dm!a", Net: net, View: view,
+		Props: property.MustSet("P={x}"), Mode: wire.Weak, Clock: clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cm.InitImage(); err != nil {
+		t.Fatal(err)
+	}
+
+	primB.refuse.Store(true)
+	if err := cm.StartUse(); err != nil {
+		t.Fatal(err)
+	}
+	view.data["k"] = "refused"
+	cm.EndUse()
+	done := make(chan error, 1)
+	go func() { done <- cm.PushImage() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("push with the standby refusing: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("push hung on a standby that refuses every batch")
+	}
+	if n := r.DegradedBarriers(); n != 1 {
+		t.Fatalf("degraded barriers = %d, want 1", n)
+	}
+	shipped := r.BatchesShipped()
+	time.Sleep(20 * time.Millisecond)
+	if n := r.BatchesShipped(); n != shipped {
+		t.Fatalf("sender re-shipped a refused batch: %d batches, then %d", shipped, n)
+	}
+
+	primB.refuse.Store(false)
+	r.Heartbeat()
+	deadline := time.Now().Add(10 * time.Second)
+	for r.Degraded() {
+		if time.Now().After(deadline) {
+			t.Fatal("heartbeat probe did not bring the standby back")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	pushThrough(t, cm, view, "k", "accepted")
+	if lag := r.Lag(); lag != 0 {
+		t.Fatalf("repl lag = %d after recovery", lag)
+	}
+	if primB.data["k"] != "accepted" {
+		t.Fatalf("standby codec = %v after recovery", primB.data)
+	}
+	if n := r.DegradedBarriers(); n != 1 {
+		t.Fatalf("degraded barriers = %d after recovery, want 1", n)
+	}
+}
+
 // TestReplicationStandbyGateAndPromote: a hot standby refuses client
 // traffic with the not-serving marker (so reconnecting CMs rotate to
 // another endpoint instead of hard-failing), and starts serving the
@@ -159,7 +248,7 @@ func TestReplicationAsyncBarrier(t *testing.T) {
 func TestReplicationStandbyGateAndPromote(t *testing.T) {
 	net := transport.NewInproc()
 	clock := vclock.NewSim()
-	_, b, _, _ := replPair(t, net, clock, directory.ReplConfig{Inline: true, Retry: noRetry})
+	_, b, _, _ := replPair(t, net, clock, directory.ReplConfig{})
 	ctl := ctlEndpoint(t, net)
 
 	// Client traffic against the standby is refused, redialably.
@@ -265,7 +354,7 @@ func TestReplicationGapRefusal(t *testing.T) {
 func TestReplicationStaleEpochFencesPrimary(t *testing.T) {
 	net := transport.NewInproc()
 	clock := vclock.NewSim()
-	a, b, _, _ := replPair(t, net, clock, directory.ReplConfig{Inline: true, Retry: noRetry})
+	a, b, _, _ := replPair(t, net, clock, directory.ReplConfig{})
 	ctl := ctlEndpoint(t, net)
 
 	view := newKV()
@@ -308,7 +397,7 @@ func TestReplicationStaleEpochFencesPrimary(t *testing.T) {
 }
 
 // TestReplicationDroppedBatchResent: a dropped TReplicate is not a hole —
-// the inline retry re-ships the same delta, Absorb's merge makes the
+// the sender's retry re-ships the same delta, Absorb's merge makes the
 // resend idempotent, and the commit's ack is only released once the
 // standby really has it.
 func TestReplicationDroppedBatchResent(t *testing.T) {
@@ -317,7 +406,7 @@ func TestReplicationDroppedBatchResent(t *testing.T) {
 	net.SetSleep(func(time.Duration) {})
 	clock := vclock.NewSim()
 	retry := transport.RetryPolicy{Attempts: 4, Sleep: func(time.Duration) {}}
-	a, b, _, primB := replPair(t, net, clock, directory.ReplConfig{Inline: true, Retry: retry})
+	a, b, _, primB := replPair(t, net, clock, directory.ReplConfig{Retry: retry})
 
 	view := newKV()
 	cm, err := cache.New(cache.Config{
@@ -351,7 +440,7 @@ func TestReplicationDroppedBatchResent(t *testing.T) {
 func TestReplicationCarriesViewState(t *testing.T) {
 	net := transport.NewInproc()
 	clock := vclock.NewSim()
-	a, b, _, _ := replPair(t, net, clock, directory.ReplConfig{Inline: true, Retry: noRetry})
+	a, b, _, _ := replPair(t, net, clock, directory.ReplConfig{})
 	ctl := ctlEndpoint(t, net)
 
 	mk := func(name string, mode wire.Mode, props, validity string) (*cache.Manager, *kv) {

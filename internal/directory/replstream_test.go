@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,7 +24,7 @@ import (
 // lose the next batch before delivery, lose the next ack after delivery,
 // or hold every call until released.
 type replLink struct {
-	transport.Endpoint // embedding the interface hides CallAsync: one batch per round trip
+	transport.Endpoint
 
 	mu         sync.Mutex
 	dropBatch  int
@@ -146,18 +145,6 @@ func (r *streamRig) mustSend(view string, req *wire.Message) *wire.Message {
 	return reply
 }
 
-// applied is mustSend for a stream with injected faults: the inline
-// barrier surfaces a lost batch to the request that waited on it, after
-// the request took effect on the primary. Any other error is fatal.
-func (r *streamRig) applied(view string, req *wire.Message) *wire.Message {
-	r.t.Helper()
-	reply := r.send(view, req)
-	if reply.Type == wire.TErr && !strings.HasPrefix(reply.Err, "replicate: ") {
-		r.t.Fatalf("%s from %s: %s", req.Type, view, reply.Err)
-	}
-	return reply
-}
-
 // settle heals the link, probes the standby back up if a fault degraded
 // it, and runs one more barrier so everything shipped has been absorbed.
 func (r *streamRig) settle(anyView string) {
@@ -213,7 +200,7 @@ func (r *streamRig) assertConverged() {
 // TestReplicationCarriesViewRemoval: a killed view leaves the standby too
 // (it used to stay registered — and in the conflict index — forever).
 func TestReplicationCarriesViewRemoval(t *testing.T) {
-	r := newStreamRig(t, 1, ReplConfig{Inline: true})
+	r := newStreamRig(t, 1, ReplConfig{})
 	props := property.MustSet("P={0..3}")
 	r.mustSend("keeper", &wire.Message{Type: wire.TRegister, Props: props})
 	r.mustSend("v1", &wire.Message{Type: wire.TRegister, Props: props, Mode: wire.Weak})
@@ -236,7 +223,7 @@ func TestReplicationCarriesViewRemoval(t *testing.T) {
 // drops a replicated view the primary no longer lists, and leaves a view
 // the standby holds on its own alone.
 func TestReplicationFullStatePrunesOnlyReplicatedViews(t *testing.T) {
-	r := newStreamRig(t, 1, ReplConfig{Inline: true})
+	r := newStreamRig(t, 1, ReplConfig{})
 	props := property.MustSet("P={0..3}")
 	r.mustSend("v1", &wire.Message{Type: wire.TRegister, Props: props})
 	r.mustSend("v2", &wire.Message{Type: wire.TRegister, Props: props})
@@ -262,7 +249,7 @@ func TestReplicationFullStatePrunesOnlyReplicatedViews(t *testing.T) {
 // standby's ack must not hold the lane gate — a push in a disjoint
 // conflict group commits while the register is still inside its barrier.
 func TestBarrierOutsideStructuralGate(t *testing.T) {
-	r := newStreamRig(t, 4, ReplConfig{AckTimeout: 30 * time.Second})
+	r := newStreamRig(t, 4, ReplConfig{})
 	pushProps := property.MustSet("A={0..3}")
 	r.mustSend("pusher", &wire.Message{Type: wire.TRegister, Props: pushProps})
 	r.send("late", &wire.Message{Type: wire.TSetMode}) // attach the endpoint up front
@@ -321,27 +308,33 @@ func TestBarrierOutsideStructuralGate(t *testing.T) {
 // and the standby restarts, and checks that the incrementally fed standby
 // ends up exactly where a full transfer would put it: its captured state
 // deep-equals the primary's.
+//
+// The subtest label keeps its historical name: inline=true ships each
+// batch under a retry policy that absorbs most losses, inline=false ships
+// it once, so every lost batch or ack degrades the standby until settle's
+// heartbeat probe brings it back.
 func TestReplicationDeltaEqualsFull(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
 		seeds = 3
 	}
 	for _, lanes := range []int{1, 4} {
-		for _, inline := range []bool{true, false} {
+		for _, retried := range []bool{true, false} {
 			for seed := 1; seed <= seeds; seed++ {
-				name := fmt.Sprintf("lanes=%d/inline=%v/seed=%d", lanes, inline, seed)
-				t.Run(name, func(t *testing.T) { deltaEqualsFull(t, lanes, inline, int64(seed)) })
+				name := fmt.Sprintf("lanes=%d/inline=%v/seed=%d", lanes, retried, seed)
+				t.Run(name, func(t *testing.T) { deltaEqualsFull(t, lanes, retried, int64(seed)) })
 			}
 		}
 	}
 }
 
-func deltaEqualsFull(t *testing.T, lanes int, inline bool, seed int64) {
+func deltaEqualsFull(t *testing.T, lanes int, retried bool, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	r := newStreamRig(t, lanes, ReplConfig{
-		Inline: inline, AckTimeout: 5 * time.Second,
-		Retry: transport.RetryPolicy{Attempts: 4, Sleep: func(time.Duration) {}},
-	})
+	retry := transport.RetryPolicy{Attempts: 1}
+	if retried {
+		retry = transport.RetryPolicy{Attempts: 4, Sleep: func(time.Duration) {}}
+	}
+	r := newStreamRig(t, lanes, ReplConfig{Retry: retry})
 	propPool := []string{"P={0..3}", "P={2..5}", "P={6..9}", "Q={0..1}", "Q={1..2}; P={9}"}
 	validities := []string{"", "staleness < 3", "version > 2"}
 	seen := map[string]vclock.Version{}
@@ -351,7 +344,7 @@ func deltaEqualsFull(t *testing.T, lanes int, inline bool, seed int64) {
 	register := func() {
 		name := fmt.Sprintf("v%d", next)
 		next++
-		r.applied(name, &wire.Message{
+		r.mustSend(name, &wire.Message{
 			Type: wire.TRegister, Props: property.MustSet(propPool[rng.Intn(len(propPool))]),
 			Mode: wire.Mode(rng.Intn(2)), Trig: wire.Triggers{Validity: validities[rng.Intn(len(validities))]},
 		})
@@ -365,16 +358,16 @@ func deltaEqualsFull(t *testing.T, lanes int, inline bool, seed int64) {
 		case op < 2 && len(live) < 8:
 			register()
 		case op < 4:
-			r.applied(pick(), &wire.Message{Type: wire.TSetProps, Props: property.MustSet(propPool[rng.Intn(len(propPool))])})
+			r.mustSend(pick(), &wire.Message{Type: wire.TSetProps, Props: property.MustSet(propPool[rng.Intn(len(propPool))])})
 		case op < 6:
-			r.applied(pick(), &wire.Message{Type: wire.TSetMode, Mode: wire.Mode(rng.Intn(2))})
+			r.mustSend(pick(), &wire.Message{Type: wire.TSetMode, Mode: wire.Mode(rng.Intn(2))})
 		case op < 10:
 			v := pick()
 			typ, since := wire.TPull, seen[v]
 			if rng.Intn(4) == 0 {
 				typ, since = wire.TInit, 0
 			}
-			if reply := r.applied(v, &wire.Message{Type: typ, Since: since, Op: wire.OpClass(rng.Intn(2))}); reply.Type == wire.TImage {
+			if reply := r.mustSend(v, &wire.Message{Type: typ, Since: since, Op: wire.OpClass(rng.Intn(2))}); reply.Type == wire.TImage {
 				seen[v] = reply.Version
 			}
 		case op < 16:
@@ -386,10 +379,10 @@ func deltaEqualsFull(t *testing.T, lanes int, inline bool, seed int64) {
 				e.Deleted = rng.Intn(8) == 0
 				d.Put(e)
 			}
-			r.applied(v, &wire.Message{Type: wire.TPush, Img: d, Ops: uint32(1 + rng.Intn(3))})
+			r.mustSend(v, &wire.Message{Type: wire.TPush, Img: d, Ops: uint32(1 + rng.Intn(3))})
 		case op < 17 && len(live) > 2:
 			i := rng.Intn(len(live))
-			r.applied(live[i], &wire.Message{Type: wire.TUnregister})
+			r.mustSend(live[i], &wire.Message{Type: wire.TUnregister})
 			delete(seen, live[i])
 			live = append(live[:i], live[i+1:]...)
 		case op < 18:
@@ -559,7 +552,7 @@ func TestReplicateRefusesOldFormat(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(&oldBatch{Epoch: 1, Snap: &oldSnap{Version: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	r := newStreamRig(t, 1, ReplConfig{Inline: true})
+	r := newStreamRig(t, 1, ReplConfig{})
 	for _, blob := range [][]byte{buf.Bytes(), nil, {replFormat, 0xFF}} {
 		reply := r.sb.handleReplicate(&wire.Message{Type: wire.TReplicate, Blob: blob})
 		if reply.Type != wire.TErr {
@@ -577,7 +570,7 @@ func TestReplicateRefusesOldFormat(t *testing.T) {
 // proportional to anything else. Ceilings carry a little headroom.
 func TestReplBatchAllocs(t *testing.T) {
 	const runs = 200
-	r := newStreamRig(t, 4, ReplConfig{Inline: true})
+	r := newStreamRig(t, 4, ReplConfig{})
 	for i := 0; i < 16; i++ {
 		name := fmt.Sprintf("v%02d", i)
 		r.mustSend(name, &wire.Message{Type: wire.TRegister, Props: property.MustSet(fmt.Sprintf("Flights={%d..%d}", i*4, i*4+3))})
@@ -591,7 +584,7 @@ func TestReplBatchAllocs(t *testing.T) {
 	var commits, touches []*ReplBatch
 	var since vclock.Version = r.prim.CurrentVersion()
 	r.repl.mu.Lock()
-	viewSince := r.repl.targets[0].sentView
+	viewSince := r.repl.targets[0].ackedView
 	r.repl.mu.Unlock()
 	step := func() {
 		d := image.New(props)
@@ -692,7 +685,7 @@ func TestReplBatchFlatInViews(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sb.Close()
-		repl, err := prim.StartReplication(ReplConfig{Inline: true}, ReplTarget{Name: "dmr"})
+		repl, err := prim.StartReplication(ReplConfig{}, ReplTarget{Name: "dmr"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -787,7 +780,7 @@ func TestViewTrackingIdleWithoutReplicator(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sb.Close()
-	repl, err := h.dm.StartReplication(ReplConfig{Inline: true}, ReplTarget{Name: "dmr"})
+	repl, err := h.dm.StartReplication(ReplConfig{}, ReplTarget{Name: "dmr"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,8 +172,9 @@ func enumerate(cfg Config, m meta) []Action {
 }
 
 // replay builds a fresh system and applies the schedule. It returns the
-// live system, the index of the violating action (-1 if none), and the
-// violation itself; a non-Violation error is an infrastructure failure.
+// live system, which the caller closes (nil on error), the index of the
+// violating action (-1 if none), and the violation itself; a
+// non-Violation error is an infrastructure failure.
 func replay(cfg Config, schedule []Action, rec *trace.Recorder) (*system, int, error) {
 	sys, err := newSystem(cfg, rec)
 	if err != nil {
@@ -181,7 +182,8 @@ func replay(cfg Config, schedule []Action, rec *trace.Recorder) (*system, int, e
 	}
 	for i, a := range schedule {
 		if err := sys.apply(a); err != nil {
-			return sys, i, err
+			sys.close()
+			return nil, i, err
 		}
 	}
 	return sys, -1, nil
@@ -196,6 +198,7 @@ func render(cfg Config, schedule []Action, probeFrom int, verr error) *Counterex
 	if err != nil {
 		return c
 	}
+	defer sys.close()
 	for _, a := range schedule {
 		start := rec.Total()
 		aerr := sys.apply(a)
@@ -230,6 +233,7 @@ func Explore(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.close()
 	if verr := sys.verify(Action{Kind: AQuiesceProbe}, nil); verr != nil {
 		res.Violation = render(cfg, nil, -1, verr)
 		return done(), nil
@@ -266,6 +270,7 @@ func Explore(cfg Config) (*Result, error) {
 			}
 			fp := child.fingerprint()
 			if visited[fp] {
+				child.close()
 				res.DedupHits++
 				continue
 			}
@@ -275,11 +280,15 @@ func Explore(cfg Config) (*Result, error) {
 				res.Depth = d
 			}
 			childMeta := child.observe()
+			var probe []Action
+			var verr error
 			if cfg.Quiesce && cfg.DropMessage == 0 {
-				if probe, verr := child.quiesce(); verr != nil {
-					res.Violation = render(cfg, append(schedule, probe...), len(schedule), verr)
-					return done(), nil
-				}
+				probe, verr = child.quiesce()
+			}
+			child.close()
+			if verr != nil {
+				res.Violation = render(cfg, append(schedule, probe...), len(schedule), verr)
+				return done(), nil
 			}
 			if cfg.MaxStates > 0 && res.States >= cfg.MaxStates {
 				res.Aborted = true

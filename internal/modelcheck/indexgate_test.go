@@ -13,8 +13,10 @@ import "testing"
 
 // defaultBoundStates is the exact size of the default-bound state space
 // (2 views, 1 key, 1 reconfiguration, depth 6, pipelined sessions on,
-// failover on — dm!a inline-replicating to dm!b with crash-primary /
-// promote-standby enabled; 2968 before the failover actions existed).
+// failover on — dm!a replicating to dm!b through the shipped sender with
+// crash-primary / promote-standby enabled; 2968 before the failover
+// actions existed). The managers run two lanes; lanes hold no protocol
+// state, so the count is the one-lane count.
 // Recompute deliberately (and update EXPERIMENTS.md E14) only when the
 // action set itself changes.
 const defaultBoundStates = 3492

@@ -10,6 +10,14 @@ func (s *system) verify(a Action, opErr error) error {
 			return violationf("after %s: %v", a, err)
 		}
 	}
+	// A refused or undeliverable batch degrades the standby instead of
+	// failing the client's request; no schedule in the model may reach
+	// that path, or an acknowledged commit could be missing on dm!b.
+	if s.repl != nil {
+		if n := s.repl.DegradedBarriers(); n != 0 {
+			return violationf("after %s: %d barriers released with dm!b degraded", a, n)
+		}
+	}
 
 	ext, err := s.dm().ExtractPrimary(s.fullProps())
 	if err != nil {

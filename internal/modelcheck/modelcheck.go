@@ -112,13 +112,16 @@ type Config struct {
 	// the shard router does.
 	Migrate bool
 	// Failover enables the hot-standby reconfigurations on the same
-	// two-manager rig: dm!a replicates inline to dm!b (every mutating
-	// request barriers on the standby, exactly the HA directory's
-	// semi-synchronous commit), crash-primary kills dm!a at the network,
-	// and promote-standby sends dm!b the promote batch and re-points the
-	// forwarder — after which every invariant (including strong-mode
-	// exclusivity and per-key durability of acknowledged commits) must
-	// still hold against the state dm!b absorbed from replication alone.
+	// two-manager rig: dm!a replicates to dm!b through the replication
+	// sender deployments run (every mutating request barriers on the
+	// standby, exactly the HA directory's semi-synchronous commit, and a
+	// barrier released with dm!b degraded is a violation), crash-primary
+	// kills dm!a at the network, and promote-standby sends dm!b the
+	// promote batch and re-points the forwarder — after which every
+	// invariant (including strong-mode exclusivity and per-key durability
+	// of acknowledged commits) must still hold against the state dm!b
+	// absorbed from replication alone. The managers run two lanes, as
+	// deployments do; lanes hold no protocol state, so they add no states.
 	Failover bool
 	// Crash enables the crash/revive reconfigurations.
 	Crash bool

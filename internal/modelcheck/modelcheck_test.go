@@ -1,8 +1,10 @@
 package modelcheck
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"flecc/internal/wire"
 )
@@ -130,13 +132,42 @@ func TestReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay A failed at action %d: %v", bad, err)
 	}
+	defer sysA.close()
 	sysB, bad, err := replay(cfg, schedule, nil)
 	if err != nil {
 		t.Fatalf("replay B failed at action %d: %v", bad, err)
 	}
+	defer sysB.close()
 	fa, fb := sysA.fingerprint(), sysB.fingerprint()
 	if fa != fb {
 		t.Fatalf("replay is not deterministic:\n--- first ---\n%s\n--- second ---\n%s", fa, fb)
+	}
+}
+
+// TestExploreLeavesNoGoroutines: every replay closes the replication
+// session it started, so a failover exploration ends with the goroutine
+// count it began with. A forgotten Close leaves one sender per replay.
+func TestExploreLeavesNoGoroutines(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Depth = 3
+	before := runtime.NumGoroutine()
+	res, err := Explore(cfg)
+	if err != nil {
+		t.Fatalf("explore: %v", err)
+	}
+	if res.Violation != nil {
+		t.Fatalf("unexpected counterexample:\n%s", res.Violation)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		after := runtime.NumGoroutine()
+		if after <= before+2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after exploring %d states, %d before", after, res.States, before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -203,6 +234,7 @@ func TestPipelinedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay failed at action %d: %v", bad, err)
 	}
+	defer sys.close()
 	fp := sys.fingerprint()
 	if !strings.Contains(fp, "buffered=true") {
 		t.Fatalf("buffered round invisible to the fingerprint:\n%s", fp)
@@ -212,6 +244,7 @@ func TestPipelinedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("flush replay failed at action %d: %v", bad, err)
 	}
+	defer sys2.close()
 	if fp2 := sys2.fingerprint(); strings.Contains(fp2, "buffered=true") {
 		t.Fatalf("flush left a buffered round behind:\n%s", fp2)
 	}
@@ -220,6 +253,7 @@ func TestPipelinedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second flush replay: %v", err)
 	}
+	defer sys3.close()
 	if sys2.fingerprint() != sys3.fingerprint() {
 		t.Fatal("pipelined replay is not deterministic")
 	}

@@ -34,9 +34,10 @@ func violationf(format string, args ...any) error {
 // string map codec. Like the protocol test suite's kvView, it ignores the
 // property restriction on extract — properties drive conflict accounting,
 // not data slicing — which keeps set-props reconfigurations from
-// synthesizing spurious deletions. It takes no lock: the explorer drives
-// the whole system from one goroutine (FanOut 1, one lane, inline
-// replication), so the codec contract's concurrent calls cannot occur.
+// synthesizing spurious deletions. It takes no lock: the explorer issues
+// one request at a time (FanOut 1), and the replication sender — the one
+// other goroutine — runs only while the explorer is blocked in a commit
+// barrier, so the codec contract's concurrent calls cannot occur.
 type kvstore struct {
 	data map[string]string
 }
@@ -105,6 +106,9 @@ type system struct {
 	rec   *trace.Recorder
 	prim  *kvstore
 	dms   []*directory.Manager
+	// repl is dm!a's replication session under Config.Failover; close
+	// stops its sender.
+	repl *directory.Replicator
 	// active indexes the directory manager currently serving the views.
 	active int
 	ctl    transport.Endpoint
@@ -178,7 +182,7 @@ func (s *system) dmNodeName() string {
 // (registered and initialized), the seeded primary data, and the spec
 // baselines. rec, when non-nil, observes every message for counterexample
 // rendering.
-func newSystem(cfg Config, rec *trace.Recorder) (*system, error) {
+func newSystem(cfg Config, rec *trace.Recorder) (sys *system, err error) {
 	cfg = cfg.withDefaults()
 	clock := vclock.NewSim()
 	net := netsim.New(clock, netsim.LAN(1))
@@ -197,6 +201,11 @@ func newSystem(cfg Config, rec *trace.Recorder) (*system, error) {
 		hist:    map[string][]string{},
 		histIdx: map[string]int{},
 	}
+	defer func() {
+		if err != nil {
+			s.close()
+		}
+	}()
 	net.SetDeliveryHook(func(from, to string, m *wire.Message) error {
 		if s.ready {
 			s.delivered++
@@ -222,7 +231,11 @@ func newSystem(cfg Config, rec *trace.Recorder) (*system, error) {
 	}
 
 	opts := directory.Options{
-		FanOut:          1,
+		FanOut: 1,
+		// Two lanes: every commit rebuilds the lane group map after a
+		// structural change, as deployments do. Lanes hold no protocol
+		// state, so the explored state space is the one-lane space.
+		Lanes:           2,
 		Retry:           transport.RetryPolicy{Attempts: 1},
 		PropagateOnPush: cfg.PropagateOnPush,
 	}
@@ -280,21 +293,23 @@ func newSystem(cfg Config, rec *trace.Recorder) (*system, error) {
 		s.ctl = ctl
 		place("ctl")
 		if cfg.Failover {
-			// dm!a replicates inline to dm!b: every mutating request's
-			// reply barriers on the standby having absorbed it, on the
-			// caller's goroutine — deterministic, so replays stay pure
-			// functions of the schedule. dm!b is a serving replica, not
-			// Options.Standby-gated, so Migrate and Failover coexist: it
-			// absorbs replication batches and migration handovers alike.
-			// Attempts:3 lets a single scheduled drop of a TReplicate be
-			// retried instead of failing the client's request.
-			_, err := s.dms[0].StartReplication(directory.ReplConfig{
-				Inline: true,
-				Retry:  transport.RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}},
+			// dm!a replicates to dm!b through the sender deployments
+			// run: every mutating request's reply barriers on the standby
+			// having absorbed it. The sender wakes only on the barrier's
+			// broadcast and ships one batch at a time while the explorer
+			// waits, so replays stay pure functions of the schedule.
+			// dm!b is a serving replica, not Options.Standby-gated, so
+			// Migrate and Failover coexist: it absorbs replication
+			// batches and migration handovers alike. Attempts:3 lets a
+			// single scheduled drop of a TReplicate be retried instead
+			// of degrading the standby (verify asserts it never is).
+			repl, err := s.dms[0].StartReplication(directory.ReplConfig{
+				Retry: transport.RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}},
 			}, directory.ReplTarget{Name: "dm!b"})
 			if err != nil {
 				return nil, err
 			}
+			s.repl = repl
 		}
 	} else {
 		dm, err := directory.New("dm", s.prim, clock, net, opts)
@@ -332,6 +347,14 @@ func newSystem(cfg Config, rec *trace.Recorder) (*system, error) {
 	}
 	s.ready = true
 	return s, nil
+}
+
+// close stops the replication sender. Whoever builds a system closes
+// it, so an exploration leaves no goroutine behind.
+func (s *system) close() {
+	if s.repl != nil {
+		s.repl.Close()
+	}
 }
 
 // attachView builds a cache manager for the view's current mode and

@@ -18,7 +18,7 @@ import (
 )
 
 // haRig is a one-shard deployment with a hot standby: faulty (seeded)
-// transport, simulated time, inline replication, and a router armed to
+// transport, simulated time, semi-synchronous replication, and a router armed to
 // promote "dm!s0r" when "dm!s0"'s lease lapses. LeaseSleep advances the
 // simulated clock, so a lease wait costs no wall time and every run is
 // deterministic.
@@ -52,8 +52,7 @@ func newHARig(t *testing.T, seed int64, lease vclock.Duration) *haRig {
 		Primary: func(int) image.Codec { return r.prim },
 		Standby: func(int) image.Codec { return r.sb },
 		Repl: directory.ReplConfig{
-			Inline: true,
-			Retry:  transport.RetryPolicy{Attempts: 3, Sleep: noSleep},
+			Retry: transport.RetryPolicy{Attempts: 3, Sleep: noSleep},
 		},
 		Lease:      lease,
 		LeaseSleep: func(d vclock.Duration) { clock.Advance(d) },
@@ -125,7 +124,7 @@ func runKillTheLeader(t *testing.T, seed int64) string {
 		}
 		if round == 5 {
 			// And mid-run, lose one replication batch in flight: the
-			// inline retry re-ships it, so the commit still barriers.
+			// sender's retry re-ships it, so the commit still barriers.
 			r.net.DisconnectNext("dm!s0", "dm!s0r", 1)
 		}
 		for i, cm := range cms {
@@ -193,7 +192,7 @@ func runKillTheLeader(t *testing.T, seed int64) string {
 }
 
 // TestShardFailoverReplicationKeepsStandbyHot: before any failure, the
-// inline replication session keeps the standby at the primary's version
+// replication session keeps the standby at the primary's version
 // after every acked push — the property that makes promotion lossless.
 func TestShardFailoverReplicationKeepsStandbyHot(t *testing.T) {
 	r := newHARig(t, 1, 200)
