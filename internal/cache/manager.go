@@ -82,10 +82,6 @@ type Config struct {
 	// re-dials the promoted standby without operator action. Each entry
 	// must host a node answering to Directory. Ignored without Reconnect.
 	Fallbacks []transport.Network
-	// Window, if > 0, bounds the in-flight pipelined requests on the
-	// CM↔DM link (transport.WindowSetter); it is re-applied to every
-	// endpoint a reconnect cycle dials. 0 leaves the link unbounded.
-	Window int
 	// ManualFlush disables the automatic dispatch of asynchronous push
 	// rounds: PushImageAsync only buffers, and rounds go out when Flush
 	// (or a draining synchronous operation) is called. Deterministic
@@ -158,7 +154,6 @@ type Manager struct {
 	buffer      *pushRound
 	sessGen     uint64
 	manualFlush bool
-	window      int
 }
 
 // New creates the cache manager, attaches it to the network, and registers
@@ -196,7 +191,6 @@ func New(cfg Config) (*Manager, error) {
 		props:       cfg.Props,
 		mode:        cfg.Mode,
 		manualFlush: cfg.ManualFlush,
-		window:      cfg.Window,
 	}
 	if cfg.Reconnect != nil {
 		m.recon = newReconnector(cfg.Name, *cfg.Reconnect)
@@ -209,23 +203,11 @@ func New(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("cache: attach %q: %w", cfg.Name, err)
 	}
 	m.ep = ep
-	m.applyWindow(ep)
 	if _, err := ep.Call(cfg.Directory, m.registerMsg()); err != nil {
 		ep.Close()
 		return nil, fmt.Errorf("cache: register %q: %w", cfg.Name, err)
 	}
 	return m, nil
-}
-
-// applyWindow applies the configured pipelining window to a freshly
-// attached endpoint, when the transport supports it.
-func (m *Manager) applyWindow(ep transport.Endpoint) {
-	if m.window <= 0 {
-		return
-	}
-	if ws, ok := ep.(transport.WindowSetter); ok {
-		ws.SetWindow(m.window)
-	}
 }
 
 // Name returns the view's node name.

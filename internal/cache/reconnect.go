@@ -220,7 +220,6 @@ func (m *Manager) redial(old transport.Endpoint, attempt int) error {
 			return aerr
 		}
 	}
-	m.applyWindow(ep)
 	m.setEndpoint(ep)
 	return nil
 }

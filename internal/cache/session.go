@@ -122,10 +122,10 @@ func (m *Manager) PushPending() bool {
 
 // pump dispatches rounds while none is in flight. It is safe to call from
 // any goroutine at any time: the inflight/buffer state under mu makes
-// concurrent pumps collapse to one dispatcher. On an AsyncCaller endpoint
-// the round's completion continues pumping from the completion goroutine;
-// on synchronous endpoints (Inproc/netsim) everything completes inline on
-// the caller's goroutine, preserving the no-spawn determinism discipline.
+// concurrent pumps collapse to one dispatcher. Each round is a blocking
+// Call on the pumping goroutine — the auto-dispatch goroutine, or the
+// Flush/drain caller — so every transport runs the same pump body, and
+// on Inproc/netsim a ManualFlush session spawns nothing.
 func (m *Manager) pump() {
 	for {
 		m.mu.Lock()
@@ -166,24 +166,6 @@ func (m *Manager) pump() {
 
 		// The call itself runs without mu: on Inproc the DM handler runs
 		// inline and may call back into this manager (handleUpdate).
-		if ac, ok := ep.(transport.AsyncCaller); ok {
-			call := ac.CallAsync(m.dir, req)
-			select {
-			case <-call.Done():
-				// Synchronous transport (or an immediate failure): finish
-				// inline and keep pumping on this goroutine.
-				reply, cerr := call.Wait()
-				m.completeRound(r, reply, cerr)
-				continue
-			default:
-				go func() {
-					reply, cerr := call.Wait()
-					m.completeRound(r, reply, cerr)
-					m.pump()
-				}()
-				return
-			}
-		}
 		reply, cerr := ep.Call(m.dir, req)
 		m.completeRound(r, reply, cerr)
 	}

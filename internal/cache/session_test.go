@@ -202,9 +202,9 @@ func TestPushAsyncSessionResetUnderFaults(t *testing.T) {
 	}
 }
 
-// Asynchronous pushes over real TCP with a bounded window: the pump's
-// goroutine completion path, the window plumbing, and the drain rules all
-// run under the race detector here.
+// Asynchronous pushes over real TCP: the auto-dispatch pump, its blocking
+// Call on the pumping goroutine, and the drain rules all run under the
+// race detector here.
 func TestPushAsyncOverTCPWithWindow(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -224,7 +224,6 @@ func TestPushAsyncOverTCPWithWindow(t *testing.T) {
 	cm, err := cache.New(cache.Config{
 		Name: "v1", Directory: "dm", Net: dnet, View: v,
 		Props: property.MustSet("P={x}"), Mode: wire.Weak, Clock: clock,
-		Window: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,6 +263,60 @@ func TestPushAsyncOverTCPWithWindow(t *testing.T) {
 	}
 }
 
+// An asynchronous push round is bounded by the client's call timeout like
+// every other call: a DM that accepts the TPush and never answers turns
+// the round into a transport failure, so Flush resolves ErrSessionReset
+// instead of blocking forever, and the write stays pending locally.
+func TestPushAsyncHonoursCallTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	srv := transport.Serve(ln, "dm", func(req *wire.Message) *wire.Message {
+		if req.Type == wire.TPush {
+			<-release // parked: the DM accepted the push and never answers
+		}
+		return &wire.Message{Type: wire.TAck}
+	}, 5*time.Second)
+	// Close waits for in-flight handlers, so release the parked one first.
+	defer srv.Close()
+	defer close(release)
+
+	dnet := transport.NewDialNetwork(ln.Addr().String(), 200*time.Millisecond)
+	v := newKV(nil)
+	cm, err := cache.New(cache.Config{
+		Name: "v1", Directory: "dm", Net: dnet, View: v,
+		Props: property.MustSet("P={x}"), Mode: wire.Weak, Clock: vclock.NewReal(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cm.InitImage(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cm.StartUse(); err != nil {
+		t.Fatal(err)
+	}
+	v.Set("a", "1")
+	cm.EndUse()
+	cm.PushImageAsync()
+
+	flushed := make(chan error, 1)
+	go func() { flushed <- cm.Flush() }()
+	select {
+	case err := <-flushed:
+		if !errors.Is(err, cache.ErrSessionReset) {
+			t.Fatalf("Flush: err = %v, want ErrSessionReset in chain", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Flush still blocked 3s after the 200ms call timeout")
+	}
+	if got := cm.PendingOps(); got != 1 {
+		t.Fatalf("PendingOps = %d after the timed-out round, want 1 (write must stay pending)", got)
+	}
+}
+
 // versionWatch records, per key, the highest DM-stamped entry version seen
 // in db-originated messages, and the first regression it observes. Driven
 // single-goroutine over Inproc, so no locking is needed.
@@ -292,7 +345,7 @@ func (w *versionWatch) OnMessage(from, to string, m *wire.Message) {
 }
 
 // TestSoakPipelinedWindow8 is the pipelined fault soak: three views with
-// window-8 sessions over a seeded Faulty transport, async pushes and
+// asynchronous push sessions over a seeded Faulty transport, async pushes and
 // flushes interleaved with pulls, mode flips, and one-shot disconnects
 // that force reconnect cycles. Invariants:
 //
@@ -329,7 +382,7 @@ func TestSoakPipelinedWindow8(t *testing.T) {
 			cm, err := cache.New(cache.Config{
 				Name: n, Directory: "db", Net: faulty, View: v,
 				Props: property.MustSet("P={x}"), Mode: wire.Weak, Clock: clock,
-				Window: 8, ManualFlush: true,
+				ManualFlush: true,
 				Reconnect: &cache.ReconnectPolicy{
 					Attempts: 4, Base: time.Microsecond, Max: time.Microsecond, Sleep: noSleep,
 				},

@@ -27,8 +27,8 @@ func (w *benchSink) Write(p []byte) (int, error) {
 
 // BenchmarkCoalescedWrites compares the pre-change outbound path (every
 // sender takes the write lock and issues its own Write — "direct") against
-// the group-commit queue ("coalesced") with 8 concurrent senders sharing
-// one link. writes/frame is the syscall ratio: 1.0 means every frame paid
+// the group-commit queue ("coalesced": senders enqueue, the drainer
+// writes) with 8 concurrent senders sharing one link. writes/frame is the syscall ratio: 1.0 means every frame paid
 // its own syscall; the coalesced path should sit well under 0.5 at this
 // concurrency.
 func BenchmarkCoalescedWrites(b *testing.B) {
@@ -36,7 +36,8 @@ func BenchmarkCoalescedWrites(b *testing.B) {
 	msg := func(i int) *wire.Message {
 		return &wire.Message{Type: wire.TAck, Seq: uint64(i), From: "bench", Version: 9}
 	}
-	run := func(b *testing.B, send func(m *wire.Message) error, sink *benchSink) {
+	// drained waits until every sent frame has reached the sink.
+	run := func(b *testing.B, send func(m *wire.Message) error, drained func(), sink *benchSink) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		var wg sync.WaitGroup
@@ -54,6 +55,7 @@ func BenchmarkCoalescedWrites(b *testing.B) {
 			}(s)
 		}
 		wg.Wait()
+		drained()
 		b.StopTimer()
 		frames := int64(senders * per)
 		b.ReportMetric(float64(sink.writes.Load())/float64(frames), "writes/frame")
@@ -66,11 +68,21 @@ func BenchmarkCoalescedWrites(b *testing.B) {
 			mu.Lock()
 			defer mu.Unlock()
 			return wire.WriteFrame(sink, m)
-		}, sink)
+		}, func() {}, sink)
 	})
 	b.Run("coalesced", func(b *testing.B) {
 		sink := &benchSink{}
 		q := newWriteQueue(sink, nil)
-		run(b, q.send, sink)
+		run(b, q.sendAsync, func() {
+			for {
+				q.mu.Lock()
+				draining := q.draining
+				q.mu.Unlock()
+				if !draining {
+					return
+				}
+				runtime.Gosched()
+			}
+		}, sink)
 	})
 }

@@ -260,52 +260,8 @@ func (e *faultyEndpoint) Call(to string, req *wire.Message) (*wire.Message, erro
 	return reply, err
 }
 
-// CallAsync routes an async call through the injector: an injected fault
-// resolves the Call immediately (the request never reached the callee);
-// otherwise the call is delegated to the wrapped endpoint's AsyncCaller,
-// or — on transports without one — issued synchronously and returned
-// already resolved, preserving the no-extra-goroutines determinism
-// discipline of Inproc-backed soaks.
-func (e *faultyEndpoint) CallAsync(to string, req *wire.Message) *Call {
-	delay, err := e.net.inject(e.inner.Name(), to)
-	if err != nil {
-		return resolvedCall(nil, err)
-	}
-	if delay > 0 {
-		e.net.mu.Lock()
-		sleep := e.net.sleep
-		e.net.mu.Unlock()
-		if sleep != nil {
-			sleep(delay)
-		} else {
-			time.Sleep(delay)
-		}
-	}
-	if e.net.obs.Len() != 0 {
-		e.net.obs.OnMessage(e.inner.Name(), to, req)
-	}
-	if ac, ok := e.inner.(AsyncCaller); ok {
-		return ac.CallAsync(to, req)
-	}
-	reply, err := e.inner.Call(to, req)
-	if reply != nil && e.net.obs.Len() != 0 {
-		e.net.obs.OnMessage(to, e.inner.Name(), reply)
-	}
-	return resolvedCall(reply, err)
-}
-
-// SetWindow delegates to the wrapped endpoint when it supports windows;
-// otherwise it is a no-op (synchronous transports never overlap calls).
-func (e *faultyEndpoint) SetWindow(n int) {
-	if ws, ok := e.inner.(WindowSetter); ok {
-		ws.SetWindow(n)
-	}
-}
-
 var (
 	_ Network           = (*Faulty)(nil)
-	_ AsyncCaller       = (*faultyEndpoint)(nil)
-	_ WindowSetter      = (*faultyEndpoint)(nil)
 	_ ObservableNetwork = (*Faulty)(nil)
 	_ ObservableNetwork = (*Inproc)(nil)
 	_ ObservableNetwork = (*ServerNetwork)(nil)

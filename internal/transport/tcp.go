@@ -28,7 +28,7 @@ type peer struct {
 
 	// fr is the buffered, scratch-reusing frame reader over conn: only the
 	// read loop touches it. wq is the group-commit outbound path: any
-	// goroutine sends through it, and concurrent frames coalesce into
+	// goroutine enqueues on it, and concurrent frames coalesce into
 	// batched writes while preserving enqueue order. stats is the shared
 	// counter set wq reports to (also counts late replies).
 	fr    *wire.FrameReader
@@ -36,27 +36,35 @@ type peer struct {
 	stats *WireStats
 
 	mu      sync.Mutex
-	pending map[uint64]*Call
+	pending map[uint64]*pendingCall
 	closed  bool
 	err     error
-	// window bounds concurrent outbound requests (0 = unlimited);
-	// inWindow is the current count, winWait wakes blocked issuers when a
-	// slot frees, the window widens, or the peer closes.
-	window   int
-	inWindow int
-	winWait  *sync.Cond
 
 	seq atomic.Uint64
 
-	// onFirstMessage, if set, is invoked once with the first message
-	// received; the TCP server uses it to learn the remote node's name. A
-	// non-nil error rejects the connection: the peer answers with a TErr
-	// frame and shuts down (the name-collision guard).
-	onFirstMessage func(from string, p *peer) error
-	firstOnce      sync.Once
+	// onFirstMessage, if set, is invoked with the first message received;
+	// the TCP server uses it to admit the connection under the remote
+	// node's name. A non-nil error rejects the connection: the peer
+	// answers with a TErr frame and shuts down (the name-collision guard).
+	onFirstMessage func(first *wire.Message, p *peer) error
 
 	onClose func(p *peer)
 	wg      sync.WaitGroup
+}
+
+// pendingCall is one outbound request waiting for its reply. It resolves
+// exactly once — when the matching reply arrives, when the caller times
+// out, or when the peer shuts down — and every resolution path goes
+// through the peer's pending map under its mutex, so a reply racing a
+// timeout is never delivered twice and a reply arriving after the
+// timeout is counted and dropped by the read loop.
+type pendingCall struct {
+	seq uint64
+	// done is closed at resolution; reply/err are written before the
+	// close and must only be read after it.
+	done  chan struct{}
+	reply *wire.Message
+	err   error
 }
 
 func newPeer(name string, conn net.Conn, h Handler, stats *WireStats) *peer {
@@ -67,11 +75,10 @@ func newPeer(name string, conn net.Conn, h Handler, stats *WireStats) *peer {
 		fr:      wire.NewFrameReader(conn),
 		wq:      newWriteQueue(conn, stats),
 		stats:   stats,
-		pending: map[uint64]*Call{},
+		pending: map[uint64]*pendingCall{},
 	}
-	p.winWait = sync.NewCond(&p.mu)
-	// Async frames have no blocked sender to carry a write error back, so
-	// the drainer reports poisoning here; shutdown is idempotent.
+	// Enqueued frames have no blocked sender to carry a write error back,
+	// so the drainer reports poisoning here; shutdown is idempotent.
 	p.wq.onFail = func(err error) { p.shutdown(err) }
 	return p
 }
@@ -84,6 +91,7 @@ func (p *peer) start() {
 func (p *peer) readLoop() {
 	defer p.wg.Done()
 	corked := false
+	first := true
 	for {
 		m, err := p.fr.Read()
 		if err != nil {
@@ -102,37 +110,32 @@ func (p *peer) readLoop() {
 				p.wq.uncork()
 			}
 		}
-		var rejected error
-		p.firstOnce.Do(func() {
-			if p.onFirstMessage != nil {
-				rejected = p.onFirstMessage(m.From, p)
+		acked := false
+		if first && p.onFirstMessage != nil {
+			if rejected := p.onFirstMessage(m, p); rejected != nil {
+				// Best-effort courtesy reply, written straight to the conn:
+				// a rejected peer was never published, so nothing else can
+				// be queued on it. If even that write fails, the failure
+				// joins the rejection reason so shutdown (and the eviction
+				// metrics behind onClose) see the full story.
+				if werr := wire.WriteFrame(p.conn, &wire.Message{Type: wire.TErr, Seq: m.Seq, From: p.name, Err: rejected.Error()}); werr != nil {
+					rejected = errors.Join(rejected, werr)
+				}
+				p.shutdown(rejected)
+				return
 			}
-		})
-		if rejected != nil {
-			// Best-effort courtesy reply; if even that write fails, the
-			// failure joins the rejection reason so shutdown (and the
-			// eviction metrics behind onClose) see the full story.
-			if werr := p.wq.send(&wire.Message{Type: wire.TErr, Seq: m.Seq, From: p.name, Err: rejected.Error()}); werr != nil {
-				rejected = errors.Join(rejected, werr)
-			}
-			p.shutdown(rejected)
-			return
+			acked = m.Type == wire.THello
 		}
+		first = false
 		if p.obs != nil {
 			p.obs.OnMessage(m.From, p.name, m)
 		}
 		if m.Type == wire.THello {
-			// Connection handshake: answered here, never dispatched to the
-			// handler. The ack tells the dialer it reached a live peer (a
-			// dead process behind a live listener socket would leave the
-			// hello unanswered and trip the dialer's deadline).
-			ack := &wire.Message{Type: wire.THelloAck, Seq: m.Seq, From: p.name}
-			if p.obs != nil {
-				p.obs.OnMessage(p.name, m.From, ack)
-			}
-			if err := p.wq.send(ack); err != nil {
-				p.shutdown(err)
-				return
+			// Connection handshake, never dispatched to the handler. The
+			// server's admission queued the ack before publishing the peer,
+			// so no server call can reach the dialer ahead of it.
+			if acked && p.obs != nil {
+				p.obs.OnMessage(p.name, m.From, helloAck(m, p.name))
 			}
 			continue
 		}
@@ -152,10 +155,8 @@ func (p *peer) readLoop() {
 			continue
 		}
 		// Request: serve on its own goroutine so nested calls work. The
-		// reply rides the async write path: with W pipelined requests in
-		// flight, W handler goroutines would otherwise all park in a sync
-		// send and be broadcast-woken on every flush; enqueueing lets
-		// concurrent replies coalesce into shared flushes instead.
+		// reply is enqueued like every frame, so concurrent replies
+		// coalesce into shared flushes.
 		p.wg.Add(1)
 		go func(req *wire.Message) {
 			defer p.wg.Done()
@@ -188,82 +189,71 @@ func (p *peer) serve(req *wire.Message) (reply *wire.Message) {
 	return reply
 }
 
+// call sends a request and waits for its reply, bounded by timeout (0 =
+// no bound). Concurrent callers share the connection: their requests
+// coalesce into shared flushes and the read loop matches each reply by
+// Seq. A TErr reply comes back as the reply plus a wire.RemoteError.
 func (p *peer) call(to string, req *wire.Message, timeout time.Duration) (*wire.Message, error) {
-	return p.callAsync(to, req).wait(timeout)
-}
-
-// callAsync issues a request without waiting for its reply. It blocks only
-// while the in-flight window is full; the returned Call resolves when the
-// reply arrives, the caller abandons it, or the peer shuts down. Errors
-// (closed peer, failed write) come back as an already-resolved Call so the
-// issue path and the wait path report failures identically.
-func (p *peer) callAsync(to string, req *wire.Message) *Call {
 	// Stamp a shallow clone: the caller may retry the same message after a
 	// timeout or failure and must not observe this peer's Seq/From writes.
 	r := *req
 	req = &r
 
 	p.mu.Lock()
-	for !p.closed && p.window > 0 && p.inWindow >= p.window {
-		p.winWait.Wait()
-	}
 	if p.closed {
 		err := p.err
 		p.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return resolvedCall(nil, fmt.Errorf("transport: call on closed peer: %w", err))
+		return nil, fmt.Errorf("transport: call on closed peer: %w", err)
 	}
-	seq := p.seq.Add(1)
-	c := &Call{p: p, seq: seq, done: make(chan struct{})}
-	p.pending[seq] = c
-	p.inWindow++
+	c := &pendingCall{seq: p.seq.Add(1), done: make(chan struct{})}
+	p.pending[c.seq] = c
 	p.mu.Unlock()
 
-	req.Seq = seq
+	req.Seq = c.seq
 	req.From = p.name
 	if p.obs != nil {
 		p.obs.OnMessage(p.name, to, req)
 	}
-	// Async enqueue: adjacent pipelined calls coalesce into shared
-	// flushes instead of paying one write syscall each.
 	if err := p.wq.sendAsync(req); err != nil {
-		p.finish(c, nil, err)
-		p.shutdown(err)
+		p.shutdown(err) // resolves c with err
 	}
-	return c
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		select {
+		case <-c.done:
+		case <-t.C:
+			// Resolve-or-lose: if the reply won the race, finish is a no-op
+			// and the real reply below is returned.
+			p.finish(c, nil, fmt.Errorf("transport: call to peer timed out after %v", timeout))
+			<-c.done
+		}
+	} else {
+		<-c.done
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	return c.reply, wire.ErrorOf(c.reply)
 }
 
 // finish resolves c exactly once. Racing resolvers (reply vs timeout vs
 // shutdown) serialize on p.mu; only the one that still finds c registered
 // wins, the rest are no-ops.
-func (p *peer) finish(c *Call, reply *wire.Message, err error) {
+func (p *peer) finish(c *pendingCall, reply *wire.Message, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.finishLocked(c, reply, err)
 }
 
-func (p *peer) finishLocked(c *Call, reply *wire.Message, err error) {
+func (p *peer) finishLocked(c *pendingCall, reply *wire.Message, err error) {
 	if p.pending[c.seq] != c {
 		return
 	}
 	delete(p.pending, c.seq)
-	p.inWindow--
-	p.winWait.Signal()
 	c.reply = reply
 	c.err = err
 	close(c.done)
-}
-
-// setWindow bounds the number of unresolved outbound requests (0 = no
-// bound). Shrinking does not cancel in-flight calls; new issuers block
-// until the count drains below the new bound.
-func (p *peer) setWindow(n int) {
-	p.mu.Lock()
-	p.window = n
-	p.winWait.Broadcast()
-	p.mu.Unlock()
 }
 
 func (p *peer) shutdown(err error) {
@@ -277,18 +267,13 @@ func (p *peer) shutdown(err error) {
 		err = ErrClosed
 	}
 	p.err = err
-	// Resolve every in-flight call with the shutdown cause and wake
-	// issuers blocked on a full window so they observe closed.
+	// Resolve every in-flight call with the shutdown cause.
 	callErr := fmt.Errorf("transport: call on closed peer: %w", err)
-	pend := p.pending
-	p.pending = map[uint64]*Call{}
-	for _, c := range pend {
-		c.reply = nil
+	for _, c := range p.pending {
 		c.err = callErr
 		close(c.done)
 	}
-	p.inWindow = 0
-	p.winWait.Broadcast()
+	p.pending = map[uint64]*pendingCall{}
 	p.mu.Unlock()
 	// Poison the write queue first so new senders fail fast, then close
 	// the conn so an in-flight flusher's blocked write returns too.
@@ -375,7 +360,7 @@ func (s *Server) acceptLoop() {
 		}
 		p := newPeer(s.name, conn, s.handler, &s.stats)
 		p.obs = s.obs
-		p.onFirstMessage = func(from string, pr *peer) error {
+		p.onFirstMessage = func(first *wire.Message, pr *peer) error {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			if s.closed {
@@ -386,10 +371,18 @@ func (s *Server) acceptLoop() {
 			// attached, and rerouting its server-initiated traffic to the
 			// impostor would silently orphan it. Only a closed (stale)
 			// entry may be replaced — that is the reconnect path.
-			if old, ok := s.clients[from]; ok && old != pr && !old.isClosed() {
-				return fmt.Errorf("transport: node name %q is already connected", from)
+			if old, ok := s.clients[first.From]; ok && old != pr && !old.isClosed() {
+				return fmt.Errorf("transport: node name %q is already connected", first.From)
 			}
-			s.clients[from] = pr
+			// Queue the hello's ack before publishing: once the peer is in
+			// s.clients, Server.Call can queue frames on it, and the
+			// dialer's handshake must read the ack first.
+			if first.Type == wire.THello {
+				if err := pr.wq.sendAsync(helloAck(first, s.name)); err != nil {
+					return err
+				}
+			}
+			s.clients[first.From] = pr
 			return nil
 		}
 		p.onClose = func(pr *peer) {
@@ -425,19 +418,6 @@ func (s *Server) Call(to string, req *wire.Message) (*wire.Message, error) {
 		return nil, fmt.Errorf("%w: %q (not connected)", ErrUnknownNode, to)
 	}
 	return p.call(to, req, s.timeout)
-}
-
-// CallAsync issues a request to the named connected client without
-// waiting for the reply; the returned Call resolves when the reply
-// arrives or the connection dies. Implements AsyncCaller.
-func (s *Server) CallAsync(to string, req *wire.Message) *Call {
-	s.mu.Lock()
-	p, ok := s.clients[to]
-	s.mu.Unlock()
-	if !ok {
-		return resolvedCall(nil, fmt.Errorf("%w: %q (not connected)", ErrUnknownNode, to))
-	}
-	return p.callAsync(to, req)
 }
 
 // Clients returns the names of currently connected clients.
@@ -538,12 +518,7 @@ func (e serverEndpoint) Call(to string, req *wire.Message) (*wire.Message, error
 	// peer.call stamps From (on a clone); nothing to do here.
 	return e.s.Call(to, req)
 }
-func (e serverEndpoint) CallAsync(to string, req *wire.Message) *Call {
-	return e.s.CallAsync(to, req)
-}
 func (e serverEndpoint) Close() error { return e.s.Close() }
-
-var _ AsyncCaller = serverEndpoint{}
 
 // DialNetwork adapts a server address into a Network: each attachment
 // dials a fresh connection as the named node. It lets cache managers run
@@ -555,10 +530,6 @@ type DialNetwork struct {
 	// DialFn, if non-nil, replaces the plain TCP dial — e.g. with a
 	// secure.Dial through an encryptor/decryptor pair.
 	DialFn func(addr string) (net.Conn, error)
-	// Window, if > 0, bounds concurrent in-flight requests on every
-	// connection this network dials (applied on Attach, and therefore
-	// re-applied to each connection a reconnecting CM redials).
-	Window int
 }
 
 // NewDialNetwork returns a dialing network for the given server address.
@@ -596,9 +567,6 @@ func (n *DialNetwork) Attach(name string, h Handler) (Endpoint, error) {
 	// of the client's, so observers added to the network later still see
 	// this connection's traffic.
 	c.AddObserver(&n.obs)
-	if n.Window > 0 {
-		c.SetWindow(n.Window)
-	}
 	return c, nil
 }
 
@@ -628,6 +596,13 @@ func Dial(addr, name string, h Handler, timeout time.Duration) (*Client, error) 
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	return DialConn(conn, name, h, timeout)
+}
+
+// helloAck answers a dialer's THello. The ack tells the dialer it reached
+// a live peer (a dead process behind a live listener socket would leave
+// the hello unanswered and trip the dialer's deadline).
+func helloAck(hello *wire.Message, from string) *wire.Message {
+	return &wire.Message{Type: wire.THelloAck, Seq: hello.Seq, From: from}
 }
 
 // handshake announces the dialer's node name with THello and waits for
@@ -691,21 +666,6 @@ func (c *Client) WireStats() WireStatsSnapshot { return c.stats.Snapshot() }
 func (c *Client) Call(to string, req *wire.Message) (*wire.Message, error) {
 	return c.p.call(to, req, c.timeout)
 }
-
-// CallAsync implements AsyncCaller: it issues the request and returns a
-// Call that resolves when the reply arrives. It blocks only while the
-// in-flight window (SetWindow) is full. Note the client's call timeout
-// does NOT apply to async calls — bound the wait with WaitTimeout.
-func (c *Client) CallAsync(to string, req *wire.Message) *Call {
-	return c.p.callAsync(to, req)
-}
-
-// SetWindow implements WindowSetter, bounding concurrent in-flight
-// requests on this connection (0 = unlimited).
-func (c *Client) SetWindow(n int) { c.p.setWindow(n) }
-
-var _ AsyncCaller = (*Client)(nil)
-var _ WindowSetter = (*Client)(nil)
 
 // Close implements Endpoint. It waits for the client's read loop and any
 // in-flight server-initiated handlers to drain.

@@ -266,8 +266,8 @@ func TestDialTimeoutAgainstNonAcceptingListener(t *testing.T) {
 	}
 }
 
-// TestDialHandshake checks the happy path: the hello is answered by the
-// peer read loop and teaches the server the client's name before any
+// TestDialHandshake checks the happy path: the hello is answered during
+// the server's admission and teaches it the client's name before any
 // protocol message flows, so server-initiated calls work immediately.
 func TestDialHandshake(t *testing.T) {
 	s := newTestServer(t, func(req *wire.Message) *wire.Message {
@@ -300,5 +300,48 @@ func TestDialHandshake(t *testing.T) {
 	req := <-got
 	if req.Type != wire.TInvalidate {
 		t.Fatalf("client saw %s", req.Type)
+	}
+}
+
+// A server call issued the moment the hello arrives must not overtake the
+// hello's ack: the server's observer sees THello, starts a call to the
+// dialer, and holds the read loop until a frame has been written. The
+// dialer's handshake must still read THelloAck first, and the call must
+// then reach its handler.
+func TestHelloAckPrecedesServerCalls(t *testing.T) {
+	s := newTestServer(t, func(req *wire.Message) *wire.Message {
+		return &wire.Message{Type: wire.TAck}
+	})
+	callErr := make(chan error, 1)
+	var once sync.Once
+	s.AddObserver(ObserverFunc(func(from, to string, m *wire.Message) {
+		if m.Type != wire.THello {
+			return
+		}
+		once.Do(func() {
+			go func() {
+				_, err := s.Call("cm1", &wire.Message{Type: wire.TInvalidate, View: "cm1"})
+				callErr <- err
+			}()
+			deadline := time.Now().Add(2 * time.Second)
+			for s.WireStats().Frames < 1 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}))
+	got := make(chan wire.Type, 1)
+	c, err := Dial(s.Addr().String(), "cm1", func(req *wire.Message) *wire.Message {
+		got <- req.Type
+		return &wire.Message{Type: wire.TAck}
+	}, 5*time.Second)
+	if err != nil {
+		t.Fatalf("Dial: %v (a server call overtook the hello ack)", err)
+	}
+	defer c.Close()
+	if err := <-callErr; err != nil {
+		t.Fatalf("server call: %v", err)
+	}
+	if typ := <-got; typ != wire.TInvalidate {
+		t.Fatalf("client handler saw %s, want %s", typ, wire.TInvalidate)
 	}
 }

@@ -60,38 +60,35 @@ const coalesceLimit = 64 << 10
 const maxFlushScratch = 128 << 10
 
 // writeQueue is the group-commit outbound path of one connection. Senders
-// encode their frame, append it to the queue, and wait; whichever sender
-// finds no flush in progress becomes the flusher and drains everything
-// queued behind it into a single write (memcpy + one Write for small
-// batches, one writev for large ones). N concurrent senders therefore
-// collapse into ~1 syscall instead of N, and frames go out in exactly the
-// order they were enqueued.
+// encode their frame, append it to the queue, and return; a background
+// drainer, alive while any frames remain, takes everything queued into a
+// single write (memcpy + one Write for small batches, one writev for
+// large ones). Frames that queue behind an in-flight write therefore
+// share the next one, and frames go out in exactly the order they were
+// enqueued.
 //
 // Ownership: enqueueing transfers the frame to the queue, which releases
-// it after the write attempt (or on failure). A sender returns when its
-// frame has been written, or with the sticky error once the queue fails.
+// it after the write attempt (or on failure). A write failure poisons the
+// queue: later senders get the sticky error, and the owner learns of it
+// through onFail.
 type writeQueue struct {
 	w     io.Writer
 	stats *WireStats // nil disables accounting
 
-	// onFail, if set, is invoked (without mu) when the background drainer
-	// observes the queue poisoned: async frames have no blocked sender to
-	// return the error to, so the owner (the peer) learns this way.
+	// onFail, if set, is invoked (without mu) when the drainer observes
+	// the queue poisoned: senders have already returned, so the owner
+	// (the peer) learns this way.
 	onFail func(error)
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	pending  []*wire.EncodedFrame
-	enqueued uint64 // frames ever enqueued
-	written  uint64 // frames flushed successfully
-	flushing bool
-	draining bool // a background drainer owns leftover async frames
-	// corked holds the background drainer (async frames only — sync
-	// senders still flush) so replies to a request burst accumulate into
-	// one batch; the read loop uncorks before it blocks on input.
+	draining bool // a drainer goroutine owns the pending frames
+	// corked holds the drainer so replies to a request burst accumulate
+	// into one batch; the read loop uncorks before it blocks on input.
 	corked  bool
 	err     error  // sticky: first write failure or fail() reason
-	scratch []byte // flush coalescing buffer; only the flusher touches it
+	scratch []byte // flush coalescing buffer; only the drainer touches it
 }
 
 func newWriteQueue(w io.Writer, stats *WireStats) *writeQueue {
@@ -100,50 +97,11 @@ func newWriteQueue(w io.Writer, stats *WireStats) *writeQueue {
 	return q
 }
 
-// send encodes m and writes it to the stream, possibly batched with other
-// senders' frames. It returns once the frame has hit the writer (order
-// preserved: frames are written in enqueue order) or the queue has failed.
-func (q *writeQueue) send(m *wire.Message) error {
-	f, err := wire.EncodeFrame(m)
-	if err != nil {
-		return err
-	}
-	q.mu.Lock()
-	if q.err != nil {
-		err := q.err
-		q.mu.Unlock()
-		f.Release()
-		return err
-	}
-	q.pending = append(q.pending, f)
-	my := q.enqueued
-	q.enqueued++
-	for {
-		if q.written > my {
-			q.mu.Unlock()
-			return nil
-		}
-		if q.err != nil {
-			err := q.err
-			q.mu.Unlock()
-			return err
-		}
-		if !q.flushing {
-			q.flushLocked()
-			continue // re-check: our frame was in the batch we just flushed
-		}
-		q.cond.Wait()
-	}
-}
-
 // sendAsync encodes m, enqueues it, and returns without waiting for the
-// write — the pipelined-call fast path. Frames enqueued while a flush is
-// in flight coalesce into the next batch, so a single issuer streaming
-// async calls batches its frames automatically instead of paying one
-// syscall each. Because no sender blocks on an async frame, a background
-// drainer is kept alive while any remain; enqueue order is still globally
-// preserved across send and sendAsync. A write failure poisons the queue
-// and is reported through onFail (async senders have already returned).
+// write. Frames enqueued while a flush is in flight coalesce into the
+// next batch, so even a single sender streaming frames batches them
+// instead of paying one syscall each. A write failure poisons the queue
+// and is reported through onFail.
 func (q *writeQueue) sendAsync(m *wire.Message) error {
 	f, err := wire.EncodeFrame(m)
 	if err != nil {
@@ -157,7 +115,6 @@ func (q *writeQueue) sendAsync(m *wire.Message) error {
 		return err
 	}
 	q.pending = append(q.pending, f)
-	q.enqueued++
 	if !q.draining {
 		q.draining = true
 		go q.drainLoop()
@@ -168,20 +125,19 @@ func (q *writeQueue) sendAsync(m *wire.Message) error {
 
 // drainSmallBatch is the batch size below which the drainer yields the
 // processor once before flushing: concurrent producers that are already
-// runnable (a burst of reply handlers, a pipelining issuer) get to
+// runnable (a burst of reply handlers, concurrent callers) get to
 // enqueue, and their frames ride the same flush instead of paying one
 // write syscall each. One bounded yield, not a wait — an idle connection
 // still flushes its lone frame immediately after.
 const drainSmallBatch = 8
 
-// drainLoop flushes until no async frames remain, yielding to sync
-// senders' in-flight flushes (their batches carry our frames too) and
-// holding while the queue is corked.
+// drainLoop flushes until no frames remain, holding while the queue is
+// corked.
 func (q *writeQueue) drainLoop() {
 	yielded := false
 	q.mu.Lock()
 	for q.err == nil && len(q.pending) > 0 {
-		if q.flushing || q.corked {
+		if q.corked {
 			q.cond.Wait()
 			continue
 		}
@@ -203,9 +159,8 @@ func (q *writeQueue) drainLoop() {
 	}
 }
 
-// cork holds async flushes so frames accumulate into one batch. Sync
-// sends are unaffected (they flush corked frames along with their own),
-// so corking can never deadlock a sender — it only defers the drainer.
+// cork holds the drainer so frames accumulate into one batch. No sender
+// waits on a flush, so corking can never deadlock one.
 func (q *writeQueue) cork() {
 	q.mu.Lock()
 	q.corked = true
@@ -222,14 +177,11 @@ func (q *writeQueue) uncork() {
 }
 
 // flushLocked takes the whole pending queue and writes it as one batch.
-// Called with mu held; temporarily releases it around the write so other
-// senders keep queueing behind the in-flight flush. Every pending frame
-// has a sender blocked in send, so after this flush completes there is
-// always another sender awake to flush whatever queued meanwhile.
+// Called by the drainer with mu held; temporarily releases it around the
+// write so senders keep queueing behind the in-flight flush.
 func (q *writeQueue) flushLocked() {
 	batch := q.pending
 	q.pending = nil
-	q.flushing = true
 	q.mu.Unlock()
 
 	err := q.writeBatch(batch)
@@ -238,13 +190,9 @@ func (q *writeQueue) flushLocked() {
 	}
 
 	q.mu.Lock()
-	q.flushing = false
 	if err != nil {
 		q.failLocked(err)
-	} else {
-		q.written += uint64(len(batch))
 	}
-	q.cond.Broadcast()
 }
 
 // writeBatch issues one batch to the writer: a single Write of the
@@ -285,9 +233,9 @@ func (q *writeQueue) writeBatch(batch []*wire.EncodedFrame) error {
 	return err
 }
 
-// fail poisons the queue: queued-but-unwritten senders (and all future
-// ones) get err, and their frames are released. The peer's shutdown path
-// calls it so no sender blocks on a dead connection.
+// fail poisons the queue: queued-but-unwritten frames are released, all
+// future senders get err, and a corked drainer wakes to exit. The peer's
+// shutdown path calls it so nothing is written to a dead connection.
 func (q *writeQueue) fail(err error) {
 	q.mu.Lock()
 	q.failLocked(err)

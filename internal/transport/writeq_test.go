@@ -64,7 +64,7 @@ func decodeAll(t *testing.T, stream []byte) []*wire.Message {
 }
 
 // Concurrent senders must produce a valid, complete frame stream: every
-// frame exactly once, each intact, regardless of how sends interleave.
+// frame exactly once, each intact, regardless of how enqueues interleave.
 func TestWriteQueueConcurrentFraming(t *testing.T) {
 	w := &countingWriter{}
 	q := newWriteQueue(w, nil)
@@ -76,7 +76,7 @@ func TestWriteQueueConcurrentFraming(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
 				m := &wire.Message{Type: wire.TAck, Seq: uint64(s*perSender + i), From: fmt.Sprintf("s%d", s)}
-				if err := q.send(m); err != nil {
+				if err := q.sendAsync(m); err != nil {
 					t.Errorf("send: %v", err)
 					return
 				}
@@ -84,6 +84,7 @@ func TestWriteQueueConcurrentFraming(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
+	waitDrained(t, q)
 	_, stream := w.snapshot()
 	got := decodeAll(t, stream)
 	if len(got) != senders*perSender {
@@ -98,17 +99,18 @@ func TestWriteQueueConcurrentFraming(t *testing.T) {
 	}
 }
 
-// A single sender's frames must appear on the stream in send order (the
+// A single sender's frames must appear on the stream in enqueue order (the
 // write-order guarantee the reply-matching protocol relies on).
 func TestWriteQueuePreservesOrder(t *testing.T) {
 	w := &countingWriter{}
 	q := newWriteQueue(w, nil)
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := q.send(&wire.Message{Type: wire.TAck, Seq: uint64(i), From: "a"}); err != nil {
+		if err := q.sendAsync(&wire.Message{Type: wire.TAck, Seq: uint64(i), From: "a"}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	waitDrained(t, q)
 	_, stream := w.snapshot()
 	got := decodeAll(t, stream)
 	if len(got) != n {
@@ -122,41 +124,29 @@ func TestWriteQueuePreservesOrder(t *testing.T) {
 }
 
 // Frames queued behind a blocked flush must coalesce: with the first write
-// gated, N-1 more senders enqueue, and releasing the gate lets the whole
+// gated, N more frames enqueue, and releasing the gate lets the whole
 // backlog go out in one more write.
 func TestWriteQueueCoalesces(t *testing.T) {
 	w := &countingWriter{gate: make(chan struct{}, 64)}
 	q := newWriteQueue(w, nil)
 	const backlog = 15
 
-	var wg sync.WaitGroup
-	var started sync.WaitGroup
-	errs := make([]error, backlog+1)
-	started.Add(1)
-	wg.Add(1)
-	go func() { // becomes the flusher, blocks in Write on the gate
-		defer wg.Done()
-		started.Done()
-		errs[0] = q.send(&wire.Message{Type: wire.TAck, Seq: 0, From: "a"})
-	}()
-	started.Wait()
-	waitFor(t, func() bool { return queuePending(q) == 0 && queueFlushing(q) })
-	for i := 1; i <= backlog; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = q.send(&wire.Message{Type: wire.TAck, Seq: uint64(i), From: "a"})
-		}(i)
+	// The first frame's flush blocks in Write on the gate.
+	if err := q.sendAsync(&wire.Message{Type: wire.TAck, Seq: 0, From: "a"}); err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return queuePending(q) == backlog })
-	w.gate <- struct{}{} // release the first flush
-	w.gate <- struct{}{} // release the batched flush
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
+	waitFor(t, func() bool { return queueFlushing(q) })
+	for i := 1; i <= backlog; i++ {
+		if err := q.sendAsync(&wire.Message{Type: wire.TAck, Seq: uint64(i), From: "a"}); err != nil {
 			t.Fatalf("sender %d: %v", i, err)
 		}
 	}
+	if got := queuePending(q); got != backlog {
+		t.Fatalf("pending = %d behind the gated flush, want %d", got, backlog)
+	}
+	w.gate <- struct{}{} // release the first flush
+	w.gate <- struct{}{} // release the batched flush
+	waitDrained(t, q)
 	writes, stream := w.snapshot()
 	if writes != 2 {
 		t.Fatalf("writes = %d, want 2 (first frame + coalesced backlog)", writes)
@@ -166,62 +156,71 @@ func TestWriteQueueCoalesces(t *testing.T) {
 	}
 }
 
-// A write failure must reach every sender whose frame was lost — the one
-// mid-flush and everyone queued behind it — and poison future sends.
+// A write failure must release every frame queued behind the lost one,
+// poison future enqueues, and reach the owner through onFail.
 func TestWriteQueueFailWakesSenders(t *testing.T) {
 	boom := errors.New("boom")
 	w := &countingWriter{gate: make(chan struct{}, 64), fail: boom}
 	q := newWriteQueue(w, nil)
+	var fails atomic.Int64
+	failed := make(chan error, 1)
+	q.onFail = func(err error) {
+		fails.Add(1)
+		failed <- err
+	}
 
 	const waiters = 5
-	var wg sync.WaitGroup
-	var failed atomic.Int64
 	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := q.send(&wire.Message{Type: wire.TAck, Seq: uint64(i), From: "a"}); err != nil {
-				failed.Add(1)
-			}
-		}(i)
+		if err := q.sendAsync(&wire.Message{Type: wire.TAck, Seq: uint64(i), From: "a"}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			waitFor(t, func() bool { return queueFlushing(q) })
+		}
 	}
-	waitFor(t, func() bool { return queueFlushing(q) })
-	for i := 0; i < waiters; i++ {
-		w.gate <- struct{}{}
+	w.gate <- struct{}{}
+	if err := <-failed; !errors.Is(err, boom) {
+		t.Fatalf("onFail got %v, want %v", err, boom)
 	}
-	wg.Wait()
-	if got := failed.Load(); got != waiters {
-		t.Fatalf("%d senders saw the failure, want %d", got, waiters)
+	waitDrained(t, q)
+	if got := queuePending(q); got != 0 {
+		t.Fatalf("%d frames still queued after the failure, want all released", got)
 	}
-	if err := q.send(&wire.Message{Type: wire.TAck}); !errors.Is(err, boom) {
+	if err := q.sendAsync(&wire.Message{Type: wire.TAck}); !errors.Is(err, boom) {
 		t.Fatalf("poisoned queue accepted a send: %v", err)
+	}
+	if n := fails.Load(); n != 1 {
+		t.Fatalf("onFail fired %d times, want 1", n)
 	}
 }
 
-// fail() must wake senders whose frames are queued but unwritten.
+// fail() must release frames that are queued but unwritten: they never
+// reach the stream, and later enqueues get the sticky error.
 func TestWriteQueueFailReleasesPending(t *testing.T) {
 	w := &countingWriter{gate: make(chan struct{}, 64)}
 	q := newWriteQueue(w, nil)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // flusher, parked on the gate
-		defer wg.Done()
-		_ = q.send(&wire.Message{Type: wire.TAck, Seq: 0, From: "a"})
-	}()
-	waitFor(t, func() bool { return queueFlushing(q) })
-	errCh := make(chan error, 1)
-	wg.Add(1)
-	go func() { // queued behind the in-flight flush
-		defer wg.Done()
-		errCh <- q.send(&wire.Message{Type: wire.TAck, Seq: 1, From: "a"})
-	}()
-	waitFor(t, func() bool { return queuePending(q) == 1 })
-	q.fail(ErrClosed)
-	if err := <-errCh; !errors.Is(err, ErrClosed) {
-		t.Fatalf("pending sender got %v, want ErrClosed", err)
+	// The first frame's flush parks on the gate.
+	if err := q.sendAsync(&wire.Message{Type: wire.TAck, Seq: 0, From: "a"}); err != nil {
+		t.Fatal(err)
 	}
-	w.gate <- struct{}{} // let the parked flusher finish
-	wg.Wait()
+	waitFor(t, func() bool { return queueFlushing(q) })
+	// Queued behind the in-flight flush.
+	if err := q.sendAsync(&wire.Message{Type: wire.TAck, Seq: 1, From: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	q.fail(ErrClosed)
+	if got := queuePending(q); got != 0 {
+		t.Fatalf("pending = %d after fail, want 0", got)
+	}
+	if err := q.sendAsync(&wire.Message{Type: wire.TAck, Seq: 2, From: "a"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send after fail got %v, want ErrClosed", err)
+	}
+	w.gate <- struct{}{} // let the parked flush finish
+	waitDrained(t, q)
+	_, stream := w.snapshot()
+	if got := decodeAll(t, stream); len(got) != 1 || got[0].Seq != 0 {
+		t.Fatalf("stream carries %v, want only the frame in flight before fail", got)
+	}
 }
 
 // Wire stats must account every frame and flush.
@@ -231,9 +230,10 @@ func TestWriteQueueStats(t *testing.T) {
 	q := newWriteQueue(w, &stats)
 	const n = 20
 	for i := 0; i < n; i++ {
-		if err := q.send(&wire.Message{Type: wire.TAck, Seq: uint64(i), From: "a"}); err != nil {
+		if err := q.sendAsync(&wire.Message{Type: wire.TAck, Seq: uint64(i), From: "a"}); err != nil {
 			t.Fatal(err)
 		}
+		waitDrained(t, q)
 	}
 	snap := stats.Snapshot()
 	_, stream := w.snapshot()
@@ -263,10 +263,11 @@ func TestWriteQueueLargeSharedBody(t *testing.T) {
 		m := *base
 		m.Seq = uint64(i)
 		m.View = fmt.Sprintf("v%d", i)
-		if err := q.send(&m); err != nil {
+		if err := q.sendAsync(&m); err != nil {
 			t.Fatal(err)
 		}
 	}
+	waitDrained(t, q)
 	_, stream := w.snapshot()
 	got := decodeAll(t, stream)
 	if len(got) != n {
@@ -314,8 +315,22 @@ func queuePending(q *writeQueue) int {
 	return len(q.pending)
 }
 
+// queueFlushing reports whether the drainer has taken every queued frame
+// into a flush that has not returned yet (with a gated writer: a flush
+// parked in Write).
 func queueFlushing(q *writeQueue) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.flushing
+	return q.draining && len(q.pending) == 0
+}
+
+// waitDrained waits until the drainer has written (or dropped) every
+// queued frame and exited.
+func waitDrained(t *testing.T, q *writeQueue) {
+	t.Helper()
+	waitFor(t, func() bool {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return !q.draining
+	})
 }
