@@ -11,7 +11,6 @@
 //	fleccck -views 3 -keys 2 -reconfigs 1    # the standard pre-merge sweep
 //	fleccck -depth 5 -writes 1               # shallower / cheaper
 //	fleccck -drop 7                          # drop the 7th request of every replay
-//	fleccck -pipeline=false                  # disable the push-async/flush session actions
 //	fleccck -failover=false                  # disable crash-primary/promote-standby
 //	fleccck -skip-invalidate v2              # seed the known mutation (must FAIL)
 //
@@ -44,7 +43,6 @@ func main() {
 		modes     = flag.Bool("modes", def.SetModes, "enable mode-switch reconfigurations")
 		props     = flag.Bool("props", def.SetProps, "enable property-change reconfigurations")
 		quiesce   = flag.Bool("quiesce", def.Quiesce, "probe weak convergence at every state")
-		pipeline  = flag.Bool("pipeline", def.Pipeline, "enable the asynchronous push-async/flush session actions")
 		maxStates = flag.Int("max-states", 0, "abort after this many states (0 = unlimited)")
 		skipInval = flag.String("skip-invalidate", "", "seed the skip-invalidation mutation for the named view")
 		drop      = flag.Int("drop", 0, "drop the Nth delivered request of every replay (0 = none)")
@@ -65,7 +63,6 @@ func main() {
 		SetModes:        *modes,
 		SetProps:        *props,
 		Quiesce:         *quiesce,
-		Pipeline:        *pipeline,
 		MaxStates:       *maxStates,
 		SkipInvalidate:  *skipInval,
 		DropMessage:     *drop,

@@ -312,9 +312,10 @@ type ViewConfig struct {
 	// ReadOnly tags the view's pulls as read operations (used with
 	// WithReadAware).
 	ReadOnly bool
-	// ManualFlush defers asynchronous push rounds (PushAsync) until Flush
-	// or a draining synchronous operation. Deterministic harnesses use it
-	// to keep every wire interaction an explicit step; interactive
+	// ManualFlush defers asynchronous push rounds (PushAsync) until Flush,
+	// a Push (which joins the buffered round) or a flushing
+	// reconfiguration (SetMode, SetProps, Close). Deterministic harnesses
+	// use it to keep every wire interaction an explicit step; interactive
 	// deployments normally leave it false (rounds dispatch immediately).
 	ManualFlush bool
 }
@@ -367,7 +368,11 @@ func (v *View) Name() string { return v.cm.Name() }
 // Pull updates the view's data from the primary (pullImage).
 func (v *View) Pull() error { return v.cm.PullImage() }
 
-// Push sends the view's modified data to the primary (pushImage).
+// Push sends the view's modified data to the primary (pushImage). It is
+// the synchronous form of PushAsync: it joins the buffered round and waits
+// for it. A round is extracted between use windows, so Push waits for an
+// open window to close: called inside the caller's own window (between
+// StartUse and EndUse, or from Use's fn) it never returns.
 func (v *View) Push() error { return v.cm.PushImage() }
 
 // PushAsync starts (or joins) an asynchronous push round and returns its
@@ -376,12 +381,14 @@ func (v *View) Push() error { return v.cm.PushImage() }
 // shares one future — W rapid writers cost two push rounds, not W. Rounds
 // complete in issue order. If the session dies under a round, its future
 // resolves with ErrSessionReset and the writes stay pending locally (push
-// again after recovery). Synchronous operations (Push, SetMode, SetProps,
-// Close) drain outstanding rounds before proceeding.
+// again after recovery). Push joins the same buffered round and waits for
+// it; SetMode, SetProps and Close flush outstanding rounds before
+// proceeding.
 func (v *View) PushAsync() *PushFuture { return v.cm.PushImageAsync() }
 
 // Flush dispatches any buffered push round and waits for all outstanding
-// rounds, returning the first error.
+// rounds, returning the first error. Like Push, it must not be called
+// inside the caller's own use window while a round is outstanding.
 func (v *View) Flush() error { return v.cm.Flush() }
 
 // PushPending reports whether an asynchronous push round is buffered or in
@@ -395,7 +402,8 @@ func (v *View) StartUse() error { return v.cm.StartUse() }
 func (v *View) EndUse() { v.cm.EndUse() }
 
 // Use runs fn inside a pull + use window — the common per-operation
-// pattern from the paper's Figure 3 loop.
+// pattern from the paper's Figure 3 loop. fn must not call Push, Flush,
+// SetMode, SetProps or Close: they wait for the window fn runs in.
 func (v *View) Use(fn func() error) error {
 	if err := v.Pull(); err != nil {
 		return err
@@ -407,13 +415,16 @@ func (v *View) Use(fn func() error) error {
 	return fn()
 }
 
-// SetMode switches the view's consistency mode at run time.
+// SetMode switches the view's consistency mode at run time. It flushes
+// outstanding push rounds first, so, like Flush, it must not be called
+// inside the caller's own use window.
 func (v *View) SetMode(m Mode) error { return v.cm.SetMode(m) }
 
 // Mode returns the current mode.
 func (v *View) Mode() Mode { return v.cm.Mode() }
 
-// SetProps installs a new property set at run time.
+// SetProps installs a new property set at run time. Like SetMode, it
+// flushes first and must not be called inside the caller's own use window.
 func (v *View) SetProps(p Props) error { return v.cm.SetProps(p) }
 
 // Valid reports whether the view's image is valid (not invalidated).
@@ -433,6 +444,9 @@ func (v *View) ScheduleTriggers(period Time) bool { return v.cm.ScheduleTriggers
 func (v *View) StopTriggers() { v.cm.StopTriggers() }
 
 // Close publishes pending changes and unregisters the view (killImage).
+// Its final push is a round like Push's (so Close, too, must not be called
+// inside the caller's own use window); if that push fails, Close fails
+// with the view still open, and calling it again pushes again.
 func (v *View) Close() error { return v.cm.KillImage() }
 
 // MapCodec is a ready-made Codec over a string-keyed byte map, convenient

@@ -5,6 +5,10 @@
 // push/pull quality triggers so the application can delegate its
 // synchronization decisions to the system.
 //
+// Every push is a round of one session pump (session.go): PushImage and
+// PushImageAsync start or join the buffered round, at most one round is
+// on the wire, and a round's delta is extracted when it is dispatched.
+//
 // The exported API mirrors the paper's Figure 3 pseudo-code:
 //
 //	cm, _ := cache.New(cfg)        // create cache manager (steps 1–2)
@@ -83,10 +87,11 @@ type Config struct {
 	// must host a node answering to Directory. Ignored without Reconnect.
 	Fallbacks []transport.Network
 	// ManualFlush disables the automatic dispatch of asynchronous push
-	// rounds: PushImageAsync only buffers, and rounds go out when Flush
-	// (or a draining synchronous operation) is called. Deterministic
-	// harnesses — the model checker, seeded soaks — use it to keep every
-	// wire interaction an explicit, schedulable step.
+	// rounds: PushImageAsync only buffers, and a round goes out when Flush,
+	// a synchronous PushImage (which joins it) or a flushing
+	// reconfiguration is called. Deterministic harnesses — the model
+	// checker, seeded soaks — use it to keep every wire interaction an
+	// explicit, schedulable step.
 	ManualFlush bool
 }
 
@@ -147,12 +152,10 @@ type Manager struct {
 	// cancelTick stops the trigger scheduler.
 	cancelTick func()
 
-	// Asynchronous push session (session.go): at most one round in flight,
-	// at most one buffered behind it, a generation counter to retire
-	// straggling completions after a session reset.
+	// Push session (session.go): at most one round in flight, at most one
+	// buffered behind it.
 	inflight    *pushRound
 	buffer      *pushRound
-	sessGen     uint64
 	manualFlush bool
 }
 
@@ -298,42 +301,6 @@ func (m *Manager) load(req *wire.Message, epoch int) error {
 	return nil
 }
 
-// PushImage sends the view's modified data to the original component. It
-// extracts the current view state, diffs it against the last synchronized
-// snapshot, and sends only the changed entries (stamped with the version
-// they were based on, for conflict detection at the primary). A clean view
-// sends nothing. Any asynchronous rounds are drained first, so the
-// synchronous push observes a quiet session.
-func (m *Manager) PushImage() error {
-	m.drainPushes()
-	m.mu.Lock()
-	if !m.initialized {
-		m.mu.Unlock()
-		return ErrNotInitialized
-	}
-	x, err := m.extractDeltaLocked()
-	if err != nil {
-		m.mu.Unlock()
-		return err
-	}
-	if x.delta == nil {
-		m.foldLocked(x, 0)
-		m.pendingOps = 0
-		m.lastPush = m.clock.Now()
-		m.mu.Unlock()
-		return nil
-	}
-	m.mu.Unlock()
-
-	reply, err := m.call(&wire.Message{Type: wire.TPush, Img: x.delta, Ops: uint32(x.ops)})
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.finishPushLocked(x, reply)
-}
-
 // StartUse marks the beginning of a mutually exclusive work window on the
 // shared data (Figure 2, step 6). While a window is open, the cache
 // manager will not merge or extract updates. StartUse fails with
@@ -385,10 +352,10 @@ func (m *Manager) Release() error {
 }
 
 // SetMode switches the view between strong and weak operation at run time.
-// Outstanding asynchronous pushes drain first: a mode switch takes effect
-// on a quiet session, never between a round's dispatch and its ack.
+// Outstanding push rounds are flushed first: a mode switch takes effect on
+// a quiet session, never between a round's dispatch and its ack.
 func (m *Manager) SetMode(mode wire.Mode) error {
-	m.drainPushes()
+	_ = m.Flush() // a failed round reports to its own pushers
 	if _, err := m.call(&wire.Message{Type: wire.TSetMode, Mode: mode}); err != nil {
 		return err
 	}
@@ -399,9 +366,9 @@ func (m *Manager) SetMode(mode wire.Mode) error {
 }
 
 // SetProps installs a new dynamic property set for the view. Like
-// SetMode, it drains outstanding asynchronous pushes first.
+// SetMode, it flushes outstanding push rounds first.
 func (m *Manager) SetProps(props property.Set) error {
-	m.drainPushes()
+	_ = m.Flush() // a failed round reports to its own pushers
 	if _, err := m.call(&wire.Message{Type: wire.TSetProps, Props: props}); err != nil {
 		return err
 	}
@@ -435,18 +402,15 @@ func (m *Manager) SetProps(props property.Set) error {
 }
 
 // KillImage pushes any pending changes, unregisters the view, and detaches
-// from the network (Figure 2, steps 20–21).
+// from the network (Figure 2, steps 20–21). The final push is a round like
+// PushImage's, waits like it for an open use window to close, and is
+// rebuilt across reconnect cycles. The view refuses new rounds (they
+// resolve ErrClosed) only once it has succeeded, so a KillImage that
+// fails on it can be retried and pushes again.
 func (m *Manager) KillImage() error {
 	m.StopTriggers()
-	m.drainPushes()
-	m.mu.Lock()
-	dirty := m.initialized && m.valid && m.pendingOps > 0
-	m.killed = true
-	m.mu.Unlock()
-	if dirty {
-		if err := m.PushImage(); err != nil {
-			return fmt.Errorf("cache: final push: %w", err)
-		}
+	if err := m.withReconnect(sessionReset, m.finalPush); err != nil {
+		return fmt.Errorf("cache: final push: %w", err)
 	}
 	ep := m.endpoint()
 	if _, err := ep.Call(m.dir, &wire.Message{Type: wire.TUnregister}); err != nil {

@@ -27,9 +27,10 @@ const (
 // (over a DialNetwork this dials a fresh connection), re-registers with
 // its current properties and mode (the DM side is idempotent: same props
 // keep seen/mode), re-pulls the delta since its seen version, and then
-// retries the original call. Attempts are spaced by exponential backoff
-// with jitter so a herd of clients re-dialing a restarted daemon spreads
-// out.
+// retries the original call (a push rebuilds its round from the view
+// instead, so a push whose reply was lost is not committed twice).
+// Attempts are spaced by exponential backoff with jitter so a herd of
+// clients re-dialing a restarted daemon spreads out.
 //
 // A nil policy in Config disables reconnection: transport errors surface
 // to the caller exactly as before.
@@ -125,17 +126,31 @@ func redialable(err error) bool {
 // running reconnect cycles on transport-level failures when a policy is
 // configured. Remote protocol errors always surface immediately.
 func (m *Manager) call(req *wire.Message) (*wire.Message, error) {
+	var reply *wire.Message
+	err := m.withReconnect(redialable, func(ep transport.Endpoint) (err error) {
+		reply, err = ep.Call(m.dir, req)
+		return err
+	})
+	return reply, err
+}
+
+// withReconnect runs op against the current endpoint and, when a policy is
+// configured and retry says op failed with the link, replaces the endpoint
+// (redial) and runs op again, up to the policy's attempts. It is the
+// package's only reconnect loop: a plain call re-sends its request, a push
+// round re-extracts its delta, so the re-pull decides what is still dirty.
+func (m *Manager) withReconnect(retry func(error) bool, op func(transport.Endpoint) error) error {
 	for attempt := 1; ; attempt++ {
 		ep := m.endpoint()
-		reply, err := ep.Call(m.dir, req)
-		if err == nil || m.recon == nil || !redialable(err) {
-			return reply, err
+		err := op(ep)
+		if err == nil || m.recon == nil || !retry(err) {
+			return err
 		}
 		if attempt >= m.recon.pol.Attempts {
-			return nil, fmt.Errorf("cache %s: %d attempts exhausted: %w", m.name, attempt, err)
+			return fmt.Errorf("cache %s: %d attempts exhausted: %w", m.name, attempt, err)
 		}
 		if rerr := m.redial(ep, attempt); rerr != nil {
-			return nil, rerr
+			return rerr
 		}
 	}
 }

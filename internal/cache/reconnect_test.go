@@ -1,7 +1,9 @@
 package cache_test
 
 import (
+	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -99,5 +101,91 @@ func TestDMRestartCMReconnect(t *testing.T) {
 	views := dm2.Views()
 	if len(views) != 1 || views[0] != "agent" {
 		t.Fatalf("restarted DM views = %v, want [agent]", views)
+	}
+}
+
+// callHook makes, or stands in for, one call an endpoint sends.
+type callHook func(ep transport.Endpoint, to string, req *wire.Message) (*wire.Message, error)
+
+// hookNet wraps a network so that every call its endpoints send goes
+// through hook.
+type hookNet struct {
+	transport.Network
+	hook callHook
+}
+
+func (n *hookNet) Attach(name string, h transport.Handler) (transport.Endpoint, error) {
+	ep, err := n.Network.Attach(name, h)
+	if err != nil {
+		return nil, err
+	}
+	return &hookEndpoint{Endpoint: ep, hook: n.hook}, nil
+}
+
+type hookEndpoint struct {
+	transport.Endpoint
+	hook callHook
+}
+
+func (e *hookEndpoint) Call(to string, req *wire.Message) (*wire.Message, error) {
+	return e.hook(e.Endpoint, to, req)
+}
+
+// A push whose reply is lost is committed once: the reconnect cycle's
+// re-pull folds the committed write, and the push is rebuilt from the view
+// (now clean) instead of re-sending the old request.
+func TestLostPushReplyCommitsOnce(t *testing.T) {
+	clock := vclock.NewSim()
+	inproc := transport.NewInproc()
+	prim := newKV(nil)
+	dm, err := directory.New("db", prim, clock, inproc, directory.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dm.Close()
+
+	// The first TPush is delivered and committed, and its reply then lost:
+	// the caller sees a transport error.
+	var lost atomic.Bool
+	hooked := &hookNet{Network: inproc, hook: func(ep transport.Endpoint, to string, req *wire.Message) (*wire.Message, error) {
+		reply, err := ep.Call(to, req)
+		if err == nil && req.Type == wire.TPush && lost.CompareAndSwap(false, true) {
+			return nil, errors.New("push reply lost")
+		}
+		return reply, err
+	}}
+	v := newKV(nil)
+	cm, err := cache.New(cache.Config{
+		Name: "v1", Directory: "db", Net: hooked, View: v,
+		Props: property.MustSet("P={x}"), Mode: wire.Weak, Clock: clock,
+		Reconnect: &cache.ReconnectPolicy{Attempts: 4, Sleep: func(time.Duration) {}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cm.InitImage(); err != nil {
+		t.Fatal(err)
+	}
+	ver, records := dm.CurrentVersion(), len(dm.Store().Log())
+
+	if err := cm.StartUse(); err != nil {
+		t.Fatal(err)
+	}
+	v.Set("a", "1")
+	cm.EndUse()
+	if err := cm.PushImage(); err != nil {
+		t.Fatalf("push across the lost reply: %v", err)
+	}
+	if got := dm.CurrentVersion(); got != ver+1 {
+		t.Fatalf("version went %d -> %d, want one commit", ver, got)
+	}
+	if got := len(dm.Store().Log()) - records; got != 1 {
+		t.Fatalf("the log gained %d records, want 1", got)
+	}
+	if e := cm.Base().Entries["a"]; string(e.Value) != "1" || e.Version != ver+1 {
+		t.Fatalf("base a = %q at v%d, want %q at the committed v%d", e.Value, e.Version, "1", ver+1)
+	}
+	if got := cm.PendingOps(); got != 0 {
+		t.Fatalf("PendingOps = %d, want 0", got)
 	}
 }

@@ -8,33 +8,22 @@ import (
 	"flecc/internal/wire"
 )
 
-// ErrSessionReset is the typed failure every in-flight asynchronous push
-// resolves with when the CM↔DM session dies under it — a dropped
-// connection, an injected fault, or a reconnect cycle replacing the
-// endpoint. The writes are NOT lost: they remain pending locally (the
-// delta is re-extracted from the view on the next push), so the caller's
-// recovery is simply to push again once the session is re-established.
+// ErrSessionReset is the typed failure every in-flight push round resolves
+// with when the CM↔DM session dies under it — a dropped connection, an
+// injected fault, or a reconnect cycle replacing the endpoint. The writes
+// are NOT lost: they remain pending locally (the delta is re-extracted from
+// the view on the next round), so the caller's recovery is simply to push
+// again once the session is re-established. The error is also a transport
+// error (transport.IsTransportError), which is what sends a synchronous
+// push through the reconnect cycle.
 var ErrSessionReset = errors.New("cache: session reset; in-flight push aborted")
 
 // PushFuture is the completion handle of one asynchronous push round.
 // Rounds complete in issue order (at most one is on the wire, the next
 // coalesces behind it), and a future resolves exactly once.
 type PushFuture struct {
-	done     chan struct{}
-	err      error // written before done closes; read after
-	resolved bool  // guarded by the owning manager's mu
-}
-
-func newPushFuture() *PushFuture {
-	return &PushFuture{done: make(chan struct{})}
-}
-
-func resolvedFuture(err error) *PushFuture {
-	f := newPushFuture()
-	f.resolved = true
-	f.err = err
-	close(f.done)
-	return f
+	done chan struct{}
+	err  error // written before done closes; read after
 }
 
 // Done returns a channel closed when the round has resolved.
@@ -46,179 +35,232 @@ func (f *PushFuture) Wait() error {
 	return f.err
 }
 
-// pushRound is one coalesced batch of local writes on its way to the DM.
-// The delta is NOT captured at buffering time: it is extracted lazily at
-// dispatch, after the previous round's ack has folded into the base
-// snapshot — that is what makes adjacent PushImageAsync calls coalesce
-// into a single TPush and keeps per-key version bookkeeping exact.
+// pushRound is one coalesced batch of local writes on its way to the DM;
+// every push, synchronous or not, is one. The delta is NOT captured when
+// the round starts: it is extracted at dispatch, after the previous
+// round's ack has folded into the base snapshot — that is what makes
+// adjacent pushes coalesce into a single TPush and keeps per-key version
+// bookkeeping exact. Synchronous pushers wait for done on the manager's
+// cond; the future exists only once PushImageAsync has handed it out.
 type pushRound struct {
-	fut *PushFuture
-	x   extracted // the dispatched delta; zero until dispatch
-	gen uint64    // session generation at creation; stale rounds are dead
+	x    extracted    // the dispatched delta; zero until dispatch
+	req  wire.Message // the round's TPush
+	done bool         // guarded by the manager's mu, like everything below
+	err  error        // the outcome, set with done
+	fut  *PushFuture  // nil until an asynchronous caller joins
 }
 
-// PushImageAsync starts (or joins) an asynchronous push round and returns
-// its future. At most one round is in flight per session; a second call
-// while one is on the wire buffers a follow-up round, and further calls
-// coalesce into that buffer — so W rapid writers cost two TPush rounds,
-// not W. Ordering: rounds complete in issue order; a round's delta is
-// extracted at dispatch time, so it carries every local write made before
-// dispatch (callers joined to the same future all ride the same round).
-// On session death the future resolves with ErrSessionReset.
+// PushImage sends the view's modified data to the original component. It
+// joins the buffered push round (starting one if none is waiting), pumps
+// it on the calling goroutine and waits for it. The round extracts the
+// view's changed entries at dispatch and sends only those, stamped with
+// the version they were based on (for conflict detection at the primary);
+// a clean view sends nothing. The round waits for an open use window to
+// close, so a goroutine must not push from inside its own. A round lost
+// with its session is rebuilt after the reconnect cycle by extracting
+// again, never re-sent: the cycle's re-pull has already folded whatever
+// the lost round committed.
+func (m *Manager) PushImage() error {
+	return m.withReconnect(sessionReset, func(transport.Endpoint) error {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		r, err := m.roundLocked()
+		if err != nil {
+			return err
+		}
+		return m.awaitLocked(r)
+	})
+}
+
+func sessionReset(err error) bool { return errors.Is(err, ErrSessionReset) }
+
+// finalPush is KillImage's push: it waits out the outstanding rounds and,
+// when writes are pending, one more round behind them, and then makes the
+// view refuse new rounds. A failure leaves the view taking rounds.
+func (m *Manager) finalPush(transport.Endpoint) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.killed && (m.inflight != nil || m.buffer != nil || m.valid && m.pendingOps > 0) {
+		r, err := m.roundLocked()
+		if err != nil {
+			return err
+		}
+		if err := m.awaitLocked(r); err != nil {
+			return err
+		}
+	}
+	m.killed = true
+	return nil
+}
+
+// PushImageAsync starts (or joins) a push round and returns its future. At
+// most one round is in flight per session; a second call while one is on
+// the wire buffers a follow-up round, and further calls coalesce into that
+// buffer — so W rapid writers cost two TPush rounds, not W. Ordering:
+// rounds complete in issue order; a round's delta is extracted at dispatch
+// time, so it carries every local write made before dispatch (callers
+// joined to the same future all ride the same round). On session death the
+// future resolves with ErrSessionReset.
 func (m *Manager) PushImageAsync() *PushFuture {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.initialized {
-		return resolvedFuture(ErrNotInitialized)
+	fresh := m.buffer == nil
+	r, err := m.roundLocked()
+	if err != nil {
+		f := &PushFuture{done: make(chan struct{}), err: err}
+		close(f.done)
+		return f
 	}
-	if m.killed {
-		return resolvedFuture(transport.ErrClosed)
+	if r.fut == nil {
+		r.fut = &PushFuture{done: make(chan struct{})}
 	}
-	if m.buffer != nil {
-		return m.buffer.fut // coalesce into the waiting round
+	if fresh && !m.manualFlush {
+		go m.pump(r)
 	}
-	m.buffer = &pushRound{fut: newPushFuture(), gen: m.sessGen}
-	fut := m.buffer.fut
-	if !m.manualFlush {
-		go m.pump()
-	}
-	return fut
+	return r.fut
 }
 
 // Flush dispatches any buffered round and waits for every outstanding
-// round to resolve, returning the first error. Under Config.ManualFlush
-// this is the only dispatcher, which keeps deterministic harnesses
-// (model checker, seeded soaks) in control of when the wire is touched.
+// round to resolve, returning the first error. Under Config.ManualFlush it
+// and PushImage are the only dispatchers, which keeps deterministic
+// harnesses (model checker, seeded soaks) in control of when the wire is
+// touched. SetMode, SetProps and KillImage flush first, so they take
+// effect on a quiet session, never between a round's dispatch and its ack.
+// Like PushImage, none of them may be called inside the caller's own use
+// window while a round is outstanding: the round waits for that window.
 func (m *Manager) Flush() error {
 	m.mu.Lock()
-	var futs []*PushFuture
-	if m.inflight != nil {
-		futs = append(futs, m.inflight.fut)
-	}
-	if m.buffer != nil {
-		futs = append(futs, m.buffer.fut)
-	}
-	m.mu.Unlock()
-	if len(futs) == 0 {
-		return nil
-	}
-	m.pump()
+	defer m.mu.Unlock()
 	var first error
-	for _, f := range futs {
-		if err := f.Wait(); err != nil && first == nil {
-			first = err
+	for _, r := range [2]*pushRound{m.inflight, m.buffer} {
+		if r != nil {
+			if err := m.awaitLocked(r); first == nil {
+				first = err
+			}
 		}
 	}
 	return first
 }
 
-// PushPending reports whether any asynchronous push round is buffered or
-// in flight.
+// PushPending reports whether any push round is buffered or in flight.
 func (m *Manager) PushPending() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.inflight != nil || m.buffer != nil
 }
 
-// pump dispatches rounds while none is in flight. It is safe to call from
-// any goroutine at any time: the inflight/buffer state under mu makes
-// concurrent pumps collapse to one dispatcher. Each round is a blocking
-// Call on the pumping goroutine — the auto-dispatch goroutine, or the
-// Flush/drain caller — so every transport runs the same pump body, and
-// on Inproc/netsim a ManualFlush session spawns nothing.
-func (m *Manager) pump() {
-	for {
-		m.mu.Lock()
-		if m.inflight != nil || m.buffer == nil {
-			m.mu.Unlock()
-			return
-		}
-		r := m.buffer
-		m.buffer = nil
-		if r.gen != m.sessGen {
-			// A session reset raced the promotion; the round was already
-			// resolved with ErrSessionReset.
-			m.mu.Unlock()
-			continue
-		}
-		x, err := m.extractDeltaLocked()
-		if err != nil {
-			m.resolveRoundLocked(r, err)
-			m.mu.Unlock()
-			continue
-		}
-		if x.delta == nil {
-			m.foldLocked(x, 0)
-			m.pendingOps -= x.ops
-			if m.pendingOps < 0 {
-				m.pendingOps = 0
-			}
-			m.lastPush = m.clock.Now()
-			m.resolveRoundLocked(r, nil)
-			m.mu.Unlock()
-			continue
-		}
-		r.x = x
-		m.inflight = r
-		req := &wire.Message{Type: wire.TPush, Img: x.delta, Ops: uint32(x.ops)}
-		ep := m.ep
-		m.mu.Unlock()
-
-		// The call itself runs without mu: on Inproc the DM handler runs
-		// inline and may call back into this manager (handleUpdate).
-		reply, cerr := ep.Call(m.dir, req)
-		m.completeRound(r, reply, cerr)
+// roundLocked returns the round new writes join: the buffered one, or a
+// fresh one. Caller holds mu.
+func (m *Manager) roundLocked() (*pushRound, error) {
+	switch {
+	case !m.initialized:
+		return nil, ErrNotInitialized
+	case m.killed:
+		return nil, transport.ErrClosed
 	}
+	if m.buffer == nil {
+		m.buffer = &pushRound{}
+	}
+	return m.buffer, nil
 }
 
-// completeRound applies one round's outcome. Success folds the pushed
-// keys into the base snapshot exactly like the synchronous PushImage; a
-// transport-level failure resets the whole session (this round AND the
-// buffered one fail with ErrSessionReset — their writes stay pending
-// locally); a remote protocol error fails only this round.
-func (m *Manager) completeRound(r *pushRound, reply *wire.Message, err error) {
+// awaitLocked waits until round r resolves and returns its outcome. While
+// no round is in flight the waiter dispatches the buffered one itself, so
+// a round never depends on another goroutine to reach the wire. Caller
+// holds mu.
+func (m *Manager) awaitLocked(r *pushRound) error {
+	for !r.done {
+		if m.inflight == nil && m.buffer != nil {
+			m.dispatchLocked()
+		} else {
+			m.cond.Wait()
+		}
+	}
+	return r.err
+}
+
+// pump drives round r until it resolves: the goroutine PushImageAsync
+// starts when rounds dispatch automatically. It outlives a round another
+// caller has in flight, so a round buffered behind a synchronous push
+// still goes out when that push returns.
+func (m *Manager) pump(r *pushRound) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.inflight == r {
-		m.inflight = nil
-	}
-	if r.gen != m.sessGen || r.fut.resolved {
-		return // a session reset got here first
-	}
-	if err != nil {
-		if redialable(err) {
-			// A dead link or a "not serving" refusal from a deposed
-			// primary: this round already left the inflight slot above, so
-			// fail it explicitly, then reset the rest of the session. The
-			// writes stay pending locally and the next synchronous call's
-			// reconnect cycle re-dials toward the promoted standby.
-			m.resolveRoundLocked(r, fmt.Errorf("cache %s: %w (%v)", m.name, ErrSessionReset, err))
-			m.failSessionLocked(err)
-		} else {
-			m.resolveRoundLocked(r, err)
-		}
-		return
-	}
-	m.resolveRoundLocked(r, m.finishPushLocked(r.x, reply))
+	m.awaitLocked(r)
 }
 
-// finishPushLocked is the shared push-ack bookkeeping for the sync and
-// async paths: fold the pushed keys into the base snapshot, retire the
-// ops the round carried, and adopt resolver winners. Caller holds mu.
-func (m *Manager) finishPushLocked(x extracted, reply *wire.Message) error {
+// dispatchLocked sends the buffered round: it extracts the delta and
+// either completes a clean round on the spot or puts the TPush on the
+// wire. Like a fetch, it extracts only between use windows, so a round
+// carries whole windows and counts each once; while one is open it just
+// waits for a change and returns, and the caller re-checks. The call is a
+// blocking Call on the dispatching goroutine, made without mu: on Inproc
+// the DM handler runs inline and may call back into this manager
+// (handleUpdate). Caller holds mu, with a round buffered and none in
+// flight.
+func (m *Manager) dispatchLocked() {
+	if m.inUse {
+		m.cond.Wait()
+		return
+	}
+	r := m.buffer
+	m.buffer = nil
+	x, err := m.extractDeltaLocked()
+	if err != nil {
+		m.resolveRoundLocked(r, err)
+		return
+	}
+	r.x = x
+	if x.delta == nil {
+		m.completeRoundLocked(r, &cleanAck, nil)
+		return
+	}
+	m.inflight = r
+	r.req = wire.Message{Type: wire.TPush, Img: x.delta, Ops: uint32(x.ops)}
+	ep := m.ep
+	m.mu.Unlock()
+	reply, err := ep.Call(m.dir, &r.req)
+	m.mu.Lock()
+	m.completeRoundLocked(r, reply, err)
+}
+
+// cleanAck stands in, read-only, for the reply to a clean round, which
+// never goes out.
+var cleanAck wire.Message
+
+// completeRoundLocked applies one round's outcome. Success folds the
+// pushed keys into the base snapshot, retires the ops the round carried
+// and adopts resolver winners; a transport-level failure resets the whole
+// session (this round AND the buffered one fail with ErrSessionReset —
+// their writes stay pending locally); a remote protocol error fails only
+// this round. Caller holds mu.
+func (m *Manager) completeRoundLocked(r *pushRound, reply *wire.Message, err error) {
+	if r.done {
+		return // a session reset resolved it while the call was out
+	}
+	if err != nil && redialable(err) {
+		// A dead link or a "not serving" refusal from a deposed primary:
+		// the reconnect cycle of a synchronous push waiting on the round,
+		// or of the next synchronous call, re-dials, toward the promoted
+		// standby if need be.
+		m.failSessionLocked(err)
+		return
+	}
+	m.inflight = nil
+	if err != nil {
+		m.resolveRoundLocked(r, err)
+		return
+	}
 	// Fold only the pushed keys into the base snapshot. The manager was
 	// unlocked during the call, so a propagated update or a reconnect
 	// re-pull may have merged fresh remote entries meanwhile; wholesale
 	// replacing base with the pre-call extract would regress those keys,
 	// leaving the view looking dirty with stale data that a later push
 	// would echo over newer commits.
-	m.foldLocked(x, reply.Version)
+	m.foldLocked(r.x, reply.Version)
 	// Retire only the ops this round carried: use windows closed while
 	// the round was on the wire belong to the next one.
-	m.pendingOps -= x.ops
-	if m.pendingOps < 0 {
-		m.pendingOps = 0
-	}
+	m.pendingOps = max(m.pendingOps-r.x.ops, 0)
 	m.lastPush = m.clock.Now()
 	// Note: seen does NOT advance here. The push ack's version covers only
 	// this view's own commit; updates other writers committed since the
@@ -231,62 +273,34 @@ func (m *Manager) finishPushLocked(x extracted, reply *wire.Message) error {
 	if reply.Img != nil && reply.Img.Len() > 0 {
 		winners := reply.Img.Clone()
 		winners.Version = 0 // do not advance seen (see above)
-		if err := m.applyIncomingLocked(winners, 0); err != nil {
-			return err
-		}
+		err = m.applyIncomingLocked(winners, 0)
 	}
-	return nil
+	m.resolveRoundLocked(r, err)
 }
 
 // failSessionLocked resolves every outstanding round with ErrSessionReset
-// (wrapping the cause) and bumps the session generation so completions of
-// already-dispatched calls are ignored when they straggle in. The writes
-// those rounds carried stay pending locally — extractDeltaLocked will
-// pick them up again on the next round over the new session. Caller
-// holds mu; idempotent.
+// (naming the cause), so completions of already-dispatched calls that
+// straggle in find their round resolved and are ignored. The writes those
+// rounds carried stay pending locally — extractDeltaLocked will pick them
+// up again on the next round over the new session. Caller holds mu;
+// idempotent.
 func (m *Manager) failSessionLocked(cause error) {
 	err := fmt.Errorf("cache %s: %w (%v)", m.name, ErrSessionReset, cause)
-	if m.inflight != nil {
-		m.resolveRoundLocked(m.inflight, err)
-		m.inflight = nil
+	for _, r := range [2]*pushRound{m.inflight, m.buffer} {
+		if r != nil {
+			m.resolveRoundLocked(r, err)
+		}
 	}
-	if m.buffer != nil {
-		m.resolveRoundLocked(m.buffer, err)
-		m.buffer = nil
-	}
-	m.sessGen++
+	m.inflight, m.buffer = nil, nil
 }
 
-// resolveRoundLocked resolves a round's future exactly once. Caller
-// holds mu.
+// resolveRoundLocked resolves a round, which must not be resolved yet,
+// and wakes its waiters. Caller holds mu.
 func (m *Manager) resolveRoundLocked(r *pushRound, err error) {
-	if r.fut.resolved {
-		return
+	r.done, r.err = true, err
+	if r.fut != nil {
+		r.fut.err = err
+		close(r.fut.done)
 	}
-	r.fut.resolved = true
-	r.fut.err = err
-	close(r.fut.done)
-}
-
-// drainPushes dispatches and waits out every outstanding async round —
-// the window-drain rule: synchronous operations (PushImage, SetMode,
-// SetProps, KillImage) observe a quiet session so they cannot interleave
-// with a round that is still reshaping the base snapshot. Round errors
-// are reported through their futures, not here.
-func (m *Manager) drainPushes() {
-	for {
-		m.mu.Lock()
-		var fut *PushFuture
-		if m.inflight != nil {
-			fut = m.inflight.fut
-		} else if m.buffer != nil {
-			fut = m.buffer.fut
-		}
-		m.mu.Unlock()
-		if fut == nil {
-			return
-		}
-		m.pump()
-		<-fut.Done()
-	}
+	m.cond.Broadcast()
 }

@@ -7,6 +7,8 @@ import (
 	"net"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,8 +204,215 @@ func TestPushAsyncSessionResetUnderFaults(t *testing.T) {
 	}
 }
 
+// pushedKeys counts, per key, the entries TPush requests carry to the
+// directory. Pushes arrive from several goroutines, hence the lock.
+type pushedKeys struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (p *pushedKeys) OnMessage(from, to string, m *wire.Message) {
+	if m.Type != wire.TPush || m.Img == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for k := range m.Img.Entries {
+		p.n[k]++
+	}
+}
+
+// Synchronous pushes from several goroutines share the session's rounds:
+// each write reaches the directory in exactly one TPush, and the update log
+// counts each use window once. Repeated, because a push path that re-sends
+// an unacknowledged delta only duplicates writes under some interleavings.
+func TestConcurrentPushesCommitEachWriteOnce(t *testing.T) {
+	const writers, repeats = 8, 30
+	for rep := 0; rep < repeats; rep++ {
+		clock := vclock.NewSim()
+		inproc := transport.NewInproc()
+		pushed := &pushedKeys{n: map[string]int{}}
+		inproc.SetObserver(pushed)
+		prim := newKV(nil)
+		dm, err := directory.New("db", prim, clock, inproc, directory.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := newKV(nil)
+		cm, err := cache.New(cache.Config{
+			Name: "v1", Directory: "db", Net: inproc, View: v,
+			Props: property.MustSet("P={x}"), Mode: wire.Weak, Clock: clock,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cm.InitImage(); err != nil {
+			t.Fatal(err)
+		}
+
+		errs := make(chan error, writers)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(k string) {
+				defer wg.Done()
+				if err := cm.StartUse(); err != nil {
+					errs <- err
+					return
+				}
+				v.Set(k, k)
+				cm.EndUse()
+				errs <- cm.PushImage()
+			}(fmt.Sprintf("k%d", w))
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("repeat %d: %v", rep, err)
+			}
+		}
+
+		ops := 0
+		for _, rec := range dm.Store().Log() {
+			ops += rec.Ops
+		}
+		if ops != writers {
+			t.Fatalf("repeat %d: the log holds %d ops for %d writes", rep, ops, writers)
+		}
+		if got := cm.PendingOps(); got != 0 {
+			t.Fatalf("repeat %d: PendingOps = %d after every push returned, want 0", rep, got)
+		}
+		for w := 0; w < writers; w++ {
+			k := fmt.Sprintf("k%d", w)
+			if n := pushed.n[k]; n != 1 {
+				t.Fatalf("repeat %d: %s went out in %d pushes, want 1", rep, k, n)
+			}
+			if got := prim.Get(k); got != k {
+				t.Fatalf("repeat %d: primary %s = %q, want %q", rep, k, got, k)
+			}
+		}
+		dm.Close()
+	}
+}
+
+// parkFirstPush returns a hook that holds the first TPush until release
+// closes, after closing parked, and then ends it with end. Every other
+// call goes through.
+func parkFirstPush(parked, release chan struct{}, end callHook) callHook {
+	var first atomic.Bool
+	return func(ep transport.Endpoint, to string, req *wire.Message) (*wire.Message, error) {
+		if req.Type != wire.TPush || !first.CompareAndSwap(false, true) {
+			return ep.Call(to, req)
+		}
+		close(parked)
+		<-release
+		return end(ep, to, req)
+	}
+}
+
+// sessionRig is a directory and one auto-dispatching weak view on Inproc,
+// the view's calls passing through hook.
+func sessionRig(t *testing.T, hook callHook) (*kvView, *kvView, *cache.Manager) {
+	t.Helper()
+	clock := vclock.NewSim()
+	inproc := transport.NewInproc()
+	prim := newKV(nil)
+	dm, err := directory.New("db", prim, clock, inproc, directory.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dm.Close() })
+	v := newKV(nil)
+	cm, err := cache.New(cache.Config{
+		Name: "v1", Directory: "db", Net: &hookNet{Network: inproc, hook: hook}, View: v,
+		Props: property.MustSet("P={x}"), Mode: wire.Weak, Clock: clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cm.InitImage(); err != nil {
+		t.Fatal(err)
+	}
+	return prim, v, cm
+}
+
+func writeKey(t *testing.T, cm *cache.Manager, v *kvView, k string) {
+	t.Helper()
+	if err := cm.StartUse(); err != nil {
+		t.Fatal(err)
+	}
+	v.Set(k, k)
+	cm.EndUse()
+}
+
+// A round buffered behind a synchronous push goes out when that push
+// returns, with no Flush: the goroutine PushImageAsync starts outlives the
+// round the synchronous caller has on the wire.
+func TestAsyncRoundBehindSyncPushDispatches(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	prim, v, cm := sessionRig(t, parkFirstPush(parked, release, transport.Endpoint.Call))
+
+	writeKey(t, cm, v, "a")
+	pushed := make(chan error, 1)
+	go func() { pushed <- cm.PushImage() }()
+	<-parked
+	writeKey(t, cm, v, "b")
+	fut := cm.PushImageAsync()
+	time.Sleep(20 * time.Millisecond) // the async round's goroutine runs while "a" is out
+	close(release)
+	if err := <-pushed; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-fut.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the round buffered behind the synchronous push never went out")
+	}
+	if err := fut.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b"} {
+		if got := prim.Get(k); got != k {
+			t.Fatalf("primary %s = %q, want %q", k, got, k)
+		}
+	}
+}
+
+// Close delivers writes whose round died with its session: a final push
+// that fails leaves the view open, and Close called again pushes again.
+func TestCloseAfterSessionResetDeliversWrites(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	lose := func(transport.Endpoint, string, *wire.Message) (*wire.Message, error) {
+		return nil, errors.New("push lost")
+	}
+	prim, v, cm := sessionRig(t, parkFirstPush(parked, release, lose))
+
+	writeKey(t, cm, v, "a")
+	fut := cm.PushImageAsync()
+	<-parked
+	writeKey(t, cm, v, "b")
+	closed := make(chan error, 1)
+	go func() { closed <- cm.KillImage() }()
+	time.Sleep(20 * time.Millisecond) // Close joins the session while "a" is out
+	close(release)
+	if err := fut.Wait(); !errors.Is(err, cache.ErrSessionReset) || !transport.IsTransportError(err) {
+		t.Fatalf("round lost with its session resolved %v, want a transport-level ErrSessionReset", err)
+	}
+	if err := <-closed; err != nil {
+		if err := cm.KillImage(); err != nil {
+			t.Fatalf("Close after a failed final push: %v", err)
+		}
+	}
+	for _, k := range []string{"a", "b"} {
+		if got := prim.Get(k); got != k {
+			t.Fatalf("primary %s = %q after Close, want %q", k, got, k)
+		}
+	}
+}
+
 // Asynchronous pushes over real TCP: the auto-dispatch pump, its blocking
-// Call on the pumping goroutine, and the drain rules all run under the
+// Call on the pumping goroutine, and the flush rules all run under the
 // race detector here.
 func TestPushAsyncOverTCPWithWindow(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -250,7 +459,7 @@ func TestPushAsyncOverTCPWithWindow(t *testing.T) {
 			t.Fatalf("future %d: %v", i, err)
 		}
 	}
-	// KillImage drains and delivers whatever is left; the primary must hold
+	// KillImage flushes and delivers whatever is left; the primary must hold
 	// the last value written to every key.
 	if err := cm.KillImage(); err != nil {
 		t.Fatal(err)
@@ -437,11 +646,11 @@ func TestSoakPipelinedWindow8(t *testing.T) {
 				if err := cm.PullImage(); err != nil {
 					pullErrs++
 				}
-			case 7: // sync push (drains the session first)
+			case 7: // sync push (joins the buffered round)
 				if err := cm.PushImage(); err != nil {
 					pushErrs++
 				}
-			case 8: // mode flip (drains the session first)
+			case 8: // mode flip (flushes the session first)
 				mode := wire.Weak
 				if r.Intn(2) == 0 {
 					mode = wire.Strong

@@ -100,7 +100,7 @@ func (r *AblationConflictResult) Table() *metrics.Table {
 		fmt.Sprintf("Ablation E5 — conflict decision policy (%d agents, groups of %d)", r.Agents, r.GroupSize),
 		"policy", "messages")
 	for _, row := range r.Rows {
-		t.AddRowf("", string(row.Policy), row.Messages)
+		t.AddRow(string(row.Policy), row.Messages)
 	}
 	return t
 }
@@ -198,8 +198,8 @@ func (r *AblationRWResult) Table() *metrics.Table {
 	t := metrics.NewTable(
 		fmt.Sprintf("Ablation E6 — read/write semantics, strong-mode browsing (%d agents, %d ops)", r.Agents, r.Ops),
 		"variant", "messages", "invalidations")
-	t.AddRowf("", "base (writes assumed)", r.MessagesBase, r.InvalidationsBase)
-	t.AddRowf("", "read-aware", r.MessagesAware, r.InvalidationsAware)
+	t.AddRow("base (writes assumed)", r.MessagesBase, r.InvalidationsBase)
+	t.AddRow("read-aware", r.MessagesAware, r.InvalidationsAware)
 	return t
 }
 
@@ -278,7 +278,7 @@ func (r *AblationPeerResult) Table() *metrics.Table {
 	t := metrics.NewTable("Ablation E7 — centralized O(n) vs decentralized O(n²) (paper §4.1)",
 		"n", "pairings-centralized", "pairings-decentralized", "anti-entropy-msgs/round")
 	for _, row := range r.Rows {
-		t.AddRowf("", row.N, row.PairingsCentralized, row.PairingsDecentralized, row.SyncMessagesPerAntiEntropyRound)
+		t.AddRow(row.N, row.PairingsCentralized, row.PairingsDecentralized, row.SyncMessagesPerAntiEntropyRound)
 	}
 	return t
 }

@@ -236,7 +236,7 @@ func (r *BuyerMixResult) Table() *metrics.Table {
 		"adaptive-browse-ms", "strong-browse-ms",
 		"weak-oversold")
 	for _, row := range r.Rows {
-		t.AddRowf("", fmt.Sprintf("%.2f", row.BuyFraction), row.Buys,
+		t.AddRow(fmt.Sprintf("%.2f", row.BuyFraction), row.Buys,
 			row.MessagesAdaptive, row.MessagesAllStrong, row.MessagesAllWeak,
 			int64(row.BrowseTimeAdaptive), int64(row.BrowseTimeAllStrong),
 			row.OversoldAllWeak)

@@ -141,7 +141,7 @@ func (r *Fig4Result) Table() *metrics.Table {
 			r.Config.Agents, r.Config.OpsPerAgent),
 		"conflict-group", "flecc", "time-sharing", "multicast")
 	for _, row := range r.Rows {
-		t.AddRowf("", row.GroupSize, row.Flecc, row.TimeSharing, row.Multicast)
+		t.AddRow(row.GroupSize, row.Flecc, row.TimeSharing, row.Multicast)
 	}
 	return t
 }

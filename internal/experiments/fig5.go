@@ -196,7 +196,7 @@ func (r *Fig5Result) Table() *metrics.Table {
 			r.Config.Agents, r.Config.Latency),
 		"t", "phase", "exec-ms", "quality")
 	for _, p := range r.Points {
-		t.AddRowf("", p.T, p.Phase, int64(p.ExecTime), p.Quality)
+		t.AddRow(p.T, p.Phase, int64(p.ExecTime), p.Quality)
 	}
 	return t
 }
@@ -206,7 +206,7 @@ func (r *Fig5Result) SummaryTable() *metrics.Table {
 	t := metrics.NewTable("Figure 5 — per-phase summary",
 		"phase", "mean-exec-ms", "max-exec-ms", "mean-quality", "max-quality")
 	for _, s := range r.Summaries() {
-		t.AddRowf("", s.Phase, fmt.Sprintf("%.1f", s.MeanExec), int64(s.MaxExec),
+		t.AddRow(s.Phase, fmt.Sprintf("%.1f", s.MeanExec), int64(s.MaxExec),
 			fmt.Sprintf("%.1f", s.MeanQuality), s.MaxQuality)
 	}
 	return t

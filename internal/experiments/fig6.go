@@ -200,7 +200,7 @@ func (r *Fig6Result) Table() *metrics.Table {
 				b += "*"
 			}
 		}
-		t.AddRowf("", i, a, b)
+		t.AddRow(i, a, b)
 	}
 	return t
 }
@@ -209,8 +209,8 @@ func (r *Fig6Result) Table() *metrics.Table {
 func (r *Fig6Result) SummaryTable() *metrics.Table {
 	t := metrics.NewTable("Figure 6 — summary (quality improved, messages increased)",
 		"variant", "messages", "mean-quality")
-	t.AddRowf("", r.NoTriggers.Name, r.NoTriggers.Messages, fmt.Sprintf("%.2f", r.NoTriggers.MeanQuality()))
-	t.AddRowf("", r.WithTrigger.Name, r.WithTrigger.Messages, fmt.Sprintf("%.2f", r.WithTrigger.MeanQuality()))
+	t.AddRow(r.NoTriggers.Name, r.NoTriggers.Messages, fmt.Sprintf("%.2f", r.NoTriggers.MeanQuality()))
+	t.AddRow(r.WithTrigger.Name, r.WithTrigger.Messages, fmt.Sprintf("%.2f", r.WithTrigger.MeanQuality()))
 	return t
 }
 

@@ -159,7 +159,7 @@ func (r *PropagationResult) Table() *metrics.Table {
 			r.Readers, r.ReadsPerReader),
 		"writes", "pull-msgs", "push-msgs", "pull-staleness", "push-staleness")
 	for _, row := range r.Rows {
-		t.AddRowf("", row.Writes, row.MessagesPull, row.MessagesPush,
+		t.AddRow(row.Writes, row.MessagesPull, row.MessagesPush,
 			fmt.Sprintf("%.2f", row.StalenessPull), fmt.Sprintf("%.2f", row.StalenessPush))
 	}
 	return t

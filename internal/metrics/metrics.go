@@ -210,23 +210,15 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{title: title, headers: headers}
 }
 
-// AddRow appends a row; cells beyond the header count are dropped, and
-// missing cells render empty.
-func (t *Table) AddRow(cells ...string) {
-	if len(cells) > len(t.headers) {
-		cells = cells[:len(t.headers)]
-	}
-	t.rows = append(t.rows, cells)
-}
-
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, cells ...any) {
-	parts := make([]string, len(cells))
+// AddRow appends a row, each cell rendered with fmt.Sprint; cells beyond
+// the header count are dropped, and missing cells render empty.
+func (t *Table) AddRow(cells ...any) {
+	cells = cells[:min(len(cells), len(t.headers))]
+	row := make([]string, len(cells))
 	for i, c := range cells {
-		parts[i] = fmt.Sprint(c)
+		row[i] = fmt.Sprint(c)
 	}
-	_ = format // format reserved for future per-cell formatting
-	t.AddRow(parts...)
+	t.rows = append(t.rows, row)
 }
 
 // Rows returns the row count.

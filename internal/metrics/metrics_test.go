@@ -97,7 +97,7 @@ func TestSeriesStats(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Figure 4", "group", "flecc", "multicast")
 	tb.AddRow("10", "120", "400")
-	tb.AddRowf("", 20, 240, 400)
+	tb.AddRow(20, 240, 400)
 	out := tb.String()
 	for _, want := range []string{"## Figure 4", "group", "flecc", "120", "240", "---"} {
 		if !strings.Contains(out, want) {

@@ -107,20 +107,18 @@ func enumerate(cfg Config, m meta) []Action {
 			out = append(out, Action{Kind: APush, View: i})
 		}
 	}
-	if cfg.Pipeline {
-		// push-async buffers a round only when there is something to carry
-		// and no round is already waiting (a second call would coalesce
-		// into the same round — no new state). flush is enabled exactly
-		// while a round is buffered.
-		for i, v := range m.views {
-			if v.alive && v.pending > 0 && !v.buffered {
-				out = append(out, Action{Kind: APushAsync, View: i})
-			}
+	// push-async buffers a round only when there is something to carry and
+	// no round is already waiting (a second call would coalesce into the
+	// same round — no new state). flush is enabled exactly while a round is
+	// buffered.
+	for i, v := range m.views {
+		if v.alive && v.pending > 0 && !v.buffered {
+			out = append(out, Action{Kind: APushAsync, View: i})
 		}
-		for i, v := range m.views {
-			if v.alive && v.buffered {
-				out = append(out, Action{Kind: AFlush, View: i})
-			}
+	}
+	for i, v := range m.views {
+		if v.alive && v.buffered {
+			out = append(out, Action{Kind: AFlush, View: i})
 		}
 	}
 	for i, v := range m.views {

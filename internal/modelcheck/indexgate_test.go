@@ -12,7 +12,7 @@ import "testing"
 // into a hard test failure instead of a silent behavior change.
 
 // defaultBoundStates is the exact size of the default-bound state space
-// (2 views, 1 key, 1 reconfiguration, depth 6, pipelined sessions on,
+// (2 views, 1 key, 1 reconfiguration, depth 6, push sessions on,
 // failover on — dm!a replicating to dm!b through the shipped sender with
 // crash-primary / promote-standby enabled; 2968 before the failover
 // actions existed). The managers run two lanes; lanes hold no protocol

@@ -64,12 +64,14 @@
 // Crashed views lose their un-pushed writes by design; only acknowledged
 // commits are covered by the durability invariants.
 //
-// With Config.Pipeline the asynchronous client session is part of the
-// model: push-async buffers a coalesced round without touching the wire
-// (views run under cache.Config.ManualFlush) and flush dispatches it, so
-// a buffered round interleaves with every reconfiguration — mode
-// switches, crashes, migration — and the window-drain rule (synchronous
-// operations dispatch the buffer first) is checked on the real code path.
+// The client's push session is part of the model: push-async buffers a
+// coalesced round without touching the wire (views run under
+// cache.Config.ManualFlush, so the explorer — not a background goroutine —
+// decides when a round reaches the directory) and flush dispatches it.
+// A buffered round interleaves with every reconfiguration — mode
+// switches, crashes, migration — and the rules that a synchronous push
+// joins the buffered round and a reconfiguration flushes it first are
+// checked on the code path every deployment runs.
 package modelcheck
 
 import (
@@ -133,14 +135,6 @@ type Config struct {
 	// Quiesce enables the weak-convergence probe at every newly
 	// discovered state.
 	Quiesce bool
-	// Pipeline enables the asynchronous client-session actions: push-async
-	// (buffer a coalesced push round without touching the wire) and flush
-	// (dispatch it and wait). Views run under cache.Config.ManualFlush so
-	// the explorer — not a background goroutine — decides when the round
-	// reaches the directory, keeping actions atomic and replays
-	// deterministic while still interleaving a buffered round with every
-	// reconfiguration.
-	Pipeline bool
 	// MaxStates aborts exploration after this many distinct states
 	// (0 = unlimited). The explorer reports the abort in Result.Aborted.
 	MaxStates int
@@ -173,7 +167,6 @@ func DefaultConfig() Config {
 		SetModes:      true,
 		SetProps:      true,
 		Quiesce:       true,
-		Pipeline:      true,
 	}
 }
 
@@ -222,11 +215,12 @@ const (
 	AQuiesceProbe
 	// APushAsync buffers an asynchronous push round (PushImageAsync under
 	// ManualFlush): nothing reaches the wire until AFlush, a synchronous
-	// push, or another draining operation dispatches it.
+	// push (which joins the round), or a flushing reconfiguration
+	// dispatches it.
 	APushAsync
 	// AFlush dispatches the buffered asynchronous round and waits for it
-	// (Flush), exercising the pipelined-session ordering and window-drain
-	// rules against every invariant.
+	// (Flush), exercising the push-session ordering and flush rules
+	// against every invariant.
 	AFlush
 	// ACrashPrimary kills the primary directory manager dm!a at the
 	// network (reconfiguration). Client calls fail until promote-standby;

@@ -192,33 +192,6 @@ func TestActionString(t *testing.T) {
 	}
 }
 
-// TestPipelineExpandsStateSpace: enabling the pipelined-session actions
-// genuinely grows the explored space (push-async/flush schedules are
-// enumerated, and a buffered round is a distinct fingerprinted state),
-// and the space stays clean.
-func TestPipelineExpandsStateSpace(t *testing.T) {
-	off := DefaultConfig()
-	off.Pipeline = false
-	off.Depth = 5
-	on := off
-	on.Pipeline = true
-	roff, err := Explore(off)
-	if err != nil {
-		t.Fatalf("explore pipeline=off: %v", err)
-	}
-	ron, err := Explore(on)
-	if err != nil {
-		t.Fatalf("explore pipeline=on: %v", err)
-	}
-	if roff.Violation != nil || ron.Violation != nil {
-		t.Fatalf("unexpected counterexample:\noff: %v\non: %v", roff.Violation, ron.Violation)
-	}
-	if ron.States <= roff.States {
-		t.Fatalf("pipeline actions added no states: on=%d off=%d", ron.States, roff.States)
-	}
-	t.Logf("pipeline off: %d states; on: %d states", roff.States, ron.States)
-}
-
 // TestPipelinedReplay: a buffered round is visible in the fingerprint
 // (so BFS does not collapse it into the un-buffered state), survives a
 // reconfiguration that does not drain it, and flush clears it — all on a
@@ -261,12 +234,9 @@ func TestPipelinedReplay(t *testing.T) {
 
 // TestMutationCaughtWithPipeline pins the acceptance pairing explicitly:
 // the seeded skip-invalidation mutant must still die while the
-// pipelined-session actions are part of the explored space.
+// push-session actions are part of the explored space.
 func TestMutationCaughtWithPipeline(t *testing.T) {
 	cfg := DefaultConfig()
-	if !cfg.Pipeline {
-		t.Fatal("default bounds must include the pipelined-session actions")
-	}
 	cfg.SkipInvalidate = "v2"
 	res, err := Explore(cfg)
 	if err != nil {

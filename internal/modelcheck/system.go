@@ -358,10 +358,10 @@ func (s *system) close() {
 }
 
 // attachView builds a cache manager for the view's current mode and
-// property set (initial construction and revive share it). Under
-// Config.Pipeline the manager runs with ManualFlush so buffered async
-// rounds dispatch only when an explicit action (flush, or a draining
-// synchronous operation) says so — the explorer stays the sole scheduler.
+// property set (initial construction and revive share it). The manager
+// runs with ManualFlush so a buffered round dispatches only when an
+// explicit action (flush, a synchronous push, or a flushing
+// reconfiguration) says so — the explorer stays the sole scheduler.
 func (s *system) attachView(v *viewNode) (*cache.Manager, error) {
 	return cache.New(cache.Config{
 		Name:            v.name,
@@ -372,7 +372,7 @@ func (s *system) attachView(v *viewNode) (*cache.Manager, error) {
 		Mode:            v.mode,
 		ValidityTrigger: s.cfg.Validity,
 		Clock:           s.clock,
-		ManualFlush:     s.cfg.Pipeline,
+		ManualFlush:     true,
 	})
 }
 
@@ -628,8 +628,7 @@ type viewMeta struct {
 	writes   int
 	propsAlt bool
 	mode     wire.Mode
-	// buffered marks an asynchronous push round waiting for dispatch
-	// (Config.Pipeline).
+	// buffered marks an asynchronous push round waiting for dispatch.
 	buffered bool
 }
 
