@@ -162,7 +162,8 @@ func (s *Store) Absorb(snap *Snapshot) error {
 	if err := snap.check(); err != nil {
 		return err
 	}
-	defer s.lockStore()()
+	s.lockStore()
+	defer s.unlockStore()
 	if s.extendedByLocked(snap) {
 		for _, r := range snap.Shadow {
 			st := s.stripeFor(r.Key)

@@ -81,7 +81,8 @@ func (s *Store) Restore(snap *Snapshot) error {
 	if err := snap.check(); err != nil {
 		return err
 	}
-	defer s.lockStore()()
+	s.lockStore()
+	defer s.unlockStore()
 	for _, st := range s.stripes {
 		st.shadow = map[string]shadowEntry{}
 	}

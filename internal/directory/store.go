@@ -538,7 +538,8 @@ func (s *Store) UnseenOps(since vclock.Version, viewer string, props property.Se
 //   - the published watermark has caught up with the counter.
 func (s *Store) CheckInvariants() error {
 	// Quiesce in-flight commits so the cross-stripe view is coherent.
-	defer s.rlockStore()()
+	s.rlockStore()
+	defer s.runlockStore()
 	cur := s.counter.Current()
 	if pub := s.pub.published(); pub != cur {
 		return fmt.Errorf("store: published watermark v%d behind counter v%d with no commit in flight", pub, cur)

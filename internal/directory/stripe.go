@@ -91,17 +91,19 @@ func (s *Store) EnableStriping() {}
 
 // lockStore acquires the store exclusively for a whole-store mutation
 // (restore/absorb): the gate's write side quiesces every in-flight commit
-// and extract, Store.mu fences the log readers that bypass the gate. The
-// returned release fast-forwards the published watermark to the (possibly
-// advanced) counter before letting commits back in.
-func (s *Store) lockStore() func() {
+// and extract, Store.mu fences the log readers that bypass the gate.
+func (s *Store) lockStore() {
 	s.gate.Lock()
 	s.mu.Lock()
-	return func() {
-		s.pub.reset(s.counter.Current())
-		s.mu.Unlock()
-		s.gate.Unlock()
-	}
+}
+
+// unlockStore releases lockStore. It fast-forwards the published
+// watermark to the (possibly advanced) counter before letting commits
+// back in.
+func (s *Store) unlockStore() {
+	s.pub.reset(s.counter.Current())
+	s.mu.Unlock()
+	s.gate.Unlock()
 }
 
 // rlockStore acquires the store for a whole-store read (snapshot capture,
@@ -109,13 +111,15 @@ func (s *Store) lockStore() func() {
 // coherent and — critically for replication — complete up to the counter
 // (a batch closed at version V contains every commit ≤ V, in-flight lanes
 // drained), plus Store.mu's read side for the log.
-func (s *Store) rlockStore() func() {
+func (s *Store) rlockStore() {
 	s.gate.Lock()
 	s.mu.RLock()
-	return func() {
-		s.mu.RUnlock()
-		s.gate.Unlock()
-	}
+}
+
+// runlockStore releases rlockStore.
+func (s *Store) runlockStore() {
+	s.mu.RUnlock()
+	s.gate.Unlock()
 }
 
 // insertDirty adds a record keeping the stripe's dirty index

@@ -54,8 +54,12 @@ type Set struct {
 
 // NewSet builds a set from the given properties. Later duplicates of a name
 // replace earlier ones (last writer wins), mirroring "a set of properties
-// does not contain two properties with the same name".
+// does not contain two properties with the same name". With no properties
+// it is the zero Set, which allocates nothing.
 func NewSet(props ...Property) Set {
+	if len(props) == 0 {
+		return Set{}
+	}
 	s := Set{byName: make(map[string]Property, len(props))}
 	for _, p := range props {
 		if p.IsEmpty() {

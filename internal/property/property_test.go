@@ -70,6 +70,22 @@ func TestSetPutReplacesAndRemovesEmpty(t *testing.T) {
 	}
 }
 
+// emptySink keeps NewSet's result live, so the test below measures what a
+// caller that keeps the set pays.
+var emptySink Set
+
+// TestNewSetEmptyNoAlloc: the empty set is the zero Set. Sets are
+// immutable, so it needs no map of its own, and building it — every
+// replication batch extracts under it — allocates nothing.
+func TestNewSetEmptyNoAlloc(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { emptySink = NewSet() }); got != 0 {
+		t.Fatalf("NewSet() allocs/op = %.1f, want 0", got)
+	}
+	if !emptySink.IsEmpty() || !emptySink.Equal(Set{}) || !emptySink.SubsetOf(MustSet("A={1}")) {
+		t.Fatalf("NewSet() = %q, want the empty set", emptySink)
+	}
+}
+
 func TestSetDuplicateNameLastWins(t *testing.T) {
 	s := NewSet(New("A", DiscreteInts(1)), New("A", DiscreteInts(9)))
 	if s.Len() != 1 {

@@ -254,13 +254,17 @@ func (r *Registry) Scope(name string) (property.Set, uint64) {
 	return property.Set{}, 0
 }
 
-// SetActive marks a view active or inactive.
-func (r *Registry) SetActive(name string, active bool) {
+// SetActive marks a view active or inactive and reports whether it was
+// active before, read under the same lock as the write: a caller tells a
+// repeat from a reactivation without racing a concurrent deactivation.
+func (r *Registry) SetActive(name string, active bool) (was bool) {
 	r.mu.Lock()
 	if v, ok := r.views[name]; ok {
+		was = v.Active
 		v.Active = active
 	}
 	r.mu.Unlock()
+	return was
 }
 
 // Active reports whether a view is currently active.
