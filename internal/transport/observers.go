@@ -60,6 +60,19 @@ func (s *Observers) Set(o Observer) {
 // Len returns the number of registered observers.
 func (s *Observers) Len() int { return len(s.snapshot()) }
 
+// active reports whether a message sent now would reach any observer: a
+// member that is itself a fan-out counts only if it is active in turn (a
+// DialNetwork joins its own, often empty, fan-out into every client's).
+// Transports skip building what only observers would see when it is false.
+func (s *Observers) active() bool {
+	for _, o := range s.snapshot() {
+		if inner, ok := o.(*Observers); !ok || inner.active() {
+			return true
+		}
+	}
+	return false
+}
+
 // OnMessage implements Observer by fanning the message out in
 // registration order.
 func (s *Observers) OnMessage(from, to string, m *wire.Message) {

@@ -58,13 +58,26 @@ type peer struct {
 // through the peer's pending map under its mutex, so a reply racing a
 // timeout is never delivered twice and a reply arriving after the
 // timeout is counted and dropped by the read loop.
+//
+// Records are pooled (calls). One goes back to the pool only after its
+// caller has consumed done, by which time its Seq has left the pending
+// map, so a late reply (matched by Seq) can never reach a recycled record.
 type pendingCall struct {
 	seq uint64
-	// done is closed at resolution; reply/err are written before the
-	// close and must only be read after it.
+	// done (buffer 1) is signalled once, by the winning resolver under
+	// p.mu; reply/err are written before the signal and must only be read
+	// after it.
 	done  chan struct{}
 	reply *wire.Message
 	err   error
+	// timer bounds the call when the peer has a timeout; it is created on
+	// the record's first bounded call and Reset for each later one.
+	timer *time.Timer
+}
+
+// calls pools pendingCall records with their done channel and timer.
+var calls = sync.Pool{
+	New: func() any { return &pendingCall{done: make(chan struct{}, 1)} },
 }
 
 func newPeer(name string, conn net.Conn, h Handler, stats *WireStats) *peer {
@@ -193,36 +206,40 @@ func (p *peer) serve(req *wire.Message) (reply *wire.Message) {
 // no bound). Concurrent callers share the connection: their requests
 // coalesce into shared flushes and the read loop matches each reply by
 // Seq. A TErr reply comes back as the reply plus a wire.RemoteError.
+//
+// The caller's message is never written to: Seq and From are stamped as
+// the header is encoded, so the caller may retry the same message after a
+// timeout or failure. Observers, if any, get a stamped copy.
 func (p *peer) call(to string, req *wire.Message, timeout time.Duration) (*wire.Message, error) {
-	// Stamp a shallow clone: the caller may retry the same message after a
-	// timeout or failure and must not observe this peer's Seq/From writes.
-	r := *req
-	req = &r
-
 	p.mu.Lock()
 	if p.closed {
 		err := p.err
 		p.mu.Unlock()
 		return nil, fmt.Errorf("transport: call on closed peer: %w", err)
 	}
-	c := &pendingCall{seq: p.seq.Add(1), done: make(chan struct{})}
+	c := calls.Get().(*pendingCall)
+	c.seq = p.seq.Add(1)
 	p.pending[c.seq] = c
 	p.mu.Unlock()
 
-	req.Seq = c.seq
-	req.From = p.name
-	if p.obs != nil {
-		p.obs.OnMessage(p.name, to, req)
+	if p.obs != nil && p.obs.active() {
+		r := *req
+		r.Seq, r.From = c.seq, p.name
+		p.obs.OnMessage(p.name, to, &r)
 	}
-	if err := p.wq.sendAsync(req); err != nil {
+	if err := p.wq.sendAs(req, c.seq, p.name); err != nil {
 		p.shutdown(err) // resolves c with err
 	}
 	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
+		if c.timer == nil {
+			c.timer = time.NewTimer(timeout)
+		} else {
+			c.timer.Reset(timeout)
+		}
 		select {
 		case <-c.done:
-		case <-t.C:
+			c.stopTimer()
+		case <-c.timer.C:
 			// Resolve-or-lose: if the reply won the race, finish is a no-op
 			// and the real reply below is returned.
 			p.finish(c, nil, fmt.Errorf("transport: call to peer timed out after %v", timeout))
@@ -231,10 +248,31 @@ func (p *peer) call(to string, req *wire.Message, timeout time.Duration) (*wire.
 	} else {
 		<-c.done
 	}
-	if c.err != nil {
-		return nil, c.err
+	reply, err := c.reply, c.err
+	c.reply, c.err = nil, nil
+	calls.Put(c)
+	if err != nil {
+		return nil, err
 	}
-	return c.reply, wire.ErrorOf(c.reply)
+	return reply, wire.ErrorOf(reply)
+}
+
+// stopTimer stops the timer of a call that resolved before it fired. A
+// timer whose tick may still be on its way (Stop lost the race and the
+// channel is empty) is dropped rather than reused, so a stale tick can
+// never time out the record's next call. That holds under both
+// timer-channel semantics: with synchronous channels the drain finds
+// nothing and the timer is dropped, which only costs the next call a
+// fresh one.
+func (c *pendingCall) stopTimer() {
+	if c.timer.Stop() {
+		return
+	}
+	select {
+	case <-c.timer.C:
+	default:
+		c.timer = nil
+	}
 }
 
 // finish resolves c exactly once. Racing resolvers (reply vs timeout vs
@@ -253,7 +291,7 @@ func (p *peer) finishLocked(c *pendingCall, reply *wire.Message, err error) {
 	delete(p.pending, c.seq)
 	c.reply = reply
 	c.err = err
-	close(c.done)
+	c.done <- struct{}{}
 }
 
 func (p *peer) shutdown(err error) {
@@ -271,7 +309,7 @@ func (p *peer) shutdown(err error) {
 	callErr := fmt.Errorf("transport: call on closed peer: %w", err)
 	for _, c := range p.pending {
 		c.err = callErr
-		close(c.done)
+		c.done <- struct{}{}
 	}
 	p.pending = map[uint64]*pendingCall{}
 	p.mu.Unlock()
@@ -515,7 +553,7 @@ type serverEndpoint struct{ s *Server }
 
 func (e serverEndpoint) Name() string { return e.s.Name() }
 func (e serverEndpoint) Call(to string, req *wire.Message) (*wire.Message, error) {
-	// peer.call stamps From (on a clone); nothing to do here.
+	// peer.call stamps From as it encodes; nothing to do here.
 	return e.s.Call(to, req)
 }
 func (e serverEndpoint) Close() error { return e.s.Close() }

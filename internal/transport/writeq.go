@@ -67,10 +67,10 @@ const maxFlushScratch = 128 << 10
 // share the next one, and frames go out in exactly the order they were
 // enqueued.
 //
-// Ownership: enqueueing transfers the frame to the queue, which releases
-// it after the write attempt (or on failure). A write failure poisons the
-// queue: later senders get the sticky error, and the owner learns of it
-// through onFail.
+// Ownership: enqueueing transfers the pooled frame to the queue, the only
+// owner from then on, which releases it exactly once after the write
+// attempt (or on failure). A write failure poisons the queue: later
+// senders get the sticky error, and the owner learns of it through onFail.
 type writeQueue struct {
 	w     io.Writer
 	stats *WireStats // nil disables accounting
@@ -80,9 +80,16 @@ type writeQueue struct {
 	// (the peer) learns this way.
 	onFail func(error)
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	pending  []*wire.EncodedFrame
+	// drain is drainLoop as a func value, bound once so starting a
+	// drainer (go q.drain()) allocates no closure.
+	drain func()
+
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pending []*wire.EncodedFrame
+	// spare is the previous flush's batch slice, emptied: the next flush
+	// swaps it in for pending instead of growing a fresh one.
+	spare    []*wire.EncodedFrame
 	draining bool // a drainer goroutine owns the pending frames
 	// corked holds the drainer so replies to a request burst accumulate
 	// into one batch; the read loop uncorks before it blocks on input.
@@ -94,6 +101,7 @@ type writeQueue struct {
 func newWriteQueue(w io.Writer, stats *WireStats) *writeQueue {
 	q := &writeQueue{w: w, stats: stats}
 	q.cond = sync.NewCond(&q.mu)
+	q.drain = q.drainLoop
 	return q
 }
 
@@ -102,8 +110,12 @@ func newWriteQueue(w io.Writer, stats *WireStats) *writeQueue {
 // next batch, so even a single sender streaming frames batches them
 // instead of paying one syscall each. A write failure poisons the queue
 // and is reported through onFail.
-func (q *writeQueue) sendAsync(m *wire.Message) error {
-	f, err := wire.EncodeFrame(m)
+func (q *writeQueue) sendAsync(m *wire.Message) error { return q.sendAs(m, m.Seq, m.From) }
+
+// sendAs is sendAsync with the frame's Seq and From stamped as seq and
+// from, leaving m untouched.
+func (q *writeQueue) sendAs(m *wire.Message, seq uint64, from string) error {
+	f, err := wire.EncodeFrame(m, seq, from)
 	if err != nil {
 		return err
 	}
@@ -117,7 +129,7 @@ func (q *writeQueue) sendAsync(m *wire.Message) error {
 	q.pending = append(q.pending, f)
 	if !q.draining {
 		q.draining = true
-		go q.drainLoop()
+		go q.drain()
 	}
 	q.mu.Unlock()
 	return nil
@@ -181,15 +193,17 @@ func (q *writeQueue) uncork() {
 // write so senders keep queueing behind the in-flight flush.
 func (q *writeQueue) flushLocked() {
 	batch := q.pending
-	q.pending = nil
+	q.pending, q.spare = q.spare, nil
 	q.mu.Unlock()
 
 	err := q.writeBatch(batch)
-	for _, f := range batch {
+	for i, f := range batch {
 		f.Release()
+		batch[i] = nil
 	}
 
 	q.mu.Lock()
+	q.spare = batch[:0]
 	if err != nil {
 		q.failLocked(err)
 	}

@@ -77,22 +77,25 @@ func (r *repeatFrames) Read(p []byte) (int, error) {
 
 // TestRoundTripAllocs pins the steady-state allocation budget of a full
 // WriteFrame + FrameReader.Read round trip — the per-message cost of the
-// buffered wire path. The ceilings are what pooling buys: the write side is
-// alloc-free for small messages, and the read side allocates only the
-// decoded Message (plus its strings/entries), never the payload buffer.
+// buffered wire path. The ceilings are what pooling and the reader's name
+// table buy: the write side is alloc-free for small messages, and the read
+// side allocates only the decoded Message (plus its non-name strings and
+// entries) — never the payload buffer, the length header, or a node name
+// it has read before.
 func TestRoundTripAllocs(t *testing.T) {
 	cases := []struct {
 		name string
 		m    *Message
 		max  float64
 	}{
-		// Decode of a tiny ack allocates the Message and nothing else;
-		// WriteFrame is alloc-free.
-		{"small-ack", &Message{Type: TAck, Seq: 7, From: "dm", Version: 9}, 3},
+		// Decode of a tiny ack allocates the Message and nothing else: its
+		// From is interned. WriteFrame is alloc-free.
+		{"small-ack", &Message{Type: TAck, Seq: 7, From: "dm", Version: 9}, 1},
 		// A keyed-image push pays for the decoded image: per entry a key,
-		// a value copy, a writer string, and the map insert — and nothing
-		// for a property set, which images no longer carry (32 measured).
-		{"keyed-push", allocTestMessage(8), 34},
+		// a value copy and the map insert — nothing for the interned
+		// writer, and nothing for a property set, which images no longer
+		// carry (21 measured).
+		{"keyed-push", allocTestMessage(8), 23},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -105,9 +105,10 @@ func (e *Encoder) Copy() []byte {
 // are copied out of the input, and nothing is allocated before the
 // declared length has been checked against the bytes that remain.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	err   error
+	names nameTable // interns node names when set (FrameReader)
 }
 
 // NewDecoder reads from b, which it never modifies or retains past the
@@ -188,6 +189,21 @@ func (d *Decoder) Str() string {
 	return s
 }
 
+// name reads a node name (From, View, an entry's Writer): a string
+// interned through the decoder's name table when it has one.
+func (d *Decoder) name() string {
+	if d.names == nil {
+		return d.Str()
+	}
+	n := d.length("string", 1)
+	if d.err != nil || n == 0 {
+		return ""
+	}
+	s := d.names.intern(d.buf[d.off : d.off+n])
+	d.off += n
+	return s
+}
+
 // Bytes reads a u32-length-prefixed byte slice (nil when empty).
 func (d *Decoder) Bytes() []byte {
 	n := d.length("bytes", 1)
@@ -212,7 +228,7 @@ func Encode(m *Message) []byte {
 }
 
 func (e *Encoder) message(m *Message) {
-	e.header(m)
+	e.header(m, m.Seq, m.From)
 	if m.Pre != nil {
 		e.buf = append(e.buf, m.Pre.body...)
 		return
@@ -222,12 +238,13 @@ func (e *Encoder) message(m *Message) {
 
 // header serializes the per-link fields: the ones a fan-out round stamps
 // freshly for every target (Type, Seq, From, View) plus the codec version.
-// header followed by body is byte-identical to the pre-split encoding.
-func (e *Encoder) header(m *Message) {
+// seq and from stand in for m's own (EncodeFrame). header followed by
+// body is byte-identical to the pre-split encoding.
+func (e *Encoder) header(m *Message, seq uint64, from string) {
 	e.U8(codecVersion)
 	e.U8(uint8(m.Type))
-	e.U64(m.Seq)
-	e.Str(m.From)
+	e.U64(seq)
+	e.Str(from)
 	e.Str(m.View)
 }
 
@@ -301,8 +318,11 @@ func (e *Encoder) PropSet(s property.Set) {
 }
 
 // Decode parses a message produced by Encode.
-func Decode(b []byte) (*Message, error) {
-	d := NewDecoder(b)
+func Decode(b []byte) (*Message, error) { return decode(b, nil) }
+
+// decode is Decode with node names interned through names (nil: none).
+func decode(b []byte, names nameTable) (*Message, error) {
+	d := &Decoder{buf: b, names: names}
 	ver := d.U8()
 	if d.err == nil && ver != codecVersion {
 		return nil, fmt.Errorf("wire: unsupported codec version %d", ver)
@@ -310,8 +330,8 @@ func Decode(b []byte) (*Message, error) {
 	m := &Message{}
 	m.Type = Type(d.U8())
 	m.Seq = d.U64()
-	m.From = d.Str()
-	m.View = d.Str()
+	m.From = d.name()
+	m.View = d.name()
 	m.Mode = Mode(d.U8())
 	m.Op = OpClass(d.U8())
 	m.Since = vclock.Version(d.U64())
@@ -360,7 +380,7 @@ func (d *Decoder) ImageEntries(im *image.Image) error {
 		ent.Key = d.Str()
 		ent.Value = d.Bytes()
 		ent.Version = vclock.Version(d.U64())
-		ent.Writer = d.Str()
+		ent.Writer = d.name()
 		ent.Deleted = d.Bool()
 		if d.err != nil {
 			break

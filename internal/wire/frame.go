@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // This file is the coalesced wire path: pre-encoded shareable bodies for
@@ -47,25 +48,35 @@ func (f *Frame) BodyLen() int { return len(f.body) }
 // second writev segment through the write path.
 const inlineBody = 4 << 10
 
-// EncodedFrame is one message framed for a byte stream: a pooled buffer
-// holding the length prefix and header, plus (for large pre-encoded
-// bodies) a reference to the shared body bytes. It is produced by
-// EncodeFrame and must be released exactly once after the bytes have been
-// written (or abandoned) — the write queue takes ownership on enqueue.
+// EncodedFrame is one message framed for a byte stream: a buffer holding
+// the length prefix and header, plus (for large pre-encoded bodies) a
+// reference to the shared body bytes. Frames are pooled together with
+// their buffer: EncodeFrame takes one from the pool, and Release puts it
+// back, so it must be called exactly once, after the bytes have been
+// written (or abandoned). The write queue takes ownership on enqueue and
+// is the only caller of Release.
 type EncodedFrame struct {
-	enc  *Encoder // pooled; enc.buf = length prefix + header [+ body]
-	body []byte   // shared pre-encoded body, nil when inlined in enc.buf
+	enc  Encoder // length prefix + header [+ body]
+	body []byte  // shared pre-encoded body, nil when inlined in enc.buf
 }
 
-// EncodeFrame serializes m into a socket-ready frame. When m carries a
-// large pre-encoded body the frame references it instead of copying, so a
-// fan-out round's body bytes are serialized once and shared by every
-// target's frame.
-func EncodeFrame(m *Message) (*EncodedFrame, error) {
-	e := GetEncoder()
+// frames pools EncodedFrames together with their buffers.
+var frames = sync.Pool{
+	New: func() any { return &EncodedFrame{enc: Encoder{buf: make([]byte, 0, 512)}} },
+}
+
+// EncodeFrame serializes m into a socket-ready frame whose header carries
+// seq and from in place of m.Seq and m.From: a transport stamps a
+// caller's request this way without copying or mutating it (pass m.Seq
+// and m.From to send m as it is). When m carries a large pre-encoded body
+// the frame references it instead of copying, so a fan-out round's body
+// bytes are serialized once and shared by every target's frame.
+func EncodeFrame(m *Message, seq uint64, from string) (*EncodedFrame, error) {
+	f := frames.Get().(*EncodedFrame)
+	e := &f.enc
+	e.buf = e.buf[:0]
 	e.U32(0) // length prefix, patched below
-	e.header(m)
-	f := &EncodedFrame{enc: e}
+	e.header(m, seq, from)
 	switch {
 	case m.Pre == nil:
 		e.body(m)
@@ -107,14 +118,14 @@ func (f *EncodedFrame) WriteTo(w io.Writer) (int64, error) {
 	return total + int64(n), err
 }
 
-// Release returns the frame's pooled header buffer. The frame (and any
-// Segments slices taken from it) must not be used afterwards.
+// Release returns the frame to the pool. The frame (and any Segments
+// slices taken from it) must not be used afterwards; a second Release
+// would hand one frame to two owners.
 func (f *EncodedFrame) Release() {
-	if f.enc != nil {
-		PutEncoder(f.enc)
-		f.enc = nil
-	}
 	f.body = nil
+	if cap(f.enc.buf) <= maxPooledBuf {
+		frames.Put(f)
+	}
 }
 
 // frameReaderBuf is the FrameReader's stream buffer size: large enough
@@ -125,16 +136,21 @@ const frameReaderBuf = 32 << 10
 // FrameReader reads length-prefixed messages from a byte stream through
 // a buffered reader and a reusable payload scratch, so a steady state of
 // small frames costs amortized read syscalls and no per-frame payload
-// allocation. Decode copies every string and byte slice it returns, so
-// reusing the scratch across frames is safe. Not safe for concurrent use.
+// allocation. Decoding copies every byte slice and string it returns out
+// of the scratch, so reusing the scratch across frames is safe. Node-name
+// fields (From, View, an image entry's Writer) go through the reader's
+// name table: a name seen before comes back as the same string, not a
+// fresh copy. Not safe for concurrent use.
 type FrameReader struct {
 	br      *bufio.Reader
+	hdr     [4]byte // length prefix of the frame being read
 	scratch []byte
+	names   nameTable
 }
 
 // NewFrameReader wraps r for buffered frame reads.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, frameReaderBuf)}
+	return &FrameReader{br: bufio.NewReaderSize(r, frameReaderBuf), names: nameTable{}}
 }
 
 // Buffered reports how many stream bytes are already buffered: non-zero
@@ -145,11 +161,10 @@ func (fr *FrameReader) Buffered() int { return fr.br.Buffered() }
 
 // Read reads and decodes the next frame.
 func (fr *FrameReader) Read() (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(fr.hdr[:]))
 	if n > maxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
@@ -157,7 +172,31 @@ func (fr *FrameReader) Read() (*Message, error) {
 	if _, err := io.ReadFull(fr.br, payload); err != nil {
 		return nil, err
 	}
-	return Decode(payload)
+	return decode(payload, fr.names)
+}
+
+// Name-table bounds: a connection speaks with a handful of nodes, so a
+// small table catches every name it repeats, and the caps keep hostile
+// input (a stream of distinct or huge names) from growing it. Names past
+// either cap are allocated per frame, as without the table.
+const (
+	maxNames   = 256
+	maxNameLen = 128
+)
+
+// nameTable interns node names for one FrameReader. Its strings are copies,
+// never views of the payload scratch.
+type nameTable map[string]string
+
+func (t nameTable) intern(b []byte) string {
+	if s, ok := t[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(t) < maxNames && len(b) <= maxNameLen {
+		t[s] = s
+	}
+	return s
 }
 
 // payload returns an n-byte buffer, reusing the scratch when it fits. An

@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"flecc/internal/image"
 	"flecc/internal/property"
@@ -77,7 +79,7 @@ func TestEncodeFrameMatchesWriteFrame(t *testing.T) {
 			if err := WriteFrame(&want, &mm); err != nil {
 				t.Fatal(err)
 			}
-			f, err := EncodeFrame(&mm)
+			f, err := EncodeFrame(&mm, mm.Seq, mm.From)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +110,7 @@ func TestEncodeFrameMatchesWriteFrame(t *testing.T) {
 func TestEncodeFrameSegmentsLargeBody(t *testing.T) {
 	m := allocTestMessage(600)
 	m.Pre = Preencode(m)
-	f, err := EncodeFrame(m)
+	f, err := EncodeFrame(m, m.Seq, m.From)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestEncodeFrameTooLarge(t *testing.T) {
 		img.Put(image.Entry{Key: k, Value: []byte(val), Version: 1, Writer: "w"})
 	}
 	m := &Message{Type: TPush, Img: img}
-	if _, err := EncodeFrame(m); err == nil {
+	if _, err := EncodeFrame(m, m.Seq, m.From); err == nil {
 		t.Fatal("oversized frame should fail to encode")
 	}
 }
@@ -187,26 +189,82 @@ func TestFrameReaderLimits(t *testing.T) {
 }
 
 // Decoded messages must not alias the reader's scratch: reading the next
-// frame cannot mutate the previous message.
+// frame cannot mutate the previous message — its byte slices, its plain
+// strings, or the node names the reader interned. The renamed frames share
+// one layout, so the second read overwrites the very bytes each name of
+// the first was read from.
 func TestFrameReaderNoAliasing(t *testing.T) {
-	var buf bytes.Buffer
-	a := sampleMessage()
-	b := allocTestMessage(10)
-	if err := WriteFrame(&buf, a); err != nil {
-		t.Fatal(err)
+	renamed := func(name string) *Message {
+		m := allocTestMessage(10)
+		m.From, m.View = name, name
+		for k, e := range m.Img.Entries {
+			e.Writer = name
+			m.Img.Entries[k] = e
+		}
+		return m
 	}
-	if err := WriteFrame(&buf, b); err != nil {
+	msgs := []*Message{sampleMessage(), allocTestMessage(10), renamed("agent-111"), renamed("agent-222"), renamed("agent-111")}
+	var buf bytes.Buffer
+	for _, m := range msgs {
+		if err := WriteFrame(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(&buf)
+	var got []*Message
+	for range msgs {
+		m, err := fr.Read() // each read overwrites the scratch
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, m)
+	}
+	for i, want := range msgs {
+		if !messagesEqual(want, got[i]) {
+			t.Fatalf("message %d corrupted by a later read", i)
+		}
+	}
+	if len(fr.names) == 0 {
+		t.Fatal("no node name went through the name table")
+	}
+}
+
+// The name table stays at its cap however many distinct names a stream
+// carries, and every frame still decodes to its own names; names the table
+// holds come back as the table's string, not a fresh copy.
+func TestFrameReaderInternBounded(t *testing.T) {
+	const n = 10000
+	var buf bytes.Buffer
+	for i := 0; i < n; i++ {
+		m := &Message{Type: TAck, Seq: uint64(i), From: fmt.Sprintf("node-%05d", i), View: "dm"}
+		if err := WriteFrame(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	long := strings.Repeat("n", maxNameLen+1)
+	if err := WriteFrame(&buf, &Message{Type: TAck, From: long}); err != nil {
 		t.Fatal(err)
 	}
 	fr := NewFrameReader(&buf)
-	gotA, err := fr.Read()
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < n; i++ {
+		m, err := fr.Read()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if want := fmt.Sprintf("node-%05d", i); m.From != want || m.View != "dm" || m.Seq != uint64(i) {
+			t.Fatalf("frame %d decoded as From=%q View=%q Seq=%d", i, m.From, m.View, m.Seq)
+		}
+		if held, ok := fr.names[m.From]; ok && unsafe.StringData(held) != unsafe.StringData(m.From) {
+			t.Fatalf("frame %d: %q is in the table but came back as a fresh copy", i, m.From)
+		}
 	}
-	if _, err := fr.Read(); err != nil { // overwrites the scratch
-		t.Fatal(err)
+	if m, err := fr.Read(); err != nil || m.From != long {
+		t.Fatalf("long name: %v", err)
 	}
-	if !messagesEqual(a, gotA) {
-		t.Fatal("first message corrupted by the second read")
+	if got := len(fr.names); got != maxNames {
+		t.Fatalf("name table holds %d names, want its cap %d", got, maxNames)
+	}
+	if _, ok := fr.names[long]; ok {
+		t.Fatal("a name over maxNameLen was interned")
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"flecc/internal/image"
@@ -65,9 +66,11 @@ func seedCorpus() [][]byte {
 	return seeds
 }
 
-// FuzzDecode asserts Decode never panics on arbitrary input, and that any
+// FuzzDecode asserts Decode never panics on arbitrary input, that any
 // input it accepts re-encodes and re-decodes stably (decode∘encode is an
-// identity on the decoded form).
+// identity on the decoded form), and that a FrameReader — which interns
+// node names through its name table — decodes it to the same message, the
+// second time (names now in the table) as well as the first.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range seedCorpus() {
 		f.Add(seed)
@@ -87,6 +90,18 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !messagesEqual(m, m2) {
 			t.Fatal("decode∘encode is not stable")
+		}
+		framed := binary.LittleEndian.AppendUint32(nil, uint32(len(data)))
+		framed = append(framed, data...)
+		fr := NewFrameReader(bytes.NewReader(append(bytes.Clone(framed), framed...)))
+		for i := 0; i < 2; i++ {
+			got, err := fr.Read()
+			if err != nil {
+				t.Fatalf("FrameReader read %d rejected what Decode accepted: %v", i, err)
+			}
+			if !messagesEqual(m, got) {
+				t.Fatalf("FrameReader read %d decoded differently from Decode", i)
+			}
 		}
 	})
 }
