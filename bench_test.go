@@ -207,7 +207,7 @@ func BenchmarkBuyerMix(b *testing.B) {
 // --- E8: wire codec micro-benchmarks --------------------------------------
 
 func benchMessage(entries int) *wire.Message {
-	img := image.New(property.MustSet("Flights={100..139}"))
+	img := image.New()
 	for i := 0; i < entries; i++ {
 		img.Put(image.Entry{
 			Key:     fmt.Sprintf("flight/%03d", i),
@@ -381,11 +381,10 @@ func BenchmarkPushPullCycle(b *testing.B) {
 func BenchmarkStoreCommit(b *testing.B) {
 	db := flecc.NewMapCodec()
 	st := directory.NewStore(db, vclock.NewSim())
-	props := property.MustSet("F={1..10}")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		delta := image.New(props)
+		delta := image.New()
 		for k := 0; k < 10; k++ {
 			delta.Put(image.Entry{
 				Key:     fmt.Sprintf("k%d", k),
@@ -405,7 +404,7 @@ func BenchmarkStoreExtract(b *testing.B) {
 	db := flecc.NewMapCodec()
 	st := directory.NewStore(db, vclock.NewSim())
 	props := property.MustSet("F={1..10}")
-	delta := image.New(props)
+	delta := image.New()
 	for k := 0; k < 100; k++ {
 		delta.Put(image.Entry{Key: fmt.Sprintf("k%03d", k), Value: []byte("value")})
 	}
@@ -425,7 +424,7 @@ func BenchmarkStoreExtract(b *testing.B) {
 // primary after a 10-key commit — the hot shape in steady state, where a
 // puller is nearly caught up. "keyed" serves it from the dirty-key index
 // via the codec's ExtractKeys; "full" hides the keyed extension, forcing
-// the classic full-extract + DeltaSince walk over all 1000 keys.
+// the classic full-extract-and-trim walk over all 1000 keys.
 func BenchmarkStoreExtractDelta(b *testing.B) {
 	build := func(hide bool) (*directory.Store, vclock.Version, property.Set) {
 		db := flecc.NewMapCodec()
@@ -435,7 +434,7 @@ func BenchmarkStoreExtractDelta(b *testing.B) {
 		}
 		st := directory.NewStore(codec, vclock.NewSim())
 		props := property.MustSet("F={1..10}")
-		seed := image.New(props)
+		seed := image.New()
 		for k := 0; k < 1000; k++ {
 			seed.Put(image.Entry{Key: fmt.Sprintf("k%04d", k), Value: []byte("value")})
 		}
@@ -443,7 +442,7 @@ func BenchmarkStoreExtractDelta(b *testing.B) {
 			b.Fatal(err)
 		}
 		since := st.Current()
-		tail := image.New(props)
+		tail := image.New()
 		for k := 0; k < 10; k++ {
 			tail.Put(image.Entry{Key: fmt.Sprintf("k%04d", k), Value: []byte("fresh"), Version: since})
 		}
@@ -608,7 +607,7 @@ func BenchmarkPropagateFanout(b *testing.B) {
 			writer := benchFakeView(b, f, "writer", props)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				delta := image.New(props)
+				delta := image.New()
 				delta.Put(image.Entry{Key: "k", Value: []byte(fmt.Sprint(i)), Version: dm.CurrentVersion()})
 				reply, err := writer.Call("dm", &wire.Message{Type: wire.TPush, Img: delta, Ops: 1})
 				if err != nil || reply.Type != wire.TAck {

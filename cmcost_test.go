@@ -98,7 +98,7 @@ func (r *cmRig) fetch(tb testing.TB) {
 
 // pullOne makes the view pull a reply carrying one changed flight.
 func (r *cmRig) pullOne(tb testing.TB, reserved int) {
-	img := image.New(property.Set{})
+	img := image.New()
 	r.ver++
 	f := airline.Flight{Origin: "NYC", Dest: "BOS", Capacity: 1 << 30, Reserved: reserved}
 	img.Put(image.Entry{Key: airline.FlightKey(firstFlight), Value: f.Encode(), Version: r.ver})
@@ -243,7 +243,7 @@ func TestCMCostPullApply(t *testing.T) {
 func TestCMCostFetchResetsBaseStamps(t *testing.T) {
 	r, _ := newCountingRig(t, 8)
 	r.pullOne(t, 3) // base now holds one entry stamped with a version
-	gone := image.New(property.Set{})
+	gone := image.New()
 	gone.Delete(airline.FlightKey(firstFlight+1), 0, "")
 	if err := r.rs.Merge(gone, property.Set{}); err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestChangeExtractorMapCodec(t *testing.T) {
 	step("Set overwrite", func() { m.SetString("a", "3") }, "a=3")
 	step("Delete", func() { m.Delete("b") }, "b:deleted")
 	step("Merge", func() {
-		img := image.New(flecc.Props{})
+		img := image.New()
 		img.Put(image.Entry{Key: "c", Value: []byte("4")})
 		img.Delete("a", 0, "")
 		if err := m.Merge(img, flecc.Props{}); err != nil {
@@ -370,7 +370,7 @@ func TestChangeExtractorMapCodecConcurrent(t *testing.T) {
 				case 1:
 					m.Delete(k)
 				default:
-					img := image.New(flecc.Props{})
+					img := image.New()
 					img.Put(image.Entry{Key: k, Value: []byte("m")})
 					m.Merge(img, flecc.Props{})
 				}

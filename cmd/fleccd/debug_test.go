@@ -22,7 +22,7 @@ import (
 func TestLogLenOnDebugAndStatus(t *testing.T) {
 	commit := func(t *testing.T, dm *directory.Manager) {
 		t.Helper()
-		d := image.New(property.MustSet("P={x}"))
+		d := image.New()
 		d.Put(image.Entry{Key: "k", Value: []byte("v")})
 		if _, err := dm.CommitLocal(d, 1); err != nil {
 			t.Fatal(err)
@@ -149,7 +149,7 @@ func TestReplCountersOnDebug(t *testing.T) {
 	defer repl.Close()
 	commit := func() {
 		t.Helper()
-		delta := image.New(property.NewSet())
+		delta := image.New()
 		delta.Put(image.Entry{Key: "k", Value: []byte("v")})
 		if _, err := d.dm.CommitLocal(delta, 1); err != nil {
 			t.Fatal(err)

@@ -26,7 +26,7 @@ func newMapCodec() *mapCodec { return &mapCodec{data: map[string]string{}} }
 func (c *mapCodec) Extract(props property.Set) (*image.Image, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	img := image.New(props)
+	img := image.New()
 	for k, v := range c.data {
 		img.Put(image.Entry{Key: k, Value: []byte(v)})
 	}
@@ -74,7 +74,7 @@ func TestHATickStandbySelfPromotes(t *testing.T) {
 	}
 
 	// One replicated commit arms the silence clock on the standby.
-	delta := image.New(property.NewSet())
+	delta := image.New()
 	delta.Put(image.Entry{Key: "k", Value: []byte("v")})
 	if _, err := prim.CommitLocal(delta, 1); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestStartDaemonReplicationTCP(t *testing.T) {
 
 	// CommitLocal barriers on the standby's ack: when it returns, the
 	// batch has crossed the wire and been absorbed.
-	delta := image.New(property.NewSet())
+	delta := image.New()
 	delta.Put(image.Entry{Key: "k", Value: []byte("one")})
 	if _, err := prim.CommitLocal(delta, 1); err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestStartDaemonReplicationTCP(t *testing.T) {
 	}
 	defer sb2.Close()
 
-	delta2 := image.New(property.NewSet())
+	delta2 := image.New()
 	delta2.Put(image.Entry{Key: "k", Value: []byte("two")})
 	if _, err := prim.CommitLocal(delta2, 1); err != nil {
 		t.Fatal(err)

@@ -88,6 +88,14 @@ func run(addr, name string, flights, capacity, shards int, statusEvery time.Dura
 	if ha.enabled() && ha.lease <= 0 {
 		return fmt.Errorf("-ha-lease must be > 0")
 	}
+	// SIGTERM is what init systems and container runtimes send; without it
+	// a `docker stop` or systemd shutdown killed the daemon before the
+	// final checkpoint below could run. Registered before the port opens,
+	// so a signal sent the moment a client can connect is not lost.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
+
 	db := airline.NewReservationSystem()
 	airline.SeedFlights(db, 100, flights, capacity)
 
@@ -188,12 +196,6 @@ func run(addr, name string, flights, capacity, shards int, statusEvery time.Dura
 		defer t.Stop()
 		ckptTick = t.C
 	}
-
-	stop := make(chan os.Signal, 1)
-	// SIGTERM is what init systems and container runtimes send; without it
-	// a `docker stop` or systemd shutdown killed the daemon before the
-	// final checkpoint below could run.
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 
 	var ticker *time.Ticker
 	var tick <-chan time.Time

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"log"
 	"net"
 	"os"
@@ -191,6 +192,40 @@ func TestDaemonSIGTERMShutdownCheckpoint(t *testing.T) {
 	}
 	if snap == nil || snap.Version < 1 {
 		t.Fatalf("final checkpoint missing the acked commit: %+v", snap)
+	}
+}
+
+// TestDaemonSIGTERMAtStartup: a SIGTERM sent the moment a client can
+// connect — here while the daemon is still restoring a large checkpoint —
+// still shuts the daemon down through its final checkpoint.
+func TestDaemonSIGTERMAtStartup(t *testing.T) {
+	guardSIGTERM(t)
+	addr := freeAddr(t)
+	ckpt := filepath.Join(t.TempDir(), "db.ckpt")
+	big := &directory.Snapshot{Version: 1, Shadow: make([]directory.ShadowRec, 200_000)}
+	for i := range big.Shadow {
+		big.Shadow[i] = directory.ShadowRec{Key: fmt.Sprintf("k%06d", i), Version: 1, Writer: "w"}
+	}
+	if err := writeFileSync(ckpt, directory.EncodeSnapshot(big)); err != nil {
+		t.Fatal(err)
+	}
+	errc := startDaemon(addr, ckpt, 1)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c, err := net.Dial("tcp", addr)
+		if err == nil {
+			c.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("dial %s: %v", addr, err)
+		}
+	}
+
+	terminate(t, errc)
+
+	if snap, err := readCheckpoint(ckpt); err != nil || snap == nil || snap.Version != 1 {
+		t.Fatalf("final checkpoint: %v, %v; want the restored v1 written back on shutdown", snap, err)
 	}
 }
 

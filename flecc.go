@@ -59,8 +59,9 @@ import (
 type (
 	// Mode is a view's consistency mode.
 	Mode = wire.Mode
-	// Image is the property-scoped state snapshot moved between views
-	// and the original component.
+	// Image is the state snapshot moved between views and the original
+	// component: a version and keyed entries. Its scope is the Props
+	// argument of the Codec call that extracts or merges it.
 	Image = image.Image
 	// Entry is one keyed datum inside an Image.
 	Entry = image.Entry
@@ -549,7 +550,7 @@ func (m *MapCodec) Len() int {
 func (m *MapCodec) Extract(props Props) (*Image, error) {
 	img, _, err := m.ExtractChanged(props, 0)
 	if img == nil {
-		img = image.New(props)
+		img = image.New()
 	}
 	return img, err
 }
@@ -564,7 +565,7 @@ func (m *MapCodec) ExtractChanged(props Props, since uint64) (*Image, uint64, er
 	var img *Image
 	put := func(e image.Entry) {
 		if img == nil {
-			img = image.New(props)
+			img = image.New()
 		}
 		img.Put(e)
 	}
@@ -591,7 +592,7 @@ func (m *MapCodec) ExtractChanged(props Props, since uint64) (*Image, uint64, er
 func (m *MapCodec) ExtractKeys(props Props, keys []string) (*Image, error) {
 	m.lock()
 	defer m.unlock()
-	img := image.New(props)
+	img := image.New()
 	for _, k := range keys {
 		if v, ok := m.data[k]; ok {
 			img.Put(image.Entry{Key: k, Value: copyBytes(v.b)})

@@ -131,20 +131,21 @@ func TestExtractRestrictedByProps(t *testing.T) {
 
 func TestMergeRestrictedAndForeignKeys(t *testing.T) {
 	rs := NewReservationSystem()
-	img := image.New(property.MustSet("Flights={1}"))
+	props := property.MustSet("Flights={1}")
+	img := image.New()
 	img.Put(image.Entry{Key: FlightKey(1), Value: Flight{Number: 1, Origin: "A", Dest: "B", Capacity: 10}.Encode()})
 	img.Put(image.Entry{Key: FlightKey(2), Value: Flight{Number: 2, Origin: "A", Dest: "B", Capacity: 10}.Encode()})
 	img.Put(image.Entry{Key: "other/data", Value: []byte("ignored")})
-	if err := rs.Merge(img, img.Props); err != nil {
+	if err := rs.Merge(img, props); err != nil {
 		t.Fatal(err)
 	}
 	if rs.Len() != 1 {
 		t.Fatalf("len = %d: restriction or foreign-key filtering failed", rs.Len())
 	}
 	// Tombstone removes.
-	img2 := image.New(property.MustSet("Flights={1}"))
+	img2 := image.New()
 	img2.Put(image.Entry{Key: FlightKey(1), Deleted: true})
-	rs.Merge(img2, img2.Props)
+	rs.Merge(img2, props)
 	if rs.Len() != 0 {
 		t.Fatal("tombstone should delete")
 	}
@@ -152,9 +153,9 @@ func TestMergeRestrictedAndForeignKeys(t *testing.T) {
 
 func TestMergeBadPayload(t *testing.T) {
 	rs := NewReservationSystem()
-	img := image.New(property.NewSet())
+	img := image.New()
 	img.Put(image.Entry{Key: FlightKey(1), Value: []byte("garbage")})
-	if err := rs.Merge(img, img.Props); err == nil {
+	if err := rs.Merge(img, property.NewSet()); err == nil {
 		t.Fatal("bad payload should fail")
 	}
 }

@@ -284,7 +284,7 @@ func flightsDomain(props property.Set) (property.Domain, bool) {
 func (rs *ReservationSystem) Extract(props property.Set) (*image.Image, error) {
 	img, _, err := rs.ExtractChanged(props, 0)
 	if img == nil {
-		img = image.New(props)
+		img = image.New()
 	}
 	return img, err
 }
@@ -302,7 +302,7 @@ func (rs *ReservationSystem) ExtractChanged(props property.Set, since uint64) (*
 	var img *image.Image
 	put := func(e image.Entry) {
 		if img == nil {
-			img = image.New(props)
+			img = image.New()
 		}
 		img.Put(e)
 	}
@@ -331,7 +331,7 @@ func (rs *ReservationSystem) ExtractKeys(props property.Set, keys []string) (*im
 	dom, restricted := flightsDomain(props)
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	img := image.New(props)
+	img := image.New()
 	for _, key := range keys {
 		n, err := ParseFlightKey(key)
 		if err != nil {

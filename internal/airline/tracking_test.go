@@ -114,7 +114,7 @@ func flightProps(lo, hi int) property.Set {
 // merged image carrying deletions.
 func tombstone(t *testing.T, rs *ReservationSystem, numbers ...int) {
 	t.Helper()
-	img := image.New(property.Set{})
+	img := image.New()
 	for _, n := range numbers {
 		img.Delete(FlightKey(n), 0, "")
 	}
@@ -165,7 +165,7 @@ func TestChangeExtractorSinceZeroIsExtract(t *testing.T) {
 			t.Fatal(err)
 		}
 		if img == nil {
-			img = image.New(props)
+			img = image.New()
 		}
 		if !img.Equal(full) {
 			t.Fatalf("props %s: ExtractChanged(0) = %v, Extract = %v", props, img.Keys(), full.Keys())
@@ -193,7 +193,7 @@ func TestChangeExtractorRevisionsAdvance(t *testing.T) {
 	step("ConfirmTickets", func() { rs.ConfirmTickets(2, 1) }, "flight/1")
 	step("CancelTickets", func() { rs.CancelTickets(1, 1) }, "flight/1")
 	step("Merge value", func() {
-		img := image.New(property.Set{})
+		img := image.New()
 		img.Put(image.Entry{Key: FlightKey(2), Value: Flight{Capacity: 10, Reserved: 5}.Encode()})
 		img.Put(image.Entry{Key: FlightKey(3), Value: Flight{Capacity: 7}.Encode()})
 		if err := rs.Merge(img, property.Set{}); err != nil {
@@ -213,7 +213,7 @@ func TestChangeExtractorRevisionsAdvance(t *testing.T) {
 	// A failed operation and a merge that changes nothing may not report a
 	// change either (over-reporting would be allowed, but costs a push).
 	rs.ConfirmTickets(1, 404)
-	img := image.New(property.Set{})
+	img := image.New()
 	img.Put(image.Entry{Key: FlightKey(1), Value: Flight{Capacity: 99}.Encode()})
 	img.Delete(FlightKey(2), 0, "")
 	if err := rs.Merge(img, property.Set{}); err != nil {
@@ -302,7 +302,7 @@ func TestChangeExtractorConcurrent(t *testing.T) {
 				case 2:
 					rs.AddFlight(Flight{Number: n, Capacity: 1 << 30, Reserved: i})
 				default:
-					img := image.New(property.Set{})
+					img := image.New()
 					img.Delete(FlightKey(n), 0, "")
 					rs.Merge(img, property.Set{})
 				}

@@ -37,7 +37,7 @@ func (v *kv) Get(k string) string {
 func (v *kv) Extract(props property.Set) (*image.Image, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	img := image.New(props)
+	img := image.New()
 	for k, val := range v.data {
 		img.Put(image.Entry{Key: k, Value: []byte(val)})
 	}

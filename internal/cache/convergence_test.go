@@ -7,6 +7,7 @@ import (
 
 	"flecc/internal/cache"
 	"flecc/internal/directory"
+	"flecc/internal/image"
 	"flecc/internal/netsim"
 	"flecc/internal/property"
 	"flecc/internal/vclock"
@@ -104,10 +105,19 @@ func runConvergenceTrial(t *testing.T, r *rand.Rand, trial int) {
 		}
 	}
 
-	// Every replica must now equal the primary on the shared keys.
-	primary, err := rig.dms()[0].ExtractPrimary(cms[0].Base().Props)
-	if err != nil {
-		t.Fatalf("trial %d: %v", trial, err)
+	// Every replica must now equal the primary on the shared keys, read
+	// under the set the views registered at the shard that holds them.
+	var primary *image.Image
+	for _, dm := range rig.dms() {
+		if props, ok := dm.Registry().Props(cms[0].Name()); ok {
+			var err error
+			if primary, err = dm.ExtractPrimary(props); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+	}
+	if primary == nil {
+		t.Fatalf("trial %d: %s is registered at no shard", trial, cms[0].Name())
 	}
 	for i, v := range views {
 		for _, k := range keys {

@@ -429,7 +429,7 @@ func (m *Manager) KillImage() error {
 // handed to the application resolver). Caller holds mu.
 func (m *Manager) applyIncomingLocked(img *image.Image, ver vclock.Version) error {
 	if m.base == nil {
-		m.base = image.New(m.props)
+		m.base = image.New()
 	}
 	if img != nil && img.Len() > 0 {
 		apply := img
@@ -442,7 +442,7 @@ func (m *Manager) applyIncomingLocked(img *image.Image, ver vclock.Version) erro
 				// overwrite them.
 				return fmt.Errorf("cache: extract from view: %w", err)
 			}
-			apply = image.New(m.props)
+			apply = image.New()
 			apply.Version = img.Version
 			for _, k := range keys {
 				in := img.Entries[k]
@@ -531,7 +531,7 @@ func (m *Manager) extractDeltaLocked() (extracted, error) {
 	}
 	emit := func(e image.Entry) {
 		if x.delta == nil {
-			x.delta = image.New(m.props)
+			x.delta = image.New()
 		}
 		x.delta.Put(e)
 	}

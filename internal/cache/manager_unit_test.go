@@ -390,7 +390,7 @@ type keyedKV struct{ *kvView }
 func (v keyedKV) ExtractKeys(props property.Set, keys []string) (*image.Image, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	img := image.New(props)
+	img := image.New()
 	for _, k := range keys {
 		if val, ok := v.data[k]; ok {
 			img.Put(image.Entry{Key: k, Value: []byte(val)})

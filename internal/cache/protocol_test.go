@@ -56,7 +56,7 @@ func (v *kvView) Delete(k string) {
 func (v *kvView) Extract(props property.Set) (*image.Image, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	img := image.New(props)
+	img := image.New()
 	for k, val := range v.data {
 		img.Put(image.Entry{Key: k, Value: []byte(val)})
 	}

@@ -52,7 +52,7 @@ func (a eqAirline) put(n, val int) {
 // del removes a flight the way a view-local deletion would: the system
 // has no delete operation of its own, only tombstones through Merge.
 func (a eqAirline) del(n int) {
-	img := image.New(property.Set{})
+	img := image.New()
 	img.Delete(airline.FlightKey(n), 0, "")
 	if err := a.Merge(img, property.Set{}); err != nil {
 		panic(err)
@@ -121,7 +121,7 @@ func dumpImage(img *image.Image) string {
 		return "<nil>"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "v%d props=%s\n", img.Version, img.Props)
+	fmt.Fprintf(&b, "v%d\n", img.Version)
 	for _, k := range img.Keys() {
 		e := img.Entries[k]
 		fmt.Fprintf(&b, " %s=%q v%d w=%q del=%t\n", k, e.Value, e.Version, e.Writer, e.Deleted)

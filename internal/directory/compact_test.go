@@ -128,7 +128,7 @@ func (r *compactRig) pull(name string) {
 func (r *compactRig) push(name string, rng *rand.Rand, ops int) {
 	r.t.Helper()
 	mv := r.views[name]
-	delta := image.New(propsOf(mv.props))
+	delta := image.New()
 	k := mv.props[rng.Intn(len(mv.props))]
 	delta.Put(image.Entry{Key: fmt.Sprintf("k%d", k), Value: []byte(fmt.Sprint(rng.Int()))})
 	reply := r.call(name, &wire.Message{Type: wire.TPush, Img: delta, Ops: uint32(ops)})
@@ -412,7 +412,7 @@ func TestCompactionStandbyGap(t *testing.T) {
 	round := func(commits, stalePullers int) {
 		for i := 0; i < commits; i++ {
 			w := rng.Intn(len(names))
-			delta := image.New(propsOf(members[w]))
+			delta := image.New()
 			k := members[w][rng.Intn(len(members[w]))]
 			delta.Put(image.Entry{Key: fmt.Sprintf("k%d", k), Value: []byte(fmt.Sprint(i))})
 			r.mustSend(names[w], &wire.Message{Type: wire.TPush, Img: delta, Ops: 1})

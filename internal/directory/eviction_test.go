@@ -118,7 +118,7 @@ func TestReRegisterIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Advance the primary and let the view catch up so seen is non-zero.
-	d := image.New(props)
+	d := image.New()
 	d.Put(image.Entry{Key: "k", Value: []byte("v")})
 	if _, err := dm.CommitLocal(d, 1); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ type kv struct{ data map[string]string }
 func newKV() *kv { return &kv{data: map[string]string{}} }
 
 func (v *kv) Extract(props property.Set) (*image.Image, error) {
-	img := image.New(props)
+	img := image.New()
 	for k, val := range v.data {
 		img.Put(image.Entry{Key: k, Value: []byte(val)})
 	}
@@ -39,12 +39,12 @@ func (v *kv) Merge(img *image.Image, props property.Set) error {
 func TestSnapshotRoundTrip(t *testing.T) {
 	prim := newKV()
 	st := directory.NewStore(prim, vclock.NewSim())
-	d := image.New(property.MustSet("F={1..3}"))
+	d := image.New()
 	d.Put(image.Entry{Key: "k1", Value: []byte("a")})
 	if _, _, _, err := st.Commit("v1", d, 2); err != nil {
 		t.Fatal(err)
 	}
-	d2 := image.New(property.MustSet("F={2..5}"))
+	d2 := image.New()
 	d2.Put(image.Entry{Key: "k2", Deleted: true})
 	if _, _, _, err := st.Commit("v2", d2, 3); err != nil {
 		t.Fatal(err)

@@ -178,7 +178,7 @@ func TestPropagateThroughManager(t *testing.T) {
 func TestCommitLocalThroughManager(t *testing.T) {
 	dm, net, clock, _ := newDM(t)
 	cm, view := newCM(t, net, clock, "v1")
-	d := image.New(property.MustSet("P={x}"))
+	d := image.New()
 	d.Put(image.Entry{Key: "admin", Value: []byte("change")})
 	if _, err := dm.CommitLocal(d, 1); err != nil {
 		t.Fatal(err)

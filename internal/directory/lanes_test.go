@@ -27,7 +27,7 @@ func newLaneKV() *laneKV { return &laneKV{data: map[string][]byte{}} }
 func (c *laneKV) Extract(props property.Set) (*image.Image, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	img := image.New(props)
+	img := image.New()
 	for k, v := range c.data {
 		img.Put(image.Entry{Key: k, Value: v})
 	}
@@ -37,7 +37,7 @@ func (c *laneKV) Extract(props property.Set) (*image.Image, error) {
 func (c *laneKV) ExtractKeys(props property.Set, keys []string) (*image.Image, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	img := image.New(props)
+	img := image.New()
 	for _, k := range keys {
 		if v, ok := c.data[k]; ok {
 			img.Put(image.Entry{Key: k, Value: v})
@@ -97,8 +97,8 @@ func (h *laneHarness) register(name string, props string) transport.Endpoint {
 	return ep
 }
 
-func lanePush(ep transport.Endpoint, from string, props property.Set, kv map[string]string) (*wire.Message, error) {
-	delta := image.New(props)
+func lanePush(ep transport.Endpoint, from string, kv map[string]string) (*wire.Message, error) {
+	delta := image.New()
 	for k, v := range kv {
 		delta.Put(image.Entry{Key: k, Value: []byte(v)})
 	}
@@ -131,7 +131,6 @@ func TestLaneHammerDisjoint(t *testing.T) {
 	type worker struct {
 		name  string
 		ep    transport.Endpoint
-		props property.Set
 		group int
 		acks  []vclock.Version
 		last  map[string]string
@@ -139,12 +138,12 @@ func TestLaneHammerDisjoint(t *testing.T) {
 	}
 	var ws []*worker
 	for g := 0; g < groups; g++ {
-		props := property.MustSet(fmt.Sprintf("P%d={0..9}", g))
+		props := fmt.Sprintf("P%d={0..9}", g)
 		for w := 0; w < writers; w++ {
 			name := fmt.Sprintf("g%dw%d", g, w)
 			ws = append(ws, &worker{
-				name: name, ep: h.register(name, props.String()),
-				props: props, group: g, last: map[string]string{},
+				name: name, ep: h.register(name, props),
+				group: g, last: map[string]string{},
 			})
 		}
 	}
@@ -160,7 +159,7 @@ func TestLaneHammerDisjoint(t *testing.T) {
 					key := fmt.Sprintf("g%d:k%02d", w.group, (i+k)%keys)
 					kv[key] = fmt.Sprintf("%s-%d", w.name, i)
 				}
-				reply, err := lanePush(w.ep, w.name, w.props, kv)
+				reply, err := lanePush(w.ep, w.name, kv)
 				if err != nil {
 					w.err = err
 					return
@@ -228,16 +227,15 @@ func TestLaneHammerOverlapping(t *testing.T) {
 		"C={0..9}",           // disjoint
 	}
 	type worker struct {
-		name  string
-		ep    transport.Endpoint
-		props property.Set
-		acks  []vclock.Version
-		err   error
+		name string
+		ep   transport.Endpoint
+		acks []vclock.Version
+		err  error
 	}
 	var ws []*worker
 	for i, p := range props {
 		name := fmt.Sprintf("v%d", i)
-		ws = append(ws, &worker{name: name, ep: h.register(name, p), props: property.MustSet(p)})
+		ws = append(ws, &worker{name: name, ep: h.register(name, p)})
 	}
 
 	var wg sync.WaitGroup
@@ -262,7 +260,7 @@ func TestLaneHammerOverlapping(t *testing.T) {
 						return
 					}
 				}
-				reply, err := lanePush(w.ep, w.name, w.props, map[string]string{
+				reply, err := lanePush(w.ep, w.name, map[string]string{
 					fmt.Sprintf("%s:k%02d", w.name, i%8): fmt.Sprintf("%s-%d", w.name, i),
 				})
 				if err != nil {
@@ -303,18 +301,15 @@ func laneScript(t *testing.T, opts Options) []byte {
 	t.Helper()
 	h := newLaneHarness(t, opts)
 	eps := map[string]transport.Endpoint{}
-	propsOf := map[string]property.Set{}
 	for g := 0; g < 3; g++ {
 		for w := 0; w < 2; w++ {
 			name := fmt.Sprintf("g%dw%d", g, w)
-			p := fmt.Sprintf("P%d={0..9}", g)
-			eps[name] = h.register(name, p)
-			propsOf[name] = property.MustSet(p)
+			eps[name] = h.register(name, fmt.Sprintf("P%d={0..9}", g))
 		}
 	}
 	for i := 0; i < 40; i++ {
 		name := fmt.Sprintf("g%dw%d", i%3, (i/3)%2)
-		if _, err := lanePush(eps[name], name, propsOf[name], map[string]string{
+		if _, err := lanePush(eps[name], name, map[string]string{
 			fmt.Sprintf("g%d:k%02d", i%3, i%7): fmt.Sprintf("%s-%d", name, i),
 		}); err != nil {
 			t.Fatal(err)
@@ -382,16 +377,14 @@ func TestLaneReplication(t *testing.T) {
 
 	h := &laneHarness{t: t, net: net, dm: prim}
 	type worker struct {
-		name  string
-		ep    transport.Endpoint
-		props property.Set
-		err   error
+		name string
+		ep   transport.Endpoint
+		err  error
 	}
 	var ws []*worker
 	for g := 0; g < 4; g++ {
-		p := fmt.Sprintf("P%d={0..9}", g)
 		name := fmt.Sprintf("g%dw0", g)
-		ws = append(ws, &worker{name: name, ep: h.register(name, p), props: property.MustSet(p)})
+		ws = append(ws, &worker{name: name, ep: h.register(name, fmt.Sprintf("P%d={0..9}", g))})
 	}
 	var wg sync.WaitGroup
 	for _, w := range ws {
@@ -399,7 +392,7 @@ func TestLaneReplication(t *testing.T) {
 		go func(w *worker) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				if _, err := lanePush(w.ep, w.name, w.props, map[string]string{
+				if _, err := lanePush(w.ep, w.name, map[string]string{
 					fmt.Sprintf("%s:k%02d", w.name, i%6): fmt.Sprintf("%s-%d", w.name, i),
 				}); err != nil {
 					w.err = err
@@ -450,19 +443,18 @@ func BenchmarkLaneCommit(b *testing.B) {
 				type writer struct {
 					name  string
 					ep    transport.Endpoint
-					props property.Set
 					group int
 				}
 				var ws []writer
 				for g := 0; g < groups; g++ {
-					props := property.MustSet(fmt.Sprintf("P%d={0..9}", g))
+					props := fmt.Sprintf("P%d={0..9}", g)
 					for w := 0; w < writers; w++ {
 						name := fmt.Sprintf("g%dw%d", g, w)
-						ws = append(ws, writer{name, h.register(name, props.String()), props, g})
+						ws = append(ws, writer{name, h.register(name, props), g})
 					}
 					// Seeded by the primary, so every push against base
 					// version 0 is a detected conflict.
-					seed := image.New(props)
+					seed := image.New()
 					for k := 0; k < keys; k++ {
 						seed.Put(image.Entry{Key: fmt.Sprintf("g%d:k%03d", g, k), Value: []byte("seed")})
 					}
@@ -475,7 +467,7 @@ func BenchmarkLaneCommit(b *testing.B) {
 					for k := 0; k < window; k++ {
 						kv[fmt.Sprintf("g%d:k%03d", w.group, (i*window+k)%keys)] = "v"
 					}
-					_, err := lanePush(w.ep, w.name, w.props, kv)
+					_, err := lanePush(w.ep, w.name, kv)
 					return err
 				}
 				for _, w := range ws {

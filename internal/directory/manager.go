@@ -970,9 +970,10 @@ func (m *Manager) CommitLocal(delta *image.Image, ops int) (vclock.Version, erro
 		v   vclock.Version
 		err error
 	)
-	// A primary-local commit has no conflict group (it may touch any
-	// keys), so it runs exclusively — all lanes drained.
-	m.structuralDo(func() { v, _, _, err = m.store.commitGated("", delta.Props, delta, ops) })
+	// A primary-local commit may touch any key: it commits under the empty
+	// property set, and has no conflict group, so it runs exclusively —
+	// all lanes drained.
+	m.structuralDo(func() { v, _, _, err = m.store.commitGated("", property.Set{}, delta, ops) })
 	m.maybeCompact()
 	if err != nil {
 		return v, err

@@ -83,7 +83,7 @@ func TestCompactLogRespectsSlowestView(t *testing.T) {
 
 func TestCompactLogNoViews(t *testing.T) {
 	dm, _, _, _ := newDM(t)
-	d := image.New(property.MustSet("P={x}"))
+	d := image.New()
 	d.Put(image.Entry{Key: "k", Value: []byte("v")})
 	if _, err := dm.CommitLocal(d, 1); err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestSeenAccessor(t *testing.T) {
 	if dm.Seen("ghost") != 0 {
 		t.Fatal("unknown view should report 0")
 	}
-	d := image.New(property.MustSet("P={x}"))
+	d := image.New()
 	d.Put(image.Entry{Key: "k", Value: []byte("v")})
 	if _, err := dm.CommitLocal(d, 1); err != nil {
 		t.Fatal(err)

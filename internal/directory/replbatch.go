@@ -64,8 +64,9 @@ type ViewTouch struct {
 
 // replFormat is the first byte of every encoded batch; bump it on an
 // incompatible change. (Version 1 replaced the gob encoding, whose
-// streams never start with this byte.)
-const replFormat = 1
+// streams never start with this byte; version 2 dropped the image's
+// property set.)
+const replFormat = 2
 
 const (
 	replFlagPromote = 1 << iota
@@ -102,7 +103,6 @@ func EncodeReplBatch(b *ReplBatch) []byte {
 	encodeNames(e, b.Removed)
 	e.Bool(b.Img != nil)
 	if b.Img != nil {
-		e.PropSet(b.Img.Props)
 		e.ImageEntries(b.Img)
 	}
 	return e.Copy()
@@ -182,7 +182,7 @@ func decodeReplData(d *wire.Decoder, b *ReplBatch) {
 	}
 	b.Removed = decodeNames(d)
 	if d.Bool() {
-		b.Img = image.New(d.PropSet())
+		b.Img = image.New()
 		_ = d.ImageEntries(b.Img) // latched in d.Err
 	}
 }

@@ -90,7 +90,10 @@ func (s *Store) SnapshotSince(since vclock.Version) *Snapshot {
 
 // AbsorbImage merges replicated primary values into the original
 // component's codec without issuing new versions — the entries keep the
-// version/writer stamps the primary committed them under. It quiesces
+// version/writer stamps the primary committed them under. It merges under
+// the empty property set, the whole domain: the primary extracts the
+// batch's values under that set (buildBatch), and a value the primary
+// committed is the standby's whoever wrote it. It quiesces
 // commits and extracts (the gate's write side) but touches no store
 // metadata, so it takes no other store lock across the codec call.
 func (s *Store) AbsorbImage(img *image.Image) error {
@@ -99,7 +102,7 @@ func (s *Store) AbsorbImage(img *image.Image) error {
 	}
 	s.gate.Lock()
 	defer s.gate.Unlock()
-	if err := s.primary.Merge(img, img.Props); err != nil {
+	if err := s.primary.Merge(img, property.Set{}); err != nil {
 		return fmt.Errorf("directory: absorb image: %w", err)
 	}
 	return nil

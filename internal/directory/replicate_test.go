@@ -323,7 +323,7 @@ func TestReplicationGapRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer aDM.Close()
-	d := image.New(property.MustSet("P={x}"))
+	d := image.New()
 	d.Put(image.Entry{Key: "k", Value: []byte("v")})
 	if _, err := aDM.CommitLocal(d, 1); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -271,7 +272,7 @@ func TestBarrierOutsideStructuralGate(t *testing.T) {
 
 	pushed := make(chan *wire.Message, 1)
 	go func() {
-		d := image.New(pushProps)
+		d := image.New()
 		d.Put(image.Entry{Key: "a/0", Value: []byte("x")})
 		pushed <- r.send("pusher", &wire.Message{Type: wire.TPush, Img: d, Ops: 1})
 	}()
@@ -316,7 +317,7 @@ func TestQuietPullShipsNoBatch(t *testing.T) {
 	since := r.mustSend("v", &wire.Message{Type: wire.TInit}).Version
 	shipped := r.repl.BatchesShipped()
 	for i := 0; i < rounds; i++ {
-		d := image.New(props)
+		d := image.New()
 		d.Put(image.Entry{Key: "k", Value: []byte(fmt.Sprint(i))})
 		r.mustSend("v", &wire.Message{Type: wire.TPush, Img: d, Ops: 1})
 		if got, want := r.sb.Seen("v"), r.prim.Seen("v"); got != want {
@@ -354,7 +355,7 @@ func TestQuietPullWaitsForServedVersion(t *testing.T) {
 	r.link.mu.Unlock()
 	pushed := make(chan *wire.Message, 1)
 	go func() {
-		d := image.New(bProps)
+		d := image.New()
 		d.Put(image.Entry{Key: "b/0", Value: []byte("x")})
 		pushed <- r.send("b", &wire.Message{Type: wire.TPush, Img: d, Ops: 1})
 	}()
@@ -495,8 +496,7 @@ func deltaEqualsFull(t *testing.T, lanes int, retried bool, seed int64) {
 			}
 		case op < 16:
 			v := pick()
-			props, _ := r.prim.reg.Props(v)
-			d := image.New(props)
+			d := image.New()
 			for i := 1 + rng.Intn(3); i > 0; i-- {
 				e := image.Entry{Key: fmt.Sprintf("k%d", rng.Intn(12)), Value: []byte(fmt.Sprintf("%s@%d", v, step))}
 				e.Deleted = rng.Intn(8) == 0
@@ -529,7 +529,7 @@ func deltaEqualsFull(t *testing.T, lanes int, retried bool, seed int64) {
 
 // sampleBatch is a batch carrying every record kind.
 func sampleBatch() *ReplBatch {
-	img := image.New(property.NewSet())
+	img := image.New()
 	img.Version = 9
 	img.Put(image.Entry{Key: "f/100", Value: []byte("seats=3"), Version: 9, Writer: "v1"})
 	img.Put(image.Entry{Key: "f/101", Version: 8, Writer: "v2", Deleted: true})
@@ -572,6 +572,7 @@ func replSeeds() [][]byte {
 		full[:len(full)-1],
 		append(bytes.Clone(full), 0xFF),
 		append([]byte{99}, full[1:]...),
+		append([]byte{1}, full[1:]...), // format 1 carried the image's property set
 	}
 	// Declared counts and lengths far beyond the input, at each section.
 	head := full[:2+8+4*8] // format, flags, epoch, since, version, viewSince, viewSeq
@@ -601,17 +602,21 @@ func TestReplBatchRoundTrip(t *testing.T) {
 		}
 	}
 	for i, seed := range replSeeds()[5:] {
-		if _, err := DecodeReplBatch(seed); err == nil {
+		_, err := DecodeReplBatch(seed)
+		if err == nil {
 			t.Errorf("malformed seed %d accepted", i)
+		} else if len(seed) > 0 && seed[0] == 1 && !strings.Contains(err.Error(), "unsupported replication batch format 1 (want 2)") {
+			t.Errorf("format-1 seed %d: %v", i, err)
 		}
 	}
 }
 
 // replBatchGolden is the SHA-256 of the five well-formed replSeeds
-// batches, recorded at 43a37c2, before the shadow, log and registration
-// sections moved into the encoder snapshots share: the batch layout did
-// not change, and replFormat stays 1.
-const replBatchGolden = "c304f5a5ce6a31eb647a8c11a15a30993615a5eaa680c57a6b191238a39ce802"
+// batches, recorded on top of 21ebee4 when replFormat went 1 → 2. The only
+// layout change is the dropped image property set: each seed differs from
+// its format-1 bytes in the format byte alone, except the full batch,
+// which also lost the 4-byte empty-set count before its image entries.
+const replBatchGolden = "4365a8797f5d308d8426396ec54ae0779533b35f0b013d525d2f75303511535e"
 
 func TestReplBatchBytesGolden(t *testing.T) {
 	h := sha256.New()
@@ -699,7 +704,6 @@ func TestReplBatchAllocs(t *testing.T) {
 		r.mustSend(name, &wire.Message{Type: wire.TRegister, Props: property.MustSet(fmt.Sprintf("Flights={%d..%d}", i*4, i*4+3))})
 		r.mustSend(name, &wire.Message{Type: wire.TInit})
 	}
-	props, _ := r.prim.reg.Props("v03")
 	vs, _ := r.prim.viewState("v03")
 
 	// Build the batches the way the sender does, but keep them: the
@@ -710,7 +714,7 @@ func TestReplBatchAllocs(t *testing.T) {
 	viewSince := r.repl.targets[0].ackedView
 	r.repl.mu.Unlock()
 	step := func() {
-		d := image.New(props)
+		d := image.New()
 		d.Put(image.Entry{Key: fmt.Sprintf("f/%03d", 12+len(commits)%4), Value: []byte("NYC|SFO|200|57|19900")})
 		if _, _, _, err := r.prim.store.Commit("v03", d, 1); err != nil {
 			t.Fatal(err)
@@ -836,7 +840,6 @@ func TestReplBatchFlatInViews(t *testing.T) {
 			t.Fatal(err)
 		}
 		since := reply.Version
-		props := property.MustSet("Flights={0..0}")
 		call := func(req *wire.Message) *wire.Message {
 			reply, err := ep.Call("dm", req)
 			if err != nil || reply.Type == wire.TErr {
@@ -845,7 +848,7 @@ func TestReplBatchFlatInViews(t *testing.T) {
 			return reply
 		}
 		pushPull := func() {
-			delta := image.New(props)
+			delta := image.New()
 			delta.Put(image.Entry{Key: "f/0", Value: []byte("NYC|SFO|200|57|19900")})
 			call(&wire.Message{Type: wire.TPush, Img: delta, Ops: 1})
 			since = call(&wire.Message{Type: wire.TPull, Since: since}).Version

@@ -13,9 +13,9 @@ import (
 	"flecc/internal/wire"
 )
 
-// A view's commits are scoped by the property set it registered, never by
-// the set an image claims: images carry no set on the wire, and the
-// directory enforces the contract each view declared.
+// A view's commits are scoped by the property set it registered: images
+// carry no set, and the directory enforces the contract each view
+// declared.
 
 // scopeDM is a directory over a seeded airline database, flights 100..199.
 func scopeDM(t *testing.T) (*directory.Manager, *airline.ReservationSystem, *transport.Inproc) {
@@ -44,11 +44,10 @@ func mustCall(t *testing.T, ep transport.Endpoint, req *wire.Message) *wire.Mess
 	return reply
 }
 
-// reservedImage is an image setting Reserved on the given flights, with
-// its own (claimed) property set.
-func reservedImage(t *testing.T, db *airline.ReservationSystem, claimed property.Set, reserved int, flights ...int) *image.Image {
+// reservedImage is an image setting Reserved on the given flights.
+func reservedImage(t *testing.T, db *airline.ReservationSystem, reserved int, flights ...int) *image.Image {
 	t.Helper()
-	img := image.New(claimed)
+	img := image.New()
 	for _, n := range flights {
 		f, ok := db.Flight(n)
 		if !ok {
@@ -80,8 +79,8 @@ func stamp(t *testing.T, dm *directory.Manager, n int) image.Entry {
 	return e
 }
 
-// TestPushScopedByRegistration: a push whose image claims a wider set than
-// the pusher registered changes only flights inside the registration, and
+// TestPushScopedByRegistration: a push that carries a flight outside the
+// pusher's registration changes only flights inside the registration, and
 // the update record carries the registered set. The flight outside it is
 // not stamped either: the primary keeps serving it at version 0.
 func TestPushScopedByRegistration(t *testing.T) {
@@ -93,15 +92,14 @@ func TestPushScopedByRegistration(t *testing.T) {
 	}
 	mustCall(t, ep, &wire.Message{Type: wire.TRegister, From: "agent", Props: registered})
 
-	wider := property.MustSet("Flights={100..199}")
 	ack := mustCall(t, ep, &wire.Message{Type: wire.TPush, From: "agent", Ops: 1,
-		Img: reservedImage(t, db, wider, 7, 102, 150)})
+		Img: reservedImage(t, db, 7, 102, 150)})
 
 	if got := reservedOn(t, db, 102); got != 7 {
 		t.Fatalf("flight 102 (registered) reserved = %d, want 7", got)
 	}
 	if got := reservedOn(t, db, 150); got != 0 {
-		t.Fatalf("flight 150 (outside the registration) reserved = %d, want 0: the claimed set widened the push", got)
+		t.Fatalf("flight 150 (outside the registration) reserved = %d, want 0: the push reached outside the registration", got)
 	}
 	if e := stamp(t, dm, 102); e.Version != ack.Version || e.Writer != "agent" {
 		t.Fatalf("flight 102 stamped v%d by %q, want v%d by agent", e.Version, e.Writer, ack.Version)
@@ -131,7 +129,7 @@ func TestGatherReplyRacingSetPropsCommits(t *testing.T) {
 		}
 		// The delta was extracted under the old set; the narrowing reaches
 		// the directory before the reply does.
-		delta := reservedImage(t, db, shared, 9, 103, 108)
+		delta := reservedImage(t, db, 9, 103, 108)
 		mustCall(t, target, &wire.Message{Type: wire.TSetProps, From: "target", Props: property.MustSet("Flights={100..104}")})
 		return &wire.Message{Type: wire.TImage, Ops: 1, Img: delta}
 	})
@@ -226,7 +224,7 @@ func TestGatherReplyAfterUnregisterCommits(t *testing.T) {
 		// Leave before answering the fetch: the directory acks the
 		// unregister while this reply has not been committed yet.
 		mustCall(t, target, &wire.Message{Type: wire.TUnregister, From: "target"})
-		return &wire.Message{Type: wire.TImage, Ops: 1, Img: reservedImage(t, db, property.Set{}, 9, 103, 108)}
+		return &wire.Message{Type: wire.TImage, Ops: 1, Img: reservedImage(t, db, 9, 103, 108)}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,5 +254,97 @@ func TestGatherReplyAfterUnregisterCommits(t *testing.T) {
 	log := dm.Store().Log()
 	if len(log) != 1 || log[0].Writer != "target" || !log[0].Props.IsEmpty() {
 		t.Fatalf("update log %+v: want one record by target under the empty set", log)
+	}
+}
+
+// The scopes that are not a view's registration are the whole domain: a
+// commit by the original component itself, a commit on a bare store, and
+// a standby's absorb of replicated values. Each must reach a flight that
+// lies outside every registration; a narrower set would make the Scoper
+// primary skip it.
+
+// TestCommitLocalUnscoped: the original component's own commit merges and
+// stamps a flight no view registered.
+func TestCommitLocalUnscoped(t *testing.T) {
+	dm, db, net := scopeDM(t)
+	assertInvariantsAtCleanup(t, dm)
+	ep, err := net.Attach("agent", func(*wire.Message) *wire.Message { return &wire.Message{Type: wire.TAck} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCall(t, ep, &wire.Message{Type: wire.TRegister, From: "agent", Props: property.MustSet("Flights={100..104}")})
+
+	v, err := dm.CommitLocal(reservedImage(t, db, 5, 150), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reservedOn(t, db, 150); got != 5 {
+		t.Fatalf("flight 150 reserved = %d, want 5: the local commit was scoped", got)
+	}
+	if e := stamp(t, dm, 150); e.Version != v || e.Writer != "" {
+		t.Fatalf("flight 150 stamped v%d by %q, want v%d by the primary", e.Version, e.Writer, v)
+	}
+}
+
+// TestBareStoreCommitUnscoped: a store with no directory around it knows no
+// registrations, and commits every key it is handed.
+func TestBareStoreCommitUnscoped(t *testing.T) {
+	db := airline.NewReservationSystem()
+	airline.SeedFlights(db, 100, 100, 200)
+	st := directory.NewStore(db, vclock.NewSim())
+	v, _, _, err := st.Commit("w", reservedImage(t, db, 5, 150), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reservedOn(t, db, 150); got != 5 {
+		t.Fatalf("flight 150 reserved = %d, want 5: the bare commit was scoped", got)
+	}
+	img, err := st.Extract(property.Set{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := img.Get(airline.FlightKey(150)); e.Version != v || e.Writer != "w" {
+		t.Fatalf("flight 150 stamped v%d by %q, want v%d by w", e.Version, e.Writer, v)
+	}
+	if log := st.Log(); len(log) != 1 || !log[0].Props.IsEmpty() {
+		t.Fatalf("update log %+v: want one record under the empty set", log)
+	}
+	if invariantsEnabled() {
+		if err := st.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStandbyAbsorbsUnregisteredFlight: a replicated value reaches the
+// standby's codec even when no registration, replicated or not, covers it.
+func TestStandbyAbsorbsUnregisteredFlight(t *testing.T) {
+	primA, primB := airline.NewReservationSystem(), airline.NewReservationSystem()
+	airline.SeedFlights(primA, 100, 100, 200)
+	airline.SeedFlights(primB, 100, 100, 200)
+	net := transport.NewInproc()
+	a, b := replPairOver(t, net, vclock.NewSim(), directory.ReplConfig{}, primA, primB)
+	assertInvariantsAtCleanup(t, a)
+	assertInvariantsAtCleanup(t, b)
+	ep, err := net.Attach("agent", func(*wire.Message) *wire.Message { return &wire.Message{Type: wire.TAck} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := ep.Call("dm!a", &wire.Message{Type: wire.TRegister, From: "agent", Props: property.MustSet("Flights={100..104}")}); err != nil || reply.Type == wire.TErr {
+		t.Fatalf("register: %v %v", err, reply)
+	}
+
+	v, err := a.CommitLocal(reservedImage(t, primA, 5, 150), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.CurrentVersion() != v {
+		t.Fatalf("standby at v%d, want v%d: the commit did not replicate", b.CurrentVersion(), v)
+	}
+	if !b.Registry().Has("agent") {
+		t.Fatal("the registration did not replicate")
+	}
+	if got := reservedOn(t, primB, 150); got != 5 {
+		t.Fatalf("standby's flight 150 reserved = %d, want 5: the absorb was scoped", got)
 	}
 }

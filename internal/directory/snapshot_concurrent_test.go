@@ -30,7 +30,7 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 			defer writerWG.Done()
 			for i := 0; i < commits; i++ {
 				key := fmt.Sprintf("w%d-k%d", w, i%17)
-				d := delta("F={1}", key, fmt.Sprintf("val%d", i))
+				d := delta(key, fmt.Sprintf("val%d", i))
 				if _, _, _, err := st.Commit(fmt.Sprintf("v%d", w), d, 1); err != nil {
 					t.Error(err)
 					return
@@ -122,7 +122,7 @@ func TestStoreSetResolverDuringCommits(t *testing.T) {
 				// Alternating writers on a stale base: every commit but the
 				// first conflicts, so the resolver is consulted.
 				writer := fmt.Sprintf("w%d-%d", w, i%2)
-				d := delta("F={1}", fmt.Sprintf("k%d", w), fmt.Sprint(i))
+				d := delta(fmt.Sprintf("k%d", w), fmt.Sprint(i))
 				if _, _, _, err := st.Commit(writer, d, 1); err != nil {
 					t.Error(err)
 					return
@@ -158,13 +158,13 @@ func TestStoreAbsorbMergeSemantics(t *testing.T) {
 	b := NewStore(newMapStore(), vclock.NewSim())
 
 	// a commits k1 (v1) then k2 (v2); b commits k1 (v1, its own counter).
-	if _, _, _, err := a.Commit("v1", delta("F={1}", "k1", "from-a"), 1); err != nil {
+	if _, _, _, err := a.Commit("v1", delta("k1", "from-a"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := a.Commit("v1", delta("F={1}", "k2", "from-a"), 1); err != nil {
+	if _, _, _, err := a.Commit("v1", delta("k2", "from-a"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := b.Commit("v2", delta("F={1}", "k1", "from-b"), 1); err != nil {
+	if _, _, _, err := b.Commit("v2", delta("k1", "from-b"), 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -29,7 +29,7 @@ func snapSeeds() [][]byte {
 		full[:len(full)/2],
 		full[:len(full)-1],
 		append(bytes.Clone(full), 0xFF),
-		append([]byte{replFormat}, full[1:]...),
+		append([]byte{snapFormat + 1}, full[1:]...),
 		append(bytes.Clone(full[:1+8]), 0xFF, 0xFF, 0xFF, 0xFF),
 	}
 }
@@ -95,7 +95,7 @@ func TestRestoreAbsorbRefuseInconsistentSnapshot(t *testing.T) {
 		{"log past the counter", &Snapshot{Version: 2, Log: []UpdateRec{{Version: 1}, {Version: 3}}}},
 	} {
 		st := NewStore(newMapStore(), vclock.NewSim())
-		if _, _, _, err := st.Commit("w", delta("F={1}", "k", "x"), 1); err != nil {
+		if _, _, _, err := st.Commit("w", delta("k", "x"), 1); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Restore(tc.snap); err == nil {
@@ -107,7 +107,7 @@ func TestRestoreAbsorbRefuseInconsistentSnapshot(t *testing.T) {
 		if err := st.CheckInvariants(); err != nil {
 			t.Fatalf("%s: refused snapshot damaged the store: %v", tc.name, err)
 		}
-		if v, _, _, err := st.Commit("w", delta("F={1}", "k", "y"), 1); err != nil || v != 2 {
+		if v, _, _, err := st.Commit("w", delta("k", "y"), 1); err != nil || v != 2 {
 			t.Fatalf("%s: next commit issued v%d (%v), want v2", tc.name, v, err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestHandoverRoundTrip(t *testing.T) {
 	for name, props := range eps {
 		ep := h.register(name, props.String())
 		for i := 0; i < 3; i++ {
-			if _, err := lanePush(ep, name, props, map[string]string{name + ":k": string(rune('a' + i))}); err != nil {
+			if _, err := lanePush(ep, name, map[string]string{name + ":k": string(rune('a' + i))}); err != nil {
 				t.Fatal(err)
 			}
 		}

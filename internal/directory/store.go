@@ -8,6 +8,7 @@ package directory
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -106,7 +107,7 @@ type Store struct {
 	mu      sync.RWMutex
 	primary image.Codec
 	// keyed is primary's keyed-extraction extension when it has one; nil
-	// means delta pulls fall back to full extract + DeltaSince.
+	// means delta pulls fall back to a full extract trimmed to the delta.
 	keyed image.KeyedExtractor
 	// scope is primary's scope test when it has one; nil means every delta
 	// key is committed and Merge alone applies the restriction.
@@ -188,25 +189,22 @@ func (s *Store) ConflictsSeen() int {
 // flight at once are never in the same conflict group; a caller driving
 // a bare Store concurrently has to.
 //
-// A bare Store knows no registrations, so Commit scopes the delta by its
-// own delta.Props; the manager scopes each commit by the writer's
-// registered set instead (Manager.commit).
+// A bare Store knows no registrations, so Commit commits under the empty
+// property set, the whole domain; the manager scopes each commit by the
+// writer's registered set instead (Manager.commit).
 func (s *Store) Commit(writer string, delta *image.Image, ops int) (vclock.Version, int, *image.Image, error) {
-	if delta == nil {
-		return s.counter.Current(), 0, nil, nil
-	}
 	s.gate.RLock()
 	defer s.gate.RUnlock()
-	return s.commitGated(writer, delta.Props, delta, ops)
+	return s.commitGated(writer, property.Set{}, delta, ops)
 }
 
 // commitGated is Commit for a caller that already holds the gate: the
 // manager's lane dispatch (read side) and CommitLocal (write side). props
 // scopes the commit: the conflict extract, the merge into the primary and
-// the update record all use it, whatever delta.Props says. With a Scoper
-// primary, entries outside props are dropped before anything else: Merge
-// would skip them, so they must not be stamped as committed either. A
-// delta left empty commits nothing.
+// the update record all use it. With a Scoper primary, entries outside
+// props are dropped before anything else: Merge would skip them, so they
+// must not be stamped as committed either. A delta left empty commits
+// nothing.
 func (s *Store) commitGated(writer string, props property.Set, delta *image.Image, ops int) (vclock.Version, int, *image.Image, error) {
 	var keys []string
 	if delta != nil {
@@ -256,8 +254,8 @@ func (s *Store) commitGated(writer string, props property.Set, delta *image.Imag
 		}
 	}
 
-	apply := image.New(props)
-	rejected := image.New(props)
+	apply := image.New()
+	rejected := image.New()
 	conflicts := 0
 	isConflict := map[string]bool{}
 	for _, k := range conflictKeys {
@@ -408,7 +406,8 @@ func (s *Store) stampGated(img *image.Image) {
 }
 
 // extractFull is the classic path: full primary snapshot, shadow overlay,
-// tombstone synthesis, optional DeltaSince trim.
+// tombstone synthesis and, when since > 0, a trim to the entries committed
+// after since. The image is this call's own, so the trim deletes in place.
 func (s *Store) extractFull(props property.Set, since vclock.Version) (*image.Image, error) {
 	pubVer := s.pub.published()
 	img, err := s.primary.Extract(props)
@@ -416,7 +415,7 @@ func (s *Store) extractFull(props property.Set, since vclock.Version) (*image.Im
 		return nil, fmt.Errorf("directory: extract from primary: %w", err)
 	}
 	if img == nil {
-		img = image.New(props)
+		img = image.New()
 	}
 	s.gate.RLock()
 	s.stampGated(img)
@@ -440,7 +439,7 @@ func (s *Store) extractFull(props property.Set, since vclock.Version) (*image.Im
 	s.gate.RUnlock()
 	img.Version = pubVer
 	if since > 0 {
-		img = img.DeltaSince(since)
+		maps.DeleteFunc(img.Entries, func(_ string, e image.Entry) bool { return e.Version <= since })
 	}
 	return img, nil
 }
@@ -476,7 +475,7 @@ func (s *Store) extractDelta(props property.Set, since vclock.Version) (*image.I
 
 	var img *image.Image
 	if len(liveKeys) == 0 {
-		img = image.New(props)
+		img = image.New()
 	} else {
 		var err error
 		img, err = s.keyed.ExtractKeys(props, liveKeys)
@@ -484,7 +483,7 @@ func (s *Store) extractDelta(props property.Set, since vclock.Version) (*image.I
 			return nil, fmt.Errorf("directory: extract from primary: %w", err)
 		}
 		if img == nil {
-			img = image.New(props)
+			img = image.New()
 		}
 	}
 

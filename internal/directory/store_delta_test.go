@@ -12,7 +12,8 @@ import (
 )
 
 // The incremental delta path (dirty-key index + KeyedExtractor) must be
-// observationally identical to the classic full-extract + DeltaSince path.
+// observationally identical to the classic full path: extract everything,
+// then trim to the delta.
 // These tests run the same commit history through two stores over the same
 // primary data — one seeing the keyed codec, one with the keyed extension
 // hidden behind a FuncCodec — and compare every delta.
@@ -57,7 +58,7 @@ func commitHistory(t *testing.T, stores ...*directory.Store) []vclock.Version {
 	step := func(writer string, entries ...image.Entry) vclock.Version {
 		var out vclock.Version
 		for _, s := range stores {
-			d := image.New(property.MustSet("Flights={100..160}"))
+			d := image.New()
 			for _, e := range entries {
 				e.Version = s.Current() // based on the latest committed state
 				d.Put(e)

@@ -13,7 +13,7 @@ import (
 
 // randDelta builds a random delta image over a small key space.
 func randDelta(r *rand.Rand, writer string) *image.Image {
-	img := image.New(property.MustSet("F={1..5}"))
+	img := image.New()
 	n := 1 + r.Intn(4)
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("k%d", r.Intn(5))

@@ -25,7 +25,7 @@ func newMapStore() *mapStore { return &mapStore{data: map[string]string{}} }
 func (s *mapStore) Extract(props property.Set) (*image.Image, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	img := image.New(props)
+	img := image.New()
 	for k, v := range s.data {
 		img.Put(image.Entry{Key: k, Value: []byte(v)})
 	}
@@ -45,18 +45,26 @@ func (s *mapStore) Merge(img *image.Image, props property.Set) error {
 	return nil
 }
 
-func delta(props string, kv ...string) *image.Image {
-	img := image.New(property.MustSet(props))
+func delta(kv ...string) *image.Image {
+	img := image.New()
 	for i := 0; i+1 < len(kv); i += 2 {
 		img.Put(image.Entry{Key: kv[i], Value: []byte(kv[i+1])})
 	}
 	return img
 }
 
+// commitScoped commits d under props, the way the manager scopes a view's
+// commit by its registration (a bare Commit uses the empty set).
+func commitScoped(st *Store, writer string, props string, d *image.Image, ops int) {
+	st.gate.RLock()
+	defer st.gate.RUnlock()
+	st.commitGated(writer, property.MustSet(props), d, ops)
+}
+
 func TestStoreCommitAndExtract(t *testing.T) {
 	ms := newMapStore()
 	st := NewStore(ms, vclock.NewSim())
-	v, conflicts, _, err := st.Commit("v1", delta("F={1}", "k1", "a", "k2", "b"), 2)
+	v, conflicts, _, err := st.Commit("v1", delta("k1", "a", "k2", "b"), 2)
 	if err != nil || conflicts != 0 || v != 1 {
 		t.Fatalf("commit: v=%d conflicts=%d err=%v", v, conflicts, err)
 	}
@@ -82,7 +90,7 @@ func TestStoreEmptyCommitIsNoop(t *testing.T) {
 	if err != nil || v != 0 {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
-	v, _, _, err = st.Commit("v1", image.New(property.NewSet()), 0)
+	v, _, _, err = st.Commit("v1", image.New(), 0)
 	if err != nil || v != 0 {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
@@ -93,8 +101,8 @@ func TestStoreEmptyCommitIsNoop(t *testing.T) {
 
 func TestStoreDeltaExtract(t *testing.T) {
 	st := NewStore(newMapStore(), vclock.NewSim())
-	st.Commit("v1", delta("F={1}", "k1", "a"), 1)
-	st.Commit("v2", delta("F={1}", "k2", "b"), 1)
+	st.Commit("v1", delta("k1", "a"), 1)
+	st.Commit("v2", delta("k2", "b"), 1)
 	img, err := st.Extract(property.MustSet("F={1}"), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +118,9 @@ func TestStoreDeltaExtract(t *testing.T) {
 func TestStoreConflictDetection(t *testing.T) {
 	st := NewStore(newMapStore(), vclock.NewSim())
 	// v1 commits k at version 1.
-	st.Commit("v1", delta("F={1}", "k", "from-v1"), 1)
+	st.Commit("v1", delta("k", "from-v1"), 1)
 	// v2 commits based on version 0 (stale): conflict.
-	d := delta("F={1}", "k", "from-v2")
+	d := delta("k", "from-v2")
 	e := d.Entries["k"]
 	e.Version = 0
 	d.Entries["k"] = e
@@ -133,9 +141,9 @@ func TestStoreConflictDetection(t *testing.T) {
 
 func TestStoreSameWriterNoConflict(t *testing.T) {
 	st := NewStore(newMapStore(), vclock.NewSim())
-	st.Commit("v1", delta("F={1}", "k", "a"), 1)
+	st.Commit("v1", delta("k", "a"), 1)
 	// Same writer updating again with stale base version: not a conflict.
-	d := delta("F={1}", "k", "a2")
+	d := delta("k", "a2")
 	e := d.Entries["k"]
 	e.Version = 0
 	d.Entries["k"] = e
@@ -147,9 +155,9 @@ func TestStoreSameWriterNoConflict(t *testing.T) {
 
 func TestStoreFreshBaseNoConflict(t *testing.T) {
 	st := NewStore(newMapStore(), vclock.NewSim())
-	st.Commit("v1", delta("F={1}", "k", "a"), 1)
+	st.Commit("v1", delta("k", "a"), 1)
 	// v2 based its change on version 1 (current): no conflict.
-	d := delta("F={1}", "k", "b")
+	d := delta("k", "b")
 	e := d.Entries["k"]
 	e.Version = 1
 	d.Entries["k"] = e
@@ -165,8 +173,8 @@ func TestStoreResolverKeepsOurs(t *testing.T) {
 	st.SetResolver(func(c image.Conflict) (image.Entry, error) {
 		return c.Ours, nil // primary always wins
 	})
-	st.Commit("v1", delta("F={1}", "k", "ours"), 1)
-	d := delta("F={1}", "k", "theirs")
+	st.Commit("v1", delta("k", "ours"), 1)
+	d := delta("k", "theirs")
 	e := d.Entries["k"]
 	e.Version = 0
 	d.Entries["k"] = e
@@ -193,14 +201,14 @@ func TestStoreResolverKeepsOursDeleted(t *testing.T) {
 	ms := newMapStore()
 	st := NewStore(ms, vclock.NewSim())
 	st.SetResolver(func(c image.Conflict) (image.Entry, error) { return c.Ours, nil })
-	st.Commit("v1", delta("F={1}", "k", "a"), 1)
-	del := image.New(property.MustSet("F={1}"))
+	st.Commit("v1", delta("k", "a"), 1)
+	del := image.New()
 	del.Put(image.Entry{Key: "k", Deleted: true, Version: 1})
 	delVer, _, _, err := st.Commit("v1", del, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := delta("F={1}", "k", "theirs") // based on v0: conflicts with v1's delete
+	d := delta("k", "theirs") // based on v0: conflicts with v1's delete
 	_, conflicts, rejected, err := st.Commit("v2", d, 1)
 	if err != nil || conflicts != 1 {
 		t.Fatalf("conflicts=%d err=%v", conflicts, err)
@@ -222,8 +230,8 @@ func TestStoreResolverError(t *testing.T) {
 	st.SetResolver(func(c image.Conflict) (image.Entry, error) {
 		return image.Entry{}, fmt.Errorf("cannot resolve")
 	})
-	st.Commit("v1", delta("F={1}", "k", "a"), 1)
-	d := delta("F={1}", "k", "b")
+	st.Commit("v1", delta("k", "a"), 1)
+	d := delta("k", "b")
 	e := d.Entries["k"]
 	e.Version = 0
 	d.Entries["k"] = e
@@ -280,7 +288,7 @@ func TestStoreFailedCommitLeavesNoTrace(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ms := &flakyStore{mapStore: newMapStore()}
 			st := NewStore(ms, vclock.NewSim())
-			if _, _, _, err := st.Commit("v1", delta("F={1}", "k", "a", "j", "x"), 1); err != nil {
+			if _, _, _, err := st.Commit("v1", delta("k", "a", "j", "x"), 1); err != nil {
 				t.Fatal(err)
 			}
 			stripe := st.stripeFor("k")
@@ -288,7 +296,7 @@ func TestStoreFailedCommitLeavesNoTrace(t *testing.T) {
 			dirtyBefore := append([]dirtyRec(nil), stripe.dirty...)
 			logBefore := st.Log()
 
-			d := delta("F={1}", "k", "b")
+			d := delta("k", "b")
 			e := d.Entries["k"]
 			e.Version = tc.arm(st, ms)
 			d.Entries["k"] = e
@@ -361,9 +369,9 @@ func TestStoreFailedCommitLeavesNoTrace(t *testing.T) {
 
 func TestStoreUnseenOps(t *testing.T) {
 	st := NewStore(newMapStore(), vclock.NewSim())
-	st.Commit("a", delta("F={1..3}", "k1", "x"), 2)
-	st.Commit("b", delta("F={2..4}", "k2", "y"), 3)
-	st.Commit("c", delta("F={9}", "k3", "z"), 5)
+	commitScoped(st, "a", "F={1..3}", delta("k1", "x"), 2)
+	commitScoped(st, "b", "F={2..4}", delta("k2", "y"), 3)
+	commitScoped(st, "c", "F={9}", delta("k3", "z"), 5)
 
 	// Viewer "a" with props F={1..3}, seen=0: sees b's 3 ops (overlap),
 	// not its own 2, not c's disjoint 5.
@@ -384,7 +392,7 @@ func TestStoreUnseenOps(t *testing.T) {
 func TestStoreCompactLog(t *testing.T) {
 	st := NewStore(newMapStore(), vclock.NewSim())
 	for i := 0; i < 5; i++ {
-		st.Commit("v", delta("F={1}", "k", fmt.Sprintf("x%d", i)), 1)
+		st.Commit("v", delta("k", fmt.Sprintf("x%d", i)), 1)
 	}
 	backing := &st.log[0]
 	dropped := st.CompactLog(3)
@@ -414,7 +422,7 @@ func TestStoreLogTimes(t *testing.T) {
 	clk := vclock.NewSim()
 	st := NewStore(newMapStore(), clk)
 	clk.Advance(123)
-	st.Commit("v", delta("F={1}", "k", "x"), 1)
+	st.Commit("v", delta("k", "x"), 1)
 	log := st.Log()
 	if len(log) != 1 || log[0].At != 123 {
 		t.Fatalf("log = %+v", log)
@@ -424,8 +432,8 @@ func TestStoreLogTimes(t *testing.T) {
 func TestStoreDeletionCommit(t *testing.T) {
 	ms := newMapStore()
 	st := NewStore(ms, vclock.NewSim())
-	st.Commit("v1", delta("F={1}", "k", "a"), 1)
-	d := image.New(property.MustSet("F={1}"))
+	st.Commit("v1", delta("k", "a"), 1)
+	d := image.New()
 	d.Put(image.Entry{Key: "k", Version: 1, Writer: "v1", Deleted: true})
 	if _, _, _, err := st.Commit("v1", d, 1); err != nil {
 		t.Fatal(err)

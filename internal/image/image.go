@@ -3,9 +3,10 @@
 //
 // Flecc propagates *modified data* rather than operation logs, because
 // views are different layouts of the same component and may not implement
-// each other's methods. An Image is a property-scoped snapshot: a bag of
-// keyed, versioned, opaque entries plus the property set describing which
-// shared data the snapshot covers. The application supplies the
+// each other's methods. An Image is a snapshot: a bag of keyed, versioned,
+// opaque entries. Which shared data it covers is not part of it — the
+// extract or merge call that produces or consumes it is handed the
+// property set (paper §4.1). The application supplies the
 // extract/merge callbacks (Extractor/Merger interfaces); Flecc never
 // interprets entry payloads — it only routes, versions, and (optionally)
 // helps resolve conflicts via the three-way merge helpers here, in the
@@ -57,13 +58,9 @@ func (e Entry) Equal(o Entry) bool {
 	return true
 }
 
-// Image is a property-scoped snapshot of shared state.
+// Image is a snapshot of shared state. It carries no property set: the
+// scope is an argument of the Extractor or Merger call.
 type Image struct {
-	// Props describes which shared data the image covers. It is
-	// process-local, not transmitted: the wire carries version and entries
-	// only, and the directory scopes a view's commit by the set the view
-	// registered, never by this field.
-	Props property.Set
 	// Version is the primary-copy version at extraction/commit time. A
 	// view that holds an image with Version v has seen every primary
 	// update numbered ≤ v.
@@ -72,15 +69,14 @@ type Image struct {
 	Entries map[string]Entry
 }
 
-// New returns an empty image covering the given properties.
-func New(props property.Set) *Image {
-	return &Image{Props: props, Entries: map[string]Entry{}}
+// New returns an empty image.
+func New() *Image {
+	return &Image{Entries: map[string]Entry{}}
 }
 
-// Clone returns a deep copy of the image's entries; the immutable property
-// set is shared.
+// Clone returns a deep copy of the image: its version and entries.
 func (im *Image) Clone() *Image {
-	c := &Image{Props: im.Props, Version: im.Version, Entries: make(map[string]Entry, len(im.Entries))}
+	c := &Image{Version: im.Version, Entries: make(map[string]Entry, len(im.Entries))}
 	for k, e := range im.Entries {
 		c.Entries[k] = e.Clone()
 	}
@@ -119,22 +115,8 @@ func (im *Image) Keys() []string {
 	return keys
 }
 
-// Restrict returns a copy of the image containing only the entries whose
-// key passes the filter. It is used to trim an extracted image to the
-// intersection of two views' property sets.
-func (im *Image) Restrict(keep func(key string) bool) *Image {
-	out := New(im.Props)
-	out.Version = im.Version
-	for k, e := range im.Entries {
-		if keep(k) {
-			out.Entries[k] = e.Clone()
-		}
-	}
-	return out
-}
-
 // Equal reports whether two images have equal content (entries compared by
-// Entry.Equal; versions and props ignored).
+// Entry.Equal; versions ignored).
 func (im *Image) Equal(o *Image) bool {
 	if len(im.Entries) != len(o.Entries) {
 		return false
@@ -150,7 +132,7 @@ func (im *Image) Equal(o *Image) bool {
 
 // String summarizes the image for logs.
 func (im *Image) String() string {
-	return fmt.Sprintf("image{v%d, %d entries, props: %s}", im.Version, len(im.Entries), im.Props)
+	return fmt.Sprintf("image{v%d, %d entries}", im.Version, len(im.Entries))
 }
 
 // Extractor produces an image of a replica's current state, restricted to
@@ -168,6 +150,8 @@ type Extractor interface {
 
 // Merger folds an image into a replica's state. Views implement
 // mergeIntoView; the original component implements mergeIntoObject.
+// props is the scope of the merge, the only one: the image carries none.
+// The empty set means the whole domain.
 //
 // Concurrency contract, for every codec method (Extract, ExtractKeys,
 // Merge): the protocol layers call them outside their own locks, so a

@@ -16,7 +16,7 @@ func entry(key, val string, v vclock.Version, writer string) Entry {
 }
 
 func TestImageBasics(t *testing.T) {
-	im := New(property.MustSet("Flights={1,2}"))
+	im := New()
 	im.Put(entry("f/1", "a", 1, "v1"))
 	im.Put(entry("f/2", "b", 2, "v1"))
 	if im.Len() != 2 {
@@ -45,7 +45,7 @@ func TestImagePutOnZero(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	im := New(property.MustSet("A={1}"))
+	im := New()
 	im.Put(entry("k", "orig", 1, ""))
 	c := im.Clone()
 	e := c.Entries["k"]
@@ -57,20 +57,6 @@ func TestCloneIndependence(t *testing.T) {
 	c.Put(entry("k2", "v", 2, ""))
 	if im.Len() != 1 {
 		t.Fatal("clone shares entry map")
-	}
-}
-
-func TestRestrict(t *testing.T) {
-	im := New(property.NewSet())
-	im.Version = 9
-	im.Put(entry("a/1", "x", 1, ""))
-	im.Put(entry("b/1", "y", 2, ""))
-	out := im.Restrict(func(k string) bool { return strings.HasPrefix(k, "a/") })
-	if out.Len() != 1 || out.Version != 9 {
-		t.Fatalf("restrict = %v", out)
-	}
-	if _, ok := out.Get("a/1"); !ok {
-		t.Fatal("a/1 missing")
 	}
 }
 
@@ -89,8 +75,8 @@ func TestEntryEqual(t *testing.T) {
 }
 
 func TestImageEqualAndDiff(t *testing.T) {
-	a := New(property.NewSet())
-	b := New(property.NewSet())
+	a := New()
+	b := New()
 	a.Put(entry("k1", "v", 1, ""))
 	b.Put(entry("k1", "v", 5, "")) // same content
 	if !a.Equal(b) {
@@ -112,26 +98,9 @@ func TestImageEqualAndDiff(t *testing.T) {
 	}
 }
 
-func TestDeltaSince(t *testing.T) {
-	im := New(property.NewSet())
-	im.Version = 10
-	im.Put(entry("old", "x", 3, ""))
-	im.Put(entry("new", "y", 8, ""))
-	d := im.DeltaSince(5)
-	if d.Len() != 1 {
-		t.Fatalf("delta len = %d", d.Len())
-	}
-	if _, ok := d.Get("new"); !ok {
-		t.Fatal("delta should contain 'new'")
-	}
-	if d.Version != 10 {
-		t.Fatalf("delta version = %d", d.Version)
-	}
-}
-
 func TestFuncCodec(t *testing.T) {
 	c := FuncCodec{
-		ExtractFn: func(props property.Set) (*Image, error) { return New(props), nil },
+		ExtractFn: func(props property.Set) (*Image, error) { return New(), nil },
 		MergeFn:   func(img *Image, props property.Set) error { return nil },
 	}
 	if _, err := c.Extract(property.NewSet()); err != nil {
@@ -150,7 +119,7 @@ func TestFuncCodec(t *testing.T) {
 }
 
 func TestThreeWayMergeFastForward(t *testing.T) {
-	base := New(property.NewSet())
+	base := New()
 	base.Put(entry("k", "v0", 1, ""))
 	ours := base.Clone()
 	theirs := base.Clone()
@@ -171,7 +140,7 @@ func TestThreeWayMergeFastForward(t *testing.T) {
 }
 
 func TestThreeWayMergeBothSame(t *testing.T) {
-	base := New(property.NewSet())
+	base := New()
 	base.Put(entry("k", "v0", 1, ""))
 	ours := base.Clone()
 	theirs := base.Clone()
@@ -184,7 +153,7 @@ func TestThreeWayMergeBothSame(t *testing.T) {
 }
 
 func TestThreeWayMergeConflictLWW(t *testing.T) {
-	base := New(property.NewSet())
+	base := New()
 	base.Put(entry("k", "v0", 1, ""))
 	ours := base.Clone()
 	theirs := base.Clone()
@@ -206,7 +175,7 @@ func TestThreeWayMergeConflictLWW(t *testing.T) {
 
 func TestThreeWayMergePolicies(t *testing.T) {
 	mk := func() (*Image, *Image, *Image) {
-		base := New(property.NewSet())
+		base := New()
 		base.Put(entry("k", "v0", 1, ""))
 		ours := base.Clone()
 		theirs := base.Clone()
@@ -242,7 +211,7 @@ func TestThreeWayMergePolicies(t *testing.T) {
 }
 
 func TestThreeWayMergeResolver(t *testing.T) {
-	base := New(property.NewSet())
+	base := New()
 	base.Put(entry("k", "10", 1, ""))
 	ours := base.Clone()
 	theirs := base.Clone()
@@ -271,7 +240,7 @@ func TestThreeWayMergeResolver(t *testing.T) {
 }
 
 func TestThreeWayMergeResolverError(t *testing.T) {
-	base := New(property.NewSet())
+	base := New()
 	base.Put(entry("k", "v", 1, ""))
 	ours := base.Clone()
 	theirs := base.Clone()
@@ -286,8 +255,8 @@ func TestThreeWayMergeResolverError(t *testing.T) {
 }
 
 func TestThreeWayMergeNilBase(t *testing.T) {
-	ours := New(property.NewSet())
-	theirs := New(property.NewSet())
+	ours := New()
+	theirs := New()
 	theirs.Put(entry("k", "v", 1, ""))
 	res, err := ThreeWayMerge(nil, ours, theirs, MergeOptions{})
 	if err != nil || res.Applied != 1 {
@@ -296,7 +265,7 @@ func TestThreeWayMergeNilBase(t *testing.T) {
 }
 
 func TestThreeWayMergeNilTheirs(t *testing.T) {
-	ours := New(property.NewSet())
+	ours := New()
 	res, err := ThreeWayMerge(nil, ours, nil, MergeOptions{})
 	if err != nil || res.Applied != 0 {
 		t.Fatalf("nil theirs: %+v, %v", res, err)
@@ -304,7 +273,7 @@ func TestThreeWayMergeNilTheirs(t *testing.T) {
 }
 
 func TestThreeWayMergeDeletionWins(t *testing.T) {
-	base := New(property.NewSet())
+	base := New()
 	base.Put(entry("k", "v", 1, ""))
 	ours := base.Clone()
 	theirs := base.Clone()
@@ -339,7 +308,7 @@ func TestPolicyString(t *testing.T) {
 }
 
 func genImage(r *rand.Rand, writer string, baseVer vclock.Version) *Image {
-	im := New(property.NewSet())
+	im := New()
 	n := r.Intn(5)
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("k%d", r.Intn(6))

@@ -3,8 +3,6 @@ package image
 import (
 	"fmt"
 	"sort"
-
-	"flecc/internal/vclock"
 )
 
 // Conflict records a key where two images disagree relative to a common
@@ -175,19 +173,5 @@ func Diff(a, b *Image) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// DeltaSince returns a new image containing only the entries of im with
-// Version greater than since. The directory manager sends deltas rather
-// than full snapshots when a view pulls and already holds an older image.
-func (im *Image) DeltaSince(since vclock.Version) *Image {
-	out := New(im.Props)
-	out.Version = im.Version
-	for k, e := range im.Entries {
-		if e.Version > since {
-			out.Entries[k] = e.Clone()
-		}
-	}
 	return out
 }

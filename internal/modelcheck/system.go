@@ -46,7 +46,7 @@ func newKVStore() *kvstore { return &kvstore{data: map[string]string{}} }
 
 // Extract implements image.Extractor.
 func (s *kvstore) Extract(props property.Set) (*image.Image, error) {
-	img := image.New(props)
+	img := image.New()
 	for k, v := range s.data {
 		img.Put(image.Entry{Key: k, Value: []byte(v)})
 	}

@@ -21,7 +21,7 @@ import (
 type mapCodec struct{ data map[string]string }
 
 func (c *mapCodec) Extract(props property.Set) (*image.Image, error) {
-	img := image.New(props)
+	img := image.New()
 	for k, v := range c.data {
 		img.Put(image.Entry{Key: k, Value: []byte(v)})
 	}

@@ -54,7 +54,7 @@ func New(name string, view image.Codec, net transport.Network, resolver image.Re
 		name:     name,
 		view:     view,
 		meta:     map[string]entryMeta{},
-		base:     image.New(property.NewSet()),
+		base:     image.New(),
 		resolver: resolver,
 	}
 	ep, err := net.Attach(name, p.handle)
@@ -88,7 +88,7 @@ func (p *Peer) refreshLocked() (*image.Image, error) {
 		return nil, err
 	}
 	if cur == nil {
-		cur = image.New(property.NewSet())
+		cur = image.New()
 	}
 	for k, e := range cur.Entries {
 		be, ok := p.base.Get(k)
@@ -128,7 +128,7 @@ func (p *Peer) snapshotLocked() (*image.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := image.New(property.NewSet())
+	out := image.New()
 	for k, e := range cur.Entries {
 		ent := e.Clone()
 		ent.Writer = renderVV(p.meta[k].vv)
@@ -182,7 +182,7 @@ func (p *Peer) handle(req *wire.Message) *wire.Message {
 // mergeRemoteLocked folds a remote snapshot into this peer using vector
 // causality. Caller holds mu.
 func (p *Peer) mergeRemoteLocked(remote *image.Image) error {
-	apply := image.New(property.NewSet())
+	apply := image.New()
 	for k, re := range remote.Entries {
 		rvv := parseVV(re.Writer)
 		local := p.meta[k]

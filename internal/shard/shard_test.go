@@ -51,7 +51,7 @@ func (v *kv) Len() int {
 func (v *kv) Extract(props property.Set) (*image.Image, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	img := image.New(props)
+	img := image.New()
 	for k, val := range v.data {
 		img.Put(image.Entry{Key: k, Value: []byte(val)})
 	}

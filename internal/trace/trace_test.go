@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"flecc/internal/image"
-	"flecc/internal/property"
 	"flecc/internal/wire"
 )
 
@@ -13,7 +12,7 @@ func TestRecorderBasics(t *testing.T) {
 	r := NewRecorder(10)
 	r.OnMessage("v2", "dm", &wire.Message{Type: wire.TPull, Seq: 7})
 	r.OnMessage("dm", "v1", &wire.Message{Type: wire.TInvalidate, Seq: 8})
-	img := image.New(property.NewSet())
+	img := image.New()
 	img.Put(image.Entry{Key: "k", Value: []byte("v")})
 	img.Version = 3
 	r.OnMessage("v1", "dm", &wire.Message{Type: wire.TImage, Seq: 8, Img: img})

@@ -4,13 +4,12 @@ import (
 	"fmt"
 
 	"flecc/internal/image"
-	"flecc/internal/property"
 	"flecc/internal/vclock"
 )
 
 // sampleBigImage builds an image with n entries for payload-size tests.
 func sampleBigImage(n int) *image.Image {
-	im := image.New(property.MustSet("Flights={1..10}"))
+	im := image.New()
 	for i := 0; i < n; i++ {
 		im.Put(image.Entry{
 			Key:     fmt.Sprintf("k%06d", i),

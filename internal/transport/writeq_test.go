@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"flecc/internal/image"
-	"flecc/internal/property"
 	"flecc/internal/vclock"
 	"flecc/internal/wire"
 )
@@ -296,7 +295,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // threshold, exercising the two-segment write path.
 func benchImageMessage(t testing.TB, entries int) *wire.Message {
 	t.Helper()
-	img := image.New(property.MustSet("Flights={100..139}"))
+	img := image.New()
 	for i := 0; i < entries; i++ {
 		img.Put(image.Entry{
 			Key:     fmt.Sprintf("flight/%04d", i),

@@ -7,12 +7,11 @@ import (
 	"testing"
 
 	"flecc/internal/image"
-	"flecc/internal/property"
 	"flecc/internal/vclock"
 )
 
 func allocTestMessage(entries int) *Message {
-	img := image.New(property.MustSet("Flights={100..139}"))
+	img := image.New()
 	for i := 0; i < entries; i++ {
 		img.Put(image.Entry{
 			Key:     fmt.Sprintf("flight/%03d", i),

@@ -275,10 +275,8 @@ func (e *Encoder) body(m *Message) {
 	e.Str(m.Err)
 }
 
-// ImageEntries appends an image's version and entries in key order. It is
-// the whole of an image on a message: the property set stays behind, since
-// the receiver scopes by the set the view registered. Records that do keep
-// a set (replication batches) place it beside this in their own form.
+// ImageEntries appends an image's version and entries in key order: the
+// whole of an image, on a message or in a replication batch.
 func (e *Encoder) ImageEntries(im *image.Image) {
 	e.U64(uint64(im.Version))
 	e.U32(uint32(im.Len()))
@@ -351,7 +349,7 @@ func decode(b []byte, names nameTable) (*Message, error) {
 	m.Trig.Pull = d.Str()
 	m.Trig.Validity = d.Str()
 	if d.Bool() {
-		m.Img = image.New(property.Set{})
+		m.Img = image.New()
 		if err := d.ImageEntries(m.Img); err != nil {
 			return nil, err
 		}

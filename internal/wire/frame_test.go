@@ -10,7 +10,6 @@ import (
 	"unsafe"
 
 	"flecc/internal/image"
-	"flecc/internal/property"
 )
 
 // Preencode must be invisible on the wire: a message with Pre attached
@@ -126,7 +125,7 @@ func TestEncodeFrameSegmentsLargeBody(t *testing.T) {
 
 func TestEncodeFrameTooLarge(t *testing.T) {
 	val := strings.Repeat("x", maxFrame/4)
-	img := image.New(property.MustSet("A={1..8}"))
+	img := image.New()
 	for _, k := range []string{"a", "b", "c", "d", "e"} {
 		img.Put(image.Entry{Key: k, Value: []byte(val), Version: 1, Writer: "w"})
 	}

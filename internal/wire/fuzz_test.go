@@ -14,7 +14,7 @@ import (
 // header/body via Preencode, truncated, and version-corrupted), seeding
 // both FuzzDecode and the deterministic no-panic sweep.
 func seedCorpus() [][]byte {
-	img := image.New(property.MustSet("Flights={100..102}"))
+	img := image.New()
 	img.Put(image.Entry{Key: "f/100", Value: []byte("seats=3"), Version: 2, Writer: "a1"})
 	img.Version = 2
 

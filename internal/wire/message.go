@@ -228,8 +228,9 @@ type Message struct {
 	// Trig carries trigger sources (TRegister).
 	Trig Triggers
 	// Img carries an object image (TPush, TImage, TUpdate, TInvalidate
-	// replies): its version and entries. Img.Props is not transmitted, so
-	// a decoded image's set is empty.
+	// replies): its version and entries. The scope it was extracted under
+	// or is merged under is the sender's and receiver's registration,
+	// never part of the image.
 	Img *image.Image
 	// Blob carries an opaque nested payload: the encoded inner message for
 	// TRouted, the encoded view-name list for TMigrateTake, and the encoded

@@ -15,7 +15,7 @@ import (
 )
 
 func sampleImage() *image.Image {
-	im := image.New(property.MustSet("Flights={100..102}"))
+	im := image.New()
 	im.Version = 7
 	im.Put(image.Entry{Key: "f/100", Value: []byte("seats=42"), Version: 5, Writer: "agent-1"})
 	im.Put(image.Entry{Key: "f/101", Value: nil, Version: 6, Writer: "agent-2", Deleted: true})
@@ -41,8 +41,7 @@ func sampleMessage() *Message {
 }
 
 // messagesEqual reports whether decoded message b carries everything the
-// codec transmits of a. An image travels as its version and entries only,
-// so b's image must come back with an empty property set whatever a's was.
+// codec transmits of a. An image travels as its version and entries.
 func messagesEqual(a, b *Message) bool {
 	if a.Type != b.Type || a.Seq != b.Seq || a.From != b.From || a.View != b.View ||
 		a.Mode != b.Mode || a.Op != b.Op || a.Since != b.Since || a.Version != b.Version ||
@@ -56,7 +55,7 @@ func messagesEqual(a, b *Message) bool {
 		return false
 	}
 	if a.Img != nil {
-		if a.Img.Version != b.Img.Version || !a.Img.Equal(b.Img) || !b.Img.Props.IsEmpty() {
+		if a.Img.Version != b.Img.Version || !a.Img.Equal(b.Img) {
 			return false
 		}
 		// Entry metadata must survive too.
@@ -261,7 +260,7 @@ func genMessage(r *rand.Rand) *Message {
 		m.Props = property.NewSet(property.New("P", property.DiscreteInts(r.Intn(10), r.Intn(10)+10)))
 	}
 	if r.Intn(2) == 0 {
-		im := image.New(m.Props)
+		im := image.New()
 		for i := r.Intn(4); i > 0; i-- {
 			im.Put(image.Entry{
 				Key:     randWord(r),
@@ -330,10 +329,10 @@ func TestDecodeFuzzNoPanic(t *testing.T) {
 func TestEntryMetadataOrderIndependent(t *testing.T) {
 	// Encoding sorts entries by key, so logically equal images encode
 	// identically regardless of insertion order.
-	a := image.New(property.NewSet())
+	a := image.New()
 	a.Put(image.Entry{Key: "b", Value: []byte("2")})
 	a.Put(image.Entry{Key: "a", Value: []byte("1")})
-	b := image.New(property.NewSet())
+	b := image.New()
 	b.Put(image.Entry{Key: "a", Value: []byte("1")})
 	b.Put(image.Entry{Key: "b", Value: []byte("2")})
 	ma := Encode(&Message{Type: TPush, Img: a})
