@@ -333,11 +333,16 @@ func laneScript(t *testing.T, opts Options) []byte {
 }
 
 // laneScriptGolden is the SHA-256 of laneScript's capture from its
-// default Options{} run, re-pinned when snapshots moved from gob to the
-// wire codec: computed at 43a37c2 (the last gob-era commit) with only the
-// new encoder added, so the capture's content is the one PR 13 (d875be8,
-// the last commit with the serial store path) pinned.
-const laneScriptGolden = "1d6224d215a81031948f98325761b0a0bc9e6ed6216a8622c0ed9af0ebcc7296"
+// default Options{} run. It was re-pinned when snapshots moved from gob to
+// the wire codec: computed at 43a37c2 (the last gob-era commit) with only
+// the new encoder added, so the capture's content is the one d875be8 (the
+// last commit with the serial store path) pinned. It was
+// re-pinned again when snapFormat went 2 → 3 (uvarint counts, lengths and
+// versions): at c73ff87 (the last format-2 commit) the capture, whose hash
+// was the format-2 golden 1d6224d2…, was decoded with that commit's
+// DecodeSnapshot and re-encoded with the format-3 EncodeSnapshot, giving
+// this hash; the capture's content did not move.
+const laneScriptGolden = "5a6c8c43a7bef86d01b75ffc806d1d6901947656455511be8e345c47587c9aac"
 
 // TestLaneCountByteIdentical pins that Options.Lanes is a count, not a
 // mode: under a sequential (single-client) script, where one-at-a-time

@@ -65,8 +65,8 @@ type ViewTouch struct {
 // replFormat is the first byte of every encoded batch; bump it on an
 // incompatible change. (Version 1 replaced the gob encoding, whose
 // streams never start with this byte; version 2 dropped the image's
-// property set.)
-const replFormat = 2
+// property set; version 3 made counts, lengths and versions uvarints.)
+const replFormat = 3
 
 const (
 	replFlagPromote = 1 << iota
@@ -87,16 +87,16 @@ func EncodeReplBatch(b *ReplBatch) []byte {
 		flags |= replFlagData
 	}
 	e.U8(flags)
-	e.U64(b.Epoch)
+	e.Uvarint(b.Epoch)
 	if b.Snap == nil {
 		return e.Copy()
 	}
-	e.U64(uint64(b.Since))
-	e.U64(uint64(b.Snap.Version))
-	e.U64(b.ViewSince)
-	e.U64(b.ViewSeq)
+	e.Uvarint(uint64(b.Since))
+	e.Uvarint(uint64(b.Snap.Version))
+	e.Uvarint(b.ViewSince)
+	e.Uvarint(b.ViewSeq)
 	encodeSnapSections(e, b.Snap)
-	e.U32(uint32(len(b.Touches)))
+	e.Count(len(b.Touches))
 	for _, t := range b.Touches {
 		encodeTouch(e, t)
 	}
@@ -112,7 +112,7 @@ func encodeTouch(e *wire.Encoder, t ViewTouch) {
 	e.Str(t.Name)
 	e.U8(uint8(t.Mode))
 	e.U8(uint8(t.Op))
-	e.U64(uint64(t.Seen))
+	e.Uvarint(uint64(t.Seen))
 	e.Bool(t.Active)
 }
 
@@ -121,7 +121,7 @@ func decodeTouch(d *wire.Decoder) ViewTouch {
 		Name:   d.Str(),
 		Mode:   wire.Mode(d.U8()),
 		Op:     wire.OpClass(d.U8()),
-		Seen:   vclock.Version(d.U64()),
+		Seen:   vclock.Version(d.Uvarint()),
 		Active: d.Bool(),
 	}
 }
@@ -129,7 +129,7 @@ func decodeTouch(d *wire.Decoder) ViewTouch {
 // encodeNames writes a name list: its count, then each name. Batches'
 // removal records and TMigrateTake's view list share it.
 func encodeNames(e *wire.Encoder, names []string) {
-	e.U32(uint32(len(names)))
+	e.Count(len(names))
 	for _, n := range names {
 		e.Str(n)
 	}
@@ -157,7 +157,7 @@ func DecodeReplBatch(data []byte) (*ReplBatch, error) {
 		return nil, fmt.Errorf("directory: unsupported replication batch format %d (want %d)", v, replFormat)
 	}
 	flags := d.U8()
-	b := &ReplBatch{Promote: flags&replFlagPromote != 0, Epoch: d.U64()}
+	b := &ReplBatch{Promote: flags&replFlagPromote != 0, Epoch: d.Uvarint()}
 	if flags&replFlagData != 0 {
 		decodeReplData(d, b)
 	}
@@ -168,11 +168,11 @@ func DecodeReplBatch(data []byte) (*ReplBatch, error) {
 }
 
 func decodeReplData(d *wire.Decoder, b *ReplBatch) {
-	b.Since = vclock.Version(d.U64())
-	snap := &Snapshot{Version: vclock.Version(d.U64())}
+	b.Since = vclock.Version(d.Uvarint())
+	snap := &Snapshot{Version: vclock.Version(d.Uvarint())}
 	b.Snap = snap
-	b.ViewSince = d.U64()
-	b.ViewSeq = d.U64()
+	b.ViewSince = d.Uvarint()
+	b.ViewSeq = d.Uvarint()
 	decodeSnapSections(d, snap)
 	if n := d.Count(minTouchRec); n > 0 {
 		b.Touches = make([]ViewTouch, n)

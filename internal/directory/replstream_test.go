@@ -3,6 +3,7 @@ package directory
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
@@ -573,12 +574,15 @@ func replSeeds() [][]byte {
 		append(bytes.Clone(full), 0xFF),
 		append([]byte{99}, full[1:]...),
 		append([]byte{1}, full[1:]...), // format 1 carried the image's property set
+		append([]byte{2}, full[1:]...), // format 2 had fixed-width counts, lengths and versions
 	}
 	// Declared counts and lengths far beyond the input, at each section.
-	head := full[:2+8+4*8] // format, flags, epoch, since, version, viewSince, viewSeq
-	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
+	// The sample's epoch, since, version, viewSince and viewSeq are each a
+	// one-byte uvarint.
+	head := full[:2+5]
+	huge := binary.AppendUvarint(nil, 1<<32-1)
 	seeds = append(seeds, append(bytes.Clone(head), huge...))
-	oneShadow := append(bytes.Clone(head), 1, 0, 0, 0)
+	oneShadow := append(bytes.Clone(head), 1)
 	seeds = append(seeds, append(oneShadow, huge...)) // key length
 	return seeds
 }
@@ -605,18 +609,20 @@ func TestReplBatchRoundTrip(t *testing.T) {
 		_, err := DecodeReplBatch(seed)
 		if err == nil {
 			t.Errorf("malformed seed %d accepted", i)
-		} else if len(seed) > 0 && seed[0] == 1 && !strings.Contains(err.Error(), "unsupported replication batch format 1 (want 2)") {
-			t.Errorf("format-1 seed %d: %v", i, err)
+		} else if len(seed) > 0 && (seed[0] == 1 || seed[0] == 2) &&
+			!strings.Contains(err.Error(), fmt.Sprintf("unsupported replication batch format %d (want 3)", seed[0])) {
+			t.Errorf("format-%d seed %d: %v", seed[0], i, err)
 		}
 	}
 }
 
 // replBatchGolden is the SHA-256 of the five well-formed replSeeds
-// batches, recorded on top of 21ebee4 when replFormat went 1 → 2. The only
-// layout change is the dropped image property set: each seed differs from
-// its format-1 bytes in the format byte alone, except the full batch,
-// which also lost the 4-byte empty-set count before its image entries.
-const replBatchGolden = "4365a8797f5d308d8426396ec54ae0779533b35f0b013d525d2f75303511535e"
+// batches, re-pinned when replFormat went 2 → 3 (uvarint counts, lengths
+// and versions). Recipe: at c73ff87 (the last format-2 commit), each seed
+// was decoded with that commit's DecodeReplBatch; the decoded batches were
+// re-encoded with the format-3 EncodeReplBatch, and the hash of those bytes
+// equals this one, so the batches' content did not move.
+const replBatchGolden = "3e8b67aa56cb5502cc4bded9e99d3950253c92a47efc3b02784e70d56ced5a9b"
 
 func TestReplBatchBytesGolden(t *testing.T) {
 	h := sha256.New()

@@ -99,9 +99,10 @@ func (s *Store) Restore(snap *Snapshot) error {
 }
 
 // snapFormat is the first byte of an encoded snapshot; bump it on an
-// incompatible change. (Version 2 replaced the gob encoding, which is not
-// read: a gob checkpoint fails to decode and fleccd starts cold.)
-const snapFormat = 2
+// incompatible change. (Version 2 replaced the gob encoding; version 3
+// made counts, lengths and versions uvarints. Older formats are not read:
+// such a checkpoint fails to decode and fleccd starts cold.)
+const snapFormat = 3
 
 // EncodeSnapshot serializes a snapshot — a checkpoint file or a
 // migration handover — as its format byte, its version, and the sections
@@ -110,7 +111,7 @@ func EncodeSnapshot(snap *Snapshot) []byte {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
 	e.U8(snapFormat)
-	e.U64(uint64(snap.Version))
+	e.Uvarint(uint64(snap.Version))
 	encodeSnapSections(e, snap)
 	return e.Copy()
 }
@@ -125,7 +126,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if v := d.U8(); d.Err() == nil && v != snapFormat {
 		return nil, fmt.Errorf("directory: unsupported snapshot format %d (want %d)", v, snapFormat)
 	}
-	snap := &Snapshot{Version: vclock.Version(d.U64())}
+	snap := &Snapshot{Version: vclock.Version(d.Uvarint())}
 	decodeSnapSections(d, snap)
 	if err := decoded(d, "snapshot"); err != nil {
 		return nil, err
@@ -148,37 +149,37 @@ func decoded(d *wire.Decoder, what string) error {
 	return nil
 }
 
-// Smallest encodings of each record kind (empty strings and sets): the
-// decoder sizes slices by the declared count only after checking the
-// input that remains could hold that many.
+// Smallest encodings of each record kind (empty strings and sets, one-byte
+// uvarints): the decoder sizes slices by the declared count only after
+// checking the input that remains could hold that many.
 const (
-	minShadowRec = 4 + 8 + 4 + 1
-	minLogRec    = 8 + 4 + 4 + 8 + 8
-	minTouchRec  = 4 + 1 + 1 + 8 + 1
-	minRegRec    = minTouchRec + 4 + 4
-	minName      = 4
+	minShadowRec = 1 + 1 + 1 + 1
+	minLogRec    = 1 + 1 + 1 + 1 + 1
+	minTouchRec  = 1 + 1 + 1 + 1 + 1
+	minRegRec    = minTouchRec + 1 + 1
+	minName      = 1
 )
 
 // encodeSnapSections writes a snapshot's shadow, log and registration
 // sections — everything but its version, which checkpoints and batches
 // place differently.
 func encodeSnapSections(e *wire.Encoder, snap *Snapshot) {
-	e.U32(uint32(len(snap.Shadow)))
+	e.Count(len(snap.Shadow))
 	for _, r := range snap.Shadow {
 		e.Str(r.Key)
-		e.U64(uint64(r.Version))
+		e.Uvarint(uint64(r.Version))
 		e.Str(r.Writer)
 		e.Bool(r.Deleted)
 	}
-	e.U32(uint32(len(snap.Log)))
+	e.Count(len(snap.Log))
 	for _, r := range snap.Log {
-		e.U64(uint64(r.Version))
+		e.Uvarint(uint64(r.Version))
 		e.Str(r.Writer)
 		e.PropSet(r.Props)
-		e.U64(uint64(r.Ops))
-		e.U64(uint64(r.At))
+		e.Uvarint(uint64(r.Ops))
+		e.Uvarint(uint64(r.At))
 	}
-	e.U32(uint32(len(snap.Views)))
+	e.Count(len(snap.Views))
 	for _, v := range snap.Views {
 		encodeTouch(e, ViewTouch{Name: v.Name, Mode: v.Mode, Op: v.Op, Seen: v.Seen, Active: v.Active})
 		e.PropSet(v.Props)
@@ -193,7 +194,7 @@ func decodeSnapSections(d *wire.Decoder, snap *Snapshot) {
 		snap.Shadow = make([]ShadowRec, n)
 		for i := range snap.Shadow {
 			snap.Shadow[i] = ShadowRec{
-				Key: d.Str(), Version: vclock.Version(d.U64()), Writer: d.Str(), Deleted: d.Bool(),
+				Key: d.Str(), Version: vclock.Version(d.Uvarint()), Writer: d.Str(), Deleted: d.Bool(),
 			}
 		}
 	}
@@ -201,8 +202,8 @@ func decodeSnapSections(d *wire.Decoder, snap *Snapshot) {
 		snap.Log = make([]UpdateRec, n)
 		for i := range snap.Log {
 			snap.Log[i] = UpdateRec{
-				Version: vclock.Version(d.U64()), Writer: d.Str(), Props: d.PropSet(),
-				Ops: int(d.U64()), At: vclock.Time(d.U64()),
+				Version: vclock.Version(d.Uvarint()), Writer: d.Str(), Props: d.PropSet(),
+				Ops: int(d.Uvarint()), At: vclock.Time(d.Uvarint()),
 			}
 		}
 	}

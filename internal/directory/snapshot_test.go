@@ -2,7 +2,9 @@ package directory
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"flecc/internal/property"
@@ -30,7 +32,8 @@ func snapSeeds() [][]byte {
 		full[:len(full)-1],
 		append(bytes.Clone(full), 0xFF),
 		append([]byte{snapFormat + 1}, full[1:]...),
-		append(bytes.Clone(full[:1+8]), 0xFF, 0xFF, 0xFF, 0xFF),
+		append([]byte{2}, full[1:]...),                                         // format 2 had fixed-width counts, lengths and versions
+		append(bytes.Clone(full[:1+1]), binary.AppendUvarint(nil, 1<<32-1)...), // format, one-byte version, huge count
 	}
 }
 
@@ -49,8 +52,11 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		}
 	}
 	for i, seed := range snapSeeds()[2:] {
-		if _, err := DecodeSnapshot(seed); err == nil {
+		_, err := DecodeSnapshot(seed)
+		if err == nil {
 			t.Errorf("malformed seed %d accepted", i)
+		} else if len(seed) > 0 && seed[0] == 2 && !strings.Contains(err.Error(), "unsupported snapshot format 2 (want 3)") {
+			t.Errorf("format-2 seed %d: %v", i, err)
 		}
 	}
 }
@@ -69,7 +75,7 @@ func TestViewListRoundTrip(t *testing.T) {
 		t.Fatalf("empty blob: %q, %v; want all views", names, err)
 	}
 	blob := EncodeViewList([]string{"a"})
-	for _, bad := range [][]byte{blob[:len(blob)-1], append(bytes.Clone(blob), 0), {0xFF, 0xFF, 0xFF, 0xFF}} {
+	for _, bad := range [][]byte{blob[:len(blob)-1], append(bytes.Clone(blob), 0), binary.AppendUvarint(nil, 1<<32-1)} {
 		if _, err := decodeViewList(bad); err == nil {
 			t.Errorf("malformed view list %x accepted", bad)
 		}

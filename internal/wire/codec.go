@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"flecc/internal/image"
@@ -12,11 +13,13 @@ import (
 	"flecc/internal/vclock"
 )
 
-// The binary format is little-endian with length-prefixed strings and byte
-// slices. Field presence is driven entirely by the message Type where
-// possible and by explicit presence bytes for optional payloads (Props,
-// Img), so the encoding stays self-describing enough for fuzzing while
-// remaining compact. A message on a stream is framed by a u32 length.
+// The binary format is little-endian. Counts, string and byte-slice
+// lengths, versions and other small integers are unsigned LEB128 varints
+// (uvarints) in their shortest form; fixed-width integers remain for the
+// frame's u32 length prefix and for fields whose values are not small. A
+// message is a header (version, Type, Seq, From, View) and a body whose
+// first uvarint is a presence bitmap: a body field costs bytes only when
+// it is set. A message on a stream is framed by a u32 length.
 
 const (
 	// maxFrame bounds a single framed message (16 MiB) as a defense
@@ -24,16 +27,41 @@ const (
 	maxFrame = 16 << 20
 	// codecVersion is bumped on incompatible format changes.
 	// v2 appended the Blob payload (routed/migration traffic); v3 dropped
-	// the property set from images (an image is its version and entries).
-	codecVersion = 3
+	// the property set from images (an image is its version and entries);
+	// v4 made lengths, counts and versions uvarints and sends a body field
+	// only when its presence bit is set.
+	codecVersion = 4
 )
 
-// Encoder is the append-only little-endian writer behind every encoding in
-// this package. Encoders are pooled: GetEncoder hands out a recycled
-// scratch buffer, PutEncoder returns it. Other packages that put their own
-// records on the wire (the directory manager's replication batches) build
-// them from the same primitives, so there is one binary dialect.
-type Encoder struct{ buf []byte }
+// Presence bits of a message body, in the order the set fields follow the
+// bitmap. The fields a reserve loop's frames carry sit in the low seven
+// bits, so their bitmap is one byte.
+const (
+	hasVersion = 1 << iota
+	hasSince
+	hasOps
+	hasOp
+	hasImg
+	hasMode
+	hasBlob
+	hasProps
+	hasPush
+	hasPull
+	hasValidity
+	hasErr
+
+	knownFields = 1<<iota - 1
+)
+
+// Encoder is the append-only writer behind every encoding in this
+// package. Encoders are pooled: GetEncoder hands out a recycled scratch
+// buffer, PutEncoder returns it. Other packages that put their own records
+// on the wire (the directory manager's replication batches and snapshots)
+// build them from the same primitives, so there is one binary dialect.
+type Encoder struct {
+	buf  []byte
+	keys []string // ImageEntries' sort scratch, cleared after each image
+}
 
 // encoders pools encode scratch buffers: the hot path (every Call on every
 // transport) serializes into a recycled buffer and copies out the exact
@@ -79,15 +107,21 @@ func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf
 // U64 appends a little-endian uint64.
 func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
-// Str appends a u32-length-prefixed string.
+// Uvarint appends v as an unsigned LEB128 varint: one byte below 128.
+func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+
+// Count appends a sequence's element count (see Decoder.Count).
+func (e *Encoder) Count(n int) { e.Uvarint(uint64(n)) }
+
+// Str appends a uvarint-length-prefixed string.
 func (e *Encoder) Str(s string) {
-	e.U32(uint32(len(s)))
+	e.Count(len(s))
 	e.buf = append(e.buf, s...)
 }
 
-// Bytes appends a u32-length-prefixed byte slice.
+// Bytes appends a uvarint-length-prefixed byte slice.
 func (e *Encoder) Bytes(b []byte) {
-	e.U32(uint32(len(b)))
+	e.Count(len(b))
 	e.buf = append(e.buf, b...)
 }
 
@@ -127,6 +161,14 @@ func (d *Decoder) fail(what string) {
 	}
 }
 
+// failWith latches err as the decoding error unless one is already latched:
+// a record decoder's own validity checks stop the decode like a short read.
+func (d *Decoder) failWith(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
 // U8 reads one byte.
 func (d *Decoder) U8() uint8 {
 	if d.err != nil || d.off+1 > len(d.buf) {
@@ -141,17 +183,6 @@ func (d *Decoder) U8() uint8 {
 // Bool reads a presence/flag byte.
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
-// U32 reads a little-endian uint32.
-func (d *Decoder) U32() uint32 {
-	if d.err != nil || d.off+4 > len(d.buf) {
-		d.fail("u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
 // U64 reads a little-endian uint64.
 func (d *Decoder) U64() uint64 {
 	if d.err != nil || d.off+8 > len(d.buf) {
@@ -163,22 +194,42 @@ func (d *Decoder) U64() uint64 {
 	return v
 }
 
-// Count reads a u32 element count for a sequence whose elements occupy at
-// least minSize encoded bytes each, and fails when the input that remains
-// cannot hold that many — so a caller may size a slice by the result
-// without trusting the declared number.
+// Uvarint reads an unsigned LEB128 varint. Only the shortest encoding of
+// a value is accepted: an overlong form (a trailing zero byte) and one
+// that overflows 64 bits are errors, so every value has one encoding.
+func (d *Decoder) Uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf[d.off:])
+	switch {
+	case n == 0:
+		d.fail("uvarint")
+		return 0
+	case n < 0 || (n > 1 && d.buf[d.off+n-1] == 0):
+		d.failWith(fmt.Errorf("wire: malformed uvarint at offset %d", d.off))
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// Count reads a uvarint element count for a sequence whose elements
+// occupy at least minSize (≥ 1) encoded bytes each, and fails when the
+// input that remains cannot hold that many — so a caller may size a slice
+// by the result without trusting the declared number.
 func (d *Decoder) Count(minSize int) int { return d.length("count", minSize) }
 
 func (d *Decoder) length(what string, minSize int) int {
-	n := d.U32()
-	if d.err != nil || uint64(n)*uint64(minSize) > uint64(d.Remaining()) {
+	n := d.Uvarint()
+	if d.err != nil || n > uint64(d.Remaining()/minSize) {
 		d.fail(what)
 		return 0
 	}
 	return int(n)
 }
 
-// Str reads a u32-length-prefixed string.
+// Str reads a uvarint-length-prefixed string.
 func (d *Decoder) Str() string {
 	n := d.length("string", 1)
 	if d.err != nil {
@@ -204,7 +255,7 @@ func (d *Decoder) name() string {
 	return s
 }
 
-// Bytes reads a u32-length-prefixed byte slice (nil when empty).
+// Bytes reads a uvarint-length-prefixed byte slice (nil when empty).
 func (d *Decoder) Bytes() []byte {
 	n := d.length("bytes", 1)
 	if d.err != nil || n == 0 {
@@ -238,55 +289,116 @@ func (e *Encoder) message(m *Message) {
 
 // header serializes the per-link fields: the ones a fan-out round stamps
 // freshly for every target (Type, Seq, From, View) plus the codec version.
-// seq and from stand in for m's own (EncodeFrame). header followed by
-// body is byte-identical to the pre-split encoding.
+// seq and from stand in for m's own (EncodeFrame).
 func (e *Encoder) header(m *Message, seq uint64, from string) {
 	e.U8(codecVersion)
 	e.U8(uint8(m.Type))
-	e.U64(seq)
+	e.Uvarint(seq)
 	e.Str(from)
 	e.Str(m.View)
 }
 
-// body serializes everything after the header — the shareable part a
-// Preencode captures once per round.
-func (e *Encoder) body(m *Message) {
-	e.U8(uint8(m.Mode))
-	e.U8(uint8(m.Op))
-	e.U64(uint64(m.Since))
-	e.U64(uint64(m.Version))
-	e.U32(m.Ops)
-	// Props: presence + textual form (round-trips exactly; see property
-	// package tests). Only registration messages set it.
-	if m.Props.IsEmpty() {
-		e.Bool(false)
-	} else {
-		e.Bool(true)
-		e.Str(m.Props.String())
+// presence returns the bitmap of m's set body fields: non-zero numbers,
+// non-empty strings, sets and blobs, and a non-nil image.
+func presence(m *Message) uint64 {
+	var bits uint64
+	set := func(bit uint64, ok bool) {
+		if ok {
+			bits |= bit
+		}
 	}
-	e.Str(m.Trig.Push)
-	e.Str(m.Trig.Pull)
-	e.Str(m.Trig.Validity)
-	e.Bool(m.Img != nil)
-	if m.Img != nil {
-		e.ImageEntries(m.Img)
-	}
-	e.Bytes(m.Blob)
-	e.Str(m.Err)
+	set(hasVersion, m.Version != 0)
+	set(hasSince, m.Since != 0)
+	set(hasOps, m.Ops != 0)
+	set(hasOp, m.Op != 0)
+	set(hasImg, m.Img != nil)
+	set(hasMode, m.Mode != 0)
+	set(hasBlob, len(m.Blob) != 0)
+	set(hasProps, !m.Props.IsEmpty())
+	set(hasPush, m.Trig.Push != "")
+	set(hasPull, m.Trig.Pull != "")
+	set(hasValidity, m.Trig.Validity != "")
+	set(hasErr, m.Err != "")
+	return bits
 }
 
+// body serializes everything after the header — the shareable part a
+// Preencode captures once per round: the presence bitmap, then each set
+// field in bit order.
+func (e *Encoder) body(m *Message) {
+	bits := presence(m)
+	e.Uvarint(bits)
+	if bits&hasVersion != 0 {
+		e.Uvarint(uint64(m.Version))
+	}
+	if bits&hasSince != 0 {
+		e.Uvarint(uint64(m.Since))
+	}
+	if bits&hasOps != 0 {
+		e.Uvarint(uint64(m.Ops))
+	}
+	if bits&hasOp != 0 {
+		e.U8(uint8(m.Op))
+	}
+	if bits&hasImg != 0 {
+		e.ImageEntries(m.Img)
+	}
+	if bits&hasMode != 0 {
+		e.U8(uint8(m.Mode))
+	}
+	if bits&hasBlob != 0 {
+		e.Bytes(m.Blob)
+	}
+	if bits&hasProps != 0 {
+		// The textual form round-trips exactly (see the property package
+		// tests). Only registration messages set it.
+		e.Str(m.Props.String())
+	}
+	if bits&hasPush != 0 {
+		e.Str(m.Trig.Push)
+	}
+	if bits&hasPull != 0 {
+		e.Str(m.Trig.Pull)
+	}
+	if bits&hasValidity != 0 {
+		e.Str(m.Trig.Validity)
+	}
+	if bits&hasErr != 0 {
+		e.Str(m.Err)
+	}
+}
+
+// maxPooledKeys caps the key scratch an encoder keeps between images.
+const maxPooledKeys = 4096
+
 // ImageEntries appends an image's version and entries in key order: the
-// whole of an image, on a message or in a replication batch.
+// whole of an image, on a message or in a replication batch. The keys are
+// sorted in the encoder's scratch, which is cleared afterwards so that a
+// pooled encoder pins no key strings.
 func (e *Encoder) ImageEntries(im *image.Image) {
-	e.U64(uint64(im.Version))
-	e.U32(uint32(im.Len()))
-	for _, k := range im.Keys() {
+	e.Uvarint(uint64(im.Version))
+	e.Count(im.Len())
+	keys := e.keys[:0]
+	if cap(keys) < im.Len() {
+		keys = make([]string, 0, im.Len())
+	}
+	for k := range im.Entries {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
 		ent := im.Entries[k]
 		e.Str(ent.Key)
 		e.Bytes(ent.Value)
-		e.U64(uint64(ent.Version))
+		e.Uvarint(uint64(ent.Version))
 		e.Str(ent.Writer)
 		e.Bool(ent.Deleted)
+	}
+	clear(keys)
+	if cap(keys) <= maxPooledKeys {
+		e.keys = keys[:0]
+	} else {
+		e.keys = nil
 	}
 }
 
@@ -296,7 +408,7 @@ func (e *Encoder) ImageEntries(im *image.Image) {
 // carries, decoding it runs no parser.
 func (e *Encoder) PropSet(s property.Set) {
 	props := s.Properties()
-	e.U32(uint32(len(props)))
+	e.Count(len(props))
 	for _, p := range props {
 		e.Str(p.Name)
 		e.U8(uint8(p.Domain.Kind()))
@@ -307,7 +419,7 @@ func (e *Encoder) PropSet(s property.Set) {
 			e.U64(math.Float64bits(hi))
 		case property.KindDiscrete:
 			members := p.Domain.Members()
-			e.U32(uint32(len(members)))
+			e.Count(len(members))
 			for _, m := range members {
 				e.Str(m)
 			}
@@ -327,15 +439,42 @@ func decode(b []byte, names nameTable) (*Message, error) {
 	}
 	m := &Message{}
 	m.Type = Type(d.U8())
-	m.Seq = d.U64()
+	m.Seq = d.Uvarint()
 	m.From = d.name()
 	m.View = d.name()
-	m.Mode = Mode(d.U8())
-	m.Op = OpClass(d.U8())
-	m.Since = vclock.Version(d.U64())
-	m.Version = vclock.Version(d.U64())
-	m.Ops = d.U32()
-	if d.Bool() {
+	bits := d.Uvarint()
+	if bits&^knownFields != 0 {
+		return nil, fmt.Errorf("wire: unknown presence bits %#x", bits&^knownFields)
+	}
+	if bits&hasVersion != 0 {
+		m.Version = vclock.Version(d.Uvarint())
+	}
+	if bits&hasSince != 0 {
+		m.Since = vclock.Version(d.Uvarint())
+	}
+	if bits&hasOps != 0 {
+		ops := d.Uvarint()
+		if ops > math.MaxUint32 {
+			return nil, fmt.Errorf("wire: ops count %d exceeds 32 bits", ops)
+		}
+		m.Ops = uint32(ops)
+	}
+	if bits&hasOp != 0 {
+		m.Op = OpClass(d.U8())
+	}
+	if bits&hasImg != 0 && d.err == nil {
+		m.Img = image.New()
+		if err := d.ImageEntries(m.Img); err != nil {
+			return nil, err
+		}
+	}
+	if bits&hasMode != 0 {
+		m.Mode = Mode(d.U8())
+	}
+	if bits&hasBlob != 0 {
+		m.Blob = d.Bytes()
+	}
+	if bits&hasProps != 0 {
 		txt := d.Str()
 		if d.err == nil {
 			props, err := property.ParseSet(txt)
@@ -345,17 +484,18 @@ func decode(b []byte, names nameTable) (*Message, error) {
 			m.Props = props
 		}
 	}
-	m.Trig.Push = d.Str()
-	m.Trig.Pull = d.Str()
-	m.Trig.Validity = d.Str()
-	if d.Bool() {
-		m.Img = image.New()
-		if err := d.ImageEntries(m.Img); err != nil {
-			return nil, err
-		}
+	if bits&hasPush != 0 {
+		m.Trig.Push = d.Str()
 	}
-	m.Blob = d.Bytes()
-	m.Err = d.Str()
+	if bits&hasPull != 0 {
+		m.Trig.Pull = d.Str()
+	}
+	if bits&hasValidity != 0 {
+		m.Trig.Validity = d.Str()
+	}
+	if bits&hasErr != 0 {
+		m.Err = d.Str()
+	}
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -366,18 +506,18 @@ func decode(b []byte, names nameTable) (*Message, error) {
 }
 
 // imageEntryMin is the smallest encoded image entry: three empty
-// length-prefixed fields, a version and the tombstone flag.
-const imageEntryMin = 4 + 4 + 8 + 4 + 1
+// length-prefixed fields, a one-byte version and the tombstone flag.
+const imageEntryMin = 5
 
 // ImageEntries reads what Encoder.ImageEntries wrote into im.
 func (d *Decoder) ImageEntries(im *image.Image) error {
-	im.Version = vclock.Version(d.U64())
+	im.Version = vclock.Version(d.Uvarint())
 	n := d.Count(imageEntryMin)
 	for i := 0; i < n; i++ {
 		var ent image.Entry
 		ent.Key = d.Str()
 		ent.Value = d.Bytes()
-		ent.Version = vclock.Version(d.U64())
+		ent.Version = vclock.Version(d.Uvarint())
 		ent.Writer = d.name()
 		ent.Deleted = d.Bool()
 		if d.err != nil {
@@ -392,7 +532,7 @@ func (d *Decoder) ImageEntries(im *image.Image) error {
 // empty domain (inverted or NaN bounds, no members) or an unknown kind is
 // an error, not a silently shorter set.
 func (d *Decoder) PropSet() property.Set {
-	n := d.Count(4 + 1)
+	n := d.Count(1 + 1)
 	props := make([]property.Property, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		name := d.Str()
@@ -403,14 +543,14 @@ func (d *Decoder) PropSet() property.Set {
 			hi := math.Float64frombits(d.U64())
 			dom = property.Interval(lo, hi)
 		case property.KindDiscrete:
-			members := make([]string, d.Count(4))
+			members := make([]string, d.Count(1))
 			for j := range members {
 				members[j] = d.Str()
 			}
 			dom = property.Discrete(members...)
 		}
 		if d.err == nil && (name == "" || dom.IsEmpty()) {
-			d.err = fmt.Errorf("wire: bad property %q in binary set at offset %d", name, d.off)
+			d.failWith(fmt.Errorf("wire: bad property %q in binary set at offset %d", name, d.off))
 		}
 		props = append(props, property.New(name, dom))
 	}
@@ -444,8 +584,8 @@ func ReadFrame(r io.Reader) (*Message, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, nil, int(n))
+	if err != nil {
 		return nil, err
 	}
 	return Decode(payload)

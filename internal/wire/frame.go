@@ -13,11 +13,10 @@ import (
 // that can reference a shared body without copying it (EncodedFrame), and
 // a buffered frame reader with a reusable payload scratch (FrameReader).
 //
-// The byte format is unchanged: a frame is still a u32 length prefix
-// followed by header (codec version, Type, Seq, From, View) and body
-// (everything else), and header||body is byte-identical to the pre-split
-// single-buffer encoding, so old and new peers interoperate and figure
-// byte counts stay stable.
+// A frame is a u32 length prefix followed by the header (codec version,
+// Type, Seq, From, View) and the body (the presence bitmap and the set
+// fields). header||body is exactly what Encode produces, so a frame's
+// bytes do not depend on whether its body was pre-encoded.
 
 // Frame is a shareable pre-encoded message body — everything after the
 // per-link header (Type/Seq/From/View). A directory-manager round that
@@ -168,11 +167,44 @@ func (fr *FrameReader) Read() (*Message, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	payload := fr.payload(n)
-	if _, err := io.ReadFull(fr.br, payload); err != nil {
+	payload, err := readPayload(fr.br, fr.scratch, n)
+	if err != nil {
 		return nil, err
 	}
+	// An occasional huge frame does not pin a huge scratch for the
+	// connection's lifetime.
+	if cap(payload) <= maxPooledBuf {
+		fr.scratch = payload
+	}
 	return decode(payload, fr.names)
+}
+
+// minReadStep is the first allocation readPayload makes for a frame that
+// does not fit its scratch.
+const minReadStep = 64 << 10
+
+// readPayload reads an n-byte frame payload from r into scratch, reusing
+// it when n fits. A larger payload is read in steps that double from
+// minReadStep, so the memory a frame costs follows the bytes that arrive,
+// not the length its prefix declares.
+func readPayload(r io.Reader, scratch []byte, n int) ([]byte, error) {
+	buf := scratch[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(2*cap(buf), minReadStep)))
+			copy(grown, buf)
+			buf = grown
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF // the frame started, so it is cut short
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Name-table bounds: a connection speaks with a handful of nodes, so a
@@ -197,17 +229,4 @@ func (t nameTable) intern(b []byte) string {
 		t[s] = s
 	}
 	return s
-}
-
-// payload returns an n-byte buffer, reusing the scratch when it fits. An
-// occasional huge frame gets a one-off allocation instead of pinning a
-// huge scratch for the connection's lifetime.
-func (fr *FrameReader) payload(n int) []byte {
-	if n > maxPooledBuf {
-		return make([]byte, n)
-	}
-	if cap(fr.scratch) < n {
-		fr.scratch = make([]byte, n)
-	}
-	return fr.scratch[:n]
 }

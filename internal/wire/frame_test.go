@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -184,6 +186,48 @@ func TestFrameReaderLimits(t *testing.T) {
 	fr := NewFrameReader(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF}))
 	if _, err := fr.Read(); err == nil {
 		t.Fatal("oversized frame should fail")
+	}
+}
+
+// TestFrameMemoryFollowsBytes: a length prefix alone buys no memory. A
+// stream that declares a maxFrame frame, sends 1 KiB of it and ends costs
+// the reader what arrived (plus its fixed buffers), not the declared 16
+// MiB — through the established peer's FrameReader and through the
+// handshake's ReadFrame alike. A frame that does arrive whole, larger than
+// the first read step, still reads back intact.
+func TestFrameMemoryFollowsBytes(t *testing.T) {
+	stream := binary.LittleEndian.AppendUint32(nil, maxFrame)
+	stream = append(stream, make([]byte, 1<<10)...)
+	for _, tc := range []struct {
+		name string
+		read func(io.Reader) (*Message, error)
+	}{
+		{"FrameReader", func(r io.Reader) (*Message, error) { return NewFrameReader(r).Read() }},
+		{"ReadFrame", ReadFrame},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tc.read(bytes.NewReader(stream))
+		runtime.ReadMemStats(&after)
+		if err != io.ErrUnexpectedEOF {
+			t.Errorf("%s: cut frame read %v, want io.ErrUnexpectedEOF", tc.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 256<<10 {
+			t.Errorf("%s: a declared %d-byte frame with 1 KiB sent allocated %d bytes", tc.name, maxFrame, grew)
+		}
+
+		big := allocTestMessage(8000) // several read steps
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, big); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() < 4*minReadStep {
+			t.Fatalf("test frame of %d bytes does not span several read steps", buf.Len())
+		}
+		got, err := tc.read(&buf)
+		if err != nil || !messagesEqual(big, got) {
+			t.Errorf("%s: large frame read back wrong (%v)", tc.name, err)
+		}
 	}
 }
 

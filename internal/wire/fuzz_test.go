@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"flecc/internal/image"
@@ -11,7 +12,8 @@ import (
 
 // seedCorpus returns one encoded message per protocol Type (plus a few
 // interesting shapes: empty, image-bearing, blob-bearing, split
-// header/body via Preencode, truncated, and version-corrupted), seeding
+// header/body via Preencode, truncated, version-corrupted, and a real v3
+// encoding), seeding
 // both FuzzDecode and the deterministic no-panic sweep.
 func seedCorpus() [][]byte {
 	img := image.New()
@@ -54,7 +56,12 @@ func seedCorpus() [][]byte {
 	seeds = append(seeds, Encode(upd))
 	// Degenerate shapes.
 	full := Encode(sampleMessage())
+	v3, err := hex.DecodeString(v3Ack)
+	if err != nil {
+		panic(err)
+	}
 	seeds = append(seeds,
+		v3, // fixed-width fields and u32 lengths
 		nil,
 		[]byte{codecVersion},
 		full[:len(full)/2],              // truncated mid-message

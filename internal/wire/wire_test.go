@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -179,6 +181,106 @@ func TestDecodeRefusesV2(t *testing.T) {
 	}
 	if _, err := NewFrameReader(bytes.NewReader(frame)).Read(); err == nil || !strings.Contains(err.Error(), "unsupported codec version 2") {
 		t.Fatalf("FrameReader on a v2 frame: want the version error, got %v", err)
+	}
+}
+
+// v3Ack is a v3 encoding of TAck{Seq: 1001, From: "dm", Version: 4244},
+// as the last v3 codec wrote it: fixed-width Seq, Since, Version and Ops,
+// u32 length prefixes and presence bytes for every field.
+const v3Ack = "030ce90300000000000002000000646d000000000000000000000000000094100000000000000000000000000000000000000000000000000000000000000000"
+
+// TestDecodeRefusesV3: a v3 frame — fixed-width fields and u32 lengths —
+// is refused outright rather than misread as v4.
+func TestDecodeRefusesV3(t *testing.T) {
+	msg, err := hex.DecodeString(v3Ack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(msg); err == nil || !strings.Contains(err.Error(), "unsupported codec version 3") {
+		t.Fatalf("Decode of a v3 message: want the version error, got %v", err)
+	}
+	frame := append(binary.LittleEndian.AppendUint32(nil, uint32(len(msg))), msg...)
+	if _, err := NewFrameReader(bytes.NewReader(frame)).Read(); err == nil || !strings.Contains(err.Error(), "unsupported codec version 3") {
+		t.Fatalf("FrameReader on a v3 frame: want the version error, got %v", err)
+	}
+	if _, err := ReadFrame(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "unsupported codec version 3") {
+		t.Fatalf("ReadFrame on a v3 frame: want the version error, got %v", err)
+	}
+}
+
+// TestMessageSizes pins the framed size (u32 prefix included) of the
+// frames a reserve loop and a clean weak-mode fetch exchange, with fixed
+// names and Seq. A body field costs bytes only when it is set, so a new
+// field that costs every message bytes fails here. The v3 sizes of the
+// same frames were 74, 140, 146, 68, 76 and 86 bytes.
+func TestMessageSizes(t *testing.T) {
+	entry := func(writer string, version vclock.Version) *image.Image {
+		im := image.New()
+		im.Version = version
+		im.Put(image.Entry{Key: "flight/0107", Value: []byte("NYC|SFO|200|57|19900"), Version: version, Writer: writer})
+		return im
+	}
+	for _, tc := range []struct {
+		name string
+		m    *Message
+		want int
+	}{
+		// The reserve loop: pull, its 1-entry image reply, the 1-entry
+		// push, and the ack carrying the new version.
+		{"pull", &Message{Type: TPull, Seq: 1000, From: "agent-07", Since: 4242}, 21},
+		{"image-reply", &Message{Type: TImage, Seq: 1000, From: "dm", Version: 4243, Img: entry("agent-03", 4243)}, 63},
+		{"push", &Message{Type: TPush, Seq: 1001, From: "agent-07", Ops: 1, Img: entry("agent-07", 0)}, 66},
+		{"ack", &Message{Type: TAck, Seq: 1001, From: "dm", Version: 4244}, 15},
+		// A clean sharer's fetch: the directory's pull and the empty image
+		// it gets back.
+		{"fetch", &Message{Type: TPull, Seq: 77, From: "dm", View: "agent-07"}, 20},
+		{"fetch-reply", &Message{Type: TImage, Seq: 77, From: "agent-07", Img: image.New()}, 20},
+	} {
+		f, err := EncodeFrame(tc.m, tc.m.Seq, tc.m.From)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Len(); got != tc.want {
+			t.Errorf("%s: %d bytes framed, want %d", tc.name, got, tc.want)
+		}
+		f.Release()
+	}
+}
+
+// TestDecodeRejectsMalformedVarints: each malformed shape is an error,
+// raised without a panic, from Decode and from a FrameReader alike.
+func TestDecodeRejectsMalformedVarints(t *testing.T) {
+	// head is a v4 ack's header: version, Type, Seq 1, From "dm", View "".
+	head := []byte{codecVersion, byte(TAck), 1, 2, 'd', 'm', 0}
+	with := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{head}, parts...), nil) }
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	elevenBytes := append(bytes.Repeat([]byte{0x80}, 10), 0x01)
+	for _, tc := range []struct {
+		name, want string
+		b          []byte
+	}{
+		{"unknown presence bit", "unknown presence bits", with(uv(knownFields + 1))},
+		{"11-byte uvarint", "malformed uvarint", with(uv(hasSince), elevenBytes)},
+		{"11-byte Seq", "malformed uvarint", append([]byte{codecVersion, byte(TAck)}, elevenBytes...)},
+		{"overflowing uvarint", "malformed uvarint", with(uv(hasVersion), bytes.Repeat([]byte{0xFF}, 9), []byte{0x02})},
+		{"overlong uvarint", "malformed uvarint", with(uv(hasVersion), []byte{0x81, 0x00})},
+		{"ops of 2^32", "ops count", with(uv(hasOps), uv(1<<32))},
+		{"string length past the end", "truncated", with(uv(hasErr), uv(200), []byte("abc"))},
+		{"From length past the end", "truncated", []byte{codecVersion, byte(TAck), 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 'd'}},
+		{"entry count past the end", "truncated", with(uv(hasImg), uv(1), uv(1<<31))},
+	} {
+		if _, err := Decode(tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Decode error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		frame := append(binary.LittleEndian.AppendUint32(nil, uint32(len(tc.b))), tc.b...)
+		if _, err := NewFrameReader(bytes.NewReader(frame)).Read(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: FrameReader error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	// The shapes above are malformed only in the varint under test: with
+	// it well-formed, the same message decodes.
+	if _, err := Decode(with(uv(hasOps), uv(1<<32-1))); err != nil {
+		t.Fatalf("ops of 2^32-1: %v", err)
 	}
 }
 
@@ -365,17 +467,17 @@ func TestPropSetBinaryRoundTrip(t *testing.T) {
 	e := GetEncoder()
 	defer PutEncoder(e)
 	for name, build := range map[string]func(){
-		"unknown kind": func() { e.U32(1); e.Str("P"); e.U8(9) },
+		"unknown kind": func() { e.Count(1); e.Str("P"); e.U8(9) },
 		"inverted interval": func() {
-			e.U32(1)
+			e.Count(1)
 			e.Str("P")
 			e.U8(uint8(property.KindInterval))
 			e.U64(math.Float64bits(2))
 			e.U64(math.Float64bits(1))
 		},
-		"no members":      func() { e.U32(1); e.Str("P"); e.U8(uint8(property.KindDiscrete)); e.U32(0) },
-		"no name":         func() { e.U32(1); e.Str(""); e.U8(uint8(property.KindDiscrete)); e.U32(1); e.Str("x") },
-		"oversized count": func() { e.U32(1 << 30) },
+		"no members":      func() { e.Count(1); e.Str("P"); e.U8(uint8(property.KindDiscrete)); e.Count(0) },
+		"no name":         func() { e.Count(1); e.Str(""); e.U8(uint8(property.KindDiscrete)); e.Count(1); e.Str("x") },
+		"oversized count": func() { e.Count(1 << 30) },
 	} {
 		e.buf = e.buf[:0]
 		build()
