@@ -430,12 +430,34 @@ func TestInvalidateBeforeInit(t *testing.T) {
 	// cleanly with an empty image.
 	v1 := newKV(nil)
 	v2 := newKV(nil)
-	_ = r.view(t, "v1", "P={x}", wire.Weak, v1)    // never initialized
-	r.dmFor("v1").Registry().SetActive("v1", true) // simulate a stale active mark
+	_ = r.view(t, "v1", "P={x}", wire.Weak, v1) // never initialized
+	// A stale active mark: the directory serves an init in v1's name (a
+	// routed envelope speaks for a view) that v1's cache manager never
+	// sent.
+	dm := r.dmFor("v1")
+	probe, err := r.net.Attach("probe", func(*wire.Message) *wire.Message { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	routedInit := &wire.Message{Type: wire.TRouted, View: "v1", Blob: wire.Encode(&wire.Message{Type: wire.TInit})}
+	if reply, err := probe.Call(dm.Name(), routedInit); err != nil || reply.Type == wire.TErr {
+		t.Fatalf("init in v1's name: %v %v", err, reply)
+	}
+	if got := dm.Phase("v1"); got != directory.PhaseActive {
+		t.Fatalf("v1 is %s, want active", got)
+	}
 	cm2 := r.view(t, "v2", "P={x}", wire.Strong, v2)
 	cm2.InitImage()
+	r.stats.Reset()
 	if err := cm2.PullImage(); err != nil {
 		t.Fatal(err)
+	}
+	if n := r.stats.ByType()[wire.TInvalidate]; n != 1 || r.stats.Edge("dm", "v1") != 1 {
+		t.Fatalf("%d invalidations sent, %d messages dm->v1; want v1's one", n, r.stats.Edge("dm", "v1"))
+	}
+	if got := dm.Phase("v1"); got != directory.PhaseInactive {
+		t.Fatalf("v1 is %s after its invalidation, want inactive", got)
 	}
 }
 

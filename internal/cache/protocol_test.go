@@ -213,7 +213,11 @@ func (r *rig) allViews() []string {
 func (r *rig) activeViews() []string {
 	var out []string
 	for _, dm := range r.dms() {
-		out = append(out, dm.ActiveViews()...)
+		for _, v := range dm.Views() {
+			if dm.Phase(v) == directory.PhaseActive {
+				out = append(out, v)
+			}
+		}
 	}
 	return out
 }

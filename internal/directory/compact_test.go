@@ -517,3 +517,35 @@ func TestCompactionStandbyGap(t *testing.T) {
 		t.Fatalf("standby: %v", err)
 	}
 }
+
+// TestStandbyCompactsPastLostView: an evicted view's frozen seen pins
+// neither log. The standby learns the eviction from the replication
+// stream (a view's phase rides its touch), so its compaction floor skips
+// the lost view the way the primary's does, and a promoted standby would
+// not invalidate it again.
+func TestStandbyCompactsPastLostView(t *testing.T) {
+	r := newStreamRig(t, 1, ReplConfig{})
+	props := property.MustSet("F={0}")
+	r.mustSend("a", &wire.Message{Type: wire.TRegister, Props: props, Mode: wire.Strong})
+	r.mustSend("b", &wire.Message{Type: wire.TRegister, Props: props, Mode: wire.Weak})
+	r.mustSend("a", &wire.Message{Type: wire.TInit})
+	r.mustSend("b", &wire.Message{Type: wire.TInit})
+	r.eps["b"].Close()
+	r.mustSend("a", &wire.Message{Type: wire.TPull}) // invalidating b evicts it
+	for i := 0; i < 400; i++ {
+		delta := image.New()
+		delta.Put(image.Entry{Key: "k0", Value: []byte(fmt.Sprint(i))})
+		r.mustSend("a", &wire.Message{Type: wire.TPush, Img: delta, Ops: 1})
+		r.mustSend("a", &wire.Message{Type: wire.TPull})
+	}
+	r.settle("a")
+	if got := r.prim.LostViews(); !slices.Equal(got, []string{"b"}) {
+		t.Fatalf("primary lost views %v, want [b]", got)
+	}
+	if got, want := r.sb.LostViews(), r.prim.LostViews(); !slices.Equal(got, want) {
+		t.Fatalf("standby lost views %v, primary's %v", got, want)
+	}
+	if got := r.sb.Store().LogLen(); got > logBound(2) {
+		t.Fatalf("standby log holds %d records (primary %d), bound %d", got, r.prim.Store().LogLen(), logBound(2))
+	}
+}

@@ -54,9 +54,8 @@ func TestStrongFlowThroughManager(t *testing.T) {
 	if prim.data["k"] != "held" {
 		t.Fatal("primary should hold the update")
 	}
-	active := dm.ActiveViews()
-	if len(active) != 1 || active[0] != "v2" {
-		t.Fatalf("active = %v", active)
+	if p1, p2 := dm.Phase("v1"), dm.Phase("v2"); p1 != directory.PhaseInactive || p2 != directory.PhaseActive {
+		t.Fatalf("v1 %s, v2 %s; want v1 inactive, v2 active", p1, p2)
 	}
 	if dm.Mode("v1") != wire.Strong || dm.Mode("ghost") != wire.Weak {
 		t.Fatal("Mode accessor")

@@ -341,8 +341,13 @@ func laneScript(t *testing.T, opts Options) []byte {
 // versions): at c73ff87 (the last format-2 commit) the capture, whose hash
 // was the format-2 golden 1d6224d2…, was decoded with that commit's
 // DecodeSnapshot and re-encoded with the format-3 EncodeSnapshot, giving
-// this hash; the capture's content did not move.
-const laneScriptGolden = "5a6c8c43a7bef86d01b75ffc806d1d6901947656455511be8e345c47587c9aac"
+// 5a6c8c43…; the capture's content did not move. It was re-pinned once
+// more when snapFormat went 3 → 4 (the phase byte replaces the active
+// byte): at 8615f2f (the last format-3 commit) the capture was decoded
+// with that commit's DecodeSnapshot, every Active mapped to PhaseActive
+// (true) or PhaseInactive (false), and re-encoded with the format-4
+// EncodeSnapshot, giving this hash.
+const laneScriptGolden = "8a1aad2883c60b451beeb3e5408a517bfc3cee16b968d2764ee8ef9c96da5e40"
 
 // TestLaneCountByteIdentical pins that Options.Lanes is a count, not a
 // mode: under a sequential (single-client) script, where one-at-a-time

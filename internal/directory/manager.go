@@ -27,8 +27,8 @@ type Options struct {
 	// PropagateOnPush switches weak-mode update distribution from
 	// pull-based (peers learn of changes when they next pull) to
 	// push-based: every committed push is immediately forwarded, as a
-	// TUpdate restricted to the shared interest, to the conflicting
-	// active views. Update protocols favor read-heavy sharing; the
+	// TUpdate restricted to each recipient's property set, to the
+	// conflicting active views. Update protocols favor read-heavy sharing; the
 	// propagation ablation (experiments E10) measures the trade-off.
 	PropagateOnPush bool
 	// ReadAware enables the read/write-semantics extension (paper §6
@@ -98,9 +98,8 @@ type viewState struct {
 	// read-aware extension uses it to decide whether an active view must
 	// be invalidated by a reader.
 	lastOp wire.OpClass
-	// gone marks a state whose view was unregistered. The replication
-	// change journal may still reference it; it then ships as a removal.
-	gone bool
+	// phase is the view's activity (phase.go); only transition writes it.
+	phase Phase
 	// replicated marks a view this manager knows only from a primary's
 	// replication stream. Full view state from that stream is
 	// authoritative for exactly these: one it no longer lists is dropped.
@@ -191,8 +190,10 @@ func New(name string, primary image.Codec, clock vclock.Clock, net transport.Net
 		if err := m.store.Restore(opts.Snapshot); err != nil {
 			return nil, err
 		}
-		if err := m.installViews(opts.Snapshot.Views); err != nil {
-			return nil, err
+		for _, hv := range opts.Snapshot.Views {
+			if err := m.installView(hv, false); err != nil {
+				return nil, err
+			}
 		}
 	}
 	// A fresh standby's silence clock stays unarmed until the first
@@ -256,9 +257,6 @@ func (m *Manager) Latencies() (pull, push, fanout *metrics.Latency) {
 	return m.latPull, m.latPush, m.latFanout
 }
 
-// LostViews returns the names of currently evicted (lost) views.
-func (m *Manager) LostViews() []string { return m.reg.LostViews() }
-
 // Seen returns the primary version a view last observed.
 func (m *Manager) Seen(view string) vclock.Version {
 	if vs, ok := m.viewState(view); ok {
@@ -282,13 +280,10 @@ func (m *Manager) handle(req *wire.Message) *wire.Message {
 	switch req.Type {
 	case wire.TRegister, wire.TRouted, wire.TMigrateTake, wire.TMigrateApply, wire.TReplicate:
 	default:
-		if req.From != "" && m.reg.Lost(req.From) {
+		if vs, ok := m.viewState(req.From); ok && vs.phaseOf() == PhaseLost {
 			// Revival adds conflict edges back; it drains the execution
 			// lanes like any structural change.
-			m.structuralDo(func() { m.reg.SetLost(req.From, false) })
-			if vs, ok := m.viewState(req.From); ok {
-				m.viewChanged(vs, true)
-			}
+			m.structuralDo(func() { m.transition(vs, evRevived) })
 		}
 	}
 	switch req.Type {
@@ -347,7 +342,7 @@ func (m *Manager) handleRegister(req *wire.Message) *wire.Message {
 		m.vmu.Lock()
 		m.views[view] = vs
 		m.vmu.Unlock()
-		m.viewChanged(vs, true)
+		m.transition(vs, evRegister)
 		return &wire.Message{Type: wire.TAck, Version: m.store.Current()}
 	}))
 }
@@ -361,18 +356,17 @@ func (m *Manager) handleRegister(req *wire.Message) *wire.Message {
 // error, as before.
 func (m *Manager) reRegister(view string, req *wire.Message, val trigger.Trigger) *wire.Message {
 	prev, _ := m.reg.Props(view)
-	vs, ok := m.viewState(view)
-	if ok && prev.Equal(req.Props) {
+	vs, _ := m.viewState(view) // registered, so it has a record
+	if prev.Equal(req.Props) {
 		// Keep seen and mode; refresh only what the CM re-announces.
 		vs.mu.Lock()
 		vs.validity = val
 		vs.lastOp = req.Op
 		vs.mu.Unlock()
-		m.reg.SetLost(view, false)
-		m.viewChanged(vs, true)
+		m.transition(vs, evReRegister)
 		return &wire.Message{Type: wire.TAck, Version: m.store.Current()}
 	}
-	if !m.reg.Lost(view) {
+	if vs.phaseOf() != PhaseLost {
 		return errf("registry: view %q already registered", view)
 	}
 	// A new holder claims a dead view's name with different properties:
@@ -380,17 +374,10 @@ func (m *Manager) reRegister(view string, req *wire.Message, val trigger.Trigger
 	if err := m.reg.SetProps(view, req.Props); err != nil {
 		return errf("%v", err)
 	}
-	m.reg.SetLost(view, false)
-	if !ok {
-		vs = &viewState{name: view}
-		m.vmu.Lock()
-		m.views[view] = vs
-		m.vmu.Unlock()
-	}
 	vs.mu.Lock()
 	vs.mode, vs.seen, vs.validity, vs.lastOp = req.Mode, 0, val, req.Op
 	vs.mu.Unlock()
-	m.viewChanged(vs, true)
+	m.transition(vs, evClaim)
 	return &wire.Message{Type: wire.TAck, Version: m.store.Current()}
 }
 
@@ -401,9 +388,9 @@ func (m *Manager) handleUnregister(req *wire.Message) *wire.Message {
 	}))
 }
 
-// dropView unregisters a view and discards its state, marked gone so
-// that the replication journal ships its removal. Caller holds the
-// structural gate.
+// dropView unregisters a view and moves its record to gone, so that the
+// replication journal ships its removal. Caller holds the structural
+// gate.
 func (m *Manager) dropView(view string) {
 	m.reg.Unregister(view)
 	m.vmu.Lock()
@@ -411,10 +398,7 @@ func (m *Manager) dropView(view string) {
 	delete(m.views, view)
 	m.vmu.Unlock()
 	if ok {
-		vs.mu.Lock()
-		vs.gone = true
-		vs.mu.Unlock()
-		m.viewChanged(vs, true)
+		m.transition(vs, evDrop)
 	}
 }
 
@@ -454,8 +438,7 @@ func (m *Manager) serve(vs *viewState, since vclock.Version, quiet bool) *wire.M
 	vs.mu.Lock()
 	vs.seen = img.Version
 	vs.mu.Unlock()
-	wasActive := m.reg.SetActive(vs.name, true)
-	m.viewChanged(vs, false)
+	wasActive := m.transition(vs, evServe) == PhaseActive
 	reply := &wire.Message{Type: wire.TImage, Img: img, Version: img.Version}
 	if quiet && wasActive {
 		held, err := m.Replication().holds(img.Version)
@@ -493,8 +476,8 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 	// strong-mode views (their one-copy guarantee would otherwise be
 	// violated by a second active sharer). The whole set is built under
 	// one views-map acquisition — not one lock round-trip per candidate —
-	// with each candidate's mode/lastOp snapshotted via its own lock.
-	conflicting := m.reg.ConflictingWith(view, true)
+	// with each candidate's phase/mode/lastOp snapshotted via its own lock.
+	conflicting := m.reg.ConflictingWith(view, false)
 	var inval []string
 	m.vmu.RLock()
 	for _, other := range conflicting {
@@ -503,9 +486,11 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 			continue
 		}
 		os.mu.Lock()
-		otherMode := os.mode
-		otherOp := os.lastOp
+		phase, otherMode, otherOp := os.phase, os.mode, os.lastOp
 		os.mu.Unlock()
+		if phase != PhaseActive {
+			continue
+		}
 		invalidate := mode == wire.Strong || otherMode == wire.Strong
 		if m.opts.ReadAware && invalidate {
 			// Readers coexist: only writer/writer and writer/reader pairs
@@ -530,7 +515,7 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 	// view, fetch pending updates from the other active sharers first.
 	contacted := len(inval) > 0
 	if m.shouldGather(vs) {
-		sharers := m.reg.ConflictingWith(view, true)
+		sharers := m.activeAmong(m.reg.ConflictingWith(view, false))
 		contacted = contacted || len(sharers) > 0
 		if err := m.collectRound(sharers, wire.TPull, "fetch from"); err != nil {
 			return errf("%v", err)
@@ -668,16 +653,31 @@ func (m *Manager) callView(target string, req *wire.Message) (*wire.Message, err
 	return transport.CallRetry(m.ep, target, req, m.opts.Retry)
 }
 
-// evictView marks an unreachable view lost: deactivated and tombstoned in
-// the registry, so it drops out of conflict sets, gathering, and log
-// compaction. Its pending updates died with its cache manager — they are
-// gone, which is exactly what "the component crashed" means; the protocol
-// state (seen, mode, props) survives on the tombstone so a reconnecting
-// manager resumes via the idempotent re-register, and any later message
-// from the view revives it.
+// activeAmong keeps, in order and in place, the names whose records are
+// active.
+func (m *Manager) activeAmong(names []string) []string {
+	m.vmu.RLock()
+	defer m.vmu.RUnlock()
+	out := names[:0]
+	for _, n := range names {
+		if vs, ok := m.views[n]; ok && vs.phaseOf() == PhaseActive {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// evictView moves an unreachable view to lost, so it drops out of
+// conflict sets, gathering, and log compaction. Its pending updates died
+// with its cache manager — they are gone, which is exactly what "the
+// component crashed" means; the protocol state (seen, mode, props)
+// survives on the record so a reconnecting manager resumes via the
+// idempotent re-register, and any later message from the view revives
+// it.
 func (m *Manager) evictView(target string) {
-	m.reg.SetLost(target, true)
-	m.activeChanged(target)
+	if vs, ok := m.viewState(target); ok {
+		m.transition(vs, evEvicted)
+	}
 	m.evictions.Inc()
 }
 
@@ -698,9 +698,8 @@ func (m *Manager) collect(target string, typ wire.Type, pre *wire.Frame) error {
 		}
 		return err
 	}
-	if typ == wire.TInvalidate {
-		m.reg.SetActive(target, false)
-		m.activeChanged(target)
+	if vs, ok := m.viewState(target); ok && typ == wire.TInvalidate {
+		m.transition(vs, evInvalidated)
 	}
 	if reply.Img == nil || reply.Img.Len() == 0 {
 		return nil
@@ -749,48 +748,45 @@ func (m *Manager) handlePush(req *wire.Message) *wire.Message {
 // the same order (with the same empty-delta skips) as the per-target path
 // did.
 func (m *Manager) propagate(writer string, ver vclock.Version) error {
-	type prepared struct {
-		base *wire.Message // shared Img/Version/Pre; nil for an empty delta
-	}
-	payloads := map[string]*prepared{}
+	payloads := map[string]*wire.Message{} // shared Img/Version/Pre; nil for an empty delta
 	var targets []string
 	reqs := map[string]*wire.Message{}
-	for _, other := range m.reg.ConflictingWith(writer, true) {
+	for _, other := range m.reg.ConflictingWith(writer, false) {
 		os, ok := m.viewState(other)
 		if !ok {
 			continue
 		}
-		props, _ := m.reg.Props(other)
 		os.mu.Lock()
-		since := os.seen
+		since, phase := os.seen, os.phase
 		os.mu.Unlock()
+		if phase != PhaseActive {
+			continue
+		}
+		props, _ := m.reg.Props(other)
 		key := fmt.Sprintf("%s@%d", props.String(), since)
-		pl, ok := payloads[key]
+		base, ok := payloads[key]
 		if !ok {
 			img, err := m.store.Extract(props, since)
 			if err != nil {
 				return err
 			}
-			pl = &prepared{}
 			if img.Len() > 0 {
-				base := &wire.Message{Type: wire.TUpdate, Img: img, Version: ver}
+				base = &wire.Message{Type: wire.TUpdate, Img: img, Version: ver}
 				base.Pre = wire.Preencode(base)
-				pl.base = base
 			}
-			payloads[key] = pl
+			payloads[key] = base
 		}
-		if pl.base == nil {
+		if base == nil {
 			// Nothing this recipient hasn't already seen.
 			continue
 		}
-		req := *pl.base // shallow clone shares Img and Pre; View differs
+		req := *base // shallow clone shares Img and Pre; View differs
 		req.View = other
 		reqs[other] = &req
 		targets = append(targets, other)
 	}
 	return m.forEachTarget(targets, func(other string) error {
-		reply, err := m.callView(other, reqs[other])
-		if err != nil {
+		if _, err := m.callView(other, reqs[other]); err != nil {
 			if transport.IsTransportError(err) {
 				// An unreachable recipient is evicted, not allowed to fail
 				// the writer's push; it will catch up on re-register.
@@ -799,7 +795,6 @@ func (m *Manager) propagate(writer string, ver vclock.Version) error {
 			}
 			return fmt.Errorf("update %s: %w", other, err)
 		}
-		_ = reply
 		if os, ok := m.viewState(other); ok {
 			os.mu.Lock()
 			if ver > os.seen {
@@ -852,15 +847,15 @@ func (m *Manager) CompactLog() int {
 	views := len(m.views)
 	floor, live := vclock.Version(0), false
 	for _, vs := range m.views {
+		vs.mu.Lock()
+		seen, phase := vs.seen, vs.phase
+		vs.mu.Unlock()
 		// A lost view's stale seen must not pin the log forever; if it
 		// reappears with a gap, its delta pull still serves everything
 		// newer than its seen from the shadow, so correctness holds.
-		if m.reg.Lost(vs.name) {
+		if phase == PhaseLost {
 			continue
 		}
-		vs.mu.Lock()
-		seen := vs.seen
-		vs.mu.Unlock()
 		if !live || seen < floor {
 			floor, live = seen, true
 		}
@@ -893,16 +888,12 @@ func (m *Manager) maybeCompact() {
 // FLECC_TEST_INVARIANTS=1. Checked, beyond Store.CheckInvariants:
 //
 //   - every registered view has a viewState and vice versa;
-//   - no view's seen version exceeds the primary's committed version;
-//   - lost (evicted) views are never active.
+//   - no view's seen version exceeds the primary's committed version.
 func (m *Manager) CheckInvariants() error {
 	cur := m.store.Current()
 	reg := map[string]bool{}
 	for _, name := range m.reg.Views() {
 		reg[name] = true
-		if m.reg.Lost(name) && m.reg.Active(name) {
-			return fmt.Errorf("directory %s: lost view %q is active", m.name, name)
-		}
 	}
 	if err := m.checkViews(reg, cur); err != nil {
 		return err
@@ -943,17 +934,6 @@ func (m *Manager) Mode(view string) wire.Mode {
 		return vs.mode
 	}
 	return wire.Weak
-}
-
-// ActiveViews returns the names of currently active views.
-func (m *Manager) ActiveViews() []string {
-	var out []string
-	for _, v := range m.reg.Views() {
-		if m.reg.Active(v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // SeedStatic installs a static conflict-map entry (1/0/-1) before or after

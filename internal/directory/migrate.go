@@ -5,7 +5,6 @@ import (
 
 	"flecc/internal/property"
 	"flecc/internal/trigger"
-	"flecc/internal/vclock"
 	"flecc/internal/wire"
 )
 
@@ -19,22 +18,12 @@ import (
 // view can never observe a smaller primary version than it already saw.
 
 // HandoverView is the per-view protocol state a migration carries: the
-// registry entry plus the directory manager's viewState.
+// view's record (its touch part: name, mode, op class, seen, phase), its
+// property set and its validity-trigger source text.
 type HandoverView struct {
-	// Name is the view's node name.
-	Name string
-	// Props is the view's current dynamic property set.
-	Props property.Set
-	// Mode is the view's consistency mode.
-	Mode wire.Mode
-	// Op is the op class of the view's most recent acquire/pull.
-	Op wire.OpClass
-	// Seen is the primary version the view last observed.
-	Seen vclock.Version
-	// Validity is the view's validity-trigger source text.
+	ViewTouch
+	Props    property.Set
 	Validity string
-	// Active reports whether the view was active at handover.
-	Active bool
 }
 
 // TakeHandover captures a handover for the named views (all registered
@@ -75,13 +64,7 @@ func (m *Manager) AbsorbHandover(h *Snapshot) error {
 	if err := m.store.Absorb(h); err != nil {
 		return err
 	}
-	return m.installViews(h.Views)
-}
-
-// installViews installs the carried per-view records (handover
-// absorption and snapshot restore).
-func (m *Manager) installViews(views []HandoverView) error {
-	for _, hv := range views {
+	for _, hv := range h.Views {
 		if err := m.installView(hv, false); err != nil {
 			return err
 		}
@@ -131,10 +114,9 @@ func (m *Manager) installView(hv HandoverView, replicated bool) error {
 		}
 	}
 	vs.mu.Lock()
-	vs.mode, vs.seen, vs.validity, vs.lastOp = hv.Mode, hv.Seen, val, hv.Op
-	vs.replicated = replicated
+	vs.validity, vs.replicated = val, replicated
 	vs.mu.Unlock()
-	m.reg.SetActive(hv.Name, hv.Active)
+	m.applyTouch(vs, hv.ViewTouch)
 	m.viewChanged(vs, true)
 	return nil
 }

@@ -25,7 +25,7 @@ type ReplBatch struct {
 	Since vclock.Version
 	// Snap is the metadata delta: shadow records and log tail after
 	// Since. Snap.Views holds the batch's registration records — the full
-	// state (props, validity trigger, mode, op, seen, active) of every
+	// state (props, validity trigger, mode, op, seen, phase) of every
 	// view that was registered, re-registered, re-propertied or revived
 	// after ViewSince; with ViewSince 0, of every view. Nil for a
 	// promote-only batch.
@@ -41,8 +41,7 @@ type ReplBatch struct {
 	// refuses a batch whose ViewSince it has not reached.
 	ViewSince, ViewSeq uint64
 	// Touches are the small per-request records: views whose mode, op
-	// class, seen version or active bit moved but whose registration did
-	// not.
+	// class, seen version or phase moved but whose registration did not.
 	Touches []ViewTouch
 	// Removed names the views unregistered after ViewSince.
 	Removed []string
@@ -51,22 +50,25 @@ type ReplBatch struct {
 }
 
 // ViewTouch is the part of a view's directory state that ordinary
-// requests move: a pull changes Seen, Op and Active, a set-mode Mode, an
-// invalidation Active. Props and the validity trigger — the expensive
-// part to ship and to install — travel in registration records only.
+// requests move: a pull changes Seen, Op and Phase, a set-mode Mode, an
+// invalidation or eviction Phase. Props and the validity trigger — the
+// expensive part to ship and to install — travel in registration records
+// only.
 type ViewTouch struct {
-	Name   string
-	Mode   wire.Mode
-	Op     wire.OpClass
-	Seen   vclock.Version
-	Active bool
+	Name  string
+	Mode  wire.Mode
+	Op    wire.OpClass
+	Seen  vclock.Version
+	Phase Phase // inactive, active or lost; a gone view ships as a removal
 }
 
 // replFormat is the first byte of every encoded batch; bump it on an
 // incompatible change. (Version 1 replaced the gob encoding, whose
 // streams never start with this byte; version 2 dropped the image's
-// property set; version 3 made counts, lengths and versions uvarints.)
-const replFormat = 3
+// property set; version 3 made counts, lengths and versions uvarints;
+// version 4 replaced the active byte with the phase byte — 0 inactive,
+// 1 active, 2 lost — which a version-3 reader would take for active.)
+const replFormat = 4
 
 const (
 	replFlagPromote = 1 << iota
@@ -113,17 +115,16 @@ func encodeTouch(e *wire.Encoder, t ViewTouch) {
 	e.U8(uint8(t.Mode))
 	e.U8(uint8(t.Op))
 	e.Uvarint(uint64(t.Seen))
-	e.Bool(t.Active)
+	e.U8(uint8(t.Phase))
 }
 
 func decodeTouch(d *wire.Decoder) ViewTouch {
-	return ViewTouch{
-		Name:   d.Str(),
-		Mode:   wire.Mode(d.U8()),
-		Op:     wire.OpClass(d.U8()),
-		Seen:   vclock.Version(d.Uvarint()),
-		Active: d.Bool(),
+	t := ViewTouch{Name: d.Str(), Mode: wire.Mode(d.U8()), Op: wire.OpClass(d.U8()),
+		Seen: vclock.Version(d.Uvarint()), Phase: Phase(d.U8())}
+	if t.Phase > PhaseLost {
+		d.Fail(fmt.Errorf("directory: view %q record in phase %s", t.Name, t.Phase))
 	}
+	return t
 }
 
 // encodeNames writes a name list: its count, then each name. Batches'

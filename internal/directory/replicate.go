@@ -345,38 +345,25 @@ func (m *Manager) applyViewRecords(b *ReplBatch) error {
 		if !ok {
 			continue // removed since; nothing to refresh
 		}
-		vs.mu.Lock()
-		vs.mode, vs.lastOp, vs.seen = t.Mode, t.Op, t.Seen
-		vs.mu.Unlock()
-		m.reg.SetActive(t.Name, t.Active)
-		m.viewChanged(vs, false)
+		m.applyTouch(vs, t)
 	}
 	return nil
 }
 
-// captureViews snapshots the per-view registration state (sorted by name
-// so encodings are deterministic).
+// captureViews snapshots every view's registration record, sorted by
+// name so encodings are deterministic.
 func (m *Manager) captureViews() []HandoverView {
 	m.vmu.RLock()
-	names := make([]string, 0, len(m.views))
-	for n := range m.views {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	recs := make([]HandoverView, 0, len(names))
-	for _, n := range names {
-		vs := m.views[n]
-		vs.mu.Lock()
-		recs = append(recs, HandoverView{
-			Name: n, Mode: vs.mode, Op: vs.lastOp, Seen: vs.seen, Validity: vs.validity.Source(),
-		})
-		vs.mu.Unlock()
+	states := make([]*viewState, 0, len(m.views))
+	for _, vs := range m.views {
+		states = append(states, vs)
 	}
 	m.vmu.RUnlock()
-	for i := range recs {
-		props, _ := m.reg.Props(recs[i].Name)
-		recs[i].Props = props
-		recs[i].Active = m.reg.Active(recs[i].Name)
+	sort.Slice(states, func(i, j int) bool { return states[i].name < states[j].name })
+	recs := make([]HandoverView, 0, len(states))
+	var dropped ReplBatch // a view unregistered since the map read ships nothing
+	for _, vs := range states {
+		recs = m.captureView(&dropped, recs, vs, true)
 	}
 	return recs
 }

@@ -229,7 +229,7 @@ func TestReplicationFullStatePrunesOnlyReplicatedViews(t *testing.T) {
 	props := property.MustSet("P={0..3}")
 	r.mustSend("v1", &wire.Message{Type: wire.TRegister, Props: props})
 	r.mustSend("v2", &wire.Message{Type: wire.TRegister, Props: props})
-	if err := r.sb.installViews([]HandoverView{{Name: "own", Props: props}}); err != nil {
+	if err := r.sb.installView(HandoverView{ViewTouch: ViewTouch{Name: "own"}, Props: props}, false); err != nil {
 		t.Fatal(err)
 	}
 	// v2 is unregistered while the standby hears nothing, then the stream
@@ -418,12 +418,12 @@ func TestReactivatingPullBarriers(t *testing.T) {
 	r.mustSend("w", &wire.Message{Type: wire.TRegister, Props: props, Mode: wire.Weak})
 	r.mustSend("w", &wire.Message{Type: wire.TInit})
 	r.mustSend("s", &wire.Message{Type: wire.TPull})
-	if r.prim.reg.Active("w") || r.sb.reg.Active("w") {
+	if r.prim.Phase("w") == PhaseActive || r.sb.Phase("w") == PhaseActive {
 		t.Fatal("s's strong pull left w active")
 	}
 	r.mustSend("s", &wire.Message{Type: wire.TSetMode, Mode: wire.Weak})
 	r.mustSend("w", &wire.Message{Type: wire.TPull})
-	if !r.sb.reg.Active("w") {
+	if r.sb.Phase("w") != PhaseActive {
 		t.Fatal("w's pull answered before the standby knew w was active again")
 	}
 }
@@ -547,12 +547,12 @@ func sampleBatch() *ReplBatch {
 				{Version: 9, Writer: "v1", Props: property.MustSet("Seats=[0,400]; Flights={100}"), Ops: 3, At: 15},
 			},
 			Views: []HandoverView{{
-				Name: "v3", Props: property.MustSet("Flights={100..102}"), Mode: wire.Strong,
-				Op: wire.OpRead, Seen: 9, Validity: "staleness < 3", Active: true,
+				ViewTouch: ViewTouch{Name: "v3", Mode: wire.Strong, Op: wire.OpRead, Seen: 9, Phase: PhaseActive},
+				Props:     property.MustSet("Flights={100..102}"), Validity: "staleness < 3",
 			}},
 		},
 		Img:     img,
-		Touches: []ViewTouch{{Name: "v1", Mode: wire.Weak, Op: wire.OpWrite, Seen: 9, Active: true}},
+		Touches: []ViewTouch{{Name: "v1", Mode: wire.Weak, Op: wire.OpWrite, Seen: 9, Phase: PhaseActive}},
 		Removed: []string{"v0"},
 	}
 }
@@ -575,6 +575,8 @@ func replSeeds() [][]byte {
 		append([]byte{99}, full[1:]...),
 		append([]byte{1}, full[1:]...), // format 1 carried the image's property set
 		append([]byte{2}, full[1:]...), // format 2 had fixed-width counts, lengths and versions
+		append([]byte{3}, full[1:]...), // format 3 had an active byte where format 4 has the phase
+		EncodeReplBatch(&ReplBatch{Snap: &Snapshot{}, Touches: []ViewTouch{{Name: "v1", Phase: PhaseGone}}}),
 	}
 	// Declared counts and lengths far beyond the input, at each section.
 	// The sample's epoch, since, version, viewSince and viewSeq are each a
@@ -592,6 +594,7 @@ func TestReplBatchRoundTrip(t *testing.T) {
 		sampleBatch(),
 		{Epoch: 5, Promote: true},
 		{Epoch: 2, Since: 3, Snap: &Snapshot{Version: 3}, ViewSince: 9, ViewSeq: 9},
+		{Snap: &Snapshot{}, Touches: []ViewTouch{{Name: "v2", Seen: 4, Phase: PhaseLost}}},
 	} {
 		enc := EncodeReplBatch(b)
 		if enc[0] != replFormat {
@@ -609,20 +612,24 @@ func TestReplBatchRoundTrip(t *testing.T) {
 		_, err := DecodeReplBatch(seed)
 		if err == nil {
 			t.Errorf("malformed seed %d accepted", i)
-		} else if len(seed) > 0 && (seed[0] == 1 || seed[0] == 2) &&
-			!strings.Contains(err.Error(), fmt.Sprintf("unsupported replication batch format %d (want 3)", seed[0])) {
+		} else if len(seed) > 0 && seed[0] >= 1 && seed[0] <= 3 &&
+			!strings.Contains(err.Error(), fmt.Sprintf("unsupported replication batch format %d (want 4)", seed[0])) {
 			t.Errorf("format-%d seed %d: %v", seed[0], i, err)
 		}
 	}
 }
 
 // replBatchGolden is the SHA-256 of the five well-formed replSeeds
-// batches, re-pinned when replFormat went 2 → 3 (uvarint counts, lengths
-// and versions). Recipe: at c73ff87 (the last format-2 commit), each seed
-// was decoded with that commit's DecodeReplBatch; the decoded batches were
-// re-encoded with the format-3 EncodeReplBatch, and the hash of those bytes
-// equals this one, so the batches' content did not move.
-const replBatchGolden = "3e8b67aa56cb5502cc4bded9e99d3950253c92a47efc3b02784e70d56ced5a9b"
+// batches, re-pinned by recipe at each format bump so the batches'
+// content provably did not move. 2 → 3 (uvarint counts, lengths and
+// versions): at c73ff87, the last format-2 commit, each seed was decoded
+// with that commit's DecodeReplBatch and re-encoded with the format-3
+// EncodeReplBatch (3e8b67aa…). 3 → 4 (the phase byte replaces the active
+// byte): at 8615f2f, the last format-3 commit, each seed was decoded with
+// that commit's DecodeReplBatch, every Active mapped to PhaseActive
+// (true) or PhaseInactive (false), and re-encoded with the format-4
+// EncodeReplBatch; the hash of those bytes is this one.
+const replBatchGolden = "10f9f0d39a4d5184b07311f8b620ab56be345df9a54872d34f3462fd531a45a4"
 
 func TestReplBatchBytesGolden(t *testing.T) {
 	h := sha256.New()

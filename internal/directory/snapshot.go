@@ -100,9 +100,10 @@ func (s *Store) Restore(snap *Snapshot) error {
 
 // snapFormat is the first byte of an encoded snapshot; bump it on an
 // incompatible change. (Version 2 replaced the gob encoding; version 3
-// made counts, lengths and versions uvarints. Older formats are not read:
-// such a checkpoint fails to decode and fleccd starts cold.)
-const snapFormat = 3
+// made counts, lengths and versions uvarints; version 4 carries each
+// view's phase where version 3 had its active byte. Older formats are not
+// read: such a checkpoint fails to decode and fleccd starts cold.)
+const snapFormat = 4
 
 // EncodeSnapshot serializes a snapshot — a checkpoint file or a
 // migration handover — as its format byte, its version, and the sections
@@ -181,7 +182,7 @@ func encodeSnapSections(e *wire.Encoder, snap *Snapshot) {
 	}
 	e.Count(len(snap.Views))
 	for _, v := range snap.Views {
-		encodeTouch(e, ViewTouch{Name: v.Name, Mode: v.Mode, Op: v.Op, Seen: v.Seen, Active: v.Active})
+		encodeTouch(e, v.ViewTouch)
 		e.PropSet(v.Props)
 		e.Str(v.Validity)
 	}
@@ -210,11 +211,7 @@ func decodeSnapSections(d *wire.Decoder, snap *Snapshot) {
 	if n := d.Count(minRegRec); n > 0 {
 		snap.Views = make([]HandoverView, n)
 		for i := range snap.Views {
-			t := decodeTouch(d)
-			snap.Views[i] = HandoverView{
-				Name: t.Name, Mode: t.Mode, Op: t.Op, Seen: t.Seen, Active: t.Active,
-				Props: d.PropSet(), Validity: d.Str(),
-			}
+			snap.Views[i] = HandoverView{ViewTouch: decodeTouch(d), Props: d.PropSet(), Validity: d.Str()}
 		}
 	}
 }

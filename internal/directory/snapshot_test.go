@@ -3,6 +3,7 @@ package directory
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,6 +34,7 @@ func snapSeeds() [][]byte {
 		append(bytes.Clone(full), 0xFF),
 		append([]byte{snapFormat + 1}, full[1:]...),
 		append([]byte{2}, full[1:]...),                                         // format 2 had fixed-width counts, lengths and versions
+		append([]byte{3}, full[1:]...),                                         // format 3 had an active byte where format 4 has the phase
 		append(bytes.Clone(full[:1+1]), binary.AppendUvarint(nil, 1<<32-1)...), // format, one-byte version, huge count
 	}
 }
@@ -55,8 +57,9 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		_, err := DecodeSnapshot(seed)
 		if err == nil {
 			t.Errorf("malformed seed %d accepted", i)
-		} else if len(seed) > 0 && seed[0] == 2 && !strings.Contains(err.Error(), "unsupported snapshot format 2 (want 3)") {
-			t.Errorf("format-2 seed %d: %v", i, err)
+		} else if len(seed) > 0 && (seed[0] == 2 || seed[0] == 3) &&
+			!strings.Contains(err.Error(), fmt.Sprintf("unsupported snapshot format %d (want 4)", seed[0])) {
+			t.Errorf("format-%d seed %d: %v", seed[0], i, err)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // visiting the rest. Two levels:
 //
 //   - Every site that mutates a view's replicated state (mode, op class,
-//     seen, validity; registry props, active, lost) calls viewChanged
+//     seen, validity, phase; registry props) calls viewChanged
 //     after the mutation. While a replicator is attached that pushes the
 //     view onto a lock-free intrusive stack, once: a view already on it
 //     costs one atomic load. It runs on every pull and push, so it takes
@@ -53,14 +53,6 @@ func (m *Manager) viewChanged(vs *viewState, reg bool) {
 		if m.dirtyViews.CompareAndSwap(head, vs) {
 			return
 		}
-	}
-}
-
-// activeChanged is viewChanged for the sites that flip a view's registry
-// active bit (invalidation, eviction) knowing only its name.
-func (m *Manager) activeChanged(view string) {
-	if vs, ok := m.viewState(view); ok {
-		m.viewChanged(vs, false)
 	}
 }
 
@@ -141,11 +133,10 @@ func (r *Replicator) captureViewChanges(b *ReplBatch) (regs []HandoverView) {
 // as a registration appended to regs.
 func (m *Manager) captureView(b *ReplBatch, regs []HandoverView, vs *viewState, reg bool) []HandoverView {
 	vs.mu.Lock()
-	gone := vs.gone
-	t := ViewTouch{Name: vs.name, Mode: vs.mode, Op: vs.lastOp, Seen: vs.seen}
+	t := ViewTouch{Name: vs.name, Mode: vs.mode, Op: vs.lastOp, Seen: vs.seen, Phase: vs.phase}
 	validity := vs.validity.Source()
 	vs.mu.Unlock()
-	if gone {
+	if t.Phase == PhaseGone {
 		// A name registered again since is spoken for by its new state's
 		// registration record, whichever of the two was journaled first.
 		if _, live := m.viewState(t.Name); !live {
@@ -153,7 +144,6 @@ func (m *Manager) captureView(b *ReplBatch, regs []HandoverView, vs *viewState, 
 		}
 		return regs
 	}
-	t.Active = m.reg.Active(t.Name)
 	if !reg {
 		b.Touches = append(b.Touches, t)
 		return regs
@@ -162,8 +152,5 @@ func (m *Manager) captureView(b *ReplBatch, regs []HandoverView, vs *viewState, 
 	if !ok {
 		return regs // unregistering right now; its removal is on the stack
 	}
-	return append(regs, HandoverView{
-		Name: t.Name, Props: props, Mode: t.Mode, Op: t.Op, Seen: t.Seen,
-		Validity: validity, Active: t.Active,
-	})
+	return append(regs, HandoverView{ViewTouch: t, Props: props, Validity: validity})
 }

@@ -1,5 +1,7 @@
 package modelcheck
 
+import "flecc/internal/directory"
+
 // verify runs the state invariants after an action. opErr is the action's
 // own operation error (nil, or a legal drop-schedule failure already
 // classified by apply); it is accepted only so violations can mention it.
@@ -66,8 +68,8 @@ func (s *system) verify(a Action, opErr error) error {
 		}
 	}
 
-	cur := s.dm().CurrentVersion()
-	reg0 := s.dm().Registry()
+	dm := s.dm()
+	cur := dm.CurrentVersion()
 	for _, v := range s.views {
 		if !v.alive {
 			continue
@@ -75,7 +77,7 @@ func (s *system) verify(a Action, opErr error) error {
 		// Record false-positive evictions (the view is live but the
 		// directory wrote it off) — they downgrade what strong pulls may
 		// assume about this view's pending updates.
-		if reg0.Lost(v.name) {
+		if dm.Phase(v.name) == directory.PhaseLost {
 			v.evicted = true
 		}
 		// A view can never have seen past the primary's commit counter.
@@ -93,20 +95,20 @@ func (s *system) verify(a Action, opErr error) error {
 	// remains active from a pull taken in strong mode, no conflicting
 	// live, non-evicted view may be active. Losing active status (being
 	// invalidated, crashing, eviction) legally ends the claim.
-	reg := s.dm().Registry()
+	reg := dm.Registry()
 	for _, v := range s.views {
 		if !v.alive || !v.strongAct {
 			continue
 		}
-		if !reg.Active(v.name) {
+		if dm.Phase(v.name) != directory.PhaseActive {
 			v.strongAct = false
 			continue
 		}
 		for _, w := range s.views {
-			if w == v || !w.alive || reg.Lost(w.name) {
+			if w == v || !w.alive || dm.Phase(w.name) == directory.PhaseLost {
 				continue
 			}
-			if reg.Conflicts(v.name, w.name) && reg.Active(w.name) {
+			if reg.Conflicts(v.name, w.name) && dm.Phase(w.name) == directory.PhaseActive {
 				return violationf("after %s: %s is strong-active but conflicting view %s is active too",
 					a, v.name, w.name)
 			}
@@ -167,15 +169,15 @@ func (s *system) checkPullFresh(v *viewNode) error {
 // unreachable is exempt: the protocol's documented failure semantics
 // sacrifice its pending updates instead of blocking the strong reader.
 func (s *system) checkStrongExclusive(v *viewNode) error {
-	reg := s.dm().Registry()
+	dm := s.dm()
 	for _, w := range s.views {
-		if w == v || !w.alive || reg.Lost(w.name) {
+		if w == v || !w.alive || dm.Phase(w.name) == directory.PhaseLost {
 			continue
 		}
-		if !reg.Conflicts(v.name, w.name) {
+		if !dm.Registry().Conflicts(v.name, w.name) {
 			continue
 		}
-		if reg.Active(w.name) {
+		if dm.Phase(w.name) == directory.PhaseActive {
 			return violationf("strong pull %s: conflicting view %s is still active (one-copy violated)", v.name, w.name)
 		}
 		// A peer the directory once falsely evicted may retain pending

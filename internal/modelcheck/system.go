@@ -668,8 +668,8 @@ func (s *system) fingerprint() string {
 		fmt.Fprintf(&b, "dm%d ver=%d\n", di, dm.CurrentVersion())
 		for _, name := range reg.Views() {
 			props, _ := reg.Props(name)
-			fmt.Fprintf(&b, " reg %s props=%s mode=%s seen=%d active=%t lost=%t\n",
-				name, props, dm.Mode(name), dm.Seen(name), reg.Active(name), reg.Lost(name))
+			fmt.Fprintf(&b, " reg %s props=%s mode=%s seen=%d phase=%s\n",
+				name, props, dm.Mode(name), dm.Seen(name), dm.Phase(name))
 		}
 		for _, rec := range dm.Store().Log() {
 			fmt.Fprintf(&b, " log v%d w=%q ops=%d props=%s\n", rec.Version, rec.Writer, rec.Ops, rec.Props)

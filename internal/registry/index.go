@@ -1,10 +1,6 @@
 package registry
 
-import (
-	"sort"
-
-	"flecc/internal/property"
-)
+import "sort"
 
 // This file is the registry's indexed conflict engine: the dynamic
 // property-posting index (property.Index) combined with the static
@@ -35,8 +31,7 @@ import (
 //     minus static-NoConflict and failing static-Dynamic pairs.
 //
 // Lost views are filtered structurally (they are not in the index); the
-// active filter is applied per candidate, since activeOnly is a per-query
-// flag.
+// activeOnly filter is applied per candidate.
 
 // indexInsertLocked adds a view's postings. Caller holds r.mu (write).
 func (r *Registry) indexInsertLocked(v *ViewInfo) {
@@ -104,8 +99,8 @@ func (r *Registry) conflictsLocked(a, b string) bool {
 }
 
 // admissible reports whether a candidate may appear in a conflict set:
-// registered, not the querying view, not a lost tombstone, and active
-// when the query demands it.
+// registered, not the querying view, not lost, and marked active when
+// the query demands it.
 func admissible(v *ViewInfo, self string, activeOnly bool) bool {
 	return v != nil && v.Name != self && !v.Lost && (!activeOnly || v.Active)
 }
@@ -179,15 +174,4 @@ func (r *Registry) bruteConflictingWithLocked(self *ViewInfo, activeOnly bool) [
 	}
 	sort.Strings(out)
 	return out
-}
-
-// sharedInterestLocked computes SharedInterest under one snapshot.
-// Caller holds r.mu (read).
-func (r *Registry) sharedInterestLocked(a, b string) property.Set {
-	va, okA := r.views[a]
-	vb, okB := r.views[b]
-	if !okA || !okB {
-		return property.NewSet()
-	}
-	return va.Props.Intersect(vb.Props)
 }

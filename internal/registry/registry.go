@@ -1,6 +1,8 @@
-// Package registry implements Flecc's view-sharing bookkeeping: the static
+// Package registry implements Flecc's conflict engine: the static
 // conflict map and the dynamic property-based conflict computation
-// (paper §4.1, "Data properties").
+// (paper §4.1, "Data properties"). It holds each view's property set and
+// stamp, the static matrix and the conflict index — no activity: whether
+// a view is active or lost is its directory record's phase.
 //
 // The static map is a symmetric matrix over views. Entry values:
 //
@@ -55,14 +57,12 @@ type ViewInfo struct {
 	// Stamp is the registry epoch at which Props was installed (Register
 	// or SetProps), unique per installation.
 	Stamp uint64
-	// Active reports whether the view currently works on the shared data
-	// (between startUse and endUse in strong mode; from init to kill in
-	// weak mode).
+	// Active is set only by the SetActive shim (see there).
 	Active bool
 	// Lost marks a view the directory manager evicted after its cache
-	// manager became unreachable. A lost view is a tombstone: it keeps its
-	// registration (so an idempotent re-register can resume with the same
-	// seen/mode) but is excluded from conflict sets until it reappears.
+	// manager became unreachable. A lost view keeps its registration but
+	// leaves the conflict index, so it appears in no conflict set until
+	// it is found again.
 	Lost bool
 }
 
@@ -89,8 +89,7 @@ type Registry struct {
 	idx *property.Index
 	// epoch counts structural mutations: anything that can change a
 	// conflict set (register, unregister, property changes, lost
-	// transitions, static-matrix and default-relation edits). Activity
-	// flips do NOT bump it — they are per-query filters, not structure.
+	// transitions, static-matrix and default-relation edits).
 	// Cached conflict sets and the directory's lane map are keyed by it:
 	// an unchanged epoch proves a cached answer is still exact.
 	epoch uint64
@@ -166,19 +165,6 @@ func (r *Registry) SetStatic(a, b string, rel Relation) {
 	r.mu.Unlock()
 }
 
-// StaticRelation returns the static-matrix entry for a pair (the default
-// relation when unset), resolving both directions in one locked map read.
-// The diagonal is always Conflict — a view trivially shares data with
-// itself.
-func (r *Registry) StaticRelation(a, b string) Relation {
-	if a == b {
-		return Conflict
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.staticRelationLocked(a, b)
-}
-
 // Register adds a view with its initial property set. Registering an
 // existing name fails.
 func (r *Registry) Register(name string, props property.Set) error {
@@ -228,9 +214,7 @@ func (r *Registry) SetProps(name string, props property.Set) error {
 	v.Props, v.Stamp = props, r.epoch
 	// Re-index under the new set; a lost view stays out of the index and
 	// re-enters with the updated set when found again.
-	if !v.Lost {
-		r.indexInsertLocked(v)
-	}
+	r.indexInsertLocked(v)
 	return nil
 }
 
@@ -254,37 +238,24 @@ func (r *Registry) Scope(name string) (property.Set, uint64) {
 	return property.Set{}, 0
 }
 
-// SetActive marks a view active or inactive and reports whether it was
-// active before, read under the same lock as the write: a caller tells a
-// repeat from a reactivation without racing a concurrent deactivation.
-func (r *Registry) SetActive(name string, active bool) (was bool) {
+// SetActive sets the flag ConflictingWith's activeOnly filter reads.
+// The directory keeps activity in its own per-view records and never
+// calls it; it stays for the benchmark's registry replay.
+func (r *Registry) SetActive(name string, active bool) {
 	r.mu.Lock()
 	if v, ok := r.views[name]; ok {
-		was = v.Active
 		v.Active = active
 	}
 	r.mu.Unlock()
-	return was
 }
 
-// Active reports whether a view is currently active.
-func (r *Registry) Active(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	v, ok := r.views[name]
-	return ok && v.Active
-}
-
-// SetLost marks a view lost (evicted for unreachability) or found again.
-// Marking lost also deactivates. Unknown names are ignored.
+// SetLost takes a view out of the conflict index (lost) or puts it back
+// (found again). Unknown names are ignored.
 func (r *Registry) SetLost(name string, lost bool) {
 	r.mu.Lock()
 	if v, ok := r.views[name]; ok && v.Lost != lost {
 		v.Lost = lost
 		if lost {
-			v.Active = false
-			// A tombstone never appears in a conflict set; drop its
-			// postings so queries skip it structurally.
 			r.indexRemoveLocked(name)
 		} else {
 			r.indexInsertLocked(v)
@@ -292,28 +263,6 @@ func (r *Registry) SetLost(name string, lost bool) {
 		r.epoch++
 	}
 	r.mu.Unlock()
-}
-
-// Lost reports whether a view is currently a lost tombstone.
-func (r *Registry) Lost(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	v, ok := r.views[name]
-	return ok && v.Lost
-}
-
-// LostViews returns the sorted names of lost views.
-func (r *Registry) LostViews() []string {
-	r.mu.RLock()
-	var out []string
-	for n, v := range r.views {
-		if v.Lost {
-			out = append(out, n)
-		}
-	}
-	r.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }
 
 // Views returns the sorted names of all registered views.
@@ -326,13 +275,6 @@ func (r *Registry) Views() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Len returns the number of registered views.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.views)
 }
 
 // Conflicts decides whether two registered views share data, combining the
@@ -351,17 +293,15 @@ func (r *Registry) Conflicts(a, b string) bool {
 }
 
 // ConflictingWith returns the sorted names of registered views that share
-// data with the given view (excluding itself). If activeOnly is set, only
-// currently active views are returned — the set the directory manager must
-// invalidate (strong mode) or update (weak mode). Lost views are
-// unreachable tombstones and never appear in the set.
+// data with the given view (excluding itself). Lost views never appear in
+// the set. activeOnly further keeps only views marked by SetActive; the
+// directory passes false and filters by its own records.
 //
 // The whole query runs under one read lock — one coherent snapshot, no
 // set-props interleaving mid-scan — and is served by the conflict index
 // in O(log n + matches) (see index.go for the per-defaultRel plans).
 // Repeated queries between structural mutations are served from a cached
-// per-view structural set keyed by the mutation epoch, with only the
-// active filter re-applied per call.
+// per-view structural set keyed by the mutation epoch.
 func (r *Registry) ConflictingWith(name string, activeOnly bool) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -376,13 +316,4 @@ func (r *Registry) ConflictingWith(name string, activeOnly bool) []string {
 		return nil
 	}
 	return out
-}
-
-// SharedInterest returns the intersection of the two views' current
-// property sets (empty when their relationship is static). The directory
-// manager uses it to restrict update payloads to the overlapping data.
-func (r *Registry) SharedInterest(a, b string) property.Set {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.sharedInterestLocked(a, b)
 }

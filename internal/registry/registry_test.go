@@ -16,7 +16,7 @@ func TestRegisterUnregister(t *testing.T) {
 	if err := r.Register("v1", property.NewSet()); err == nil {
 		t.Fatal("duplicate register should fail")
 	}
-	if !r.Has("v1") || r.Len() != 1 {
+	if !r.Has("v1") || len(r.Views()) != 1 {
 		t.Fatal("v1 should be registered")
 	}
 	r.Unregister("v1")
@@ -29,13 +29,18 @@ func TestRegisterUnregister(t *testing.T) {
 func TestStaticMatrixSymmetric(t *testing.T) {
 	r := New()
 	r.SetStatic("a", "b", Conflict)
-	if r.StaticRelation("a", "b") != Conflict || r.StaticRelation("b", "a") != Conflict {
+	rel := func(a, b string) Relation {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		return r.staticRelationLocked(a, b)
+	}
+	if rel("a", "b") != Conflict || rel("b", "a") != Conflict {
 		t.Fatal("static matrix must be symmetric")
 	}
-	if r.StaticRelation("a", "a") != Conflict {
+	if rel("a", "a") != Conflict {
 		t.Fatal("diagonal must be Conflict")
 	}
-	if r.StaticRelation("a", "zz") != Dynamic {
+	if rel("a", "zz") != Dynamic {
 		t.Fatal("default must be Dynamic")
 	}
 }
@@ -124,19 +129,22 @@ func TestPropsIsRegisteredSet(t *testing.T) {
 	}
 }
 
+// TestActiveTracking: the SetActive shim is what ConflictingWith's
+// activeOnly filter reads; an unknown name is ignored.
 func TestActiveTracking(t *testing.T) {
 	r := New()
-	r.Register("a", property.NewSet())
-	if r.Active("a") {
-		t.Fatal("fresh view should be inactive")
+	r.Register("me", property.MustSet("F={1}"))
+	r.Register("a", property.MustSet("F={1}"))
+	if got := r.ConflictingWith("me", true); got != nil {
+		t.Fatalf("fresh view counted active: %v", got)
 	}
 	r.SetActive("a", true)
-	if !r.Active("a") {
-		t.Fatal("should be active")
+	if got := r.ConflictingWith("me", true); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("active conflicts = %v", got)
 	}
 	r.SetActive("ghost", true) // no-op
-	if r.Active("ghost") {
-		t.Fatal("ghost should not be active")
+	if r.Has("ghost") {
+		t.Fatal("SetActive registered an unknown view")
 	}
 }
 
@@ -165,20 +173,6 @@ func TestDefaultRelationWorstCase(t *testing.T) {
 	r.Register("b", property.MustSet("F={99}"))
 	if !r.Conflicts("a", "b") {
 		t.Fatal("worst-case default should make everyone conflict")
-	}
-}
-
-func TestSharedInterest(t *testing.T) {
-	r := New()
-	r.Register("a", property.MustSet("F={1..5}; S=[0,10]"))
-	r.Register("b", property.MustSet("F={4..8}"))
-	got := r.SharedInterest("a", "b")
-	p, ok := got.Get("F")
-	if !ok || !p.Domain.Equal(property.DiscreteInts(4, 5)) {
-		t.Fatalf("shared interest = %v", got)
-	}
-	if !r.SharedInterest("a", "ghost").IsEmpty() {
-		t.Fatal("interest with unknown view should be empty")
 	}
 }
 

@@ -22,6 +22,8 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"flecc/internal/wire"
 )
 
 const (
@@ -151,8 +153,8 @@ func (c *Conn) Read(p []byte) (int, error) {
 		if n > maxFrame {
 			return 0, fmt.Errorf("secure: frame of %d bytes exceeds limit", n)
 		}
-		env := make([]byte, n)
-		if _, err := io.ReadFull(c.inner, env); err != nil {
+		env, err := wire.ReadPayload(c.inner, nil, int(n))
+		if err != nil {
 			return 0, err
 		}
 		pt, err := c.pair.Open(env)

@@ -2,10 +2,12 @@ package secure
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -151,6 +153,38 @@ func TestConnRejectsCorruptStream(t *testing.T) {
 	r := NewConn(pipeRWC{Reader: bytes.NewReader(raw), Writer: io.Discard}, p)
 	if _, err := r.Read(make([]byte, 16)); !errors.Is(err, ErrTampered) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestConnMemoryFollowsBytes: a sealed frame's length prefix alone buys
+// no memory. A stream that declares a maxFrame frame, sends 1 KiB of it
+// and ends costs the reader what arrived, not the declared 17 MiB; a
+// sealed frame larger than the first read step still opens whole.
+func TestConnMemoryFollowsBytes(t *testing.T) {
+	p := NewPair([]byte("k"))
+	stream := binary.LittleEndian.AppendUint32(nil, maxFrame)
+	stream = append(stream, make([]byte, 1<<10)...)
+	r := NewConn(pipeRWC{Reader: bytes.NewReader(stream), Writer: io.Discard}, p)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := r.Read(make([]byte, 16))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Errorf("cut frame read %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 256<<10 {
+		t.Errorf("a declared %d-byte frame with 1 KiB sent allocated %d bytes", maxFrame, grew)
+	}
+
+	big := make([]byte, 300<<10) // several read steps
+	rand.New(rand.NewSource(1)).Read(big)
+	var link bytes.Buffer
+	if _, err := NewConn(pipeRWC{Reader: &link, Writer: &link}, p).Write(big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(io.LimitReader(NewConn(pipeRWC{Reader: &link, Writer: io.Discard}, p), int64(len(big))))
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("large frame read back wrong (%d of %d bytes, %v)", len(got), len(big), err)
 	}
 }
 

@@ -161,9 +161,9 @@ func (d *Decoder) fail(what string) {
 	}
 }
 
-// failWith latches err as the decoding error unless one is already latched:
+// Fail latches err as the decoding error unless one is already latched:
 // a record decoder's own validity checks stop the decode like a short read.
-func (d *Decoder) failWith(err error) {
+func (d *Decoder) Fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
@@ -207,7 +207,7 @@ func (d *Decoder) Uvarint() uint64 {
 		d.fail("uvarint")
 		return 0
 	case n < 0 || (n > 1 && d.buf[d.off+n-1] == 0):
-		d.failWith(fmt.Errorf("wire: malformed uvarint at offset %d", d.off))
+		d.Fail(fmt.Errorf("wire: malformed uvarint at offset %d", d.off))
 		return 0
 	}
 	d.off += n
@@ -550,7 +550,7 @@ func (d *Decoder) PropSet() property.Set {
 			dom = property.Discrete(members...)
 		}
 		if d.err == nil && (name == "" || dom.IsEmpty()) {
-			d.failWith(fmt.Errorf("wire: bad property %q in binary set at offset %d", name, d.off))
+			d.Fail(fmt.Errorf("wire: bad property %q in binary set at offset %d", name, d.off))
 		}
 		props = append(props, property.New(name, dom))
 	}
@@ -584,7 +584,7 @@ func ReadFrame(r io.Reader) (*Message, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	payload, err := readPayload(r, nil, int(n))
+	payload, err := ReadPayload(r, nil, int(n))
 	if err != nil {
 		return nil, err
 	}

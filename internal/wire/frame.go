@@ -167,7 +167,7 @@ func (fr *FrameReader) Read() (*Message, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	payload, err := readPayload(fr.br, fr.scratch, n)
+	payload, err := ReadPayload(fr.br, fr.scratch, n)
 	if err != nil {
 		return nil, err
 	}
@@ -179,15 +179,15 @@ func (fr *FrameReader) Read() (*Message, error) {
 	return decode(payload, fr.names)
 }
 
-// minReadStep is the first allocation readPayload makes for a frame that
+// minReadStep is the first allocation ReadPayload makes for a frame that
 // does not fit its scratch.
 const minReadStep = 64 << 10
 
-// readPayload reads an n-byte frame payload from r into scratch, reusing
-// it when n fits. A larger payload is read in steps that double from
-// minReadStep, so the memory a frame costs follows the bytes that arrive,
-// not the length its prefix declares.
-func readPayload(r io.Reader, scratch []byte, n int) ([]byte, error) {
+// ReadPayload reads an n-byte frame payload from r into scratch, reusing
+// it when n fits. A larger payload — a frame here, a sealed one in
+// secure.Conn — is read in steps that double from minReadStep, so the
+// memory a frame costs follows the bytes that arrive, not its prefix.
+func ReadPayload(r io.Reader, scratch []byte, n int) ([]byte, error) {
 	buf := scratch[:0]
 	for len(buf) < n {
 		if len(buf) == cap(buf) {
