@@ -258,7 +258,8 @@ type gobMessage struct {
 func BenchmarkCodecGobBaseline(b *testing.B) {
 	m := benchMessage(40)
 	g := gobMessage{Type: uint8(m.Type), Seq: m.Seq, From: m.From, View: m.View, Ops: m.Ops, Entries: map[string][]byte{}}
-	for k, e := range m.Img.Entries {
+	for _, e := range m.Img.Entries {
+		k := e.Key
 		g.Entries[k] = e.Value
 	}
 	b.ReportAllocs()

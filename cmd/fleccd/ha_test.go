@@ -36,7 +36,8 @@ func (c *mapCodec) Extract(props property.Set) (*image.Image, error) {
 func (c *mapCodec) Merge(img *image.Image, props property.Set) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, e := range img.Entries {
+	for _, e := range img.Entries {
+		k := e.Key
 		if e.Deleted {
 			delete(c.data, k)
 			continue

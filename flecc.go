@@ -562,27 +562,23 @@ func (m *MapCodec) Extract(props Props) (*Image, error) {
 func (m *MapCodec) ExtractChanged(props Props, since uint64) (*Image, uint64, error) {
 	m.lock()
 	defer m.unlock()
-	var img *Image
-	put := func(e image.Entry) {
-		if img == nil {
-			img = image.New()
-		}
-		img.Put(e)
-	}
+	var entries []image.Entry
 	for k, v := range m.data {
 		if v.rev > since {
-			put(image.Entry{Key: k, Value: copyBytes(v.b)})
+			entries = append(entries, image.Entry{Key: k, Value: copyBytes(v.b)})
 		}
 	}
-	if since == 0 {
-		return img, m.rev, nil
-	}
-	for k, rev := range m.deleted {
-		if rev > since {
-			put(image.Entry{Key: k, Deleted: true})
+	if since > 0 {
+		for k, rev := range m.deleted {
+			if rev > since {
+				entries = append(entries, image.Entry{Key: k, Deleted: true})
+			}
 		}
 	}
-	return img, m.rev, nil
+	if entries == nil {
+		return nil, m.rev, nil
+	}
+	return image.Of(0, entries), m.rev, nil
 }
 
 // ExtractKeys implements image.KeyedExtractor: it snapshots just the
@@ -592,24 +588,24 @@ func (m *MapCodec) ExtractChanged(props Props, since uint64) (*Image, uint64, er
 func (m *MapCodec) ExtractKeys(props Props, keys []string) (*Image, error) {
 	m.lock()
 	defer m.unlock()
-	img := image.New()
+	entries := make([]image.Entry, 0, len(keys))
 	for _, k := range keys {
 		if v, ok := m.data[k]; ok {
-			img.Put(image.Entry{Key: k, Value: copyBytes(v.b)})
+			entries = append(entries, image.Entry{Key: k, Value: copyBytes(v.b)})
 		}
 	}
-	return img, nil
+	return image.Of(0, entries), nil
 }
 
 // Merge implements Codec.
 func (m *MapCodec) Merge(img *Image, props Props) error {
 	m.lock()
 	defer m.unlock()
-	for k, e := range img.Entries {
+	for _, e := range img.Entries {
 		if e.Deleted {
-			m.remove(k)
+			m.remove(e.Key)
 		} else {
-			m.set(k, e.Value)
+			m.set(e.Key, e.Value)
 		}
 	}
 	return nil

@@ -41,9 +41,19 @@ func TestFlightKeys(t *testing.T) {
 	if err != nil || n != 102 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
-	for _, k := range []string{"flight/", "flight/x", "nope/1", "102"} {
+	for _, k := range []string{"flight/", "flight/x", "nope/1", "102",
+		// aliases of a canonical key: one flight, one key
+		"flight/007", "flight/+7", "flight/-0", "flight/00", "flight/-07"} {
 		if _, err := ParseFlightKey(k); err == nil {
 			t.Errorf("ParseFlightKey(%q) should fail", k)
+		}
+		if NewReservationSystem().InScope(property.Set{}, k) {
+			t.Errorf("InScope(%q) under the empty set: a key Merge cannot apply", k)
+		}
+	}
+	for _, n := range []int{0, 7, -7, 100, -100} {
+		if got, err := ParseFlightKey(FlightKey(n)); err != nil || got != n {
+			t.Errorf("ParseFlightKey(FlightKey(%d)) = %d, %v", n, got, err)
 		}
 	}
 }

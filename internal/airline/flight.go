@@ -47,7 +47,9 @@ func (f Flight) Key() string { return FlightKey(f.Number) }
 // FlightKey renders the image entry key for a flight number.
 func FlightKey(number int) string { return "flight/" + strconv.Itoa(number) }
 
-// ParseFlightKey extracts the flight number from an entry key.
+// ParseFlightKey extracts the flight number from an entry key. Only the
+// form FlightKey renders is one ("flight/007" is no flight), so no flight
+// travels under two keys: the store detects conflicts per key.
 func ParseFlightKey(key string) (int, error) {
 	rest, ok := strings.CutPrefix(key, "flight/")
 	if !ok {
@@ -56,6 +58,10 @@ func ParseFlightKey(key string) (int, error) {
 	n, err := strconv.Atoi(rest)
 	if err != nil {
 		return 0, fmt.Errorf("airline: bad flight key %q: %w", key, err)
+	}
+	digits := strings.TrimPrefix(rest, "-")
+	if rest[0] == '+' || digits[0] == '0' && rest != "0" {
+		return 0, fmt.Errorf("airline: flight key %q is not canonical", key)
 	}
 	return n, nil
 }
@@ -299,27 +305,23 @@ func (rs *ReservationSystem) ExtractChanged(props property.Set, since uint64) (*
 	dom, restricted := flightsDomain(props)
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	var img *image.Image
-	put := func(e image.Entry) {
-		if img == nil {
-			img = image.New()
-		}
-		img.Put(e)
-	}
+	var entries []image.Entry
 	for n, f := range rs.flights {
 		if f.rev > since && (!restricted || dom.ContainsValue(float64(n))) {
-			put(image.Entry{Key: f.Key(), Value: f.Encode()})
+			entries = append(entries, image.Entry{Key: f.Key(), Value: f.Encode()})
 		}
 	}
-	if since == 0 {
-		return img, rs.rev, nil
-	}
-	for n, rev := range rs.deleted {
-		if rev > since && (!restricted || dom.ContainsValue(float64(n))) {
-			put(image.Entry{Key: FlightKey(n), Deleted: true})
+	if since > 0 {
+		for n, rev := range rs.deleted {
+			if rev > since && (!restricted || dom.ContainsValue(float64(n))) {
+				entries = append(entries, image.Entry{Key: FlightKey(n), Deleted: true})
+			}
 		}
 	}
-	return img, rs.rev, nil
+	if entries == nil {
+		return nil, rs.rev, nil
+	}
+	return image.Of(0, entries), rs.rev, nil
 }
 
 // ExtractKeys implements image.KeyedExtractor: it snapshots just the
@@ -331,7 +333,7 @@ func (rs *ReservationSystem) ExtractKeys(props property.Set, keys []string) (*im
 	dom, restricted := flightsDomain(props)
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	img := image.New()
+	entries := make([]image.Entry, 0, len(keys))
 	for _, key := range keys {
 		n, err := ParseFlightKey(key)
 		if err != nil {
@@ -344,9 +346,10 @@ func (rs *ReservationSystem) ExtractKeys(props property.Set, keys []string) (*im
 		if !ok {
 			continue
 		}
-		img.Put(image.Entry{Key: f.Key(), Value: f.Encode()})
+		// key is canonical (ParseFlightKey), so it is f.Key() already.
+		entries = append(entries, image.Entry{Key: key, Value: f.Encode()})
 	}
-	return img, nil
+	return image.Of(0, entries), nil
 }
 
 // Merge implements the Flecc merge method (mergeIntoObject /
@@ -356,8 +359,8 @@ func (rs *ReservationSystem) Merge(img *image.Image, props property.Set) error {
 	dom, restricted := flightsDomain(props)
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	for key, e := range img.Entries {
-		n, err := ParseFlightKey(key)
+	for _, e := range img.Entries {
+		n, err := ParseFlightKey(e.Key)
 		if err != nil {
 			continue // foreign entries are not ours to interpret
 		}

@@ -134,8 +134,8 @@ func changedKeys(t *testing.T, rs *ReservationSystem, props property.Set, since 
 		return nil, rev
 	}
 	var out []string
-	for _, k := range img.Keys() {
-		e := img.Entries[k]
+	for _, e := range img.Entries {
+		k := e.Key
 		if e.Version != 0 || e.Writer != "" {
 			t.Errorf("%s: ExtractChanged must leave Version/Writer zero, got v%d %q", k, e.Version, e.Writer)
 		}
@@ -168,7 +168,7 @@ func TestChangeExtractorSinceZeroIsExtract(t *testing.T) {
 			img = image.New()
 		}
 		if !img.Equal(full) {
-			t.Fatalf("props %s: ExtractChanged(0) = %v, Extract = %v", props, img.Keys(), full.Keys())
+			t.Fatalf("props %s: ExtractChanged(0) = %v, Extract = %v", props, img.Entries, full.Entries)
 		}
 	}
 }
@@ -235,7 +235,8 @@ func TestChangeExtractorDeleteThenReAdd(t *testing.T) {
 		t.Fatalf("delete then re-add: changed = %v, want the live flight/101 and no tombstone", got)
 	}
 	img, _, _ := rs.ExtractChanged(property.Set{}, since)
-	if f, err := DecodeFlight(101, img.Entries[FlightKey(101)].Value); err != nil || f.Capacity != 5 {
+	e, _ := img.Get(FlightKey(101))
+	if f, err := DecodeFlight(101, e.Value); err != nil || f.Capacity != 5 {
 		t.Fatalf("re-added flight = %+v, %v; want capacity 5", f, err)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -381,17 +382,17 @@ func (m *Manager) SetProps(props property.Set) error {
 		// Manager.commit). If the view cannot be read, SetProps fails and
 		// the view keeps its old set, as when the call fails after the
 		// directory applied it.
-		keys := m.base.Keys()
+		keys := entryKeys(m.base)
 		was, err1 := m.viewValuesLocked(m.props, keys)
 		now, err2 := m.viewValuesLocked(props, keys)
 		if err := cmp.Or(err1, err2); err != nil {
 			return fmt.Errorf("cache: extract from view: %w", err)
 		}
-		for k := range was.Entries {
-			if _, kept := now.Get(k); !kept {
-				delete(m.base.Entries, k)
-			}
-		}
+		m.base.Entries = slices.DeleteFunc(m.base.Entries, func(e image.Entry) bool {
+			_, had := was.Get(e.Key)
+			_, kept := now.Get(e.Key)
+			return had && !kept
+		})
 	}
 	m.props = props
 	// What the view extracts under the new properties is a different set
@@ -434,29 +435,37 @@ func (m *Manager) applyIncomingLocked(img *image.Image, ver vclock.Version) erro
 	if img != nil && img.Len() > 0 {
 		apply := img
 		if m.initialized {
-			keys := img.Keys()
-			cur, err := m.viewValuesLocked(m.props, keys)
+			cur, err := m.viewValuesLocked(m.props, entryKeys(img))
 			if err != nil {
 				// Without the view's current values the pending local
 				// changes cannot be told apart; merging anyway would
 				// overwrite them.
 				return fmt.Errorf("cache: extract from view: %w", err)
 			}
-			apply = image.New()
-			apply.Version = img.Version
-			for _, k := range keys {
-				in := img.Entries[k]
-				ce, curOK := cur.Get(k)
-				be, baseOK := m.base.Get(k)
+			// img is read-only (it may be a message other views share),
+			// so entries to skip mean a filtered copy, built only once
+			// the first one turns up.
+			var kept []image.Entry
+			for i, in := range img.Entries {
+				ce, curOK := cur.Get(in.Key)
+				be, baseOK := m.base.Get(in.Key)
 				dirty := curOK != (baseOK && !be.Deleted) ||
 					(curOK && baseOK && !ce.Equal(be))
 				if dirty && !(curOK && ce.Equal(in)) {
 					// Keep the local pending change; skip this entry
 					// (and leave its base snapshot untouched so the
 					// push carries the old base version).
+					if kept == nil {
+						kept = append(make([]image.Entry, 0, img.Len()), img.Entries[:i]...)
+					}
 					continue
 				}
-				apply.Put(in.Clone())
+				if kept != nil {
+					kept = append(kept, in)
+				}
+			}
+			if kept != nil {
+				apply = &image.Image{Version: img.Version, Entries: kept}
 			}
 		}
 		// Merging into the view is the application's mergeIntoView; a
@@ -465,8 +474,8 @@ func (m *Manager) applyIncomingLocked(img *image.Image, ver vclock.Version) erro
 		if err := m.view.Merge(apply, m.props); err != nil {
 			return fmt.Errorf("cache: merge into view: %w", err)
 		}
-		for _, k := range apply.Keys() {
-			m.base.Put(apply.Entries[k].Clone())
+		for _, e := range apply.Entries {
+			m.base.Put(e)
 		}
 	}
 	if ver > m.seen {
@@ -494,6 +503,15 @@ func (m *Manager) viewValuesLocked(props property.Set, keys []string) (*image.Im
 		cur = noImage
 	}
 	return cur, err
+}
+
+// entryKeys lists an image's keys, in order.
+func entryKeys(img *image.Image) []string {
+	keys := make([]string, len(img.Entries))
+	for i, e := range img.Entries {
+		keys[i] = e.Key
+	}
+	return keys
 }
 
 // noImage stands in, read-only, for the nil image a codec may return when
@@ -531,24 +549,23 @@ func (m *Manager) extractDeltaLocked() (extracted, error) {
 	}
 	emit := func(e image.Entry) {
 		if x.delta == nil {
-			x.delta = image.New()
+			x.delta = &image.Image{Entries: make([]image.Entry, 0, x.cur.Len())}
 		}
 		x.delta.Put(e)
 	}
-	for k, e := range x.cur.Entries {
-		be, ok := m.base.Get(k)
+	for _, e := range x.cur.Entries {
+		be, ok := m.base.Get(e.Key)
 		if ok && e.Equal(be) || !ok && e.Deleted {
 			continue // unchanged, or added and removed between two synchronizations
 		}
-		out := e.Clone()
-		out.Version = be.Version // version the change was based on (0 for a new key)
-		out.Writer = m.name
-		emit(out)
+		e.Version = be.Version // version the change was based on (0 for a new key)
+		e.Writer = m.name
+		emit(e)
 	}
 	if m.syncedRev == 0 {
-		for k, be := range m.base.Entries {
-			if _, ok := x.cur.Get(k); !ok && !be.Deleted {
-				emit(image.Entry{Key: k, Version: be.Version, Writer: m.name, Deleted: true})
+		for _, be := range m.base.Entries {
+			if _, ok := x.cur.Get(be.Key); !ok && !be.Deleted {
+				emit(image.Entry{Key: be.Key, Version: be.Version, Writer: m.name, Deleted: true})
 			}
 		}
 	}
@@ -564,12 +581,12 @@ func (m *Manager) extractDeltaLocked() (extracted, error) {
 // mu.
 func (m *Manager) foldLocked(x extracted, ver vclock.Version) {
 	if x.delta != nil {
-		for k, e := range x.delta.Entries {
+		for _, e := range x.delta.Entries {
 			if e.Deleted {
-				m.base.Put(image.Entry{Key: k, Version: ver, Writer: m.name, Deleted: true})
+				m.base.Put(image.Entry{Key: e.Key, Version: ver, Writer: m.name, Deleted: true})
 			} else {
-				ce, _ := x.cur.Get(k)
-				m.base.Put(ce.Clone())
+				ce, _ := x.cur.Get(e.Key)
+				m.base.Put(ce)
 			}
 		}
 	}
@@ -587,14 +604,9 @@ func (m *Manager) foldLocked(x extracted, ver vclock.Version) {
 // encodes nothing). Caller holds mu.
 func (m *Manager) surrenderLocked(x extracted) {
 	m.foldLocked(x, 0)
-	for k, be := range m.base.Entries {
-		switch {
-		case be.Deleted:
-			delete(m.base.Entries, k)
-		case be.Version != 0 || be.Writer != "":
-			be.Version, be.Writer = 0, ""
-			m.base.Entries[k] = be
-		}
+	m.base.Entries = slices.DeleteFunc(m.base.Entries, func(be image.Entry) bool { return be.Deleted })
+	for i := range m.base.Entries {
+		m.base.Entries[i].Version, m.base.Entries[i].Writer = 0, ""
 	}
 }
 

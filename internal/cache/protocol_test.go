@@ -66,7 +66,8 @@ func (v *kvView) Extract(props property.Set) (*image.Image, error) {
 func (v *kvView) Merge(img *image.Image, props property.Set) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for k, e := range img.Entries {
+	for _, e := range img.Entries {
+		k := e.Key
 		if e.Deleted {
 			delete(v.data, k)
 			continue

@@ -182,7 +182,7 @@ func TestLostPushReplyCommitsOnce(t *testing.T) {
 	if got := len(dm.Store().Log()) - records; got != 1 {
 		t.Fatalf("the log gained %d records, want 1", got)
 	}
-	if e := cm.Base().Entries["a"]; string(e.Value) != "1" || e.Version != ver+1 {
+	if e, _ := cm.Base().Get("a"); string(e.Value) != "1" || e.Version != ver+1 {
 		t.Fatalf("base a = %q at v%d, want %q at the committed v%d", e.Value, e.Version, "1", ver+1)
 	}
 	if got := cm.PendingOps(); got != 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"flecc/internal/image"
 	"flecc/internal/transport"
 	"flecc/internal/wire"
 )
@@ -271,9 +272,8 @@ func (m *Manager) completeRoundLocked(r *pushRound, reply *wire.Message, err err
 	// carries the winning values; adopt them so the view converges on the
 	// resolved state instead of silently keeping the losing data.
 	if reply.Img != nil && reply.Img.Len() > 0 {
-		winners := reply.Img.Clone()
-		winners.Version = 0 // do not advance seen (see above)
-		err = m.applyIncomingLocked(winners, 0)
+		// Version 0: do not advance seen (see above).
+		err = m.applyIncomingLocked(&image.Image{Entries: reply.Img.Entries}, 0)
 	}
 	m.resolveRoundLocked(r, err)
 }

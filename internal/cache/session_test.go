@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -217,8 +216,8 @@ func (p *pushedKeys) OnMessage(from, to string, m *wire.Message) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for k := range m.Img.Entries {
-		p.n[k]++
+	for _, e := range m.Img.Entries {
+		p.n[e.Key]++
 	}
 }
 
@@ -541,7 +540,8 @@ func (w *versionWatch) OnMessage(from, to string, m *wire.Message) {
 	if w.high == nil {
 		w.high = map[string]vclock.Version{}
 	}
-	for k, e := range m.Img.Entries {
+	for _, e := range m.Img.Entries {
+		k := e.Key
 		if e.Version < w.high[k] {
 			if w.violation == "" {
 				w.violation = fmt.Sprintf("key %s went v%d after v%d (db->%s %s)",
@@ -691,11 +691,9 @@ func TestSoakPipelinedWindow8(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys := img.Keys()
-		sort.Strings(keys)
 		var b strings.Builder
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s=%s;", k, img.Entries[k].Value)
+		for _, e := range img.Entries {
+			fmt.Fprintf(&b, "%s=%s;", e.Key, e.Value)
 		}
 		fmt.Fprintf(&b, "|injected=%d|resets=%d|pushErrs=%d|pullErrs=%d|flushes=%d|version=%d",
 			faulty.Injected(), resets, pushErrs, pullErrs, flushes, dm.CurrentVersion())

@@ -122,8 +122,8 @@ func dumpImage(img *image.Image) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "v%d\n", img.Version)
-	for _, k := range img.Keys() {
-		e := img.Entries[k]
+	for _, e := range img.Entries {
+		k := e.Key
 		fmt.Fprintf(&b, " %s=%q v%d w=%q del=%t\n", k, e.Value, e.Version, e.Writer, e.Deleted)
 	}
 	return b.String()
@@ -215,11 +215,11 @@ func runEqSchedule(t *testing.T, w eqWorld, seed int64, tracked bool) eqResult {
 			}
 			base := cm.Base()
 			keys := map[string]bool{}
-			for k := range view.Entries {
-				keys[k] = true
+			for _, e := range view.Entries {
+				keys[e.Key] = true
 			}
-			for k := range base.Entries {
-				keys[k] = true
+			for _, e := range base.Entries {
+				keys[e.Key] = true
 			}
 			for k := range keys {
 				ve, inView := view.Get(k)

@@ -49,7 +49,8 @@ func (c *laneKV) ExtractKeys(props property.Set, keys []string) (*image.Image, e
 func (c *laneKV) Merge(img *image.Image, props property.Set) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, e := range img.Entries {
+	for _, e := range img.Entries {
+		k := e.Key
 		if e.Deleted {
 			delete(c.data, k)
 			continue
@@ -197,7 +198,8 @@ func TestLaneHammerDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, e := range img.Entries {
+	for _, e := range img.Entries {
+		k := e.Key
 		want, ok := lastByWriter[e.Writer][k]
 		if !ok {
 			t.Fatalf("key %s attributed to %s, which never pushed it", k, e.Writer)

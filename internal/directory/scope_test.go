@@ -200,7 +200,7 @@ func TestNarrowingSetPropsPushesNoDeletions(t *testing.T) {
 	if len(pushed) != 1 {
 		t.Fatalf("%d pushes on the wire, want 1", len(pushed))
 	}
-	if keys := pushed[0].Keys(); len(keys) != 1 || keys[0] != airline.FlightKey(100) {
+	if es := pushed[0].Entries; len(es) != 1 || es[0].Key != airline.FlightKey(100) {
 		t.Fatalf("pushed %v, want flight 100 alone", pushed[0].Entries)
 	}
 	if got := reservedOn(t, db, 100); got != 2 {
@@ -346,5 +346,54 @@ func TestStandbyAbsorbsUnregisteredFlight(t *testing.T) {
 	}
 	if got := reservedOn(t, primB, 150); got != 5 {
 		t.Fatalf("standby's flight 150 reserved = %d, want 5: the absorb was scoped", got)
+	}
+}
+
+// TestAliasFlightKeyIsNoFlight: "flight/007" is not a second name of
+// flight 7. Two weak views start from the same base of flight 7; a
+// pushes +5 seats under the alias, then b pushes +3 from the stale base
+// under the canonical key. If the primary merged the alias into flight
+// 7 while the shadow stamped it under the alias, b's push would meet no
+// conflict and overwrite a's seats: a lost update. The alias is out of
+// every scope instead, so a's push commits nothing.
+func TestAliasFlightKeyIsNoFlight(t *testing.T) {
+	db := airline.NewReservationSystem()
+	airline.SeedFlights(db, 7, 1, 200)
+	net := transport.NewInproc()
+	dm, err := directory.New("dm", db, vclock.NewSim(), net, directory.Options{FanOut: 1, Resolver: airline.SeatResolver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dm.Close() })
+	base, _ := db.Flight(7)
+	eps := map[string]transport.Endpoint{}
+	for _, name := range []string{"a", "b"} {
+		ep, err := net.Attach(name, func(*wire.Message) *wire.Message { return &wire.Message{Type: wire.TAck} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustCall(t, ep, &wire.Message{Type: wire.TRegister, From: name, Mode: wire.Weak, Props: property.MustSet("Flights={7}")})
+		mustCall(t, ep, &wire.Message{Type: wire.TInit, From: name})
+		eps[name] = ep
+	}
+	push := func(view, key string, reserved int) *wire.Message {
+		f := base
+		f.Reserved = reserved
+		return mustCall(t, eps[view], &wire.Message{Type: wire.TPush, From: view, Ops: 1,
+			Img: image.Of(0, []image.Entry{{Key: key, Value: f.Encode()}})})
+	}
+
+	push("a", "flight/007", 5)
+	if got := reservedOn(t, db, 7); got != 0 {
+		t.Fatalf("after a's push under flight/007, flight 7 has %d reserved, want 0: an alias key reached the flight", got)
+	}
+	if log := dm.Store().Log(); len(log) != 0 {
+		t.Fatalf("an alias push committed %+v", log)
+	}
+	if ack := push("b", airline.FlightKey(7), 3); ack.Img != nil {
+		t.Fatalf("b's push rejected %v, want it committed", ack.Img.Entries)
+	}
+	if got := reservedOn(t, db, 7); got != 3 {
+		t.Fatalf("flight 7 has %d reserved after b's push, want 3", got)
 	}
 }

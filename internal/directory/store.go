@@ -8,7 +8,6 @@ package directory
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -59,7 +58,8 @@ type dirtyRec struct {
 // shadow map plus the version-ordered dirty index over its keys. Each
 // stripe has its own lock, so commits of disjoint conflict groups publish
 // metadata without contending. mu is a leaf lock: held for a map read or
-// update only, never across a codec call and never together with another
+// update only, never across a codec call (but Scoper.InScope, which
+// depends on its arguments alone) and never together with another
 // stripe's lock, Store.mu or pubTracker.mu.
 type storeStripe struct {
 	mu     sync.RWMutex
@@ -206,95 +206,93 @@ func (s *Store) Commit(writer string, delta *image.Image, ops int) (vclock.Versi
 // must not be stamped as committed either. A delta left empty commits
 // nothing.
 func (s *Store) commitGated(writer string, props property.Set, delta *image.Image, ops int) (vclock.Version, int, *image.Image, error) {
-	var keys []string
-	if delta != nil {
-		keys = delta.Keys()
+	if delta == nil || delta.Len() == 0 {
+		return s.counter.Current(), 0, nil, nil
 	}
-	if s.scope != nil {
-		keys = slices.DeleteFunc(keys, func(k string) bool { return !s.scope.InScope(props, k) })
+	// The entries to commit, in the delta's key order, each with the
+	// shadow entry the resolver stamps "ours" with when it conflicts.
+	type conflict struct {
+		at    int // index into apply
+		prior shadowEntry
 	}
-	if len(keys) == 0 {
+	var conflicts []conflict
+	apply := make([]image.Entry, 0, delta.Len())
+	for _, e := range delta.Entries {
+		if s.scope != nil && !s.scope.InScope(props, e.Key) {
+			continue
+		}
+		st := s.stripeFor(e.Key)
+		st.mu.RLock()
+		sh, ok := st.shadow[e.Key]
+		st.mu.RUnlock()
+		if ok && sh.version > e.Version && sh.writer != writer {
+			conflicts = append(conflicts, conflict{at: len(apply), prior: sh})
+		}
+		apply = append(apply, e)
+	}
+	if len(apply) == 0 {
 		return s.counter.Current(), 0, nil, nil
 	}
 	s.mu.RLock()
 	resolver := s.resolver
 	s.mu.RUnlock()
 
-	// Detect conflicting keys via the shadow, remembering the prior
-	// entries the resolver stamps "ours" with.
-	var conflictKeys []string
-	prior := map[string]shadowEntry{}
-	for _, k := range keys {
-		st := s.stripeFor(k)
-		st.mu.RLock()
-		sh, ok := st.shadow[k]
-		st.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		prior[k] = sh
-		if sh.version > delta.Entries[k].Version && sh.writer != writer {
-			conflictKeys = append(conflictKeys, k)
-		}
-	}
-
 	// Resolver inputs come from a keyed extract of just the conflicting
 	// keys, outside every lock. With no resolver installed the incoming
 	// update wins and no extract is needed at all.
-	var current *image.Image
-	if len(conflictKeys) > 0 && resolver != nil {
+	var rejected *image.Image
+	if len(conflicts) > 0 && resolver != nil {
+		var current *image.Image
 		var err error
 		if s.keyed != nil {
-			current, err = s.keyed.ExtractKeys(props, conflictKeys)
+			keys := make([]string, len(conflicts))
+			for i, c := range conflicts {
+				keys[i] = apply[c.at].Key
+			}
+			current, err = s.keyed.ExtractKeys(props, keys)
 		} else {
 			current, err = s.primary.Extract(props)
 		}
 		if err != nil {
 			return 0, 0, nil, fmt.Errorf("directory: extract for conflict resolution: %w", err)
 		}
-	}
-
-	apply := image.New()
-	rejected := image.New()
-	conflicts := 0
-	isConflict := map[string]bool{}
-	for _, k := range conflictKeys {
-		isConflict[k] = true
-	}
-	// Resolve before allocating the version, so a resolver error burns
-	// nothing.
-	for _, k := range keys {
-		theirs := delta.Entries[k].Clone()
-		if isConflict[k] {
-			conflicts++
-			winner := theirs
-			if resolver != nil {
-				// A key the primary no longer holds is, on the primary's
-				// side, a tombstone stamped with its shadow provenance.
-				ours := image.Entry{Key: k, Deleted: true, Version: prior[k].version, Writer: prior[k].writer}
-				if current != nil {
-					if ce, ok := current.Get(k); ok {
-						ours = ce
-						ours.Version = prior[k].version
-						ours.Writer = prior[k].writer
-					}
-				}
-				w, err := resolver(image.Conflict{Key: k, Ours: ours, Theirs: theirs})
-				if err != nil {
-					return 0, 0, nil, fmt.Errorf("directory: resolve %q: %w", k, err)
-				}
-				winner = w
-				if winner.Equal(ours) {
-					// The primary's value survives: keep the shadow as-is,
-					// skip the merge for this key, and report the winning
-					// value back to the pusher so it converges.
-					rejected.Put(ours)
-					continue
+		// Resolve before allocating the version, so a resolver error
+		// burns nothing.
+		for _, c := range conflicts {
+			theirs := apply[c.at]
+			k := theirs.Key
+			// A key the primary no longer holds is, on the primary's
+			// side, a tombstone stamped with its shadow provenance.
+			ours := image.Entry{Key: k, Deleted: true}
+			if current != nil {
+				if ce, ok := current.Get(k); ok {
+					ours = ce
 				}
 			}
-			theirs = winner
+			ours.Version, ours.Writer = c.prior.version, c.prior.writer
+			winner, err := resolver(image.Conflict{Key: k, Ours: ours, Theirs: theirs})
+			if err != nil {
+				return 0, 0, nil, fmt.Errorf("directory: resolve %q: %w", k, err)
+			}
+			if winner.Equal(ours) {
+				// The primary's value survives: keep the shadow as-is,
+				// skip the merge for this key, and report the winning
+				// value back to the pusher so it converges.
+				if rejected == nil {
+					rejected = image.New()
+				}
+				rejected.Put(ours)
+				continue
+			}
+			winner.Key = k // under the conflict's key, apply stays sorted
+			apply[c.at] = winner
 		}
-		apply.Put(theirs)
+		if rejected != nil {
+			apply = slices.DeleteFunc(apply, func(e image.Entry) bool {
+				_, lost := rejected.Get(e.Key)
+				return lost
+			})
+		}
 	}
 
 	newVer := s.pub.begin(&s.counter)
@@ -302,21 +300,20 @@ func (s *Store) commitGated(writer string, props property.Set, delta *image.Imag
 	// behind it forever — a failed merge lands its version empty.
 	defer s.pub.end(newVer)
 
-	for k, e := range apply.Entries {
-		e.Version = newVer
-		e.Writer = writer
-		apply.Entries[k] = e
+	for i := range apply {
+		apply[i].Version = newVer
+		apply[i].Writer = writer
 	}
-	apply.Version = newVer
-	if apply.Len() > 0 {
+	if len(apply) > 0 {
 		// Merge into the codec before publishing the shadow stamps: a
 		// reader that sees a new stamp is guaranteed the codec already
 		// holds at least that value, and a failed merge leaves no stamp.
-		if err := s.primary.Merge(apply, props); err != nil {
+		if err := s.primary.Merge(&image.Image{Version: newVer, Entries: apply}, props); err != nil {
 			return 0, 0, nil, fmt.Errorf("directory: merge into primary: %w", err)
 		}
 	}
-	for k, e := range apply.Entries {
+	for _, e := range apply {
+		k := e.Key
 		st := s.stripeFor(k)
 		st.mu.Lock()
 		if _, existed := st.shadow[k]; existed {
@@ -331,7 +328,7 @@ func (s *Store) commitGated(writer string, props property.Set, delta *image.Imag
 		st.mu.Unlock()
 	}
 	s.mu.Lock()
-	s.conflictsSeen += conflicts
+	s.conflictsSeen += len(conflicts)
 	s.insertLogLocked(UpdateRec{
 		Version: newVer,
 		Writer:  writer,
@@ -341,11 +338,10 @@ func (s *Store) commitGated(writer string, props property.Set, delta *image.Imag
 	})
 	s.mu.Unlock()
 
-	rejected.Version = newVer
-	if rejected.Len() == 0 {
-		return newVer, conflicts, nil, nil
+	if rejected != nil {
+		rejected.Version = newVer
 	}
-	return newVer, conflicts, rejected, nil
+	return newVer, len(conflicts), rejected, nil
 }
 
 // rebuild regenerates the stripe's dirty index from its shadow: one
@@ -393,16 +389,28 @@ func (s *Store) Extract(props property.Set, since vclock.Version) (*image.Image,
 // stampGated overwrites each entry's provenance with its shadow stamp.
 // Caller holds the gate's read side.
 func (s *Store) stampGated(img *image.Image) {
-	for k, e := range img.Entries {
-		st := s.stripeFor(k)
+	for i := range img.Entries {
+		e := &img.Entries[i]
+		st := s.stripeFor(e.Key)
 		st.mu.RLock()
-		if sh, ok := st.shadow[k]; ok {
+		if sh, ok := st.shadow[e.Key]; ok {
 			e.Version = sh.version
 			e.Writer = sh.writer
-			img.Entries[k] = e
 		}
 		st.mu.RUnlock()
 	}
+}
+
+// withTombstones adds the tombstones whose keys img lacks, in one sort.
+func withTombstones(img *image.Image, tombs []image.Entry) *image.Image {
+	tombs = slices.DeleteFunc(tombs, func(t image.Entry) bool {
+		_, present := img.Get(t.Key)
+		return present
+	})
+	if len(tombs) == 0 {
+		return img
+	}
+	return image.Of(img.Version, append(img.Entries, tombs...))
 }
 
 // extractFull is the classic path: full primary snapshot, shadow overlay,
@@ -423,23 +431,21 @@ func (s *Store) extractFull(props property.Set, since vclock.Version) (*image.Im
 	// never learn about them; synthesize tombstones from the shadow.
 	// (Merging a tombstone for a key a view never held is a harmless
 	// no-op, so tombstones are not filtered by props.)
+	var tombs []image.Entry
 	for _, st := range s.stripes {
 		st.mu.RLock()
 		for k, sh := range st.shadow {
-			if !sh.deleted {
-				continue
+			if sh.deleted {
+				tombs = append(tombs, image.Entry{Key: k, Version: sh.version, Writer: sh.writer, Deleted: true})
 			}
-			if _, present := img.Get(k); present {
-				continue
-			}
-			img.Put(image.Entry{Key: k, Version: sh.version, Writer: sh.writer, Deleted: true})
 		}
 		st.mu.RUnlock()
 	}
 	s.gate.RUnlock()
+	img = withTombstones(img, tombs)
 	img.Version = pubVer
 	if since > 0 {
-		maps.DeleteFunc(img.Entries, func(_ string, e image.Entry) bool { return e.Version <= since })
+		img.Entries = slices.DeleteFunc(img.Entries, func(e image.Entry) bool { return e.Version <= since })
 	}
 	return img, nil
 }
@@ -447,7 +453,9 @@ func (s *Store) extractFull(props property.Set, since vclock.Version) (*image.Im
 // extractDelta serves Extract(props, since>0) from the dirty-key index:
 // binary-search each stripe's index for the first change after since,
 // partition the tail into live keys and tombstones, and ask the keyed
-// primary for just the live keys.
+// primary for just the live keys. With a Scoper primary, live keys
+// outside props are dropped first: the keyed extract would drop them
+// too (the Scoper contract), so they are never collected.
 func (s *Store) extractDelta(props property.Set, since vclock.Version) (*image.Image, error) {
 	pubVer := s.pub.published()
 	var liveKeys []string
@@ -465,7 +473,7 @@ func (s *Store) extractDelta(props property.Set, since vclock.Version) (*image.I
 			if sh.deleted {
 				// Tombstones are not filtered by props, mirroring the full path.
 				tombs = append(tombs, image.Entry{Key: rec.key, Version: sh.version, Writer: sh.writer, Deleted: true})
-			} else {
+			} else if s.scope == nil || s.scope.InScope(props, rec.key) {
 				liveKeys = append(liveKeys, rec.key)
 			}
 		}
@@ -474,27 +482,20 @@ func (s *Store) extractDelta(props property.Set, since vclock.Version) (*image.I
 	s.gate.RUnlock()
 
 	var img *image.Image
-	if len(liveKeys) == 0 {
-		img = image.New()
-	} else {
+	if len(liveKeys) > 0 {
 		var err error
-		img, err = s.keyed.ExtractKeys(props, liveKeys)
-		if err != nil {
+		if img, err = s.keyed.ExtractKeys(props, liveKeys); err != nil {
 			return nil, fmt.Errorf("directory: extract from primary: %w", err)
 		}
-		if img == nil {
-			img = image.New()
-		}
+	}
+	if img == nil {
+		img = image.New()
 	}
 
 	s.gate.RLock()
 	s.stampGated(img)
 	s.gate.RUnlock()
-	for _, t := range tombs {
-		if _, present := img.Get(t.Key); !present {
-			img.Put(t)
-		}
-	}
+	img = withTombstones(img, tombs)
 	img.Version = pubVer
 	return img, nil
 }

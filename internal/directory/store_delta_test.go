@@ -29,10 +29,11 @@ func sameImages(t *testing.T, label string, keyed, full *image.Image) {
 		t.Errorf("%s: image version %d vs %d", label, keyed.Version, full.Version)
 	}
 	if len(keyed.Entries) != len(full.Entries) {
-		t.Errorf("%s: %d entries vs %d (%v vs %v)", label, len(keyed.Entries), len(full.Entries), keyed.Keys(), full.Keys())
+		t.Errorf("%s: %d entries vs %d (%v vs %v)", label, len(keyed.Entries), len(full.Entries), keyed.Entries, full.Entries)
 		return
 	}
-	for k, fe := range full.Entries {
+	for _, fe := range full.Entries {
+		k := fe.Key
 		ke, ok := keyed.Get(k)
 		if !ok {
 			t.Errorf("%s: key %s missing from keyed delta", label, k)
@@ -157,7 +158,7 @@ func TestExtractDeltaEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	if img.Len() != 0 {
-		t.Fatalf("delta at head has %d entries: %v", img.Len(), img.Keys())
+		t.Fatalf("delta at head has %d entries: %v", img.Len(), img.Entries)
 	}
 	if img.Version != head {
 		t.Fatalf("delta version %d, want %d", img.Version, head)

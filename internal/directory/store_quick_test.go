@@ -96,7 +96,8 @@ func TestQuickStoreExtractReflectsCommits(t *testing.T) {
 			}
 		}
 		// Every extracted non-tombstone key is live.
-		for k, e := range img.Entries {
+		for _, e := range img.Entries {
+			k := e.Key
 			if e.Deleted {
 				if _, live := ms.data[k]; live {
 					return false
@@ -136,7 +137,8 @@ func TestQuickDeltaExtractIsSuffix(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for k, e := range full.Entries {
+		for _, e := range full.Entries {
+			k := e.Key
 			_, inDelta := delta.Get(k)
 			if (e.Version > since) != inDelta {
 				return false

@@ -35,7 +35,8 @@ func (s *mapStore) Extract(props property.Set) (*image.Image, error) {
 func (s *mapStore) Merge(img *image.Image, props property.Set) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k, e := range img.Entries {
+	for _, e := range img.Entries {
+		k := e.Key
 		if e.Deleted {
 			delete(s.data, k)
 			continue
@@ -108,7 +109,7 @@ func TestStoreDeltaExtract(t *testing.T) {
 		t.Fatal(err)
 	}
 	if img.Len() != 1 {
-		t.Fatalf("delta should contain only k2, got %v", img.Keys())
+		t.Fatalf("delta should contain only k2, got %v", img.Entries)
 	}
 	if _, ok := img.Get("k2"); !ok {
 		t.Fatal("k2 missing from delta")
@@ -121,9 +122,7 @@ func TestStoreConflictDetection(t *testing.T) {
 	st.Commit("v1", delta("k", "from-v1"), 1)
 	// v2 commits based on version 0 (stale): conflict.
 	d := delta("k", "from-v2")
-	e := d.Entries["k"]
-	e.Version = 0
-	d.Entries["k"] = e
+	d.Entries[0].Version = 0
 	_, conflicts, _, err := st.Commit("v2", d, 1)
 	if err != nil || conflicts != 1 {
 		t.Fatalf("conflicts=%d err=%v", conflicts, err)
@@ -144,9 +143,7 @@ func TestStoreSameWriterNoConflict(t *testing.T) {
 	st.Commit("v1", delta("k", "a"), 1)
 	// Same writer updating again with stale base version: not a conflict.
 	d := delta("k", "a2")
-	e := d.Entries["k"]
-	e.Version = 0
-	d.Entries["k"] = e
+	d.Entries[0].Version = 0
 	_, conflicts, _, err := st.Commit("v1", d, 1)
 	if err != nil || conflicts != 0 {
 		t.Fatalf("conflicts=%d err=%v", conflicts, err)
@@ -158,9 +155,7 @@ func TestStoreFreshBaseNoConflict(t *testing.T) {
 	st.Commit("v1", delta("k", "a"), 1)
 	// v2 based its change on version 1 (current): no conflict.
 	d := delta("k", "b")
-	e := d.Entries["k"]
-	e.Version = 1
-	d.Entries["k"] = e
+	d.Entries[0].Version = 1
 	_, conflicts, _, err := st.Commit("v2", d, 1)
 	if err != nil || conflicts != 0 {
 		t.Fatalf("conflicts=%d err=%v", conflicts, err)
@@ -175,9 +170,7 @@ func TestStoreResolverKeepsOurs(t *testing.T) {
 	})
 	st.Commit("v1", delta("k", "ours"), 1)
 	d := delta("k", "theirs")
-	e := d.Entries["k"]
-	e.Version = 0
-	d.Entries["k"] = e
+	d.Entries[0].Version = 0
 	_, conflicts, _, err := st.Commit("v2", d, 1)
 	if err != nil || conflicts != 1 {
 		t.Fatalf("conflicts=%d err=%v", conflicts, err)
@@ -232,9 +225,7 @@ func TestStoreResolverError(t *testing.T) {
 	})
 	st.Commit("v1", delta("k", "a"), 1)
 	d := delta("k", "b")
-	e := d.Entries["k"]
-	e.Version = 0
-	d.Entries["k"] = e
+	d.Entries[0].Version = 0
 	if _, _, _, err := st.Commit("v2", d, 1); err == nil {
 		t.Fatal("resolver error should propagate")
 	}
@@ -297,9 +288,7 @@ func TestStoreFailedCommitLeavesNoTrace(t *testing.T) {
 			logBefore := st.Log()
 
 			d := delta("k", "b")
-			e := d.Entries["k"]
-			e.Version = tc.arm(st, ms)
-			d.Entries["k"] = e
+			d.Entries[0].Version = tc.arm(st, ms)
 			if _, _, _, err := st.Commit("v2", d, 1); err == nil {
 				t.Fatal("commit should have failed")
 			}
@@ -334,7 +323,8 @@ func TestStoreFailedCommitLeavesNoTrace(t *testing.T) {
 			if full.Version != want {
 				t.Fatalf("extract stamped v%d, want the watermark v%d", full.Version, want)
 			}
-			for k, ent := range full.Entries {
+			for _, ent := range full.Entries {
+				k := ent.Key
 				if ent.Version != 1 || ent.Writer != "v1" {
 					t.Fatalf("key %s stamped v%d by %q after the failed commit", k, ent.Version, ent.Writer)
 				}

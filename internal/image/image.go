@@ -3,19 +3,31 @@
 //
 // Flecc propagates *modified data* rather than operation logs, because
 // views are different layouts of the same component and may not implement
-// each other's methods. An Image is a snapshot: a bag of keyed, versioned,
-// opaque entries. Which shared data it covers is not part of it — the
+// each other's methods. An Image is a snapshot: a version plus keyed,
+// versioned, opaque entries, kept sorted by key with no two entries
+// sharing one. Which shared data it covers is not part of it — the
 // extract or merge call that produces or consumes it is handed the
 // property set (paper §4.1). The application supplies the
 // extract/merge callbacks (Extractor/Merger interfaces); Flecc never
 // interprets entry payloads — it only routes, versions, and (optionally)
 // helps resolve conflicts via the three-way merge helpers here, in the
 // style of Coda and Bayou.
+//
+// Ownership: an image returned by an extract, a decoder or a commit
+// belongs to its receiver, which may change it until it hands it on (in
+// a message, to Merge, as a return value). From then on the image is
+// read-only to everyone: one message image may reach several receivers
+// at once on an in-process network. So a receiver keeps entries it
+// wants without copying them, and a layer that needs different entries
+// builds a new image. An entry's Value is never changed in place once
+// it is in an image.
 package image
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"flecc/internal/property"
 	"flecc/internal/vclock"
@@ -35,11 +47,7 @@ type Entry struct {
 
 // Clone returns a deep copy of the entry.
 func (e Entry) Clone() Entry {
-	if e.Value != nil {
-		v := make([]byte, len(e.Value))
-		copy(v, e.Value)
-		e.Value = v
-	}
+	e.Value = bytes.Clone(e.Value)
 	return e
 }
 
@@ -47,15 +55,7 @@ func (e Entry) Clone() Entry {
 // state (version/writer metadata is ignored — it describes provenance, not
 // content).
 func (e Entry) Equal(o Entry) bool {
-	if e.Key != o.Key || e.Deleted != o.Deleted || len(e.Value) != len(o.Value) {
-		return false
-	}
-	for i := range e.Value {
-		if e.Value[i] != o.Value[i] {
-			return false
-		}
-	}
-	return true
+	return e.Key == o.Key && e.Deleted == o.Deleted && bytes.Equal(e.Value, o.Value)
 }
 
 // Image is a snapshot of shared state. It carries no property set: the
@@ -65,36 +65,58 @@ type Image struct {
 	// view that holds an image with Version v has seen every primary
 	// update numbered ≤ v.
 	Version vclock.Version
-	// Entries is the snapshot content, keyed by entry key.
-	Entries map[string]Entry
+	// Entries is the snapshot content, sorted by key, no key twice.
+	// Code that edits the slice directly keeps that order.
+	Entries []Entry
 }
 
 // New returns an empty image.
-func New() *Image {
-	return &Image{Entries: map[string]Entry{}}
+func New() *Image { return &Image{} }
+
+// Of returns an image of entries, which it sorts by key in place: the one
+// sort a builder that collects entries in arbitrary order (a map walk)
+// needs. The keys must be distinct.
+func Of(v vclock.Version, entries []Entry) *Image {
+	slices.SortFunc(entries, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
+	return &Image{Version: v, Entries: entries}
 }
 
 // Clone returns a deep copy of the image: its version and entries.
 func (im *Image) Clone() *Image {
-	c := &Image{Version: im.Version, Entries: make(map[string]Entry, len(im.Entries))}
-	for k, e := range im.Entries {
-		c.Entries[k] = e.Clone()
+	c := &Image{Version: im.Version, Entries: make([]Entry, len(im.Entries))}
+	for i, e := range im.Entries {
+		c.Entries[i] = e.Clone()
 	}
 	return c
 }
 
-// Put inserts or replaces an entry.
+// find returns the index of key's entry and true, or the index it would
+// be inserted at and false.
+func (im *Image) find(key string) (int, bool) {
+	return slices.BinarySearchFunc(im.Entries, key, func(e Entry, k string) int { return strings.Compare(e.Key, k) })
+}
+
+// Put inserts or replaces an entry. A key that sorts after every entry is
+// appended, so building an image in key order costs no search.
 func (im *Image) Put(e Entry) {
-	if im.Entries == nil {
-		im.Entries = map[string]Entry{}
+	if n := len(im.Entries); n == 0 || im.Entries[n-1].Key < e.Key {
+		im.Entries = append(im.Entries, e)
+		return
 	}
-	im.Entries[e.Key] = e
+	i, ok := im.find(e.Key)
+	if ok {
+		im.Entries[i] = e
+		return
+	}
+	im.Entries = slices.Insert(im.Entries, i, e)
 }
 
 // Get returns the entry for key and whether it exists.
 func (im *Image) Get(key string) (Entry, bool) {
-	e, ok := im.Entries[key]
-	return e, ok
+	if i, ok := im.find(key); ok {
+		return im.Entries[i], true
+	}
+	return Entry{}, false
 }
 
 // Delete records a tombstone for key at the given version.
@@ -105,29 +127,10 @@ func (im *Image) Delete(key string, v vclock.Version, writer string) {
 // Len returns the number of entries (including tombstones).
 func (im *Image) Len() int { return len(im.Entries) }
 
-// Keys returns the sorted entry keys.
-func (im *Image) Keys() []string {
-	keys := make([]string, 0, len(im.Entries))
-	for k := range im.Entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Equal reports whether two images have equal content (entries compared by
 // Entry.Equal; versions ignored).
 func (im *Image) Equal(o *Image) bool {
-	if len(im.Entries) != len(o.Entries) {
-		return false
-	}
-	for k, e := range im.Entries {
-		oe, ok := o.Entries[k]
-		if !ok || !e.Equal(oe) {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(im.Entries, o.Entries, Entry.Equal)
 }
 
 // String summarizes the image for logs.
@@ -171,11 +174,12 @@ type Merger interface {
 // version, so a keyed codec turns a full extract-and-discard into a lookup
 // of just those keys.
 //
-// Contract: the result must contain exactly the requested keys that (a)
-// currently exist in the replica and (b) pass the same property
-// restriction Extract applies; keys that are absent or filtered out are
-// simply omitted. Entry Version/Writer must be left zero, exactly as
-// Extract leaves them — the store stamps provenance from its shadow.
+// Contract: the keys come in any order, and the result must contain
+// exactly the requested keys that (a) currently exist in the replica and
+// (b) pass the same property restriction Extract applies; keys that are
+// absent or filtered out are simply omitted. Entry Version/Writer must be
+// left zero, exactly as Extract leaves them — the store stamps provenance
+// from its shadow.
 // ExtractKeys is called concurrently like Extract (see Merger).
 type KeyedExtractor interface {
 	ExtractKeys(props property.Set, keys []string) (*Image, error)
@@ -212,8 +216,12 @@ type ChangeExtractor interface {
 // Scoper is an optional extension of Merger: a codec that can say whether
 // Merge applies an entry under a property set. The directory store asks
 // the original component before a commit, so an entry outside the
-// writer's registered set is neither merged nor stamped as committed.
-// InScope must agree with Merge and accept every key under the empty set.
+// writer's registered set is neither merged nor stamped as committed, and
+// before a delta pull's keyed extract, so keys another view committed
+// outside the puller's set are never asked for. InScope must agree with
+// Merge and with ExtractKeys' restriction, and accept every key under the
+// empty set. It depends on its arguments alone: the store calls it under
+// its own metadata locks.
 type Scoper interface {
 	InScope(props property.Set, key string) bool
 }

@@ -3,6 +3,7 @@ package image
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -26,8 +27,8 @@ func TestImageBasics(t *testing.T) {
 	if !ok || string(e.Value) != "a" {
 		t.Fatalf("Get = %v, %v", e, ok)
 	}
-	if got := im.Keys(); got[0] != "f/1" || got[1] != "f/2" {
-		t.Fatalf("keys = %v", got)
+	if got := im.Entries; got[0].Key != "f/1" || got[1].Key != "f/2" {
+		t.Fatalf("entries = %v", got)
 	}
 	im.Delete("f/1", 3, "v2")
 	e, _ = im.Get("f/1")
@@ -48,15 +49,76 @@ func TestCloneIndependence(t *testing.T) {
 	im := New()
 	im.Put(entry("k", "orig", 1, ""))
 	c := im.Clone()
-	e := c.Entries["k"]
-	e.Value[0] = 'X'
-	c.Entries["k"] = e
-	if string(im.Entries["k"].Value) != "orig" {
+	c.Entries[0].Value[0] = 'X'
+	if e, _ := im.Get("k"); string(e.Value) != "orig" {
 		t.Fatal("clone shares payload storage")
 	}
 	c.Put(entry("k2", "v", 2, ""))
 	if im.Len() != 1 {
 		t.Fatal("clone shares entry map")
+	}
+}
+
+// Any sequence of Put, Delete and in-place removal leaves the entries
+// sorted with no key twice, and agrees with a map holding the same
+// operations; Get finds exactly the model's keys.
+func TestQuickPutGetDelete(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	f := func() bool {
+		im := New()
+		model := map[string]Entry{}
+		for range 1 + r.Intn(40) {
+			k := fmt.Sprintf("k%02d", r.Intn(16))
+			switch r.Intn(4) {
+			case 0, 1:
+				e := entry(k, fmt.Sprint(r.Intn(5)), vclock.Version(r.Intn(9)), "w")
+				im.Put(e)
+				model[k] = e
+			case 2:
+				im.Delete(k, 7, "d")
+				model[k] = Entry{Key: k, Version: 7, Writer: "d", Deleted: true}
+			default:
+				im.Entries = slices.DeleteFunc(im.Entries, func(e Entry) bool { return e.Key == k })
+				delete(model, k)
+			}
+			if im.Len() != len(model) || !strictlySorted(im.Entries) {
+				return false
+			}
+		}
+		for i := range 16 {
+			k := fmt.Sprintf("k%02d", i)
+			got, ok := im.Get(k)
+			want, wantOK := model[k]
+			if ok != wantOK || ok && (!got.Equal(want) || got.Version != want.Version || got.Writer != want.Writer) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func strictlySorted(es []Entry) bool {
+	for i := 1; i < len(es); i++ {
+		if es[i-1].Key >= es[i].Key {
+			return false
+		}
+	}
+	return true
+}
+
+func TestOfSortsOnce(t *testing.T) {
+	im := Of(3, []Entry{entry("c", "3", 0, ""), entry("a", "1", 0, ""), entry("b", "2", 0, "")})
+	if im.Version != 3 || im.Len() != 3 || im.Entries[0].Key != "a" || im.Entries[1].Key != "b" || im.Entries[2].Key != "c" {
+		t.Fatalf("Of = %v %v", im, im.Entries)
+	}
+	if e, ok := im.Get("b"); !ok || string(e.Value) != "2" {
+		t.Fatalf("Get(b) = %v, %v", e, ok)
+	}
+	if _, ok := im.Get("bb"); ok {
+		t.Fatal("Get of an absent key between two entries found one")
 	}
 }
 
@@ -339,7 +401,8 @@ func TestQuickMergePolicyTheirsAbsorbs(t *testing.T) {
 		if _, err := ThreeWayMerge(base, ours, theirs, MergeOptions{Policy: PolicyTheirs}); err != nil {
 			return false
 		}
-		for k, te := range theirs.Entries {
+		for _, te := range theirs.Entries {
+			k := te.Key
 			oe, ok := ours.Get(k)
 			if !ok {
 				return false

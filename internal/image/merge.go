@@ -2,7 +2,7 @@ package image
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Conflict records a key where two images disagree relative to a common
@@ -82,10 +82,9 @@ func ThreeWayMerge(base, ours, theirs *Image, opt MergeOptions) (MergeResult, er
 		}
 		return base.Get(key)
 	}
-	// Deterministic iteration for reproducible resolver callbacks.
-	keys := theirs.Keys()
-	for _, k := range keys {
-		their := theirs.Entries[k]
+	// Key order, so resolver callbacks are reproducible.
+	for _, their := range theirs.Entries {
+		k := their.Key
 		our, ourOK := ours.Get(k)
 		bent, baseOK := baseGet(k)
 
@@ -150,28 +149,23 @@ func resolve(c Conflict, opt MergeOptions) (Entry, error) {
 // Diff returns the keys whose entries differ between a and b (content
 // comparison), sorted. Either image may be nil (treated as empty).
 func Diff(a, b *Image) []string {
+	if a == nil {
+		a = New()
+	}
+	if b == nil {
+		b = New()
+	}
 	var out []string
-	seen := map[string]bool{}
-	if a != nil {
-		for k, e := range a.Entries {
-			seen[k] = true
-			if b == nil {
-				out = append(out, k)
-				continue
-			}
-			be, ok := b.Get(k)
-			if !ok || !e.Equal(be) {
-				out = append(out, k)
-			}
+	for _, e := range a.Entries {
+		if be, ok := b.Get(e.Key); !ok || !e.Equal(be) {
+			out = append(out, e.Key)
 		}
 	}
-	if b != nil {
-		for k := range b.Entries {
-			if !seen[k] {
-				out = append(out, k)
-			}
+	for _, e := range b.Entries {
+		if _, ok := a.Get(e.Key); !ok {
+			out = append(out, e.Key)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }

@@ -46,21 +46,21 @@ func newKVStore() *kvstore { return &kvstore{data: map[string]string{}} }
 
 // Extract implements image.Extractor.
 func (s *kvstore) Extract(props property.Set) (*image.Image, error) {
-	img := image.New()
+	entries := make([]image.Entry, 0, len(s.data))
 	for k, v := range s.data {
-		img.Put(image.Entry{Key: k, Value: []byte(v)})
+		entries = append(entries, image.Entry{Key: k, Value: []byte(v)})
 	}
-	return img, nil
+	return image.Of(0, entries), nil
 }
 
 // Merge implements image.Merger.
 func (s *kvstore) Merge(img *image.Image, props property.Set) error {
-	for k, e := range img.Entries {
+	for _, e := range img.Entries {
 		if e.Deleted {
-			delete(s.data, k)
+			delete(s.data, e.Key)
 			continue
 		}
-		s.data[k] = string(e.Value)
+		s.data[e.Key] = string(e.Value)
 	}
 	return nil
 }
@@ -676,9 +676,8 @@ func (s *system) fingerprint() string {
 		}
 	}
 	if ext, err := s.dm().ExtractPrimary(s.fullProps()); err == nil {
-		for _, k := range ext.Keys() {
-			e := ext.Entries[k]
-			fmt.Fprintf(&b, "prim %s=%q v%d w=%q del=%t\n", k, e.Value, e.Version, e.Writer, e.Deleted)
+		for _, e := range ext.Entries {
+			fmt.Fprintf(&b, "prim %s=%q v%d w=%q del=%t\n", e.Key, e.Value, e.Version, e.Writer, e.Deleted)
 		}
 	} else {
 		fmt.Fprintf(&b, "prim err=%v\n", err)
@@ -700,9 +699,8 @@ func (s *system) fingerprint() string {
 			fmt.Fprintf(&b, " data %s=%q\n", k, v.data.data[k])
 		}
 		if base := v.cm.Base(); base != nil {
-			for _, k := range base.Keys() {
-				e := base.Entries[k]
-				fmt.Fprintf(&b, " base %s=%q v%d w=%q del=%t\n", k, e.Value, e.Version, e.Writer, e.Deleted)
+			for _, e := range base.Entries {
+				fmt.Fprintf(&b, " base %s=%q v%d w=%q del=%t\n", e.Key, e.Value, e.Version, e.Writer, e.Deleted)
 			}
 		}
 	}

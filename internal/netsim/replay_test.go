@@ -29,7 +29,8 @@ func (c *mapCodec) Extract(props property.Set) (*image.Image, error) {
 }
 
 func (c *mapCodec) Merge(img *image.Image, props property.Set) error {
-	for k, e := range img.Entries {
+	for _, e := range img.Entries {
+		k := e.Key
 		if e.Deleted {
 			delete(c.data, k)
 			continue

@@ -90,33 +90,35 @@ func (p *Peer) refreshLocked() (*image.Image, error) {
 	if cur == nil {
 		cur = image.New()
 	}
-	for k, e := range cur.Entries {
-		be, ok := p.base.Get(k)
+	for _, e := range cur.Entries {
+		be, ok := p.base.Get(e.Key)
 		if ok && e.Equal(be) {
 			continue
 		}
-		m := p.meta[k]
-		if m.vv == nil {
-			m.vv = vclock.NewVector()
-		}
-		m.vv.Tick(p.name)
-		p.meta[k] = m
+		p.tickLocked(e.Key)
 	}
 	// Deletions.
-	for k, be := range p.base.Entries {
-		if _, ok := cur.Get(k); ok || be.Deleted {
+	for _, be := range p.base.Entries {
+		if _, ok := cur.Get(be.Key); ok || be.Deleted {
 			continue
 		}
-		m := p.meta[k]
-		if m.vv == nil {
-			m.vv = vclock.NewVector()
-		}
-		m.vv.Tick(p.name)
-		p.meta[k] = m
-		cur.Put(image.Entry{Key: k, Deleted: true})
+		p.tickLocked(be.Key)
+		cur.Put(image.Entry{Key: be.Key, Deleted: true})
 	}
-	p.base = cur.Clone()
+	// Callers only read cur, so base takes it over without a copy.
+	p.base = cur
 	return cur, nil
+}
+
+// tickLocked ticks this peer's component of key's vector. Caller holds
+// mu.
+func (p *Peer) tickLocked(k string) {
+	m := p.meta[k]
+	if m.vv == nil {
+		m.vv = vclock.NewVector()
+	}
+	m.vv.Tick(p.name)
+	p.meta[k] = m
 }
 
 // snapshotLocked encodes the peer's current entries plus their vector
@@ -128,11 +130,10 @@ func (p *Peer) snapshotLocked() (*image.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := image.New()
-	for k, e := range cur.Entries {
-		ent := e.Clone()
-		ent.Writer = renderVV(p.meta[k].vv)
-		out.Put(ent)
+	out := &image.Image{Entries: make([]image.Entry, len(cur.Entries))}
+	for i, e := range cur.Entries {
+		e.Writer = renderVV(p.meta[e.Key].vv)
+		out.Entries[i] = e
 	}
 	return out, nil
 }
@@ -183,7 +184,8 @@ func (p *Peer) handle(req *wire.Message) *wire.Message {
 // causality. Caller holds mu.
 func (p *Peer) mergeRemoteLocked(remote *image.Image) error {
 	apply := image.New()
-	for k, re := range remote.Entries {
+	for _, re := range remote.Entries {
+		k := re.Key
 		rvv := parseVV(re.Writer)
 		local := p.meta[k]
 		switch {
@@ -219,7 +221,7 @@ func (p *Peer) mergeRemoteLocked(remote *image.Image) error {
 			return err
 		}
 		for _, e := range apply.Entries {
-			p.base.Put(e.Clone())
+			p.base.Put(e)
 		}
 	}
 	return nil
@@ -228,9 +230,8 @@ func (p *Peer) mergeRemoteLocked(remote *image.Image) error {
 // adoptLocked stages a remote entry for application and records its
 // vector.
 func (p *Peer) adoptLocked(apply *image.Image, k string, re image.Entry, vv vclock.Vector) {
-	ent := re.Clone()
-	ent.Writer = "" // strip the metadata rendering before handing to the app
-	apply.Put(ent)
+	re.Writer = "" // strip the metadata rendering before handing to the app
+	apply.Put(re)
 	p.meta[k] = entryMeta{vv: vv.Clone()}
 }
 
@@ -243,7 +244,7 @@ func (p *Peer) resolveLocked(k string, re image.Entry) (remoteWins bool, err err
 		ours = be
 	}
 	if p.resolver != nil {
-		theirs := re.Clone()
+		theirs := re
 		theirs.Writer = ""
 		w, err := p.resolver(image.Conflict{Key: k, Ours: ours, Theirs: theirs})
 		if err != nil {

@@ -50,7 +50,8 @@ func (v *kv) Extract(props property.Set) (*image.Image, error) {
 func (v *kv) Merge(img *image.Image, props property.Set) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for k, e := range img.Entries {
+	for _, e := range img.Entries {
+		k := e.Key
 		if e.Deleted {
 			delete(v.data, k)
 			continue

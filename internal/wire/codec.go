@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sync"
 
 	"flecc/internal/image"
@@ -59,8 +58,7 @@ const (
 // on the wire (the directory manager's replication batches and snapshots)
 // build them from the same primitives, so there is one binary dialect.
 type Encoder struct {
-	buf  []byte
-	keys []string // ImageEntries' sort scratch, cleared after each image
+	buf []byte
 }
 
 // encoders pools encode scratch buffers: the hot path (every Call on every
@@ -368,37 +366,17 @@ func (e *Encoder) body(m *Message) {
 	}
 }
 
-// maxPooledKeys caps the key scratch an encoder keeps between images.
-const maxPooledKeys = 4096
-
-// ImageEntries appends an image's version and entries in key order: the
-// whole of an image, on a message or in a replication batch. The keys are
-// sorted in the encoder's scratch, which is cleared afterwards so that a
-// pooled encoder pins no key strings.
+// ImageEntries appends an image's version and entries, in the image's key
+// order: the whole of an image, on a message or in a replication batch.
 func (e *Encoder) ImageEntries(im *image.Image) {
 	e.Uvarint(uint64(im.Version))
 	e.Count(im.Len())
-	keys := e.keys[:0]
-	if cap(keys) < im.Len() {
-		keys = make([]string, 0, im.Len())
-	}
-	for k := range im.Entries {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		ent := im.Entries[k]
+	for _, ent := range im.Entries {
 		e.Str(ent.Key)
 		e.Bytes(ent.Value)
 		e.Uvarint(uint64(ent.Version))
 		e.Str(ent.Writer)
 		e.Bool(ent.Deleted)
-	}
-	clear(keys)
-	if cap(keys) <= maxPooledKeys {
-		e.keys = keys[:0]
-	} else {
-		e.keys = nil
 	}
 }
 
@@ -509,10 +487,15 @@ func decode(b []byte, names nameTable) (*Message, error) {
 // length-prefixed fields, a one-byte version and the tombstone flag.
 const imageEntryMin = 5
 
-// ImageEntries reads what Encoder.ImageEntries wrote into im.
+// ImageEntries reads what Encoder.ImageEntries wrote into im. The keys
+// must strictly increase: an unsorted or repeated key fails the decode
+// instead of yielding an image that is not one.
 func (d *Decoder) ImageEntries(im *image.Image) error {
 	im.Version = vclock.Version(d.Uvarint())
 	n := d.Count(imageEntryMin)
+	if n > 0 {
+		im.Entries = make([]image.Entry, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		var ent image.Entry
 		ent.Key = d.Str()
@@ -523,7 +506,11 @@ func (d *Decoder) ImageEntries(im *image.Image) error {
 		if d.err != nil {
 			break
 		}
-		im.Put(ent)
+		if i > 0 && ent.Key <= im.Entries[i-1].Key {
+			d.Fail(fmt.Errorf("wire: image key %q not after %q", ent.Key, im.Entries[i-1].Key))
+			break
+		}
+		im.Entries = append(im.Entries, ent)
 	}
 	return d.err
 }

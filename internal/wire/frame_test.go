@@ -240,9 +240,8 @@ func TestFrameReaderNoAliasing(t *testing.T) {
 	renamed := func(name string) *Message {
 		m := allocTestMessage(10)
 		m.From, m.View = name, name
-		for k, e := range m.Img.Entries {
-			e.Writer = name
-			m.Img.Entries[k] = e
+		for i := range m.Img.Entries {
+			m.Img.Entries[i].Writer = name
 		}
 		return m
 	}

@@ -70,11 +70,16 @@ func seedCorpus() [][]byte {
 		append(bytes.Clone(full), 0xFF), // trailing garbage
 		bytes.Repeat([]byte{codecVersion}, 64),
 	)
+	// Image keys that repeat or run backwards: refused.
+	for _, frame := range unsortedImageFrames() {
+		seeds = append(seeds, frame)
+	}
 	return seeds
 }
 
-// FuzzDecode asserts Decode never panics on arbitrary input, that any
-// input it accepts re-encodes and re-decodes stably (decode∘encode is an
+// FuzzDecode asserts Decode never panics on arbitrary input, that an
+// image it accepts has strictly increasing keys, that any input it
+// accepts re-encodes and re-decodes stably (decode∘encode is an
 // identity on the decoded form), and that a FrameReader — which interns
 // node names through its name table — decodes it to the same message, the
 // second time (names now in the table) as well as the first.
@@ -89,6 +94,13 @@ func FuzzDecode(f *testing.F) {
 		}
 		if m.Pre != nil {
 			t.Fatal("Decode must leave Pre nil: it is transport metadata")
+		}
+		if m.Img != nil {
+			for i := 1; i < m.Img.Len(); i++ {
+				if m.Img.Entries[i-1].Key >= m.Img.Entries[i].Key {
+					t.Fatalf("accepted an image whose keys do not strictly increase: %q then %q", m.Img.Entries[i-1].Key, m.Img.Entries[i].Key)
+				}
+			}
 		}
 		b := Encode(m)
 		m2, err := Decode(b)

@@ -61,8 +61,8 @@ func messagesEqual(a, b *Message) bool {
 			return false
 		}
 		// Entry metadata must survive too.
-		for k, e := range a.Img.Entries {
-			oe := b.Img.Entries[k]
+		for i, e := range a.Img.Entries {
+			oe := b.Img.Entries[i]
 			if e.Version != oe.Version || e.Writer != oe.Writer {
 				return false
 			}
@@ -428,9 +428,40 @@ func TestDecodeFuzzNoPanic(t *testing.T) {
 	}
 }
 
+// unsortedImageFrames returns push frames whose image keys repeat or run
+// backwards, built by renaming a key in a valid frame ("k2" → "k1", "k1" →
+// "k3"), as no Image can hold them.
+func unsortedImageFrames() map[string][]byte {
+	img := image.New()
+	img.Put(image.Entry{Key: "k1", Value: []byte("x")})
+	img.Put(image.Entry{Key: "k2", Value: []byte("y")})
+	good := Encode(&Message{Type: TPush, Img: img})
+	return map[string][]byte{
+		"repeated":  bytes.Replace(good, []byte("k2"), []byte("k1"), 1),
+		"backwards": bytes.Replace(good, []byte("k1"), []byte("k3"), 1),
+	}
+}
+
+// TestDecodeRejectsUnsortedImage: an image's keys travel in strictly
+// increasing order. A frame whose keys repeat or run backwards is refused,
+// instead of decoding to fewer entries than it declares (a repeat) or to
+// an image that is not sorted. Messages, replication batches and
+// snapshots all read images through Decoder.ImageEntries.
+func TestDecodeRejectsUnsortedImage(t *testing.T) {
+	for name, frame := range unsortedImageFrames() {
+		m, err := Decode(frame)
+		if err == nil {
+			t.Fatalf("%s keys: decoded to %v, want a refusal", name, m.Img.Entries)
+		}
+		if !strings.Contains(err.Error(), "not after") {
+			t.Errorf("%s keys: error %q does not name the key order", name, err)
+		}
+	}
+}
+
 func TestEntryMetadataOrderIndependent(t *testing.T) {
-	// Encoding sorts entries by key, so logically equal images encode
-	// identically regardless of insertion order.
+	// An image keeps its entries in key order, so logically equal images
+	// encode identically regardless of insertion order.
 	a := image.New()
 	a.Put(image.Entry{Key: "b", Value: []byte("2")})
 	a.Put(image.Entry{Key: "a", Value: []byte("1")})
