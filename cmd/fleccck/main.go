@@ -1,7 +1,7 @@
 // Command fleccck model-checks the Flecc protocol under reconfiguration:
 // it exhaustively explores every interleaving of protocol steps (write,
 // push, pull) with reconfigurations (mode switch, property change, view
-// crash/revive, directory migration) at small bounds, checking safety
+// crash/revive, directory failover) at small bounds, checking safety
 // invariants after every transition and rendering the first violation as
 // an action schedule plus a Figure-2 message-flow diagram.
 //
@@ -37,7 +37,6 @@ func main() {
 		writes    = flag.Int("writes", def.WritesPerView, "writes per view per schedule")
 		validity  = flag.String("validity", def.Validity, "validity trigger registered by every view")
 		propagate = flag.Bool("propagate", false, "use push-based update propagation")
-		migrate   = flag.Bool("migrate", def.Migrate, "enable the dm!a → dm!b migration reconfiguration")
 		failover  = flag.Bool("failover", def.Failover, "enable hot-standby replication with crash-primary/promote-standby")
 		crash     = flag.Bool("crash", def.Crash, "enable crash/revive reconfigurations")
 		modes     = flag.Bool("modes", def.SetModes, "enable mode-switch reconfigurations")
@@ -57,7 +56,6 @@ func main() {
 		WritesPerView:   *writes,
 		Validity:        *validity,
 		PropagateOnPush: *propagate,
-		Migrate:         *migrate,
 		Failover:        *failover,
 		Crash:           *crash,
 		SetModes:        *modes,

@@ -27,8 +27,8 @@ import (
 //     invalidation may itself be waiting to push; holding a lane across
 //     the round would deadlock the pair.
 //   - Anything that can change the conflict structure — register,
-//     unregister, set-props, revival, static-map seeding, migration
-//     handover — takes the gate exclusively, draining every in-flight
+//     unregister, set-props, revival, static-map seeding, a replicated
+//     registration record — takes the gate exclusively, draining every in-flight
 //     commit before the structure moves. Commits started after the change
 //     see the bumped registry epoch and rebuild the map. Evictions
 //     (SetLost true) only remove conflict edges, so in-flight commits

@@ -46,10 +46,8 @@ type Options struct {
 	// re-register/re-pull.
 	Snapshot *Snapshot
 	// Standby starts the manager gating client traffic: it absorbs
-	// replication batches (and migration handovers) but refuses CM
-	// requests until promoted (replicate.go). Deployments run hot
-	// standbys with this set; the shard router's serving replicas leave
-	// it unset.
+	// replication batches but refuses every other request until promoted
+	// (replicate.go). Deployments run hot standbys with this set.
 	Standby bool
 	// Retry bounds the retry-with-backoff the manager applies to its own
 	// outbound calls (invalidate, fetch, update) before declaring the
@@ -275,10 +273,10 @@ func (m *Manager) handle(req *wire.Message) *wire.Message {
 	// A message from a lost view proves its cache manager is alive again
 	// (the eviction was a false positive, or the CM reconnected without
 	// needing to re-register): clear the tombstone so the view rejoins
-	// conflict accounting. Register has its own revival path; routed,
-	// migration, and replication envelopes are not CM-originated.
+	// conflict accounting. Register has its own revival path; routed and
+	// replication envelopes are not CM-originated.
 	switch req.Type {
-	case wire.TRegister, wire.TRouted, wire.TMigrateTake, wire.TMigrateApply, wire.TReplicate:
+	case wire.TRegister, wire.TRouted, wire.TReplicate:
 	default:
 		if vs, ok := m.viewState(req.From); ok && vs.phaseOf() == PhaseLost {
 			// Revival adds conflict edges back; it drains the execution
@@ -303,15 +301,27 @@ func (m *Manager) handle(req *wire.Message) *wire.Message {
 		return m.handleSetProps(req)
 	case wire.TRouted:
 		return m.handleRouted(req)
-	case wire.TMigrateTake:
-		return m.handleMigrateTake(req)
-	case wire.TMigrateApply:
-		return m.handleMigrateApply(req)
 	case wire.TReplicate:
 		return m.handleReplicate(req)
 	default:
 		return errf("directory %s: unexpected message %s", m.name, req.Type)
 	}
+}
+
+// handleRouted unwraps a router→shard envelope and dispatches the inner
+// message as if the originating view had called directly.
+func (m *Manager) handleRouted(req *wire.Message) *wire.Message {
+	inner, err := wire.Decode(req.Blob)
+	if err != nil {
+		return errf("directory %s: bad routed payload: %v", m.name, err)
+	}
+	if inner.Type == wire.TRouted {
+		return errf("directory %s: refusing nested %s inside routed envelope", m.name, inner.Type)
+	}
+	if req.View != "" {
+		inner.From = req.View
+	}
+	return m.handle(inner)
 }
 
 func errf(format string, args ...any) *wire.Message {

@@ -127,6 +127,42 @@ func TestUnexpectedMessageRejected(t *testing.T) {
 	}
 }
 
+// TestStrangerMigrationRefused: the two type numbers live shard
+// migration used (16 took a manager's views, 17 installed them) are
+// reserved, and no directory manager serves them. Any peer can send
+// them, so a manager that did would let a stranger unregister every view
+// and seed a standby with views of its own.
+func TestStrangerMigrationRefused(t *testing.T) {
+	dm, net, clock, _ := newDM(t)
+	newCM(t, net, clock, "v1")
+	newCM(t, net, clock, "v2")
+	sb, err := directory.New("dm!r", newKV(), clock, net, directory.Options{Standby: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	stranger, err := net.Attach("stranger", func(req *wire.Message) *wire.Message { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := directory.EncodeSnapshot(dm.CaptureSince(0))
+
+	take, _ := stranger.Call("dm", &wire.Message{Type: wire.Type(16)})
+	if take == nil || take.Type != wire.TErr {
+		t.Errorf("type 16 to the primary: reply %v, want an error", take)
+	}
+	if n := len(dm.Views()); n != 2 {
+		t.Errorf("primary holds %d views after type 16, want 2", n)
+	}
+	apply, _ := stranger.Call("dm!r", &wire.Message{Type: wire.Type(17), Blob: blob})
+	if apply == nil || apply.Type != wire.TErr {
+		t.Errorf("type 17 to the standby: reply %v, want an error", apply)
+	}
+	if n := len(sb.Views()); n != 0 {
+		t.Errorf("standby holds %d views after type 17, want 0", n)
+	}
+}
+
 func TestRegisterWithExplicitViewName(t *testing.T) {
 	dm, net, _, _ := newDM(t)
 	ep, err := net.Attach("node-7", func(req *wire.Message) *wire.Message { return nil })

@@ -23,7 +23,7 @@ const (
 	// but the view is out of the conflict index and the log-compaction
 	// floor until a message from it revives it.
 	PhaseLost
-	// PhaseGone: unregistered or handed over; the record is off the books.
+	// PhaseGone: unregistered; the record is off the books.
 	// The replication journal may still hold it and ships its removal.
 	PhaseGone
 	nPhases
@@ -45,11 +45,11 @@ const (
 	evReRegister               // its holder registers again with the same props
 	evClaim                    // a new holder takes a lost view's name
 	evRevived                  // a message arrived from it while lost
-	evDrop                     // unregistered, or handed over
+	evDrop                     // unregistered, or removed by a replication record
 	evServe                    // an init or pull is answered
 	evInvalidated              // it surrendered its image to a pull
 	evEvicted                  // a directory-initiated call found it unreachable
-	// A replication or migration record carrying phase p is installed or
+	// A replication or checkpoint record carrying phase p is installed or
 	// touched: event evRecordInactive + p.
 	evRecordInactive
 	evRecordActive
@@ -110,7 +110,7 @@ func (vs *viewState) phaseOf() Phase {
 	return vs.phase
 }
 
-// applyTouch installs a replication or migration record's touch part on
+// applyTouch installs a replication or checkpoint record's touch part on
 // vs. Leaving lost takes the structural gate, like a revival.
 func (m *Manager) applyTouch(vs *viewState, t ViewTouch) {
 	vs.mu.Lock()

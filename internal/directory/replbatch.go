@@ -127,8 +127,8 @@ func decodeTouch(d *wire.Decoder) ViewTouch {
 	return t
 }
 
-// encodeNames writes a name list: its count, then each name. Batches'
-// removal records and TMigrateTake's view list share it.
+// encodeNames writes a name list, a batch's removal records: its count,
+// then each name.
 func encodeNames(e *wire.Encoder, names []string) {
 	e.Count(len(names))
 	for _, n := range names {

@@ -10,6 +10,7 @@ import (
 	"flecc/internal/metrics"
 	"flecc/internal/property"
 	"flecc/internal/transport"
+	"flecc/internal/trigger"
 	"flecc/internal/vclock"
 	"flecc/internal/wire"
 )
@@ -234,11 +235,6 @@ func (m *Manager) haGate(req *wire.Message) *wire.Message {
 	if !standby {
 		return nil
 	}
-	switch req.Type {
-	case wire.TMigrateTake, wire.TMigrateApply:
-		// Shard migration is coordinator traffic, not client traffic.
-		return nil
-	}
 	return errf("directory %s: %s (standby awaiting promotion)", m.name, wire.NotServingMark)
 }
 
@@ -250,8 +246,9 @@ func (m *Manager) haGate(req *wire.Message) *wire.Message {
 // View records add, refresh and remove the views they name. Full view
 // state (ViewSince 0) additionally drops every view this manager learned
 // from replication that the batch no longer lists — unregistered while
-// the standby was unreachable. Views the standby holds on its own (a
-// serving replica that absorbed a migration) are never touched.
+// the standby was unreachable. Views the manager holds on its own (restored
+// from a checkpoint, or registered while it was a primary, before a
+// higher-epoch stream re-integrated it as a standby) are never touched.
 func (m *Manager) handleReplicate(req *wire.Message) *wire.Message {
 	b, err := DecodeReplBatch(req.Blob)
 	if err != nil {
@@ -350,9 +347,57 @@ func (m *Manager) applyViewRecords(b *ReplBatch) error {
 	return nil
 }
 
+// installView registers one carried view with its previous mode, seen
+// version, and triggers, or refreshes it in place when it is already on
+// the books: the registry is touched — under the structural gate — only
+// for a new name or a changed property set, and an unchanged validity
+// trigger is not recompiled. Shared by checkpoint restore and
+// hot-standby replication's registration records (which set replicated;
+// a restore makes the view this manager's own).
+func (m *Manager) installView(hv ViewRecord, replicated bool) error {
+	vs, known := m.viewState(hv.Name)
+	var val trigger.Trigger
+	if known {
+		vs.mu.Lock()
+		val = vs.validity
+		vs.mu.Unlock()
+	}
+	if val.Source() != hv.Validity {
+		var err error
+		if val, err = trigger.Compile(hv.Validity); err != nil {
+			return fmt.Errorf("directory %s: validity trigger for %s: %v", m.name, hv.Name, err)
+		}
+	}
+	if prev, ok := m.reg.Props(hv.Name); !ok || !known || !prev.Equal(hv.Props) {
+		var err error
+		m.structuralDo(func() {
+			if !ok {
+				err = m.reg.Register(hv.Name, hv.Props)
+			} else if !prev.Equal(hv.Props) {
+				err = m.reg.SetProps(hv.Name, hv.Props)
+			}
+			if err == nil && !known {
+				vs = &viewState{name: hv.Name}
+				m.vmu.Lock()
+				m.views[hv.Name] = vs
+				m.vmu.Unlock()
+			}
+		})
+		if err != nil {
+			return fmt.Errorf("directory %s: absorb %s: %w", m.name, hv.Name, err)
+		}
+	}
+	vs.mu.Lock()
+	vs.validity, vs.replicated = val, replicated
+	vs.mu.Unlock()
+	m.applyTouch(vs, hv.ViewTouch)
+	m.viewChanged(vs, true)
+	return nil
+}
+
 // captureViews snapshots every view's registration record, sorted by
 // name so encodings are deterministic.
-func (m *Manager) captureViews() []HandoverView {
+func (m *Manager) captureViews() []ViewRecord {
 	m.vmu.RLock()
 	states := make([]*viewState, 0, len(m.views))
 	for _, vs := range m.views {
@@ -360,7 +405,7 @@ func (m *Manager) captureViews() []HandoverView {
 	}
 	m.vmu.RUnlock()
 	sort.Slice(states, func(i, j int) bool { return states[i].name < states[j].name })
-	recs := make([]HandoverView, 0, len(states))
+	recs := make([]ViewRecord, 0, len(states))
 	var dropped ReplBatch // a view unregistered since the map read ships nothing
 	for _, vs := range states {
 		recs = m.captureView(&dropped, recs, vs, true)
@@ -380,7 +425,7 @@ func (m *Manager) CaptureSince(since vclock.Version) *Snapshot {
 
 // unlistedReplicated returns the views known only from replication that
 // a full-view-state batch's registration records do not list.
-func (m *Manager) unlistedReplicated(listed []HandoverView) []string {
+func (m *Manager) unlistedReplicated(listed []ViewRecord) []string {
 	keep := make(map[string]bool, len(listed))
 	for _, hv := range listed {
 		keep[hv.Name] = true

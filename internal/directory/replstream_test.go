@@ -229,7 +229,7 @@ func TestReplicationFullStatePrunesOnlyReplicatedViews(t *testing.T) {
 	props := property.MustSet("P={0..3}")
 	r.mustSend("v1", &wire.Message{Type: wire.TRegister, Props: props})
 	r.mustSend("v2", &wire.Message{Type: wire.TRegister, Props: props})
-	if err := r.sb.installView(HandoverView{ViewTouch: ViewTouch{Name: "own"}, Props: props}, false); err != nil {
+	if err := r.sb.installView(ViewRecord{ViewTouch: ViewTouch{Name: "own"}, Props: props}, false); err != nil {
 		t.Fatal(err)
 	}
 	// v2 is unregistered while the standby hears nothing, then the stream
@@ -546,7 +546,7 @@ func sampleBatch() *ReplBatch {
 				{Version: 8, Writer: "v2", Props: property.MustSet("Flights={100..102}"), Ops: 1, At: 12},
 				{Version: 9, Writer: "v1", Props: property.MustSet("Seats=[0,400]; Flights={100}"), Ops: 3, At: 15},
 			},
-			Views: []HandoverView{{
+			Views: []ViewRecord{{
 				ViewTouch: ViewTouch{Name: "v3", Mode: wire.Strong, Op: wire.OpRead, Seen: 9, Phase: PhaseActive},
 				Props:     property.MustSet("Flights={100..102}"), Validity: "staleness < 3",
 			}},

@@ -3,6 +3,7 @@ package directory
 import (
 	"fmt"
 
+	"flecc/internal/property"
 	"flecc/internal/vclock"
 	"flecc/internal/wire"
 )
@@ -25,11 +26,20 @@ type ShadowRec struct {
 	Deleted bool
 }
 
+// ViewRecord is the per-view protocol state a checkpoint or replication
+// batch carries: the view's record (its touch part: name, mode, op
+// class, seen, phase), its property set and its validity-trigger source
+// text.
+type ViewRecord struct {
+	ViewTouch
+	Props    property.Set
+	Validity string
+}
+
 // Snapshot is the one form a directory manager's state takes when it
-// leaves the process: a checkpoint file, a live-migration handover
-// (TakeHandover) and a replication batch's data (ReplBatch.Snap) are all
-// Snapshots, captured by Store.SnapshotSince or Manager.CaptureSince and
-// written by the same section encoder.
+// leaves the process: a checkpoint file and a replication batch's data
+// (ReplBatch.Snap) are both Snapshots, captured by Store.SnapshotSince
+// or Manager.CaptureSince and written by the same section encoder.
 type Snapshot struct {
 	// Version is the last issued primary version.
 	Version vclock.Version
@@ -38,16 +48,16 @@ type Snapshot struct {
 	// Log is the update log (quality accounting).
 	Log []UpdateRec
 	// Views carries per-view registration state (modes, seen versions,
-	// validity triggers): every view for Manager.CaptureSince, the moved
-	// views for TakeHandover, the changed views for a replication batch.
+	// validity triggers): every view for Manager.CaptureSince, the changed
+	// views for a replication batch.
 	// A standby that restores it takes over without forcing every CM
 	// through re-register/re-pull. Store.SnapshotSince leaves it nil.
-	Views []HandoverView
+	Views []ViewRecord
 }
 
 // check enforces what a store needs of any snapshot it restores or
-// absorbs — checkpoints come from disk and handovers and batches from a
-// peer: every shadow version lies in 1..Version, and the log is strictly
+// absorbs — checkpoints come from disk and batches from a peer: every
+// shadow version lies in 1..Version, and the log is strictly
 // version-ordered and bounded by Version. Without it the counter could
 // land below versions the store already holds and the next commit would
 // reissue one.
@@ -98,6 +108,103 @@ func (s *Store) Restore(snap *Snapshot) error {
 	return nil
 }
 
+// Absorb merges a snapshot into a live store, in contrast to Restore which
+// replaces. Shadow entries keep the newer version per key, the
+// version-ordered logs are merged with the existing entry winning on a
+// version tie (so a resent replication batch does not duplicate
+// records), and the counter only fast-forwards — it never goes back, so
+// a standby never issues a version it already absorbed.
+//
+// A snapshot that strictly extends the local log with version-ordered
+// shadow records — every batch of a healthy replication stream — is
+// appended in place: the log grows by the tail and the dirty index by
+// exactly the absorbed keys. Anything else (a resend overlapping what
+// already landed) takes the general merge and rebuilds the index.
+//
+// A snapshot that fails check is refused before anything is locked or
+// changed.
+func (s *Store) Absorb(snap *Snapshot) error {
+	if snap == nil {
+		return fmt.Errorf("directory: nil snapshot")
+	}
+	if err := snap.check(); err != nil {
+		return err
+	}
+	s.lockStore()
+	defer s.unlockStore()
+	if s.extendedByLocked(snap) {
+		for _, r := range snap.Shadow {
+			st := s.stripeFor(r.Key)
+			cur, existed := st.shadow[r.Key]
+			if existed && cur.version >= r.Version {
+				continue
+			}
+			if existed {
+				st.stale++
+			}
+			st.shadow[r.Key] = shadowEntry{version: r.Version, writer: r.Writer, deleted: r.Deleted}
+			st.insertDirty(dirtyRec{version: r.Version, key: r.Key})
+			if st.stale > len(st.shadow)+16 {
+				st.rebuild()
+			}
+		}
+		s.log = append(s.log, snap.Log...)
+	} else {
+		s.mergeLocked(snap)
+	}
+	s.counter.AdvanceTo(snap.Version)
+	return nil
+}
+
+// extendedByLocked reports whether snap qualifies for Absorb's append
+// path: its log starts after the local log ends, and its shadow records
+// arrive in version order (so each dirty-index insert lands at or near
+// the tail instead of shifting the index).
+func (s *Store) extendedByLocked(snap *Snapshot) bool {
+	if len(snap.Log) > 0 && len(s.log) > 0 && snap.Log[0].Version <= s.log[len(s.log)-1].Version {
+		return false
+	}
+	for i := 1; i < len(snap.Shadow); i++ {
+		if snap.Shadow[i].Version < snap.Shadow[i-1].Version {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeLocked is Absorb's general path: per-key newer-wins over the
+// shadow, a two-way merge of the logs, and a full dirty-index rebuild.
+func (s *Store) mergeLocked(snap *Snapshot) {
+	for _, r := range snap.Shadow {
+		st := s.stripeFor(r.Key)
+		if cur, ok := st.shadow[r.Key]; !ok || cur.version < r.Version {
+			st.shadow[r.Key] = shadowEntry{version: r.Version, writer: r.Writer, deleted: r.Deleted}
+		}
+	}
+	merged := make([]UpdateRec, 0, len(s.log)+len(snap.Log))
+	i, j := 0, 0
+	for i < len(s.log) && j < len(snap.Log) {
+		switch {
+		case s.log[i].Version == snap.Log[j].Version:
+			merged = append(merged, s.log[i])
+			i++
+			j++
+		case s.log[i].Version < snap.Log[j].Version:
+			merged = append(merged, s.log[i])
+			i++
+		default:
+			merged = append(merged, snap.Log[j])
+			j++
+		}
+	}
+	merged = append(merged, s.log[i:]...)
+	merged = append(merged, snap.Log[j:]...)
+	s.log = merged
+	for _, st := range s.stripes {
+		st.rebuild()
+	}
+}
+
 // snapFormat is the first byte of an encoded snapshot; bump it on an
 // incompatible change. (Version 2 replaced the gob encoding; version 3
 // made counts, lengths and versions uvarints; version 4 carries each
@@ -105,9 +212,9 @@ func (s *Store) Restore(snap *Snapshot) error {
 // read: such a checkpoint fails to decode and fleccd starts cold.)
 const snapFormat = 4
 
-// EncodeSnapshot serializes a snapshot — a checkpoint file or a
-// migration handover — as its format byte, its version, and the sections
-// a replication batch carries.
+// EncodeSnapshot serializes a snapshot — a checkpoint file — as its
+// format byte, its version, and the sections a replication batch
+// carries.
 func EncodeSnapshot(snap *Snapshot) []byte {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
@@ -120,8 +227,7 @@ func EncodeSnapshot(snap *Snapshot) []byte {
 // DecodeSnapshot parses EncodeSnapshot's output. Like DecodeReplBatch it
 // is total on hostile input and refuses trailing bytes. It also refuses a
 // snapshot that fails check, so a bad checkpoint is a decode failure —
-// fleccd's loud cold start, not a boot failure — and a bad handover fails
-// TMigrateApply, which aborts the migration.
+// fleccd's loud cold start, not a boot failure.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	d := wire.NewDecoder(data)
 	if v := d.U8(); d.Err() == nil && v != snapFormat {
@@ -209,9 +315,9 @@ func decodeSnapSections(d *wire.Decoder, snap *Snapshot) {
 		}
 	}
 	if n := d.Count(minRegRec); n > 0 {
-		snap.Views = make([]HandoverView, n)
+		snap.Views = make([]ViewRecord, n)
 		for i := range snap.Views {
-			snap.Views[i] = HandoverView{ViewTouch: decodeTouch(d), Props: d.PropSet(), Validity: d.Str()}
+			snap.Views[i] = ViewRecord{ViewTouch: decodeTouch(d), Props: d.PropSet(), Validity: d.Str()}
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // committers while snapshots are taken continuously. Every snapshot must
 // be internally consistent — a torn capture (shadow or log entries newer
 // than the captured counter, or an unsorted log) would poison both
-// fail-over restores and live shard migrations.
+// fail-over restores and replication batches.
 func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 	st := NewStore(newMapStore(), vclock.NewSim())
 
@@ -149,8 +149,9 @@ func TestStoreSetResolverDuringCommits(t *testing.T) {
 	}
 }
 
-// TestStoreAbsorbMergeSemantics pins down the migration-side merge: the
-// newer shadow version wins per key, logs interleave by version with the
+// TestStoreAbsorbMergeSemantics pins down Absorb's general merge, the
+// path a batch overlapping what already landed takes: the newer shadow
+// version wins per key, logs interleave by version with the
 // existing entry winning a version tie, and the counter only ever moves
 // forward.
 func TestStoreAbsorbMergeSemantics(t *testing.T) {
@@ -199,9 +200,8 @@ func TestStoreAbsorbMergeSemantics(t *testing.T) {
 		t.Fatalf("merged log has %d entries, want 2", len(snap.Log))
 	}
 	// Absorbing the same snapshot again must not regress anything — and
-	// must not grow the log with duplicate versions (the round-trip
-	// migration case: moving views back to a shard that already holds a
-	// superset of the snapshot's log).
+	// must not grow the log with duplicate versions (a resent batch whose
+	// log the store already holds).
 	if err := b.Absorb(a.SnapshotSince(0)); err != nil {
 		t.Fatal(err)
 	}

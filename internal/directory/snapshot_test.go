@@ -10,6 +10,7 @@ import (
 
 	"flecc/internal/property"
 	"flecc/internal/vclock"
+	"flecc/internal/wire"
 )
 
 // sampleSnapshot has a record of every kind: a tombstone and a live
@@ -64,9 +65,23 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestViewListRoundTrip: the name list a replication batch's removal
+// records carry round-trips, and a truncated, overlong or empty input is
+// refused.
 func TestViewListRoundTrip(t *testing.T) {
+	encode := func(names []string) []byte {
+		e := wire.GetEncoder()
+		defer wire.PutEncoder(e)
+		encodeNames(e, names)
+		return e.Copy()
+	}
+	decode := func(b []byte) ([]string, error) {
+		d := wire.NewDecoder(b)
+		names := decodeNames(d)
+		return names, decoded(d, "view list")
+	}
 	for _, names := range [][]string{nil, {"a"}, {"v1", "", "v3"}} {
-		got, err := decodeViewList(EncodeViewList(names))
+		got, err := decode(encode(names))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,20 +89,17 @@ func TestViewListRoundTrip(t *testing.T) {
 			t.Fatalf("round trip: %q, want %q", got, names)
 		}
 	}
-	if names, err := decodeViewList(nil); err != nil || names != nil {
-		t.Fatalf("empty blob: %q, %v; want all views", names, err)
-	}
-	blob := EncodeViewList([]string{"a"})
-	for _, bad := range [][]byte{blob[:len(blob)-1], append(bytes.Clone(blob), 0), binary.AppendUvarint(nil, 1<<32-1)} {
-		if _, err := decodeViewList(bad); err == nil {
+	blob := encode([]string{"a"})
+	for _, bad := range [][]byte{nil, blob[:len(blob)-1], append(bytes.Clone(blob), 0), binary.AppendUvarint(nil, 1<<32-1)} {
+		if _, err := decode(bad); err == nil {
 			t.Errorf("malformed view list %x accepted", bad)
 		}
 	}
 }
 
 // TestRestoreAbsorbRefuseInconsistentSnapshot: a snapshot whose records
-// break the store's invariants — a checkpoint from disk, a handover or
-// batch from a peer — is refused before it touches the store. Accepted,
+// break the store's invariants — a checkpoint from disk, a batch from a
+// peer — is refused before it touches the store. Accepted,
 // it would leave the counter below versions the store holds, and the
 // next commit would reissue one.
 func TestRestoreAbsorbRefuseInconsistentSnapshot(t *testing.T) {
@@ -119,57 +131,6 @@ func TestRestoreAbsorbRefuseInconsistentSnapshot(t *testing.T) {
 		if v, _, _, err := st.Commit("w", delta("k", "y"), 1); err != nil || v != 2 {
 			t.Fatalf("%s: next commit issued v%d (%v), want v2", tc.name, v, err)
 		}
-	}
-}
-
-// TestHandoverRoundTrip: a handover taken from one manager, sent through
-// the snapshot codec and absorbed by a fresh one leaves the target with
-// exactly the source's metadata and the moved view's record — and the
-// source without the view.
-func TestHandoverRoundTrip(t *testing.T) {
-	h := newLaneHarness(t, Options{})
-	eps := map[string]property.Set{"g0": property.MustSet("P={0..4}"), "g1": property.MustSet("P={5..9}")}
-	for name, props := range eps {
-		ep := h.register(name, props.String())
-		for i := 0; i < 3; i++ {
-			if _, err := lanePush(ep, name, map[string]string{name + ":k": string(rune('a' + i))}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	src := h.dm.CaptureSince(0)
-
-	hand, err := h.dm.TakeHandover([]string{"g1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeSnapshot(EncodeSnapshot(hand))
-	if err != nil {
-		t.Fatal(err)
-	}
-	target, err := New("dm2", newLaneKV(), vclock.NewSim(), h.net, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer target.Close()
-	if err := target.AbsorbHandover(back); err != nil {
-		t.Fatal(err)
-	}
-
-	want := &Snapshot{Version: src.Version, Shadow: src.Shadow, Log: src.Log}
-	for _, v := range src.Views {
-		if v.Name == "g1" {
-			want.Views = append(want.Views, v)
-		}
-	}
-	if got := target.CaptureSince(0); !reflect.DeepEqual(got, want) {
-		t.Fatalf("target after handover:\n got %+v\nwant %+v", got, want)
-	}
-	if views := h.dm.CaptureSince(0).Views; len(views) != 1 || views[0].Name != "g0" {
-		t.Fatalf("source still holds %+v, want only g0", views)
-	}
-	if err := target.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -110,7 +110,7 @@ func (j *viewJournal) trim(upTo uint64) {
 // that watermark is zero or below the journal's floor — every registered
 // view as a registration record, with b.ViewSince reset to 0 to say so.
 // b.ViewSeq closes the batch.
-func (r *Replicator) captureViewChanges(b *ReplBatch) (regs []HandoverView) {
+func (r *Replicator) captureViewChanges(b *ReplBatch) (regs []ViewRecord) {
 	m, j := r.m, &r.journal
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -131,7 +131,7 @@ func (r *Replicator) captureViewChanges(b *ReplBatch) (regs []HandoverView) {
 
 // captureView records vs's current state as a removal or touch in b, or
 // as a registration appended to regs.
-func (m *Manager) captureView(b *ReplBatch, regs []HandoverView, vs *viewState, reg bool) []HandoverView {
+func (m *Manager) captureView(b *ReplBatch, regs []ViewRecord, vs *viewState, reg bool) []ViewRecord {
 	vs.mu.Lock()
 	t := ViewTouch{Name: vs.name, Mode: vs.mode, Op: vs.lastOp, Seen: vs.seen, Phase: vs.phase}
 	validity := vs.validity.Source()
@@ -152,5 +152,5 @@ func (m *Manager) captureView(b *ReplBatch, regs []HandoverView, vs *viewState, 
 	if !ok {
 		return regs // unregistering right now; its removal is on the stack
 	}
-	return append(regs, HandoverView{ViewTouch: t, Props: props, Validity: validity})
+	return append(regs, ViewRecord{ViewTouch: t, Props: props, Validity: validity})
 }

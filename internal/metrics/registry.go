@@ -10,7 +10,7 @@ import (
 )
 
 // Registry names and aggregates a deployment's metrics — the per-DM
-// latency accumulators, the eviction/reconnect/migration/fault
+// latency accumulators, the eviction/reconnect/failover/fault
 // counters that previously lived as loose fields on their owning
 // subsystems, gauges sampled from live components, and the per-message-
 // type wire counters fed by a transport observer. fleccd serves a

@@ -87,7 +87,7 @@ func (c *Counterexample) String() string {
 }
 
 // enumerate lists the actions enabled in a state, in a fixed canonical
-// order: writes, pushes, pulls, then reconfigurations, migration last.
+// order: writes, pushes, pulls, then reconfigurations, failover last.
 func enumerate(cfg Config, m meta) []Action {
 	var out []Action
 	budget := m.reconfigs < cfg.Reconfigs
@@ -153,9 +153,6 @@ func enumerate(cfg Config, m meta) []Action {
 				out = append(out, Action{Kind: ARevive, View: i})
 			}
 		}
-	}
-	if cfg.Migrate && budget && m.active == 0 && !m.primaryDown {
-		out = append(out, Action{Kind: AMigrate})
 	}
 	if cfg.Failover {
 		if budget && m.active == 0 && !m.primaryDown {

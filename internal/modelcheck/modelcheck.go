@@ -2,7 +2,7 @@
 // protocol under reconfiguration: an in-process model checker that
 // exhaustively interleaves protocol steps (write, push, pull) with
 // reconfigurations (mode switch, set-props, view crash/revive, directory
-// migration) at small bounds, and checks safety invariants after every
+// failover) at small bounds, and checks safety invariants after every
 // transition.
 //
 // # How it works
@@ -69,7 +69,7 @@
 // cache.Config.ManualFlush, so the explorer — not a background goroutine —
 // decides when a round reaches the directory) and flush dispatches it.
 // A buffered round interleaves with every reconfiguration — mode
-// switches, crashes, migration — and the rules that a synchronous push
+// switches, crashes, failover — and the rules that a synchronous push
 // joins the buffered round and a reconfiguration flushes it first are
 // checked on the code path every deployment runs.
 package modelcheck
@@ -92,8 +92,9 @@ type Config struct {
 	// keys it may write and which views it conflicts with.
 	Keys int
 	// Reconfigs is the total reconfiguration budget per schedule: mode
-	// switches, set-props, crashes, and migrations draw from it (a revive
-	// is recovery, not reconfiguration, and is free).
+	// switches, set-props, view crashes and primary crashes draw from it
+	// (a revive or promotion is recovery, not reconfiguration, and is
+	// free).
 	Reconfigs int
 	// Depth bounds the schedule length (actions per run).
 	Depth int
@@ -108,21 +109,17 @@ type Config struct {
 	// PropagateOnPush switches the directory to push-based update
 	// distribution (the E10 ablation's update protocol).
 	PropagateOnPush bool
-	// Migrate enables the migration reconfiguration: a TMigrateTake /
-	// TMigrateApply handover of every view from directory dm!a to dm!b,
-	// with the views routed through a TRouted forwarding node exactly as
-	// the shard router does.
-	Migrate bool
-	// Failover enables the hot-standby reconfigurations on the same
-	// two-manager rig: dm!a replicates to dm!b through the replication
-	// sender deployments run (every mutating request barriers on the
-	// standby, exactly the HA directory's semi-synchronous commit, and a
-	// barrier released with dm!b degraded is a violation), crash-primary
-	// kills dm!a at the network, and promote-standby sends dm!b the
-	// promote batch and re-points the forwarder — after which every
-	// invariant (including strong-mode exclusivity and per-key durability
-	// of acknowledged commits) must still hold against the state dm!b
-	// absorbed from replication alone. The managers run two lanes, as
+	// Failover enables the hot-standby reconfigurations on a two-manager
+	// rig, with the views routed through a TRouted forwarding node exactly
+	// as the shard router does: dm!a replicates to dm!b through the
+	// replication sender deployments run (every mutating request barriers
+	// on the standby, exactly the HA directory's semi-synchronous commit,
+	// and a barrier released with dm!b degraded is a violation),
+	// crash-primary kills dm!a at the network, and promote-standby sends
+	// dm!b the promote batch and re-points the forwarder — after which
+	// every invariant (including strong-mode exclusivity and per-key
+	// durability of acknowledged commits) must still hold against the
+	// state dm!b absorbed from replication alone. The managers run two lanes, as
 	// deployments do; lanes hold no protocol state, so they add no states.
 	Failover bool
 	// Crash enables the crash/revive reconfigurations.
@@ -161,7 +158,6 @@ func DefaultConfig() Config {
 		Depth:         6,
 		WritesPerView: 2,
 		Validity:      "staleness < 1",
-		Migrate:       true,
 		Failover:      true,
 		Crash:         true,
 		SetModes:      true,
@@ -206,10 +202,6 @@ const (
 	// ARevive restarts a crashed view: fresh cache manager, re-register,
 	// init (recovery; does not consume reconfiguration budget).
 	ARevive
-	// AMigrate hands every view over from dm!a to dm!b via
-	// TMigrateTake/TMigrateApply and re-points the router
-	// (reconfiguration).
-	AMigrate
 	// AQuiesceProbe marks probe-injected pushes/pulls in counterexample
 	// schedules; the explorer never enumerates it directly.
 	AQuiesceProbe
@@ -234,10 +226,11 @@ const (
 )
 
 // Action is one atomic transition of the model: a protocol step or a
-// reconfiguration by one view (or the deployment, for AMigrate).
+// reconfiguration by one view (or the deployment, for ACrashPrimary and
+// APromoteStandby).
 type Action struct {
 	Kind Kind
-	// View is the acting view index (ignored for AMigrate).
+	// View is the acting view index (ignored for deployment actions).
 	View int
 	// Key is the written key index (AWrite only).
 	Key int
@@ -264,8 +257,6 @@ func (a Action) String() string {
 		return fmt.Sprintf("crash(%s)", v)
 	case ARevive:
 		return fmt.Sprintf("revive(%s)", v)
-	case AMigrate:
-		return "migrate(dm!a→dm!b)"
 	case AQuiesceProbe:
 		return fmt.Sprintf("quiesce-probe(%s)", v)
 	case APushAsync:

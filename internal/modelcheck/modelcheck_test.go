@@ -34,10 +34,10 @@ func TestExploreCleanDefault(t *testing.T) {
 }
 
 // TestExploreCleanNoMigration: the single-directory deployment (no routing
-// forwarder) explores clean too.
+// forwarder, no standby) explores clean too.
 func TestExploreCleanNoMigration(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Migrate = false
+	cfg.Failover = false
 	cfg.Depth = 5
 	res, err := Explore(cfg)
 	if err != nil {
@@ -123,7 +123,8 @@ func TestReplayDeterminism(t *testing.T) {
 	schedule := []Action{
 		{Kind: AWrite, View: 1, Key: 0},
 		{Kind: APull, View: 0},
-		{Kind: AMigrate},
+		{Kind: ACrashPrimary},
+		{Kind: APromoteStandby},
 		{Kind: AWrite, View: 0, Key: 0},
 		{Kind: APush, View: 0},
 		{Kind: APull, View: 1},
@@ -174,16 +175,17 @@ func TestExploreLeavesNoGoroutines(t *testing.T) {
 // TestActionString: the schedule rendering the counterexamples rely on.
 func TestActionString(t *testing.T) {
 	cases := map[string]Action{
-		"write(v1,k0)":       {Kind: AWrite, View: 0, Key: 0},
-		"push(v2)":           {Kind: APush, View: 1},
-		"pull(v3)":           {Kind: APull, View: 2},
-		"set-mode(v1,weak)":  {Kind: ASetMode, View: 0, Mode: wire.Weak},
-		"set-props(v2)":      {Kind: ASetProps, View: 1},
-		"crash(v1)":          {Kind: ACrash, View: 0},
-		"revive(v1)":         {Kind: ARevive, View: 0},
-		"migrate(dm!a→dm!b)": {Kind: AMigrate},
-		"push-async(v1)":     {Kind: APushAsync, View: 0},
-		"flush(v2)":          {Kind: AFlush, View: 1},
+		"write(v1,k0)":          {Kind: AWrite, View: 0, Key: 0},
+		"push(v2)":              {Kind: APush, View: 1},
+		"pull(v3)":              {Kind: APull, View: 2},
+		"set-mode(v1,weak)":     {Kind: ASetMode, View: 0, Mode: wire.Weak},
+		"set-props(v2)":         {Kind: ASetProps, View: 1},
+		"crash(v1)":             {Kind: ACrash, View: 0},
+		"revive(v1)":            {Kind: ARevive, View: 0},
+		"push-async(v1)":        {Kind: APushAsync, View: 0},
+		"flush(v2)":             {Kind: AFlush, View: 1},
+		"crash-primary(dm!a)":   {Kind: ACrashPrimary},
+		"promote-standby(dm!b)": {Kind: APromoteStandby},
 	}
 	for want, a := range cases {
 		if got := a.String(); got != want {
@@ -260,7 +262,7 @@ func TestEnumerateRespectsBudgets(t *testing.T) {
 	}
 	for _, a := range enumerate(cfg, m) {
 		switch a.Kind {
-		case ASetMode, ASetProps, ACrash, AMigrate:
+		case ASetMode, ASetProps, ACrash, ACrashPrimary:
 			t.Errorf("reconfiguration %s offered with exhausted budget", a)
 		case AWrite:
 			if a.View == 0 {

@@ -178,7 +178,7 @@ func (s *system) dmNodeName() string {
 }
 
 // newSystem builds the initial deployment: the directory side (one manager,
-// or two plus a routing forwarder when migration is enabled), the views
+// or two plus a routing forwarder when failover is enabled), the views
 // (registered and initialized), the seeded primary data, and the spec
 // baselines. rec, when non-nil, observes every message for counterexample
 // rendering.
@@ -253,7 +253,7 @@ func newSystem(cfg Config, rec *trace.Recorder) (sys *system, err error) {
 	}
 
 	place := func(node string) { s.net.Topology().Place(node, "h-"+node) }
-	if cfg.Migrate || cfg.Failover {
+	if cfg.Failover {
 		// Two directory managers share the primary codec (the documented
 		// single-primary shard deployment); views dial the forwarder
 		// "dm", which wraps every request in the shard router's TRouted
@@ -292,25 +292,23 @@ func newSystem(cfg Config, rec *trace.Recorder) (sys *system, err error) {
 		}
 		s.ctl = ctl
 		place("ctl")
-		if cfg.Failover {
-			// dm!a replicates to dm!b through the sender deployments
-			// run: every mutating request's reply barriers on the standby
-			// having absorbed it. The sender wakes only on the barrier's
-			// broadcast and ships one batch at a time while the explorer
-			// waits, so replays stay pure functions of the schedule.
-			// dm!b is a serving replica, not Options.Standby-gated, so
-			// Migrate and Failover coexist: it absorbs replication
-			// batches and migration handovers alike. Attempts:3 lets a
-			// single scheduled drop of a TReplicate be retried instead
-			// of degrading the standby (verify asserts it never is).
-			repl, err := s.dms[0].StartReplication(directory.ReplConfig{
-				Retry: transport.RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}},
-			}, directory.ReplTarget{Name: "dm!b"})
-			if err != nil {
-				return nil, err
-			}
-			s.repl = repl
+		// dm!a replicates to dm!b through the sender deployments run:
+		// every mutating request's reply barriers on the standby having
+		// absorbed it. The sender wakes only on the barrier's broadcast
+		// and ships one batch at a time while the explorer waits, so
+		// replays stay pure functions of the schedule. dm!b is not
+		// Options.Standby-gated: until promote-standby the forwarder
+		// routes to dm!a, so only replication batches reach it.
+		// Attempts:3 lets a single scheduled drop of a TReplicate be
+		// retried instead of degrading the standby (verify asserts it
+		// never is).
+		repl, err := s.dms[0].StartReplication(directory.ReplConfig{
+			Retry: transport.RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}},
+		}, directory.ReplTarget{Name: "dm!b"})
+		if err != nil {
+			return nil, err
 		}
+		s.repl = repl
 	} else {
 		dm, err := directory.New("dm", s.prim, clock, net, opts)
 		if err != nil {
@@ -571,22 +569,6 @@ func (s *system) apply(a Action) error {
 				w.strongAct = false
 			}
 		}
-		return s.verify(a, nil)
-
-	case AMigrate:
-		// The handover runs over the wire exactly as the shard router
-		// drives it; a bounded retry absorbs a scheduled drop between
-		// take and apply, as the router's retry policy would. An empty
-		// view list takes every view.
-		takeReply, err := callRetry(s.ctl, "dm!a", &wire.Message{Type: wire.TMigrateTake})
-		if err != nil {
-			return violationf("migrate: take failed: %v", err)
-		}
-		if _, err := callRetry(s.ctl, "dm!b", &wire.Message{Type: wire.TMigrateApply, Blob: takeReply.Blob}); err != nil {
-			return violationf("migrate: apply failed: %v", err)
-		}
-		s.active = 1
-		s.reconfigs++
 		return s.verify(a, nil)
 
 	case ACrashPrimary:

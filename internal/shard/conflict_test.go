@@ -142,123 +142,11 @@ func attachNode(t *testing.T, net *transport.Inproc, name string, h transport.Ha
 	t.Cleanup(func() { ep.Close() })
 }
 
-// TestMigrationRegressionRepointsRouting scripts a version regression:
-// the target absorbs the handover but reports a smaller version than the
-// source handed over. Migrate must surface the error AND re-point routing
-// at the target, where the state now lives — keeping the views routed to
-// the drained source would fail every subsequent request.
-func TestMigrationRegressionRepointsRouting(t *testing.T) {
-	net := transport.NewInproc()
-	var s1Routed int
-	attachNode(t, net, "s0", func(req *wire.Message) *wire.Message {
-		switch req.Type {
-		case wire.TRouted:
-			return &wire.Message{Type: wire.TAck}
-		case wire.TMigrateTake:
-			return &wire.Message{Type: wire.TAck, Version: 5}
-		}
-		return &wire.Message{Type: wire.TErr, Err: "unexpected " + req.Type.String()}
-	})
-	attachNode(t, net, "s1", func(req *wire.Message) *wire.Message {
-		switch req.Type {
-		case wire.TRouted:
-			s1Routed++
-			return &wire.Message{Type: wire.TAck}
-		case wire.TMigrateApply:
-			return &wire.Message{Type: wire.TAck, Version: 3}
-		}
-		return &wire.Message{Type: wire.TErr, Err: "unexpected " + req.Type.String()}
-	})
-	m := shard.NewMap(0, "s0", "s1")
-	if err := m.Pin(property.MustSet("P={1}").Properties()[0], "s0"); err != nil {
-		t.Fatal(err)
-	}
-	router, err := shard.NewRouter(net, "dm", m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	probe, err := net.Attach("v1", func(req *wire.Message) *wire.Message { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer probe.Close()
-	if _, err := probe.Call("dm", &wire.Message{Type: wire.TRegister, View: "v1", Props: property.MustSet("P={1}")}); err != nil {
-		t.Fatal(err)
-	}
-	if got := router.Assignment()["v1"]; got != "s0" {
-		t.Fatalf("v1 assigned to %q, want s0", got)
-	}
-
-	err = router.Migrate("s0", "s1")
-	if err == nil || !strings.Contains(err.Error(), "version regression") {
-		t.Fatalf("migrate should report the regression, got: %v", err)
-	}
-	if got := router.Assignment()["v1"]; got != "s1" {
-		t.Fatalf("after a regression the views live on the target: v1 routed to %q, want s1", got)
-	}
-	if _, err := probe.Call("dm", &wire.Message{Type: wire.TPull, View: "v1"}); err != nil {
-		t.Fatal(err)
-	}
-	if s1Routed != 1 {
-		t.Fatalf("post-migration traffic should reach the target, s1 served %d routed calls", s1Routed)
-	}
-}
-
-// TestMigrationApplyFailureRollsBack scripts an apply failure: the target
-// refuses the handover, the router re-applies it to the source, and
-// routing stays put.
-func TestMigrationApplyFailureRollsBack(t *testing.T) {
-	net := transport.NewInproc()
-	var rolledBack bool
-	attachNode(t, net, "s0", func(req *wire.Message) *wire.Message {
-		switch req.Type {
-		case wire.TRouted:
-			return &wire.Message{Type: wire.TAck}
-		case wire.TMigrateTake:
-			return &wire.Message{Type: wire.TAck, Version: 5}
-		case wire.TMigrateApply:
-			rolledBack = true
-			return &wire.Message{Type: wire.TAck, Version: 5}
-		}
-		return &wire.Message{Type: wire.TErr, Err: "unexpected " + req.Type.String()}
-	})
-	attachNode(t, net, "s1", func(req *wire.Message) *wire.Message {
-		return &wire.Message{Type: wire.TErr, Err: "refusing handover"}
-	})
-	m := shard.NewMap(0, "s0", "s1")
-	if err := m.Pin(property.MustSet("P={1}").Properties()[0], "s0"); err != nil {
-		t.Fatal(err)
-	}
-	router, err := shard.NewRouter(net, "dm", m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	probe, err := net.Attach("v1", func(req *wire.Message) *wire.Message { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer probe.Close()
-	if _, err := probe.Call("dm", &wire.Message{Type: wire.TRegister, View: "v1", Props: property.MustSet("P={1}")}); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := router.Migrate("s0", "s1"); err == nil {
-		t.Fatal("migrate should report the apply failure")
-	}
-	if !rolledBack {
-		t.Fatal("failed apply must be rolled back to the source")
-	}
-	if got := router.Assignment()["v1"]; got != "s0" {
-		t.Fatalf("after a rolled-back migration v1 routed to %q, want s0", got)
-	}
-}
-
 // TestFailedRegisterLeavesNoAssignment checks the settle path: a shard
 // refusing a registration (or being unreachable) must leave no tentative
-// placement behind — a stale entry would make the next migration's
-// TakeHandover fail on an unknown view.
+// placement behind — a stale entry would steer the view's retry, and
+// other views' conflict-affinity placement, by a registration that never
+// happened.
 func TestFailedRegisterLeavesNoAssignment(t *testing.T) {
 	net := transport.NewInproc()
 	attachNode(t, net, "s0", func(req *wire.Message) *wire.Message {

@@ -150,8 +150,8 @@ func (r *Router) failover(shard string) bool {
 			return false
 		}
 		if r.frozen[shard] {
-			// A migration (or another failover) owns the shard; when it
-			// finishes, re-evaluate from scratch.
+			// Another failover owns the shard; when it finishes,
+			// re-evaluate from scratch.
 			r.cond.Wait()
 			continue
 		}
@@ -171,8 +171,7 @@ func (r *Router) failover(shard string) bool {
 			return true
 		}
 		// Lease lapsed: this goroutine performs the promotion. Freeze and
-		// drain the shard exactly like a migration so no routed call races
-		// the re-pointing.
+		// drain the shard so no routed call races the re-pointing.
 		r.frozen[shard] = true
 		for r.inflight[shard] > 0 {
 			r.cond.Wait()

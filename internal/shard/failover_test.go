@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,6 +191,76 @@ func runKillTheLeader(t *testing.T, seed int64) string {
 		fmt.Fprintf(&b, "%s=%s;", k, r.sb.Get(k))
 	}
 	return b.String()
+}
+
+// TestShardFailoverQueuesConcurrentCallers: routed calls that arrive
+// while a failover holds the shard frozen queue in the router and resume
+// against the promoted standby. The promote call is slowed (an edge delay
+// whose sleep hook starts the other views' pushes and waits until they
+// have reached the router), so those pushes find the shard frozen. Every
+// push must succeed, and the standby must hold every write.
+func TestShardFailoverQueuesConcurrentCallers(t *testing.T) {
+	r := newHARig(t, 1, 200)
+	views := make([]*kv, 3)
+	cms := make([]*cache.Manager, 3)
+	for i := range cms {
+		views[i] = newKV(nil)
+		cms[i] = r.view(fmt.Sprintf("v%d", i+1), views[i])
+		if err := cms[i].InitImage(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cms[i].StartUse(); err != nil {
+			t.Fatal(err)
+		}
+		views[i].Set(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i+1))
+		cms[i].EndUse()
+	}
+
+	var arrived atomic.Int32
+	r.net.AddObserver(transport.ObserverFunc(func(from, to string, m *wire.Message) {
+		if to == "dm" && m.Type == wire.TPush {
+			arrived.Add(1)
+		}
+	}))
+	errs := make(chan error, len(cms)-1)
+	var once sync.Once
+	r.net.SetSleep(func(time.Duration) {
+		once.Do(func() {
+			for _, cm := range cms[1:] {
+				go func(cm *cache.Manager) { errs <- cm.PushImage() }(cm)
+			}
+			for arrived.Load() < int32(len(cms)) {
+				time.Sleep(time.Millisecond)
+			}
+			// Let the late pushes get from the router's entry to its
+			// frozen-shard wait.
+			time.Sleep(20 * time.Millisecond)
+		})
+	})
+	r.net.SetEdgeDelay("dm", "dm!s0r", time.Millisecond)
+	r.net.Isolate("dm!s0")
+
+	if err := cms[0].PushImage(); err != nil {
+		t.Fatalf("push that found the primary dead: %v", err)
+	}
+	for range cms[1:] {
+		if err := <-errs; err != nil {
+			t.Fatalf("push queued behind the failover: %v", err)
+		}
+	}
+	router := r.svc.Router()
+	if got := router.Failovers(); got != 1 {
+		t.Fatalf("failovers = %d, want 1", got)
+	}
+	if got := router.Regressions(); got != 0 {
+		t.Fatalf("failover regressions = %d", got)
+	}
+	for i := range cms {
+		key, want := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i+1)
+		if got := r.sb.Get(key); got != want {
+			t.Fatalf("standby %s = %q, want %q", key, got, want)
+		}
+	}
 }
 
 // TestShardFailoverReplicationKeepsStandbyHot: before any failure, the

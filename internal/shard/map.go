@@ -15,13 +15,12 @@
 //     while the router fans their requests out to the owning shard
 //     (wrapped in TRouted envelopes) and merges the version metadata it
 //     observes into a vclock.Vector.
-//   - Migration (router.go) moves a shard's protocol metadata to another
-//     directory manager at run time by reusing directory.Snapshot via the
-//     TMigrateTake/TMigrateApply handshake, while the router queues
-//     in-flight requests — so a deployment can grow from 1 to N shards
-//     without dropping a view.
-//   - Service (service.go) bundles the pieces: N directory managers, the
-//     map, and the router, with helpers to grow the shard set.
+//   - Failover (failover.go) promotes a shard's hot standby when its
+//     primary's lease lapses, while the router queues in-flight requests
+//     to that shard — so a dead primary costs callers latency, not a
+//     dropped view.
+//   - Service (service.go) bundles the pieces: N directory managers (and
+//     their standbys), the map, and the router.
 package shard
 
 import (

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"flecc/internal/directory"
 	"flecc/internal/metrics"
 	"flecc/internal/property"
 	"flecc/internal/transport"
@@ -37,10 +36,10 @@ import (
 // pin the property domain — the alternative would be conflicts the
 // shard-local dynConfl check silently misses.
 //
-// Migrate moves assigned views between shards at run time; while a
-// migration freezes a shard, routed calls to it block (queue) and resume
-// against the post-migration assignment, so callers observe only added
-// latency, never an outage.
+// Failover (failover.go) re-points a shard whose primary lost its lease
+// at its standby; while it freezes the shard, routed calls to it block
+// (queue) and resume against the promoted node, so callers observe only
+// added latency, never an outage.
 type Router struct {
 	name string
 	m    *Map
@@ -52,7 +51,7 @@ type Router struct {
 	vprops   map[string]property.Set // view -> last known property set
 	pidx     *property.Index         // posting index over vprops (conflict affinity)
 	inflight map[string]int          // shard -> routed calls in flight
-	frozen   map[string]bool         // shard -> migration freeze
+	frozen   map[string]bool         // shard -> failover freeze
 	vv       vclock.Vector           // shard -> highest primary version observed
 	retry    transport.RetryPolicy   // bounds router→shard call retries
 	closed   bool
@@ -114,7 +113,7 @@ func (r *Router) Close() error {
 }
 
 // routable reports whether a cache-manager request type may cross the
-// router. Everything else (replies, DM→CM traffic, migration control) is
+// router. Everything else (replies, DM→CM traffic, replication) is
 // refused — the router is strictly the CM→DM half of the star.
 func routable(t wire.Type) bool {
 	switch t {
@@ -227,8 +226,8 @@ func (r *Router) acquire(view string, t wire.Type, props property.Set) (shard st
 			r.inflight[shard]++
 			return shard, !ok, nil
 		}
-		// Frozen for migration: wait and re-resolve — the view may be owned
-		// by a different shard when we wake.
+		// Frozen for failover: wait and re-resolve — the view may route to
+		// the promoted standby when we wake.
 		r.cond.Wait()
 	}
 }
@@ -258,7 +257,7 @@ func (r *Router) placeLocked(view string, props property.Set) (string, error) {
 	if pinned, ok := r.m.RouteProps(props); ok {
 		if len(group) == 1 && !group[pinned] {
 			return "", fmt.Errorf(
-				"shard router %s: %s is pinned to %s but overlapping views live on %s; migrate them to the pinned shard first",
+				"shard router %s: %s is pinned to %s but overlapping views live on %s; unregister them or change the pin first",
 				r.name, view, pinned, joinShards(group))
 		}
 		return pinned, nil
@@ -302,10 +301,10 @@ func joinShards(set map[string]bool) string {
 
 // settle folds a routed call's outcome into the router tables and returns
 // the routing slot, in one critical section. Releasing the slot first
-// would let a migration woken by the release drain the shard while the
-// reply is not yet folded in — a failed TRegister's tentative placement
-// still in r.assign makes TakeHandover fail on an unknown view, and a
-// late assignment update could clobber the migration's re-pointing.
+// would let a failover woken by the release drain the shard while the
+// reply is not yet folded in: the promotion's regression check would
+// miss the reply's version, and a late assignment update could race the
+// failover's re-pointing of the shard's views.
 func (r *Router) settle(shard, view string, t wire.Type, props property.Set, placed bool, reply *wire.Message) {
 	failed := reply == nil || reply.Type == wire.TErr
 	r.mu.Lock()
@@ -354,7 +353,7 @@ func (r *Router) settle(shard, view string, t wire.Type, props property.Set, pla
 }
 
 // SetRetryPolicy configures the bounded retry-with-backoff applied to
-// router→shard calls (routing envelopes and migration take/apply). The
+// router→shard calls (routing envelopes and failover promotions). The
 // zero value means the transport defaults.
 func (r *Router) SetRetryPolicy(p transport.RetryPolicy) {
 	r.mu.Lock()
@@ -370,8 +369,8 @@ func (r *Router) retryPolicy() transport.RetryPolicy {
 
 // Versions returns a copy of the per-shard version vector: for each shard
 // node, the highest primary version the router has observed from it.
-// Components never decrease — a regression would mean a migration lost
-// updates.
+// Components never decrease — a regression would mean a failover lost
+// acknowledged updates.
 func (r *Router) Versions() vclock.Vector {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -401,95 +400,4 @@ func (r *Router) AssignedTo(shard string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Migrate moves views (all of from's views when none are named) from one
-// shard directory manager to another, live. Both shards are frozen —
-// routed calls to them queue — until the handover completes; calls to
-// other shards proceed throughout. The handover reuses the directory
-// manager's fail-over snapshot: TMigrateTake captures the source's store
-// metadata and per-view records, TMigrateApply absorbs them on the
-// target, and absorption only fast-forwards the target's version counter,
-// which Migrate verifies (the target must report a version >= the
-// source's at handover, else updates were lost).
-func (r *Router) Migrate(from, to string, views ...string) error {
-	if from == to {
-		return fmt.Errorf("shard router %s: migrate %s onto itself", r.name, from)
-	}
-	if !r.m.Has(from) || !r.m.Has(to) {
-		return fmt.Errorf("shard router %s: migrate %s -> %s: both must be member shards", r.name, from, to)
-	}
-
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return fmt.Errorf("shard router %s: closed", r.name)
-	}
-	if r.frozen[from] || r.frozen[to] {
-		r.mu.Unlock()
-		return fmt.Errorf("shard router %s: migration already in progress on %s or %s", r.name, from, to)
-	}
-	r.frozen[from], r.frozen[to] = true, true
-	for r.inflight[from] > 0 || r.inflight[to] > 0 {
-		r.cond.Wait()
-	}
-	if len(views) == 0 {
-		for v, s := range r.assign {
-			if s == from {
-				views = append(views, v)
-			}
-		}
-		sort.Strings(views)
-	}
-	r.mu.Unlock()
-
-	absorbed, err := r.handover(from, to, views)
-
-	r.mu.Lock()
-	if absorbed {
-		// Re-point routing wherever the state actually lives — even when
-		// handover reports an error (e.g. a version regression): the source
-		// has dropped the views and the target absorbed them, so keeping
-		// them routed to the source would fail every subsequent request.
-		for _, v := range views {
-			r.assign[v] = to
-		}
-	}
-	delete(r.frozen, from)
-	delete(r.frozen, to)
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	return err
-}
-
-// handover performs the take/apply exchange. Both shards are frozen and
-// drained; no router traffic can race with it. absorbed reports whether
-// the target now holds the views — it can be true even on error, in which
-// case the caller must still re-point routing at the target.
-func (r *Router) handover(from, to string, views []string) (absorbed bool, err error) {
-	take := &wire.Message{Type: wire.TMigrateTake, Blob: directory.EncodeViewList(views)}
-	takeReply, err := transport.CallRetry(r.ep, from, take, r.retryPolicy())
-	if err != nil {
-		return false, fmt.Errorf("shard router %s: take from %s: %w", r.name, from, err)
-	}
-	applyReply, err := transport.CallRetry(r.ep, to, &wire.Message{Type: wire.TMigrateApply, Blob: takeReply.Blob}, r.retryPolicy())
-	if err != nil {
-		// The source no longer serves the views; put them back so they are
-		// not stranded.
-		if _, rbErr := transport.CallRetry(r.ep, from, &wire.Message{Type: wire.TMigrateApply, Blob: takeReply.Blob}, r.retryPolicy()); rbErr != nil {
-			return false, fmt.Errorf("shard router %s: apply on %s failed (%v) and rollback to %s failed: %w",
-				r.name, to, err, from, rbErr)
-		}
-		return false, fmt.Errorf("shard router %s: apply on %s: %w", r.name, to, err)
-	}
-	r.mu.Lock()
-	if uint64(applyReply.Version) > r.vv[to] {
-		r.vv[to] = uint64(applyReply.Version)
-	}
-	r.mu.Unlock()
-	if applyReply.Version < takeReply.Version {
-		return true, fmt.Errorf("shard router %s: version regression migrating %s -> %s: source at %d, target at %d",
-			r.name, from, to, takeReply.Version, applyReply.Version)
-	}
-	return true, nil
 }

@@ -27,8 +27,8 @@ type ServiceConfig struct {
 	// Primary yields the primary-copy codec for shard i. Each shard needs
 	// its own codec instance when they serve disjoint data concurrently —
 	// a shared codec would serialize every shard on its one lock. Callers
-	// that migrate data between shards may still return one shared
-	// instance so both shards extract from the same primary.
+	// whose shards front one database (fleccd's airline DB) return one
+	// shared instance, so every shard extracts from the same primary.
 	Primary func(i int) image.Codec
 	// Opts is applied to every shard directory manager.
 	Opts directory.Options
@@ -89,7 +89,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	s := &Service{cfg: cfg, m: NewMap(cfg.Replicas), byName: map[string]*directory.Manager{}}
 	for i := 0; i < cfg.Shards; i++ {
-		if _, err := s.attachShard(i); err != nil {
+		if err := s.attachShard(i); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -106,10 +106,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 			lease = DefaultLease
 		}
 		r.SetFailover(FailoverConfig{Clock: cfg.Clock, Lease: lease, Sleep: cfg.LeaseSleep})
-		s.mu.Lock()
-		n := len(s.dms)
-		s.mu.Unlock()
-		for i := 0; i < n; i++ {
+		for i := 0; i < cfg.Shards; i++ {
 			r.SetStandby(Node(cfg.Name, i), StandbyNode(cfg.Name, i))
 		}
 	}
@@ -118,12 +115,13 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 
 // attachShard creates directory manager i (and, when configured, its hot
 // standby plus the replication session feeding it) and adds the primary
-// to the map.
-func (s *Service) attachShard(i int) (string, error) {
+// to the map. The router does not exist yet; NewService arms its
+// failover once every shard is attached.
+func (s *Service) attachShard(i int) error {
 	node := Node(s.cfg.Name, i)
 	dm, err := directory.New(node, s.cfg.Primary(i), s.cfg.Clock, s.cfg.Net, s.cfg.Opts)
 	if err != nil {
-		return "", fmt.Errorf("shard: attach %s: %w", node, err)
+		return fmt.Errorf("shard: attach %s: %w", node, err)
 	}
 	var sb *directory.Manager
 	var repl *directory.Replicator
@@ -134,13 +132,13 @@ func (s *Service) attachShard(i int) (string, error) {
 		sb, err = directory.New(StandbyNode(s.cfg.Name, i), s.cfg.Standby(i), s.cfg.Clock, s.cfg.Net, sbOpts)
 		if err != nil {
 			_ = dm.Close()
-			return "", fmt.Errorf("shard: attach standby for %s: %w", node, err)
+			return fmt.Errorf("shard: attach standby for %s: %w", node, err)
 		}
 		repl, err = dm.StartReplication(s.cfg.Repl, directory.ReplTarget{Name: sb.Name()})
 		if err != nil {
 			_ = sb.Close()
 			_ = dm.Close()
-			return "", fmt.Errorf("shard: replicate %s: %w", node, err)
+			return fmt.Errorf("shard: replicate %s: %w", node, err)
 		}
 	}
 	s.mu.Lock()
@@ -153,10 +151,7 @@ func (s *Service) attachShard(i int) (string, error) {
 	}
 	s.mu.Unlock()
 	s.m.Add(node)
-	if s.r != nil && sb != nil {
-		s.r.SetStandby(node, sb.Name())
-	}
-	return node, nil
+	return nil
 }
 
 // Standby returns shard i's hot-standby directory manager (nil without
@@ -217,16 +212,6 @@ func (s *Service) Manager(node string) *directory.Manager {
 	return s.byName[node]
 }
 
-// AddShard grows the service by one shard directory manager and returns
-// its node name. New registrations may land on it immediately; existing
-// views stay where they are until Migrate moves them.
-func (s *Service) AddShard() (string, error) {
-	s.mu.Lock()
-	i := len(s.dms)
-	s.mu.Unlock()
-	return s.attachShard(i)
-}
-
 // Router returns the logical-endpoint router.
 func (s *Service) Router() *Router { return s.r }
 
@@ -262,11 +247,6 @@ func (s *Service) ShardNames() []string {
 		out[i] = Node(s.cfg.Name, i)
 	}
 	return out
-}
-
-// Migrate moves views between shards; see Router.Migrate.
-func (s *Service) Migrate(from, to string, views ...string) error {
-	return s.r.Migrate(from, to, views...)
 }
 
 // Versions returns the router's per-shard version vector.

@@ -130,7 +130,7 @@ func (r *Recorder) Reset() {
 // widths adapt to the retained events: the name column covers both
 // From and To names (an event's To is the next line's From as replies
 // turn around, so both must fit), and the arrow column covers the
-// longest message type, so long types like migrate-apply keep every
+// longest message type, so long types like invalidate keep every
 // arrowhead and the seq= column aligned.
 func (r *Recorder) String() string {
 	events := r.Events()

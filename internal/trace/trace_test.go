@@ -93,12 +93,12 @@ func TestRecorderWithProtocolRun(t *testing.T) {
 
 // TestRecorderStringAlignment: the rendered diagram keeps the To column
 // and seq= column aligned even when message types of very different
-// lengths (ack vs migrate-apply) and node names of different lengths
+// lengths (ack vs invalidate) and node names of different lengths
 // mix — the layout bug where long types collapsed the arrow padding.
 func TestRecorderStringAlignment(t *testing.T) {
 	r := NewRecorder(10)
 	r.OnMessage("v2", "dm", &wire.Message{Type: wire.TPull, Seq: 1})
-	r.OnMessage("dm", "a-long-view-name", &wire.Message{Type: wire.TMigrateApply, Seq: 2})
+	r.OnMessage("dm", "a-long-view-name", &wire.Message{Type: wire.TInvalidate, Seq: 2})
 	r.OnMessage("a-long-view-name", "dm", &wire.Message{Type: wire.TAck, Seq: 2})
 	out := r.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")

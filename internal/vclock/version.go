@@ -38,7 +38,7 @@ func (c *Counter) Current() Version {
 // AdvanceTo fast-forwards the counter to v in a single step. It is
 // monotonic: a v at or below the current value is a no-op, so concurrent
 // advances and Next calls can interleave safely. Snapshot restore and
-// handover absorption use it to adopt another counter's position without
+// replication absorption use it to adopt another counter's position without
 // issuing (and discarding) every intermediate version.
 func (c *Counter) AdvanceTo(v Version) {
 	c.mu.Lock()

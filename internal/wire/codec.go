@@ -417,6 +417,9 @@ func decode(b []byte, names nameTable) (*Message, error) {
 	}
 	m := &Message{}
 	m.Type = Type(d.U8())
+	if d.err == nil && !m.Type.sendable() {
+		return nil, fmt.Errorf("wire: unknown message type %d", uint8(m.Type))
+	}
 	m.Seq = d.Uvarint()
 	m.From = d.name()
 	m.View = d.name()

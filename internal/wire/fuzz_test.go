@@ -12,9 +12,9 @@ import (
 
 // seedCorpus returns one encoded message per protocol Type (plus a few
 // interesting shapes: empty, image-bearing, blob-bearing, split
-// header/body via Preencode, truncated, version-corrupted, and a real v3
-// encoding), seeding
-// both FuzzDecode and the deterministic no-panic sweep.
+// header/body via Preencode, truncated, version-corrupted, a reserved
+// type, and a real v3 encoding), seeding both FuzzDecode and the
+// deterministic no-panic sweep.
 func seedCorpus() [][]byte {
 	img := image.New()
 	img.Put(image.Entry{Key: "f/100", Value: []byte("seats=3"), Version: 2, Writer: "a1"})
@@ -38,8 +38,6 @@ func seedCorpus() [][]byte {
 		{Type: TImage, Seq: 4, From: "dm", Img: img, Version: 2},
 		{Type: TErr, Seq: 5, From: "dm", Err: "view not registered"},
 		{Type: TRouted, View: "a1", Blob: Encode(&Message{Type: TPull, From: "a1"})},
-		{Type: TMigrateTake, Blob: []byte("a1\x00a2")},
-		{Type: TMigrateApply, Blob: []byte{1, 2, 3}},
 		{Type: THello, From: "a1"},
 		{Type: THelloAck, Seq: 1, From: "dm"},
 		{Type: TReplicate, From: "dm!s0", Blob: []byte{4, 5, 6}},
@@ -61,6 +59,9 @@ func seedCorpus() [][]byte {
 		panic(err)
 	}
 	seeds = append(seeds,
+		// Types no message may carry: refused.
+		Encode(&Message{Type: Type(16), Blob: []byte("a1\x00a2")}),
+		Encode(&Message{Type: Type(17), Blob: []byte{1, 2, 3}}),
 		v3, // fixed-width fields and u32 lengths
 		nil,
 		[]byte{codecVersion},
@@ -77,10 +78,10 @@ func seedCorpus() [][]byte {
 	return seeds
 }
 
-// FuzzDecode asserts Decode never panics on arbitrary input, that an
-// image it accepts has strictly increasing keys, that any input it
-// accepts re-encodes and re-decodes stably (decode∘encode is an
-// identity on the decoded form), and that a FrameReader — which interns
+// FuzzDecode asserts Decode never panics on arbitrary input, that a
+// message it accepts has a sendable type, that an image it accepts has
+// strictly increasing keys, that any input it accepts re-encodes and
+// re-decodes stably (decode∘encode is an identity on the decoded form), and that a FrameReader — which interns
 // node names through its name table — decodes it to the same message, the
 // second time (names now in the table) as well as the first.
 func FuzzDecode(f *testing.F) {
@@ -94,6 +95,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if m.Pre != nil {
 			t.Fatal("Decode must leave Pre nil: it is transport metadata")
+		}
+		if !m.Type.sendable() {
+			t.Fatalf("accepted a message of type %s, which no message may carry", m.Type)
 		}
 		if m.Img != nil {
 			for i := 1; i < m.Img.Len(); i++ {

@@ -75,13 +75,11 @@ const (
 	// manager unwraps it and dispatches the inner message as if the view
 	// had called it directly.
 	TRouted
-	// TMigrateTake asks a shard directory manager to hand over its
-	// protocol metadata (a directory.Snapshot) for the views listed in Blob
-	// (all its views when the list is empty) and to stop serving them.
-	TMigrateTake
-	// TMigrateApply delivers a directory.Snapshot (in Blob) to the target
-	// shard, which absorbs the metadata and starts serving the views.
-	TMigrateApply
+	// Numbers 16 and 17 carried live shard migration, which is gone. They
+	// stay reserved so the types below keep their numbers; the decoder
+	// refuses them.
+	_
+	_
 
 	// --- transport-level handshake ---
 
@@ -111,7 +109,8 @@ const (
 	TReplAck
 )
 
-var typeNames = map[Type]string{
+// typeNames names every Type; a number without a name is never sent.
+var typeNames = [...]string{
 	TInvalid:    "invalid",
 	TRegister:   "register",
 	TUnregister: "unregister",
@@ -128,20 +127,24 @@ var typeNames = map[Type]string{
 	TImage:      "image",
 	TErr:        "err",
 
-	TRouted:       "routed",
-	TMigrateTake:  "migrate-take",
-	TMigrateApply: "migrate-apply",
-	THello:        "hello",
-	THelloAck:     "hello-ack",
-	TReplicate:    "replicate",
-	TReplAck:      "repl-ack",
+	TRouted:    "routed",
+	THello:     "hello",
+	THelloAck:  "hello-ack",
+	TReplicate: "replicate",
+	TReplAck:   "repl-ack",
 }
 
 func (t Type) String() string {
-	if s, ok := typeNames[t]; ok {
-		return s
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("Type(%d)", uint8(t))
+}
+
+// sendable reports whether a message may carry t: TInvalid, the reserved
+// numbers and anything past the last type may not.
+func (t Type) sendable() bool {
+	return t != TInvalid && int(t) < len(typeNames) && typeNames[t] != ""
 }
 
 // NotServingMark is the substring a directory manager's refusal carries
@@ -233,8 +236,7 @@ type Message struct {
 	// never part of the image.
 	Img *image.Image
 	// Blob carries an opaque nested payload: the encoded inner message for
-	// TRouted, the encoded view-name list for TMigrateTake, and the encoded
-	// directory.Snapshot for TMigrateApply (and TMigrateTake's TAck reply).
+	// TRouted and the encoded directory.ReplBatch for TReplicate.
 	Blob []byte
 	// Err is the error text for TErr.
 	Err string

@@ -208,6 +208,38 @@ func TestDecodeRefusesV3(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesUnnamedTypes: a type byte without a name — TInvalid,
+// the reserved numbers 16 and 17 live shard migration once used, and
+// anything past the last type — is refused on every decode path, and
+// every named type round-trips.
+func TestDecodeRefusesUnnamedTypes(t *testing.T) {
+	for _, typ := range []Type{TInvalid, 16, 17, TReplAck + 1, 255} {
+		msg := Encode(&Message{Type: typ, From: "x"})
+		if _, err := Decode(msg); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+			t.Errorf("Decode of type %d: want the type error, got %v", typ, err)
+		}
+		frame := append(binary.LittleEndian.AppendUint32(nil, uint32(len(msg))), msg...)
+		if _, err := NewFrameReader(bytes.NewReader(frame)).Read(); err == nil {
+			t.Errorf("FrameReader accepted type %d", typ)
+		}
+	}
+	named := 0
+	for i, name := range typeNames {
+		typ := Type(i)
+		if typ == TInvalid || name == "" {
+			continue
+		}
+		named++
+		got, err := Decode(Encode(&Message{Type: typ, From: "x"}))
+		if err != nil || got.Type != typ {
+			t.Errorf("type %s: round trip gave %v, %v", typ, got, err)
+		}
+	}
+	if named != 19 {
+		t.Errorf("%d named types round-tripped, want 19", named)
+	}
+}
+
 // TestMessageSizes pins the framed size (u32 prefix included) of the
 // frames a reserve loop and a clean weak-mode fetch exchange, with fixed
 // names and Seq. A body field costs bytes only when it is set, so a new
