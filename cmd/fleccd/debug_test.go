@@ -1,8 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -164,4 +169,125 @@ func TestReplCountersOnDebug(t *testing.T) {
 	if g := gauge("repl_degraded_barriers"); g != 1 {
 		t.Fatalf("standby gone: repl_degraded_barriers = %d, want 1", g)
 	}
+}
+
+// TestMetricNamesPinned pins the metric names /metrics serves, in text and
+// in JSON, for each daemon shape: a sharded daemon and an HA pair (fleccd
+// refuses a standby beside -shards, so a sharded daemon runs without one).
+// Per-type message counters are left out: which types appear depends on
+// the traffic seen so far.
+func TestMetricNamesPinned(t *testing.T) {
+	perDM := func(prefix string) []string {
+		return []string{
+			"gauge " + prefix + "conflicts_resolved", "gauge " + prefix + "log_len",
+			"gauge " + prefix + "version", "gauge " + prefix + "views", "gauge " + prefix + "views_evicted",
+			"latency " + prefix + "fanout", "latency " + prefix + "pull", "latency " + prefix + "push",
+		}
+	}
+	common := []string{
+		"gauge spans_completed", "gauge wire_bytes", "gauge wire_flushes", "gauge wire_frames",
+		"gauge wire_late_replies", "messages total",
+	}
+	single := append(append(perDM(""), common...),
+		"gauge ha_epoch", "gauge ha_fenced", "gauge ha_standby",
+		"gauge repl_batches", "gauge repl_degraded_barriers", "gauge repl_lag")
+	sharded := append(append(perDM("db!s0."), perDM("db!s1.")...), common...)
+
+	// daemon wires a deployment the way run does: on a loopback listener,
+	// with its wire counters and the debug endpoint.
+	daemon := func(t *testing.T, shards int, opts directory.Options) (*deployment, string, string) {
+		t.Helper()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snet := transport.NewServerNetwork(ln, 5*time.Second)
+		d, err := newDeployment("db", newMapCodec(), snet, shards, opts, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.close() })
+		d.snet = snet
+		dln, err := newObservability("db", snet, d).serveDebug("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dln.Close() })
+		return d, ln.Addr().String(), "http://" + dln.Addr().String() + "/metrics"
+	}
+
+	_, _, shardedURL := daemon(t, 2, directory.Options{})
+	_, standbyAddr, standbyURL := daemon(t, 1, directory.Options{Standby: true})
+	primary, _, primaryURL := daemon(t, 1, directory.Options{})
+	ha := haOpts{replicateTo: standbyAddr, lease: time.Minute}
+	_, stop, err := startDaemonReplication(primary.dm, "db", standbyAddr, "", ha, transport.RetryPolicy{Attempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+
+	for _, c := range []struct {
+		shape, url string
+		want       []string
+	}{
+		{"sharded", shardedURL, sharded},
+		{"primary", primaryURL, single},
+		{"standby", standbyURL, single},
+	} {
+		want := append([]string(nil), c.want...)
+		sort.Strings(want)
+		text, fromJSON := servedMetricNames(t, c.url)
+		if !slices.Equal(text, want) {
+			t.Errorf("%s: /metrics serves %q, want %q", c.shape, text, want)
+		}
+		if !slices.Equal(fromJSON, want) {
+			t.Errorf("%s: /metrics?format=json serves %q, want %q", c.shape, fromJSON, want)
+		}
+	}
+}
+
+// servedMetricNames fetches /metrics as text and as JSON and returns the
+// sorted "<kind> <name>" of every metric each form serves, leaving out the
+// per-type message counters.
+func servedMetricNames(t *testing.T, url string) (text, fromJSON []string) {
+	t.Helper()
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v", url, resp.StatusCode, err)
+		}
+		return body
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(get(url))), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || f[0] == "messages" && f[1] == "type" {
+			continue
+		}
+		text = append(text, f[0]+" "+f[1])
+	}
+	sort.Strings(text)
+
+	var snap map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(get(url+"?format=json"), &snap); err != nil {
+		t.Fatal(err)
+	}
+	for section, kind := range map[string]string{"gauges": "gauge", "latencies": "latency", "messages": "messages"} {
+		for name := range snap[section] {
+			if kind != "messages" || name != "by_type" {
+				fromJSON = append(fromJSON, kind+" "+name)
+			}
+		}
+		delete(snap, section)
+	}
+	for section := range snap {
+		fromJSON = append(fromJSON, "section "+section)
+	}
+	sort.Strings(fromJSON)
+	return text, fromJSON
 }

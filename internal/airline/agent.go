@@ -146,18 +146,6 @@ func (a *TravelAgent) Browse(origin, dest string) ([]Flight, error) {
 	return flights, nil
 }
 
-// Run executes the Figure 3 main loop: n reservations of one seat on the
-// agent's first served flight, then nothing else (callers decide when to
-// kill the image).
-func (a *TravelAgent) Run(n, flightNumber int) error {
-	for i := 0; i < n; i++ {
-		if err := a.ReserveTickets(1, flightNumber); err != nil {
-			return fmt.Errorf("airline: %s iteration %d: %w", a.name, i, err)
-		}
-	}
-	return nil
-}
-
 // Close pushes pending work and unregisters (Figure 3 line 30).
 func (a *TravelAgent) Close() error { return a.CM.KillImage() }
 
@@ -181,18 +169,6 @@ func (c *Client) BecomeBuyer() error {
 		return err
 	}
 	c.Buyer = true
-	return nil
-}
-
-// BecomeViewer relaxes the client back to browsing (weak mode).
-func (c *Client) BecomeViewer() error {
-	if !c.Buyer {
-		return nil
-	}
-	if err := c.Agent.CM.SetMode(wire.Weak); err != nil {
-		return err
-	}
-	c.Buyer = false
 	return nil
 }
 

@@ -83,9 +83,8 @@ func TestReservations(t *testing.T) {
 	if err := rs.ConfirmTickets(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	avail, err := rs.SeatsAvailable(1)
-	if err != nil || avail != 1 {
-		t.Fatalf("avail=%d err=%v", avail, err)
+	if f, ok := rs.Flight(1); !ok || f.Available() != 1 {
+		t.Fatalf("flight 1 = %+v (%v), want 1 seat available", f, ok)
 	}
 	if err := rs.ConfirmTickets(2, 1); !errors.Is(err, ErrSoldOut) {
 		t.Fatalf("overbooking err = %v", err)
@@ -96,9 +95,8 @@ func TestReservations(t *testing.T) {
 	if err := rs.CancelTickets(5, 1); err != nil {
 		t.Fatal(err)
 	}
-	avail, _ = rs.SeatsAvailable(1)
-	if avail != 3 {
-		t.Fatalf("cancel should clamp at 0 reserved, avail=%d", avail)
+	if f, _ := rs.Flight(1); f.Available() != 3 {
+		t.Fatalf("cancel should clamp at 0 reserved, avail=%d", f.Available())
 	}
 	if err := rs.CancelTickets(1, 99); !errors.Is(err, ErrNoSuchFlight) {
 		t.Fatal("cancel on missing flight should fail")
@@ -250,8 +248,10 @@ func TestTravelAgentLifecycle(t *testing.T) {
 	if a.ARS.Len() != 5 {
 		t.Fatalf("replica len = %d, want 5", a.ARS.Len())
 	}
-	if err := a.Run(3, 102); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if err := a.ReserveTickets(1, 102); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
@@ -334,7 +334,7 @@ func TestViewerBecomesBuyer(t *testing.T) {
 	if f.Reserved != 2 {
 		t.Fatalf("db reserved = %d", f.Reserved)
 	}
-	if err := c.BecomeViewer(); err != nil {
+	if err := a.CM.SetMode(wire.Weak); err != nil {
 		t.Fatal(err)
 	}
 	if dm.Mode("agent-1") != wire.Weak {

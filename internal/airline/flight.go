@@ -218,17 +218,6 @@ func (rs *ReservationSystem) Browse(origin, dest string) []Flight {
 	return out
 }
 
-// SeatsAvailable returns the unsold seats on a flight.
-func (rs *ReservationSystem) SeatsAvailable(number int) (int, error) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	f, ok := rs.flights[number]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoSuchFlight, number)
-	}
-	return f.Available(), nil
-}
-
 // ConfirmTickets reserves count seats on a flight — the paper's
 // confirmTickets(count, flightNumber) operation.
 func (rs *ReservationSystem) ConfirmTickets(count, number int) error {

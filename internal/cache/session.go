@@ -76,12 +76,14 @@ func (m *Manager) PushImage() error {
 func sessionReset(err error) bool { return errors.Is(err, ErrSessionReset) }
 
 // finalPush is KillImage's push: it waits out the outstanding rounds and,
-// when writes are pending, one more round behind them, and then makes the
-// view refuse new rounds. A failure leaves the view taking rounds.
+// when writes are pending or a use window is open, one more round behind
+// them, and then makes the view refuse new rounds. The round waits for
+// the open window like any push, so its writes are not dropped. A failure
+// leaves the view taking rounds.
 func (m *Manager) finalPush(transport.Endpoint) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.killed && (m.inflight != nil || m.buffer != nil || m.valid && m.pendingOps > 0) {
+	if !m.killed && (m.inflight != nil || m.buffer != nil || m.inUse || m.valid && m.pendingOps > 0) {
 		r, err := m.roundLocked()
 		if err != nil {
 			return err

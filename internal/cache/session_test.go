@@ -410,6 +410,36 @@ func TestCloseAfterSessionResetDeliversWrites(t *testing.T) {
 	}
 }
 
+// KillImage waits like PushImage for a use window another goroutine has
+// open, even when nothing else is pending: the window's writes are part
+// of the final push, not dropped with the view.
+func TestKillImageWaitsForOpenWindow(t *testing.T) {
+	prim, v, cm := sessionRig(t, transport.Endpoint.Call)
+	if err := cm.StartUse(); err != nil {
+		t.Fatal(err)
+	}
+	v.Set("k", "k")
+	killed := make(chan error, 1)
+	go func() { killed <- cm.KillImage() }()
+	select {
+	case err := <-killed:
+		t.Fatalf("KillImage returned %v while a use window was open", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	cm.EndUse()
+	select {
+	case err := <-killed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("KillImage still blocked after the window closed")
+	}
+	if got := prim.Get("k"); got != "k" {
+		t.Fatalf("primary k = %q after KillImage, want the window's write", got)
+	}
+}
+
 // Asynchronous pushes over real TCP: the auto-dispatch pump, its blocking
 // Call on the pumping goroutine, and the flush rules all run under the
 // race detector here.

@@ -130,7 +130,7 @@ func TestSetModeAndPropsThroughManager(t *testing.T) {
 
 func TestSeedStaticAndExtractPrimary(t *testing.T) {
 	dm, net, clock, _ := newDM(t)
-	dm.SeedStatic("v1", "v2", registry.NoConflict)
+	dm.Registry().SetStatic("v1", "v2", registry.NoConflict)
 	cm1, v1 := newCM(t, net, clock, "v1")
 	cm2, _ := newCM(t, net, clock, "v2")
 	cm1.SetMode(wire.Strong)

@@ -20,8 +20,8 @@ import (
 // Options tunes the directory manager's policies. The zero value is the
 // Flecc protocol as described in the paper. Who conflicts with whom and
 // when a pull gathers are not options: the application states them with
-// the paper's own inputs — the static conflict matrix (Registry,
-// SeedStatic) and each view's validity trigger — and the comparator
+// the paper's own inputs — the static conflict matrix
+// (Registry().SetStatic) and each view's validity trigger — and the comparator
 // protocols in internal/baseline are written with exactly those.
 type Options struct {
 	// PropagateOnPush switches weak-mode update distribution from
@@ -944,12 +944,6 @@ func (m *Manager) Mode(view string) wire.Mode {
 		return vs.mode
 	}
 	return wire.Weak
-}
-
-// SeedStatic installs a static conflict-map entry (1/0/-1) before or after
-// views register.
-func (m *Manager) SeedStatic(a, b string, rel registry.Relation) {
-	m.structuralDo(func() { m.reg.SetStatic(a, b, rel) })
 }
 
 // CommitLocal lets the original component itself commit an update (e.g. an

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"flecc/internal/airline"
 	"flecc/internal/directory"
@@ -292,28 +291,4 @@ func (r *AblationPeerResult) CheckShape() error {
 		}
 	}
 	return nil
-}
-
-// WriteAll runs every ablation with default sizes and prints the tables.
-func WriteAll(w io.Writer) error {
-	c, err := RunAblationConflict(20, 5, 1)
-	if err != nil {
-		return err
-	}
-	if _, err := c.Table().WriteTo(w); err != nil {
-		return err
-	}
-	rw, err := RunAblationRW(5, 4)
-	if err != nil {
-		return err
-	}
-	if _, err := rw.Table().WriteTo(w); err != nil {
-		return err
-	}
-	p, err := RunAblationPeer([]int{2, 4, 8, 16})
-	if err != nil {
-		return err
-	}
-	_, err = p.Table().WriteTo(w)
-	return err
 }

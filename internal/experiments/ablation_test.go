@@ -63,15 +63,3 @@ func TestAblationPeer(t *testing.T) {
 		t.Fatalf("pairings: %+v", r8)
 	}
 }
-
-func TestWriteAll(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteAll(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Ablation E5", "Ablation E6", "Ablation E7"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Fatalf("WriteAll missing %q", want)
-		}
-	}
-}

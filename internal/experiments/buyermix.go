@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"flecc/internal/metrics"
 	"flecc/internal/vclock"
@@ -243,9 +242,6 @@ func (r *BuyerMixResult) Table() *metrics.Table {
 	}
 	return t
 }
-
-// WriteTo prints the table.
-func (r *BuyerMixResult) WriteTo(w io.Writer) (int64, error) { return r.Table().WriteTo(w) }
 
 // CheckShape verifies the motivating claims:
 //

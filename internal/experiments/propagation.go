@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"flecc/internal/metrics"
 	"flecc/internal/wire"
@@ -164,9 +163,6 @@ func (r *PropagationResult) Table() *metrics.Table {
 	}
 	return t
 }
-
-// WriteTo prints the table.
-func (r *PropagationResult) WriteTo(w io.Writer) (int64, error) { return r.Table().WriteTo(w) }
 
 // CheckShape verifies the ablation's claims: push-based readers are always
 // perfectly fresh; push-based cost grows with the write rate while

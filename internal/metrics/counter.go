@@ -19,8 +19,5 @@ func (c *Counter) Name() string { return c.name }
 // Inc adds one and returns the new value.
 func (c *Counter) Inc() int64 { return c.n.Add(1) }
 
-// Add adds delta and returns the new value.
-func (c *Counter) Add(delta int64) int64 { return c.n.Add(delta) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }

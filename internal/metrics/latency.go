@@ -53,8 +53,8 @@ func bucketFor(d time.Duration) int {
 // operation — the per-DM pull/push/fanout hot-path counters. It is safe
 // for concurrent use and cheap enough to sit on every request.
 //
-// All fields move together under one mutex so that readers (Mean,
-// Snapshot, String) see a consistent state: historically count and the
+// All fields move together under one mutex so that readers (Snapshot,
+// String) see a consistent state: historically count and the
 // nanosecond total were two independent atomics, and a reader could
 // load a count that included an observation whose nanoseconds had not
 // landed yet — under contention Mean could exceed the largest duration
@@ -103,24 +103,6 @@ func (l *Latency) TotalNs() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.ns
-}
-
-// Mean returns the average observation (0 when empty). The count and
-// total are read under one lock, so the mean never exceeds Max.
-func (l *Latency) Mean() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.count == 0 {
-		return 0
-	}
-	return time.Duration(l.ns / l.count)
-}
-
-// Max returns the largest observation so far.
-func (l *Latency) Max() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.max
 }
 
 // Quantile returns the upper bound of the histogram bucket containing

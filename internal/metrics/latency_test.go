@@ -12,7 +12,7 @@ func TestLatencyAccumulates(t *testing.T) {
 	if l.Name() != "pull" {
 		t.Fatalf("name = %q", l.Name())
 	}
-	if l.Count() != 0 || l.TotalNs() != 0 || l.Mean() != 0 {
+	if l.Count() != 0 || l.TotalNs() != 0 || l.Snapshot().Mean != 0 {
 		t.Fatalf("fresh latency not zero: %s", l)
 	}
 	l.Observe(10 * time.Millisecond)
@@ -23,7 +23,7 @@ func TestLatencyAccumulates(t *testing.T) {
 	if got := l.TotalNs(); got != int64(40*time.Millisecond) {
 		t.Fatalf("total = %d ns", got)
 	}
-	if got := l.Mean(); got != 20*time.Millisecond {
+	if got := l.Snapshot().Mean; got != 20*time.Millisecond {
 		t.Fatalf("mean = %s, want 20ms", got)
 	}
 }
@@ -122,10 +122,10 @@ func TestLatencyNoTearing(t *testing.T) {
 	}
 	deadline := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if m := l.Mean(); m > maxD {
-			t.Fatalf("torn mean: %v exceeds max observed %v", m, maxD)
-		}
 		s := l.Snapshot()
+		if s.Mean > maxD {
+			t.Fatalf("torn mean: %v exceeds max observed %v", s.Mean, maxD)
+		}
 		if s.Mean > s.Max {
 			t.Fatalf("torn snapshot: mean %v > max %v", s.Mean, s.Max)
 		}

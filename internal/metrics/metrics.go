@@ -8,23 +8,21 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
-	"flecc/internal/vclock"
 	"flecc/internal/wire"
 )
 
 // MessageStats is a transport.Observer that tallies messages. It counts
 // every message once (requests and replies separately), by type and by
-// directed edge.
+// shard (see PerShard).
 type MessageStats struct {
 	mu      sync.Mutex
 	total   int64
 	bytes   int64
 	byType  map[wire.Type]int64
-	byEdge  map[string]int64 // "from->to"
+	byShard map[string]int64 // shard node name -> messages touching it
 	measure bool             // whether to compute encoded sizes
 }
 
@@ -34,7 +32,7 @@ type MessageStats struct {
 func NewMessageStats(measureBytes bool) *MessageStats {
 	return &MessageStats{
 		byType:  map[wire.Type]int64{},
-		byEdge:  map[string]int64{},
+		byShard: map[string]int64{},
 		measure: measureBytes,
 	}
 }
@@ -45,12 +43,18 @@ func (s *MessageStats) OnMessage(from, to string, m *wire.Message) {
 	if s.measure {
 		size = int64(len(wire.Encode(m)))
 	}
+	shard, ok := ShardOf(to)
+	if !ok {
+		shard, ok = ShardOf(from)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.total++
 	s.bytes += size
 	s.byType[m.Type]++
-	s.byEdge[from+"->"+to]++
+	if ok {
+		s.byShard[shard]++
+	}
 }
 
 // Total returns the number of messages observed.
@@ -78,122 +82,13 @@ func (s *MessageStats) ByType() map[wire.Type]int64 {
 	return out
 }
 
-// Edge returns the count for the directed edge from->to.
-func (s *MessageStats) Edge(from, to string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byEdge[from+"->"+to]
-}
-
 // Reset zeroes all counters.
 func (s *MessageStats) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.total, s.bytes = 0, 0
 	s.byType = map[wire.Type]int64{}
-	s.byEdge = map[string]int64{}
-}
-
-// Snapshot renders a deterministic multi-line summary.
-func (s *MessageStats) Snapshot() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, "messages: %d", s.total)
-	if s.measure {
-		fmt.Fprintf(&b, " (%d bytes)", s.bytes)
-	}
-	b.WriteByte('\n')
-	types := make([]wire.Type, 0, len(s.byType))
-	for t := range s.byType {
-		types = append(types, t)
-	}
-	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-	for _, t := range types {
-		fmt.Fprintf(&b, "  %-12s %d\n", t, s.byType[t])
-	}
-	return b.String()
-}
-
-// Sample is one time-stamped measurement.
-type Sample struct {
-	T vclock.Time
-	V float64
-}
-
-// Series is an append-only time series with summary statistics. It is what
-// the figure harnesses collect and print. Safe for concurrent appends.
-type Series struct {
-	mu      sync.Mutex
-	name    string
-	samples []Sample
-}
-
-// NewSeries returns an empty named series.
-func NewSeries(name string) *Series { return &Series{name: name} }
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
-// Add appends a sample.
-func (s *Series) Add(t vclock.Time, v float64) {
-	s.mu.Lock()
-	s.samples = append(s.samples, Sample{T: t, V: v})
-	s.mu.Unlock()
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.samples)
-}
-
-// Samples returns a copy of the samples in insertion order.
-func (s *Series) Samples() []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Sample, len(s.samples))
-	copy(out, s.samples)
-	return out
-}
-
-// Sum returns the sum of sample values.
-func (s *Series) Sum() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var sum float64
-	for _, sm := range s.samples {
-		sum += sm.V
-	}
-	return sum
-}
-
-// Mean returns the average sample value (0 for an empty series).
-func (s *Series) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, sm := range s.samples {
-		sum += sm.V
-	}
-	return sum / float64(len(s.samples))
-}
-
-// Max returns the maximum sample value (0 for an empty series).
-func (s *Series) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var m float64
-	for i, sm := range s.samples {
-		if i == 0 || sm.V > m {
-			m = sm.V
-		}
-	}
-	return m
+	s.byShard = map[string]int64{}
 }
 
 // Table is a simple column-aligned text table used by the benchmark
@@ -220,9 +115,6 @@ func (t *Table) AddRow(cells ...any) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// Rows returns the row count.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // WriteTo renders the table.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -8,10 +9,10 @@ import (
 
 // Per-shard traffic breakdown for the sharded directory service
 // (internal/shard). Shard directory managers attach under names of the
-// form "<base>!s<index>" (shard.Node); every edge that touches such a
-// node is attributed to it, which turns the flat edge counts into a
-// per-shard load profile — the measurement behind the 1-vs-N shard
-// comparisons in EXPERIMENTS.md.
+// form "<base>!s<index>" (shard.Node); every message that touches such a
+// node is counted toward it as it is observed, which gives a per-shard
+// load profile — the measurement behind the 1-vs-N shard comparisons in
+// EXPERIMENTS.md.
 
 // ShardOf extracts the shard node from a node name following the
 // "<base>!s<index>" convention; ok is false for ordinary nodes.
@@ -28,28 +29,16 @@ func ShardOf(node string) (string, bool) {
 	return node, true
 }
 
-// PerShard aggregates the per-edge counts by shard: each edge whose
-// destination is a shard node counts toward that shard, otherwise an edge
-// whose source is a shard node counts toward that one. Edges touching no
-// shard node (e.g. router→client replies) are ignored. The result maps
-// shard node names to message counts.
+// PerShard returns the per-shard message counts: each message whose
+// destination is a shard node counts toward that shard, otherwise a
+// message whose source is a shard node counts toward that one. Messages
+// touching no shard node (e.g. router→client replies) are not counted, so
+// the map holds at most one entry per shard however many clients talk.
+// The result maps shard node names to message counts.
 func (s *MessageStats) PerShard() map[string]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := map[string]int64{}
-	for edge, n := range s.byEdge {
-		arrow := strings.Index(edge, "->")
-		if arrow < 0 {
-			continue
-		}
-		from, to := edge[:arrow], edge[arrow+2:]
-		if shard, ok := ShardOf(to); ok {
-			out[shard] += n
-		} else if shard, ok := ShardOf(from); ok {
-			out[shard] += n
-		}
-	}
-	return out
+	return maps.Clone(s.byShard)
 }
 
 // PerShardString renders the PerShard breakdown deterministically, e.g.

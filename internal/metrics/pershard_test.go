@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"strconv"
 	"testing"
 
 	"flecc/internal/wire"
@@ -60,5 +61,49 @@ func TestPerShard(t *testing.T) {
 	s.OnMessage("dm!s0", "dm!s1", msg)
 	if per := s.PerShard(); per["dm!s1"] != 4 || per["dm!s0"] != 2 {
 		t.Fatalf("after shard-to-shard edge: %v", per)
+	}
+}
+
+// TestOnMessageAllocFree: observing a message costs no allocation once
+// its type and shard have been seen — the collector sits on every
+// delivery of a sharded daemon.
+func TestOnMessageAllocFree(t *testing.T) {
+	s := NewMessageStats(false)
+	msg := &wire.Message{Type: wire.TPull}
+	s.OnMessage("client-1", "dm!s0", msg)
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.OnMessage("client-1", "dm!s0", msg)
+		s.OnMessage("dm!s0", "client-1", msg)
+		s.OnMessage("client-1", "dm", msg)
+	})
+	if allocs != 0 {
+		t.Fatalf("OnMessage allocates %.1f times per call set, want 0", allocs)
+	}
+}
+
+// TestPerShardBoundedByShards: however many distinct clients talk, the
+// collector keeps one counter per shard, not one per client edge.
+func TestPerShardBoundedByShards(t *testing.T) {
+	const shards, clients = 4, 10000
+	s := NewMessageStats(false)
+	msg := &wire.Message{Type: wire.TPush}
+	for i := 0; i < clients; i++ {
+		client := "agent-" + strconv.Itoa(i)
+		shard := "dm!s" + strconv.Itoa(i%shards)
+		s.OnMessage(client, shard, msg)
+		s.OnMessage(shard, client, msg)
+		s.OnMessage(client, "dm", msg)
+	}
+	s.mu.Lock()
+	held := len(s.byShard)
+	s.mu.Unlock()
+	if held != shards {
+		t.Fatalf("collector holds %d entries after %d clients, want %d", held, clients, shards)
+	}
+	per := s.PerShard()
+	for i := 0; i < shards; i++ {
+		if n := per["dm!s"+strconv.Itoa(i)]; n != 2*clients/shards {
+			t.Fatalf("dm!s%d = %d, want %d", i, n, 2*clients/shards)
+		}
 	}
 }

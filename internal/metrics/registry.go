@@ -10,58 +10,27 @@ import (
 )
 
 // Registry names and aggregates a deployment's metrics — the per-DM
-// latency accumulators, the eviction/reconnect/failover/fault
-// counters that previously lived as loose fields on their owning
-// subsystems, gauges sampled from live components, and the per-message-
-// type wire counters fed by a transport observer. fleccd serves a
+// latency accumulators, gauges sampled from live components (the
+// eviction/reconnect/failover/fault counters among them), and the
+// per-message-type wire counters fed by a transport observer. fleccd serves a
 // Registry over its /metrics endpoint; tests read it directly.
 //
 // Registration is idempotent by name: registering an existing name
 // replaces the previous entry, so reconnect cycles can re-register
 // without leaking. Safe for concurrent use.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	lats     map[string]*Latency
-	gauges   map[string]func() int64
-	stats    *MessageStats
+	mu     sync.Mutex
+	lats   map[string]*Latency
+	gauges map[string]func() int64
+	stats  *MessageStats
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		lats:     map[string]*Latency{},
-		gauges:   map[string]func() int64{},
+		lats:   map[string]*Latency{},
+		gauges: map[string]func() int64{},
 	}
-}
-
-// RegisterCounter adds (or replaces) a counter under its own name.
-func (r *Registry) RegisterCounter(c *Counter) {
-	if c == nil {
-		return
-	}
-	r.RegisterCounterAs(c.Name(), c)
-}
-
-// RegisterCounterAs adds (or replaces) a counter under an explicit
-// name, e.g. to prefix per-shard counters that share a local name.
-func (r *Registry) RegisterCounterAs(name string, c *Counter) {
-	if c == nil || name == "" {
-		return
-	}
-	r.mu.Lock()
-	r.counters[name] = c
-	r.mu.Unlock()
-}
-
-// RegisterLatency adds (or replaces) a latency histogram under its own
-// name.
-func (r *Registry) RegisterLatency(l *Latency) {
-	if l == nil {
-		return
-	}
-	r.RegisterLatencyAs(l.Name(), l)
 }
 
 // RegisterLatencyAs adds (or replaces) a latency histogram under an
@@ -97,25 +66,10 @@ func (r *Registry) SetMessageStats(s *MessageStats) {
 	r.mu.Unlock()
 }
 
-// Counter returns the named counter, or nil.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
-// Latency returns the named latency histogram, or nil.
-func (r *Registry) Latency(name string) *Latency {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lats[name]
-}
-
 // RegistrySnapshot is a consistent-enough point-in-time view of a
 // Registry: each metric is snapshotted atomically, though distinct
 // metrics are sampled at slightly different instants.
 type RegistrySnapshot struct {
-	Counters  map[string]int64    `json:"counters,omitempty"`
 	Gauges    map[string]int64    `json:"gauges,omitempty"`
 	Latencies map[string]Snapshot `json:"latencies,omitempty"`
 	Messages  *MessageSnapshot    `json:"messages,omitempty"`
@@ -131,10 +85,6 @@ type MessageSnapshot struct {
 // Snapshot samples every registered metric.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
 	lats := make(map[string]*Latency, len(r.lats))
 	for k, v := range r.lats {
 		lats[k] = v
@@ -147,12 +97,8 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Unlock()
 
 	snap := RegistrySnapshot{
-		Counters:  make(map[string]int64, len(counters)),
 		Gauges:    make(map[string]int64, len(gauges)),
 		Latencies: make(map[string]Snapshot, len(lats)),
-	}
-	for name, c := range counters {
-		snap.Counters[name] = c.Value()
 	}
 	for name, fn := range gauges {
 		snap.Gauges[name] = fn()
@@ -176,11 +122,7 @@ func (r *Registry) WriteText(w io.Writer) (int64, error) {
 	snap := r.Snapshot()
 	var b strings.Builder
 
-	names := sortedKeys(snap.Counters)
-	for _, name := range names {
-		fmt.Fprintf(&b, "counter %s %d\n", name, snap.Counters[name])
-	}
-	names = sortedKeys(snap.Gauges)
+	names := sortedKeys(snap.Gauges)
 	for _, name := range names {
 		fmt.Fprintf(&b, "gauge %s %d\n", name, snap.Gauges[name])
 	}

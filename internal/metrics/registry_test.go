@@ -12,13 +12,15 @@ import (
 func sampleRegistry() *Registry {
 	r := NewRegistry()
 	c := NewCounter("db.views_evicted")
-	c.Add(3)
-	r.RegisterCounter(c)
+	c.Inc()
+	c.Inc()
+	c.Inc()
+	r.RegisterGauge(c.Name(), c.Value)
 	r.RegisterGauge("faults_injected", func() int64 { return 12 })
 	l := NewLatency("pull")
 	l.Observe(2 * time.Millisecond)
 	l.Observe(4 * time.Millisecond)
-	r.RegisterLatency(l)
+	r.RegisterLatencyAs(l.Name(), l)
 	s := NewMessageStats(false)
 	s.OnMessage("cm", "dm", &wire.Message{Type: wire.TPull})
 	s.OnMessage("dm", "cm", &wire.Message{Type: wire.TAck})
@@ -31,7 +33,7 @@ func TestRegistryText(t *testing.T) {
 	r := sampleRegistry()
 	out := r.String()
 	for _, want := range []string{
-		"counter db.views_evicted 3",
+		"gauge db.views_evicted 3",
 		"gauge faults_injected 12",
 		"latency pull count=2",
 		"p50=", "p95=", "p99=", "max=4ms",
@@ -57,7 +59,6 @@ func TestRegistryJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got struct {
-		Counters  map[string]int64 `json:"counters"`
 		Gauges    map[string]int64 `json:"gauges"`
 		Latencies map[string]struct {
 			Count int64  `json:"count"`
@@ -71,7 +72,7 @@ func TestRegistryJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &got); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, b.String())
 	}
-	if got.Counters["db.views_evicted"] != 3 || got.Gauges["faults_injected"] != 12 {
+	if got.Gauges["db.views_evicted"] != 3 || got.Gauges["faults_injected"] != 12 {
 		t.Fatalf("decoded = %+v", got)
 	}
 	if got.Latencies["pull"].Count != 2 || got.Latencies["pull"].P95 == "" {
@@ -89,15 +90,13 @@ func TestRegistryReplaceAndPrefix(t *testing.T) {
 	b.Observe(time.Millisecond)
 	r.RegisterLatencyAs("s0.pull", a)
 	r.RegisterLatencyAs("s1.pull", b)
-	if r.Latency("s1.pull").Count() != 1 || r.Latency("s0.pull").Count() != 0 {
+	lats := r.Snapshot().Latencies
+	if lats["s1.pull"].Count != 1 || lats["s0.pull"].Count != 0 {
 		t.Fatal("prefixed registrations collided")
 	}
 	// Re-registering a name replaces the previous entry.
 	r.RegisterLatencyAs("s0.pull", b)
-	if r.Latency("s0.pull").Count() != 1 {
+	if lats := r.Snapshot().Latencies; lats["s0.pull"].Count != 1 || len(lats) != 2 {
 		t.Fatal("replacement did not take")
-	}
-	if r.Latency("missing") != nil || r.Counter("missing") != nil {
-		t.Fatal("missing lookups should be nil")
 	}
 }

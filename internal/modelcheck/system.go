@@ -159,12 +159,6 @@ func (s *system) propsFor(v *viewNode) property.Set {
 	return s.fullProps()
 }
 
-// keyAllowed reports whether the view may write key k under its current
-// property set.
-func (s *system) keyAllowed(v *viewNode, k int) bool {
-	return !v.propsAlt || k == v.idx%s.cfg.Keys
-}
-
 func (s *system) dm() *directory.Manager { return s.dms[s.active] }
 
 func (s *system) dmNodeName() string {

@@ -286,9 +286,6 @@ func (n *Net) Dropped() int64 {
 	return n.dropped
 }
 
-// Clock returns the network's virtual clock.
-func (n *Net) Clock() *vclock.Sim { return n.clock }
-
 // Topology returns the network's topology.
 func (n *Net) Topology() *Topology { return n.topo }
 

@@ -81,8 +81,8 @@ func TestRouterRejectsPinAgainstExistingOverlap(t *testing.T) {
 	}
 	home := r.owner("v1")
 	var target string
-	for _, s := range r.svc.Map().Shards() {
-		if s != home {
+	for i := 0; i < r.svc.NumShards(); i++ {
+		if s := shard.Node("dm", i); s != home {
 			target = s
 			break
 		}

@@ -171,9 +171,9 @@ func runKillTheLeader(t *testing.T, seed int64) string {
 		}
 	}
 
-	sbDM := r.svc.Manager("dm!s0r")
-	if sbDM == nil {
-		t.Fatal("standby manager unreachable via Manager()")
+	sbDM := r.svc.Standby(0)
+	if sbDM == nil || sbDM.Name() != "dm!s0r" {
+		t.Fatal("standby manager dm!s0r unreachable via Standby(0)")
 	}
 	if sbDM.Standby() {
 		t.Fatal("promoted standby still gating client traffic")
@@ -286,7 +286,7 @@ func TestShardFailoverReplicationKeepsStandbyHot(t *testing.T) {
 		if prim.CurrentVersion() != sb.CurrentVersion() {
 			t.Fatalf("push %d: standby at v%d, primary at v%d", i, sb.CurrentVersion(), prim.CurrentVersion())
 		}
-		if lag := r.svc.ReplLag(); lag != 0 {
+		if lag := prim.ReplLag(); lag != 0 {
 			t.Fatalf("push %d: ReplLag = %d", i, lag)
 		}
 	}
@@ -294,7 +294,7 @@ func TestShardFailoverReplicationKeepsStandbyHot(t *testing.T) {
 		t.Fatalf("standby codec k=%q, want w4", r.sb.Get("k"))
 	}
 	// Heartbeat is safe to call and keeps counters sane.
-	r.svc.Heartbeat()
+	r.svc.Replication(0).Heartbeat()
 	if r.svc.Replication(0).Degraded() {
 		t.Fatal("healthy pair reports degraded")
 	}

@@ -177,25 +177,6 @@ func (m *Map) Has(shard string) bool {
 	return ok
 }
 
-// Shards returns the sorted member shard nodes.
-func (m *Map) Shards() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.shards))
-	for s := range m.shards {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of member shards.
-func (m *Map) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.shards)
-}
-
 // Owner returns the shard owning a routing key on the consistent-hash
 // ring ("" when the map is empty).
 func (m *Map) Owner(key string) string {

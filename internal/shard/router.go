@@ -97,12 +97,6 @@ func NewRouter(net transport.Network, name string, m *Map) (*Router, error) {
 	return r, nil
 }
 
-// Name returns the logical directory name the router answers under.
-func (r *Router) Name() string { return r.name }
-
-// Map returns the router's shard map.
-func (r *Router) Map() *Map { return r.m }
-
 // Close detaches the router endpoint and wakes any waiters.
 func (r *Router) Close() error {
 	r.mu.Lock()
@@ -385,19 +379,5 @@ func (r *Router) Assignment() map[string]string {
 	for v, s := range r.assign {
 		out[v] = s
 	}
-	return out
-}
-
-// AssignedTo returns the sorted views owned by a shard.
-func (r *Router) AssignedTo(shard string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for v, s := range r.assign {
-		if s == shard {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
 	return out
 }

@@ -193,11 +193,11 @@ func TestRouterVersionVector(t *testing.T) {
 		t.Fatalf("owner %q is not a shard node", owner)
 	}
 	dm := r.svc.Shard(idx)
-	vv := r.svc.Versions()
-	if vv.Get(owner) == 0 {
+	vv := r.svc.Router().Versions()
+	if vv[owner] == 0 {
 		t.Fatalf("no version observed for %s: %v", owner, vv)
 	}
-	if vv.Get(owner) != uint64(dm.CurrentVersion()) {
-		t.Fatalf("router saw version %d, shard is at %d", vv.Get(owner), dm.CurrentVersion())
+	if vv[owner] != uint64(dm.CurrentVersion()) {
+		t.Fatalf("router saw version %d, shard is at %d", vv[owner], dm.CurrentVersion())
 	}
 }

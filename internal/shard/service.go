@@ -69,10 +69,9 @@ type Service struct {
 	r   *Router
 
 	mu       sync.Mutex
-	dms      []*directory.Manager          // index i serves Node(cfg.Name, i)
-	standbys []*directory.Manager          // index i serves StandbyNode(cfg.Name, i); nil entries without Standby
-	repls    []*directory.Replicator       // index i replicates shard i to its standby
-	byName   map[string]*directory.Manager // every attached manager (primaries and standbys)
+	dms      []*directory.Manager    // index i serves Node(cfg.Name, i)
+	standbys []*directory.Manager    // index i serves StandbyNode(cfg.Name, i); nil entries without Standby
+	repls    []*directory.Replicator // index i replicates shard i to its standby
 }
 
 // NewService builds and attaches the shard directory managers and the
@@ -87,7 +86,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Net == nil || cfg.Clock == nil || cfg.Primary == nil {
 		return nil, fmt.Errorf("shard: Net, Clock, and Primary are required")
 	}
-	s := &Service{cfg: cfg, m: NewMap(cfg.Replicas), byName: map[string]*directory.Manager{}}
+	s := &Service{cfg: cfg, m: NewMap(cfg.Replicas)}
 	for i := 0; i < cfg.Shards; i++ {
 		if err := s.attachShard(i); err != nil {
 			s.Close()
@@ -145,10 +144,6 @@ func (s *Service) attachShard(i int) error {
 	s.dms = append(s.dms, dm)
 	s.standbys = append(s.standbys, sb)
 	s.repls = append(s.repls, repl)
-	s.byName[node] = dm
-	if sb != nil {
-		s.byName[sb.Name()] = sb
-	}
 	s.mu.Unlock()
 	s.m.Add(node)
 	return nil
@@ -176,42 +171,6 @@ func (s *Service) Replication(i int) *directory.Replicator {
 	return s.repls[i]
 }
 
-// Heartbeat kicks every shard's replication session (idle standbys get
-// lease-refreshing empty batches, degraded ones a probe). Deployments
-// call it from their ticker loop.
-func (s *Service) Heartbeat() {
-	s.mu.Lock()
-	repls := append([]*directory.Replicator(nil), s.repls...)
-	s.mu.Unlock()
-	for _, r := range repls {
-		if r != nil {
-			r.Heartbeat()
-		}
-	}
-}
-
-// ReplLag returns the worst primary→standby version gap across shards.
-func (s *Service) ReplLag() uint64 {
-	s.mu.Lock()
-	dms := append([]*directory.Manager(nil), s.dms...)
-	s.mu.Unlock()
-	var lag uint64
-	for _, dm := range dms {
-		if l := dm.ReplLag(); l > lag {
-			lag = l
-		}
-	}
-	return lag
-}
-
-// Manager returns the attached directory manager serving the given node
-// name — primary or standby — or nil.
-func (s *Service) Manager(node string) *directory.Manager {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byName[node]
-}
-
 // Router returns the logical-endpoint router.
 func (s *Service) Router() *Router { return s.r }
 
@@ -236,38 +195,6 @@ func (s *Service) Shard(i int) *directory.Manager {
 		return nil
 	}
 	return s.dms[i]
-}
-
-// ShardNames returns the shard node names in index order.
-func (s *Service) ShardNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.dms))
-	for i := range s.dms {
-		out[i] = Node(s.cfg.Name, i)
-	}
-	return out
-}
-
-// Versions returns the router's per-shard version vector.
-func (s *Service) Versions() vclock.Vector { return s.r.Versions() }
-
-// Seen returns the primary version last observed by a view, asked of its
-// owning shard (0 when the view is unassigned).
-func (s *Service) Seen(view string) vclock.Version {
-	owner, ok := s.r.Assignment()[view]
-	if !ok {
-		return 0
-	}
-	_, i, ok := IsNode(owner)
-	if !ok {
-		return 0
-	}
-	dm := s.Shard(i)
-	if dm == nil {
-		return 0
-	}
-	return dm.Seen(view)
 }
 
 // Close detaches the router, stops the replication sessions, and closes

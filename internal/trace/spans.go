@@ -116,9 +116,6 @@ func (r *SpanRecorder) SetNow(fn func() time.Time) {
 	}
 }
 
-// Node returns the node whose spans are recorded.
-func (r *SpanRecorder) Node() string { return r.node }
-
 // OnMessage implements transport.Observer.
 func (r *SpanRecorder) OnMessage(from, to string, m *wire.Message) {
 	// Handshake frames are transport-level, not protocol requests; their

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"flecc/internal/wire"
 )
@@ -41,7 +40,6 @@ type Recorder struct {
 	next   int // ring write position when full
 	total  int
 	cap    int
-	filter atomic.Pointer[func(m *wire.Message) bool]
 }
 
 // NewRecorder returns a recorder keeping the most recent capacity events
@@ -53,26 +51,8 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{cap: capacity}
 }
 
-// SetFilter installs a predicate; messages it rejects are not recorded
-// (nil clears the filter). The swap is atomic, so SetFilter is safe to
-// call concurrently with traffic: deliveries in flight finish against
-// whichever filter they loaded, and later deliveries see the new one.
-// Already-recorded events are never re-filtered, so SetFilter composes
-// with ring rotation and Reset — change the filter mid-recording and
-// the retained events simply switch admission policy from that point.
-func (r *Recorder) SetFilter(f func(m *wire.Message) bool) {
-	if f == nil {
-		r.filter.Store(nil)
-		return
-	}
-	r.filter.Store(&f)
-}
-
 // OnMessage implements transport.Observer.
 func (r *Recorder) OnMessage(from, to string, m *wire.Message) {
-	if f := r.filter.Load(); f != nil && !(*f)(m) {
-		return
-	}
 	var note string
 	if m.Img != nil {
 		note = fmt.Sprintf("img(v%d,%d)", m.Img.Version, m.Img.Len())

@@ -54,16 +54,6 @@ func TestRecorderRingBuffer(t *testing.T) {
 	}
 }
 
-func TestRecorderFilter(t *testing.T) {
-	r := NewRecorder(10)
-	r.SetFilter(func(m *wire.Message) bool { return m.Type == wire.TInvalidate })
-	r.OnMessage("a", "b", &wire.Message{Type: wire.TPull})
-	r.OnMessage("a", "b", &wire.Message{Type: wire.TInvalidate})
-	if r.Total() != 1 {
-		t.Fatalf("total = %d", r.Total())
-	}
-}
-
 func TestRecorderReset(t *testing.T) {
 	r := NewRecorder(0) // default capacity
 	r.OnMessage("a", "b", &wire.Message{Type: wire.TPull})
@@ -164,52 +154,41 @@ func TestRecorderRotatedRendering(t *testing.T) {
 	}
 }
 
-// TestRecorderFilterRotationResetCompose: SetFilter, ring rotation, and
-// Reset compose — a filter installed mid-stream only governs later
-// admissions, survives rotation, and stays in force across Reset.
+// TestRecorderFilterRotationResetCompose: the recorder admits every
+// message, whatever its type, and admission composes with ring rotation
+// and Reset — the ring keeps the newest events across rotation, and
+// Reset restarts the numbering.
 func TestRecorderFilterRotationResetCompose(t *testing.T) {
 	r := NewRecorder(3)
-	r.OnMessage("a", "b", &wire.Message{Type: wire.TPull, Seq: 1})
-	r.OnMessage("a", "b", &wire.Message{Type: wire.TPush, Seq: 2})
-
-	r.SetFilter(func(m *wire.Message) bool { return m.Type == wire.TPull })
-	for i := 3; i <= 8; i++ {
-		typ := wire.TPush
-		if i%2 == 1 {
-			typ = wire.TPull
-		}
-		r.OnMessage("a", "b", &wire.Message{Type: typ, Seq: uint64(i)})
+	types := []wire.Type{wire.TPull, wire.TPush, wire.TInvalidate}
+	for i := 1; i <= 8; i++ {
+		r.OnMessage("a", "b", &wire.Message{Type: types[i%len(types)], Seq: uint64(i)})
 	}
-	// Admitted: pre-filter 1,2 then pulls 3,5,7 → total 5, ring keeps 3.
-	if r.Total() != 5 {
-		t.Fatalf("total = %d, want 5", r.Total())
+	if r.Total() != 8 {
+		t.Fatalf("total = %d, want 8", r.Total())
 	}
 	events := r.Events()
-	if len(events) != 3 || events[0].Seq != 3 || events[1].Seq != 5 || events[2].Seq != 7 {
+	if len(events) != 3 || events[0].Seq != 6 || events[1].Seq != 7 || events[2].Seq != 8 {
 		t.Fatalf("events = %+v", events)
+	}
+	if events[0].N != 6 || events[0].Type != wire.TPull {
+		t.Fatalf("oldest kept event = %+v", events[0])
 	}
 
 	r.Reset()
 	if r.Total() != 0 || len(r.Events()) != 0 {
 		t.Fatal("reset incomplete")
 	}
-	// The filter survives Reset.
 	r.OnMessage("a", "b", &wire.Message{Type: wire.TPush, Seq: 9})
 	r.OnMessage("a", "b", &wire.Message{Type: wire.TPull, Seq: 10})
-	if r.Total() != 1 || r.Events()[0].Seq != 10 {
-		t.Fatalf("post-reset events = %+v", r.Events())
-	}
-
-	// Clearing restores admit-all.
-	r.SetFilter(nil)
-	r.OnMessage("a", "b", &wire.Message{Type: wire.TPush, Seq: 11})
-	if r.Total() != 2 {
-		t.Fatalf("total after clearing filter = %d", r.Total())
+	if events := r.Events(); r.Total() != 2 || events[0].N != 1 || events[1].Seq != 10 {
+		t.Fatalf("post-reset events = %+v", events)
 	}
 }
 
-// TestRecorderSetFilterConcurrent: swapping the filter while traffic
-// flows is safe (run under -race in CI).
+// TestRecorderSetFilterConcurrent: resetting and reading the recorder
+// while traffic flows is safe (run under -race in CI); Reset is the one
+// writer besides delivery.
 func TestRecorderSetFilterConcurrent(t *testing.T) {
 	r := NewRecorder(64)
 	stop := make(chan struct{})
@@ -223,9 +202,9 @@ func TestRecorderSetFilterConcurrent(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				r.SetFilter(func(m *wire.Message) bool { return m.Type == wire.TPull })
+				r.Reset()
 			} else {
-				r.SetFilter(nil)
+				_ = r.Events()
 			}
 		}
 	}()
@@ -234,7 +213,8 @@ func TestRecorderSetFilterConcurrent(t *testing.T) {
 	}
 	close(stop)
 	<-done
-	if r.Total() == 0 {
-		t.Fatal("nothing recorded")
+	r.OnMessage("a", "b", &wire.Message{Type: wire.TPull, Seq: 2000})
+	if r.Total() == 0 || len(r.Events()) > 64 {
+		t.Fatalf("total %d, %d events kept", r.Total(), len(r.Events()))
 	}
 }

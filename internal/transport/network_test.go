@@ -21,7 +21,10 @@ func TestServerAndDialNetworks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dmEp.Close()
-	if dmEp.Name() != "dm" || snet.Server() == nil {
+	snet.mu.Lock()
+	srv := snet.srv
+	snet.mu.Unlock()
+	if dmEp.Name() != "dm" || srv == nil {
 		t.Fatal("server attachment")
 	}
 	// Second attach fails.

@@ -458,17 +458,6 @@ func (s *Server) Call(to string, req *wire.Message) (*wire.Message, error) {
 	return p.call(to, req, s.timeout)
 }
 
-// Clients returns the names of currently connected clients.
-func (s *Server) Clients() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.clients))
-	for n := range s.clients {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Close stops accepting, closes all client connections, and waits for the
 // accept loop and every peer's read/serve goroutines to drain, so state
 // observed after Close is final (no in-flight handler can still mutate it).
@@ -529,13 +518,6 @@ func (n *ServerNetwork) Attach(name string, h Handler) (Endpoint, error) {
 	}
 	n.srv = serveWith(n.ln, name, h, n.timeout, &n.obs)
 	return serverEndpoint{n.srv}, nil
-}
-
-// Server returns the underlying server (nil before Attach).
-func (n *ServerNetwork) Server() *Server {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.srv
 }
 
 // WireStats snapshots the server's wire counters (zero before Attach).

@@ -45,6 +45,17 @@ func TestTCPRequestReply(t *testing.T) {
 	}
 }
 
+// clientNames returns the names of the server's connected clients.
+func clientNames(s *Server) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []string
+	for n := range s.clients {
+		out = append(out, n)
+	}
+	return out
+}
+
 func TestTCPServerLearnsClientNames(t *testing.T) {
 	s := newTestServer(t, echoHandler)
 	c := dialTest(t, s, "agent-7", echoHandler)
@@ -53,7 +64,7 @@ func TestTCPServerLearnsClientNames(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		names := s.Clients()
+		names := clientNames(s)
 		if len(names) == 1 && names[0] == "agent-7" {
 			break
 		}
@@ -286,11 +297,11 @@ func TestDialHandshake(t *testing.T) {
 	// The handshake alone must register the client with the server.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if names := s.Clients(); len(names) == 1 && names[0] == "v1" {
+		if names := clientNames(s); len(names) == 1 && names[0] == "v1" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("server clients = %v, want [v1]", s.Clients())
+			t.Fatalf("server clients = %v, want [v1]", clientNames(s))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -147,17 +147,6 @@ func (n *Inproc) Detach(name string) {
 	delete(n.nodes, name)
 }
 
-// Nodes returns the currently attached node names (unordered).
-func (n *Inproc) Nodes() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.nodes))
-	for name := range n.nodes {
-		out = append(out, name)
-	}
-	return out
-}
-
 func (n *Inproc) lookup(name string) (*inprocEndpoint, bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()

@@ -101,8 +101,11 @@ func TestInprocClose(t *testing.T) {
 	if _, err := cm.Call("dm", &wire.Message{Type: wire.TInit}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v", err)
 	}
-	if len(n.Nodes()) != 0 {
-		t.Fatalf("nodes = %v", n.Nodes())
+	n.mu.RLock()
+	left := len(n.nodes)
+	n.mu.RUnlock()
+	if left != 0 {
+		t.Fatalf("%d nodes still attached", left)
 	}
 }
 

@@ -171,29 +171,6 @@ func (s *Sim) RunUntil(t Time) int {
 	}
 }
 
-// Drain fires all pending events in order and returns how many fired.
-// Events may schedule further events; Drain keeps going until the queue is
-// empty. maxEvents guards against runaway self-rescheduling loops: Drain
-// panics if it fires more than maxEvents events (0 means no limit).
-func (s *Sim) Drain(maxEvents int) int {
-	fired := 0
-	for s.Step() {
-		fired++
-		if maxEvents > 0 && fired > maxEvents {
-			panic("vclock: Drain exceeded maxEvents; runaway event loop?")
-		}
-	}
-	return fired
-}
-
-// Pending returns the number of events in the queue (including cancelled
-// placeholders not yet popped).
-func (s *Sim) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.events)
-}
-
 // Advance moves the clock forward by d without firing events scheduled in
 // the skipped window; it is meant for tests that need a bare time bump.
 // Most callers want RunUntil instead.

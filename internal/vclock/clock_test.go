@@ -5,6 +5,16 @@ import (
 	"time"
 )
 
+// drain fires every pending event, including the ones events schedule,
+// and returns how many fired.
+func drain(s *Sim) int {
+	fired := 0
+	for s.Step() {
+		fired++
+	}
+	return fired
+}
+
 func TestSimStartsAtZero(t *testing.T) {
 	s := NewSim()
 	if s.Now() != 0 {
@@ -18,7 +28,7 @@ func TestSimEventOrdering(t *testing.T) {
 	s.At(30, func() { order = append(order, 3) })
 	s.At(10, func() { order = append(order, 1) })
 	s.At(20, func() { order = append(order, 2) })
-	n := s.Drain(0)
+	n := drain(s)
 	if n != 3 {
 		t.Fatalf("fired %d events, want 3", n)
 	}
@@ -39,7 +49,7 @@ func TestSimSameTimeFIFO(t *testing.T) {
 		i := i
 		s.At(5, func() { order = append(order, i) })
 	}
-	s.Drain(0)
+	drain(s)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-time events not FIFO: %v", order)
@@ -88,7 +98,7 @@ func TestSimCancel(t *testing.T) {
 	cancel := s.At(10, func() { fired = true })
 	cancel()
 	cancel() // double-cancel is a no-op
-	s.Drain(0)
+	drain(s)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -99,7 +109,7 @@ func TestSimAfter(t *testing.T) {
 	s.RunUntil(100)
 	var at Time
 	s.After(50, func() { at = s.Now() })
-	s.Drain(0)
+	drain(s)
 	if at != 150 {
 		t.Fatalf("After(50) fired at %v, want 150", at)
 	}
@@ -110,7 +120,7 @@ func TestSimPastSchedulingClamped(t *testing.T) {
 	s.RunUntil(100)
 	var at Time
 	s.At(10, func() { at = s.Now() })
-	s.Drain(0)
+	drain(s)
 	if at != 100 {
 		t.Fatalf("past event fired at %v, want clamped to 100", at)
 	}
@@ -127,26 +137,13 @@ func TestSimEventsScheduleEvents(t *testing.T) {
 		}
 	}
 	s.After(10, recur)
-	s.Drain(0)
+	drain(s)
 	if depth != 5 {
 		t.Fatalf("depth = %d, want 5", depth)
 	}
 	if s.Now() != 50 {
 		t.Fatalf("Now = %v, want 50", s.Now())
 	}
-}
-
-func TestSimDrainGuard(t *testing.T) {
-	s := NewSim()
-	var loop func()
-	loop = func() { s.After(1, loop) }
-	s.After(1, loop)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Drain should panic on runaway loop")
-		}
-	}()
-	s.Drain(100)
 }
 
 func TestSimAdvance(t *testing.T) {

@@ -75,7 +75,7 @@ func TestCompareAntisymmetry(t *testing.T) {
 			}
 			same := true
 			for _, id := range []string{"a", "b", "c", "d"} {
-				if v.Get(id) != o.Get(id) {
+				if v[id] != o[id] {
 					same = false
 					break
 				}
@@ -134,7 +134,7 @@ func TestMergeLaws(t *testing.T) {
 			if ab.Compare(ba) != Equal {
 				t.Fatalf("Merge not commutative: %s ∨ %s = %s but %s ∨ %s = %s", a, b, ab, b, a, ba)
 			}
-			if !ab.Dominates(a) || !ab.Dominates(b) {
+			if !dominates(ab, a) || !dominates(ab, b) {
 				t.Fatalf("Merge result %s does not dominate both inputs %s, %s", ab, a, b)
 			}
 			for _, c := range vs[:min(len(vs), 12)] {

@@ -72,9 +72,6 @@ func (v Vector) Tick(id string) uint64 {
 	return v[id]
 }
 
-// Get returns the component for id (0 if absent).
-func (v Vector) Get(id string) uint64 { return v[id] }
-
 // Merge folds o into v component-wise (max), the standard join.
 func (v Vector) Merge(o Vector) {
 	for k, n := range o {
@@ -138,12 +135,6 @@ func (v Vector) Compare(o Vector) Ordering {
 	default:
 		return Equal
 	}
-}
-
-// Dominates reports whether v ≥ o component-wise.
-func (v Vector) Dominates(o Vector) bool {
-	ord := v.Compare(o)
-	return ord == Equal || ord == After
 }
 
 // String renders the vector deterministically, e.g. "{a:1, b:3}".

@@ -89,7 +89,7 @@ func TestVectorBasics(t *testing.T) {
 	if v.Tick("a") != 1 || v.Tick("a") != 2 || v.Tick("b") != 1 {
 		t.Fatal("tick sequence wrong")
 	}
-	if v.Get("a") != 2 || v.Get("c") != 0 {
+	if v["a"] != 2 || v["c"] != 0 {
 		t.Fatal("get wrong")
 	}
 	if v.String() != "{a:2, b:1}" {
@@ -118,6 +118,12 @@ func TestVectorCompare(t *testing.T) {
 	}
 }
 
+// dominates reports whether v ≥ o component-wise.
+func dominates(v, o Vector) bool {
+	ord := v.Compare(o)
+	return ord == Equal || ord == After
+}
+
 func TestVectorMergeAndDominates(t *testing.T) {
 	a := Vector{"x": 1, "y": 5}
 	b := Vector{"x": 3, "z": 2}
@@ -126,7 +132,7 @@ func TestVectorMergeAndDominates(t *testing.T) {
 	if a.Compare(want) != Equal {
 		t.Fatalf("merge = %v", a)
 	}
-	if !a.Dominates(b) {
+	if !dominates(a, b) {
 		t.Fatal("merged vector must dominate operand")
 	}
 }
@@ -135,7 +141,7 @@ func TestVectorClone(t *testing.T) {
 	a := Vector{"x": 1}
 	b := a.Clone()
 	b.Tick("x")
-	if a.Get("x") != 1 {
+	if a["x"] != 1 {
 		t.Fatal("clone not independent")
 	}
 }
@@ -163,7 +169,7 @@ func TestQuickMergeIsJoin(t *testing.T) {
 		if m1.Compare(m2) != Equal {
 			return false
 		}
-		if !m1.Dominates(a) || !m1.Dominates(b) {
+		if !dominates(m1, a) || !dominates(m1, b) {
 			return false
 		}
 		m3 := m1.Clone()

@@ -39,9 +39,6 @@ func Preencode(m *Message) *Frame {
 	return &Frame{body: body}
 }
 
-// BodyLen returns the encoded body size in bytes.
-func (f *Frame) BodyLen() int { return len(f.body) }
-
 // inlineBody bounds the pre-encoded body size that EncodeFrame copies
 // into the header buffer: below it a memcpy is cheaper than carrying a
 // second writev segment through the write path.

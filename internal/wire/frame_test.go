@@ -62,7 +62,7 @@ func TestPreencodeSharedAcrossTargets(t *testing.T) {
 // segmented (large-body) paths.
 func TestEncodeFrameMatchesWriteFrame(t *testing.T) {
 	big := allocTestMessage(600) // body comfortably over inlineBody
-	if Preencode(big).BodyLen() <= inlineBody {
+	if len(Preencode(big).body) <= inlineBody {
 		t.Fatal("test message too small to exercise the segmented path")
 	}
 	msgs := []*Message{
