@@ -124,8 +124,8 @@ type haState struct {
 	lastRepl vclock.Time
 	haveRepl bool // lastRepl is meaningful
 
-	// applyMu serializes batch application on a standby (transports run
-	// one handler goroutine per request, and several primaries may
+	// applyMu serializes batch application on a standby (a transport may
+	// serve several requests at once, and several primaries may
 	// address one standby across a failover). viewSeq, guarded by it, is the view
 	// watermark: the sender's view-change sequence this standby has
 	// applied through.

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -771,6 +772,12 @@ func TestReplBatchAllocs(t *testing.T) {
 
 	// Decode + apply on the standby, a fresh batch per run, interleaved as
 	// the stream does: commit n, touch n, commit n+1, ...
+	//
+	// The counter is process-wide, and a collection sets off runtime
+	// background work whose allocations land in whichever run is open
+	// (about one test run in 15 read a stray object). Collection stays off
+	// while counting, so each run counts its decode+apply alone.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	mallocs := func(b *ReplBatch) float64 {
 		blob := EncodeReplBatch(b)
 		var before, after runtime.MemStats

@@ -49,7 +49,7 @@ func TestTCPDuplicateNameRejected(t *testing.T) {
 }
 
 // TestTCPServerCloseDrainsGoroutines: Close must wait for the accept loop
-// and every peer's read/serve goroutines, not strand them.
+// and every peer's read loop and workers, not strand them.
 func TestTCPServerCloseDrainsGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 

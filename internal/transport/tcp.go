@@ -13,9 +13,11 @@ import (
 
 // peer manages one full-duplex framed connection. Both sides can initiate
 // requests; the read loop demultiplexes replies (matched by Seq to a
-// pending call) from incoming requests (dispatched to the handler on a
-// fresh goroutine so that a handler may itself issue nested calls over the
-// same connection without deadlocking).
+// pending call) from incoming requests, each handed to a parked worker or,
+// when none is parked, to a new one. The read loop never waits for a
+// handler, so a handler may itself issue nested calls over the same
+// connection without deadlocking, and replies go out in whatever order
+// their handlers finish.
 type peer struct {
 	name    string // local node name
 	conn    net.Conn
@@ -41,6 +43,12 @@ type peer struct {
 	err     error
 
 	seq atomic.Uint64
+
+	// work hands requests from the read loop to parked workers (see
+	// worker); idle counts the workers parked on it. The read loop closes
+	// work when it ends, so parked workers exit through wg.
+	work chan *wire.Message
+	idle atomic.Int32
 
 	// onFirstMessage, if set, is invoked with the first message received;
 	// the TCP server uses it to admit the connection under the remote
@@ -89,6 +97,7 @@ func newPeer(name string, conn net.Conn, h Handler, stats *WireStats) *peer {
 		wq:      newWriteQueue(conn, stats),
 		stats:   stats,
 		pending: map[uint64]*pendingCall{},
+		work:    make(chan *wire.Message),
 	}
 	// Enqueued frames have no blocked sender to carry a write error back,
 	// so the drainer reports poisoning here; shutdown is idempotent.
@@ -103,6 +112,7 @@ func (p *peer) start() {
 
 func (p *peer) readLoop() {
 	defer p.wg.Done()
+	defer close(p.work)
 	corked := false
 	first := true
 	for {
@@ -167,22 +177,47 @@ func (p *peer) readLoop() {
 			}
 			continue
 		}
-		// Request: serve on its own goroutine so nested calls work. The
-		// reply is enqueued like every frame, so concurrent replies
-		// coalesce into shared flushes.
-		p.wg.Add(1)
-		go func(req *wire.Message) {
-			defer p.wg.Done()
-			reply := p.serve(req)
-			reply.Seq = req.Seq
-			reply.From = p.name
-			if p.obs != nil {
-				p.obs.OnMessage(p.name, req.From, reply)
-			}
-			if err := p.wq.sendAsync(reply); err != nil {
-				p.shutdown(err)
-			}
-		}(m)
+		// Request: a parked worker takes it if one is waiting; otherwise
+		// it gets a worker of its own, so every request is served at once
+		// and nested calls work.
+		select {
+		case p.work <- m:
+		default:
+			p.wg.Add(1)
+			go p.worker(m)
+		}
+	}
+}
+
+// maxIdleWorkers caps the workers a peer keeps parked between requests.
+const maxIdleWorkers = 8
+
+// worker serves req, then parks for the next request the read loop hands
+// over. It exits when the read loop ends, or instead of parking when
+// maxIdleWorkers others are parked already. Each reply is enqueued like
+// every frame, so concurrent replies coalesce into shared flushes.
+func (p *peer) worker(req *wire.Message) {
+	defer p.wg.Done()
+	for {
+		reply := p.serve(req)
+		reply.Seq = req.Seq
+		reply.From = p.name
+		if p.obs != nil {
+			p.obs.OnMessage(p.name, req.From, reply)
+		}
+		if err := p.wq.sendAsync(reply); err != nil {
+			p.shutdown(err)
+		}
+		if p.idle.Add(1) > maxIdleWorkers {
+			p.idle.Add(-1)
+			return
+		}
+		var ok bool
+		req, ok = <-p.work
+		p.idle.Add(-1)
+		if !ok {
+			return
+		}
 	}
 }
 
@@ -328,8 +363,8 @@ func (p *peer) isClosed() bool {
 	return p.closed
 }
 
-// wait blocks until the peer's read loop and in-flight serve goroutines
-// have drained; callers shut the peer down first.
+// wait blocks until the peer's read loop and workers have drained;
+// callers shut the peer down first.
 func (p *peer) wait() { p.wg.Wait() }
 
 // Server is the TCP listener side: it accepts cache-manager connections,
@@ -459,7 +494,7 @@ func (s *Server) Call(to string, req *wire.Message) (*wire.Message, error) {
 }
 
 // Close stops accepting, closes all client connections, and waits for the
-// accept loop and every peer's read/serve goroutines to drain, so state
+// accept loop and every peer's read loop and workers to drain, so state
 // observed after Close is final (no in-flight handler can still mutate it).
 func (s *Server) Close() error {
 	s.mu.Lock()
