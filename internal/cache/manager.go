@@ -139,9 +139,13 @@ type Manager struct {
 	// without the capability, and after SetProps. syncGen counts the times
 	// it moved, so a round that extracted before someone else moved it
 	// does not advance it past keys that round never looked at.
-	syncedRev  uint64
-	syncGen    uint64
-	seen       vclock.Version
+	syncedRev uint64
+	syncGen   uint64
+	seen      vclock.Version
+	// acked is the version of the last push ack folded into base. A pull
+	// names it while it is above seen, so the directory can leave that
+	// push out of the reply: base and the view already hold its values.
+	acked      vclock.Version
 	pendingOps int
 	// lastPull/lastPush are virtual times for the sincePull/sincePush
 	// trigger variables.
@@ -231,6 +235,13 @@ func (m *Manager) Seen() vclock.Version {
 	return m.seen
 }
 
+// Acked returns the version of the last push ack the view folded.
+func (m *Manager) Acked() vclock.Version {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.acked
+}
+
 // Valid reports whether the view's image is currently valid (not
 // invalidated by the directory manager).
 func (m *Manager) Valid() bool {
@@ -274,9 +285,13 @@ func (m *Manager) PullImage() error {
 		m.mu.Unlock()
 		return ErrNotInitialized
 	}
-	since, epoch := m.seen, m.invalidations
+	req := &wire.Message{Type: wire.TPull, Since: m.seen, Op: m.op}
+	if m.acked > m.seen {
+		req.Version = m.acked
+	}
+	epoch := m.invalidations
 	m.mu.Unlock()
-	return m.load(&wire.Message{Type: wire.TPull, Since: since, Op: m.op}, epoch)
+	return m.load(req, epoch)
 }
 
 // load sends an init or a pull and merges the image it returns. Validity
@@ -395,6 +410,8 @@ func (m *Manager) SetProps(props property.Set) error {
 		})
 	}
 	m.props = props
+	// base no longer vouches for every key the last push held.
+	m.acked = 0
 	// What the view extracts under the new properties is a different set
 	// of keys: the next delta looks at all of them.
 	m.syncedRev = 0

@@ -261,6 +261,9 @@ func (m *Manager) completeRoundLocked(r *pushRound, reply *wire.Message, err err
 	// leaving the view looking dirty with stale data that a later push
 	// would echo over newer commits.
 	m.foldLocked(r.x, reply.Version)
+	if r.x.delta != nil {
+		m.acked = reply.Version
+	}
 	// Retire only the ops this round carried: use windows closed while
 	// the round was on the wire belong to the next one.
 	m.pendingOps = max(m.pendingOps-r.x.ops, 0)
@@ -268,7 +271,10 @@ func (m *Manager) completeRoundLocked(r *pushRound, reply *wire.Message, err err
 	// Note: seen does NOT advance here. The push ack's version covers only
 	// this view's own commit; updates other writers committed since the
 	// last pull remain unobserved, and advancing seen past them would make
-	// later delta pulls skip them forever.
+	// later delta pulls skip them forever. What the ack buys is acked: the
+	// next pull names it, and the directory leaves this commit out of the
+	// reply if it stored exactly the pushed values (PROTOCOL.md "The pull
+	// algorithm").
 	//
 	// If the directory's resolver rejected some of our entries, the ack
 	// carries the winning values; adopt them so the view converges on the

@@ -135,7 +135,11 @@ func (ls *laneSet) rebuildLocked(epoch uint64) {
 // TSetProps or TUnregister, the set it was extracted under is unknown,
 // and it commits under the empty set, which means no restriction
 // (PROTOCOL.md "Wire format" has why that is safe).
-func (m *Manager) commit(writer string, stamp uint64, delta *image.Image, ops int) (vclock.Version, *image.Image, error) {
+//
+// clean reports that the commit stored exactly the delta: a version was
+// allocated and no entry met a conflict. A delta that commits nothing
+// returns the current version and is not clean.
+func (m *Manager) commit(writer string, stamp uint64, delta *image.Image, ops int) (ver vclock.Version, clean bool, rejected *image.Image, err error) {
 	defer m.maybeCompact() // deferred first, so it runs after the unlocks
 	m.store.gate.RLock()
 	defer m.store.gate.RUnlock()
@@ -146,8 +150,11 @@ func (m *Manager) commit(writer string, stamp uint64, delta *image.Image, ops in
 	lane := m.lanes.laneFor(writer)
 	lane.Lock()
 	defer lane.Unlock()
-	ver, _, rejected, err := m.store.commitGated(writer, props, delta, ops)
-	return ver, rejected, err
+	ver, conflicts, rejected, err := m.store.commitGated(writer, props, delta, ops)
+	if ver == 0 && err == nil {
+		return m.store.Current(), false, nil, nil
+	}
+	return ver, err == nil && conflicts == 0, rejected, err
 }
 
 // structuralDo runs fn with the gate held exclusively — every lane

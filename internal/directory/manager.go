@@ -98,6 +98,10 @@ type viewState struct {
 	lastOp wire.OpClass
 	// phase is the view's activity (phase.go); only transition writes it.
 	phase Phase
+	// pushed is the version of the view's last push when that commit met
+	// no conflict, else 0. Not replicated: a promoted standby starts at 0
+	// and serves every commit.
+	pushed vclock.Version
 	// replicated marks a view this manager knows only from a primary's
 	// replication stream. Full view state from that stream is
 	// authoritative for exactly these: one it no longer lists is dropped.
@@ -265,6 +269,17 @@ func (m *Manager) Seen(view string) vclock.Version {
 	return 0
 }
 
+// Pushed returns the version of a view's last push if that commit met no
+// conflict, else 0.
+func (m *Manager) Pushed(view string) vclock.Version {
+	if vs, ok := m.viewState(view); ok {
+		vs.mu.Lock()
+		defer vs.mu.Unlock()
+		return vs.pushed
+	}
+	return 0
+}
+
 // handle is the DM protocol FSM entry point.
 func (m *Manager) handle(req *wire.Message) *wire.Message {
 	if reply := m.haGate(req); reply != nil {
@@ -424,14 +439,15 @@ func (m *Manager) handleInit(req *wire.Message) *wire.Message {
 	if !ok {
 		return errf("init from unregistered view %s", req.From)
 	}
-	return m.serve(vs, 0, false)
+	return m.serve(vs, 0, commitID{}, false)
 }
 
 // serve answers an init or a pull: the primary data restricted to the
-// view's set and trimmed to entries newer than since, recorded as seen,
-// the view marked active. Its replication barrier covers the whole
-// request — for a pull, the commits it invalidated or gathered too — so
-// they land on the standbys before the requester sees its image.
+// view's set and trimmed to entries newer than since, less skip's
+// entries, recorded as seen, the view marked active. Its replication
+// barrier covers the whole request — for a pull, the commits it
+// invalidated or gathered too — so they land on the standbys before the
+// requester sees its image.
 //
 // quiet says the pull contacted no invalidate or gather target and kept
 // its op class. A quiet pull by a view that was already active, whose
@@ -439,9 +455,9 @@ func (m *Manager) handleInit(req *wire.Message) *wire.Message {
 // the view's seen: it skips the barrier, and the touch stays on the
 // change stack for the next batch or heartbeat. A standby whose seen
 // lags only errs on the safe side (PROTOCOL.md "Barrier").
-func (m *Manager) serve(vs *viewState, since vclock.Version, quiet bool) *wire.Message {
+func (m *Manager) serve(vs *viewState, since vclock.Version, skip commitID, quiet bool) *wire.Message {
 	props, _ := m.reg.Props(vs.name)
-	img, err := m.store.Extract(props, since)
+	img, err := m.store.extract(props, since, skip)
 	if err != nil {
 		return errf("%v", err)
 	}
@@ -478,6 +494,13 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 	mode := vs.mode
 	opChanged := vs.lastOp != req.Op
 	vs.lastOp = req.Op
+	// The puller names the last push ack it folded; if that push is the
+	// view's last one and met no conflict, the view holds what it
+	// committed and the reply leaves it out.
+	var skip commitID
+	if req.Version != 0 && req.Version == vs.pushed {
+		skip = commitID{version: req.Version, writer: view}
+	}
 	vs.mu.Unlock()
 	m.viewChanged(vs, false)
 
@@ -534,7 +557,7 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 
 	// 3. Serve the (now freshest-known) primary data. A pull that contacted
 	// no one and kept its op class may be quiet (serve).
-	return m.serve(vs, req.Since, !contacted && !opChanged)
+	return m.serve(vs, req.Since, skip, !contacted && !opChanged)
 }
 
 // collectRound runs collect on every target in one fan-out round. The
@@ -717,7 +740,7 @@ func (m *Manager) collect(target string, typ wire.Type, pre *wire.Frame) error {
 	// Rejected winners are not pushed back here: invalidated views must
 	// pull before their next use anyway, and fetched views will see the
 	// winning values on their next pull.
-	_, _, err = m.commit(target, stamp, reply.Img, int(reply.Ops))
+	_, _, _, err = m.commit(target, stamp, reply.Img, int(reply.Ops))
 	return err
 }
 
@@ -725,15 +748,26 @@ func (m *Manager) handlePush(req *wire.Message) *wire.Message {
 	start := time.Now()
 	defer func() { m.latPush.Observe(time.Since(start)) }()
 	view := req.From
-	if _, ok := m.viewState(view); !ok {
+	vs, ok := m.viewState(view)
+	if !ok {
 		return errf("push from unregistered view %s", view)
 	}
 	// The pusher's execution lane serializes this commit against its own
 	// conflict group only; disjoint groups commit in parallel.
-	ver, rejected, err := m.commit(view, 0, req.Img, int(req.Ops))
+	ver, clean, rejected, err := m.commit(view, 0, req.Img, int(req.Ops))
 	if err != nil {
 		return errf("%v", err)
 	}
+	// A clean commit stored exactly the pushed values, so once the pusher
+	// has folded its ack, its pulls may leave it out (handlePull). A
+	// resolver merge is stamped with the pusher too but holds other
+	// values: it must come back.
+	vs.mu.Lock()
+	vs.pushed = 0
+	if clean {
+		vs.pushed = ver
+	}
+	vs.mu.Unlock()
 	if m.opts.PropagateOnPush {
 		if err := m.propagate(view, ver); err != nil {
 			return errf("propagate: %v", err)
@@ -957,7 +991,7 @@ func (m *Manager) CommitLocal(delta *image.Image, ops int) (vclock.Version, erro
 	// A primary-local commit may touch any key: it commits under the empty
 	// property set, and has no conflict group, so it runs exclusively —
 	// all lanes drained.
-	m.structuralDo(func() { v, _, _, err = m.store.commitGated("", property.Set{}, delta, ops) })
+	m.structuralDo(func() { v, _, _, err = m.store.orCurrent(m.store.commitGated("", property.Set{}, delta, ops)) })
 	m.maybeCompact()
 	if err != nil {
 		return v, err

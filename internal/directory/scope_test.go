@@ -397,3 +397,50 @@ func TestAliasFlightKeyIsNoFlight(t *testing.T) {
 		t.Fatalf("flight 7 has %d reserved after b's push, want 3", got)
 	}
 }
+
+// TestNoopPushLeavesMergeInPull: a push that commits nothing (its one
+// key is out of scope) acks with the current version, which here is the
+// pusher's own earlier commit, a resolver merge. That ack names no commit
+// of this push, so a pull that names it must still bring the merge back.
+func TestNoopPushLeavesMergeInPull(t *testing.T) {
+	db := airline.NewReservationSystem()
+	airline.SeedFlights(db, 7, 1, 200)
+	net := transport.NewInproc()
+	dm, err := directory.New("dm", db, vclock.NewSim(), net, directory.Options{FanOut: 1, Resolver: airline.SeatResolver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dm.Close() })
+	base, _ := db.Flight(7)
+	eps := map[string]transport.Endpoint{}
+	for _, name := range []string{"a", "b"} {
+		ep, err := net.Attach(name, func(*wire.Message) *wire.Message { return &wire.Message{Type: wire.TAck} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustCall(t, ep, &wire.Message{Type: wire.TRegister, From: name, Mode: wire.Weak, Props: property.MustSet("Flights={7}")})
+		mustCall(t, ep, &wire.Message{Type: wire.TInit, From: name})
+		eps[name] = ep
+	}
+	push := func(view, key string, f airline.Flight) *wire.Message {
+		return mustCall(t, eps[view], &wire.Message{Type: wire.TPush, From: view, Ops: 1,
+			Img: image.Of(0, []image.Entry{{Key: key, Value: f.Encode()}})})
+	}
+
+	a := base
+	a.Reserved = 5
+	push("a", airline.FlightKey(7), a)
+	b := base
+	b.Reserved, b.Fare = 1, base.Fare+100
+	merged := push("b", airline.FlightKey(7), b).Version
+	if f, _ := db.Flight(7); f.Reserved != 5 || f.Fare != b.Fare {
+		t.Fatalf("setup: the primary holds %+v, want a's seats and b's fare merged", f)
+	}
+	if ack := push("b", "flight/007", b); ack.Version != merged || dm.CurrentVersion() != merged {
+		t.Fatalf("setup: the out-of-scope push acked v%d at v%d, want v%d and no commit", ack.Version, dm.CurrentVersion(), merged)
+	}
+	reply := mustCall(t, eps["b"], &wire.Message{Type: wire.TPull, From: "b", Since: merged - 1, Version: merged})
+	if e, ok := reply.Img.Get(airline.FlightKey(7)); !ok || e.Version != merged {
+		t.Fatalf("b's pull naming v%d carried %v, want the merge at v%d", merged, reply.Img.Entries, merged)
+	}
+}

@@ -195,7 +195,16 @@ func (s *Store) ConflictsSeen() int {
 func (s *Store) Commit(writer string, delta *image.Image, ops int) (vclock.Version, int, *image.Image, error) {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
-	return s.commitGated(writer, property.Set{}, delta, ops)
+	return s.orCurrent(s.commitGated(writer, property.Set{}, delta, ops))
+}
+
+// orCurrent passes a commitGated result through, naming the current
+// version where the commit committed nothing.
+func (s *Store) orCurrent(ver vclock.Version, conflicts int, rejected *image.Image, err error) (vclock.Version, int, *image.Image, error) {
+	if ver == 0 && err == nil {
+		ver = s.counter.Current()
+	}
+	return ver, conflicts, rejected, err
 }
 
 // commitGated is Commit for a caller that already holds the gate: the
@@ -204,10 +213,11 @@ func (s *Store) Commit(writer string, delta *image.Image, ops int) (vclock.Versi
 // the update record all use it. With a Scoper primary, entries outside
 // props are dropped before anything else: Merge would skip them, so they
 // must not be stamped as committed either. A delta left empty commits
-// nothing.
+// nothing and returns version 0, so the caller can tell that no version
+// is this commit's (orCurrent).
 func (s *Store) commitGated(writer string, props property.Set, delta *image.Image, ops int) (vclock.Version, int, *image.Image, error) {
 	if delta == nil || delta.Len() == 0 {
-		return s.counter.Current(), 0, nil, nil
+		return 0, 0, nil, nil
 	}
 	// The entries to commit, in the delta's key order, each with the
 	// shadow entry the resolver stamps "ours" with when it conflicts.
@@ -231,7 +241,7 @@ func (s *Store) commitGated(writer string, props property.Set, delta *image.Imag
 		apply = append(apply, e)
 	}
 	if len(apply) == 0 {
-		return s.counter.Current(), 0, nil, nil
+		return 0, 0, nil, nil
 	}
 	s.mu.RLock()
 	resolver := s.resolver
@@ -380,10 +390,29 @@ func (st *storeStripe) rebuild() {
 // keys are extracted instead of snapshotting everything and discarding
 // most of it. Either way the primary codec is called outside every lock.
 func (s *Store) Extract(props property.Set, since vclock.Version) (*image.Image, error) {
+	return s.extract(props, since, commitID{})
+}
+
+// commitID names one commit: the version it was assigned and its writer.
+// The zero value names none.
+type commitID struct {
+	version vclock.Version
+	writer  string
+}
+
+// names reports whether the stamp (version, writer) is this commit's.
+func (c commitID) names(version vclock.Version, writer string) bool {
+	return c.version != 0 && version == c.version && writer == c.writer
+}
+
+// extract is Extract for a delta that leaves out skip's entries: those
+// whose shadow stamp is still exactly skip, so no later commit touched
+// them. A pull names the puller's own last push that way (handlePull).
+func (s *Store) extract(props property.Set, since vclock.Version, skip commitID) (*image.Image, error) {
 	if since > 0 && s.keyed != nil {
-		return s.extractDelta(props, since)
+		return s.extractDelta(props, since, skip)
 	}
-	return s.extractFull(props, since)
+	return s.extractFull(props, since, skip)
 }
 
 // stampGated overwrites each entry's provenance with its shadow stamp.
@@ -415,8 +444,9 @@ func withTombstones(img *image.Image, tombs []image.Entry) *image.Image {
 
 // extractFull is the classic path: full primary snapshot, shadow overlay,
 // tombstone synthesis and, when since > 0, a trim to the entries committed
-// after since. The image is this call's own, so the trim deletes in place.
-func (s *Store) extractFull(props property.Set, since vclock.Version) (*image.Image, error) {
+// after since, skip's left out. The image is this call's own, so the trim
+// deletes in place.
+func (s *Store) extractFull(props property.Set, since vclock.Version, skip commitID) (*image.Image, error) {
 	pubVer := s.pub.published()
 	img, err := s.primary.Extract(props)
 	if err != nil {
@@ -445,18 +475,21 @@ func (s *Store) extractFull(props property.Set, since vclock.Version) (*image.Im
 	img = withTombstones(img, tombs)
 	img.Version = pubVer
 	if since > 0 {
-		img.Entries = slices.DeleteFunc(img.Entries, func(e image.Entry) bool { return e.Version <= since })
+		img.Entries = slices.DeleteFunc(img.Entries, func(e image.Entry) bool {
+			return e.Version <= since || skip.names(e.Version, e.Writer)
+		})
 	}
 	return img, nil
 }
 
-// extractDelta serves Extract(props, since>0) from the dirty-key index:
-// binary-search each stripe's index for the first change after since,
-// partition the tail into live keys and tombstones, and ask the keyed
-// primary for just the live keys. With a Scoper primary, live keys
-// outside props are dropped first: the keyed extract would drop them
-// too (the Scoper contract), so they are never collected.
-func (s *Store) extractDelta(props property.Set, since vclock.Version) (*image.Image, error) {
+// extractDelta serves extract(props, since>0, skip) from the dirty-key
+// index: binary-search each stripe's index for the first change after
+// since, partition the tail into live keys and tombstones, and ask the
+// keyed primary for just the live keys. skip's keys and, with a Scoper
+// primary, live keys outside props are dropped first: the keyed extract
+// would drop the latter too (the Scoper contract), so neither is ever
+// extracted.
+func (s *Store) extractDelta(props property.Set, since vclock.Version, skip commitID) (*image.Image, error) {
 	pubVer := s.pub.published()
 	var liveKeys []string
 	var tombs []image.Entry
@@ -469,6 +502,9 @@ func (s *Store) extractDelta(props property.Set, since vclock.Version) (*image.I
 			sh, ok := st.shadow[rec.key]
 			if !ok || sh.version != rec.version {
 				continue // superseded record; the key's current version has its own
+			}
+			if skip.names(sh.version, sh.writer) {
+				continue
 			}
 			if sh.deleted {
 				// Tombstones are not filtered by props, mirroring the full path.

@@ -644,8 +644,8 @@ func (s *system) fingerprint() string {
 		fmt.Fprintf(&b, "dm%d ver=%d\n", di, dm.CurrentVersion())
 		for _, name := range reg.Views() {
 			props, _ := reg.Props(name)
-			fmt.Fprintf(&b, " reg %s props=%s mode=%s seen=%d phase=%s\n",
-				name, props, dm.Mode(name), dm.Seen(name), dm.Phase(name))
+			fmt.Fprintf(&b, " reg %s props=%s mode=%s seen=%d pushed=%d phase=%s\n",
+				name, props, dm.Mode(name), dm.Seen(name), dm.Pushed(name), dm.Phase(name))
 		}
 		for _, rec := range dm.Store().Log() {
 			fmt.Fprintf(&b, " log v%d w=%q ops=%d props=%s\n", rec.Version, rec.Writer, rec.Ops, rec.Props)
@@ -664,8 +664,8 @@ func (s *system) fingerprint() string {
 		if !v.alive {
 			continue
 		}
-		fmt.Fprintf(&b, " cm valid=%t pending=%d seen=%d mode=%s buffered=%t\n",
-			v.cm.Valid(), v.cm.PendingOps(), v.cm.Seen(), v.cm.Mode(), v.cm.PushPending())
+		fmt.Fprintf(&b, " cm valid=%t pending=%d seen=%d acked=%d mode=%s buffered=%t\n",
+			v.cm.Valid(), v.cm.PendingOps(), v.cm.Seen(), v.cm.Acked(), v.cm.Mode(), v.cm.PushPending())
 		keys := make([]string, 0, len(v.data.data))
 		for k := range v.data.data {
 			keys = append(keys, k)

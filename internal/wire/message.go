@@ -219,7 +219,9 @@ type Message struct {
 	Op OpClass
 	// Since is the version the sender already holds (TPull).
 	Since vclock.Version
-	// Version is the primary version (TAck for push, TImage replies).
+	// Version is the primary version (TAck for push, TImage replies). On
+	// a view's TPull it names the last push ack the view folded, so the
+	// directory may leave that push out of the reply.
 	Version vclock.Version
 	// Ops counts the logical operations (use windows) folded into the
 	// carried image (TPush and fetch/invalidate TImage replies). The

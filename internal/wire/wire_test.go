@@ -263,6 +263,10 @@ func TestMessageSizes(t *testing.T) {
 		{"image-reply", &Message{Type: TImage, Seq: 1000, From: "dm", Version: 4243, Img: entry("agent-03", 4243)}, 63},
 		{"push", &Message{Type: TPush, Seq: 1001, From: "agent-07", Ops: 1, Img: entry("agent-07", 0)}, 66},
 		{"ack", &Message{Type: TAck, Seq: 1001, From: "dm", Version: 4244}, 15},
+		// The steady state once the view's pull names the ack it folded:
+		// the reply leaves that push out, so it is empty.
+		{"pull naming an ack", &Message{Type: TPull, Seq: 1002, From: "agent-07", Since: 4243, Version: 4244}, 23},
+		{"empty image reply", &Message{Type: TImage, Seq: 1002, From: "dm", Version: 4244, Img: &image.Image{Version: 4244}}, 18},
 		// A clean sharer's fetch: the directory's pull and the empty image
 		// it gets back.
 		{"fetch", &Message{Type: TPull, Seq: 77, From: "dm", View: "agent-07"}, 20},
