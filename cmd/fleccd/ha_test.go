@@ -53,6 +53,12 @@ func (c *mapCodec) get(k string) string {
 	return c.data[k]
 }
 
+func (c *mapCodec) set(k, v string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.data[k] = v
+}
+
 // TestHATickStandbySelfPromotes: the standby's ticker path. Once the
 // replication stream has been silent past the lease, haTick promotes the
 // standby to primary; before that deadline it stays gated.

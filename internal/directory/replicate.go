@@ -157,8 +157,9 @@ func (m *Manager) Fenced() bool {
 }
 
 // PromoteSelf makes a standby take over as primary under a fresh epoch
-// (lease-lapse self-promotion in deployments without a router
-// coordinating the failover). It returns the new epoch.
+// (lease-lapse self-promotion: fleccd's standby calls it once the
+// replication stream has been silent past the lease). It returns the new
+// epoch.
 func (m *Manager) PromoteSelf() uint64 {
 	m.ha.mu.Lock()
 	defer m.ha.mu.Unlock()

@@ -219,7 +219,7 @@ const (
 	// acknowledged commits must survive on the standby.
 	ACrashPrimary
 	// APromoteStandby sends dm!b the promote-only replication batch under
-	// the next epoch and re-points the forwarder at it — the router's
+	// the next epoch and re-points the forwarder at it — a coordinated,
 	// consensus-free failover. Recovery: does not consume the
 	// reconfiguration budget.
 	APromoteStandby

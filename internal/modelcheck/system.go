@@ -248,10 +248,11 @@ func newSystem(cfg Config, rec *trace.Recorder) (sys *system, err error) {
 
 	place := func(node string) { s.net.Topology().Place(node, "h-"+node) }
 	if cfg.Failover {
-		// Two directory managers share the primary codec (the documented
-		// single-primary shard deployment); views dial the forwarder
-		// "dm", which wraps every request in the shard router's TRouted
-		// envelope toward whichever manager currently serves them.
+		// Two directory managers share the primary codec; views dial the
+		// forwarder "dm", which wraps every request in a TRouted envelope
+		// toward whichever manager currently serves them — the model's
+		// stand-in for the fallback rotation that takes fleccd's clients
+		// to a promoted standby (cache.Config.Fallbacks).
 		for _, name := range []string{"dm!a", "dm!b"} {
 			dm, err := directory.New(name, s.prim, clock, net, opts)
 			if err != nil {

@@ -169,15 +169,6 @@ func (s *Stats) Edge(fromHost, toHost string) int64 {
 	return s.byEdge[[2]string{fromHost, toHost}]
 }
 
-// Reset zeroes the statistics.
-func (s *Stats) Reset() {
-	s.mu.Lock()
-	s.messages = 0
-	s.latency = 0
-	s.byEdge = map[[2]string]int64{}
-	s.mu.Unlock()
-}
-
 func (s *Stats) record(fromHost, toHost string, l vclock.Duration) {
 	s.mu.Lock()
 	s.messages++

@@ -166,18 +166,6 @@ func TestBandwidthModel(t *testing.T) {
 	}
 }
 
-func TestStatsReset(t *testing.T) {
-	clock := vclock.NewSim()
-	net := New(clock, LAN(0))
-	net.Attach("dm", ack)
-	cm, _ := net.Attach("cm1", ack)
-	cm.Call("dm", &wire.Message{Type: wire.TPull})
-	net.Stats().Reset()
-	if net.Stats().Messages() != 0 || net.Stats().Latency() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestPartitionAndHeal(t *testing.T) {
 	clock := vclock.NewSim()
 	topo := LAN(1)

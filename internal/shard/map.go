@@ -15,12 +15,8 @@
 //     while the router fans their requests out to the owning shard
 //     (wrapped in TRouted envelopes) and merges the version metadata it
 //     observes into a vclock.Vector.
-//   - Failover (failover.go) promotes a shard's hot standby when its
-//     primary's lease lapses, while the router queues in-flight requests
-//     to that shard — so a dead primary costs callers latency, not a
-//     dropped view.
-//   - Service (service.go) bundles the pieces: N directory managers (and
-//     their standbys), the map, and the router.
+//   - Service (service.go) bundles the pieces: N directory managers, the
+//     map, and the router.
 package shard
 
 import (
@@ -143,32 +139,6 @@ func (m *Map) Add(shard string) {
 	m.rebuild()
 }
 
-// Remove deletes a shard from the membership (idempotent) and drops any
-// pins that target it.
-func (m *Map) Remove(shard string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.shards[shard]; !ok {
-		return
-	}
-	delete(m.shards, shard)
-	kept := m.pins[:0]
-	for _, p := range m.pins {
-		if p.Shard != shard {
-			kept = append(kept, p)
-		}
-	}
-	m.pins = kept
-	// Dropping pins renumbers the consultation order; rebuild the pin
-	// index from scratch (membership changes are rare and the table is
-	// small next to the view population).
-	m.pinIdx = property.NewIndex()
-	for i, p := range m.pins {
-		m.pinIdx.Insert(strconv.Itoa(i), property.NewSet(p.Prop))
-	}
-	m.rebuild()
-}
-
 // Has reports membership.
 func (m *Map) Has(shard string) bool {
 	m.mu.RLock()
@@ -208,15 +178,6 @@ func (m *Map) Pin(p property.Property, shard string) error {
 	m.pins = append(m.pins, Pin{Prop: p, Shard: shard})
 	m.pinIdx.Insert(strconv.Itoa(len(m.pins)-1), property.NewSet(p))
 	return nil
-}
-
-// Pins returns a copy of the override table in consultation order.
-func (m *Map) Pins() []Pin {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]Pin, len(m.pins))
-	copy(out, m.pins)
-	return out
 }
 
 // RouteProps consults the pin table for a property set: the first pin

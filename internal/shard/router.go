@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"flecc/internal/metrics"
 	"flecc/internal/property"
 	"flecc/internal/transport"
 	"flecc/internal/vclock"
@@ -35,32 +34,18 @@ import (
 // spanning two shards is rejected with an error directing the operator to
 // pin the property domain — the alternative would be conflicts the
 // shard-local dynConfl check silently misses.
-//
-// Failover (failover.go) re-points a shard whose primary lost its lease
-// at its standby; while it freezes the shard, routed calls to it block
-// (queue) and resume against the promoted node, so callers observe only
-// added latency, never an outage.
 type Router struct {
 	name string
 	m    *Map
 	ep   transport.Endpoint
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	assign   map[string]string       // view -> owning shard
-	vprops   map[string]property.Set // view -> last known property set
-	pidx     *property.Index         // posting index over vprops (conflict affinity)
-	inflight map[string]int          // shard -> routed calls in flight
-	frozen   map[string]bool         // shard -> failover freeze
-	vv       vclock.Vector           // shard -> highest primary version observed
-	retry    transport.RetryPolicy   // bounds router→shard call retries
-	closed   bool
-
-	// Lease-based failover state (failover.go).
-	fo          FailoverConfig
-	ha          map[string]*haShard // shard -> standby + lease record
-	failovers   *metrics.Counter
-	regressions *metrics.Counter
+	mu     sync.Mutex
+	assign map[string]string       // view -> owning shard
+	vprops map[string]property.Set // view -> last known property set
+	pidx   *property.Index         // posting index over vprops (conflict affinity)
+	vv     vclock.Vector           // shard -> highest primary version observed
+	retry  transport.RetryPolicy   // bounds router→shard call retries
+	closed bool
 }
 
 // NewRouter attaches a router under the logical directory name. The map's
@@ -71,20 +56,16 @@ func NewRouter(net transport.Network, name string, m *Map) (*Router, error) {
 		return nil, fmt.Errorf("shard: nil map")
 	}
 	r := &Router{
-		name:     name,
-		m:        m,
-		assign:   map[string]string{},
-		vprops:   map[string]property.Set{},
-		pidx:     property.NewIndex(),
-		inflight: map[string]int{},
-		frozen:   map[string]bool{},
-		vv:       vclock.NewVector(),
-		ha:       map[string]*haShard{},
+		name:   name,
+		m:      m,
+		assign: map[string]string{},
+		vprops: map[string]property.Set{},
+		pidx:   property.NewIndex(),
+		vv:     vclock.NewVector(),
 	}
-	r.cond = sync.NewCond(&r.mu)
 	// Attach under the lock: on a live network a request can be dispatched
 	// to r.route the moment the handler is installed, and route must not
-	// find r.ep nil. acquire() takes r.mu before the endpoint is used, so
+	// find r.ep nil. resolve() takes r.mu before the endpoint is used, so
 	// holding it across the attach closes the window.
 	r.mu.Lock()
 	ep, err := net.Attach(name, r.route)
@@ -97,11 +78,10 @@ func NewRouter(net transport.Network, name string, m *Map) (*Router, error) {
 	return r, nil
 }
 
-// Close detaches the router endpoint and wakes any waiters.
+// Close detaches the router endpoint.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	r.closed = true
-	r.cond.Broadcast()
 	r.mu.Unlock()
 	return r.ep.Close()
 }
@@ -135,13 +115,13 @@ func (r *Router) route(req *wire.Message) *wire.Message {
 		return errf("shard router %s: %s without a view identity", r.name, req.Type)
 	}
 
-	// The envelope is built before acquiring the routing slot: handlers
-	// must not retain req after returning, so capture it now.
+	// The envelope is built before the shard is resolved: handlers must
+	// not retain req after returning, so capture it now.
 	inner := *req
 	inner.From = view
 	blob := wire.Encode(&inner)
 
-	shard, placed, err := r.acquire(view, req.Type, req.Props)
+	shard, placed, err := r.resolve(view, req.Type, req.Props)
 	if err != nil {
 		return errf("%v", err)
 	}
@@ -155,75 +135,53 @@ func (r *Router) route(req *wire.Message) *wire.Message {
 	// dropped frame does not fail the view's request.
 	reply, callErr := transport.CallRetry(r.ep, shard, env, r.retryPolicy())
 	r.settle(shard, view, req.Type, req.Props, placed, reply)
-
-	if reply == nil && r.failover(shard) {
-		// The shard's slot moved (standby promoted, or the primary
-		// recovered while we waited out its lease): re-resolve and retry
-		// once against wherever the view now routes. One routed call
-		// absorbs the whole failover; the client only sees latency.
-		shard, placed, err = r.acquire(view, req.Type, req.Props)
-		if err != nil {
-			return errf("%v", err)
-		}
-		reply, callErr = transport.CallRetry(r.ep, shard, env, r.retryPolicy())
-		r.settle(shard, view, req.Type, req.Props, placed, reply)
-	}
 	if reply == nil {
 		return errf("shard router %s: shard %s unreachable: %v", r.name, shard, callErr)
 	}
 	return reply
 }
 
-// acquire blocks while the owning shard is frozen, then claims a routing
-// slot on it and returns it, with placed reporting whether a tentative
-// registration placement was recorded. Registration placement happens
-// here (under the lock) so two concurrently registering, conflicting
-// views settle on the same shard.
-func (r *Router) acquire(view string, t wire.Type, props property.Set) (shard string, placed bool, err error) {
+// resolve returns the view's owning shard, with placed reporting
+// whether a tentative registration placement was recorded. Registration
+// placement happens here (under the lock) so two concurrently
+// registering, conflicting views settle on the same shard.
+func (r *Router) resolve(view string, t wire.Type, props property.Set) (shard string, placed bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for {
-		if r.closed {
-			return "", false, fmt.Errorf("shard router %s: closed", r.name)
-		}
-		shard, ok := r.assign[view]
-		if !ok {
-			if t != wire.TRegister {
-				return "", false, fmt.Errorf("shard router %s: %s for unknown view %s", r.name, t, view)
-			}
-			shard, err = r.placeLocked(view, props)
-			if err != nil {
-				return "", false, err
-			}
-			if shard == "" {
-				return "", false, fmt.Errorf("shard router %s: no shards", r.name)
-			}
-		}
-		if !r.frozen[shard] {
-			if !ok {
-				// Record the placement now so concurrent registrations of
-				// conflicting views see it; rolled back if the shard refuses.
-				r.assign[view] = shard
-				r.vprops[view] = props
-				r.pidx.Insert(view, r.vprops[view])
-			} else if t == wire.TSetProps {
-				// The view keeps its shard (assignments are sticky), so the
-				// new set must not overlap views owned elsewhere — the
-				// shard-local dynConfl check would silently miss those
-				// conflicts. Checked before the shard applies the change.
-				if other := r.overlapOutsideLocked(view, shard, props); other != "" {
-					return "", false, fmt.Errorf(
-						"shard router %s: set-props on %s (shard %s) would overlap views on shard %s; pin the property domain to one shard",
-						r.name, view, shard, other)
-				}
-			}
-			r.inflight[shard]++
-			return shard, !ok, nil
-		}
-		// Frozen for failover: wait and re-resolve — the view may route to
-		// the promoted standby when we wake.
-		r.cond.Wait()
+	if r.closed {
+		return "", false, fmt.Errorf("shard router %s: closed", r.name)
 	}
+	shard, ok := r.assign[view]
+	if ok {
+		if t == wire.TSetProps {
+			// The view keeps its shard (assignments are sticky), so the
+			// new set must not overlap views owned elsewhere — the
+			// shard-local dynConfl check would silently miss those
+			// conflicts. Checked before the shard applies the change.
+			if other := r.overlapOutsideLocked(view, shard, props); other != "" {
+				return "", false, fmt.Errorf(
+					"shard router %s: set-props on %s (shard %s) would overlap views on shard %s; pin the property domain to one shard",
+					r.name, view, shard, other)
+			}
+		}
+		return shard, false, nil
+	}
+	if t != wire.TRegister {
+		return "", false, fmt.Errorf("shard router %s: %s for unknown view %s", r.name, t, view)
+	}
+	shard, err = r.placeLocked(view, props)
+	if err != nil {
+		return "", false, err
+	}
+	if shard == "" {
+		return "", false, fmt.Errorf("shard router %s: no shards", r.name)
+	}
+	// Record the placement now so concurrent registrations of conflicting
+	// views see it; rolled back if the shard refuses.
+	r.assign[view] = shard
+	r.vprops[view] = props
+	r.pidx.Insert(view, r.vprops[view])
+	return shard, true, nil
 }
 
 // placeLocked decides the shard for a registering view, rejecting any
@@ -293,12 +251,10 @@ func joinShards(set map[string]bool) string {
 	return strings.Join(names, ",")
 }
 
-// settle folds a routed call's outcome into the router tables and returns
-// the routing slot, in one critical section. Releasing the slot first
-// would let a failover woken by the release drain the shard while the
-// reply is not yet folded in: the promotion's regression check would
-// miss the reply's version, and a late assignment update could race the
-// failover's re-pointing of the shard's views.
+// settle folds a routed call's outcome into the router tables: the
+// reply's version into the shard's vector component, and the
+// registration, unregistration or property change into the placement
+// tables.
 func (r *Router) settle(shard, view string, t wire.Type, props property.Set, placed bool, reply *wire.Message) {
 	failed := reply == nil || reply.Type == wire.TErr
 	r.mu.Lock()
@@ -310,9 +266,6 @@ func (r *Router) settle(shard, view string, t wire.Type, props property.Set, pla
 		if uint64(v) > r.vv[shard] {
 			r.vv[shard] = uint64(v)
 		}
-		// Any answer — even a protocol error — proves the primary alive
-		// and renews its lease.
-		r.touchShardLocked(shard)
 	}
 	switch t {
 	case wire.TRegister:
@@ -333,22 +286,17 @@ func (r *Router) settle(shard, view string, t wire.Type, props property.Set, pla
 	case wire.TSetProps:
 		if !failed {
 			// Record the new set so future conflict-affinity placements see
-			// it; acquire already refused sets that overlap other shards.
+			// it; resolve already refused sets that overlap other shards.
 			r.vprops[view] = props
 			r.pidx.Update(view, r.vprops[view])
 		}
-	}
-	r.inflight[shard]--
-	if r.inflight[shard] <= 0 {
-		delete(r.inflight, shard)
-		r.cond.Broadcast()
 	}
 	r.mu.Unlock()
 }
 
 // SetRetryPolicy configures the bounded retry-with-backoff applied to
-// router→shard calls (routing envelopes and failover promotions). The
-// zero value means the transport defaults.
+// router→shard calls (the routing envelopes). The zero value means the
+// transport defaults.
 func (r *Router) SetRetryPolicy(p transport.RetryPolicy) {
 	r.mu.Lock()
 	r.retry = p
@@ -363,13 +311,20 @@ func (r *Router) retryPolicy() transport.RetryPolicy {
 
 // Versions returns a copy of the per-shard version vector: for each shard
 // node, the highest primary version the router has observed from it.
-// Components never decrease — a regression would mean a failover lost
-// acknowledged updates.
+// Components never decrease: each is a running maximum over the replies
+// the shard sent.
 func (r *Router) Versions() vclock.Vector {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.vv.Clone()
 }
+
+// Failovers returns 0: the router promotes no standby (a hot standby is
+// a daemon-level pairing, cmd/fleccd's -replicate-to/-standby). It is
+// retained only because bench/layers.go still reads it for the
+// shard.failovers metric; the next change to the benchmark drops that
+// read and this method with it.
+func (r *Router) Failovers() int64 { return 0 }
 
 // Assignment returns a copy of the view→shard table.
 func (r *Router) Assignment() map[string]string {

@@ -15,7 +15,8 @@
 # Usage:
 #   bash scripts/unlinked.sh           print the listing
 #   bash scripts/unlinked.sh --check   fail if a function is unlinked that
-#                                      scripts/unlinked.txt does not list
+#                                      scripts/unlinked.txt does not list, or
+#                                      if it lists one the listing lacks
 #
 # scripts/unlinked.txt is the committed residue: the listing with a reason
 # appended to each entry. Run from anywhere; nothing is left in the tree.
@@ -83,12 +84,20 @@ if [[ "${1:-}" != "--check" ]]; then
 	exit 0
 fi
 
-# --check: every unlinked function must be a listed residue entry.
+# --check: the residue entries and the listing must be the same set.
 fresh=$(awk 'NR == FNR { if ($0 !~ /^#/) known[$1 " " $2] = 1; next }
 	!(($1 " " $2) in known) { print }' scripts/unlinked.txt "$tmp/unlinked")
+stale=$(awk 'NR == FNR { listed[$1 " " $2] = 1; next }
+	$0 !~ /^#/ && NF > 0 && !(($1 " " $2) in listed) { print }' "$tmp/unlinked" scripts/unlinked.txt)
 if [[ -n "$fresh" ]]; then
 	echo "unlinked functions not in scripts/unlinked.txt (delete them, or list them with a reason):" >&2
 	echo "$fresh" >&2
+fi
+if [[ -n "$stale" ]]; then
+	echo "scripts/unlinked.txt entries no longer unlinked (deleted, renamed or linked now; drop them):" >&2
+	echo "$stale" >&2
+fi
+if [[ -n "$fresh" || -n "$stale" ]]; then
 	exit 1
 fi
 echo "unlinked: $(wc -l <"$tmp/unlinked") functions, all listed in scripts/unlinked.txt"
