@@ -75,6 +75,12 @@ func newObservability(name string, tnet transport.Network, d *deployment) *obser
 			}
 			return 0
 		})
+		o.reg.RegisterGauge("repl_down", func() int64 {
+			if r := d.dm.Replication(); r != nil && r.Degraded() {
+				return 1
+			}
+			return 0
+		})
 		o.reg.RegisterGauge("ha_epoch", func() int64 { return int64(d.dm.Epoch()) })
 		o.reg.RegisterGauge("ha_standby", func() int64 {
 			if d.dm.Standby() {

@@ -118,9 +118,10 @@ func TestWireGaugesOnDebug(t *testing.T) {
 	}
 }
 
-// TestReplCountersOnDebug: the replication session's shipped batches and
-// degraded barriers are gauges beside repl_lag, reading zero before a
-// session is attached.
+// TestReplCountersOnDebug: the replication session's shipped batches,
+// degraded barriers and down standby are gauges beside repl_lag, reading
+// zero before a session is attached. A down standby's lag keeps counting
+// the commits it missed.
 func TestReplCountersOnDebug(t *testing.T) {
 	net := transport.NewInproc()
 	d, err := newDeployment("db", newMapCodec(), net, 1, directory.Options{}, "")
@@ -137,8 +138,8 @@ func TestReplCountersOnDebug(t *testing.T) {
 		}
 		return got
 	}
-	if b, g := gauge("repl_batches"), gauge("repl_degraded_barriers"); b != 0 || g != 0 {
-		t.Fatalf("before replication: repl_batches = %d, repl_degraded_barriers = %d", b, g)
+	if b, g, down := gauge("repl_batches"), gauge("repl_degraded_barriers"), gauge("repl_down"); b != 0 || g != 0 || down != 0 {
+		t.Fatalf("before replication: repl_batches = %d, repl_degraded_barriers = %d, repl_down = %d", b, g, down)
 	}
 
 	sb, err := directory.New("dbr", newMapCodec(), vclock.NewReal(), net, directory.Options{Standby: true})
@@ -161,13 +162,16 @@ func TestReplCountersOnDebug(t *testing.T) {
 		}
 	}
 	commit()
-	if b, g := gauge("repl_batches"), gauge("repl_degraded_barriers"); b < 1 || g != 0 {
-		t.Fatalf("healthy standby: repl_batches = %d, repl_degraded_barriers = %d", b, g)
+	if b, g, down := gauge("repl_batches"), gauge("repl_degraded_barriers"), gauge("repl_down"); b < 1 || g != 0 || down != 0 {
+		t.Fatalf("healthy standby: repl_batches = %d, repl_degraded_barriers = %d, repl_down = %d", b, g, down)
 	}
 	sb.Close()
 	commit()
 	if g := gauge("repl_degraded_barriers"); g != 1 {
 		t.Fatalf("standby gone: repl_degraded_barriers = %d, want 1", g)
+	}
+	if lag, down := gauge("repl_lag"), gauge("repl_down"); lag != 1 || down != 1 {
+		t.Fatalf("standby gone at v%d: repl_lag = %d, repl_down = %d, want 1 and 1", d.dm.CurrentVersion(), lag, down)
 	}
 }
 
@@ -190,7 +194,7 @@ func TestMetricNamesPinned(t *testing.T) {
 	}
 	single := append(append(perDM(""), common...),
 		"gauge ha_epoch", "gauge ha_fenced", "gauge ha_standby",
-		"gauge repl_batches", "gauge repl_degraded_barriers", "gauge repl_lag")
+		"gauge repl_batches", "gauge repl_degraded_barriers", "gauge repl_down", "gauge repl_lag")
 	sharded := append(append(perDM("db!s0."), perDM("db!s1.")...), common...)
 
 	// daemon wires a deployment the way run does: on a loopback listener,

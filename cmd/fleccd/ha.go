@@ -22,10 +22,10 @@ import (
 // The primary dials the standby's listen address and streams replication
 // batches (internal/directory's TReplicate session); every client-visible
 // mutation barriers on the standby's ack. The standby refuses client
-// traffic until it either receives a promote batch or notices the stream
-// has been silent past the lease and promotes itself; the primary, unable
-// to reach its standby past the same lease, fences itself — so at most
-// one side serves. Clients re-dial via their fallback address list
+// traffic until it notices the stream has been silent past the lease and
+// promotes itself (no message can promote it); the primary, unable to
+// reach its standby past the same lease, fences itself — so at most one
+// side serves. Clients re-dial via their fallback address list
 // (internal/cache Config.Fallbacks).
 
 // haOpts carries the -standby / -replicate-to / -ha-lease flags into run.
@@ -160,11 +160,6 @@ func haTick(dm *directory.Manager, repl *directory.Replicator, ha haOpts, wasFen
 			return fmt.Sprintf("promoted to primary (replication silent %s > lease): epoch %d",
 				time.Duration(s)*time.Millisecond, epoch)
 		}
-	}
-	if ha.standby && *wasStandby && !dm.Standby() {
-		// A promote batch (coordinated failover) flipped the role.
-		*wasStandby = false
-		return fmt.Sprintf("promoted to primary by coordinator: epoch %d", dm.Epoch())
 	}
 	return ""
 }

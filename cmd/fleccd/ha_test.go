@@ -118,41 +118,6 @@ func TestHATickStandbySelfPromotes(t *testing.T) {
 	}
 }
 
-// TestHATickCoordinatorPromotion: when a coordinated failover flips the
-// role via a promote batch, the ticker notices and reports it exactly
-// once.
-func TestHATickCoordinatorPromotion(t *testing.T) {
-	clock := vclock.NewSim()
-	inproc := transport.NewInproc()
-	sb, err := directory.New("db", newMapCodec(), clock, inproc, directory.Options{Standby: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sb.Close()
-
-	ctl, err := inproc.Attach("ctl", refuseCallback)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, err := ctl.Call("db", directory.PromoteMessage(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Err != "" {
-		t.Fatalf("promote refused: %s", reply.Err)
-	}
-
-	ha := haOpts{standby: true, lease: 200 * time.Millisecond}
-	wasFenced, wasStandby := false, true
-	msg := haTick(sb, nil, ha, &wasFenced, &wasStandby)
-	if !strings.Contains(msg, "promoted to primary by coordinator") {
-		t.Fatalf("tick returned %q, want a coordinator promotion", msg)
-	}
-	if msg := haTick(sb, nil, ha, &wasFenced, &wasStandby); msg != "" {
-		t.Fatalf("repeated transition message: %q", msg)
-	}
-}
-
 // TestStartDaemonReplicationTCP: the daemon-to-daemon link. A primary
 // replicates over a real TCP connection to a standby daemon's listener;
 // commits barrier on the standby's ack, and the redialing endpoint

@@ -294,7 +294,7 @@ func newDeployment(name string, db image.Codec, snet transport.Network, shards i
 			if snap == nil {
 				continue
 			}
-			if err := svc.Shard(i).Store().Restore(snap); err != nil {
+			if err := svc.Shard(i).Store().Absorb(snap); err != nil {
 				svc.Close()
 				return nil, err
 			}

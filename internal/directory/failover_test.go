@@ -58,9 +58,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restore into a fresh store over the same primary.
+	// Absorb into a fresh store over the same primary.
 	st2 := directory.NewStore(prim, vclock.NewSim())
-	if err := st2.Restore(back); err != nil {
+	if err := st2.Absorb(back); err != nil {
 		t.Fatal(err)
 	}
 	if st2.Current() != st.Current() {
@@ -83,7 +83,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got := st2.UnseenOps(0, "v1", property.MustSet("F={2}")); got != 3 {
 		t.Fatalf("unseen = %d, want 3", got)
 	}
-	if err := st2.Restore(nil); err == nil {
+	if err := st2.Absorb(nil); err == nil {
 		t.Fatal("nil snapshot should fail")
 	}
 }

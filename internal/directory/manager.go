@@ -47,7 +47,7 @@ type Options struct {
 	Snapshot *Snapshot
 	// Standby starts the manager gating client traffic: it absorbs
 	// replication batches but refuses every other request until promoted
-	// (replicate.go). Deployments run hot standbys with this set.
+	// (replicate.go). A deployment's hot standby runs with this set.
 	Standby bool
 	// Retry bounds the retry-with-backoff the manager applies to its own
 	// outbound calls (invalidate, fetch, update) before declaring the
@@ -189,7 +189,7 @@ func New(name string, primary image.Codec, clock vclock.Clock, net transport.Net
 	m.lanes = newLaneSet(m, max(1, opts.Lanes))
 	m.compactAt.Store(minCompactAt)
 	if opts.Snapshot != nil {
-		if err := m.store.Restore(opts.Snapshot); err != nil {
+		if err := m.store.Absorb(opts.Snapshot); err != nil {
 			return nil, err
 		}
 		for _, hv := range opts.Snapshot.Views {
@@ -446,12 +446,12 @@ func (m *Manager) handleInit(req *wire.Message) *wire.Message {
 // view's set and trimmed to entries newer than since, less skip's
 // entries, recorded as seen, the view marked active. Its replication
 // barrier covers the whole request — for a pull, the commits it
-// invalidated or gathered too — so they land on the standbys before the
+// invalidated or gathered too — so they land on the standby before the
 // requester sees its image.
 //
 // quiet says the pull contacted no invalidate or gather target and kept
 // its op class. A quiet pull by a view that was already active, whose
-// reply serves a version every live standby holds, has moved nothing but
+// reply serves a version the standby holds (or the standby is down), has moved nothing but
 // the view's seen: it skips the barrier, and the touch stays on the
 // change stack for the next batch or heartbeat. A standby whose seen
 // lags only errs on the safe side (PROTOCOL.md "Barrier").
@@ -776,7 +776,7 @@ func (m *Manager) handlePush(req *wire.Message) *wire.Message {
 	// The ack carries the winning values for any entries the resolver
 	// rejected, so the pusher converges on the resolved state. The
 	// replication barrier runs before the ack is released: an
-	// acknowledged push is on every live standby (semi-sync commit).
+	// acknowledged push is on the standby unless it is down (semi-sync commit).
 	return m.synced(&wire.Message{Type: wire.TAck, Version: ver, Img: rejected})
 }
 

@@ -163,6 +163,30 @@ func TestStrangerMigrationRefused(t *testing.T) {
 	}
 }
 
+// TestStrangerPromoteRefused: no message promotes a standby. Bit 0 of a
+// replication batch's flags once ordered a promotion; any peer can send
+// it, so a standby that obeyed would let a stranger make it a second
+// primary. A standby promotes itself only after the lease (PromoteSelf).
+func TestStrangerPromoteRefused(t *testing.T) {
+	net := transport.NewInproc()
+	sb, err := directory.New("dm!r", newKV(), vclock.NewSim(), net, directory.Options{Standby: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	stranger, err := net.Attach("stranger", func(req *wire.Message) *wire.Message { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, _ := stranger.Call("dm!r", &wire.Message{Type: wire.TReplicate, Blob: []byte{4, 1, 1}})
+	if reply == nil || reply.Type != wire.TErr {
+		t.Errorf("promote-flagged batch to the standby: reply %v, want an error", reply)
+	}
+	if !sb.Standby() || sb.Epoch() != 0 {
+		t.Errorf("after the promote-flagged batch: standby=%v epoch=%d, want standby at epoch 0", sb.Standby(), sb.Epoch())
+	}
+}
+
 func TestRegisterWithExplicitViewName(t *testing.T) {
 	dm, net, _, _ := newDM(t)
 	ep, err := net.Attach("node-7", func(req *wire.Message) *wire.Message { return nil })

@@ -16,7 +16,7 @@ import (
 // both watermarks zero.
 type ReplBatch struct {
 	// Epoch is the sender's fencing epoch. Receivers refuse batches from
-	// an older epoch; promotion installs a higher one.
+	// an older epoch; a standby's self-promotion installs a higher one.
 	Epoch uint64
 	// Since is the watermark this delta starts after: the batch carries
 	// everything committed in (Since, Snap.Version]. A receiver whose own
@@ -27,8 +27,8 @@ type ReplBatch struct {
 	// Since. Snap.Views holds the batch's registration records — the full
 	// state (props, validity trigger, mode, op, seen, phase) of every
 	// view that was registered, re-registered, re-propertied or revived
-	// after ViewSince; with ViewSince 0, of every view. Nil for a
-	// promote-only batch.
+	// after ViewSince; with ViewSince 0, of every view. Nil for an
+	// epoch-only batch.
 	Snap *Snapshot
 	// Img carries the primary values committed after Since, so a standby
 	// replicates application data as well as metadata. Nil when nothing
@@ -45,8 +45,6 @@ type ReplBatch struct {
 	Touches []ViewTouch
 	// Removed names the views unregistered after ViewSince.
 	Removed []string
-	// Promote orders the receiver to take over as primary under Epoch.
-	Promote bool
 }
 
 // ViewTouch is the part of a view's directory state that ordinary
@@ -70,10 +68,10 @@ type ViewTouch struct {
 // 1 active, 2 lost — which a version-3 reader would take for active.)
 const replFormat = 4
 
-const (
-	replFlagPromote = 1 << iota
-	replFlagData
-)
+// replFlagData marks a batch that carries a data section. It is the only
+// flag, and the decoder refuses any other bit: bit 0 was a promote order,
+// and no message may promote a standby.
+const replFlagData = 1 << 1
 
 // EncodeReplBatch serializes a batch with the wire package's pooled
 // encoder.
@@ -82,11 +80,8 @@ func EncodeReplBatch(b *ReplBatch) []byte {
 	defer wire.PutEncoder(e)
 	e.U8(replFormat)
 	var flags uint8
-	if b.Promote {
-		flags |= replFlagPromote
-	}
 	if b.Snap != nil {
-		flags |= replFlagData
+		flags = replFlagData
 	}
 	e.U8(flags)
 	e.Uvarint(b.Epoch)
@@ -158,7 +153,10 @@ func DecodeReplBatch(data []byte) (*ReplBatch, error) {
 		return nil, fmt.Errorf("directory: unsupported replication batch format %d (want %d)", v, replFormat)
 	}
 	flags := d.U8()
-	b := &ReplBatch{Promote: flags&replFlagPromote != 0, Epoch: d.Uvarint()}
+	if d.Err() == nil && flags&^replFlagData != 0 {
+		return nil, fmt.Errorf("directory: replication batch flags %#x: only data (%#x) is defined", flags, replFlagData)
+	}
+	b := &ReplBatch{Epoch: d.Uvarint()}
 	if flags&replFlagData != 0 {
 		decodeReplData(d, b)
 	}
@@ -191,11 +189,4 @@ func decodeReplData(d *wire.Decoder, b *ReplBatch) {
 // ReplMessage wraps a batch in its TReplicate envelope.
 func ReplMessage(b *ReplBatch) *wire.Message {
 	return &wire.Message{Type: wire.TReplicate, Blob: EncodeReplBatch(b)}
-}
-
-// PromoteMessage builds the promote-only TReplicate a coordinator (the
-// shard router, or an operator tool) sends to a standby to make it
-// primary under the given epoch.
-func PromoteMessage(epoch uint64) *wire.Message {
-	return ReplMessage(&ReplBatch{Epoch: epoch, Promote: true})
 }

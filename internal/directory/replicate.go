@@ -18,8 +18,8 @@ import (
 // Hot-standby replication (the HA half of §4.1's "fail-safe mechanisms
 // can be implemented"): a primary directory manager streams its commits —
 // protocol metadata, primary values, and view-registration state — to one
-// or more standbys over a TReplicate/TReplAck session, so a standby can
-// take over without losing acknowledged commits and without forcing every
+// standby over a TReplicate/TReplAck session, so the standby can take
+// over without losing acknowledged commits and without forcing every
 // cache manager through re-register/re-pull.
 //
 // The scheme is semi-synchronous group commit with gap/rewind shipping
@@ -30,8 +30,8 @@ import (
 //     unreplicated. A standby that stops answering is degraded
 //     (availability over replication) and the degradation is counted.
 //   - Batches are deltas since the standby's acknowledged watermark,
-//     shipped one at a time by a sender goroutine per standby under the
-//     retry policy. The ack carries the standby's honest watermark: a
+//     shipped one at a time by a sender goroutine under the retry
+//     policy. The ack carries the standby's honest watermark: a
 //     low ack rewinds the sender, and the standby refuses batches whose
 //     Since it has not reached, so a lost batch leaves no hole — only a
 //     resend, which Absorb's merge semantics make idempotent.
@@ -40,8 +40,8 @@ import (
 //     a deposed primary that sees that refusal fences itself — it stops
 //     serving rather than split-brain.
 //
-// Promotion itself travels as a ReplBatch with Promote set, so the wire
-// surface stays exactly the TReplicate/TReplAck pair.
+// A standby becomes primary one way: PromoteSelf, once the stream has
+// been silent past the lease. No message promotes it.
 
 // staleEpochMark is the substring a stale-epoch refusal carries; a
 // deposed primary recognizes it in the remote error and fences itself.
@@ -191,8 +191,8 @@ func (m *Manager) haGen() uint64 {
 
 // replBarrier is called at the end of every state-mutating handler: it
 // bumps the state generation and, when a replicator is attached, blocks
-// until every live standby has absorbed a batch at least that fresh.
-// Without a replicator it is free.
+// until the standby, unless it is down, has absorbed a batch at least
+// that fresh. Without a replicator it is free.
 func (m *Manager) replBarrier() error {
 	m.ha.mu.Lock()
 	m.ha.gen++
@@ -240,9 +240,9 @@ func (m *Manager) haGate(req *wire.Message) *wire.Message {
 }
 
 // handleReplicate absorbs one replication batch: epoch check, gap checks,
-// metadata+values absorb, view records, optional promotion. The TReplAck
-// always reports the receiver's honest watermarks — Version for the
-// data, Since for the view-change sequence.
+// metadata+values absorb, view records. The TReplAck always reports the
+// receiver's honest watermarks — Version for the data, Since for the
+// view-change sequence.
 //
 // View records add, refresh and remove the views they name. Full view
 // state (ViewSince 0) additionally drops every view this manager learned
@@ -263,7 +263,7 @@ func (m *Manager) handleReplicate(req *wire.Message) *wire.Message {
 	}
 	if b.Epoch > m.ha.epoch {
 		m.ha.epoch = b.Epoch
-		if m.ha.fenced && !b.Promote {
+		if m.ha.fenced {
 			// A higher-epoch stream re-integrates a fenced ex-primary as a
 			// standby of the new primary.
 			m.ha.fenced = false
@@ -306,12 +306,6 @@ func (m *Manager) handleReplicate(req *wire.Message) *wire.Message {
 			}
 			m.ha.viewSeq = b.ViewSeq
 		}
-	}
-	if b.Promote {
-		m.ha.mu.Lock()
-		m.ha.standby = false
-		m.ha.fenced = false
-		m.ha.mu.Unlock()
 	}
 	return ack()
 }
@@ -466,8 +460,8 @@ func (r *Replicator) buildBatch(since vclock.Version, viewSince, epoch uint64) (
 }
 
 // ReplLag returns the primary-version gap between this manager and its
-// slowest live standby (0 without a replicator — or when fully caught
-// up).
+// standby's last acknowledged version, whether or not the standby is
+// reachable (0 without a replicator — or when fully caught up).
 func (m *Manager) ReplLag() uint64 {
 	m.ha.mu.Lock()
 	r := m.ha.repl
@@ -478,8 +472,8 @@ func (m *Manager) ReplLag() uint64 {
 	return r.Lag()
 }
 
-// ReplTarget names one standby: the remote node to address TReplicate to,
-// and optionally a dedicated endpoint to call through (nil uses the
+// ReplTarget names the standby: the remote node to address TReplicate
+// to, and optionally a dedicated endpoint to call through (nil uses the
 // manager's own network endpoint — the in-process/model-checker case).
 type ReplTarget struct {
 	Name string
@@ -489,25 +483,34 @@ type ReplTarget struct {
 // ReplConfig tunes a replication session.
 type ReplConfig struct {
 	// Retry is the sender's per-batch policy: a batch whose every attempt
-	// fails at the transport marks its standby down.
+	// fails at the transport marks the standby down.
 	Retry transport.RetryPolicy
 	// Lease is the primary's lease duration (virtual time). A standby
 	// whose silence exceeds it may self-promote; with FenceOnLapse the
-	// primary fences itself once it has failed to reach every standby
-	// for longer than this.
+	// primary fences itself once it has failed to reach the standby for
+	// longer than this.
 	Lease vclock.Duration
 	// FenceOnLapse makes the primary self-fence when its lease lapses
-	// (all standbys unreachable for > Lease). Deployments whose standbys
-	// self-promote set this so the old primary cannot split-brain.
+	// (standby unreachable for > Lease). Deployments whose standby
+	// self-promotes set this so the old primary cannot split-brain.
 	FenceOnLapse bool
 }
 
-// replTarget is the sender-side state for one standby. Its watermarks
-// are what the standby acknowledged; the next batch starts there.
-type replTarget struct {
-	name string
+// Replicator is a primary's replication session to its one standby. Its
+// watermarks are what the standby acknowledged; the next batch starts
+// there.
+type Replicator struct {
+	m    *Manager
+	cfg  ReplConfig
+	name string // the standby's node
 	ep   transport.Endpoint
+	done chan struct{} // closed when the sender exits
 
+	mu       sync.Mutex
+	cond     *sync.Cond
+	epoch    uint64
+	fenced   bool
+	closed   bool
 	ackedVer vclock.Version // standby's honest watermark
 	// ackedView is the same watermark in the view-change sequence; zero
 	// means the next batch carries full view state.
@@ -516,52 +519,34 @@ type replTarget struct {
 	kick      bool   // forced ship requested (heartbeat / probe)
 	down      bool   // degraded: unreachable, excluded from barriers
 	downAt    vclock.Time
-}
-
-// Replicator is a primary's replication session fanning out to its
-// standbys.
-type Replicator struct {
-	m   *Manager
-	cfg ReplConfig
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	epoch   uint64
-	fenced  bool
-	closed  bool
-	targets []*replTarget
-	wg      sync.WaitGroup
 
 	// journal orders the manager's view changes for shipping (viewlog.go).
 	// Lock order: mu before journal.mu.
 	journal viewJournal
 
 	batches  *metrics.Counter // batches shipped
-	degraded *metrics.Counter // barriers released with a standby down
+	degraded *metrics.Counter // barriers released with the standby down
 }
 
 // StartReplication attaches a replication session to the manager and
-// starts one sender per standby. The manager's commit and registration
-// paths barrier on it from then on.
-func (m *Manager) StartReplication(cfg ReplConfig, targets ...ReplTarget) (*Replicator, error) {
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("directory %s: replication needs at least one target", m.name)
+// starts the sender that streams to the standby. The manager's commit
+// and registration paths barrier on it from then on.
+func (m *Manager) StartReplication(cfg ReplConfig, target ReplTarget) (*Replicator, error) {
+	ep := target.Ep
+	if ep == nil {
+		ep = m.ep
 	}
 	r := &Replicator{
 		m:        m,
 		cfg:      cfg,
+		name:     target.Name,
+		ep:       ep,
+		done:     make(chan struct{}),
 		epoch:    m.Epoch(),
 		batches:  metrics.NewCounter(m.name + ".repl_batches"),
 		degraded: metrics.NewCounter(m.name + ".repl_degraded"),
 	}
 	r.cond = sync.NewCond(&r.mu)
-	for _, tgt := range targets {
-		ep := tgt.Ep
-		if ep == nil {
-			ep = m.ep
-		}
-		r.targets = append(r.targets, &replTarget{name: tgt.Name, ep: ep})
-	}
 	m.ha.mu.Lock()
 	if m.ha.repl != nil {
 		m.ha.mu.Unlock()
@@ -573,10 +558,7 @@ func (m *Manager) StartReplication(cfg ReplConfig, targets ...ReplTarget) (*Repl
 	m.tracking.Store(true)
 	m.ha.repl = r
 	m.ha.mu.Unlock()
-	for _, t := range r.targets {
-		r.wg.Add(1)
-		go r.runSender(t)
-	}
+	go r.runSender()
 	return r, nil
 }
 
@@ -588,41 +570,29 @@ func (m *Manager) Replication() *Replicator {
 	return m.ha.repl
 }
 
-// Lag returns the version gap to the slowest live standby.
+// Lag returns the version gap to the standby's last acknowledged
+// version. A down standby counts: its lag grows with every degraded
+// commit.
 func (r *Replicator) Lag() uint64 {
 	cur := r.m.store.Current()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var lag uint64
-	for _, t := range r.targets {
-		if t.down {
-			continue
-		}
-		if d := uint64(cur) - uint64(t.ackedVer); d > lag {
-			lag = d
-		}
-	}
-	return lag
+	return uint64(cur) - uint64(r.ackedVer)
 }
 
-// Degraded reports whether any standby is currently excluded from
+// Degraded reports whether the standby is currently excluded from
 // barriers as unreachable.
 func (r *Replicator) Degraded() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, t := range r.targets {
-		if t.down {
-			return true
-		}
-	}
-	return false
+	return r.down
 }
 
 // BatchesShipped returns the number of replication batches sent.
 func (r *Replicator) BatchesShipped() int64 { return r.batches.Value() }
 
-// DegradedBarriers returns how many barriers were released while a
-// standby was down (commits acked without full replication).
+// DegradedBarriers returns how many barriers were released while the
+// standby was down (commits acked without replication).
 func (r *Replicator) DegradedBarriers() int64 { return r.degraded.Value() }
 
 // fencedErr is what a fenced replicator fails barriers with. Caller holds
@@ -631,11 +601,11 @@ func (r *Replicator) fencedErr() error {
 	return fmt.Errorf("directory %s: fenced (deposed primary, epoch %d)", r.m.name, r.epoch)
 }
 
-// holds reports whether every live standby has acked primary version v or
-// later — true on a nil replicator. Down standbys are skipped and a fenced
-// replicator fails, as in WaitSynced, but nothing waits, bumps the state
-// generation or wakes a sender. The caller must not hold ha.mu: the
-// replicator takes ha.mu under r.mu (pendingLocked, fenceLocked).
+// holds reports whether the standby has acked primary version v or later
+// — true on a nil replicator or a down standby. A fenced replicator
+// fails, as in WaitSynced, but nothing waits, bumps the state generation
+// or wakes the sender. The caller must not hold ha.mu: the replicator
+// takes ha.mu under r.mu (pendingLocked, fenceLocked).
 func (r *Replicator) holds(v vclock.Version) (bool, error) {
 	if r == nil {
 		return true, nil
@@ -645,144 +615,114 @@ func (r *Replicator) holds(v vclock.Version) (bool, error) {
 	if r.fenced {
 		return false, r.fencedErr()
 	}
-	for _, t := range r.targets {
-		if !t.down && t.ackedVer < v {
-			return false, nil
-		}
-	}
-	return true, nil
+	return r.down || r.ackedVer >= v, nil
 }
 
-// WaitSynced blocks until every live standby has absorbed a batch whose
+// WaitSynced blocks until the standby has absorbed a batch whose
 // captured state generation is at least gen (semi-synchronous group
-// commit). Standbys marked down are skipped — availability over
+// commit). A standby marked down is skipped — availability over
 // replication — and the skip is counted. A fenced replicator fails.
 func (r *Replicator) WaitSynced(gen uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cond.Broadcast() // wake senders: new state to ship
+	r.cond.Broadcast() // wake the sender: new state to ship
 	for {
-		if r.fenced {
+		switch {
+		case r.fenced:
 			return r.fencedErr()
-		}
-		if r.closed {
+		case r.closed:
 			return nil
-		}
-		synced, skipped := true, false
-		for _, t := range r.targets {
-			if t.down {
-				skipped = true
-				continue
-			}
-			if t.ackedGen < gen {
-				synced = false
-				break
-			}
-		}
-		if synced {
-			if skipped {
-				r.degraded.Inc()
-			}
+		case r.down:
+			r.degraded.Inc()
+			return nil
+		case r.ackedGen >= gen:
 			return nil
 		}
 		r.cond.Wait()
 	}
 }
 
-// runSender is the per-standby pump: it waits until the target has
-// unshipped state, ships one batch from the target's acknowledged
-// watermarks under the retry policy, and folds the outcome. Because it
-// wakes only on a barrier's or heartbeat's broadcast and ships one batch
-// at a time, a caller that issues one request at a time sees the same
-// batches in the same order on every run.
-func (r *Replicator) runSender(t *replTarget) {
-	defer r.wg.Done()
+// runSender is the pump: it waits until the standby has unshipped state,
+// ships one batch from the acknowledged watermarks under the retry
+// policy, and folds the outcome. Because it wakes only on a barrier's or
+// heartbeat's broadcast and ships one batch at a time, a caller that
+// issues one request at a time sees the same batches in the same order
+// on every run.
+func (r *Replicator) runSender() {
+	defer close(r.done)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		for !r.closed && !r.fenced && !r.pendingLocked(t) {
+		for !r.closed && !r.fenced && !r.pendingLocked() {
 			r.cond.Wait()
 		}
 		if r.closed || r.fenced {
 			return
 		}
-		t.kick = false
-		since, viewSince, epoch := t.ackedVer, t.ackedView, r.epoch
+		r.kick = false
+		since, viewSince, epoch := r.ackedVer, r.ackedView, r.epoch
 		r.mu.Unlock()
 		gen := r.m.haGen()
 		batch, err := r.buildBatch(since, viewSince, epoch)
 		var reply *wire.Message
 		if err == nil {
 			r.batches.Inc()
-			reply, err = transport.CallRetry(t.ep, t.name, ReplMessage(batch), r.cfg.Retry)
+			reply, err = transport.CallRetry(r.ep, r.name, ReplMessage(batch), r.cfg.Retry)
 		}
 		r.mu.Lock()
 		switch {
 		case err == nil && reply != nil && reply.Type == wire.TReplAck:
-			r.applyAckLocked(t, batch.Snap.Version, batch.ViewSeq, gen, reply)
+			r.applyAckLocked(batch.Snap.Version, batch.ViewSeq, gen, reply)
 		case err != nil && !transport.IsTransportError(err) && strings.Contains(err.Error(), staleEpochMark):
 			r.fenceLocked()
 		default:
 			// Retries exhausted, a refusal, or a batch the primary could
 			// not build: resending at once would fail the same way, so the
 			// barriers release degraded and the next heartbeat probes.
-			r.degradeLocked(t)
+			r.degradeLocked()
 		}
 	}
 }
 
-// applyAckLocked folds one TReplAck into the target's watermarks. end and
-// viewEnd are where the shipped batch closed, gen the state generation it
+// applyAckLocked folds one TReplAck into the watermarks. end and viewEnd
+// are where the shipped batch closed, gen the state generation it
 // captured. An ack at or beyond both means the batch was absorbed; a
 // lower one is a refusal (or partial knowledge) and rewinds the sender to
 // the standby's honest watermarks — each to what the standby reports for
 // it, so a batch refused for a view gap does not re-ship data the standby
 // holds, and the other way round. The refused batch's state is still
 // pending, so the sender re-ships at once.
-func (r *Replicator) applyAckLocked(t *replTarget, end vclock.Version, viewEnd, gen uint64, reply *wire.Message) {
+func (r *Replicator) applyAckLocked(end vclock.Version, viewEnd, gen uint64, reply *wire.Message) {
 	ackedView := uint64(reply.Since)
 	if reply.Version >= end {
-		t.ackedVer = max(t.ackedVer, end)
+		r.ackedVer = max(r.ackedVer, end)
 	} else {
-		t.ackedVer = reply.Version
+		r.ackedVer = reply.Version
 	}
 	if ackedView >= viewEnd {
-		t.ackedView = max(t.ackedView, viewEnd)
+		r.ackedView = max(r.ackedView, viewEnd)
 	} else {
-		t.ackedView = ackedView
+		r.ackedView = ackedView
 	}
 	if reply.Version >= end && ackedView >= viewEnd {
-		t.ackedGen = max(t.ackedGen, gen)
+		r.ackedGen = max(r.ackedGen, gen)
 	}
-	t.down = false
-	r.trimJournalLocked()
+	r.down = false
+	r.journal.trim(r.ackedView)
 	r.cond.Broadcast()
 }
 
-// degradeLocked marks the target down: barriers stop waiting for it
+// degradeLocked marks the standby down: barriers stop waiting for it
 // until a heartbeat probe is acked. The probe ships full view state, so
-// the journal stops retaining records on a down target's behalf.
-func (r *Replicator) degradeLocked(t *replTarget) {
-	if !t.down {
-		t.down = true
-		t.downAt = r.m.clock.Now()
+// the journal keeps no records on a down standby's behalf.
+func (r *Replicator) degradeLocked() {
+	if !r.down {
+		r.down = true
+		r.downAt = r.m.clock.Now()
 	}
-	t.ackedView = 0
-	r.trimJournalLocked()
+	r.ackedView = 0
+	r.journal.trim(^uint64(0))
 	r.cond.Broadcast() // release barriers into degraded mode
-}
-
-// trimJournalLocked drops the journal records every live target has
-// acknowledged. A down target is probed with full view state, so it pins
-// nothing.
-func (r *Replicator) trimJournalLocked() {
-	upTo := ^uint64(0)
-	for _, t := range r.targets {
-		if !t.down && t.ackedView < upTo {
-			upTo = t.ackedView
-		}
-	}
-	r.journal.trim(upTo)
 }
 
 func (r *Replicator) fenceLocked() {
@@ -793,46 +733,36 @@ func (r *Replicator) fenceLocked() {
 	r.cond.Broadcast()
 }
 
-// pendingLocked reports whether the target has state it has not
-// acknowledged. A down target only ships when kicked (the heartbeat
+// pendingLocked reports whether the standby has state it has not
+// acknowledged. A down standby only ships when kicked (the heartbeat
 // doubles as its probe).
-func (r *Replicator) pendingLocked(t *replTarget) bool {
-	if t.down {
-		return t.kick
+func (r *Replicator) pendingLocked() bool {
+	if r.down {
+		return r.kick
 	}
-	return t.kick || t.ackedGen < r.m.haGen()
+	return r.kick || r.ackedGen < r.m.haGen()
 }
 
-// Heartbeat kicks every sender: idle standbys get an empty batch (which
-// refreshes their lease timer and carries current view state), down
-// standbys get a probe. With FenceOnLapse, a primary whose every standby
-// has been unreachable for longer than the lease fences itself.
-// Deployments call this from their ticker loop; the replicator owns no
-// timers of its own.
+// Heartbeat kicks the sender: an idle standby gets an empty batch (which
+// refreshes its lease timer and carries current view state), a down one
+// gets a probe. With FenceOnLapse, a primary whose standby has been
+// unreachable for longer than the lease fences itself. Deployments call
+// this from their ticker loop; the replicator owns no timers of its own.
 func (r *Replicator) Heartbeat() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return
 	}
-	allDown, latest := true, vclock.Time(0)
-	for _, t := range r.targets {
-		t.kick = true
-		if !t.down {
-			allDown = false
-		} else if t.downAt > latest {
-			latest = t.downAt
-		}
-	}
-	if r.cfg.FenceOnLapse && r.cfg.Lease > 0 && allDown && !r.fenced {
-		if r.m.clock.Now()-latest > r.cfg.Lease {
-			r.fenceLocked()
-		}
+	r.kick = true
+	if r.cfg.FenceOnLapse && r.cfg.Lease > 0 && r.down && !r.fenced &&
+		r.m.clock.Now()-r.downAt > r.cfg.Lease {
+		r.fenceLocked()
 	}
 	r.cond.Broadcast()
 }
 
-// Close stops the senders, waiting out a batch in flight. Outstanding
+// Close stops the sender, waiting out a batch in flight. Outstanding
 // barriers are released.
 func (r *Replicator) Close() {
 	r.mu.Lock()
@@ -843,7 +773,7 @@ func (r *Replicator) Close() {
 	r.closed = true
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	r.wg.Wait()
+	<-r.done
 	// Nobody drains the change stack any more.
 	r.m.tracking.Store(false)
 	r.m.dirtyViews.Store(nil)

@@ -51,8 +51,8 @@ func replPairOver(t *testing.T, net transport.Network, clock vclock.Clock, cfg d
 	return a, b
 }
 
-// ctlEndpoint attaches a control endpoint (a stand-in for the shard
-// router or an operator tool) that can address promote messages.
+// ctlEndpoint attaches a control endpoint that hands replication batches
+// to a standby directly, without a primary's sender.
 func ctlEndpoint(t *testing.T, net transport.Network) transport.Endpoint {
 	t.Helper()
 	ep, err := net.Attach("ctl", func(*wire.Message) *wire.Message { return nil })
@@ -60,15 +60,6 @@ func ctlEndpoint(t *testing.T, net transport.Network) transport.Endpoint {
 		t.Fatal(err)
 	}
 	return ep
-}
-
-func promote(t *testing.T, ep transport.Endpoint, target string, epoch uint64) *wire.Message {
-	t.Helper()
-	reply, err := ep.Call(target, directory.PromoteMessage(epoch))
-	if err != nil {
-		t.Fatalf("promote %s: %v", target, err)
-	}
-	return reply
 }
 
 func pushThrough(t *testing.T, cm *cache.Manager, view *kv, k, v string) {
@@ -244,12 +235,11 @@ func TestReplicationRefusedBatchDegrades(t *testing.T) {
 // TestReplicationStandbyGateAndPromote: a hot standby refuses client
 // traffic with the not-serving marker (so reconnecting CMs rotate to
 // another endpoint instead of hard-failing), and starts serving the
-// moment a promote batch arrives.
+// moment it promotes itself.
 func TestReplicationStandbyGateAndPromote(t *testing.T) {
 	net := transport.NewInproc()
 	clock := vclock.NewSim()
 	_, b, _, _ := replPair(t, net, clock, directory.ReplConfig{})
-	ctl := ctlEndpoint(t, net)
 
 	// Client traffic against the standby is refused, redialably.
 	view := newKV()
@@ -264,9 +254,8 @@ func TestReplicationStandbyGateAndPromote(t *testing.T) {
 		t.Fatalf("standby refusal %q does not carry the not-serving marker", err)
 	}
 
-	reply := promote(t, ctl, "dm!b", b.Epoch()+1)
-	if reply.Type != wire.TReplAck {
-		t.Fatalf("promote reply = %v", reply.Type)
+	if epoch := b.PromoteSelf(); epoch != 1 {
+		t.Fatalf("PromoteSelf opened epoch %d, want 1", epoch)
 	}
 	if b.Standby() {
 		t.Fatal("standby flag survived promotion")
@@ -355,7 +344,6 @@ func TestReplicationStaleEpochFencesPrimary(t *testing.T) {
 	net := transport.NewInproc()
 	clock := vclock.NewSim()
 	a, b, _, _ := replPair(t, net, clock, directory.ReplConfig{})
-	ctl := ctlEndpoint(t, net)
 
 	view := newKV()
 	cm, err := cache.New(cache.Config{
@@ -370,7 +358,7 @@ func TestReplicationStaleEpochFencesPrimary(t *testing.T) {
 	}
 	pushThrough(t, cm, view, "k", "before")
 
-	promote(t, ctl, "dm!b", b.Epoch()+1)
+	b.PromoteSelf()
 
 	// The old primary's next commit must fail (its batch is stale) ...
 	if err := cm.StartUse(); err != nil {
@@ -441,7 +429,6 @@ func TestReplicationCarriesViewState(t *testing.T) {
 	net := transport.NewInproc()
 	clock := vclock.NewSim()
 	a, b, _, _ := replPair(t, net, clock, directory.ReplConfig{})
-	ctl := ctlEndpoint(t, net)
 
 	mk := func(name string, mode wire.Mode, props, validity string) (*cache.Manager, *kv) {
 		view := newKV()
@@ -497,7 +484,7 @@ func TestReplicationCarriesViewState(t *testing.T) {
 	// After promotion the standby already knows the views: same modes,
 	// same seen versions — the takeover is observable state, not a fresh
 	// registry.
-	promote(t, ctl, "dm!b", b.Epoch()+1)
+	b.PromoteSelf()
 	for _, v := range []string{"v1", "v2"} {
 		if bm, am := b.Mode(v), a.Mode(v); bm != am {
 			t.Fatalf("%s mode: standby %v, primary %v", v, bm, am)
@@ -594,10 +581,11 @@ func TestAbsorbRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// BenchmarkRestoreHighVersion pins the cost of restoring a snapshot
-// whose version counter is far ahead: Counter.AdvanceTo makes it a
-// single fast-forward instead of the old O(version) Next loop, so a
-// v=2,000,000 restore costs the same as a v=2 one.
+// BenchmarkRestoreHighVersion pins the cost of restoring a snapshot —
+// absorbing it into a fresh store — whose version counter is far ahead:
+// Counter.AdvanceTo makes it a single fast-forward instead of the old
+// O(version) Next loop, so a v=2,000,000 restore costs the same as a v=2
+// one.
 func BenchmarkRestoreHighVersion(b *testing.B) {
 	const high = 2_000_000
 	snap := &directory.Snapshot{
@@ -615,7 +603,7 @@ func BenchmarkRestoreHighVersion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := directory.NewStore(newKV(), vclock.NewSim())
-		if err := st.Restore(snap); err != nil {
+		if err := st.Absorb(snap); err != nil {
 			b.Fatal(err)
 		}
 		if st.Current() != high {

@@ -558,13 +558,14 @@ func sampleBatch() *ReplBatch {
 	}
 }
 
-// replSeeds are the fuzz seeds: every record kind, promote-only, empty
-// data section, truncations, and oversized declared counts and lengths.
+// replSeeds are the fuzz seeds: every record kind, epoch-only, empty
+// data section, truncations, a refused flag bit, and oversized declared
+// counts and lengths.
 func replSeeds() [][]byte {
 	full := EncodeReplBatch(sampleBatch())
 	seeds := [][]byte{
 		full,
-		EncodeReplBatch(&ReplBatch{Epoch: 5, Promote: true}),
+		EncodeReplBatch(&ReplBatch{Epoch: 5}),
 		EncodeReplBatch(&ReplBatch{Epoch: 1, Snap: &Snapshot{Version: 4}, Since: 4, ViewSince: 2, ViewSeq: 2}),
 		EncodeReplBatch(&ReplBatch{Snap: &Snapshot{}, Touches: []ViewTouch{{Name: "v1", Seen: 1}}}),
 		EncodeReplBatch(&ReplBatch{Snap: &Snapshot{}, Removed: []string{"a", "b"}}),
@@ -578,6 +579,7 @@ func replSeeds() [][]byte {
 		append([]byte{2}, full[1:]...), // format 2 had fixed-width counts, lengths and versions
 		append([]byte{3}, full[1:]...), // format 3 had an active byte where format 4 has the phase
 		EncodeReplBatch(&ReplBatch{Snap: &Snapshot{}, Touches: []ViewTouch{{Name: "v1", Phase: PhaseGone}}}),
+		{replFormat, 1, 5}, // bit 0 once ordered a promotion; no batch may
 	}
 	// Declared counts and lengths far beyond the input, at each section.
 	// The sample's epoch, since, version, viewSince and viewSeq are each a
@@ -593,7 +595,7 @@ func replSeeds() [][]byte {
 func TestReplBatchRoundTrip(t *testing.T) {
 	for _, b := range []*ReplBatch{
 		sampleBatch(),
-		{Epoch: 5, Promote: true},
+		{Epoch: 5},
 		{Epoch: 2, Since: 3, Snap: &Snapshot{Version: 3}, ViewSince: 9, ViewSeq: 9},
 		{Snap: &Snapshot{}, Touches: []ViewTouch{{Name: "v2", Seen: 4, Phase: PhaseLost}}},
 	} {
@@ -629,8 +631,13 @@ func TestReplBatchRoundTrip(t *testing.T) {
 // byte): at 8615f2f, the last format-3 commit, each seed was decoded with
 // that commit's DecodeReplBatch, every Active mapped to PhaseActive
 // (true) or PhaseInactive (false), and re-encoded with the format-4
-// EncodeReplBatch; the hash of those bytes is this one.
-const replBatchGolden = "10f9f0d39a4d5184b07311f8b620ab56be345df9a54872d34f3462fd531a45a4"
+// EncodeReplBatch (10f9f0d3…). Promotion left the wire (bit 0 of the
+// flags byte, no format bump): seed 1, promote-only {4,1,5}, became the
+// epoch-only {4,0,5}, and the four data-carrying seeds (0, 2, 3, 4) hash
+// to 3d9c84c4…5af0 both at bd97af9, the last commit with the promote
+// flag, and after it, so only that flag byte moved; the hash of the five
+// is this one.
+const replBatchGolden = "d9268f74ccf45748d4385cfcc3dcd2009f91de86946681a11653c5383d2fbd77"
 
 func TestReplBatchBytesGolden(t *testing.T) {
 	h := sha256.New()
@@ -725,7 +732,7 @@ func TestReplBatchAllocs(t *testing.T) {
 	var commits, touches []*ReplBatch
 	var since vclock.Version = r.prim.CurrentVersion()
 	r.repl.mu.Lock()
-	viewSince := r.repl.targets[0].ackedView
+	viewSince := r.repl.ackedView
 	r.repl.mu.Unlock()
 	step := func() {
 		d := image.New()

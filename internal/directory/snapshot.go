@@ -12,7 +12,7 @@ import (
 // component is always running and that "fail-safe mechanisms can be
 // implemented" (§4.1). This file implements the mechanism: the directory
 // manager's protocol metadata — the version counter, the per-key shadow,
-// and the update log — can be snapshotted and restored into a standby
+// and the update log — can be snapshotted and absorbed into a standby
 // directory manager, which then continues issuing versions where the
 // failed primary left off. (The application data itself lives in the
 // original component and is replicated by whatever means the application
@@ -55,8 +55,8 @@ type Snapshot struct {
 	Views []ViewRecord
 }
 
-// check enforces what a store needs of any snapshot it restores or
-// absorbs — checkpoints come from disk and batches from a peer: every
+// check enforces what a store needs of any snapshot it absorbs —
+// checkpoints come from disk and batches from a peer: every
 // shadow version lies in 1..Version, and the log is strictly
 // version-ordered and bounded by Version. Without it the counter could
 // land below versions the store already holds and the next commit would
@@ -80,36 +80,9 @@ func (snap *Snapshot) check() error {
 	return nil
 }
 
-// Restore replaces the store's metadata with the snapshot's. The primary
-// codec is untouched; callers are responsible for the application data
-// being consistent with the snapshot (e.g. restored from the same
-// checkpoint).
-func (s *Store) Restore(snap *Snapshot) error {
-	if snap == nil {
-		return fmt.Errorf("directory: nil snapshot")
-	}
-	if err := snap.check(); err != nil {
-		return err
-	}
-	s.lockStore()
-	defer s.unlockStore()
-	for _, st := range s.stripes {
-		st.shadow = map[string]shadowEntry{}
-	}
-	for _, r := range snap.Shadow {
-		s.stripeFor(r.Key).shadow[r.Key] = shadowEntry{version: r.Version, writer: r.Writer, deleted: r.Deleted}
-	}
-	s.log = make([]UpdateRec, len(snap.Log))
-	copy(s.log, snap.Log)
-	s.counter.AdvanceTo(snap.Version)
-	for _, st := range s.stripes {
-		st.rebuild()
-	}
-	return nil
-}
-
-// Absorb merges a snapshot into a live store, in contrast to Restore which
-// replaces. Shadow entries keep the newer version per key, the
+// Absorb merges a snapshot into the store — the one way a snapshot is
+// loaded, whether a checkpoint into a fresh store or a replication batch
+// into a standby's. Shadow entries keep the newer version per key, the
 // version-ordered logs are merged with the existing entry winning on a
 // version tie (so a resent replication batch does not duplicate
 // records), and the counter only fast-forwards — it never goes back, so

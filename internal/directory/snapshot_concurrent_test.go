@@ -88,14 +88,14 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 		return
 	}
 
-	// The final snapshot restores into a standby that picks up exactly
+	// The final snapshot loads into a standby that picks up exactly
 	// where the counter left off.
 	final := st.SnapshotSince(0)
 	if final.Version != vclock.Version(writers*commits) {
 		t.Fatalf("final version %d, want %d", final.Version, writers*commits)
 	}
 	standby := NewStore(newMapStore(), vclock.NewSim())
-	if err := standby.Restore(final); err != nil {
+	if err := standby.Absorb(final); err != nil {
 		t.Fatal(err)
 	}
 	if standby.Current() != final.Version {

@@ -95,7 +95,7 @@ const stripeCount = 16
 type Store struct {
 	// gate is the directory's one quiesce point. Commits hold the read
 	// side for their whole duration, extracts while they read the stripes;
-	// whole-store operations (snapshot, restore, absorb, invariant checks)
+	// whole-store operations (snapshot, absorb, invariant checks)
 	// and the manager's structural changes (lanes.go) hold the write side —
 	// acquiring it exclusively drains every in-flight commit, which is
 	// what keeps replication batches complete. It is the store's outermost
@@ -357,8 +357,8 @@ func (s *Store) commitGated(writer string, props property.Set, delta *image.Imag
 // rebuild regenerates the stripe's dirty index from its shadow: one
 // record per key at its current version, sorted by (version, key). Called
 // with the stripe exclusively held (its lock, or the gate's write side)
-// when stale records pile up or when the shadow is replaced wholesale
-// (Restore/Absorb).
+// when stale records pile up or when Absorb merges a snapshot out of
+// order.
 func (st *storeStripe) rebuild() {
 	st.dirty = st.dirty[:0]
 	for k, sh := range st.shadow {

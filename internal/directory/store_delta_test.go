@@ -120,8 +120,9 @@ func TestExtractDeltaMatchesFullPath(t *testing.T) {
 	}
 }
 
-// TestExtractDeltaAfterRestore: Restore replaces the shadow wholesale; the
-// dirty index must be rebuilt so delta pulls keep working on the standby.
+// TestExtractDeltaAfterRestore: absorbing a full snapshot into a fresh
+// store must build its dirty index, so delta pulls keep working on the
+// standby.
 func TestExtractDeltaAfterRestore(t *testing.T) {
 	primary := airline.NewReservationSystem()
 	keyedStore := directory.NewStore(primary, vclock.NewSim())
@@ -129,7 +130,7 @@ func TestExtractDeltaAfterRestore(t *testing.T) {
 	versions := commitHistory(t, keyedStore, fullStore)
 
 	standby := directory.NewStore(primary, vclock.NewSim())
-	if err := standby.Restore(keyedStore.SnapshotSince(0)); err != nil {
+	if err := standby.Absorb(keyedStore.SnapshotSince(0)); err != nil {
 		t.Fatal(err)
 	}
 	props := property.MustSet("Flights={100..160}")

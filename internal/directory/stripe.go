@@ -22,7 +22,7 @@ import (
 //     which every commit has fully landed, so a reader can never record
 //     a seen version that silently skips a mid-flight commit), and
 //   - whole-store operations (snapshot capture for replication and
-//     checkpoints, restore, absorb): they take the gate exclusively,
+//     checkpoints, absorb): they take the gate exclusively,
 //     quiescing in-flight commits, so a replication batch closed at
 //     version V really contains everything ≤ V.
 //
@@ -74,7 +74,7 @@ func (p *pubTracker) published() vclock.Version {
 }
 
 // reset fast-forwards the watermark after a quiesced counter jump
-// (restore/absorb under the gate; nothing is in flight).
+// (absorb under the gate; nothing is in flight).
 func (p *pubTracker) reset(v vclock.Version) {
 	p.mu.Lock()
 	if v > p.pub {
@@ -90,7 +90,7 @@ func (p *pubTracker) reset(v vclock.Version) {
 func (s *Store) EnableStriping() {}
 
 // lockStore acquires the store exclusively for a whole-store mutation
-// (restore/absorb): the gate's write side quiesces every in-flight commit
+// (absorb): the gate's write side quiesces every in-flight commit
 // and extract, Store.mu fences the log readers that bypass the gate.
 func (s *Store) lockStore() {
 	s.gate.Lock()

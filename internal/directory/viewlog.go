@@ -7,7 +7,7 @@ import (
 
 // View-change tracking for O(Δ) replication. A replication batch ships
 // records for just the views whose directory state moved since the
-// target's view watermark, so the sender must find those views without
+// standby's view watermark, so the sender must find those views without
 // visiting the rest. Two levels:
 //
 //   - Every site that mutates a view's replicated state (mode, op class,
@@ -21,8 +21,8 @@ import (
 //     replicator's first batch is full state anyway.
 //   - A replicator drains the stack into its journal when it builds a
 //     batch, stamping each drained view with the next value of the
-//     view-change sequence. Targets keep sent/acked watermarks in that
-//     sequence beside their version watermarks, and the journal serves
+//     view-change sequence. The replicator keeps the standby's acked
+//     watermark in that sequence beside its version watermark, and the journal serves
 //     any watermark at or above its floor; below it (first batch, probe
 //     of a recovered standby) the sender falls back to every view.
 //
@@ -88,7 +88,7 @@ func (j *viewJournal) drainLocked(m *Manager) {
 	}
 }
 
-// trim forgets records every live target has acknowledged.
+// trim forgets records the standby has acknowledged.
 func (j *viewJournal) trim(upTo uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

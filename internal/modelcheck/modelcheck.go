@@ -115,12 +115,15 @@ type Config struct {
 	// replication sender deployments run (every mutating request barriers
 	// on the standby, exactly the HA directory's semi-synchronous commit,
 	// and a barrier released with dm!b degraded is a violation),
-	// crash-primary kills dm!a at the network, and promote-standby sends
-	// dm!b the promote batch and re-points the forwarder — after which
-	// every invariant (including strong-mode exclusivity and per-key
-	// durability of acknowledged commits) must still hold against the
-	// state dm!b absorbed from replication alone. The managers run two lanes, as
-	// deployments do; lanes hold no protocol state, so they add no states.
+	// dm!b boots gated (Options.Standby) as fleccd -standby does,
+	// crash-primary kills dm!a at the network, and promote-standby has
+	// dm!b promote itself (PromoteSelf, the call fleccd's standby makes
+	// once the stream falls silent past the lease) and re-points the
+	// forwarder — after which every invariant (including strong-mode
+	// exclusivity and per-key durability of acknowledged commits) must
+	// still hold against the state dm!b absorbed from replication alone.
+	// The managers run two lanes, as deployments do; lanes hold no
+	// protocol state, so they add no states.
 	Failover bool
 	// Crash enables the crash/revive reconfigurations.
 	Crash bool
@@ -218,10 +221,10 @@ const (
 	// network (reconfiguration). Client calls fail until promote-standby;
 	// acknowledged commits must survive on the standby.
 	ACrashPrimary
-	// APromoteStandby sends dm!b the promote-only replication batch under
-	// the next epoch and re-points the forwarder at it — a coordinated,
-	// consensus-free failover. Recovery: does not consume the
-	// reconfiguration budget.
+	// APromoteStandby has dm!b promote itself under the next epoch
+	// (PromoteSelf, as fleccd's standby does once the replication stream
+	// has been silent past the lease) and re-points the forwarder at it.
+	// Recovery: does not consume the reconfiguration budget.
 	APromoteStandby
 )
 

@@ -111,7 +111,6 @@ type system struct {
 	repl *directory.Replicator
 	// active indexes the directory manager currently serving the views.
 	active int
-	ctl    transport.Endpoint
 	views  []*viewNode
 	// reconfigs counts reconfiguration actions applied.
 	reconfigs int
@@ -253,8 +252,12 @@ func newSystem(cfg Config, rec *trace.Recorder) (sys *system, err error) {
 		// toward whichever manager currently serves them — the model's
 		// stand-in for the fallback rotation that takes fleccd's clients
 		// to a promoted standby (cache.Config.Fallbacks).
-		for _, name := range []string{"dm!a", "dm!b"} {
-			dm, err := directory.New(name, s.prim, clock, net, opts)
+		for i, name := range []string{"dm!a", "dm!b"} {
+			// dm!b boots gated, as fleccd -standby does: it admits only
+			// replication batches until promote-standby.
+			o := opts
+			o.Standby = i == 1
+			dm, err := directory.New(name, s.prim, clock, net, o)
 			if err != nil {
 				return nil, err
 			}
@@ -279,21 +282,11 @@ func newSystem(cfg Config, rec *trace.Recorder) (sys *system, err error) {
 			return nil, err
 		}
 		place("dm")
-		ctl, err := net.Attach("ctl", func(req *wire.Message) *wire.Message {
-			return &wire.Message{Type: wire.TErr, Err: "modelcheck: ctl serves no requests"}
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.ctl = ctl
-		place("ctl")
 		// dm!a replicates to dm!b through the sender deployments run:
 		// every mutating request's reply barriers on the standby having
 		// absorbed it. The sender wakes only on the barrier's broadcast
 		// and ships one batch at a time while the explorer waits, so
-		// replays stay pure functions of the schedule. dm!b is not
-		// Options.Standby-gated: until promote-standby the forwarder
-		// routes to dm!a, so only replication batches reach it.
+		// replays stay pure functions of the schedule.
 		// Attempts:3 lets a single scheduled drop of a TReplicate be
 		// retried instead of degrading the standby (verify asserts it
 		// never is).
@@ -576,23 +569,11 @@ func (s *system) apply(a Action) error {
 		return s.verify(a, nil)
 
 	case APromoteStandby:
-		msg := directory.PromoteMessage(s.dms[1].Epoch() + 1)
-		if _, err := callRetry(s.ctl, "dm!b", msg); err != nil {
-			return violationf("promote-standby failed: %v", err)
-		}
+		s.dms[1].PromoteSelf()
 		s.active = 1
 		return s.verify(a, nil)
 	}
 	return fmt.Errorf("modelcheck: unknown action kind %d", a.Kind)
-}
-
-// callRetry is transport.CallRetry with sleeps elided (the model runs on
-// virtual time).
-func callRetry(ep transport.Endpoint, to string, req *wire.Message) (*wire.Message, error) {
-	return transport.CallRetry(ep, to, req, transport.RetryPolicy{
-		Attempts: 3,
-		Sleep:    func(time.Duration) {},
-	})
 }
 
 // viewMeta is the slice of a view's state the enumerator needs to decide
