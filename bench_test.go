@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 	"time"
@@ -268,49 +267,6 @@ func BenchmarkCodecGobBaseline(b *testing.B) {
 		if err := gob.NewEncoder(&buf).Encode(&g); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFanoutEncodeOnce measures the serialization cost of one
-// DM-initiated propagate round — the same 64-entry TUpdate body to N
-// targets — under the two strategies: "per-target" re-encodes the whole
-// message for every recipient (the pre-change path), "encode-once"
-// serializes the body a single time via wire.Preencode and stamps only the
-// per-link header per recipient. The acceptance bar: the encode-once round
-// at 8 targets costs within 1.5x of a single-target round, because only
-// the tiny headers scale with N.
-func BenchmarkFanoutEncodeOnce(b *testing.B) {
-	base := benchMessage(64)
-	base.Type = wire.TUpdate
-	for _, targets := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("per-target/targets=%d", targets), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for t := 0; t < targets; t++ {
-					m := *base
-					m.View = "v"
-					m.Seq = uint64(t)
-					if err := wire.WriteFrame(io.Discard, &m); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("encode-once/targets=%d", targets), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m := *base
-				m.Pre = wire.Preencode(&m)
-				for t := 0; t < targets; t++ {
-					mm := m
-					mm.View = "v"
-					mm.Seq = uint64(t)
-					if err := wire.WriteFrame(io.Discard, &mm); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
 	}
 }
 

@@ -27,13 +27,15 @@ import (
 //     invalidation may itself be waiting to push; holding a lane across
 //     the round would deadlock the pair.
 //   - Anything that can change the conflict structure — register,
-//     unregister, set-props, revival, static-map seeding, a replicated
-//     registration record — takes the gate exclusively, draining every in-flight
+//     unregister, set-props, eviction, revival, a replicated registration
+//     record — takes the gate exclusively, draining every in-flight
 //     commit before the structure moves. Commits started after the change
-//     see the bumped registry epoch and rebuild the map. Evictions
-//     (SetLost true) only remove conflict edges, so in-flight commits
-//     running under the pre-eviction, coarser grouping stay correct; the
-//     map catches up on its next lazy rebuild.
+//     see the bumped registry epoch and rebuild the map. An eviction
+//     needs the drain as much as the others: the rebuilt map can give a
+//     surviving group another root, and so another lane.
+//   - Registry().SetStatic bumps the epoch without the gate. It must run
+//     before views commit concurrently, as flecc.System.SetStatic and the
+//     ablations call it.
 
 type laneSet struct {
 	m     *Manager

@@ -364,6 +364,95 @@ func TestLaneCountByteIdentical(t *testing.T) {
 	}
 }
 
+// gateKV is a laneKV whose Merge reports the value it merges on entry and
+// then waits for release, so a test can hold one commit inside the codec.
+type gateKV struct {
+	*laneKV
+	entered chan string
+	release chan struct{}
+}
+
+func (c *gateKV) Merge(img *image.Image, props property.Set) error {
+	if len(img.Entries) > 0 {
+		c.entered <- string(img.Entries[0].Value)
+		<-c.release
+	}
+	return c.laneKV.Merge(img, props)
+}
+
+// TestEvictionKeepsGroupOnOneLane evicts a view while a commit of its
+// conflict group is inside the codec. a, b and c share x, so the group's
+// root is a. Once b is lost, the rebuilt lane map roots the group at b,
+// whose lane differs from a's at two lanes. Unless the eviction drains the
+// lanes first, c's commit takes b's lane and reaches Merge while a's is
+// still there: two commits of one group in the codec at once, which
+// Store.Commit's contract forbids.
+func TestEvictionKeepsGroupOnOneLane(t *testing.T) {
+	const lanes = 2
+	if fnvLane("a", lanes) == fnvLane("b", lanes) {
+		t.Fatal("a and b hash to one lane: the test cannot see the group move")
+	}
+	// One entered slot and one error slot per push, so no push blocks on
+	// a report after the test has stopped reading.
+	codec := &gateKV{laneKV: newLaneKV(), entered: make(chan string, 2), release: make(chan struct{})}
+	net := transport.NewInproc()
+	dm, err := New("dm", codec, vclock.NewSim(), net, Options{Lanes: lanes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dm.Close() })
+	h := &laneHarness{t: t, net: net, dm: dm}
+	eps := map[string]transport.Endpoint{}
+	for _, v := range []string{"a", "b", "c"} {
+		eps[v] = h.register(v, "P={x}")
+	}
+	release := sync.OnceFunc(func() { close(codec.release) })
+	defer release()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	push := func(v string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := lanePush(eps[v], v, map[string]string{"x": "from-" + v}); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	push("a")
+	if got := <-codec.entered; got != "from-a" {
+		t.Fatalf("first merge carried %q, want from-a", got)
+	}
+	evicted := make(chan struct{})
+	go func() {
+		dm.evictView("b")
+		close(evicted)
+	}()
+	// An eviction that drains the lanes waits for a's commit; one that
+	// does not has returned by now.
+	select {
+	case <-evicted:
+	case <-time.After(100 * time.Millisecond):
+	}
+	push("c")
+	select {
+	case got := <-codec.entered:
+		t.Fatalf("%s merged while a's commit of the same conflict group was still merging (lanes=%d)", got, lanes)
+	case <-time.After(200 * time.Millisecond):
+	}
+	release()
+	wg.Wait()
+	<-evicted
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := <-codec.entered; got != "from-c" {
+		t.Fatalf("second merge carried %q, want from-c", got)
+	}
+}
+
 // TestLaneReplication runs concurrent laned pushes with an inline
 // semi-sync standby attached and checks the barrier semantics survive
 // striping: after the last ack the standby holds every committed version

@@ -560,16 +560,14 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 	return m.serve(vs, req.Since, skip, !contacted && !opChanged)
 }
 
-// collectRound runs collect on every target in one fan-out round. The
-// requests share one pre-encoded body; only the per-link header
-// (Seq/From/View) differs per target. what names the request in errors.
+// collectRound runs collect on every target in one fan-out round. what
+// names the request in errors.
 func (m *Manager) collectRound(targets []string, typ wire.Type, what string) error {
 	if len(targets) == 0 {
 		return nil
 	}
-	pre := wire.Preencode(&wire.Message{Type: typ})
 	return m.forEachTarget(targets, func(other string) error {
-		if err := m.collect(other, typ, pre); err != nil {
+		if err := m.collect(other, typ); err != nil {
 			return fmt.Errorf("%s %s: %v", what, other, err)
 		}
 		return nil
@@ -706,10 +704,12 @@ func (m *Manager) activeAmong(names []string) []string {
 // component crashed" means; the protocol state (seen, mode, props)
 // survives on the record so a reconnecting manager resumes via the
 // idempotent re-register, and any later message from the view revives
-// it.
+// it. Eviction moves the conflict structure, so it drains the execution
+// lanes like revival: rebuilt after an eviction, the lane map can put a
+// surviving group under another root, and so on another lane.
 func (m *Manager) evictView(target string) {
 	if vs, ok := m.viewState(target); ok {
-		m.transition(vs, evEvicted)
+		m.structuralDo(func() { m.transition(vs, evEvicted) })
 	}
 	m.evictions.Inc()
 }
@@ -718,12 +718,11 @@ func (m *Manager) evictView(target string) {
 // delta it surrenders: TInvalidate also deactivates the view (Figure 2,
 // steps 12–14), TPull fetches without stopping it (weak-mode gathering).
 // An unreachable view is evicted and reported as nil — a dead component
-// must not wedge every conflicting pull forever. pre is the round's
-// shared pre-encoded body (nil to encode per call).
-func (m *Manager) collect(target string, typ wire.Type, pre *wire.Frame) error {
+// must not wedge every conflicting pull forever.
+func (m *Manager) collect(target string, typ wire.Type) error {
 	// The registration the target extracts under (Manager.commit).
 	_, stamp := m.reg.Scope(target)
-	reply, err := m.callView(target, &wire.Message{Type: typ, View: target, Pre: pre})
+	reply, err := m.callView(target, &wire.Message{Type: typ, View: target})
 	if err != nil {
 		if transport.IsTransportError(err) {
 			m.evictView(target)
@@ -784,15 +783,13 @@ func (m *Manager) handlePush(req *wire.Message) *wire.Message {
 // active view (excluding the writer), restricted to each recipient's
 // property set and trimmed to entries it has not seen.
 //
-// Encode-once fan-out: recipients sharing a property set and seen version
-// receive byte-identical payloads, so the round extracts and pre-encodes
-// each distinct (props, since) delta exactly once and the transport stamps
-// only the per-link header per target. The prepared requests are built
-// serially in conflict-set order, so FanOut=1 contacts the same targets in
-// the same order (with the same empty-delta skips) as the per-target path
-// did.
+// Recipients sharing a property set and seen version receive the same
+// payload, so the round extracts each distinct (props, since) delta once
+// and shares its image across those recipients' requests. The requests are
+// built serially in conflict-set order, so FanOut=1 contacts the targets in
+// conflict-set order, with the same empty-delta skips.
 func (m *Manager) propagate(writer string, ver vclock.Version) error {
-	payloads := map[string]*wire.Message{} // shared Img/Version/Pre; nil for an empty delta
+	payloads := map[string]*wire.Message{} // shared Img/Version; nil for an empty delta
 	var targets []string
 	reqs := map[string]*wire.Message{}
 	for _, other := range m.reg.ConflictingWith(writer, false) {
@@ -816,7 +813,6 @@ func (m *Manager) propagate(writer string, ver vclock.Version) error {
 			}
 			if img.Len() > 0 {
 				base = &wire.Message{Type: wire.TUpdate, Img: img, Version: ver}
-				base.Pre = wire.Preencode(base)
 			}
 			payloads[key] = base
 		}
@@ -824,7 +820,7 @@ func (m *Manager) propagate(writer string, ver vclock.Version) error {
 			// Nothing this recipient hasn't already seen.
 			continue
 		}
-		req := *base // shallow clone shares Img and Pre; View differs
+		req := *base // shallow clone shares Img; View differs
 		req.View = other
 		reqs[other] = &req
 		targets = append(targets, other)

@@ -266,9 +266,7 @@ func newSystem(cfg Config, rec *trace.Recorder) (sys *system, err error) {
 		}
 		var fwd transport.Endpoint
 		fwd, err := net.Attach("dm", func(req *wire.Message) *wire.Message {
-			inner := *req
-			inner.Pre = nil
-			env := &wire.Message{Type: wire.TRouted, View: req.From, Blob: wire.Encode(&inner)}
+			env := &wire.Message{Type: wire.TRouted, View: req.From, Blob: wire.Encode(req)}
 			reply, err := fwd.Call(s.dmNodeName(), env)
 			if err != nil {
 				if reply != nil {

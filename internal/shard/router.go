@@ -126,10 +126,6 @@ func (r *Router) route(req *wire.Message) *wire.Message {
 		return errf("%v", err)
 	}
 	env := &wire.Message{Type: wire.TRouted, View: view, Blob: blob}
-	// Pre-encode the envelope body once: the retry loop below (and any
-	// byte-stream transport underneath) reuses the bytes instead of
-	// re-serializing the blob per attempt.
-	env.Pre = wire.Preencode(env)
 	// Same eviction contract as the DM's own outbound calls: bounded
 	// retry-with-backoff before declaring the shard unreachable, so one
 	// dropped frame does not fail the view's request.

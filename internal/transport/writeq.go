@@ -211,7 +211,7 @@ func (q *writeQueue) flushLocked() {
 
 // writeBatch issues one batch to the writer: a single Write of the
 // coalesced bytes when the batch is small, a single writev (net.Buffers)
-// when it is large, and the frame's own WriteTo when it stands alone.
+// when it is large, and the frame's own bytes when it stands alone.
 func (q *writeQueue) writeBatch(batch []*wire.EncodedFrame) error {
 	total := 0
 	for _, f := range batch {
@@ -223,15 +223,13 @@ func (q *writeQueue) writeBatch(batch []*wire.EncodedFrame) error {
 		q.stats.bytes.Add(int64(total))
 	}
 	if len(batch) == 1 {
-		_, err := batch[0].WriteTo(q.w)
+		_, err := q.w.Write(batch[0].Bytes())
 		return err
 	}
 	if total <= coalesceLimit {
 		buf := q.scratch[:0]
 		for _, f := range batch {
-			for _, seg := range f.Segments() {
-				buf = append(buf, seg...)
-			}
+			buf = append(buf, f.Bytes()...)
 		}
 		if cap(buf) <= maxFlushScratch {
 			q.scratch = buf
@@ -241,7 +239,7 @@ func (q *writeQueue) writeBatch(batch []*wire.EncodedFrame) error {
 	}
 	var bufs net.Buffers
 	for _, f := range batch {
-		bufs = append(bufs, f.Segments()...)
+		bufs = append(bufs, f.Bytes())
 	}
 	_, err := bufs.WriteTo(q.w)
 	return err

@@ -250,13 +250,12 @@ func TestWriteQueueStats(t *testing.T) {
 	}
 }
 
-// Large shared bodies ride as a second writev segment; the stream must
-// still carry intact frames.
+// A batch of large frames overflows coalesceLimit and goes out as one
+// writev (net.Buffers); the stream must still carry intact frames.
 func TestWriteQueueLargeSharedBody(t *testing.T) {
 	w := &countingWriter{}
 	q := newWriteQueue(w, nil)
 	base := benchImageMessage(t, 600)
-	base.Pre = wire.Preencode(base)
 	const n = 4
 	for i := 0; i < n; i++ {
 		m := *base
@@ -291,8 +290,8 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// benchImageMessage builds a TUpdate whose encoded body exceeds the inline
-// threshold, exercising the two-segment write path.
+// benchImageMessage builds a TUpdate with the given number of entries: at
+// 600, a few of them overflow coalesceLimit, exercising the writev path.
 func benchImageMessage(t testing.TB, entries int) *wire.Message {
 	t.Helper()
 	img := image.New()

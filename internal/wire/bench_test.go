@@ -72,33 +72,3 @@ func BenchmarkFrameReaderVsReadFrame(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkPreencode measures the encode-once body split: serializing a
-// fan-out round's payload to N targets with a fresh full encode per target
-// versus one Preencode plus a per-target header stamp.
-func BenchmarkPreencode(b *testing.B) {
-	m := allocTestMessage(64)
-	b.Run("per-target", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mm := *m
-			mm.View = "target"
-			if err := WriteFrame(io.Discard, &mm); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("encode-once", func(b *testing.B) {
-		pre := Preencode(m)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mm := *m
-			mm.View = "target"
-			mm.Pre = pre
-			if err := WriteFrame(io.Discard, &mm); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

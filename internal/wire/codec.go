@@ -278,16 +278,12 @@ func Encode(m *Message) []byte {
 
 func (e *Encoder) message(m *Message) {
 	e.header(m, m.Seq, m.From)
-	if m.Pre != nil {
-		e.buf = append(e.buf, m.Pre.body...)
-		return
-	}
 	e.body(m)
 }
 
-// header serializes the per-link fields: the ones a fan-out round stamps
-// freshly for every target (Type, Seq, From, View) plus the codec version.
-// seq and from stand in for m's own (EncodeFrame).
+// header serializes the codec version and the per-link fields (Type,
+// Seq, From, View). seq and from stand in for m's own, so EncodeFrame
+// stamps a link's sequence number and sender without copying m.
 func (e *Encoder) header(m *Message, seq uint64, from string) {
 	e.U8(codecVersion)
 	e.U8(uint8(m.Type))
@@ -320,9 +316,8 @@ func presence(m *Message) uint64 {
 	return bits
 }
 
-// body serializes everything after the header — the shareable part a
-// Preencode captures once per round: the presence bitmap, then each set
-// field in bit order.
+// body serializes everything after the header: the presence bitmap,
+// then each set field in bit order.
 func (e *Encoder) body(m *Message) {
 	bits := presence(m)
 	e.Uvarint(bits)

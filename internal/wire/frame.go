@@ -8,52 +8,22 @@ import (
 	"sync"
 )
 
-// This file is the coalesced wire path: pre-encoded shareable bodies for
-// encode-once fan-out (Frame / Preencode), socket-ready framed encodings
-// that can reference a shared body without copying it (EncodedFrame), and
-// a buffered frame reader with a reusable payload scratch (FrameReader).
+// This file is the coalesced wire path: socket-ready framed encodings
+// (EncodedFrame) and a buffered frame reader with a reusable payload
+// scratch (FrameReader).
 //
 // A frame is a u32 length prefix followed by the header (codec version,
 // Type, Seq, From, View) and the body (the presence bitmap and the set
-// fields). header||body is exactly what Encode produces, so a frame's
-// bytes do not depend on whether its body was pre-encoded.
-
-// Frame is a shareable pre-encoded message body — everything after the
-// per-link header (Type/Seq/From/View). A directory-manager round that
-// sends the same payload to N views encodes the body once with Preencode
-// and stamps only the small header per target. A Frame is immutable after
-// Preencode and safe to share across concurrent sends.
-type Frame struct {
-	body []byte
-}
-
-// Preencode serializes m's body fields once and returns the shareable
-// Frame. Attach it to each per-target message via Message.Pre; the
-// message's body fields must stay untouched afterwards (byte-stream
-// transports trust the Frame to match them).
-func Preencode(m *Message) *Frame {
-	e := GetEncoder()
-	e.body(m)
-	body := e.Copy()
-	PutEncoder(e)
-	return &Frame{body: body}
-}
-
-// inlineBody bounds the pre-encoded body size that EncodeFrame copies
-// into the header buffer: below it a memcpy is cheaper than carrying a
-// second writev segment through the write path.
-const inlineBody = 4 << 10
+// fields). header||body is exactly what Encode produces.
 
 // EncodedFrame is one message framed for a byte stream: a buffer holding
-// the length prefix and header, plus (for large pre-encoded bodies) a
-// reference to the shared body bytes. Frames are pooled together with
+// the length prefix, header and body. Frames are pooled together with
 // their buffer: EncodeFrame takes one from the pool, and Release puts it
 // back, so it must be called exactly once, after the bytes have been
 // written (or abandoned). The write queue takes ownership on enqueue and
 // is the only caller of Release.
 type EncodedFrame struct {
-	enc  Encoder // length prefix + header [+ body]
-	body []byte  // shared pre-encoded body, nil when inlined in enc.buf
+	enc Encoder
 }
 
 // frames pools EncodedFrames together with their buffers.
@@ -64,24 +34,15 @@ var frames = sync.Pool{
 // EncodeFrame serializes m into a socket-ready frame whose header carries
 // seq and from in place of m.Seq and m.From: a transport stamps a
 // caller's request this way without copying or mutating it (pass m.Seq
-// and m.From to send m as it is). When m carries a large pre-encoded body
-// the frame references it instead of copying, so a fan-out round's body
-// bytes are serialized once and shared by every target's frame.
+// and m.From to send m as it is).
 func EncodeFrame(m *Message, seq uint64, from string) (*EncodedFrame, error) {
 	f := frames.Get().(*EncodedFrame)
 	e := &f.enc
 	e.buf = e.buf[:0]
 	e.U32(0) // length prefix, patched below
 	e.header(m, seq, from)
-	switch {
-	case m.Pre == nil:
-		e.body(m)
-	case len(m.Pre.body) <= inlineBody:
-		e.buf = append(e.buf, m.Pre.body...)
-	default:
-		f.body = m.Pre.body
-	}
-	payload := len(e.buf) - 4 + len(f.body)
+	e.body(m)
+	payload := len(e.buf) - 4
 	if payload > maxFrame {
 		f.Release()
 		return nil, fmt.Errorf("wire: message too large (%d bytes)", payload)
@@ -91,34 +52,16 @@ func EncodeFrame(m *Message, seq uint64, from string) (*EncodedFrame, error) {
 }
 
 // Len returns the total frame size in bytes (length prefix included).
-func (f *EncodedFrame) Len() int { return len(f.enc.buf) + len(f.body) }
+func (f *EncodedFrame) Len() int { return len(f.enc.buf) }
 
-// Segments returns the frame's byte segments in write order: one segment
-// for a self-contained frame, two when a large shared body rides behind
-// the header. The segments alias internal buffers — valid until Release.
-func (f *EncodedFrame) Segments() [][]byte {
-	if f.body == nil {
-		return [][]byte{f.enc.buf}
-	}
-	return [][]byte{f.enc.buf, f.body}
-}
+// Bytes returns the whole frame. The slice aliases the frame's buffer:
+// it is valid until Release.
+func (f *EncodedFrame) Bytes() []byte { return f.enc.buf }
 
-// WriteTo writes the whole frame to w.
-func (f *EncodedFrame) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(f.enc.buf)
-	total := int64(n)
-	if err != nil || f.body == nil {
-		return total, err
-	}
-	n, err = w.Write(f.body)
-	return total + int64(n), err
-}
-
-// Release returns the frame to the pool. The frame (and any Segments
-// slices taken from it) must not be used afterwards; a second Release
-// would hand one frame to two owners.
+// Release returns the frame to the pool. The frame (and any Bytes slice
+// taken from it) must not be used afterwards; a second Release would
+// hand one frame to two owners.
 func (f *EncodedFrame) Release() {
-	f.body = nil
 	if cap(f.enc.buf) <= maxPooledBuf {
 		frames.Put(f)
 	}

@@ -14,114 +14,30 @@ import (
 	"flecc/internal/image"
 )
 
-// Preencode must be invisible on the wire: a message with Pre attached
-// encodes byte-identically to the same message without it, for every
-// generated shape. This is what lets a fan-out round share one body across
-// targets without perturbing figure byte counts.
-func TestPreencodeBytesIdentical(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	for i := 0; i < 300; i++ {
-		m := genMessage(r)
-		plain := Encode(m)
-		m.Pre = Preencode(m)
-		pre := Encode(m)
-		if !bytes.Equal(plain, pre) {
-			t.Fatalf("message %d: Pre-attached encoding differs (%d vs %d bytes)", i, len(plain), len(pre))
-		}
-	}
-}
-
-// The per-link header really is per-link: two targets sharing one Pre but
-// differing in Seq/From/View must decode to their own header fields and a
-// common body.
-func TestPreencodeSharedAcrossTargets(t *testing.T) {
-	base := sampleMessage()
-	base.Pre = Preencode(base)
-	for _, target := range []string{"agent-1", "agent-2", "agent-3"} {
-		m := *base // shallow clone shares Img and Pre
-		m.View = target
-		m.Seq = uint64(len(target))
-		got, err := Decode(Encode(&m))
-		if err != nil {
-			t.Fatalf("target %s: %v", target, err)
-		}
-		if got.View != target || got.Seq != m.Seq {
-			t.Fatalf("target %s: header fields lost (view=%q seq=%d)", target, got.View, got.Seq)
-		}
-		want := *base
-		want.View = target
-		want.Seq = m.Seq
-		if !messagesEqual(&want, got) {
-			t.Fatalf("target %s: body mismatch", target)
-		}
-	}
-}
-
 // EncodeFrame output must be byte-identical to WriteFrame for the same
-// message, with and without an attached Pre, across the inline and
-// segmented (large-body) paths.
+// message, from a bare ack to a body far larger than the pooled buffer.
 func TestEncodeFrameMatchesWriteFrame(t *testing.T) {
-	big := allocTestMessage(600) // body comfortably over inlineBody
-	if len(Preencode(big).body) <= inlineBody {
-		t.Fatal("test message too small to exercise the segmented path")
-	}
 	msgs := []*Message{
 		{Type: TAck, Seq: 1, From: "dm"},
 		sampleMessage(),
-		big,
+		allocTestMessage(600),
 	}
 	for i, m := range msgs {
-		for _, withPre := range []bool{false, true} {
-			mm := *m
-			if withPre {
-				mm.Pre = Preencode(&mm)
-			}
-			var want bytes.Buffer
-			if err := WriteFrame(&want, &mm); err != nil {
-				t.Fatal(err)
-			}
-			f, err := EncodeFrame(&mm, mm.Seq, mm.From)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.Len() != want.Len() {
-				t.Fatalf("msg %d pre=%v: Len = %d, want %d", i, withPre, f.Len(), want.Len())
-			}
-			var gotW bytes.Buffer
-			if _, err := f.WriteTo(&gotW); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotW.Bytes(), want.Bytes()) {
-				t.Fatalf("msg %d pre=%v: WriteTo bytes differ", i, withPre)
-			}
-			var gotS []byte
-			for _, seg := range f.Segments() {
-				gotS = append(gotS, seg...)
-			}
-			if !bytes.Equal(gotS, want.Bytes()) {
-				t.Fatalf("msg %d pre=%v: Segments bytes differ", i, withPre)
-			}
-			f.Release()
+		var want bytes.Buffer
+		if err := WriteFrame(&want, m); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// A large pre-encoded body is referenced, not copied: the frame carries two
-// segments and the second aliases the Frame's bytes.
-func TestEncodeFrameSegmentsLargeBody(t *testing.T) {
-	m := allocTestMessage(600)
-	m.Pre = Preencode(m)
-	f, err := EncodeFrame(m, m.Seq, m.From)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Release()
-	segs := f.Segments()
-	if len(segs) != 2 {
-		t.Fatalf("want 2 segments for a large shared body, got %d", len(segs))
-	}
-	if &segs[1][0] != &m.Pre.body[0] {
-		t.Fatal("large body should be referenced, not copied")
+		f, err := EncodeFrame(m, m.Seq, m.From)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Len() != want.Len() {
+			t.Fatalf("msg %d: Len = %d, want %d", i, f.Len(), want.Len())
+		}
+		if !bytes.Equal(f.Bytes(), want.Bytes()) {
+			t.Fatalf("msg %d: Bytes differ from WriteFrame", i)
+		}
+		f.Release()
 	}
 }
 

@@ -242,15 +242,6 @@ type Message struct {
 	Blob []byte
 	// Err is the error text for TErr.
 	Err string
-
-	// Pre, if non-nil, is this message's body pre-encoded by Preencode.
-	// Byte-stream transports serialize the per-link header and reuse
-	// these bytes instead of re-encoding the body, so a fan-out round
-	// that shares one Pre across N targets encodes its payload once.
-	// It is transport metadata, never itself sent on the wire: Decode
-	// leaves it nil. Pre must have been produced from this message's
-	// body fields, which must not be mutated while Pre is attached.
-	Pre *Frame
 }
 
 // IsReply reports whether the message is a reply type.
