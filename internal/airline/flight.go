@@ -137,9 +137,11 @@ type ReservationSystem struct {
 	deleted map[int]uint64
 }
 
-// flightRec is a stored flight plus the revision of its last change.
+// flightRec is a stored flight plus its entry key, rendered once, and the
+// revision of its last change.
 type flightRec struct {
 	Flight
+	key string
 	rev uint64
 }
 
@@ -158,7 +160,7 @@ func (rs *ReservationSystem) touch(f *flightRec) {
 func (rs *ReservationSystem) put(f Flight) {
 	rec, ok := rs.flights[f.Number]
 	if !ok {
-		rec = &flightRec{}
+		rec = &flightRec{key: f.Key()}
 		rs.flights[f.Number] = rec
 		delete(rs.deleted, f.Number)
 	}
@@ -297,7 +299,7 @@ func (rs *ReservationSystem) ExtractChanged(props property.Set, since uint64) (*
 	var entries []image.Entry
 	for n, f := range rs.flights {
 		if f.rev > since && (!restricted || dom.ContainsValue(float64(n))) {
-			entries = append(entries, image.Entry{Key: f.Key(), Value: f.Encode()})
+			entries = append(entries, image.Entry{Key: f.key, Value: f.Encode()})
 		}
 	}
 	if since > 0 {

@@ -538,7 +538,7 @@ var noImage = &image.Image{}
 // extracted is one delta taken from the view — what a push round or a
 // fetch/invalidate reply carries — with what folding it into base needs.
 type extracted struct {
-	delta *image.Image // changed entries, stamped with the base version they supersede; nil when the view is clean
+	delta image.Image  // changed entries, stamped with the base version they supersede; Entries nil when the view is clean
 	cur   *image.Image // the candidates as the view holds them
 	ops   int          // pending op count the delta carries
 	rev   uint64       // codec revision of the snapshot cur was taken from
@@ -565,8 +565,8 @@ func (m *Manager) extractDeltaLocked() (extracted, error) {
 		x.cur = noImage
 	}
 	emit := func(e image.Entry) {
-		if x.delta == nil {
-			x.delta = &image.Image{Entries: make([]image.Entry, 0, x.cur.Len())}
+		if x.delta.Entries == nil {
+			x.delta.Entries = make([]image.Entry, 0, x.cur.Len())
 		}
 		x.delta.Put(e)
 	}
@@ -597,14 +597,12 @@ func (m *Manager) extractDeltaLocked() (extracted, error) {
 // which case only the lower of the two watermarks is safe. Caller holds
 // mu.
 func (m *Manager) foldLocked(x extracted, ver vclock.Version) {
-	if x.delta != nil {
-		for _, e := range x.delta.Entries {
-			if e.Deleted {
-				m.base.Put(image.Entry{Key: e.Key, Version: ver, Writer: m.name, Deleted: true})
-			} else {
-				ce, _ := x.cur.Get(e.Key)
-				m.base.Put(ce)
-			}
+	for _, e := range x.delta.Entries {
+		if e.Deleted {
+			m.base.Put(image.Entry{Key: e.Key, Version: ver, Writer: m.name, Deleted: true})
+		} else {
+			ce, _ := x.cur.Get(e.Key)
+			m.base.Put(ce)
 		}
 	}
 	if m.syncGen == x.gen || x.rev < m.syncedRev {
@@ -664,7 +662,13 @@ func (m *Manager) handleCollect(invalidate bool) *wire.Message {
 		m.valid = false
 		m.invalidations++
 	}
-	return &wire.Message{Type: wire.TImage, Img: x.delta, Ops: uint32(x.ops)}
+	reply := &wire.Message{Type: wire.TImage, Ops: uint32(x.ops)}
+	if x.delta.Entries != nil {
+		// A copy of the header: taking &x.delta would move x to the heap
+		// on the clean path too.
+		reply.Img = &image.Image{Entries: x.delta.Entries}
+	}
+	return reply
 }
 
 // handleUpdate applies a DM-initiated update (push-propagation, used by

@@ -214,12 +214,13 @@ func (m *Manager) dispatchLocked() {
 		return
 	}
 	r.x = x
-	if x.delta == nil {
+	if x.delta.Entries == nil {
 		m.completeRoundLocked(r, &cleanAck, nil)
 		return
 	}
 	m.inflight = r
-	r.req = wire.Message{Type: wire.TPush, Img: x.delta, Ops: uint32(x.ops)}
+	// The delta lives in the round, which is on the heap already.
+	r.req = wire.Message{Type: wire.TPush, Img: &r.x.delta, Ops: uint32(x.ops)}
 	ep := m.ep
 	m.mu.Unlock()
 	reply, err := ep.Call(m.dir, &r.req)
@@ -261,7 +262,7 @@ func (m *Manager) completeRoundLocked(r *pushRound, reply *wire.Message, err err
 	// leaving the view looking dirty with stale data that a later push
 	// would echo over newer commits.
 	m.foldLocked(r.x, reply.Version)
-	if r.x.delta != nil {
+	if r.x.delta.Entries != nil {
 		m.acked = reply.Version
 	}
 	// Retire only the ops this round carried: use windows closed while

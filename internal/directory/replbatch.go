@@ -156,23 +156,34 @@ func DecodeReplBatch(data []byte) (*ReplBatch, error) {
 	if d.Err() == nil && flags&^replFlagData != 0 {
 		return nil, fmt.Errorf("directory: replication batch flags %#x: only data (%#x) is defined", flags, replFlagData)
 	}
-	b := &ReplBatch{Epoch: d.Uvarint()}
+	epoch := d.Uvarint()
+	var b *ReplBatch
 	if flags&replFlagData != 0 {
+		// A data batch and its snapshot are one allocation.
+		s := &struct {
+			ReplBatch
+			snap Snapshot
+		}{}
+		b = &s.ReplBatch
+		b.Snap = &s.snap
 		decodeReplData(d, b)
+	} else {
+		b = &ReplBatch{}
 	}
+	b.Epoch = epoch
 	if err := decoded(d, "repl batch"); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
+// decodeReplData fills a data batch's fields, b.Snap included, in place.
 func decodeReplData(d *wire.Decoder, b *ReplBatch) {
 	b.Since = vclock.Version(d.Uvarint())
-	snap := &Snapshot{Version: vclock.Version(d.Uvarint())}
-	b.Snap = snap
+	b.Snap.Version = vclock.Version(d.Uvarint())
 	b.ViewSince = d.Uvarint()
 	b.ViewSeq = d.Uvarint()
-	decodeSnapSections(d, snap)
+	decodeSnapSections(d, b.Snap)
 	if n := d.Count(minTouchRec); n > 0 {
 		b.Touches = make([]ViewTouch, n)
 		for i := range b.Touches {

@@ -809,7 +809,11 @@ func TestReplBatchAllocs(t *testing.T) {
 	if got, want := r.sb.CurrentVersion(), since; got != want {
 		t.Fatalf("standby at v%d after replay, want v%d", got, want)
 	}
-	// Measured 13.1 and 5.0.
+	// Measured 12.1 and 4.0: 13.1 and 5.0 while a data batch and its
+	// snapshot were two objects. The ceilings stay where they were, so
+	// each now has a whole allocation of headroom: the counter is
+	// process-wide, and one stray runtime object in one of the 200 runs
+	// had been enough to fail a pin measured at its ceiling.
 	if commitAllocs > 14 {
 		t.Errorf("decode+apply 1-key batch allocs/op = %.1f, want <= 14", commitAllocs)
 	}

@@ -79,10 +79,11 @@ func (r *repeatFrames) Read(p []byte) (int, error) {
 // TestRoundTripAllocs pins the steady-state allocation budget of a full
 // WriteFrame + FrameReader.Read round trip — the per-message cost of the
 // buffered wire path. The ceilings are what pooling and the reader's name
-// table buy: the write side is alloc-free for small messages, and the read
-// side allocates only the decoded Message (plus its non-name strings and
-// entries) — never the payload buffer, the length header, or a node name
-// it has read before.
+// and key tables buy: the write side is alloc-free for small messages, and
+// the read side allocates only the decoded Message with its image, the
+// entry slice and the values — never the payload buffer, the length
+// header, or a node name or key it has read before. Measured at the
+// ceilings, under -race too.
 func TestRoundTripAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -92,12 +93,15 @@ func TestRoundTripAllocs(t *testing.T) {
 		// Decode of a tiny ack allocates the Message and nothing else: its
 		// From is interned. WriteFrame is alloc-free.
 		{"small-ack", &Message{Type: TAck, Seq: 7, From: "dm", Version: 9}, 1},
-		// A keyed-image push pays for the decoded image: the image, its
-		// entry slice sized from the declared count, and per entry a key
-		// and a value copy — nothing for the interned writer, nothing for
-		// a property set, which images no longer carry, and nothing on the
-		// write side, which walks the image in its own key order.
-		{"keyed-push", allocTestMessage(8), 19},
+		// A one-entry push, the reserve loop's: the Message and its image
+		// (one object), the entry slice and the value.
+		{"one-entry-push", allocTestMessage(1), 3},
+		// A keyed-image push pays per entry for its value copy alone: the
+		// Message and its image are one object, the entry slice is sized
+		// from the declared count, the key and the writer are interned,
+		// images carry no property set, and the write side walks the image
+		// in its own key order.
+		{"keyed-push", allocTestMessage(8), 10},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -141,6 +141,7 @@ type Decoder struct {
 	off   int
 	err   error
 	names nameTable // interns node names when set (FrameReader)
+	keys  nameTable // interns image entry keys when set (FrameReader)
 }
 
 // NewDecoder reads from b, which it never modifies or retains past the
@@ -240,15 +241,22 @@ func (d *Decoder) Str() string {
 
 // name reads a node name (From, View, an entry's Writer): a string
 // interned through the decoder's name table when it has one.
-func (d *Decoder) name() string {
-	if d.names == nil {
+func (d *Decoder) name() string { return d.interned(d.names) }
+
+// key reads an image entry key: a string interned through the decoder's
+// key table when it has one.
+func (d *Decoder) key() string { return d.interned(d.keys) }
+
+// interned reads a string through table t, or as a plain Str when t is nil.
+func (d *Decoder) interned(t nameTable) string {
+	if t == nil {
 		return d.Str()
 	}
 	n := d.length("string", 1)
 	if d.err != nil || n == 0 {
 		return ""
 	}
-	s := d.names.intern(d.buf[d.off : d.off+n])
+	s := t.intern(d.buf[d.off : d.off+n])
 	d.off += n
 	return s
 }
@@ -401,27 +409,41 @@ func (e *Encoder) PropSet(s property.Set) {
 }
 
 // Decode parses a message produced by Encode.
-func Decode(b []byte) (*Message, error) { return decode(b, nil) }
+func Decode(b []byte) (*Message, error) { return decode(b, nil, nil) }
 
-// decode is Decode with node names interned through names (nil: none).
-func decode(b []byte, names nameTable) (*Message, error) {
-	d := &Decoder{buf: b, names: names}
+// decode is Decode with node names interned through names and image entry
+// keys through keys (nil: none). A message and its image are one
+// allocation: the header is read first, so the presence bits say which of
+// the two shapes to allocate.
+func decode(b []byte, names, keys nameTable) (*Message, error) {
+	d := &Decoder{buf: b, names: names, keys: keys}
 	ver := d.U8()
 	if d.err == nil && ver != codecVersion {
 		return nil, fmt.Errorf("wire: unsupported codec version %d", ver)
 	}
-	m := &Message{}
-	m.Type = Type(d.U8())
-	if d.err == nil && !m.Type.sendable() {
-		return nil, fmt.Errorf("wire: unknown message type %d", uint8(m.Type))
+	typ := Type(d.U8())
+	if d.err == nil && !typ.sendable() {
+		return nil, fmt.Errorf("wire: unknown message type %d", uint8(typ))
 	}
-	m.Seq = d.Uvarint()
-	m.From = d.name()
-	m.View = d.name()
+	seq := d.Uvarint()
+	from := d.name()
+	view := d.name()
 	bits := d.Uvarint()
 	if bits&^knownFields != 0 {
 		return nil, fmt.Errorf("wire: unknown presence bits %#x", bits&^knownFields)
 	}
+	var m *Message
+	if bits&hasImg != 0 {
+		s := &struct {
+			Message
+			img image.Image
+		}{}
+		s.Img = &s.img
+		m = &s.Message
+	} else {
+		m = &Message{}
+	}
+	m.Type, m.Seq, m.From, m.View = typ, seq, from, view
 	if bits&hasVersion != 0 {
 		m.Version = vclock.Version(d.Uvarint())
 	}
@@ -439,7 +461,6 @@ func decode(b []byte, names nameTable) (*Message, error) {
 		m.Op = OpClass(d.U8())
 	}
 	if bits&hasImg != 0 && d.err == nil {
-		m.Img = image.New()
 		if err := d.ImageEntries(m.Img); err != nil {
 			return nil, err
 		}
@@ -487,7 +508,8 @@ const imageEntryMin = 5
 
 // ImageEntries reads what Encoder.ImageEntries wrote into im. The keys
 // must strictly increase: an unsorted or repeated key fails the decode
-// instead of yielding an image that is not one.
+// instead of yielding an image that is not one. Keys and writers go
+// through the decoder's tables when it has them (a FrameReader's).
 func (d *Decoder) ImageEntries(im *image.Image) error {
 	im.Version = vclock.Version(d.Uvarint())
 	n := d.Count(imageEntryMin)
@@ -496,7 +518,7 @@ func (d *Decoder) ImageEntries(im *image.Image) error {
 	}
 	for i := 0; i < n; i++ {
 		var ent image.Entry
-		ent.Key = d.Str()
+		ent.Key = d.key()
 		ent.Value = d.Bytes()
 		ent.Version = vclock.Version(d.Uvarint())
 		ent.Writer = d.name()

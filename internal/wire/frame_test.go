@@ -149,9 +149,10 @@ func TestFrameMemoryFollowsBytes(t *testing.T) {
 
 // Decoded messages must not alias the reader's scratch: reading the next
 // frame cannot mutate the previous message — its byte slices, its plain
-// strings, or the node names the reader interned. The renamed frames share
-// one layout, so the second read overwrites the very bytes each name of
-// the first was read from.
+// strings, or the node names and keys the reader interned. The renamed
+// frames share one layout, and so do the rekeyed ones, so the second read
+// overwrites the very bytes each name, key and value of the first was
+// read from.
 func TestFrameReaderNoAliasing(t *testing.T) {
 	renamed := func(name string) *Message {
 		m := allocTestMessage(10)
@@ -161,7 +162,16 @@ func TestFrameReaderNoAliasing(t *testing.T) {
 		}
 		return m
 	}
-	msgs := []*Message{sampleMessage(), allocTestMessage(10), renamed("agent-111"), renamed("agent-222"), renamed("agent-111")}
+	rekeyed := func(leg byte) *Message {
+		m := allocTestMessage(10)
+		for i := range m.Img.Entries {
+			e := &m.Img.Entries[i]
+			e.Key = fmt.Sprintf("leg-%c/%03d", leg, i)
+			e.Value = bytes.Repeat([]byte{leg}, len(e.Value))
+		}
+		return m
+	}
+	msgs := []*Message{sampleMessage(), allocTestMessage(10), renamed("agent-111"), renamed("agent-222"), renamed("agent-111"), rekeyed('a'), rekeyed('b')}
 	var buf bytes.Buffer
 	for _, m := range msgs {
 		if err := WriteFrame(&buf, m); err != nil {
@@ -184,6 +194,12 @@ func TestFrameReaderNoAliasing(t *testing.T) {
 	}
 	if len(fr.names) == 0 {
 		t.Fatal("no node name went through the name table")
+	}
+	if _, ok := fr.keys["leg-a/000"]; !ok {
+		t.Fatal("no key went through the key table")
+	}
+	if e := got[5].Img.Entries[0]; e.Key != "leg-a/000" || !bytes.Equal(e.Value, bytes.Repeat([]byte{'a'}, len(e.Value))) {
+		t.Fatalf("frame A's first entry reads %q = %q after frame B reused the scratch", e.Key, e.Value)
 	}
 }
 
@@ -224,5 +240,56 @@ func TestFrameReaderInternBounded(t *testing.T) {
 	}
 	if _, ok := fr.names[long]; ok {
 		t.Fatal("a name over maxNameLen was interned")
+	}
+
+	// Image keys go through a table of their own with the same caps: a
+	// stream of distinct keys fills it to its cap and no further, and does
+	// not crowd node names out of theirs.
+	buf.Reset()
+	keyed := func(key string) *Message {
+		img := image.New()
+		img.Put(image.Entry{Key: key, Value: []byte("v"), Writer: "dm"})
+		return &Message{Type: TPush, From: "dm", Img: img}
+	}
+	for i := 0; i < n; i++ {
+		if err := WriteFrame(&buf, keyed(fmt.Sprintf("flight/%05d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	longKey := strings.Repeat("k", maxNameLen+1)
+	for _, m := range []*Message{keyed(longKey), {Type: TAck, From: "dm"}} {
+		if err := WriteFrame(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr = NewFrameReader(&buf)
+	for i := 0; i < n; i++ {
+		m, err := fr.Read()
+		if err != nil {
+			t.Fatalf("keyed frame %d: %v", i, err)
+		}
+		key := m.Img.Entries[0].Key
+		if want := fmt.Sprintf("flight/%05d", i); key != want {
+			t.Fatalf("keyed frame %d decoded key %q, want %q", i, key, want)
+		}
+		if held, ok := fr.keys[key]; ok && unsafe.StringData(held) != unsafe.StringData(key) {
+			t.Fatalf("keyed frame %d: %q is in the table but came back as a fresh copy", i, key)
+		}
+	}
+	if m, err := fr.Read(); err != nil || m.Img.Entries[0].Key != longKey {
+		t.Fatalf("long key: %v", err)
+	}
+	if got := len(fr.keys); got != maxNames {
+		t.Fatalf("key table holds %d keys, want its cap %d", got, maxNames)
+	}
+	if _, ok := fr.keys[longKey]; ok {
+		t.Fatal("a key over maxNameLen was interned")
+	}
+	m, err := fr.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held, ok := fr.names["dm"]; !ok || unsafe.StringData(held) != unsafe.StringData(m.From) {
+		t.Fatalf("after %d distinct keys a node name comes back as a fresh copy (in the name table: %t)", n, ok)
 	}
 }

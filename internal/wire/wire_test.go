@@ -99,6 +99,41 @@ func TestRoundTripMinimal(t *testing.T) {
 	}
 }
 
+// A message and its image decode as one object, but only a message that
+// carries an image has one: an ack's Img stays nil, and an image with no
+// entries comes back as an empty image, not as none — through Decode and
+// through a FrameReader alike.
+func TestDecodeImagePresence(t *testing.T) {
+	for _, tc := range []struct {
+		m    *Message
+		want bool // Img non-nil
+	}{
+		{&Message{Type: TAck, Seq: 7, From: "dm", Version: 9}, false},
+		{&Message{Type: TImage, Seq: 8, From: "dm", Version: 9, Img: image.New()}, true},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, tc.m); err != nil {
+			t.Fatal(err)
+		}
+		viaReader, err := NewFrameReader(bytes.NewReader(buf.Bytes())).Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaDecode, err := Decode(Encode(tc.m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*Message{viaDecode, viaReader} {
+			if (got.Img != nil) != tc.want || got.Img != nil && (got.Img.Len() != 0 || got.Img.Entries != nil) {
+				t.Errorf("%s decoded with image %+v, want an image: %t, and no entries", tc.m.Type, got.Img, tc.want)
+			}
+			if !messagesEqual(tc.m, got) {
+				t.Errorf("%s decoded as %v, want %v", tc.m.Type, got, tc.m)
+			}
+		}
+	}
+}
+
 func TestRoundTripError(t *testing.T) {
 	m := &Message{Type: TErr, Seq: 2, From: "dm", Err: "view not registered"}
 	got, err := Decode(Encode(m))
