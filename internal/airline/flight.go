@@ -85,7 +85,12 @@ func (f Flight) Encode() []byte {
 }
 
 // DecodeFlight parses an encoded flight payload for the given number.
-func DecodeFlight(number int, b []byte) (Flight, error) {
+func DecodeFlight(number int, b []byte) (Flight, error) { return decodeFlight(number, b, Flight{}) }
+
+// decodeFlight is DecodeFlight taking like's Origin and Dest when the
+// payload's route bytes equal them: merging a flight whose seats changed
+// over the stored one allocates no route strings.
+func decodeFlight(number int, b []byte, like Flight) (Flight, error) {
 	// Exactly five '|'-separated fields; sep[i] is the i-th separator.
 	var sep [4]int
 	n := 0
@@ -108,8 +113,15 @@ func DecodeFlight(number int, b []byte) (Flight, error) {
 	if err1 != nil || err2 != nil || err3 != nil {
 		return Flight{}, fmt.Errorf("airline: bad numbers in flight payload %q", b)
 	}
+	origin, dest := like.Origin, like.Dest
+	if string(b[:sep[0]]) != origin {
+		origin = string(b[:sep[0]])
+	}
+	if string(b[sep[0]+1:sep[1]]) != dest {
+		dest = string(b[sep[0]+1 : sep[1]])
+	}
 	return Flight{
-		Number: number, Origin: string(b[:sep[0]]), Dest: string(b[sep[0]+1 : sep[1]]),
+		Number: number, Origin: origin, Dest: dest,
 		Capacity: capn, Reserved: res, Fare: fare,
 	}, nil
 }
@@ -367,7 +379,11 @@ func (rs *ReservationSystem) Merge(img *image.Image, props property.Set) error {
 			}
 			continue
 		}
-		f, err := DecodeFlight(n, e.Value)
+		var like Flight
+		if exists {
+			like = old.Flight
+		}
+		f, err := decodeFlight(n, e.Value, like)
 		if err != nil {
 			return err
 		}

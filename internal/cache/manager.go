@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -302,6 +303,9 @@ func (m *Manager) PullImage() error {
 func (m *Manager) load(req *wire.Message, epoch int) error {
 	reply, err := m.call(req)
 	if err != nil {
+		if strings.Contains(err.Error(), wire.ContendedMark) {
+			return fmt.Errorf("%w: %v", ErrInvalidated, err)
+		}
 		return err
 	}
 	m.mu.Lock()

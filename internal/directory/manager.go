@@ -87,7 +87,13 @@ const DefaultFanOut = 4
 // on a shared manager lock; the map holding the states is guarded by
 // Manager.vmu. Lock order: vmu before any vs.mu, never the reverse.
 type viewState struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// commitMu orders the view's own writes after its surrenders: a
+	// collect holds the read side from its request until the surrendered
+	// delta has landed; a push commits, and an image is extracted for the
+	// view, under the write side (collect, serve).
+	commitMu sync.RWMutex
+
 	name     string
 	mode     wire.Mode
 	seen     vclock.Version
@@ -97,7 +103,19 @@ type viewState struct {
 	// be invalidated by a reader.
 	lastOp wire.OpClass
 	// phase is the view's activity (phase.go); only transition writes it.
-	phase Phase
+	// served counts the evServe events it has seen: a TInvalidate reply
+	// applies only if the count has not moved since the request went out.
+	// collects counts the collects to the view in flight; invalPending
+	// and invalAt hold an invalidation that landed while others were, and
+	// the serve count it is for (collected).
+	phase        Phase
+	served       uint64
+	collects     int
+	invalPending bool
+	invalAt      uint64
+	// leaving marks a view dropped with collects to it in flight
+	// (Manager.leaving).
+	leaving bool
 	// pushed is the version of the view's last push when that commit met
 	// no conflict, else 0. Not replicated: a promoted standby starts at 0
 	// and serves every commit.
@@ -127,6 +145,11 @@ type Manager struct {
 	opts  Options
 
 	ep transport.Endpoint
+
+	// leaving counts the views dropped while collects to them were in
+	// flight whose surrenders have not all landed yet. They are out of
+	// every conflict set, so a claim waits for them instead (claim).
+	leaving atomic.Int32
 
 	// evictions counts views discarded after their cache manager stopped
 	// answering DM-initiated calls (the ViewsEvicted metric).
@@ -206,6 +229,7 @@ func New(name string, primary image.Codec, clock vclock.Clock, net transport.Net
 	if opts.Standby {
 		m.ha.standby = true
 	}
+	m.ha.tables = wire.NewTables()
 	ep, err := net.Attach(name, m.handle)
 	if err != nil {
 		return nil, fmt.Errorf("directory: attach %q: %w", name, err)
@@ -424,6 +448,14 @@ func (m *Manager) dropView(view string) {
 	m.vmu.Unlock()
 	if ok {
 		m.transition(vs, evDrop)
+		vs.mu.Lock()
+		if vs.collects > 0 {
+			// Its surrenders in flight still land (collected); until they
+			// have, no claim finds them missing (claim).
+			vs.leaving = true
+			m.leaving.Add(1)
+		}
+		vs.mu.Unlock()
 	}
 }
 
@@ -439,34 +471,42 @@ func (m *Manager) handleInit(req *wire.Message) *wire.Message {
 	if !ok {
 		return errf("init from unregistered view %s", req.From)
 	}
+	// Init activates without invalidating (PROTOCOL.md "Two modeling
+	// decisions").
+	m.transition(vs, evServe)
 	return m.serve(vs, 0, commitID{}, false)
 }
 
-// serve answers an init or a pull: the primary data restricted to the
-// view's set and trimmed to entries newer than since, less skip's
-// entries, recorded as seen, the view marked active. Its replication
+// serve answers an init or a pull whose view is already active: the
+// primary data restricted to the view's set and trimmed to entries newer
+// than since, less skip's entries, recorded as seen. Its replication
 // barrier covers the whole request — for a pull, the commits it
 // invalidated or gathered too — so they land on the standby before the
 // requester sees its image.
 //
-// quiet says the pull contacted no invalidate or gather target and kept
-// its op class. A quiet pull by a view that was already active, whose
-// reply serves a version the standby holds (or the standby is down), has moved nothing but
-// the view's seen: it skips the barrier, and the touch stays on the
-// change stack for the next batch or heartbeat. A standby whose seen
-// lags only errs on the safe side (PROTOCOL.md "Barrier").
+// quiet says the pull contacted no invalidate or gather target, kept its
+// op class, and found its view already active. Such a pull, whose reply
+// serves a version the standby holds (or the standby is down), has moved
+// nothing but the view's seen: it skips the barrier, and the touch stays
+// on the change stack for the next batch or heartbeat. A standby whose
+// seen lags only errs on the safe side (PROTOCOL.md "Barrier").
 func (m *Manager) serve(vs *viewState, since vclock.Version, skip commitID, quiet bool) *wire.Message {
 	props, _ := m.reg.Props(vs.name)
+	// Under the view's commit lock, no surrender of its own writes is in
+	// flight (collect): the image holds them, so the view cannot take an
+	// older value back over what it surrendered.
+	vs.commitMu.Lock()
 	img, err := m.store.extract(props, since, skip)
+	vs.commitMu.Unlock()
 	if err != nil {
 		return errf("%v", err)
 	}
 	vs.mu.Lock()
 	vs.seen = img.Version
 	vs.mu.Unlock()
-	wasActive := m.transition(vs, evServe) == PhaseActive
+	m.viewChanged(vs, false)
 	reply := &wire.Message{Type: wire.TImage, Img: img, Version: img.Version}
-	if quiet && wasActive {
+	if quiet {
 		held, err := m.Replication().holds(img.Version)
 		if err != nil {
 			return errf("replicate: %v", err)
@@ -478,10 +518,25 @@ func (m *Manager) serve(vs *viewState, since vclock.Version, skip commitID, quie
 	return m.synced(reply)
 }
 
+// Claim bounds: a pull that finds its group claimed by a conflicting pull
+// goes round again — invalidate, re-check — up to maxClaims times, backing
+// off claimBackoff longer after each attempt, and then refuses with
+// wire.ContendedMark, which the view's cache manager reports as
+// cache.ErrInvalidated: pull again.
+const (
+	maxClaims    = 32
+	claimBackoff = 20 * time.Microsecond
+)
+
 // handlePull is the heart of the protocol (paper Figure 2). Serving a pull
 // may require invalidating conflicting active views (strong mode) or
 // gathering their pending updates (weak mode with an unhappy validity
 // trigger) before extracting the primary data for the requester.
+//
+// The rounds run with no lock held, so the views they stopped may have
+// been served again by the time they end: a pull claims its view active
+// only after re-checking, under its conflict group's lane (claim), that
+// nothing is left to invalidate, and goes round again otherwise.
 func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 	start := time.Now()
 	defer func() { m.latPull.Observe(time.Since(start)) }()
@@ -504,13 +559,56 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 	vs.mu.Unlock()
 	m.viewChanged(vs, false)
 
-	// 1. Invalidation set: a strong-mode pull stops every conflicting
-	// active view; a weak-mode pull only stops conflicting active
-	// strong-mode views (their one-copy guarantee would otherwise be
-	// violated by a second active sharer). The whole set is built under
-	// one views-map acquisition — not one lock round-trip per candidate —
-	// with each candidate's phase/mode/lastOp snapshotted via its own lock.
-	conflicting := m.reg.ConflictingWith(view, false)
+	contacted, wasActive := false, false
+	var conflicting []string
+	var epoch uint64
+	for attempt := 0; ; attempt++ {
+		if e := m.reg.Epoch(); attempt == 0 || e != epoch {
+			epoch, conflicting = e, m.reg.ConflictingWith(view, false)
+		}
+		// 1. Invalidation set (invalidationSet).
+		inval := m.invalidationSet(view, conflicting, mode, req.Op)
+		if err := m.collectRound(inval, wire.TInvalidate, "invalidate"); err != nil {
+			return errf("%v", err)
+		}
+		contacted = contacted || len(inval) > 0
+
+		// 2. Gathering: when the primary's data is not "good enough" for
+		// this view, fetch pending updates from the other active sharers
+		// first.
+		if attempt == 0 && m.shouldGather(vs) {
+			sharers := m.activeAmong(m.reg.ConflictingWith(view, false))
+			contacted = contacted || len(sharers) > 0
+			if err := m.collectRound(sharers, wire.TPull, "fetch from"); err != nil {
+				return errf("%v", err)
+			}
+		}
+
+		// 3. Claim the view active, or go round again.
+		var claimed bool
+		if claimed, wasActive = m.claim(vs, conflicting, epoch, mode, req.Op); claimed {
+			break
+		}
+		if attempt+1 == maxClaims {
+			return errf("directory %s: pull by %s: %s after %d attempts", m.name, view, wire.ContendedMark, maxClaims)
+		}
+		time.Sleep(time.Duration(attempt+1) * claimBackoff)
+	}
+
+	// 4. Serve the (now freshest-known) primary data. A pull that contacted
+	// no one, kept its op class and found its view active may be quiet.
+	return m.serve(vs, req.Since, skip, !contacted && !opChanged && wasActive)
+}
+
+// invalidationSet returns the views among conflicting that a pull by
+// view in mode, for op, must invalidate (nil when there are none): a
+// strong-mode pull stops every conflicting active view; a weak-mode pull
+// only stops conflicting active strong-mode views (their one-copy
+// guarantee would otherwise be violated by a second active sharer). The
+// set is built under one views-map acquisition, with each candidate's
+// phase, mode and op class read under its own lock, and passed through
+// Options.InvalFilter.
+func (m *Manager) invalidationSet(view string, conflicting []string, mode wire.Mode, op wire.OpClass) []string {
 	var inval []string
 	m.vmu.RLock()
 	for _, other := range conflicting {
@@ -528,7 +626,7 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 		if m.opts.ReadAware && invalidate {
 			// Readers coexist: only writer/writer and writer/reader pairs
 			// are exclusive.
-			if req.Op == wire.OpRead && otherOp == wire.OpRead {
+			if op == wire.OpRead && otherOp == wire.OpRead {
 				invalidate = false
 			}
 		}
@@ -540,24 +638,37 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 	if m.opts.InvalFilter != nil {
 		inval = m.opts.InvalFilter(view, inval)
 	}
-	if err := m.collectRound(inval, wire.TInvalidate, "invalidate"); err != nil {
-		return errf("%v", err)
-	}
+	return inval
+}
 
-	// 2. Gathering: when the primary's data is not "good enough" for this
-	// view, fetch pending updates from the other active sharers first.
-	contacted := len(inval) > 0
-	if m.shouldGather(vs) {
-		sharers := m.activeAmong(m.reg.ConflictingWith(view, false))
-		contacted = contacted || len(sharers) > 0
-		if err := m.collectRound(sharers, wire.TPull, "fetch from"); err != nil {
-			return errf("%v", err)
-		}
+// claim moves vs to active (evServe) if its pull has nothing left to
+// invalidate, and reports whether it did and whether vs was active
+// already. The re-check and the move run under the gate's read side,
+// which pins the conflict structure, and under vs's conflict-group lane,
+// which orders them against every other claim of the group: of two
+// conflicting pulls, the later claim sees the earlier one active and goes
+// round to invalidate it. conflicting is the structural conflict set read
+// at registry epoch epoch; it is read again if the epoch has moved. No
+// claim succeeds while a view that was unregistered with a surrender in
+// flight awaits it: that view is in no conflict set any more, and its
+// writes would be missing from the image. A claim that finds nothing to
+// invalidate allocates nothing.
+func (m *Manager) claim(vs *viewState, conflicting []string, epoch uint64, mode wire.Mode, op wire.OpClass) (claimed, wasActive bool) {
+	if m.leaving.Load() > 0 {
+		return false, false // a dropped view's surrender is still on its way
 	}
-
-	// 3. Serve the (now freshest-known) primary data. A pull that contacted
-	// no one and kept its op class may be quiet (serve).
-	return m.serve(vs, req.Since, skip, !contacted && !opChanged)
+	m.store.gate.RLock()
+	defer m.store.gate.RUnlock()
+	if m.reg.Epoch() != epoch {
+		conflicting = m.reg.ConflictingWith(vs.name, false)
+	}
+	lane := m.lanes.laneFor(vs.name)
+	lane.Lock()
+	defer lane.Unlock()
+	if len(m.invalidationSet(vs.name, conflicting, mode, op)) > 0 {
+		return false, false
+	}
+	return true, m.transition(vs, evServe) == PhaseActive
 }
 
 // collectRound runs collect on every target in one fan-out round. what
@@ -719,9 +830,31 @@ func (m *Manager) evictView(target string) {
 // steps 12–14), TPull fetches without stopping it (weak-mode gathering).
 // An unreachable view is evicted and reported as nil — a dead component
 // must not wedge every conflicting pull forever.
+//
+// The read side of the view's commit lock is held from before the
+// request goes out until the surrendered delta has landed. The view's
+// later pushes commit after it, so a surrender that reaches the directory
+// late cannot overwrite them (the store never counts a writer's commit as
+// conflicting with its own), and the view's next image is extracted
+// after it, so the view is not handed older values over the ones it
+// surrendered. Only those wait on it — collects to one view from several
+// rounds run side by side — and a cache manager answers a collect without
+// calling the directory, so the round cannot deadlock on it. The view is
+// marked inactive only once every collect to it in flight has landed
+// (collected): a pull that finds the view inactive finds its writes
+// committed.
 func (m *Manager) collect(target string, typ wire.Type) error {
-	// The registration the target extracts under (Manager.commit).
+	// The registration the target extracts under (Manager.commit), and
+	// its serve generation (collected).
 	_, stamp := m.reg.Scope(target)
+	vs, known := m.viewState(target)
+	invalidated := false
+	if known {
+		vs.commitMu.RLock()
+		defer vs.commitMu.RUnlock()
+		gen := vs.collecting()
+		defer func() { m.collected(vs, gen, invalidated) }()
+	}
 	reply, err := m.callView(target, &wire.Message{Type: typ, View: target})
 	if err != nil {
 		if transport.IsTransportError(err) {
@@ -730,17 +863,16 @@ func (m *Manager) collect(target string, typ wire.Type) error {
 		}
 		return err
 	}
-	if vs, ok := m.viewState(target); ok && typ == wire.TInvalidate {
-		m.transition(vs, evInvalidated)
-	}
-	if reply.Img == nil || reply.Img.Len() == 0 {
-		return nil
-	}
 	// Rejected winners are not pushed back here: invalidated views must
 	// pull before their next use anyway, and fetched views will see the
 	// winning values on their next pull.
-	_, _, _, err = m.commit(target, stamp, reply.Img, int(reply.Ops))
-	return err
+	if reply.Img != nil && reply.Img.Len() > 0 {
+		if _, _, _, err := m.commit(target, stamp, reply.Img, int(reply.Ops)); err != nil {
+			return err
+		}
+	}
+	invalidated = typ == wire.TInvalidate
+	return nil
 }
 
 func (m *Manager) handlePush(req *wire.Message) *wire.Message {
@@ -752,9 +884,13 @@ func (m *Manager) handlePush(req *wire.Message) *wire.Message {
 		return errf("push from unregistered view %s", view)
 	}
 	// The pusher's execution lane serializes this commit against its own
-	// conflict group only; disjoint groups commit in parallel.
+	// conflict group only; disjoint groups commit in parallel. The write
+	// side of its commit lock orders it after a collect already
+	// surrendering the view's older writes (collect).
+	vs.commitMu.Lock()
 	ver, clean, rejected, err := m.commit(view, 0, req.Img, int(req.Ops))
 	if err != nil {
+		vs.commitMu.Unlock()
 		return errf("%v", err)
 	}
 	// A clean commit stored exactly the pushed values, so once the pusher
@@ -767,6 +903,7 @@ func (m *Manager) handlePush(req *wire.Message) *wire.Message {
 		vs.pushed = ver
 	}
 	vs.mu.Unlock()
+	vs.commitMu.Unlock()
 	if m.opts.PropagateOnPush {
 		if err := m.propagate(view, ver); err != nil {
 			return errf("propagate: %v", err)

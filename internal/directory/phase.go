@@ -87,6 +87,16 @@ var phaseTable = [nEvents][nPhases]Phase{
 // is a bug and panics. It returns the phase before.
 func (m *Manager) transition(vs *viewState, ev event) Phase {
 	vs.mu.Lock()
+	from := m.transitionLocked(vs, ev)
+	vs.mu.Unlock()
+	m.viewChanged(vs, ev <= evDrop)
+	return from
+}
+
+// transitionLocked is transition's step under vs.mu, which the caller
+// holds and releases; the caller then notes the change (viewChanged). It
+// counts every evServe in vs.served, the view's serve generation.
+func (m *Manager) transitionLocked(vs *viewState, ev event) Phase {
 	from := vs.phase
 	to := phaseTable[ev][from]
 	if to == none {
@@ -98,9 +108,50 @@ func (m *Manager) transition(vs *viewState, ev event) Phase {
 		m.reg.SetLost(vs.name, to == PhaseLost)
 	}
 	vs.phase = to
-	vs.mu.Unlock()
-	m.viewChanged(vs, ev <= evDrop)
+	if ev == evServe {
+		vs.served++
+	}
 	return from
+}
+
+// collecting starts a collect to vs: it counts the collect in flight and
+// returns vs's serve generation, read before the request goes out.
+func (vs *viewState) collecting() uint64 {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	vs.collects++
+	return vs.served
+}
+
+// collected ends a collect to vs that collecting started at serve
+// generation gen; invalidated says it was a TInvalidate whose surrender
+// has landed. The invalidation counts only while vs has not been served
+// since gen: a reply that raced the view's own next pull is stale, as
+// that pull granted the view an image the directory must go on counting
+// as active. It moves vs to inactive (evInvalidated) once the last
+// collect in flight has landed, so a pull that finds vs inactive finds
+// every delta it surrendered committed.
+func (m *Manager) collected(vs *viewState, gen uint64, invalidated bool) {
+	vs.mu.Lock()
+	vs.collects--
+	if invalidated && vs.served == gen {
+		vs.invalAt, vs.invalPending = gen, true
+	}
+	apply := vs.collects == 0 && vs.invalPending && vs.served == vs.invalAt
+	if vs.collects == 0 {
+		vs.invalPending = false
+		if vs.leaving {
+			vs.leaving = false
+			m.leaving.Add(-1)
+		}
+	}
+	if apply {
+		m.transitionLocked(vs, evInvalidated)
+	}
+	vs.mu.Unlock()
+	if apply {
+		m.viewChanged(vs, false)
+	}
 }
 
 // phaseOf reads vs's phase.

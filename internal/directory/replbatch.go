@@ -114,7 +114,7 @@ func encodeTouch(e *wire.Encoder, t ViewTouch) {
 }
 
 func decodeTouch(d *wire.Decoder) ViewTouch {
-	t := ViewTouch{Name: d.Str(), Mode: wire.Mode(d.U8()), Op: wire.OpClass(d.U8()),
+	t := ViewTouch{Name: d.Name(), Mode: wire.Mode(d.U8()), Op: wire.OpClass(d.U8()),
 		Seen: vclock.Version(d.Uvarint()), Phase: Phase(d.U8())}
 	if t.Phase > PhaseLost {
 		d.Fail(fmt.Errorf("directory: view %q record in phase %s", t.Name, t.Phase))
@@ -139,16 +139,17 @@ func decodeNames(d *wire.Decoder) []string {
 	}
 	names := make([]string, n)
 	for i := range names {
-		names[i] = d.Str()
+		names[i] = d.Name()
 	}
 	return names
 }
 
-// DecodeReplBatch parses EncodeReplBatch's output. It is total on hostile
-// input: every length is checked against the bytes that remain before
-// anything is allocated for it.
-func DecodeReplBatch(data []byte) (*ReplBatch, error) {
-	d := wire.NewDecoder(data)
+// decodeReplBatch parses EncodeReplBatch's output from d. It is total on
+// hostile input: every length is checked against the bytes that remain
+// before anything is allocated for it. A standby reads its stream with a
+// decoder from its Tables, so the names, keys and scopes the stream
+// repeats cost no allocation.
+func decodeReplBatch(d *wire.Decoder) (*ReplBatch, error) {
 	if v := d.U8(); d.Err() == nil && v != replFormat {
 		return nil, fmt.Errorf("directory: unsupported replication batch format %d (want %d)", v, replFormat)
 	}
@@ -159,14 +160,15 @@ func DecodeReplBatch(data []byte) (*ReplBatch, error) {
 	epoch := d.Uvarint()
 	var b *ReplBatch
 	if flags&replFlagData != 0 {
-		// A data batch and its snapshot are one allocation.
+		// A data batch, its snapshot and its image are one allocation.
 		s := &struct {
 			ReplBatch
 			snap Snapshot
+			img  image.Image
 		}{}
 		b = &s.ReplBatch
 		b.Snap = &s.snap
-		decodeReplData(d, b)
+		decodeReplData(d, b, &s.img)
 	} else {
 		b = &ReplBatch{}
 	}
@@ -177,8 +179,9 @@ func DecodeReplBatch(data []byte) (*ReplBatch, error) {
 	return b, nil
 }
 
-// decodeReplData fills a data batch's fields, b.Snap included, in place.
-func decodeReplData(d *wire.Decoder, b *ReplBatch) {
+// decodeReplData fills a data batch's fields, b.Snap included, in place;
+// img is where the batch's image goes when it has one.
+func decodeReplData(d *wire.Decoder, b *ReplBatch, img *image.Image) {
 	b.Since = vclock.Version(d.Uvarint())
 	b.Snap.Version = vclock.Version(d.Uvarint())
 	b.ViewSince = d.Uvarint()
@@ -192,7 +195,7 @@ func decodeReplData(d *wire.Decoder, b *ReplBatch) {
 	}
 	b.Removed = decodeNames(d)
 	if d.Bool() {
-		b.Img = image.New()
+		b.Img = img
 		_ = d.ImageEntries(b.Img) // latched in d.Err
 	}
 }

@@ -1,7 +1,9 @@
 package directory
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,15 +77,9 @@ func (s *Store) SnapshotSince(since vclock.Version) *Snapshot {
 			})
 		}
 	}
-	if len(snap.Shadow) > 1 {
-		sort.Slice(snap.Shadow, func(i, j int) bool {
-			a, b := snap.Shadow[i], snap.Shadow[j]
-			if a.Version != b.Version {
-				return a.Version < b.Version
-			}
-			return a.Key < b.Key
-		})
-	}
+	slices.SortFunc(snap.Shadow, func(a, b ShadowRec) int {
+		return cmp.Or(cmp.Compare(a.Version, b.Version), strings.Compare(a.Key, b.Key))
+	})
 	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].Version > since })
 	snap.Log = append([]UpdateRec(nil), s.log[i:]...)
 	return snap
@@ -124,13 +120,16 @@ type haState struct {
 	lastRepl vclock.Time
 	haveRepl bool // lastRepl is meaningful
 
-	// applyMu serializes batch application on a standby (a transport may
-	// serve several requests at once, and several primaries may
-	// address one standby across a failover). viewSeq, guarded by it, is the view
-	// watermark: the sender's view-change sequence this standby has
-	// applied through.
+	// applyMu serializes batch decoding and application on a standby (a
+	// transport may serve several requests at once, and several primaries
+	// may address one standby across a failover). viewSeq, guarded by it,
+	// is the view watermark: the sender's view-change sequence this
+	// standby has applied through. tables, guarded by it too, are the
+	// stream's intern tables: they live as long as the manager, so the
+	// writer names, keys and scopes every batch repeats are decoded once.
 	applyMu sync.Mutex
 	viewSeq uint64
+	tables  *wire.Tables
 }
 
 // Epoch returns the manager's current fencing epoch.
@@ -251,7 +250,13 @@ func (m *Manager) haGate(req *wire.Message) *wire.Message {
 // from a checkpoint, or registered while it was a primary, before a
 // higher-epoch stream re-integrated it as a standby) are never touched.
 func (m *Manager) handleReplicate(req *wire.Message) *wire.Message {
-	b, err := DecodeReplBatch(req.Blob)
+	m.ha.applyMu.Lock()
+	// A standby keeps its copy of the log bounded the same way a primary
+	// does, from the replicated seen values; deferred first, so it runs
+	// once applyMu is released.
+	defer m.maybeCompact()
+	defer m.ha.applyMu.Unlock()
+	b, err := decodeReplBatch(m.ha.tables.NewDecoder(req.Blob))
 	if err != nil {
 		return errf("%v", err)
 	}
@@ -274,12 +279,6 @@ func (m *Manager) handleReplicate(req *wire.Message) *wire.Message {
 	m.ha.haveRepl = true
 	m.ha.mu.Unlock()
 
-	m.ha.applyMu.Lock()
-	// A standby keeps its copy of the log bounded the same way a primary
-	// does, from the replicated seen values; deferred first, so it runs
-	// once applyMu is released.
-	defer m.maybeCompact()
-	defer m.ha.applyMu.Unlock()
 	ack := func() *wire.Message {
 		return &wire.Message{Type: wire.TReplAck, Version: m.store.Current(), Since: vclock.Version(m.ha.viewSeq)}
 	}

@@ -197,7 +197,7 @@ func EncodeSnapshot(snap *Snapshot) []byte {
 	return e.Copy()
 }
 
-// DecodeSnapshot parses EncodeSnapshot's output. Like DecodeReplBatch it
+// DecodeSnapshot parses EncodeSnapshot's output. Like decodeReplBatch it
 // is total on hostile input and refuses trailing bytes. It also refuses a
 // snapshot that fails check, so a bad checkpoint is a decode failure —
 // fleccd's loud cold start, not a boot failure.
@@ -274,7 +274,7 @@ func decodeSnapSections(d *wire.Decoder, snap *Snapshot) {
 		snap.Shadow = make([]ShadowRec, n)
 		for i := range snap.Shadow {
 			snap.Shadow[i] = ShadowRec{
-				Key: d.Str(), Version: vclock.Version(d.Uvarint()), Writer: d.Str(), Deleted: d.Bool(),
+				Key: d.Key(), Version: vclock.Version(d.Uvarint()), Writer: d.Name(), Deleted: d.Bool(),
 			}
 		}
 	}
@@ -282,7 +282,7 @@ func decodeSnapSections(d *wire.Decoder, snap *Snapshot) {
 		snap.Log = make([]UpdateRec, n)
 		for i := range snap.Log {
 			snap.Log[i] = UpdateRec{
-				Version: vclock.Version(d.Uvarint()), Writer: d.Str(), Props: d.PropSet(),
+				Version: vclock.Version(d.Uvarint()), Writer: d.Name(), Props: d.PropSet(),
 				Ops: int(d.Uvarint()), At: vclock.Time(d.Uvarint()),
 			}
 		}

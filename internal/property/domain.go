@@ -12,6 +12,7 @@ package property
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -130,16 +131,9 @@ func (d Domain) Bounds() (min, max float64) {
 	return d.min, d.max
 }
 
-// Members returns a copy of the discrete members. It returns nil for
-// non-discrete domains.
-func (d Domain) Members() []string {
-	if d.kind != KindDiscrete {
-		return nil
-	}
-	out := make([]string, len(d.members))
-	copy(out, d.members)
-	return out
-}
+// Member returns the i-th of a discrete domain's sorted members, for
+// 0 ≤ i < Size(). It reads the domain in place.
+func (d Domain) Member(i int) string { return d.members[i] }
 
 // Size returns the number of values in a discrete domain, or -1 for an
 // interval (uncountable for our purposes), or 0 for the empty domain.
@@ -254,7 +248,7 @@ func (d Domain) Union(o Domain) Domain {
 	case d.kind == KindInterval && o.kind == KindInterval:
 		return Interval(math.Min(d.min, o.min), math.Max(d.max, o.max))
 	case d.kind == KindDiscrete && o.kind == KindDiscrete:
-		return Discrete(append(d.Members(), o.members...)...)
+		return Discrete(slices.Concat(d.members, o.members)...)
 	default:
 		// Mixed: try numeric covering interval.
 		var disc Domain
@@ -271,9 +265,7 @@ func (d Domain) Union(o Domain) Domain {
 				// Non-numeric member: fall back to discretizing is not
 				// possible; return the discrete side merged with interval
 				// endpoints rendered as members. This keeps Union total.
-				ms := disc.Members()
-				ms = append(ms, formatFloat(iv.min), formatFloat(iv.max))
-				return Discrete(ms...)
+				return Discrete(slices.Concat(disc.members, []string{formatFloat(iv.min), formatFloat(iv.max)})...)
 			}
 			lo = math.Min(lo, v)
 			hi = math.Max(hi, v)

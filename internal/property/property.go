@@ -2,6 +2,7 @@ package property
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -99,6 +100,21 @@ func (s Set) Properties() []Property {
 		out = append(out, s.byName[n])
 	}
 	return out
+}
+
+// Each calls f with each property in name order. It reads the set in
+// place, so for a set of up to eight properties it allocates nothing: the
+// codecs write sets this way.
+func (s Set) Each(f func(Property)) {
+	var buf [8]string
+	names := buf[:0]
+	for n := range s.byName {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	for _, n := range names {
+		f(s.byName[n])
+	}
 }
 
 // Intersect implements Definition 2: P ∩ Q = { p_i ∩ q_j | non-empty }.

@@ -49,6 +49,9 @@ type peer struct {
 	// work when it ends, so parked workers exit through wg.
 	work chan *wire.Message
 	idle atomic.Int32
+	// serving counts the requests read but not yet answered: a reply is
+	// counted out once it is queued.
+	serving atomic.Int32
 
 	// onFirstMessage, if set, is invoked with the first message received;
 	// the TCP server uses it to admit the connection under the remote
@@ -180,6 +183,7 @@ func (p *peer) readLoop() {
 		// Request: a parked worker takes it if one is waiting; otherwise
 		// it gets a worker of its own, so every request is served at once
 		// and nested calls work.
+		p.serving.Add(1)
 		select {
 		case p.work <- m:
 		default:
@@ -208,6 +212,7 @@ func (p *peer) worker(req *wire.Message) {
 		if err := p.wq.sendAsync(reply); err != nil {
 			p.shutdown(err)
 		}
+		p.serving.Add(-1)
 		if p.idle.Add(1) > maxIdleWorkers {
 			p.idle.Add(-1)
 			return
@@ -722,10 +727,31 @@ func (c *Client) Call(to string, req *wire.Message) (*wire.Message, error) {
 	return c.p.call(to, req, c.timeout)
 }
 
-// Close implements Endpoint. It waits for the client's read loop and any
-// in-flight server-initiated handlers to drain.
+// Close implements Endpoint. The server-initiated requests the client has
+// already read are answered first, and their replies written, within
+// closeGrace: a reply a handler has committed to — a cache manager's
+// surrendered writes — is not dropped by the close that follows it. Then
+// it waits for the client's read loop and any remaining handlers to
+// drain.
 func (c *Client) Close() error {
+	c.p.quiesce(closeGrace)
 	c.p.shutdown(ErrClosed)
 	c.p.wait()
 	return nil
+}
+
+// closeGrace bounds how long Close waits for requests in service and
+// queued frames.
+const closeGrace = time.Second
+
+// quiesce waits, up to grace, until no request the peer has read is still
+// in service, then writes out every queued frame, under a write deadline
+// that ends with the grace.
+func (p *peer) quiesce(grace time.Duration) {
+	deadline := time.Now().Add(grace)
+	for p.serving.Load() > 0 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	_ = p.conn.SetWriteDeadline(deadline) // a conn without deadlines flushes unbounded
+	p.wq.flush()
 }

@@ -164,6 +164,7 @@ func (q *writeQueue) drainLoop() {
 		q.flushLocked()
 	}
 	q.draining = false
+	q.cond.Broadcast() // wakes flush
 	err := q.err
 	q.mu.Unlock()
 	if err != nil && q.onFail != nil {
@@ -185,6 +186,18 @@ func (q *writeQueue) uncork() {
 	q.mu.Lock()
 	q.corked = false
 	q.cond.Broadcast()
+	q.mu.Unlock()
+}
+
+// flush uncorks the queue and waits until every frame queued so far has
+// been written, or the queue has failed.
+func (q *writeQueue) flush() {
+	q.mu.Lock()
+	q.corked = false
+	q.cond.Broadcast()
+	for q.err == nil && q.draining {
+		q.cond.Wait()
+	}
 	q.mu.Unlock()
 }
 

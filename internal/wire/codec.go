@@ -137,11 +137,10 @@ func (e *Encoder) Copy() []byte {
 // are copied out of the input, and nothing is allocated before the
 // declared length has been checked against the bytes that remain.
 type Decoder struct {
-	buf   []byte
-	off   int
-	err   error
-	names nameTable // interns node names when set (FrameReader)
-	keys  nameTable // interns image entry keys when set (FrameReader)
+	buf []byte
+	off int
+	err error
+	t   *Tables // interns names and keys, caches scopes, when set
 }
 
 // NewDecoder reads from b, which it never modifies or retains past the
@@ -239,26 +238,38 @@ func (d *Decoder) Str() string {
 	return s
 }
 
-// name reads a node name (From, View, an entry's Writer): a string
-// interned through the decoder's name table when it has one.
-func (d *Decoder) name() string { return d.interned(d.names) }
-
-// key reads an image entry key: a string interned through the decoder's
-// key table when it has one.
-func (d *Decoder) key() string { return d.interned(d.keys) }
-
-// interned reads a string through table t, or as a plain Str when t is nil.
-func (d *Decoder) interned(t nameTable) string {
-	if t == nil {
+// Name reads a node name (From, View, an entry's or a record's writer):
+// a Str interned through the decoder's name table when it has Tables.
+func (d *Decoder) Name() string {
+	if d.t == nil {
 		return d.Str()
 	}
+	return d.interned(d.t.names)
+}
+
+// Key reads an image or shadow key: a Str interned through the decoder's
+// key table when it has Tables.
+func (d *Decoder) Key() string {
+	if d.t == nil {
+		return d.Str()
+	}
+	return d.interned(d.t.keys)
+}
+
+// interned reads a string through table t.
+func (d *Decoder) interned(t map[string]string) string {
 	n := d.length("string", 1)
 	if d.err != nil || n == 0 {
 		return ""
 	}
-	s := t.intern(d.buf[d.off : d.off+n])
+	s := intern(t, d.buf[d.off:d.off+n])
 	d.off += n
 	return s
+}
+
+// skip passes over a uvarint-length-prefixed string or byte slice.
+func (d *Decoder) skip() {
+	d.off += d.length("string", 1)
 }
 
 // Bytes reads a uvarint-length-prefixed byte slice (nil when empty).
@@ -386,11 +397,11 @@ func (e *Encoder) ImageEntries(im *image.Image) {
 // PropSet appends a property set in binary form: the properties in name
 // order, each as name, kind, and either the interval bounds (IEEE-754
 // bits) or the sorted discrete members. Unlike the textual form Message
-// carries, decoding it runs no parser.
+// carries, decoding it runs no parser. It only reads the set, so it
+// allocates nothing.
 func (e *Encoder) PropSet(s property.Set) {
-	props := s.Properties()
-	e.Count(len(props))
-	for _, p := range props {
+	e.Count(s.Len())
+	s.Each(func(p property.Property) {
 		e.Str(p.Name)
 		e.U8(uint8(p.Domain.Kind()))
 		switch p.Domain.Kind() {
@@ -399,24 +410,23 @@ func (e *Encoder) PropSet(s property.Set) {
 			e.U64(math.Float64bits(lo))
 			e.U64(math.Float64bits(hi))
 		case property.KindDiscrete:
-			members := p.Domain.Members()
-			e.Count(len(members))
-			for _, m := range members {
-				e.Str(m)
+			n := p.Domain.Size()
+			e.Count(n)
+			for i := 0; i < n; i++ {
+				e.Str(p.Domain.Member(i))
 			}
 		}
-	}
+	})
 }
 
 // Decode parses a message produced by Encode.
-func Decode(b []byte) (*Message, error) { return decode(b, nil, nil) }
+func Decode(b []byte) (*Message, error) { return decode(b, nil) }
 
-// decode is Decode with node names interned through names and image entry
-// keys through keys (nil: none). A message and its image are one
-// allocation: the header is read first, so the presence bits say which of
-// the two shapes to allocate.
-func decode(b []byte, names, keys nameTable) (*Message, error) {
-	d := &Decoder{buf: b, names: names, keys: keys}
+// decode is Decode through tables t (nil: none). A message and its image
+// are one allocation: the header is read first, so the presence bits say
+// which of the two shapes to allocate.
+func decode(b []byte, t *Tables) (*Message, error) {
+	d := &Decoder{buf: b, t: t}
 	ver := d.U8()
 	if d.err == nil && ver != codecVersion {
 		return nil, fmt.Errorf("wire: unsupported codec version %d", ver)
@@ -426,8 +436,8 @@ func decode(b []byte, names, keys nameTable) (*Message, error) {
 		return nil, fmt.Errorf("wire: unknown message type %d", uint8(typ))
 	}
 	seq := d.Uvarint()
-	from := d.name()
-	view := d.name()
+	from := d.Name()
+	view := d.Name()
 	bits := d.Uvarint()
 	if bits&^knownFields != 0 {
 		return nil, fmt.Errorf("wire: unknown presence bits %#x", bits&^knownFields)
@@ -518,10 +528,10 @@ func (d *Decoder) ImageEntries(im *image.Image) error {
 	}
 	for i := 0; i < n; i++ {
 		var ent image.Entry
-		ent.Key = d.key()
+		ent.Key = d.Key()
 		ent.Value = d.Bytes()
 		ent.Version = vclock.Version(d.Uvarint())
-		ent.Writer = d.name()
+		ent.Writer = d.Name()
 		ent.Deleted = d.Bool()
 		if d.err != nil {
 			break
@@ -537,8 +547,35 @@ func (d *Decoder) ImageEntries(im *image.Image) error {
 
 // PropSet reads what Encoder.PropSet wrote. A property with no name, an
 // empty domain (inverted or NaN bounds, no members) or an unknown kind is
-// an error, not a silently shorter set.
+// an error, not a silently shorter set. Through Tables, a set whose bytes
+// decoded validly before comes back from the scope table: the bytes are
+// measured without allocating, looked up, and decoded only on a miss.
 func (d *Decoder) PropSet() property.Set {
+	if d.t == nil {
+		return d.propSet()
+	}
+	start, err := d.off, d.err
+	d.skipPropSet()
+	if d.err == nil {
+		if s, ok := d.t.scopes[string(d.buf[start:d.off])]; ok {
+			return s
+		}
+	}
+	// Rewind and decode: a malformed run fails there, with the error an
+	// uncached decode reports.
+	d.off, d.err = start, err
+	s := d.propSet()
+	if run := d.buf[start:d.off]; d.err == nil && fits(len(d.t.scopes), len(run), maxScopeLen) {
+		if d.t.scopes == nil {
+			d.t.scopes = map[string]property.Set{}
+		}
+		d.t.scopes[string(run)] = s
+	}
+	return s
+}
+
+// propSet decodes a binary property set.
+func (d *Decoder) propSet() property.Set {
 	n := d.Count(1 + 1)
 	props := make([]property.Property, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
@@ -562,6 +599,26 @@ func (d *Decoder) PropSet() property.Set {
 		props = append(props, property.New(name, dom))
 	}
 	return property.NewSet(props...)
+}
+
+// skipPropSet passes over a binary property set, allocating nothing. It
+// checks only what it needs to find the set's end; propSet does the rest.
+func (d *Decoder) skipPropSet() {
+	n := d.Count(1 + 1)
+	for i := 0; i < n && d.err == nil; i++ {
+		d.skip()
+		switch property.Kind(d.U8()) {
+		case property.KindInterval:
+			d.U64()
+			d.U64()
+		case property.KindDiscrete:
+			for j := d.Count(1); j > 0 && d.err == nil; j-- {
+				d.skip()
+			}
+		default:
+			d.fail("property kind")
+		}
+	}
 }
 
 // WriteFrame writes one length-prefixed message to w. It encodes into a

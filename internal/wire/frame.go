@@ -77,22 +77,19 @@ const frameReaderBuf = 32 << 10
 // small frames costs amortized read syscalls and no per-frame payload
 // allocation. Decoding copies every byte slice and string it returns out
 // of the scratch, so reusing the scratch across frames is safe. Node-name
-// fields (From, View, an image entry's Writer) go through the reader's
-// name table and image entry keys through its key table: a string seen
-// before comes back as the same string, not a fresh copy. The two tables
-// are apart, so a stream of distinct keys cannot crowd node names out.
-// Not safe for concurrent use.
+// fields (From, View, an image entry's Writer) and image entry keys go
+// through the reader's Tables: a string seen before comes back as the
+// same string, not a fresh copy. Not safe for concurrent use.
 type FrameReader struct {
 	br      *bufio.Reader
 	hdr     [4]byte // length prefix of the frame being read
 	scratch []byte
-	names   nameTable
-	keys    nameTable
+	t       Tables
 }
 
 // NewFrameReader wraps r for buffered frame reads.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, frameReaderBuf), names: nameTable{}, keys: nameTable{}}
+	return &FrameReader{br: bufio.NewReaderSize(r, frameReaderBuf), t: newTables()}
 }
 
 // Buffered reports how many stream bytes are already buffered: non-zero
@@ -119,7 +116,7 @@ func (fr *FrameReader) Read() (*Message, error) {
 	if cap(payload) <= maxPooledBuf {
 		fr.scratch = payload
 	}
-	return decode(payload, fr.names, fr.keys)
+	return decode(payload, &fr.t)
 }
 
 // minReadStep is the first allocation ReadPayload makes for a frame that
@@ -148,29 +145,4 @@ func ReadPayload(r io.Reader, scratch []byte, n int) ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// Table bounds, for node names and image keys alike: a connection speaks
-// with a handful of nodes about the keys of a few views, so a small table
-// catches every string it repeats, and the caps keep hostile input (a
-// stream of distinct or huge strings) from growing it. Strings past
-// either cap are allocated per frame, as without the table.
-const (
-	maxNames   = 256
-	maxNameLen = 128
-)
-
-// nameTable interns node names or image keys for one FrameReader. Its
-// strings are copies, never views of the payload scratch.
-type nameTable map[string]string
-
-func (t nameTable) intern(b []byte) string {
-	if s, ok := t[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(t) < maxNames && len(b) <= maxNameLen {
-		t[s] = s
-	}
-	return s
 }

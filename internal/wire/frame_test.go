@@ -192,10 +192,10 @@ func TestFrameReaderNoAliasing(t *testing.T) {
 			t.Fatalf("message %d corrupted by a later read", i)
 		}
 	}
-	if len(fr.names) == 0 {
+	if len(fr.t.names) == 0 {
 		t.Fatal("no node name went through the name table")
 	}
-	if _, ok := fr.keys["leg-a/000"]; !ok {
+	if _, ok := fr.t.keys["leg-a/000"]; !ok {
 		t.Fatal("no key went through the key table")
 	}
 	if e := got[5].Img.Entries[0]; e.Key != "leg-a/000" || !bytes.Equal(e.Value, bytes.Repeat([]byte{'a'}, len(e.Value))) {
@@ -228,17 +228,17 @@ func TestFrameReaderInternBounded(t *testing.T) {
 		if want := fmt.Sprintf("node-%05d", i); m.From != want || m.View != "dm" || m.Seq != uint64(i) {
 			t.Fatalf("frame %d decoded as From=%q View=%q Seq=%d", i, m.From, m.View, m.Seq)
 		}
-		if held, ok := fr.names[m.From]; ok && unsafe.StringData(held) != unsafe.StringData(m.From) {
+		if held, ok := fr.t.names[m.From]; ok && unsafe.StringData(held) != unsafe.StringData(m.From) {
 			t.Fatalf("frame %d: %q is in the table but came back as a fresh copy", i, m.From)
 		}
 	}
 	if m, err := fr.Read(); err != nil || m.From != long {
 		t.Fatalf("long name: %v", err)
 	}
-	if got := len(fr.names); got != maxNames {
-		t.Fatalf("name table holds %d names, want its cap %d", got, maxNames)
+	if got := len(fr.t.names); got != maxEntries {
+		t.Fatalf("name table holds %d names, want its cap %d", got, maxEntries)
 	}
-	if _, ok := fr.names[long]; ok {
+	if _, ok := fr.t.names[long]; ok {
 		t.Fatal("a name over maxNameLen was interned")
 	}
 
@@ -272,24 +272,24 @@ func TestFrameReaderInternBounded(t *testing.T) {
 		if want := fmt.Sprintf("flight/%05d", i); key != want {
 			t.Fatalf("keyed frame %d decoded key %q, want %q", i, key, want)
 		}
-		if held, ok := fr.keys[key]; ok && unsafe.StringData(held) != unsafe.StringData(key) {
+		if held, ok := fr.t.keys[key]; ok && unsafe.StringData(held) != unsafe.StringData(key) {
 			t.Fatalf("keyed frame %d: %q is in the table but came back as a fresh copy", i, key)
 		}
 	}
 	if m, err := fr.Read(); err != nil || m.Img.Entries[0].Key != longKey {
 		t.Fatalf("long key: %v", err)
 	}
-	if got := len(fr.keys); got != maxNames {
-		t.Fatalf("key table holds %d keys, want its cap %d", got, maxNames)
+	if got := len(fr.t.keys); got != maxEntries {
+		t.Fatalf("key table holds %d keys, want its cap %d", got, maxEntries)
 	}
-	if _, ok := fr.keys[longKey]; ok {
+	if _, ok := fr.t.keys[longKey]; ok {
 		t.Fatal("a key over maxNameLen was interned")
 	}
 	m, err := fr.Read()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if held, ok := fr.names["dm"]; !ok || unsafe.StringData(held) != unsafe.StringData(m.From) {
+	if held, ok := fr.t.names["dm"]; !ok || unsafe.StringData(held) != unsafe.StringData(m.From) {
 		t.Fatalf("after %d distinct keys a node name comes back as a fresh copy (in the name table: %t)", n, ok)
 	}
 }

@@ -154,6 +154,12 @@ func (t Type) sendable() bool {
 // next fallback address instead of surfacing the error.
 const NotServingMark = "not serving"
 
+// ContendedMark is the substring a directory manager's refusal of a pull
+// carries when conflicting pulls of its group kept claiming it first. It
+// is retryable: a cache manager reports it as an invalidation, and the
+// view pulls again.
+const ContendedMark = "pull contended"
+
 // Mode is a view's consistency mode (paper §4: strong vs weak).
 type Mode uint8
 
