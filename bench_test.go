@@ -589,7 +589,10 @@ func BenchmarkDynConfl(b *testing.B) {
 // BenchmarkTriggerEval measures one compiled trigger evaluation — the
 // per-tick cost of delegating synchronization decisions to the system.
 func BenchmarkTriggerEval(b *testing.B) {
-	trig := trigger.MustCompile("(t > 1500) && pending > 0 || every(500)")
+	trig, err := trigger.Compile("(t > 1500) && pending > 0 || every(500)")
+	if err != nil {
+		b.Fatal(err)
+	}
 	env := benchEnv{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -635,7 +638,7 @@ func benchShardedAirline(b *testing.B, shards int) {
 	)
 	net := transport.NewInproc()
 	stats := metrics.NewMessageStats(false)
-	net.SetObserver(stats)
+	net.AddObserver(stats)
 	clock := vclock.NewSim()
 	svc, err := shard.NewService(shard.ServiceConfig{
 		Name:   "dm",

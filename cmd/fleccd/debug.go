@@ -9,9 +9,7 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"flecc/internal/directory"
 	"flecc/internal/metrics"
-	"flecc/internal/shard"
 	"flecc/internal/trace"
 	"flecc/internal/transport"
 )
@@ -27,10 +25,7 @@ type observability struct {
 // newObservability builds the registry and attaches the wire observers
 // for a running deployment. Wire-level stats, the trace recorder, and
 // the span recorder register on the TCP-facing network (through Faulty
-// when fault injection is on, so they see final Seq stamps); in sharded
-// mode the trace and span recorders also watch the in-process bridge,
-// so router→shard hops appear between a request's arrival and its
-// reply. The SpanRecorder dedupes frames observed at both layers.
+// when fault injection is on, so they see final Seq stamps).
 func newObservability(name string, tnet transport.Network, d *deployment) *observability {
 	o := &observability{
 		reg:   metrics.NewRegistry(),
@@ -43,62 +38,51 @@ func newObservability(name string, tnet transport.Network, d *deployment) *obser
 		on.AddObserver(o.rec)
 		on.AddObserver(o.spans)
 	}
-	if d.brdg != nil {
-		d.brdg.AddObserver(o.rec)
-		d.brdg.AddObserver(o.spans)
-	}
 	o.reg.SetMessageStats(wireStats)
 
-	registerDM := func(prefix string, dm *directory.Manager) {
-		pull, push, fanout := dm.Latencies()
-		o.reg.RegisterLatencyAs(prefix+"pull", pull)
-		o.reg.RegisterLatencyAs(prefix+"push", push)
-		o.reg.RegisterLatencyAs(prefix+"fanout", fanout)
-		o.reg.RegisterGauge(prefix+"version", func() int64 { return int64(dm.CurrentVersion()) })
-		o.reg.RegisterGauge(prefix+"views", func() int64 { return int64(len(dm.Views())) })
-		o.reg.RegisterGauge(prefix+"log_len", func() int64 { return int64(dm.Store().LogLen()) })
-		o.reg.RegisterGauge(prefix+"views_evicted", dm.ViewsEvicted)
-		o.reg.RegisterGauge(prefix+"conflicts_resolved", func() int64 { return int64(dm.Store().ConflictsSeen()) })
-	}
-	if d.dm != nil {
-		registerDM("", d.dm)
-		o.reg.RegisterGauge("repl_lag", func() int64 { return int64(d.dm.ReplLag()) })
-		o.reg.RegisterGauge("repl_batches", func() int64 {
-			if r := d.dm.Replication(); r != nil {
-				return r.BatchesShipped()
-			}
-			return 0
-		})
-		o.reg.RegisterGauge("repl_degraded_barriers", func() int64 {
-			if r := d.dm.Replication(); r != nil {
-				return r.DegradedBarriers()
-			}
-			return 0
-		})
-		o.reg.RegisterGauge("repl_down", func() int64 {
-			if r := d.dm.Replication(); r != nil && r.Degraded() {
-				return 1
-			}
-			return 0
-		})
-		o.reg.RegisterGauge("ha_epoch", func() int64 { return int64(d.dm.Epoch()) })
-		o.reg.RegisterGauge("ha_standby", func() int64 {
-			if d.dm.Standby() {
-				return 1
-			}
-			return 0
-		})
-		o.reg.RegisterGauge("ha_fenced", func() int64 {
-			if d.dm.Fenced() {
-				return 1
-			}
-			return 0
-		})
-	} else {
-		for i := 0; i < d.svc.NumShards(); i++ {
-			registerDM(fmt.Sprintf("%s.", shard.Node(d.svc.Name(), i)), d.svc.Shard(i))
+	dm := d.dm
+	pull, push, fanout := dm.Latencies()
+	o.reg.RegisterLatencyAs("pull", pull)
+	o.reg.RegisterLatencyAs("push", push)
+	o.reg.RegisterLatencyAs("fanout", fanout)
+	o.reg.RegisterGauge("version", func() int64 { return int64(dm.CurrentVersion()) })
+	o.reg.RegisterGauge("views", func() int64 { return int64(len(dm.Views())) })
+	o.reg.RegisterGauge("log_len", func() int64 { return int64(dm.Store().LogLen()) })
+	o.reg.RegisterGauge("views_evicted", dm.ViewsEvicted)
+	o.reg.RegisterGauge("conflicts_resolved", func() int64 { return int64(dm.Store().ConflictsSeen()) })
+	o.reg.RegisterGauge("claim_retries", dm.ClaimRetries)
+	o.reg.RegisterGauge("repl_lag", func() int64 { return int64(dm.ReplLag()) })
+	o.reg.RegisterGauge("repl_batches", func() int64 {
+		if r := dm.Replication(); r != nil {
+			return r.BatchesShipped()
 		}
-	}
+		return 0
+	})
+	o.reg.RegisterGauge("repl_degraded_barriers", func() int64 {
+		if r := dm.Replication(); r != nil {
+			return r.DegradedBarriers()
+		}
+		return 0
+	})
+	o.reg.RegisterGauge("repl_down", func() int64 {
+		if r := dm.Replication(); r != nil && r.Degraded() {
+			return 1
+		}
+		return 0
+	})
+	o.reg.RegisterGauge("ha_epoch", func() int64 { return int64(dm.Epoch()) })
+	o.reg.RegisterGauge("ha_standby", func() int64 {
+		if dm.Standby() {
+			return 1
+		}
+		return 0
+	})
+	o.reg.RegisterGauge("ha_fenced", func() int64 {
+		if dm.Fenced() {
+			return 1
+		}
+		return 0
+	})
 	if d.faulty != nil {
 		o.reg.RegisterGauge("faults_injected", d.faulty.Injected)
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -15,7 +14,6 @@ import (
 	"flecc/internal/directory"
 	"flecc/internal/image"
 	"flecc/internal/property"
-	"flecc/internal/shard"
 	"flecc/internal/transport"
 	"flecc/internal/vclock"
 	"flecc/internal/wire"
@@ -35,7 +33,7 @@ func TestLogLenOnDebugAndStatus(t *testing.T) {
 	}
 	t.Run("single", func(t *testing.T) {
 		net := transport.NewInproc()
-		d, err := newDeployment("db", newMapCodec(), net, 1, directory.Options{}, "")
+		d, err := newDeployment("db", newMapCodec(), net, directory.Options{}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,26 +47,6 @@ func TestLogLenOnDebugAndStatus(t *testing.T) {
 			t.Fatalf("status line has no log length: %q", s)
 		}
 	})
-	t.Run("sharded", func(t *testing.T) {
-		net := transport.NewInproc()
-		d, err := newDeployment("db", newMapCodec(), net, 2, directory.Options{}, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.close()
-		o := newObservability("db", net, d)
-		commit(t, d.svc.Shard(1))
-		gauges := o.reg.Snapshot().Gauges
-		for i, want := range []int64{0, 1} {
-			name := shard.Node("db", i) + ".log_len"
-			if got, ok := gauges[name]; !ok || got != want {
-				t.Fatalf("%s = %d (registered %v), want %d", name, got, ok, want)
-			}
-		}
-		if s := d.status(); !strings.Contains(s, fmt.Sprintf("%s v1 0 views log 1", shard.Node("db", 1))) {
-			t.Fatalf("status line has no per-shard log length: %q", s)
-		}
-	})
 }
 
 // TestWireGaugesOnDebug: the listener's wire counters the status line
@@ -79,7 +57,7 @@ func TestWireGaugesOnDebug(t *testing.T) {
 		t.Fatal(err)
 	}
 	snet := transport.NewServerNetwork(ln, 5*time.Second)
-	d, err := newDeployment("db", newMapCodec(), snet, 1, directory.Options{}, "")
+	d, err := newDeployment("db", newMapCodec(), snet, directory.Options{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +102,7 @@ func TestWireGaugesOnDebug(t *testing.T) {
 // the commits it missed.
 func TestReplCountersOnDebug(t *testing.T) {
 	net := transport.NewInproc()
-	d, err := newDeployment("db", newMapCodec(), net, 1, directory.Options{}, "")
+	d, err := newDeployment("db", newMapCodec(), net, directory.Options{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,37 +154,30 @@ func TestReplCountersOnDebug(t *testing.T) {
 }
 
 // TestMetricNamesPinned pins the metric names /metrics serves, in text and
-// in JSON, for each daemon shape: a sharded daemon and an HA pair (fleccd
-// refuses a standby beside -shards, so a sharded daemon runs without one).
-// Per-type message counters are left out: which types appear depends on
-// the traffic seen so far.
+// in JSON, on both daemons of an HA pair. Per-type message counters are
+// left out: which types appear depends on the traffic seen so far.
 func TestMetricNamesPinned(t *testing.T) {
-	perDM := func(prefix string) []string {
-		return []string{
-			"gauge " + prefix + "conflicts_resolved", "gauge " + prefix + "log_len",
-			"gauge " + prefix + "version", "gauge " + prefix + "views", "gauge " + prefix + "views_evicted",
-			"latency " + prefix + "fanout", "latency " + prefix + "pull", "latency " + prefix + "push",
-		}
-	}
-	common := []string{
+	want := []string{
+		"gauge claim_retries", "gauge conflicts_resolved", "gauge log_len",
+		"gauge version", "gauge views", "gauge views_evicted",
+		"latency fanout", "latency pull", "latency push",
 		"gauge spans_completed", "gauge wire_bytes", "gauge wire_flushes", "gauge wire_frames",
 		"gauge wire_late_replies", "messages total",
-	}
-	single := append(append(perDM(""), common...),
 		"gauge ha_epoch", "gauge ha_fenced", "gauge ha_standby",
-		"gauge repl_batches", "gauge repl_degraded_barriers", "gauge repl_down", "gauge repl_lag")
-	sharded := append(append(perDM("db!s0."), perDM("db!s1.")...), common...)
+		"gauge repl_batches", "gauge repl_degraded_barriers", "gauge repl_down", "gauge repl_lag",
+	}
+	sort.Strings(want)
 
 	// daemon wires a deployment the way run does: on a loopback listener,
 	// with its wire counters and the debug endpoint.
-	daemon := func(t *testing.T, shards int, opts directory.Options) (*deployment, string, string) {
+	daemon := func(t *testing.T, opts directory.Options) (*deployment, string, string) {
 		t.Helper()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		snet := transport.NewServerNetwork(ln, 5*time.Second)
-		d, err := newDeployment("db", newMapCodec(), snet, shards, opts, "")
+		d, err := newDeployment("db", newMapCodec(), snet, opts, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,9 +191,8 @@ func TestMetricNamesPinned(t *testing.T) {
 		return d, ln.Addr().String(), "http://" + dln.Addr().String() + "/metrics"
 	}
 
-	_, _, shardedURL := daemon(t, 2, directory.Options{})
-	_, standbyAddr, standbyURL := daemon(t, 1, directory.Options{Standby: true})
-	primary, _, primaryURL := daemon(t, 1, directory.Options{})
+	_, standbyAddr, standbyURL := daemon(t, directory.Options{Standby: true})
+	primary, _, primaryURL := daemon(t, directory.Options{})
 	ha := haOpts{replicateTo: standbyAddr, lease: time.Minute}
 	_, stop, err := startDaemonReplication(primary.dm, "db", standbyAddr, "", ha, transport.RetryPolicy{Attempts: 1})
 	if err != nil {
@@ -230,16 +200,10 @@ func TestMetricNamesPinned(t *testing.T) {
 	}
 	t.Cleanup(stop)
 
-	for _, c := range []struct {
-		shape, url string
-		want       []string
-	}{
-		{"sharded", shardedURL, sharded},
-		{"primary", primaryURL, single},
-		{"standby", standbyURL, single},
+	for _, c := range []struct{ shape, url string }{
+		{"primary", primaryURL},
+		{"standby", standbyURL},
 	} {
-		want := append([]string(nil), c.want...)
-		sort.Strings(want)
 		text, fromJSON := servedMetricNames(t, c.url)
 		if !slices.Equal(text, want) {
 			t.Errorf("%s: /metrics serves %q, want %q", c.shape, text, want)

@@ -22,18 +22,22 @@ import (
 // loopback TCP, all at once. Strong mode grants the group to one of them
 // at a time, so no buy is lost to a conflict: the daemon's database ends
 // with exactly as many seats reserved as the agents bought, and every
-// agent completes its buys. 200 seeds; 20 under -short.
+// agent completes its buys. 200 seeds; 20 under -short. It logs how many
+// extra rounds the pulls made after losing a claim.
 func TestStrongBuyersConserveSeatsTCP(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
 		seeds = 20
 	}
+	var retries, pulls int64
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		runStrongBuyers(t, seed)
+		r, p := runStrongBuyers(t, seed)
 		if t.Failed() {
 			t.Fatalf("seed %d", seed)
 		}
+		retries, pulls = retries+r, pulls+p
 	}
+	t.Logf("%d claim retries over %d pulls (%.3f per pull)", retries, pulls, float64(retries)/float64(max(pulls, 1)))
 }
 
 const (
@@ -43,7 +47,9 @@ const (
 	maxBuyRetries = 1000
 )
 
-func runStrongBuyers(t *testing.T, seed int64) {
+// runStrongBuyers runs one seed and returns the daemon's claim retries and
+// pulls.
+func runStrongBuyers(t *testing.T, seed int64) (retries, pulls int64) {
 	t.Helper()
 	db := airline.NewReservationSystem()
 	airline.SeedFlights(db, 100, buyerFlights, 200)
@@ -53,7 +59,7 @@ func runStrongBuyers(t *testing.T, seed int64) {
 	}
 	opts := directory.Options{Resolver: airline.SeatResolver, Lanes: 4,
 		Retry: transport.RetryPolicy{Jitter: 0.2, Rand: transport.NewRand(seed)}}
-	d, err := newDeployment("db", db, transport.NewServerNetwork(ln, 5*time.Second), 1, opts, "")
+	d, err := newDeployment("db", db, transport.NewServerNetwork(ln, 5*time.Second), opts, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +113,8 @@ func runStrongBuyers(t *testing.T, seed int64) {
 	if reserved != total {
 		t.Errorf("seed %d: %d seats reserved for %d buys", seed, reserved, total)
 	}
+	pull, _, _ := d.dm.Latencies()
+	return d.dm.ClaimRetries(), pull.Count()
 }
 
 // buy reserves one seat and pushes it, pulling again whenever another

@@ -3,15 +3,13 @@
 // synthetic flights), and remote cache managers (fleccview) connect over
 // TCP to register views, pull, push, and switch modes.
 //
-// With -shards N (N > 1) the directory is partitioned across N shard
-// directory managers behind a router (internal/shard); clients still dial
-// the one listen address and name, and the status log reports per-shard
-// versions and traffic.
+// One directory manager serves the whole database, as in the paper's
+// runtime: commits of disjoint conflict groups run in parallel on its
+// -lanes, and -replicate-to/-standby pair two daemons for fail-over.
 //
 // Usage:
 //
-//	fleccd -addr :7070 -flights 100 -capacity 200
-//	fleccd -addr :7070 -shards 4
+//	fleccd -addr :7070 -flights 100 -capacity 200 -lanes 4
 package main
 
 import (
@@ -31,7 +29,6 @@ import (
 	"flecc/internal/image"
 	"flecc/internal/metrics"
 	"flecc/internal/secure"
-	"flecc/internal/shard"
 	"flecc/internal/transport"
 	"flecc/internal/vclock"
 )
@@ -42,10 +39,9 @@ func main() {
 		name        = flag.String("name", "db", "directory manager node name")
 		flights     = flag.Int("flights", 100, "number of synthetic flights to seed (starting at 100)")
 		capacity    = flag.Int("capacity", 200, "seats per flight")
-		shards      = flag.Int("shards", 1, "number of directory shards (1 = plain single directory manager)")
 		interval    = flag.Duration("status", 10*time.Second, "status log interval (0 disables)")
 		key         = flag.String("key", "", "shared secret; when set, the link is protected by an encryptor/decryptor pair")
-		ckptPath    = flag.String("checkpoint", "", "file to write protocol-metadata snapshots to (enables fail-over; per-shard files get a .sN suffix)")
+		ckptPath    = flag.String("checkpoint", "", "file to write protocol-metadata snapshots to (enables fail-over)")
 		ckptEvery   = flag.Duration("checkpoint-every", 30*time.Second, "snapshot interval when -checkpoint is set")
 		faultDrop   = flag.Float64("fault-drop", 0, "inject faults: probability [0,1] of dropping any message before delivery")
 		faultDelay  = flag.Duration("fault-delay", 0, "inject faults: fixed delay added before delivering each message")
@@ -53,12 +49,12 @@ func main() {
 		fanOut      = flag.Int("fanout", 0, "width of an invalidate/gather/propagate round: views contacted at a time (0 = directory default of 4, 1 = serial)")
 		lanes       = flag.Int("lanes", 0, "conflict-group execution lanes: commits of disjoint conflict groups run in parallel (0 = 1 lane: commits run one at a time)")
 		debugAddr   = flag.String("debug-addr", "", "serve observability HTTP on this address: /metrics (text or ?format=json), /trace, /spans, /debug/pprof (empty disables)")
-		standby     = flag.Bool("standby", false, "run as a hot standby: refuse client traffic until promoted (pair with a primary's -replicate-to; single-DM mode)")
-		replicateTo = flag.String("replicate-to", "", "stream replication to the standby fleccd at this address (single-DM mode)")
+		standby     = flag.Bool("standby", false, "run as a hot standby: refuse client traffic until promoted (pair with a primary's -replicate-to)")
+		replicateTo = flag.String("replicate-to", "", "stream replication to the standby fleccd at this address")
 		haLease     = flag.Duration("ha-lease", 2*time.Second, "HA lease: a standby silent past this self-promotes; a primary unable to reach its standby past this fences itself")
 	)
 	flag.Parse()
-	if err := run(*addr, *name, *flights, *capacity, *shards, *interval, *key, *ckptPath, *ckptEvery,
+	if err := run(*addr, *name, *flights, *capacity, *interval, *key, *ckptPath, *ckptEvery,
 		faultOpts{drop: *faultDrop, delay: *faultDelay, seed: *faultSeed}, *fanOut, *lanes, *debugAddr,
 		haOpts{standby: *standby, replicateTo: *replicateTo, lease: *haLease}); err != nil {
 		fmt.Fprintln(os.Stderr, "fleccd:", err)
@@ -75,13 +71,7 @@ type faultOpts struct {
 
 func (f faultOpts) enabled() bool { return f.drop > 0 || f.delay > 0 }
 
-func run(addr, name string, flights, capacity, shards int, statusEvery time.Duration, key, ckptPath string, ckptEvery time.Duration, faults faultOpts, fanOut, lanes int, debugAddr string, ha haOpts) error {
-	if shards < 1 {
-		return fmt.Errorf("-shards must be >= 1")
-	}
-	if ha.enabled() && shards != 1 {
-		return fmt.Errorf("-standby/-replicate-to require -shards 1 (per-shard standby daemons are not wired up)")
-	}
+func run(addr, name string, flights, capacity int, statusEvery time.Duration, key, ckptPath string, ckptEvery time.Duration, faults faultOpts, fanOut, lanes int, debugAddr string, ha haOpts) error {
 	if ha.standby && ha.replicateTo != "" {
 		return fmt.Errorf("-standby and -replicate-to are mutually exclusive (no chained replication)")
 	}
@@ -119,8 +109,8 @@ func run(addr, name string, flights, capacity, shards int, statusEvery time.Dura
 		log.Printf("fleccd: fault injection on (drop=%.2f delay=%s seed=%d)", faults.drop, faults.delay, faults.seed)
 	}
 	// One seeded jitter stream serves every retry policy in the process
-	// (the DM's view calls and, in sharded mode, the router's shard
-	// calls), so identically seeded runs replay the same backoffs.
+	// (the DM's view calls and the replication link), so identically
+	// seeded runs replay the same backoffs.
 	retry := transport.RetryPolicy{Jitter: 0.2, Rand: transport.NewRand(faults.seed)}
 	opts := directory.Options{Resolver: airline.SeatResolver, FanOut: fanOut, Lanes: lanes, Retry: retry}
 	if lanes > 1 {
@@ -130,21 +120,18 @@ func run(addr, name string, flights, capacity, shards int, statusEvery time.Dura
 	if ha.standby {
 		opts.Standby = true
 	}
-	d, err := newDeployment(name, db, tnet, shards, opts, ckptPath)
+	d, err := newDeployment(name, db, tnet, opts, ckptPath)
 	if err != nil {
 		return err
 	}
 	d.faulty = faulty
 	d.snet = snet
 	defer d.close()
-	if d.svc != nil {
-		d.svc.Router().SetRetryPolicy(retry)
-	}
 	role := "primary"
 	if ha.standby {
 		role = "hot standby (client traffic gated until promotion)"
 	}
-	log.Printf("fleccd: directory %q (%d shard(s), %s) serving %d flights on %s", name, shards, role, flights, ln.Addr())
+	log.Printf("fleccd: directory %q, %s, serving %d flights on %s", name, role, flights, ln.Addr())
 
 	var repl *directory.Replicator
 	if ha.replicateTo != "" {
@@ -170,24 +157,22 @@ func run(addr, name string, flights, capacity, shards int, statusEvery time.Dura
 		if ckptPath == "" {
 			return
 		}
-		for _, c := range d.checkpoints() {
-			blob := directory.EncodeSnapshot(c.snap)
-			// Write-sync-rename-sync: the blob is durable before the rename
-			// publishes it, and the rename itself is durable once the
-			// directory entry is synced. A crash at any point leaves either
-			// the old checkpoint or the new one — never a torn file.
-			tmp := c.path + ".tmp"
-			if err := writeFileSync(tmp, blob); err != nil {
-				log.Printf("fleccd: checkpoint: %v", err)
-				continue
-			}
-			if err := os.Rename(tmp, c.path); err != nil {
-				log.Printf("fleccd: checkpoint: %v", err)
-				continue
-			}
-			if err := syncDir(c.path); err != nil {
-				log.Printf("fleccd: checkpoint: sync dir: %v", err)
-			}
+		blob := directory.EncodeSnapshot(d.dm.Store().SnapshotSince(0))
+		// Write-sync-rename-sync: the blob is durable before the rename
+		// publishes it, and the rename itself is durable once the
+		// directory entry is synced. A crash at any point leaves either
+		// the old checkpoint or the new one — never a torn file.
+		tmp := ckptPath + ".tmp"
+		if err := writeFileSync(tmp, blob); err != nil {
+			log.Printf("fleccd: checkpoint: %v", err)
+			return
+		}
+		if err := os.Rename(tmp, ckptPath); err != nil {
+			log.Printf("fleccd: checkpoint: %v", err)
+			return
+		}
+		if err := syncDir(ckptPath); err != nil {
+			log.Printf("fleccd: checkpoint: sync dir: %v", err)
 		}
 	}
 	var ckptTick <-chan time.Time
@@ -229,87 +214,44 @@ func run(addr, name string, flights, capacity, shards int, statusEvery time.Dura
 	}
 }
 
-// deployment abstracts over the two daemon shapes: one directory manager
-// attached straight to the TCP server network, or a sharded service on a
-// bridge behind it.
+// deployment is the daemon's one directory manager together with the
+// network pieces its status line and debug endpoint read.
 type deployment struct {
-	dm     *directory.Manager // single-DM mode
-	svc    *shard.Service     // sharded mode
-	brdg   *shard.Bridge
-	stats  *metrics.MessageStats
+	dm     *directory.Manager
 	faulty *transport.Faulty
 	snet   *transport.ServerNetwork // wire counters for the status line
-	ckpt   string
 }
 
-type checkpointUnit struct {
-	path string
-	snap *directory.Snapshot
-}
-
-func newDeployment(name string, db image.Codec, snet transport.Network, shards int, opts directory.Options, ckptPath string) (*deployment, error) {
-	d := &deployment{ckpt: ckptPath}
-	if shards == 1 {
-		if ckptPath != "" {
-			if snap, err := readCheckpoint(ckptPath); err != nil {
-				return nil, err
-			} else if snap != nil {
-				opts.Snapshot = snap
-				log.Printf("fleccd: restored checkpoint from %s (v%d)", ckptPath, snap.Version)
-			}
-		}
-		dm, err := directory.New(name, db, vclock.NewReal(), snet, opts)
+func newDeployment(name string, db image.Codec, snet transport.Network, opts directory.Options, ckptPath string) (*deployment, error) {
+	if ckptPath != "" {
+		snap, err := readCheckpoint(ckptPath)
 		if err != nil {
 			return nil, err
 		}
-		d.dm = dm
-		return d, nil
+		if snap != nil {
+			opts.Snapshot = snap
+			log.Printf("fleccd: restored checkpoint from %s (v%d)", ckptPath, snap.Version)
+		} else if err := refuseShardedCheckpoint(ckptPath); err != nil {
+			return nil, err
+		}
 	}
-
-	d.brdg = shard.NewBridge()
-	d.stats = metrics.NewMessageStats(false)
-	d.brdg.SetObserver(d.stats)
-	svc, err := shard.NewService(shard.ServiceConfig{
-		Name:  name,
-		Net:   d.brdg,
-		Clock: vclock.NewReal(),
-		// All shards extract from the one in-process database; the airline
-		// codec is mutex-guarded, so sharing it is safe.
-		Shards:  shards,
-		Primary: func(int) image.Codec { return db },
-		Opts:    opts,
-	})
+	dm, err := directory.New(name, db, vclock.NewReal(), snet, opts)
 	if err != nil {
 		return nil, err
 	}
-	d.svc = svc
-	if ckptPath != "" {
-		for i := 0; i < shards; i++ {
-			path := shardCheckpointPath(ckptPath, i)
-			snap, err := readCheckpoint(path)
-			if err != nil {
-				svc.Close()
-				return nil, err
-			}
-			if snap == nil {
-				continue
-			}
-			if err := svc.Shard(i).Store().Absorb(snap); err != nil {
-				svc.Close()
-				return nil, err
-			}
-			log.Printf("fleccd: restored shard %d checkpoint from %s (v%d)", i, path, snap.Version)
-		}
-	}
-	if err := d.brdg.ConnectUplink(snet, name); err != nil {
-		svc.Close()
-		return nil, err
-	}
-	return d, nil
+	return &deployment{dm: dm}, nil
 }
 
-func shardCheckpointPath(base string, i int) string {
-	return fmt.Sprintf("%s.s%d", base, i)
+// refuseShardedCheckpoint fails a boot that finds no checkpoint at path
+// but the first per-shard file (path.s0) of a daemon that ran with the
+// since-removed -shards flag: starting cold there would silently drop the
+// versions those files hold.
+func refuseShardedCheckpoint(path string) error {
+	sharded := path + ".s0"
+	if _, err := os.Stat(sharded); err == nil {
+		return fmt.Errorf("checkpoint %s is missing but %s exists: it was written by a sharded fleccd, which this daemon cannot restore; move the .sN files away to start cold", path, sharded)
+	}
+	return nil
 }
 
 // readCheckpoint loads a snapshot file. A missing file is not an error
@@ -365,44 +307,18 @@ func syncDir(path string) error {
 	return serr
 }
 
-func (d *deployment) checkpoints() []checkpointUnit {
-	if d.dm != nil {
-		return []checkpointUnit{{path: d.ckpt, snap: d.dm.Store().SnapshotSince(0)}}
-	}
-	out := make([]checkpointUnit, 0, d.svc.NumShards())
-	for i := 0; i < d.svc.NumShards(); i++ {
-		out = append(out, checkpointUnit{
-			path: shardCheckpointPath(d.ckpt, i),
-			snap: d.svc.Shard(i).Store().SnapshotSince(0),
-		})
-	}
-	return out
-}
-
-// latencyLine renders the non-empty hot-path latency counters of one or
-// more directory managers ("" when nothing has been observed yet). With
-// several shards, counts and totals are summed so the line reads as one
-// logical directory.
-func latencyLine(dms ...*directory.Manager) string {
-	type acc struct {
-		name  string
-		count int64
-		ns    int64
-	}
-	accs := [3]acc{{name: "pull"}, {name: "push"}, {name: "fanout"}}
-	for _, dm := range dms {
-		pull, push, fanout := dm.Latencies()
-		for i, l := range []*metrics.Latency{pull, push, fanout} {
-			accs[i].count += l.Count()
-			accs[i].ns += l.TotalNs()
-		}
-	}
+// latencyLine renders the non-empty hot-path latency counters of a
+// directory manager ("" when nothing has been observed yet).
+func latencyLine(dm *directory.Manager) string {
+	pull, push, fanout := dm.Latencies()
 	var parts []string
-	for _, a := range accs {
-		if a.count == 0 {
-			continue
+	for _, l := range []struct {
+		name string
+		lat  *metrics.Latency
+	}{{"pull", pull}, {"push", push}, {"fanout", fanout}} {
+		if n := l.lat.Count(); n > 0 {
+			parts = append(parts, fmt.Sprintf("%s n=%d avg=%s", l.name, n, time.Duration(l.lat.TotalNs()/n)))
 		}
-		parts = append(parts, fmt.Sprintf("%s n=%d avg=%s", a.name, a.count, time.Duration(a.ns/a.count)))
 	}
 	if len(parts) == 0 {
 		return ""
@@ -424,37 +340,14 @@ func sizeString(n int64) string {
 
 func (d *deployment) status() string {
 	var b strings.Builder
-	if d.dm != nil {
-		views := d.dm.Views()
-		fmt.Fprintf(&b, "v%d, %d views registered %v, %d conflicts resolved, log %d",
-			d.dm.CurrentVersion(), len(views), views, d.dm.Store().ConflictsSeen(), d.dm.Store().LogLen())
-		if n := d.dm.ViewsEvicted(); n > 0 {
-			fmt.Fprintf(&b, ", %d views evicted %v", n, d.dm.LostViews())
-		}
-		if lat := latencyLine(d.dm); lat != "" {
-			fmt.Fprintf(&b, "; %s", lat)
-		}
-	} else {
-		fmt.Fprintf(&b, "%d shards", d.svc.NumShards())
-		var evicted int64
-		for i := 0; i < d.svc.NumShards(); i++ {
-			dm := d.svc.Shard(i)
-			fmt.Fprintf(&b, "; %s v%d %d views log %d", shard.Node(d.svc.Name(), i), dm.CurrentVersion(), len(dm.Views()), dm.Store().LogLen())
-			evicted += dm.ViewsEvicted()
-		}
-		if evicted > 0 {
-			fmt.Fprintf(&b, "; %d views evicted", evicted)
-		}
-		dms := make([]*directory.Manager, 0, d.svc.NumShards())
-		for i := 0; i < d.svc.NumShards(); i++ {
-			dms = append(dms, d.svc.Shard(i))
-		}
-		if lat := latencyLine(dms...); lat != "" {
-			fmt.Fprintf(&b, "; %s", lat)
-		}
-		if per := d.stats.PerShardString(); per != "" {
-			fmt.Fprintf(&b, "; traffic %s", per)
-		}
+	views := d.dm.Views()
+	fmt.Fprintf(&b, "v%d, %d views registered %v, %d conflicts resolved, log %d",
+		d.dm.CurrentVersion(), len(views), views, d.dm.Store().ConflictsSeen(), d.dm.Store().LogLen())
+	if n := d.dm.ViewsEvicted(); n > 0 {
+		fmt.Fprintf(&b, ", %d views evicted %v", n, d.dm.LostViews())
+	}
+	if lat := latencyLine(d.dm); lat != "" {
+		fmt.Fprintf(&b, "; %s", lat)
 	}
 	if d.snet != nil {
 		if ws := d.snet.WireStats(); ws.Flushes > 0 {
@@ -468,14 +361,4 @@ func (d *deployment) status() string {
 	return b.String()
 }
 
-func (d *deployment) close() {
-	if d.dm != nil {
-		d.dm.Close()
-	}
-	if d.brdg != nil {
-		d.brdg.Close()
-	}
-	if d.svc != nil {
-		d.svc.Close()
-	}
-}
+func (d *deployment) close() { d.dm.Close() }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -33,10 +34,10 @@ func freeAddr(t *testing.T) string {
 }
 
 // startDaemon launches run() and hands back its exit channel.
-func startDaemon(addr, ckpt string, shards int) chan error {
+func startDaemon(addr, ckpt string) chan error {
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run(addr, "db", 5, 50, shards, 0, "", ckpt, 0,
+		errc <- run(addr, "db", 5, 50, 0, "", ckpt, 0,
 			faultOpts{seed: 1}, 0, 0, "", haOpts{})
 	}()
 	return errc
@@ -173,7 +174,7 @@ func TestDaemonSIGTERMShutdownCheckpoint(t *testing.T) {
 	guardSIGTERM(t)
 	addr := freeAddr(t)
 	ckpt := filepath.Join(t.TempDir(), "db.ckpt")
-	errc := startDaemon(addr, ckpt, 1)
+	errc := startDaemon(addr, ckpt)
 
 	agent := dialAgent(t, addr, "agent-term")
 	if err := agent.ReserveTickets(1, 100); err != nil {
@@ -209,7 +210,7 @@ func TestDaemonSIGTERMAtStartup(t *testing.T) {
 	if err := writeFileSync(ckpt, directory.EncodeSnapshot(big)); err != nil {
 		t.Fatal(err)
 	}
-	errc := startDaemon(addr, ckpt, 1)
+	errc := startDaemon(addr, ckpt)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		c, err := net.Dial("tcp", addr)
@@ -229,75 +230,28 @@ func TestDaemonSIGTERMAtStartup(t *testing.T) {
 	}
 }
 
-// TestDaemonShardedCheckpointRoundTrip: with -shards 2 the daemon keeps
-// one .sN checkpoint per shard. Versions survive a restart, and a
-// corrupt shard file cold-starts that one shard — loudly — while the
-// daemon still boots and serves.
-func TestDaemonShardedCheckpointRoundTrip(t *testing.T) {
-	guardSIGTERM(t)
-	addr := freeAddr(t)
-	ckpt := filepath.Join(t.TempDir(), "db.ckpt")
-
-	// Generation 1: serve, commit, shut down.
-	errc := startDaemon(addr, ckpt, 2)
-	agent := dialAgent(t, addr, "agent-shard")
-	if err := agent.ReserveTickets(1, 100); err != nil {
+// TestDaemonRefusesShardedCheckpoint: a daemon that once ran sharded
+// left its versions in <path>.sN files and none at <path>. A boot from
+// that path fails naming the sharded file instead of silently starting
+// cold, and boots once the file is moved away.
+func TestDaemonRefusesShardedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "db.ckpt")
+	sharded := ckpt + ".s0"
+	if err := writeFileSync(sharded, directory.EncodeSnapshot(&directory.Snapshot{Version: 7})); err != nil {
 		t.Fatal(err)
 	}
-	if err := agent.CM.PushImage(); err != nil {
-		t.Fatal(err)
-	}
-	agent.CM.KillImage()
-	terminate(t, errc)
-
-	var vmax vclock.Version
-	for i := 0; i < 2; i++ {
-		path := shardCheckpointPath(ckpt, i)
-		snap, err := readCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap == nil {
-			t.Fatalf("shard checkpoint %s missing", path)
-		}
-		if snap.Version > vmax {
-			vmax = snap.Version
-		}
-	}
-	if vmax < 1 {
-		t.Fatalf("no shard checkpoint recorded the commit (max v%d)", vmax)
+	_, err := newDeployment("db", airline.NewReservationSystem(), transport.NewInproc(), directory.Options{}, ckpt)
+	if err == nil || !strings.Contains(err.Error(), sharded) {
+		t.Fatalf("boot beside %s: err = %v, want a refusal naming it", sharded, err)
 	}
 
-	// Generation 2: restart from the .sN files; the version sequence
-	// continues where generation 1 stopped (same agent name and props,
-	// so the view lands on the same shard).
-	errc = startDaemon(addr, ckpt, 2)
-	agent = dialAgent(t, addr, "agent-shard")
-	if err := agent.ReserveTickets(1, 100); err != nil {
+	if err := os.Rename(sharded, filepath.Join(dir, "old.s0")); err != nil {
 		t.Fatal(err)
 	}
-	if err := agent.CM.PushImage(); err != nil {
-		t.Fatal(err)
+	d, err := newDeployment("db", airline.NewReservationSystem(), transport.NewInproc(), directory.Options{}, ckpt)
+	if err != nil {
+		t.Fatalf("cold boot without the sharded file: %v", err)
 	}
-	if err := agent.CM.PullImage(); err != nil {
-		t.Fatal(err)
-	}
-	if seen := agent.CM.Seen(); seen <= vmax {
-		t.Fatalf("restarted shard did not continue the version sequence: seen v%d, want > v%d", seen, vmax)
-	}
-	agent.CM.KillImage()
-	terminate(t, errc)
-
-	// Generation 3: one shard's checkpoint is corrupt. That shard cold
-	// starts; the daemon still boots and serves.
-	if err := os.WriteFile(shardCheckpointPath(ckpt, 0), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	errc = startDaemon(addr, ckpt, 2)
-	agent = dialAgent(t, addr, "agent-shard")
-	if err := agent.ReserveTickets(1, 100); err != nil {
-		t.Fatal(err)
-	}
-	agent.CM.KillImage()
-	terminate(t, errc)
+	d.close()
 }

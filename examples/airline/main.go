@@ -27,7 +27,7 @@ func main() {
 	topo.Place("db", "server")
 	net := netsim.New(clock, topo)
 	stats := metrics.NewMessageStats(false)
-	net.SetObserver(stats)
+	net.AddObserver(stats)
 
 	// The main flight database: 20 flights, 100 seats each.
 	db := airline.NewReservationSystem()

@@ -77,7 +77,7 @@ func TestTimeSharingSerialTurns(t *testing.T) {
 	net := transport.NewInproc()
 	clock := vclock.NewSim()
 	stats := metrics.NewMessageStats(false)
-	net.SetObserver(stats)
+	net.AddObserver(stats)
 	prim := newKV()
 	ts, err := baseline.NewTimeSharing("dm", prim, clock, net)
 	if err != nil {
@@ -209,7 +209,7 @@ func TestMulticastGathersFromEveryone(t *testing.T) {
 	net := transport.NewInproc()
 	clock := vclock.NewSim()
 	stats := metrics.NewMessageStats(false)
-	net.SetObserver(stats)
+	net.AddObserver(stats)
 	_, err := baseline.NewMulticast("dm", newKV(), clock, net)
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func checkExclusion(t *testing.T, r *rig, cms map[string]*cache.Manager, strong 
 // its open use window, and both are answered once it closes. Each built
 // its invalidation set before the other was served, so only a re-check
 // under the group's lane keeps the second from being granted beside the
-// first.
+// first, which goes round again: the directory counts a claim retry.
 func TestConcurrentStrongPullsExclusive(t *testing.T) {
 	r := newRig(t, directory.Options{})
 	cms := map[string]*cache.Manager{
@@ -84,6 +84,9 @@ func TestConcurrentStrongPullsExclusive(t *testing.T) {
 		}
 	}
 	checkExclusion(t, r, cms, "a", "b")
+	if n := r.dmFor("a").ClaimRetries(); n < 1 {
+		t.Fatalf("claim retries = %d, want >= 1: one of the two strong pulls lost its claim", n)
+	}
 }
 
 // TestStaleInvalidateReplyIgnored (a stale invalidation result): w

@@ -147,7 +147,7 @@ func newRig(t *testing.T, opts directory.Options) *rig {
 		})
 	}
 	if n := testShards(); n > 1 {
-		r.net.SetObserver(collapseShards{r.stats})
+		r.net.AddObserver(collapseShards{r.stats})
 		svc, err := shard.NewService(shard.ServiceConfig{
 			Name:  "dm",
 			Net:   r.net,
@@ -165,7 +165,7 @@ func newRig(t *testing.T, opts directory.Options) *rig {
 		r.svc = svc
 		return r
 	}
-	r.net.SetObserver(r.stats)
+	r.net.AddObserver(r.stats)
 	dm, err := directory.New("dm", r.prim, r.clock, r.net, opts)
 	if err != nil {
 		t.Fatal(err)

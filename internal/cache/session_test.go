@@ -37,7 +37,7 @@ func TestPushAsyncCoalescesIntoOneRound(t *testing.T) {
 	clock := vclock.NewSim()
 	inproc := transport.NewInproc()
 	obs := &typeCounter{}
-	inproc.SetObserver(obs)
+	inproc.AddObserver(obs)
 
 	prim := newKV(nil)
 	dm, err := directory.New("db", prim, clock, inproc, directory.Options{})
@@ -231,7 +231,7 @@ func TestConcurrentPushesCommitEachWriteOnce(t *testing.T) {
 		clock := vclock.NewSim()
 		inproc := transport.NewInproc()
 		pushed := &pushedKeys{n: map[string]int{}}
-		inproc.SetObserver(pushed)
+		inproc.AddObserver(pushed)
 		prim := newKV(nil)
 		dm, err := directory.New("db", prim, clock, inproc, directory.Options{})
 		if err != nil {
@@ -642,7 +642,7 @@ func TestSoakPipelinedWindow8(t *testing.T) {
 		// pushes are excluded: their entries deliberately carry the old
 		// base version for conflict detection.)
 		watch := &versionWatch{}
-		faulty.SetObserver(watch)
+		faulty.AddObserver(watch)
 		faulty.SetDropRate(faultDropRate())
 
 		var resets, pushErrs, pullErrs, flushes int

@@ -41,7 +41,7 @@ func TestSoakAirlineMixedModes(t *testing.T) {
 	topo.Place("db", "hub")
 	net := netsim.New(clock, topo)
 	stats := metrics.NewMessageStats(false)
-	net.SetObserver(stats)
+	net.AddObserver(stats)
 
 	db := airline.NewReservationSystem()
 	airline.SeedFlights(db, 100, 10, 1<<20) // effectively unlimited seats

@@ -155,6 +155,10 @@ type Manager struct {
 	// answering DM-initiated calls (the ViewsEvicted metric).
 	evictions *metrics.Counter
 
+	// claimRetries counts the extra rounds pulls made after losing their
+	// claim to a conflicting pull (the ClaimRetries metric).
+	claimRetries *metrics.Counter
+
 	// Hot-path latency accounting: whole pulls, whole pushes, and the
 	// fan-out rounds inside them.
 	latPull   *metrics.Latency
@@ -195,16 +199,17 @@ const minCompactAt = 64
 // directory manager is running in the system (paper §4.2).
 func New(name string, primary image.Codec, clock vclock.Clock, net transport.Network, opts Options) (*Manager, error) {
 	m := &Manager{
-		name:      name,
-		store:     NewStore(primary, clock),
-		reg:       registry.New(),
-		clock:     clock,
-		opts:      opts,
-		views:     map[string]*viewState{},
-		evictions: metrics.NewCounter(name + ".views_evicted"),
-		latPull:   metrics.NewLatency("pull"),
-		latPush:   metrics.NewLatency("push"),
-		latFanout: metrics.NewLatency("fanout"),
+		name:         name,
+		store:        NewStore(primary, clock),
+		reg:          registry.New(),
+		clock:        clock,
+		opts:         opts,
+		views:        map[string]*viewState{},
+		evictions:    metrics.NewCounter(name + ".views_evicted"),
+		claimRetries: metrics.NewCounter(name + ".claim_retries"),
+		latPull:      metrics.NewLatency("pull"),
+		latPush:      metrics.NewLatency("push"),
+		latFanout:    metrics.NewLatency("fanout"),
 	}
 	if opts.Resolver != nil {
 		m.store.SetResolver(opts.Resolver)
@@ -276,6 +281,10 @@ func (m *Manager) UnseenCommitted(view string) int {
 // ViewsEvicted returns how many views this manager has evicted because
 // their cache manager stopped answering DM-initiated calls.
 func (m *Manager) ViewsEvicted() int64 { return m.evictions.Value() }
+
+// ClaimRetries reports how many extra rounds pulls have made after losing
+// their claim to a conflicting pull.
+func (m *Manager) ClaimRetries() int64 { return m.claimRetries.Value() }
 
 // Latencies exposes the manager's hot-path latency accumulators: whole
 // pulls, whole pushes, and the DM-initiated fan-out rounds inside them.
@@ -592,6 +601,7 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 		if attempt+1 == maxClaims {
 			return errf("directory %s: pull by %s: %s after %d attempts", m.name, view, wire.ContendedMark, maxClaims)
 		}
+		m.claimRetries.Inc()
 		time.Sleep(time.Duration(attempt+1) * claimBackoff)
 	}
 

@@ -148,7 +148,7 @@ func RunAblationRW(agents, ops int) (*AblationRWResult, error) {
 		clock := vclock.NewSim()
 		net := transport.NewInproc()
 		stats := metrics.NewMessageStats(false)
-		net.SetObserver(stats)
+		net.AddObserver(stats)
 		db := airline.NewReservationSystem()
 		airline.SeedFlights(db, 100, 10, 100)
 		// FanOut=1: deterministic serial rounds for reproducible outputs.
@@ -240,7 +240,7 @@ func RunAblationPeer(sizes []int) (*AblationPeerResult, error) {
 	for _, n := range sizes {
 		net := transport.NewInproc()
 		stats := metrics.NewMessageStats(false)
-		net.SetObserver(stats)
+		net.AddObserver(stats)
 		peers := make([]*peer.Peer, n)
 		for i := range peers {
 			rs := airline.NewReservationSystem()

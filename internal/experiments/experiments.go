@@ -98,7 +98,7 @@ func NewDeployment(cfg DeployConfig) (*Deployment, error) {
 	topo := netsim.LAN(cfg.Latency)
 	topo.Place("db", "hub")
 	d.Net = netsim.New(d.Clock, topo)
-	d.Net.SetObserver(d.Stats)
+	d.Net.AddObserver(d.Stats)
 
 	groups := (cfg.Agents + cfg.GroupSize - 1) / cfg.GroupSize
 	airline.SeedFlights(d.DB, 100, groups*cfg.FlightsPerGroup, 1<<30)

@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"maps"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -39,20 +37,4 @@ func (s *MessageStats) PerShard() map[string]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return maps.Clone(s.byShard)
-}
-
-// PerShardString renders the PerShard breakdown deterministically, e.g.
-// "dm!s0:42 dm!s1:17".
-func (s *MessageStats) PerShardString() string {
-	per := s.PerShard()
-	keys := make([]string, 0, len(per))
-	for k := range per {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + ":" + strconv.FormatInt(per[k], 10)
-	}
-	return strings.Join(parts, " ")
 }

@@ -65,9 +65,6 @@ func New(name string, view image.Codec, net transport.Network, resolver image.Re
 	return p, nil
 }
 
-// Name returns the peer's node name.
-func (p *Peer) Name() string { return p.name }
-
 // Close detaches the peer.
 func (p *Peer) Close() error { return p.ep.Close() }
 

@@ -60,55 +60,6 @@ func (c *Component) ImplementsInterface(name string) bool {
 	return false
 }
 
-// Vars returns the union of the component's interface property sets (V_c
-// in §3.2).
-func (c *Component) Vars() property.Set {
-	var props []property.Property
-	for _, i := range c.Implements {
-		props = append(props, i.Props.Properties()...)
-	}
-	return property.NewSet(props...)
-}
-
-// IsViewOf implements the paper's view definition (§3.2): v is a view of c
-// if their method sets intersect (F_v ∩ F_c ≠ ∅) or their data sets
-// intersect (V_v ∩ V_c ≠ ∅).
-func IsViewOf(v, c *Component) bool {
-	if v == nil || c == nil {
-		return false
-	}
-	set := map[string]bool{}
-	for _, m := range c.Methods {
-		set[m] = true
-	}
-	for _, m := range v.Methods {
-		if set[m] {
-			return true
-		}
-	}
-	return v.Vars().Overlaps(c.Vars())
-}
-
-// IsStrictViewOf strengthens IsViewOf to the customization case the
-// paper's Figure 1 illustrates ("their working data is a subset of the
-// data defined by the original component"): every method of v is one of
-// c's, and v's data properties are a subset of c's.
-func IsStrictViewOf(v, c *Component) bool {
-	if v == nil || c == nil {
-		return false
-	}
-	set := map[string]bool{}
-	for _, m := range c.Methods {
-		set[m] = true
-	}
-	for _, m := range v.Methods {
-		if !set[m] {
-			return false
-		}
-	}
-	return v.Vars().SubsetOf(c.Vars())
-}
-
 // Node is an environment host.
 type Node struct {
 	// Name identifies the host.

@@ -7,12 +7,11 @@ import (
 
 // Event is an environment change noticed by the monitoring module.
 type Event struct {
-	// Kind is "link-latency", "link-security", "node-up", or "node-down".
+	// Kind is "link-latency".
 	Kind string
-	// Subject names the affected node or "a-b" link.
+	// Subject names the affected "a-b" link.
 	Subject string
-	// Old and New carry the changed value (latency as int, security as
-	// bool) rendered as strings for uniformity.
+	// Old and New carry the changed value, rendered as strings.
 	Old, New string
 }
 
@@ -91,37 +90,6 @@ func (m *Monitor) ObserveLatency(a, b string, latency int) error {
 		m.emit(Event{
 			Kind: "link-latency", Subject: a + "-" + b,
 			Old: fmt.Sprint(old), New: fmt.Sprint(latency),
-		})
-	}
-	return nil
-}
-
-// ObserveSecurity records a change in a link's security attribute.
-func (m *Monitor) ObserveSecurity(a, b string, secure bool) error {
-	m.mu.Lock()
-	var changed bool
-	var old bool
-	found := false
-	for i := range m.spec.Links {
-		l := &m.spec.Links[i]
-		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			found = true
-			old = l.Secure
-			if l.Secure != secure {
-				l.Secure = secure
-				changed = true
-			}
-			break
-		}
-	}
-	m.mu.Unlock()
-	if !found {
-		return fmt.Errorf("psf: monitor: no link %s-%s", a, b)
-	}
-	if changed {
-		m.emit(Event{
-			Kind: "link-security", Subject: a + "-" + b,
-			Old: fmt.Sprint(old), New: fmt.Sprint(secure),
 		})
 	}
 	return nil

@@ -4,8 +4,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"flecc/internal/property"
 )
 
 // airlineSpec is the paper's motivating deployment: a flight database on a
@@ -123,83 +121,6 @@ func TestDuplicateDeclarations(t *testing.T) {
 	}
 	if err := s.AddNode(&Node{Name: "n"}); err == nil {
 		t.Fatal("duplicate node")
-	}
-}
-
-func TestIsViewOf(t *testing.T) {
-	db := &Component{
-		Name:       "db",
-		Methods:    []string{"browse", "reserve"},
-		Implements: []Interface{{Name: "I", Props: property.MustSet("Flights={1..9}")}},
-	}
-	agent := &Component{
-		Name:       "agent",
-		Methods:    []string{"reserve"},
-		Implements: []Interface{{Name: "J", Props: property.MustSet("Flights={1..3}")}},
-	}
-	unrelated := &Component{
-		Name:       "logger",
-		Methods:    []string{"log"},
-		Implements: []Interface{{Name: "K", Props: property.MustSet("Logs={a}")}},
-	}
-	if !IsViewOf(agent, db) {
-		t.Fatal("agent shares methods and data with db")
-	}
-	if IsViewOf(unrelated, db) {
-		t.Fatal("logger is unrelated")
-	}
-	// Data-only overlap qualifies.
-	dataOnly := &Component{
-		Name:       "dash",
-		Methods:    []string{"render"},
-		Implements: []Interface{{Name: "L", Props: property.MustSet("Flights={2}")}},
-	}
-	if !IsViewOf(dataOnly, db) {
-		t.Fatal("data overlap should qualify as a view")
-	}
-	if IsViewOf(nil, db) || IsViewOf(db, nil) {
-		t.Fatal("nil handling")
-	}
-}
-
-func TestIsStrictViewOf(t *testing.T) {
-	db := &Component{
-		Name:       "db",
-		Methods:    []string{"browse", "reserve"},
-		Implements: []Interface{{Name: "I", Props: property.MustSet("Flights={1..9}")}},
-	}
-	// Customization: fewer methods, narrower data — a strict view.
-	custom := &Component{
-		Name:       "agent",
-		Methods:    []string{"reserve"},
-		Implements: []Interface{{Name: "J", Props: property.MustSet("Flights={1..3}")}},
-	}
-	if !IsStrictViewOf(custom, db) {
-		t.Fatal("customization should be a strict view")
-	}
-	// Extra method breaks strictness but not the loose relation.
-	extended := &Component{
-		Name:       "agent+",
-		Methods:    []string{"reserve", "audit"},
-		Implements: custom.Implements,
-	}
-	if IsStrictViewOf(extended, db) {
-		t.Fatal("extra method should break strictness")
-	}
-	if !IsViewOf(extended, db) {
-		t.Fatal("loose view relation should still hold")
-	}
-	// Wider data breaks strictness.
-	wider := &Component{
-		Name:       "agent-wide",
-		Methods:    []string{"reserve"},
-		Implements: []Interface{{Name: "K", Props: property.MustSet("Flights={1..20}")}},
-	}
-	if IsStrictViewOf(wider, db) {
-		t.Fatal("wider data should break strictness")
-	}
-	if IsStrictViewOf(nil, db) || IsStrictViewOf(db, nil) {
-		t.Fatal("nil handling")
 	}
 }
 
@@ -372,19 +293,8 @@ func TestMonitorEventsAndReplan(t *testing.T) {
 	if len(mon.Events()) != n {
 		t.Fatal("no-op observation should not emit")
 	}
-	// Security flip emits.
-	if err := mon.ObserveSecurity("hub", "edge2", false); err != nil {
-		t.Fatal(err)
-	}
-	evs := mon.Events()
-	if evs[len(evs)-1].Kind != "link-security" {
-		t.Fatalf("last event = %+v", evs[len(evs)-1])
-	}
 	// Unknown link errors.
 	if err := mon.ObserveLatency("x", "y", 1); err == nil {
-		t.Fatal("unknown link should fail")
-	}
-	if err := mon.ObserveSecurity("x", "y", true); err == nil {
 		t.Fatal("unknown link should fail")
 	}
 }

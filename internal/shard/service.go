@@ -95,9 +95,6 @@ func (s *Service) Router() *Router { return s.r }
 // Map returns the shard map.
 func (s *Service) Map() *Map { return s.m }
 
-// Name returns the logical directory name.
-func (s *Service) Name() string { return s.cfg.Name }
-
 // NumShards returns the current shard count.
 func (s *Service) NumShards() int {
 	s.mu.Lock()

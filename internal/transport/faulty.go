@@ -84,16 +84,6 @@ func (f *Faulty) AddObserver(o Observer) {
 	f.obs.Add(o)
 }
 
-// SetObserver replaces the observer fan-out (nil clears), delegating to
-// the wrapped network when it is observable; see AddObserver.
-func (f *Faulty) SetObserver(o Observer) {
-	if on, ok := f.inner.(ObservableNetwork); ok {
-		on.SetObserver(o)
-		return
-	}
-	f.obs.Set(o)
-}
-
 // SetDropRate makes each call fail with probability p (clamped to [0,1])
 // before delivery.
 func (f *Faulty) SetDropRate(p float64) {

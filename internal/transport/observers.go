@@ -11,9 +11,8 @@ import (
 // that forwards every message to each registered observer, in
 // registration order. Every transport in this repository (Inproc, the
 // TCP server/dial networks, Faulty, and the shard bridge) carries one,
-// so message statistics, tracing, span correlation, and user hooks can
-// coexist instead of displacing each other through a single SetObserver
-// slot.
+// so message statistics, tracing, span correlation, and user hooks
+// coexist.
 //
 // Ordering guarantees: for any one delivered message, observers fire
 // sequentially in registration order, on the delivering goroutine,
@@ -44,8 +43,7 @@ func (s *Observers) Add(o Observer) {
 }
 
 // Set replaces the whole fan-out with the single observer o (nil clears
-// it). It preserves the semantics of the historical single-slot
-// SetObserver methods, which now delegate here.
+// it).
 func (s *Observers) Set(o Observer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -96,7 +94,4 @@ type ObservableNetwork interface {
 	Network
 	// AddObserver appends an observer to the network's fan-out.
 	AddObserver(Observer)
-	// SetObserver replaces the fan-out with the single observer (nil
-	// clears). Kept for compatibility with the old single-slot API.
-	SetObserver(Observer)
 }

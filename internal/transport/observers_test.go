@@ -57,15 +57,15 @@ func TestObserversFanOutOrder(t *testing.T) {
 	}
 }
 
-// TestObserversSetReplacesAndClears: SetObserver keeps its historical
-// single-slot semantics on top of the fan-out.
+// TestObserversSetReplacesAndClears: Set replaces the whole fan-out with
+// one observer, and Set(nil) clears it.
 func TestObserversSetReplacesAndClears(t *testing.T) {
 	net := NewInproc()
 	var mu sync.Mutex
 	var log []string
 	net.AddObserver(appendObserver{"a", &mu, &log})
 	net.AddObserver(appendObserver{"b", &mu, &log})
-	net.SetObserver(appendObserver{"c", &mu, &log}) // replaces a and b
+	net.obs.Set(appendObserver{"c", &mu, &log}) // replaces a and b
 
 	if _, err := net.Attach("dm", echoHandler); err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestObserversSetReplacesAndClears(t *testing.T) {
 		t.Fatalf("log = %v, want only observer c", log)
 	}
 
-	net.SetObserver(nil)
+	net.obs.Set(nil)
 	if _, err := cm.Call("dm", &wire.Message{Type: wire.TPush}); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestObserversConcurrentMutation(t *testing.T) {
 			default:
 			}
 			net.AddObserver(ObserverFunc(func(string, string, *wire.Message) {}))
-			net.SetObserver(ObserverFunc(func(string, string, *wire.Message) {}))
+			net.obs.Set(ObserverFunc(func(string, string, *wire.Message) {}))
 		}
 	}()
 	for i := 0; i < 500; i++ {

@@ -416,9 +416,6 @@ func serveWith(ln net.Listener, name string, h Handler, timeout time.Duration, o
 // the server's connections. Safe to call concurrently with traffic.
 func (s *Server) AddObserver(o Observer) { s.obs.Add(o) }
 
-// SetObserver replaces the server's observer fan-out (nil clears).
-func (s *Server) SetObserver(o Observer) { s.obs.Set(o) }
-
 // Name returns the server's node name.
 func (s *Server) Name() string { return s.name }
 
@@ -546,9 +543,6 @@ func NewServerNetwork(ln net.Listener, timeout time.Duration) *ServerNetwork {
 // connection too.
 func (n *ServerNetwork) AddObserver(o Observer) { n.obs.Add(o) }
 
-// SetObserver replaces the observer fan-out (nil clears).
-func (n *ServerNetwork) SetObserver(o Observer) { n.obs.Set(o) }
-
 // Attach implements Network; only the first attachment succeeds.
 func (n *ServerNetwork) Attach(name string, h Handler) (Endpoint, error) {
 	n.mu.Lock()
@@ -602,9 +596,6 @@ func NewDialNetwork(addr string, timeout time.Duration) *DialNetwork {
 // the observer was registered (the network's fan-out is a member of
 // each client's).
 func (n *DialNetwork) AddObserver(o Observer) { n.obs.Add(o) }
-
-// SetObserver replaces the network-level observer fan-out (nil clears).
-func (n *DialNetwork) SetObserver(o Observer) { n.obs.Set(o) }
 
 // Attach implements Network by dialing the server.
 func (n *DialNetwork) Attach(name string, h Handler) (Endpoint, error) {

@@ -101,10 +101,6 @@ func NewInproc() *Inproc {
 	return &Inproc{nodes: map[string]*inprocEndpoint{}}
 }
 
-// SetObserver replaces the observer fan-out with the single observer o
-// (nil disables). Safe to call concurrently with traffic.
-func (n *Inproc) SetObserver(o Observer) { n.obs.Set(o) }
-
 // AddObserver appends an observer to the fan-out, so stats, tracing, and
 // user hooks coexist. Safe to call concurrently with traffic.
 func (n *Inproc) AddObserver(o Observer) { n.obs.Add(o) }

@@ -132,7 +132,7 @@ func TestInprocObserverSeesBothDirections(t *testing.T) {
 	n := NewInproc()
 	var mu sync.Mutex
 	var log []string
-	n.SetObserver(ObserverFunc(func(from, to string, m *wire.Message) {
+	n.AddObserver(ObserverFunc(func(from, to string, m *wire.Message) {
 		mu.Lock()
 		log = append(log, from+"->"+to+":"+m.Type.String())
 		mu.Unlock()

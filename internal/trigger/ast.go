@@ -2,7 +2,6 @@ package trigger
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -30,8 +29,6 @@ type Node interface {
 	Type() Type
 	// String renders the node in source syntax (re-parseable).
 	String() string
-	// walk visits the node and its children.
-	walk(fn func(Node))
 }
 
 // NumberLit is a numeric literal.
@@ -114,55 +111,6 @@ func paren(n Node) string {
 	default:
 		return "(" + n.String() + ")"
 	}
-}
-
-func (n *NumberLit) walk(fn func(Node)) { fn(n) }
-func (n *BoolLit) walk(fn func(Node))   { fn(n) }
-func (n *Var) walk(fn func(Node))       { fn(n) }
-func (n *Unary) walk(fn func(Node)) {
-	fn(n)
-	n.X.walk(fn)
-}
-func (n *Binary) walk(fn func(Node)) {
-	fn(n)
-	n.L.walk(fn)
-	n.R.walk(fn)
-}
-func (n *Call) walk(fn func(Node)) {
-	fn(n)
-	for _, a := range n.Args {
-		a.walk(fn)
-	}
-}
-
-// Vars returns the sorted set of variable names referenced by the
-// expression (including "t" if used). The cache manager uses this to know
-// which view variables it must sample before each evaluation.
-func Vars(n Node) []string {
-	seen := map[string]bool{}
-	n.walk(func(m Node) {
-		if v, ok := m.(*Var); ok {
-			seen[v.Name] = true
-		}
-	})
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// UsesTime reports whether the expression references the time variable t.
-// Time-independent triggers need re-evaluation only when variables change;
-// time-dependent ones are re-checked on every clock tick.
-func UsesTime(n Node) bool {
-	for _, v := range Vars(n) {
-		if v == "t" {
-			return true
-		}
-	}
-	return false
 }
 
 // ParseError is a syntax or type error with position information.

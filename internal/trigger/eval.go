@@ -60,14 +60,6 @@ func EvalBool(n Node, env Env) (bool, error) {
 	return v != 0, nil
 }
 
-// EvalNumber evaluates a numeric-typed expression against env.
-func EvalNumber(n Node, env Env) (float64, error) {
-	if n.Type() != TNumber {
-		return 0, &EvalError{Msg: "expression is not numeric"}
-	}
-	return eval(n, env)
-}
-
 // eval computes the expression value; booleans are represented as 0/1.
 func eval(n Node, env Env) (float64, error) {
 	switch n := n.(type) {
@@ -245,23 +237,11 @@ func Compile(src string) (Trigger, error) {
 	return Trigger{src: src, node: n}, nil
 }
 
-// MustCompile panics on error.
-func MustCompile(src string) Trigger {
-	tr, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return tr
-}
-
 // IsZero reports whether the trigger is the always-false zero trigger.
 func (tr Trigger) IsZero() bool { return tr.node == nil }
 
 // Source returns the original expression text.
 func (tr Trigger) Source() string { return tr.src }
-
-// Node exposes the compiled AST (nil for the zero trigger).
-func (tr Trigger) Node() Node { return tr.node }
 
 // Fire evaluates the trigger at virtual time t against the view variables
 // in base. Evaluation errors (e.g. a variable the view stopped exporting)
@@ -272,15 +252,6 @@ func (tr Trigger) Fire(t float64, base Env) (bool, error) {
 		return false, nil
 	}
 	return EvalBool(tr.node, TimeEnv{T: t, Base: base})
-}
-
-// Vars returns the variables the trigger references (excluding none); see
-// Vars(Node).
-func (tr Trigger) Vars() []string {
-	if tr.node == nil {
-		return nil
-	}
-	return Vars(tr.node)
 }
 
 // String renders the trigger source, or "<none>" for the zero trigger.

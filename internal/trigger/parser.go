@@ -25,27 +25,18 @@ func (p *parser) errf(pos int, format string, args ...any) error {
 // Parse compiles a trigger expression into a typed AST. The expression must
 // be boolean-typed overall (it answers "should we synchronize now?").
 func Parse(input string) (Node, error) {
-	toks, err := lex(input)
+	n, err := parseExpr(input)
 	if err != nil {
 		return nil, err
-	}
-	p := &parser{toks: toks}
-	n, err := p.parseOr()
-	if err != nil {
-		return nil, err
-	}
-	if t := p.peek(); t.kind != tokEOF {
-		return nil, p.errf(t.pos, "unexpected %s after expression", t)
 	}
 	if n.Type() != TBool {
-		return nil, p.errf(0, "trigger must be boolean, got a %s expression", n.Type())
+		return nil, &ParseError{Pos: 0, Msg: fmt.Sprintf("trigger must be boolean, got a %s expression", n.Type())}
 	}
 	return n, nil
 }
 
-// ParseExpr is like Parse but allows a numeric result; it is used for
-// testing sub-expressions and by tools that evaluate arbitrary formulas.
-func ParseExpr(input string) (Node, error) {
+// parseExpr parses input as an expression of either type.
+func parseExpr(input string) (Node, error) {
 	toks, err := lex(input)
 	if err != nil {
 		return nil, err
@@ -59,15 +50,6 @@ func ParseExpr(input string) (Node, error) {
 		return nil, p.errf(t.pos, "unexpected %s after expression", t)
 	}
 	return n, nil
-}
-
-// MustParse panics on error; for tests and static trigger tables.
-func MustParse(input string) Node {
-	n, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return n
 }
 
 func (p *parser) parseOr() (Node, error) {

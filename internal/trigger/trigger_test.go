@@ -2,7 +2,6 @@ package trigger
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -23,15 +22,41 @@ func evalB(t *testing.T, src string, env Env) bool {
 
 func evalN(t *testing.T, src string, env Env) float64 {
 	t.Helper()
-	n, err := ParseExpr(src)
+	n, err := parseExpr(src)
 	if err != nil {
-		t.Fatalf("ParseExpr(%q): %v", src, err)
+		t.Fatalf("parseExpr(%q): %v", src, err)
 	}
-	v, err := EvalNumber(n, env)
+	v, err := evalNumber(n, env)
 	if err != nil {
-		t.Fatalf("EvalNumber(%q): %v", src, err)
+		t.Fatalf("evalNumber(%q): %v", src, err)
 	}
 	return v
+}
+
+// evalNumber evaluates a numeric-typed expression against env.
+func evalNumber(n Node, env Env) (float64, error) {
+	if n.Type() != TNumber {
+		return 0, &EvalError{Msg: "expression is not numeric"}
+	}
+	return eval(n, env)
+}
+
+// mustParse parses a boolean trigger expression, panicking on error.
+func mustParse(input string) Node {
+	n, err := Parse(input)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
+// mustCompile compiles a trigger, panicking on error.
+func mustCompile(src string) Trigger {
+	tr, err := Compile(src)
+	if err != nil {
+		panic(err)
+	}
+	return tr
 }
 
 // TestPaperTrigger checks the exact trigger from the paper's Figure 3.
@@ -99,7 +124,7 @@ func TestComparisonsAndLogic(t *testing.T) {
 }
 
 func TestEvery(t *testing.T) {
-	n := MustParse("every(500)")
+	n := mustParse("every(500)")
 	for _, c := range []struct {
 		t    float64
 		want bool
@@ -141,7 +166,7 @@ func TestEvalErrors(t *testing.T) {
 		}
 	}
 	// every() without t defined.
-	n := MustParse("every(5)")
+	n := mustParse("every(5)")
 	if _, err := EvalBool(n, MapEnv{}); err == nil {
 		t.Error("every without t should fail")
 	}
@@ -176,21 +201,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestVarsAndUsesTime(t *testing.T) {
-	n := MustParse("t > 1500 && reserved >= limit || every(100)")
-	want := []string{"limit", "reserved", "t"}
-	if got := Vars(n); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Vars = %v, want %v", got, want)
-	}
-	if !UsesTime(n) {
-		t.Fatal("UsesTime should be true")
-	}
-	n2 := MustParse("reserved > 5")
-	if UsesTime(n2) {
-		t.Fatal("UsesTime should be false")
-	}
-}
-
 func TestCompileZeroTrigger(t *testing.T) {
 	tr, err := Compile("")
 	if err != nil {
@@ -209,7 +219,7 @@ func TestCompileZeroTrigger(t *testing.T) {
 }
 
 func TestTriggerFire(t *testing.T) {
-	tr := MustCompile("t > 1500 && pending > 0")
+	tr := mustCompile("t > 1500 && pending > 0")
 	fired, err := tr.Fire(2000, MapEnv{"pending": 1})
 	if err != nil || !fired {
 		t.Fatalf("fired=%v err=%v, want true", fired, err)
