@@ -77,7 +77,9 @@ type (
 	// changed since revision r" (you may over-report, never
 	// under-report). A view codec with it makes pushes and
 	// directory-initiated fetches and invalidates cost the keys the view
-	// changed, not the keys it holds.
+	// changed, not the keys it holds. Asked for changes since a non-zero
+	// r at or past the current revision, it returns a nil image and the
+	// current revision.
 	ChangeExtractor = image.ChangeExtractor
 	// Conflict is a concurrent-update conflict handed to a Resolver.
 	Conflict = image.Conflict

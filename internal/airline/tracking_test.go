@@ -264,6 +264,27 @@ func TestChangeExtractorTombstonesHonourDomain(t *testing.T) {
 	}
 }
 
+// Since at or past the current revision asks for nothing: a nil image,
+// the current revision, and no allocation. The cache manager reads its
+// view's revision after a merge this way.
+func TestChangeExtractorSincePastCurrentReadsRevision(t *testing.T) {
+	rs := NewReservationSystem()
+	SeedFlights(rs, 100, 8, 50)
+	tombstone(t, rs, 103)
+	_, cur := changedKeys(t, rs, property.Set{}, 0)
+	for _, since := range []uint64{cur, cur + 1, math.MaxUint64} {
+		for _, props := range []property.Set{{}, flightProps(100, 104)} {
+			img, rev, err := rs.ExtractChanged(props, since)
+			if err != nil || img != nil || rev != cur {
+				t.Fatalf("since %d, props %s: image %v, revision %d, %v; want nil at %d", since, props, img, rev, err, cur)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { rs.ExtractChanged(property.Set{}, math.MaxUint64) }); n != 0 {
+		t.Errorf("ExtractChanged past the current revision: %v allocs, want 0", n)
+	}
+}
+
 // The deleted-flights map holds the flights that are absent now and were
 // removed at some point — never one entry per deletion.
 func TestChangeExtractorDeletedMapBounded(t *testing.T) {

@@ -124,6 +124,10 @@ type viewState struct {
 	// replication stream. Full view state from that stream is
 	// authoritative for exactly these: one it no longer lists is dropped.
 	replicated bool
+	// pullReq and invalReq are the view's collect requests (collect),
+	// built once by newViewState and shared by every round: an endpoint
+	// never writes to the message it is handed (transport.Endpoint).
+	pullReq, invalReq wire.Message
 
 	// Replication change tracking (viewlog.go). regDirty and queued are
 	// set by the mutation sites without any lock; nextDirty links the
@@ -134,6 +138,15 @@ type viewState struct {
 	queued        atomic.Bool
 	nextDirty     *viewState
 	jSeq, jRegSeq uint64
+}
+
+// newViewState makes the record of the view called name.
+func newViewState(name string) *viewState {
+	return &viewState{
+		name:     name,
+		pullReq:  wire.Message{Type: wire.TPull, View: name},
+		invalReq: wire.Message{Type: wire.TInvalidate, View: name},
+	}
 }
 
 // Manager is the Flecc directory manager: one per original component.
@@ -396,7 +409,8 @@ func (m *Manager) handleRegister(req *wire.Message) *wire.Message {
 		if err := m.reg.Register(view, req.Props); err != nil {
 			return errf("%v", err)
 		}
-		vs := &viewState{name: view, mode: req.Mode, validity: val, lastOp: req.Op}
+		vs := newViewState(view)
+		vs.mode, vs.validity, vs.lastOp = req.Mode, val, req.Op
 		m.vmu.Lock()
 		m.views[view] = vs
 		m.vmu.Unlock()
@@ -859,13 +873,20 @@ func (m *Manager) collect(target string, typ wire.Type) error {
 	_, stamp := m.reg.Scope(target)
 	vs, known := m.viewState(target)
 	invalidated := false
+	var req *wire.Message
 	if known {
 		vs.commitMu.RLock()
 		defer vs.commitMu.RUnlock()
 		gen := vs.collecting()
 		defer func() { m.collected(vs, gen, invalidated) }()
+		req = &vs.pullReq
+		if typ == wire.TInvalidate {
+			req = &vs.invalReq
+		}
+	} else {
+		req = &wire.Message{Type: typ, View: target}
 	}
-	reply, err := m.callView(target, &wire.Message{Type: typ, View: target})
+	reply, err := m.callView(target, req)
 	if err != nil {
 		if transport.IsTransportError(err) {
 			m.evictView(target)

@@ -371,7 +371,7 @@ func (m *Manager) installView(hv ViewRecord, replicated bool) error {
 				err = m.reg.SetProps(hv.Name, hv.Props)
 			}
 			if err == nil && !known {
-				vs = &viewState{name: hv.Name}
+				vs = newViewState(hv.Name)
 				m.vmu.Lock()
 				m.views[hv.Name] = vs
 				m.vmu.Unlock()

@@ -204,7 +204,10 @@ type KeyedExtractor interface {
 // is exactly Extract(props), live entries only, and the caller infers
 // removals from absence. Version/Writer are left zero, as in Extract. When
 // nothing qualifies the image may be nil, so the common "nothing changed"
-// answer need not allocate.
+// answer need not allocate. A non-zero since at or past the current
+// revision must give a nil image and the current revision: that is how a
+// caller reads the revision (the cache manager does, after merging into a
+// clean view), so it should not allocate either.
 //
 // A revision is meaningful only to the codec instance that returned it;
 // it is never compared across instances or persisted. ExtractChanged is

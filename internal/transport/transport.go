@@ -34,8 +34,9 @@ type Handler func(req *wire.Message) *wire.Message
 type Endpoint interface {
 	// Name returns the node name used as the message From field.
 	Name() string
-	// Call sends req to the named node and waits for its reply. The
-	// endpoint assigns req.Seq and req.From.
+	// Call sends req to the named node and waits for its reply. Call
+	// never writes to req; the frame or the callee's copy carries Seq and
+	// From. So one request may be in several calls at once.
 	Call(to string, req *wire.Message) (*wire.Message, error)
 	// Close detaches the endpoint; subsequent Calls fail, and calls to the
 	// endpoint fail at the caller.
