@@ -61,7 +61,7 @@ func TestConcurrentStrongPullsExclusive(t *testing.T) {
 		t.Fatal(err)
 	}
 	invalidates := make(chan struct{}, 2) // one per strong pull; later sends are dropped
-	r.net.SetBeforeDeliver(func(from, to string, m *wire.Message) {
+	r.net.SetBeforeDeliver(func(from, to string, m *wire.Message, _ int) {
 		if to == "w" && m.Type == wire.TInvalidate {
 			select {
 			case invalidates <- struct{}{}:
@@ -114,7 +114,7 @@ func TestStaleInvalidateReplyIgnored(t *testing.T) {
 	held, release := make(chan struct{}), make(chan struct{})
 	var hold, unhold sync.Once
 	releaseHeld := func() { unhold.Do(func() { close(release) }) }
-	r.net.SetBeforeDeliver(func(from, to string, m *wire.Message) {
+	r.net.SetBeforeDeliver(func(from, to string, m *wire.Message, _ int) {
 		// The first reply w gives the directory answers a's TInvalidate.
 		if from == "w" && m.Type == wire.TImage {
 			hold.Do(func() {

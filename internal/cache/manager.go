@@ -450,7 +450,8 @@ func (m *Manager) KillImage() error {
 // the local change stays pending and is reconciled at push time by the
 // directory manager's conflict detection (the pushed entry still carries
 // its old base version, so a concurrent remote write is detected and
-// handed to the application resolver).
+// handed to the application resolver). img is the caller's own, a
+// decoded message's: the skipped entries are dropped from it in place.
 //
 // A view whose tracked codec has not moved since syncedRev, with no use
 // window open, is clean: by the watermark's invariant it equals base, so
@@ -463,7 +464,6 @@ func (m *Manager) applyIncomingLocked(img *image.Image, ver vclock.Version) erro
 		m.base = image.New()
 	}
 	if img != nil && img.Len() > 0 {
-		apply := img
 		clean := false
 		if m.initialized && m.syncedRev != 0 && !m.inUse {
 			rev, ok := m.revisionLocked()
@@ -477,11 +477,8 @@ func (m *Manager) applyIncomingLocked(img *image.Image, ver vclock.Version) erro
 				// overwrite them.
 				return fmt.Errorf("cache: extract from view: %w", err)
 			}
-			// img is read-only (it may be a message other views share),
-			// so entries to skip mean a filtered copy, built only once
-			// the first one turns up.
-			var kept []image.Entry
-			for i, in := range img.Entries {
+			kept := img.Entries[:0]
+			for _, in := range img.Entries {
 				ce, curOK := cur.Get(in.Key)
 				be, baseOK := m.base.Get(in.Key)
 				dirty := curOK != (baseOK && !be.Deleted) ||
@@ -490,26 +487,19 @@ func (m *Manager) applyIncomingLocked(img *image.Image, ver vclock.Version) erro
 					// Keep the local pending change; skip this entry
 					// (and leave its base snapshot untouched so the
 					// push carries the old base version).
-					if kept == nil {
-						kept = append(make([]image.Entry, 0, img.Len()), img.Entries[:i]...)
-					}
 					continue
 				}
-				if kept != nil {
-					kept = append(kept, in)
-				}
+				kept = append(kept, in)
 			}
-			if kept != nil {
-				apply = &image.Image{Version: img.Version, Entries: kept}
-			}
+			img.Entries = kept
 		}
 		// Merging into the view is the application's mergeIntoView; a
 		// failing merge must not half-update the snapshot, so the base is
 		// only advanced afterwards.
-		if err := m.view.Merge(apply, m.props); err != nil {
+		if err := m.view.Merge(img, m.props); err != nil {
 			return fmt.Errorf("cache: merge into view: %w", err)
 		}
-		for _, e := range apply.Entries {
+		for _, e := range img.Entries {
 			m.base.Put(e)
 		}
 		if clean {

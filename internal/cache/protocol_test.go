@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -1036,6 +1037,72 @@ func TestPushPropagationDeliversUpdates(t *testing.T) {
 	// Quality: the recipient is fresh immediately.
 	if got := r.dmFor("v2").UnseenCommitted("v2"); got != 0 {
 		t.Fatalf("unseen = %d", got)
+	}
+}
+
+// TestPropagatedUpdateFilteredPerView: one push round's TUpdate payload
+// reaches two views while one of them holds a pending change to a key it
+// carries. Every transport delivers a decoded copy, so the holder drops
+// that entry from its own copy in place, and the other view still gets
+// and merges every entry.
+func TestPropagatedUpdateFilteredPerView(t *testing.T) {
+	r := newRig(t, directory.Options{PropagateOnPush: true})
+	vw, va, vb := newKV(nil), newKV(nil), newKV(nil)
+	w := r.view(t, "w", "P={x}", wire.Weak, vw)
+	a := r.view(t, "a", "P={x}", wire.Weak, va)
+	b := r.view(t, "b", "P={x}", wire.Weak, vb)
+	for _, cm := range []*cache.Manager{w, a, b} {
+		if err := cm.InitImage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.StartUse()
+	va.Set("k1", "a-local") // pending: a never pushes it
+	a.EndUse()
+
+	var mu sync.Mutex
+	got := map[string]*wire.Message{}
+	r.net.SetBeforeDeliver(func(from, to string, m *wire.Message, _ int) {
+		if m.Type == wire.TUpdate {
+			mu.Lock()
+			got[to] = m
+			mu.Unlock()
+		}
+	})
+	w.StartUse()
+	vw.Set("k1", "w1")
+	vw.Set("k2", "w2")
+	w.EndUse()
+	if err := w.PushImage(); err != nil {
+		t.Fatal(err)
+	}
+	r.net.SetBeforeDeliver(nil)
+
+	ua, ub := got["a"], got["b"]
+	if ua == nil || ub == nil || ua.Img == nil || ub.Img == nil {
+		t.Fatalf("updates delivered: a %v, b %v; want one image each", ua, ub)
+	}
+	if ua.Img == ub.Img {
+		t.Fatal("a and b received one shared image")
+	}
+	keys := func(img *image.Image) string {
+		var out []string
+		for _, e := range img.Entries {
+			out = append(out, e.Key+"="+string(e.Value))
+		}
+		return strings.Join(out, ",")
+	}
+	if k := keys(ua.Img); k != "k2=w2,seed=s0" {
+		t.Errorf("a's update after its merge = %q, want the pending key dropped: %q", k, "k2=w2,seed=s0")
+	}
+	if k := keys(ub.Img); k != "k1=w1,k2=w2,seed=s0" {
+		t.Errorf("b's update after its merge = %q, want %q", k, "k1=w1,k2=w2,seed=s0")
+	}
+	if va.Get("k1") != "a-local" || va.Get("k2") != "w2" {
+		t.Errorf("a holds k1=%q k2=%q, want its pending a-local and w2", va.Get("k1"), va.Get("k2"))
+	}
+	if vb.Get("k1") != "w1" || vb.Get("k2") != "w2" {
+		t.Errorf("b holds k1=%q k2=%q, want w1 and w2", vb.Get("k1"), vb.Get("k2"))
 	}
 }
 

@@ -519,18 +519,18 @@ func (m *Manager) serve(vs *viewState, since vclock.Version, skip commitID, quie
 	// flight (collect): the image holds them, so the view cannot take an
 	// older value back over what it surrendered.
 	vs.commitMu.Lock()
-	img, err := m.store.extract(props, since, skip)
+	img, ver, err := m.store.extract(props, since, skip)
 	vs.commitMu.Unlock()
 	if err != nil {
 		return errf("%v", err)
 	}
 	vs.mu.Lock()
-	vs.seen = img.Version
+	vs.seen = ver
 	vs.mu.Unlock()
 	m.viewChanged(vs, false)
-	reply := &wire.Message{Type: wire.TImage, Img: img, Version: img.Version}
+	reply := &wire.Message{Type: wire.TImage, Img: img, Version: ver}
 	if quiet {
-		held, err := m.Replication().holds(img.Version)
+		held, err := m.Replication().holds(ver)
 		if err != nil {
 			return errf("replicate: %v", err)
 		}

@@ -1,6 +1,7 @@
 package directory_test
 
 import (
+	"strings"
 	"testing"
 
 	"flecc/internal/cache"
@@ -131,9 +132,17 @@ func TestUnexpectedMessageRejected(t *testing.T) {
 // migration used (16 took a manager's views, 17 installed them) are
 // reserved, and no directory manager serves them. Any peer can send
 // them, so a manager that did would let a stranger unregister every view
-// and seed a standby with views of its own.
+// and seed a standby with views of its own. Every transport decodes
+// what it delivers and the decoder refuses both types, so the handlers
+// are reached here through handlerNet.
 func TestStrangerMigrationRefused(t *testing.T) {
-	dm, net, clock, _ := newDM(t)
+	net := &handlerNet{Inproc: transport.NewInproc(), handlers: map[string]transport.Handler{}}
+	clock := vclock.NewSim()
+	dm, err := directory.New("dm", newKV(), clock, net, directory.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertInvariantsAtCleanup(t, dm)
 	newCM(t, net, clock, "v1")
 	newCM(t, net, clock, "v2")
 	sb, err := directory.New("dm!r", newKV(), clock, net, directory.Options{Standby: true})
@@ -141,26 +150,53 @@ func TestStrangerMigrationRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sb.Close()
-	stranger, err := net.Attach("stranger", func(req *wire.Message) *wire.Message { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
 	blob := directory.EncodeSnapshot(dm.CaptureSince(0))
 
-	take, _ := stranger.Call("dm", &wire.Message{Type: wire.Type(16)})
+	take := net.handlers["dm"](&wire.Message{Type: wire.Type(16), From: "stranger", Seq: 1})
 	if take == nil || take.Type != wire.TErr {
 		t.Errorf("type 16 to the primary: reply %v, want an error", take)
 	}
 	if n := len(dm.Views()); n != 2 {
 		t.Errorf("primary holds %d views after type 16, want 2", n)
 	}
-	apply, _ := stranger.Call("dm!r", &wire.Message{Type: wire.Type(17), Blob: blob})
+	apply := net.handlers["dm!r"](&wire.Message{Type: wire.Type(17), From: "stranger", Seq: 2, Blob: blob})
 	if apply == nil || apply.Type != wire.TErr {
 		t.Errorf("type 17 to the standby: reply %v, want an error", apply)
 	}
 	if n := len(sb.Views()); n != 0 {
 		t.Errorf("standby holds %d views after type 17, want 0", n)
 	}
+
+	// Sent over the network, neither type reaches a handler: the call
+	// fails at the decoder, as it does on TCP.
+	stranger, err := net.Attach("stranger", func(req *wire.Message) *wire.Message { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		to  string
+		typ wire.Type
+	}{{"dm", 16}, {"dm!r", 17}} {
+		reply, err := stranger.Call(c.to, &wire.Message{Type: c.typ, Blob: blob})
+		if err == nil || !strings.Contains(err.Error(), "unknown message type") || reply != nil {
+			t.Errorf("type %d to %s over Inproc: reply %v, err %v; want the decoder's refusal", c.typ, c.to, reply, err)
+		}
+	}
+	if n, m := len(dm.Views()), len(sb.Views()); n != 2 || m != 0 {
+		t.Errorf("after the network calls: primary holds %d views, standby %d; want 2 and 0", n, m)
+	}
+}
+
+// handlerNet is an in-process network that keeps every handler attached
+// to it, so a test can hand one a message no decoder lets through.
+type handlerNet struct {
+	*transport.Inproc
+	handlers map[string]transport.Handler
+}
+
+func (n *handlerNet) Attach(name string, h transport.Handler) (transport.Endpoint, error) {
+	n.handlers[name] = h
+	return n.Inproc.Attach(name, h)
 }
 
 // TestStrangerPromoteRefused: no message promotes a standby. Bit 0 of a

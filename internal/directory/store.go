@@ -390,7 +390,11 @@ func (st *storeStripe) rebuild() {
 // keys are extracted instead of snapshotting everything and discarding
 // most of it. Either way the primary codec is called outside every lock.
 func (s *Store) Extract(props property.Set, since vclock.Version) (*image.Image, error) {
-	return s.extract(props, since, commitID{})
+	img, ver, err := s.extract(props, since, commitID{})
+	if img == nil && err == nil {
+		img = &image.Image{Version: ver}
+	}
+	return img, err
 }
 
 // commitID names one commit: the version it was assigned and its writer.
@@ -408,11 +412,18 @@ func (c commitID) names(version vclock.Version, writer string) bool {
 // extract is Extract for a delta that leaves out skip's entries: those
 // whose shadow stamp is still exactly skip, so no later commit touched
 // them. A pull names the puller's own last push that way (handlePull).
-func (s *Store) extract(props property.Set, since vclock.Version, skip commitID) (*image.Image, error) {
+// It also returns the image's version, and a delta that finds nothing
+// to carry is a nil image at that version: a pull reply with nothing in
+// it carries no image.
+func (s *Store) extract(props property.Set, since vclock.Version, skip commitID) (*image.Image, vclock.Version, error) {
 	if since > 0 && s.keyed != nil {
 		return s.extractDelta(props, since, skip)
 	}
-	return s.extractFull(props, since, skip)
+	img, err := s.extractFull(props, since, skip)
+	if err != nil {
+		return nil, 0, err
+	}
+	return img, img.Version, nil
 }
 
 // stampGated overwrites each entry's provenance with its shadow stamp.
@@ -489,7 +500,7 @@ func (s *Store) extractFull(props property.Set, since vclock.Version, skip commi
 // primary, live keys outside props are dropped first: the keyed extract
 // would drop the latter too (the Scoper contract), so neither is ever
 // extracted.
-func (s *Store) extractDelta(props property.Set, since vclock.Version, skip commitID) (*image.Image, error) {
+func (s *Store) extractDelta(props property.Set, since vclock.Version, skip commitID) (*image.Image, vclock.Version, error) {
 	pubVer := s.pub.published()
 	var liveKeys []string
 	var tombs []image.Entry
@@ -521,10 +532,13 @@ func (s *Store) extractDelta(props property.Set, since vclock.Version, skip comm
 	if len(liveKeys) > 0 {
 		var err error
 		if img, err = s.keyed.ExtractKeys(props, liveKeys); err != nil {
-			return nil, fmt.Errorf("directory: extract from primary: %w", err)
+			return nil, 0, fmt.Errorf("directory: extract from primary: %w", err)
 		}
 	}
 	if img == nil {
+		if len(tombs) == 0 {
+			return nil, pubVer, nil
+		}
 		img = image.New()
 	}
 
@@ -533,7 +547,7 @@ func (s *Store) extractDelta(props property.Set, since vclock.Version, skip comm
 	s.gate.RUnlock()
 	img = withTombstones(img, tombs)
 	img.Version = pubVer
-	return img, nil
+	return img, pubVer, nil
 }
 
 // UnseenOps implements the paper's data-quality metric for the committed

@@ -15,12 +15,11 @@
 //
 // Ownership: an image returned by an extract, a decoder or a commit
 // belongs to its receiver, which may change it until it hands it on (in
-// a message, to Merge, as a return value). From then on the image is
-// read-only to everyone: one message image may reach several receivers
-// at once on an in-process network. So a receiver keeps entries it
-// wants without copying them, and a layer that needs different entries
-// builds a new image. An entry's Value is never changed in place once
-// it is in an image.
+// a message, to Merge, as a return value). A decoded image is its
+// receiver's: every transport decodes what it delivers, so no two
+// receivers share one. A receiver keeps the entries it wants without
+// copying them and may drop the others in place. An entry's Value is
+// never changed in place once it is in an image.
 package image
 
 import (

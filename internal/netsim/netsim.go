@@ -27,21 +27,20 @@ type Link struct {
 	// Latency is the one-way delivery delay in virtual ms.
 	Latency vclock.Duration
 	// BytesPerMs, when positive, models link bandwidth: each message
-	// additionally costs ceil(encodedSize/BytesPerMs) virtual ms. Zero
-	// means infinite bandwidth (pure latency, the default — encoding
-	// messages to measure them costs real CPU, so enable it only where
-	// transfer time matters).
+	// additionally costs ceil(frameLen/BytesPerMs) virtual ms, frameLen
+	// being the length of the frame the in-process transport carried it
+	// in. Zero means infinite bandwidth (pure latency, the default).
 	BytesPerMs int
 	// Secure marks links that do not require encryptor/decryptor
 	// insertion (used by the PSF planning module, not the latency model).
 	Secure bool
 }
 
-// costOf returns the virtual time to deliver a message over the link.
-func (l Link) costOf(m *wire.Message) vclock.Duration {
+// costOf returns the virtual time to deliver a frame of size bytes over
+// the link.
+func (l Link) costOf(size int) vclock.Duration {
 	d := l.Latency
 	if l.BytesPerMs > 0 {
-		size := len(wire.Encode(m))
 		d += vclock.Duration((size + l.BytesPerMs - 1) / l.BytesPerMs)
 	}
 	return d
@@ -200,9 +199,9 @@ func New(clock *vclock.Sim, topo *Topology) *Net {
 		stats:       NewStats(),
 		partitioned: map[[2]string]bool{},
 	}
-	n.SetBeforeDeliver(func(from, to string, m *wire.Message) {
+	n.SetBeforeDeliver(func(from, to string, _ *wire.Message, size int) {
 		link := topo.NodeLink(from, to)
-		cost := link.costOf(m)
+		cost := link.costOf(size)
 		if cost > 0 {
 			clock.Advance(cost)
 		}

@@ -12,7 +12,6 @@ package property
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -231,83 +230,6 @@ func (d Domain) Overlaps(o Domain) bool {
 		return false
 	default:
 		return !d.Intersect(o).IsEmpty()
-	}
-}
-
-// Union returns the smallest representable domain containing both inputs.
-// For two intervals the result is the covering interval (which may include
-// values in neither input — callers that need exactness should keep the
-// operands separate). Mixed kinds widen to a covering interval when both
-// sides are numeric, otherwise the discrete members are merged.
-func (d Domain) Union(o Domain) Domain {
-	switch {
-	case d.kind == KindEmpty:
-		return o
-	case o.kind == KindEmpty:
-		return d
-	case d.kind == KindInterval && o.kind == KindInterval:
-		return Interval(math.Min(d.min, o.min), math.Max(d.max, o.max))
-	case d.kind == KindDiscrete && o.kind == KindDiscrete:
-		return Discrete(slices.Concat(d.members, o.members)...)
-	default:
-		// Mixed: try numeric covering interval.
-		var disc Domain
-		var iv Domain
-		if d.kind == KindDiscrete {
-			disc, iv = d, o
-		} else {
-			disc, iv = o, d
-		}
-		lo, hi := iv.min, iv.max
-		for _, m := range disc.members {
-			v, err := strconv.ParseFloat(m, 64)
-			if err != nil {
-				// Non-numeric member: fall back to discretizing is not
-				// possible; return the discrete side merged with interval
-				// endpoints rendered as members. This keeps Union total.
-				return Discrete(slices.Concat(disc.members, []string{formatFloat(iv.min), formatFloat(iv.max)})...)
-			}
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-		return Interval(lo, hi)
-	}
-}
-
-// SubsetOf reports whether every value of d lies in o. The paper's view
-// definition (§3.2) describes a view's working data as "a subset of the
-// data defined by the original component"; this is the check for it.
-func (d Domain) SubsetOf(o Domain) bool {
-	switch {
-	case d.kind == KindEmpty:
-		return true
-	case o.kind == KindEmpty:
-		return false
-	case d.kind == KindInterval && o.kind == KindInterval:
-		return d.min >= o.min && d.max <= o.max
-	case d.kind == KindDiscrete:
-		for _, m := range d.members {
-			switch o.kind {
-			case KindDiscrete:
-				if !o.ContainsMember(m) {
-					return false
-				}
-			default:
-				v, err := strconv.ParseFloat(m, 64)
-				if err != nil || !o.ContainsValue(v) {
-					return false
-				}
-			}
-		}
-		return true
-	default:
-		// A non-degenerate interval has uncountably many values; it can
-		// only be a subset of another interval (handled above) or equal a
-		// discrete rendering when degenerate.
-		if d.min == d.max {
-			return o.ContainsValue(d.min)
-		}
-		return false
 	}
 }
 

@@ -152,19 +152,6 @@ func (s Set) Overlaps(o Set) bool {
 	return false
 }
 
-// SubsetOf reports whether every property of s is covered by a same-named
-// property of o with a superset domain — the §3.2 "view data is a subset
-// of the component's data" relation at set level.
-func (s Set) SubsetOf(o Set) bool {
-	for name, p := range s.byName {
-		q, ok := o.byName[name]
-		if !ok || !p.Domain.SubsetOf(q.Domain) {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether the two sets contain structurally equal properties.
 func (s Set) Equal(o Set) bool {
 	if len(s.byName) != len(o.byName) {

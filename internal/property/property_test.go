@@ -81,7 +81,7 @@ func TestNewSetEmptyNoAlloc(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { emptySink = NewSet() }); got != 0 {
 		t.Fatalf("NewSet() allocs/op = %.1f, want 0", got)
 	}
-	if !emptySink.IsEmpty() || !emptySink.Equal(Set{}) || !emptySink.SubsetOf(MustSet("A={1}")) {
+	if !emptySink.IsEmpty() || !emptySink.Equal(Set{}) {
 		t.Fatalf("NewSet() = %q, want the empty set", emptySink)
 	}
 }
@@ -153,25 +153,6 @@ func TestSetTextRoundTrip(t *testing.T) {
 	}
 	if !back.Equal(a) {
 		t.Fatalf("round trip: %v != %v", back, a)
-	}
-}
-
-func TestSetSubsetOf(t *testing.T) {
-	view := MustSet("Flights={100..104}")
-	comp := MustSet("Flights={100..199}; Seats=[0,400]")
-	if !view.SubsetOf(comp) {
-		t.Fatal("view data should be a subset of the component's")
-	}
-	if comp.SubsetOf(view) {
-		t.Fatal("superset direction must fail")
-	}
-	// A property the component lacks breaks the subset relation.
-	other := MustSet("Flights={100..104}; Gates={A1}")
-	if other.SubsetOf(comp) {
-		t.Fatal("unknown property should break the subset relation")
-	}
-	if !NewSet().SubsetOf(comp) {
-		t.Fatal("empty set is a subset of everything")
 	}
 }
 

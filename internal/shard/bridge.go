@@ -145,9 +145,11 @@ func (n *bridgeNode) Call(to string, req *wire.Message) (*wire.Message, error) {
 	}
 	b := n.bridge
 	if callee := b.lookup(to); callee != nil {
-		// In-process delivery, Inproc-style: synchronous on the caller's
-		// goroutine. Stamp a shallow clone — the caller may retry the same
-		// message and must not observe Seq/From writes.
+		// In-process delivery by pointer, synchronous on the caller's
+		// goroutine: the one transport that does not decode what it
+		// delivers, and no cache manager attaches to it (PROTOCOL.md
+		// "Ownership"). Stamp a shallow clone — the caller may retry the
+		// same message and must not observe Seq/From writes.
 		r := *req
 		req = &r
 		req.Seq = b.seq.Add(1)

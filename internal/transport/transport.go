@@ -8,8 +8,10 @@
 //
 // Three implementations share the Endpoint/Network contract:
 //
-//   - Inproc: synchronous in-process delivery (deterministic, used with the
-//     simulated clock for all experiments);
+//   - Inproc: synchronous in-process delivery of wire frames: each message
+//     is encoded and decoded through the receiving endpoint's tables, so
+//     the receiver owns what it gets, as on TCP (deterministic, used with
+//     the simulated clock for all experiments);
 //   - netsim (separate package): Inproc wrapped with a latency model and
 //     per-link statistics;
 //   - TCP (tcp.go): framed messages over stdlib net connections, for the
@@ -84,15 +86,19 @@ var (
 // handler on the caller's goroutine, which makes protocol runs fully
 // deterministic when driven single-threaded — the property the experiment
 // harness relies on. Inproc is nevertheless safe for concurrent use.
+// Requests and replies cross as frames (wire.EncodeFrame), each decoded
+// through the receiving endpoint's tables: a message a handler or caller
+// gets shares no memory with the one sent, and a type the decoder
+// refuses fails the Call at the caller.
 type Inproc struct {
 	mu    sync.RWMutex
 	nodes map[string]*inprocEndpoint
 	seq   atomic.Uint64
 	obs   Observers
 	// BeforeDeliver, if set, runs before each message is delivered (both
-	// requests and replies). The netsim package uses it to charge latency
-	// to the virtual clock.
-	beforeDeliver func(from, to string, m *wire.Message)
+	// requests and replies) with its frame's length. The netsim
+	// package uses it to charge latency to the virtual clock.
+	beforeDeliver func(from, to string, m *wire.Message, size int)
 	// faults, if set, may reject a request before delivery.
 	faults func(from, to string, m *wire.Message) error
 }
@@ -106,9 +112,10 @@ func NewInproc() *Inproc {
 // user hooks coexist. Safe to call concurrently with traffic.
 func (n *Inproc) AddObserver(o Observer) { n.obs.Add(o) }
 
-// SetBeforeDeliver installs a pre-delivery hook (nil disables). Not safe to
+// SetBeforeDeliver installs a pre-delivery hook (nil disables). The hook
+// gets the decoded message and its frame's length in bytes. Not safe to
 // call concurrently with traffic.
-func (n *Inproc) SetBeforeDeliver(fn func(from, to string, m *wire.Message)) {
+func (n *Inproc) SetBeforeDeliver(fn func(from, to string, m *wire.Message, size int)) {
 	n.beforeDeliver = fn
 }
 
@@ -132,7 +139,7 @@ func (n *Inproc) Attach(name string, h Handler) (Endpoint, error) {
 	if _, dup := n.nodes[name]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrNameTaken, name)
 	}
-	ep := &inprocEndpoint{net: n, name: name, handler: h}
+	ep := &inprocEndpoint{net: n, name: name, handler: h, tables: wire.NewTables()}
 	n.nodes[name] = ep
 	return ep, nil
 }
@@ -156,6 +163,9 @@ type inprocEndpoint struct {
 	name    string
 	handler Handler
 	closed  atomic.Bool
+	// mu guards tables: concurrent callers deliver to one endpoint.
+	mu     sync.Mutex
+	tables *wire.Tables
 }
 
 func (e *inprocEndpoint) Name() string { return e.name }
@@ -175,37 +185,60 @@ func (e *inprocEndpoint) Call(to string, req *wire.Message) (*wire.Message, erro
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, to)
 	}
-	// Stamp a shallow clone: the caller may retry the same message after a
-	// failure, or hand it to another endpoint, and must not observe the
-	// transport's Seq/From writes.
-	r := *req
-	req = &r
-	req.Seq = e.net.seq.Add(1)
-	req.From = e.name
+	seq := e.net.seq.Add(1)
+	in, size, err := callee.receive(req, seq, e.name)
+	if err != nil {
+		return nil, err
+	}
 	if f := e.net.faults; f != nil {
-		if err := f(e.name, to, req); err != nil {
+		if err := f(e.name, to, in); err != nil {
 			return nil, err
 		}
 	}
 	if bd := e.net.beforeDeliver; bd != nil {
-		bd(e.name, to, req)
+		bd(e.name, to, in, size)
 	}
-	e.net.obs.OnMessage(e.name, to, req)
+	e.net.obs.OnMessage(e.name, to, in)
 	if callee.closed.Load() {
 		return nil, fmt.Errorf("%w: %s", ErrClosed, to)
 	}
-	reply := callee.handler(req)
-	if reply == nil {
-		reply = &wire.Message{Type: wire.TAck}
+	out := callee.handler(in)
+	if out == nil {
+		out = bareAck
 	}
-	reply.Seq = req.Seq
-	reply.From = to
+	reply, size, err := e.receive(out, seq, to)
+	if err != nil {
+		return nil, err
+	}
 	if bd := e.net.beforeDeliver; bd != nil {
-		bd(to, e.name, reply)
+		bd(to, e.name, reply, size)
 	}
 	e.net.obs.OnMessage(to, e.name, reply)
 	if err := wire.ErrorOf(reply); err != nil {
 		return reply, err
 	}
 	return reply, nil
+}
+
+// bareAck stands in for a handler's nil reply. Encoding never writes it.
+var bareAck = &wire.Message{Type: wire.TAck}
+
+// receive moves m to e as a frame whose header carries seq and from, and
+// decodes it through e's tables, as a TCP connection's FrameReader would:
+// the result is e's own and shares nothing with m. size is the frame's
+// length in bytes.
+func (e *inprocEndpoint) receive(m *wire.Message, seq uint64, from string) (*wire.Message, int, error) {
+	f, err := wire.EncodeFrame(m, seq, from)
+	if err != nil {
+		return nil, 0, err
+	}
+	e.mu.Lock()
+	in, err := f.Decode(e.tables)
+	e.mu.Unlock()
+	size := f.Len()
+	f.Release()
+	if err != nil {
+		return nil, 0, err
+	}
+	return in, size, nil
 }

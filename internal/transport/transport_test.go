@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"flecc/internal/image"
+	"flecc/internal/vclock"
 	"flecc/internal/wire"
 )
 
@@ -230,14 +232,69 @@ func TestInprocConcurrentCalls(t *testing.T) {
 	}
 }
 
+// TestInprocReceiverOwnsWhatItDecoded: Inproc carries every message as a
+// frame and the receiver decodes its own copy, as on TCP. A handler that
+// writes into its request's image leaves the caller's message whole, and
+// a caller that writes into its reply's image leaves the handler's.
+func TestInprocReceiverOwnsWhatItDecoded(t *testing.T) {
+	n := NewInproc()
+	img := func(ver uint64, v string) *image.Image {
+		return image.Of(vclock.Version(ver), []image.Entry{{Key: "k", Value: []byte(v), Version: 1}})
+	}
+	served := &wire.Message{Type: wire.TImage, Img: img(2, "reply")}
+	if _, err := n.Attach("dm", func(req *wire.Message) *wire.Message {
+		req.Img.Entries[0].Value[0] = 'X'
+		req.Img.Entries = req.Img.Entries[:0]
+		return served
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cm, _ := n.Attach("cm", echoHandler)
+	req := &wire.Message{Type: wire.TPush, Img: img(1, "request")}
+	reply, err := cm.Call("dm", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Img.Entries) != 1 || string(req.Img.Entries[0].Value) != "request" {
+		t.Errorf("the handler's writes reached the caller's request: %v", req.Img.Entries)
+	}
+	reply.Img.Entries[0].Value[0] = 'Y'
+	reply.Img.Entries = nil
+	if len(served.Img.Entries) != 1 || string(served.Img.Entries[0].Value) != "reply" {
+		t.Errorf("the caller's writes reached the handler's reply: %v", served.Img.Entries)
+	}
+}
+
 func TestInprocBeforeDeliverHook(t *testing.T) {
 	n := NewInproc()
 	var hops atomic.Int64
-	n.SetBeforeDeliver(func(from, to string, m *wire.Message) { hops.Add(1) })
+	n.SetBeforeDeliver(func(from, to string, m *wire.Message, _ int) { hops.Add(1) })
 	n.Attach("dm", echoHandler)
 	cm, _ := n.Attach("cm1", echoHandler)
 	cm.Call("dm", &wire.Message{Type: wire.TPull})
 	if hops.Load() != 2 {
 		t.Fatalf("hops = %d, want 2 (request + reply)", hops.Load())
+	}
+}
+
+// BenchmarkInprocCall prices the codec every in-process call pays: a
+// TPull and its one-entry TImage reply, each encoded into a frame and
+// decoded through the receiving endpoint's tables.
+func BenchmarkInprocCall(b *testing.B) {
+	n := NewInproc()
+	reply := &wire.Message{Type: wire.TImage, Version: 7, Img: image.Of(7, []image.Entry{
+		{Key: "flight/100", Value: []byte("NYC|BOS|200|3"), Version: 7, Writer: "agent-1"},
+	})}
+	if _, err := n.Attach("dm", func(*wire.Message) *wire.Message { return reply }); err != nil {
+		b.Fatal(err)
+	}
+	cm, _ := n.Attach("agent-1", echoHandler)
+	req := &wire.Message{Type: wire.TPull, Since: 6, Version: 5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := cm.Call("dm", req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

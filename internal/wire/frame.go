@@ -58,6 +58,14 @@ func (f *EncodedFrame) Len() int { return len(f.enc.buf) }
 // it is valid until Release.
 func (f *EncodedFrame) Bytes() []byte { return f.enc.buf }
 
+// Decode decodes the frame's message through t, as a FrameReader that
+// read the frame off a stream would: the message shares no memory with
+// the frame, which may be released at once. An in-process transport
+// delivers every message this way.
+func (f *EncodedFrame) Decode(t *Tables) (*Message, error) {
+	return decode(f.enc.buf[4:], t)
+}
+
 // Release returns the frame to the pool. The frame (and any Bytes slice
 // taken from it) must not be used afterwards; a second Release would
 // hand one frame to two owners.
