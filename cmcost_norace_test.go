@@ -7,8 +7,8 @@ package flecc_test
 // quarter of pool puts at random, so a race build also pays for fresh
 // frames (cmcost_race_test.go).
 const (
-	cleanFetchAllocs  = 4
+	cleanFetchAllocs  = 2
 	pushOneOf64Allocs = 10
-	reserveLoopAllocs = 16
-	gatherRoundAllocs = 46 // per op, over gatherSharers-1 legs
+	reserveLoopAllocs = 13
+	gatherRoundAllocs = 30 // per op, over gatherSharers-1 legs
 )

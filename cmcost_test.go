@@ -168,10 +168,12 @@ func TestCMCostCleanFetch(t *testing.T) {
 	if r.lastFetch.Type != wire.TImage || r.lastFetch.Img != nil {
 		t.Errorf("clean fetch replied %s with image %v, want an image-less %s", r.lastFetch.Type, r.lastFetch.Img, wire.TImage)
 	}
-	// Measured 4 (request, the view's decoded copy, reply, the
-	// directory's decoded copy), 5 under -race, against 76 for the same
-	// view behind hiddenCodec: the clean path builds no image, clones no
-	// property set and encodes no flight.
+	// Measured 2 (the request and the directory's decoded reply), 3 under
+	// -race, against 76 for the same view behind hiddenCodec: the clean
+	// path builds no image, clones no property set and encodes no flight,
+	// answers with one shared reply, and the view's decoded request goes
+	// back to the wire pool. 4 while each clean reply was built afresh and
+	// each decoded request left to the collector.
 	if n := testing.AllocsPerRun(100, func() { r.fetch(t) }); n > cleanFetchAllocs {
 		t.Errorf("clean fetch: %v allocs, want <= %d", n, cleanFetchAllocs)
 	}
@@ -268,7 +270,10 @@ func TestReserveLoopAllocs(t *testing.T) {
 	for range 2 * reserveLoopFlights {
 		op() // every flight committed once: the steady state
 	}
-	// Measured 16, 18 under -race: 13 while calls crossed by pointer
+	// Measured 13, 15 under -race: 16 while the store's commit copied the
+	// delta's entries and wrapped them in an image for the merge and the
+	// decoded pull request was left to the collector, 13 while calls
+	// crossed by pointer
 	// (a stamped copy per call instead of 6 decoded objects per op, and
 	// the empty pull reply carried an image), 15 while the directory's
 	// merge decoded each pushed flight's route into fresh strings, 18
@@ -276,10 +281,10 @@ func TestReserveLoopAllocs(t *testing.T) {
 	// delta's image was allocated apart from its round, 27 while each pull
 	// brought back the flight the previous push committed (48 with
 	// map-backed images). What is left: the pull request, a reply per
-	// call, the decoded pull, reply, push (message and image, entry
-	// slice, value) and ack, the round, the view's answer (entry slice,
-	// value, image), the delta's entry slice and the store's commit. A
-	// closure allocated per pull shows as 17.
+	// call, the decoded pull reply, push (message and image, entry slice,
+	// value) and ack, the round, the view's answer (entry slice, value,
+	// image) and the delta's entry slice. A closure allocated per pull
+	// shows as 14.
 	if n := testing.AllocsPerRun(200, op); n > reserveLoopAllocs {
 		t.Errorf("reserve+push: %v allocs/op, want <= %d", n, reserveLoopAllocs)
 	}
@@ -333,12 +338,14 @@ func TestCMCostGatherRound(t *testing.T) {
 		op() // every sharer has pushed and merged the others' flights
 	}
 	const legs = gatherSharers - 1
-	// Measured 46 per op, 15.3 per leg, 51 and 17 under -race; 35 while
-	// calls crossed by pointer (a stamped copy per call instead of 16
-	// decoded objects per op). What a leg still costs: the view's decoded
-	// request, its reply and the reply's decoded copy, the round's state
-	// in forEachTarget, and the pull, reservation and push of the op
-	// spread over its legs.
+	// Measured 30 per op, 10 per leg, 37 and 12.33 under -race; 46 while
+	// each clean leg built its own reply, each decoded request was left to
+	// the collector, forEachTarget allocated its round's state and the
+	// store's commit copied the delta; 35 while calls crossed by pointer.
+	// What a leg still costs: its reply's decoded copy, and the pull,
+	// reservation and push of the op spread over its legs. The view's
+	// decoded request goes back to the wire pool, its reply is shared, and
+	// the round is pooled.
 	const ceiling = float64(gatherRoundAllocs) / legs
 	if n := testing.AllocsPerRun(200, op) / legs; n > ceiling {
 		t.Errorf("gather leg: %.2f allocs, want <= %.2f", n, ceiling)

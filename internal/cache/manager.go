@@ -677,7 +677,7 @@ func (m *Manager) handleCollect(invalidate bool) *wire.Message {
 		m.cond.Wait()
 	}
 	if !m.initialized {
-		return &wire.Message{Type: wire.TImage}
+		return cleanCollect
 	}
 	x, err := m.extractDeltaLocked()
 	if err != nil {
@@ -689,6 +689,9 @@ func (m *Manager) handleCollect(invalidate bool) *wire.Message {
 		m.valid = false
 		m.invalidations++
 	}
+	if x.delta.Entries == nil && x.ops == 0 {
+		return cleanCollect
+	}
 	reply := &wire.Message{Type: wire.TImage, Ops: uint32(x.ops)}
 	if x.delta.Entries != nil {
 		// A copy of the header: taking &x.delta would move x to the heap
@@ -697,6 +700,10 @@ func (m *Manager) handleCollect(invalidate bool) *wire.Message {
 	}
 	return reply
 }
+
+// cleanCollect answers every collect that surrenders nothing. It is shared
+// and read-only: transports encode a handler's reply and never write it.
+var cleanCollect = &wire.Message{Type: wire.TImage}
 
 // handleUpdate applies a DM-initiated update (push-propagation, used by
 // the propagation ablation).

@@ -94,3 +94,32 @@ func TestFanoutEveryTargetOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestFanoutRoundAllocs: a round's state is one pooled record, so at
+// width 1 a round allocates nothing of its own, and at width 4 nothing but
+// its helper goroutines. The lowest-index error still wins, from a helper
+// as from the caller. Both read 0, under -race too: a record the race
+// detector's pool drops costs two objects a quarter of the time, which
+// AllocsPerRun's whole-number mean rounds away.
+func TestFanoutRoundAllocs(t *testing.T) {
+	targets := []string{"v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7"}
+	errs := map[string]error{"v2": fmt.Errorf("v2"), "v5": fmt.Errorf("v5"), "v7": fmt.Errorf("v7")}
+	call := func(target string) error { return errs[target] }
+	for _, tc := range []struct {
+		width   int
+		ceiling float64
+	}{
+		{1, 0},
+		{4, 3},
+	} {
+		m := &Manager{opts: Options{FanOut: tc.width}, latFanout: metrics.NewLatency("fanout")}
+		var err error
+		n := testing.AllocsPerRun(200, func() { err = m.forEachTarget(targets, call) })
+		if n > tc.ceiling {
+			t.Errorf("width %d: a round allocates %v, want <= %v", tc.width, n, tc.ceiling)
+		}
+		if fmt.Sprint(err) != "v2" {
+			t.Errorf("width %d: err = %v, want v2 (lowest failing index)", tc.width, err)
+		}
+	}
+}

@@ -178,6 +178,11 @@ type Manager struct {
 	latPush   *metrics.Latency
 	latFanout *metrics.Latency
 
+	// fetchLeg and invalLeg are the per-target calls of handlePull's
+	// gather and invalidation rounds, bound once so a round allocates no
+	// closure.
+	fetchLeg, invalLeg func(target string) error
+
 	// vmu guards the views map itself; each viewState carries its own
 	// lock for its mutable fields. Replaces the old single Manager.mu
 	// that serialized every request's state access.
@@ -227,6 +232,8 @@ func New(name string, primary image.Codec, clock vclock.Clock, net transport.Net
 	if opts.Resolver != nil {
 		m.store.SetResolver(opts.Resolver)
 	}
+	m.fetchLeg = func(target string) error { return m.collectLeg(target, wire.TPull, "fetch from") }
+	m.invalLeg = func(target string) error { return m.collectLeg(target, wire.TInvalidate, "invalidate") }
 	m.lanes = newLaneSet(m, max(1, opts.Lanes))
 	m.compactAt.Store(minCompactAt)
 	if opts.Snapshot != nil {
@@ -591,7 +598,7 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 		}
 		// 1. Invalidation set (invalidationSet).
 		inval := m.invalidationSet(view, conflicting, mode, req.Op)
-		if err := m.collectRound(inval, wire.TInvalidate, "invalidate"); err != nil {
+		if err := m.forEachTarget(inval, m.invalLeg); err != nil {
 			return errf("%v", err)
 		}
 		contacted = contacted || len(inval) > 0
@@ -602,7 +609,7 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 		if attempt == 0 && m.shouldGather(vs) {
 			sharers := m.activeAmong(m.reg.ConflictingWith(view, false))
 			contacted = contacted || len(sharers) > 0
-			if err := m.collectRound(sharers, wire.TPull, "fetch from"); err != nil {
+			if err := m.forEachTarget(sharers, m.fetchLeg); err != nil {
 				return errf("%v", err)
 			}
 		}
@@ -695,18 +702,13 @@ func (m *Manager) claim(vs *viewState, conflicting []string, epoch uint64, mode 
 	return true, m.transition(vs, evServe) == PhaseActive
 }
 
-// collectRound runs collect on every target in one fan-out round. what
-// names the request in errors.
-func (m *Manager) collectRound(targets []string, typ wire.Type, what string) error {
-	if len(targets) == 0 {
-		return nil
+// collectLeg is one target's call in a gather (TPull) or invalidation
+// round. what names the request in errors.
+func (m *Manager) collectLeg(target string, typ wire.Type, what string) error {
+	if err := m.collect(target, typ); err != nil {
+		return fmt.Errorf("%s %s: %v", what, target, err)
 	}
-	return m.forEachTarget(targets, func(other string) error {
-		if err := m.collect(other, typ); err != nil {
-			return fmt.Errorf("%s %s: %v", what, other, err)
-		}
-		return nil
-	})
+	return nil
 }
 
 // shouldGather evaluates the view's validity trigger: a pull gathers
@@ -778,36 +780,65 @@ func (m *Manager) fanOut() int {
 // carries its own eviction semantics), and the first error in slice order
 // is reported afterwards. At width 1 the caller is the only worker, so the
 // calls run one at a time in slice order on the calling goroutine — the
-// contact order the deterministic experiment harness relies on.
+// contact order the deterministic experiment harness relies on. The
+// round's state is one pooled record, so a round allocates nothing but
+// its helpers.
 func (m *Manager) forEachTarget(targets []string, call func(target string) error) error {
 	if len(targets) == 0 {
 		return nil
 	}
 	start := time.Now()
-	defer func() { m.latFanout.Observe(time.Since(start)) }()
-	errs := make([]error, len(targets))
-	var next atomic.Int64
-	work := func() {
-		for i := next.Add(1) - 1; i < int64(len(targets)); i = next.Add(1) - 1 {
-			errs[i] = call(targets[i])
-		}
-	}
-	var wg sync.WaitGroup
+	r := rounds.Get().(*round)
+	r.targets, r.call = targets, call
 	for helpers := min(m.fanOut(), len(targets)) - 1; helpers > 0; helpers-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+		r.wg.Add(1)
+		go r.help()
 	}
-	work()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	r.work()
+	r.wg.Wait()
+	err := r.err
+	r.targets, r.call, r.err = nil, nil, nil
+	r.next.Store(0)
+	rounds.Put(r)
+	m.latFanout.Observe(time.Since(start))
+	return err
+}
+
+// round is one forEachTarget round: the targets, the call, the counter
+// its workers take indices from, and the lowest-index error so far.
+type round struct {
+	targets []string
+	call    func(target string) error
+	next    atomic.Int64
+	wg      sync.WaitGroup // the helpers
+	help    func()         // helper bound once, so starting one allocates no closure
+
+	mu    sync.Mutex // guards err and errAt
+	err   error
+	errAt int
+}
+
+// rounds pools round records with their bound helper.
+var rounds = sync.Pool{New: func() any {
+	r := &round{}
+	r.help = func() {
+		defer r.wg.Done()
+		r.work()
+	}
+	return r
+}}
+
+// work calls the target at each index it takes until none is left.
+func (r *round) work() {
+	for i := int(r.next.Add(1) - 1); i < len(r.targets); i = int(r.next.Add(1) - 1) {
+		if err := r.call(r.targets[i]); err != nil {
+			r.mu.Lock()
+			if r.err == nil || i < r.errAt {
+				r.err, r.errAt = err, i
+			}
+			r.mu.Unlock()
 		}
 	}
-	return nil
 }
 
 // callView is every DM-initiated call: bounded retry-with-backoff under
@@ -1146,7 +1177,9 @@ func (m *Manager) Mode(view string) wire.Mode {
 
 // CommitLocal lets the original component itself commit an update (e.g. an
 // administrative change to the primary data). It is also used by tests.
-// Like pushed commits, it barriers on replication before returning.
+// Like pushed commits, it barriers on replication before returning. Like
+// Store.Commit, it takes the delta: a caller that still needs the image
+// afterwards commits a clone.
 func (m *Manager) CommitLocal(delta *image.Image, ops int) (vclock.Version, error) {
 	var (
 		v   vclock.Version

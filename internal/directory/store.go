@@ -183,6 +183,9 @@ func (s *Store) ConflictsSeen() int {
 //
 // An empty delta commits nothing and returns the current version.
 //
+// Commit takes the delta: it filters, stamps and merges its entries in
+// place. A caller that still needs the image afterwards commits a clone.
+//
 // Concurrent Commit calls must touch disjoint keys: the shadow entries
 // for a delta's keys must not move while its commit runs. The directory
 // manager's execution lanes (lanes.go) guarantee it — two commits in
@@ -214,19 +217,22 @@ func (s *Store) orCurrent(ver vclock.Version, conflicts int, rejected *image.Ima
 // props are dropped before anything else: Merge would skip them, so they
 // must not be stamped as committed either. A delta left empty commits
 // nothing and returns version 0, so the caller can tell that no version
-// is this commit's (orCurrent).
+// is this commit's (orCurrent). Like Commit, it takes the delta and works
+// on it in place: the entries it commits are the delta's own, and the
+// image it merges is the delta.
 func (s *Store) commitGated(writer string, props property.Set, delta *image.Image, ops int) (vclock.Version, int, *image.Image, error) {
 	if delta == nil || delta.Len() == 0 {
 		return 0, 0, nil, nil
 	}
 	// The entries to commit, in the delta's key order, each with the
 	// shadow entry the resolver stamps "ours" with when it conflicts.
+	// Filtered in place: apply never gets ahead of the entry it reads.
 	type conflict struct {
 		at    int // index into apply
 		prior shadowEntry
 	}
 	var conflicts []conflict
-	apply := make([]image.Entry, 0, delta.Len())
+	apply := delta.Entries[:0]
 	for _, e := range delta.Entries {
 		if s.scope != nil && !s.scope.InScope(props, e.Key) {
 			continue
@@ -314,11 +320,12 @@ func (s *Store) commitGated(writer string, props property.Set, delta *image.Imag
 		apply[i].Version = newVer
 		apply[i].Writer = writer
 	}
+	delta.Version, delta.Entries = newVer, apply
 	if len(apply) > 0 {
 		// Merge into the codec before publishing the shadow stamps: a
 		// reader that sees a new stamp is guaranteed the codec already
 		// holds at least that value, and a failed merge leaves no stamp.
-		if err := s.primary.Merge(&image.Image{Version: newVer, Entries: apply}, props); err != nil {
+		if err := s.primary.Merge(delta, props); err != nil {
 			return 0, 0, nil, fmt.Errorf("directory: merge into primary: %w", err)
 		}
 	}

@@ -289,7 +289,8 @@ func TestStoreFailedCommitLeavesNoTrace(t *testing.T) {
 
 			d := delta("k", "b")
 			d.Entries[0].Version = tc.arm(st, ms)
-			if _, _, _, err := st.Commit("v2", d, 1); err == nil {
+			// A commit takes its delta; d is committed again below.
+			if _, _, _, err := st.Commit("v2", d.Clone(), 1); err == nil {
 				t.Fatal("commit should have failed")
 			}
 

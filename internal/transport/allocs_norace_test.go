@@ -2,6 +2,6 @@
 
 package transport
 
-// roundTripAllocs is TestTCPCallAllocs' ceiling: the decoded request, the
-// handler's reply and the decoded reply.
-const roundTripAllocs = 3
+// roundTripAllocs is TestTCPCallAllocs' ceiling: the handler's reply and
+// the decoded reply. The decoded request goes back to the wire pool.
+const roundTripAllocs = 2

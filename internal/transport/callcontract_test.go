@@ -13,61 +13,72 @@ import (
 	"flecc/internal/wire"
 )
 
+// contractRig builds a calling endpoint whose callee answers with h, and
+// returns it with the callee's name.
+type contractRig struct {
+	name string
+	rig  func(t *testing.T, h transport.Handler) (transport.Endpoint, string)
+}
+
+// contractRigs are the transports the call contracts hold on: Inproc,
+// Faulty wrapping it (with an observer, so requests pass through the
+// observed path), and TCP in both directions.
+var contractRigs = []contractRig{
+	{"inproc", func(t *testing.T, h transport.Handler) (transport.Endpoint, string) {
+		n := transport.NewInproc()
+		attach(t, n, "callee", h)
+		return attach(t, n, "caller", h), "callee"
+	}},
+	{"faulty", func(t *testing.T, h transport.Handler) (transport.Endpoint, string) {
+		n := transport.NewFaulty(transport.NewInproc(), 1)
+		n.AddObserver(transport.ObserverFunc(func(_, _ string, m *wire.Message) { _ = m.Seq }))
+		attach(t, n, "callee", h)
+		return attach(t, n, "caller", h), "callee"
+	}},
+	{"tcp-client", func(t *testing.T, h transport.Handler) (transport.Endpoint, string) {
+		s, c := tcpPair(t, h)
+		s.AddObserver(transport.ObserverFunc(func(_, _ string, m *wire.Message) { _ = m.Seq }))
+		return c, "dm"
+	}},
+	{"tcp-server", func(t *testing.T, h transport.Handler) (transport.Endpoint, string) {
+		s, c := tcpPair(t, h)
+		c.AddObserver(transport.ObserverFunc(func(_, _ string, m *wire.Message) { _ = m.Seq }))
+		// The server can call a client once it has admitted it.
+		if _, err := c.Call("dm", &wire.Message{Type: wire.TPull}); err != nil {
+			t.Fatal(err)
+		}
+		return s, "cm"
+	}},
+}
+
+func attach(t *testing.T, n transport.Network, name string, h transport.Handler) transport.Endpoint {
+	t.Helper()
+	ep, err := n.Attach(name, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ep.Close() })
+	return ep
+}
+
 // TestCallNeverWritesRequest holds every endpoint to the Call contract: the
 // request a caller hands Call is read, never written, so one message may be
 // sent by several goroutines at once (the directory shares each view's
 // collect requests across rounds). Eight goroutines call with one message;
 // under -race a write shows as a data race, and the message must come back
-// field-for-field as it went out.
+// field-for-field as it went out. The shard bridge, which delivers by
+// pointer, holds to it too.
 func TestCallNeverWritesRequest(t *testing.T) {
 	reply := func(*wire.Message) *wire.Message { return &wire.Message{Type: wire.TAck} }
-	attach := func(t *testing.T, n transport.Network, name string) transport.Endpoint {
-		t.Helper()
-		ep, err := n.Attach(name, reply)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ep.Close() })
-		return ep
-	}
-	// Each case returns the calling endpoint and the callee's name.
-	cases := []struct {
-		name string
-		rig  func(t *testing.T) (transport.Endpoint, string)
-	}{
-		{"inproc", func(t *testing.T) (transport.Endpoint, string) {
-			n := transport.NewInproc()
-			attach(t, n, "callee")
-			return attach(t, n, "caller"), "callee"
-		}},
-		{"faulty", func(t *testing.T) (transport.Endpoint, string) {
-			n := transport.NewFaulty(transport.NewInproc(), 1)
-			n.AddObserver(transport.ObserverFunc(func(_, _ string, m *wire.Message) { _ = m.Seq }))
-			attach(t, n, "callee")
-			return attach(t, n, "caller"), "callee"
-		}},
-		{"bridge", func(t *testing.T) (transport.Endpoint, string) {
-			b := shard.NewBridge()
-			t.Cleanup(func() { b.Close() })
-			attach(t, b, "callee")
-			return attach(t, b, "caller"), "callee"
-		}},
-		{"tcp-client", func(t *testing.T) (transport.Endpoint, string) {
-			_, c := tcpPair(t, reply)
-			return c, "dm"
-		}},
-		{"tcp-server", func(t *testing.T) (transport.Endpoint, string) {
-			s, c := tcpPair(t, reply)
-			// The server can call a client once it has admitted it.
-			if _, err := c.Call("dm", &wire.Message{Type: wire.TPull}); err != nil {
-				t.Fatal(err)
-			}
-			return s, "cm"
-		}},
-	}
-	for _, tc := range cases {
+	bridge := contractRig{"bridge", func(t *testing.T, h transport.Handler) (transport.Endpoint, string) {
+		b := shard.NewBridge()
+		t.Cleanup(func() { b.Close() })
+		attach(t, b, "callee", h)
+		return attach(t, b, "caller", h), "callee"
+	}}
+	for _, tc := range append([]contractRig{bridge}, contractRigs...) {
 		t.Run(tc.name, func(t *testing.T) {
-			ep, to := tc.rig(t)
+			ep, to := tc.rig(t, reply)
 			img := image.New()
 			img.Put(image.Entry{Key: "k", Value: []byte("v"), Version: 3, Writer: "w"})
 			req := &wire.Message{Type: wire.TPush, View: "v", Since: 7, Version: 9, Ops: 2, Img: img}
@@ -113,4 +124,90 @@ func tcpPair(t *testing.T, h transport.Handler) (*transport.Server, *transport.C
 	}
 	t.Cleanup(func() { c.Close() })
 	return s, c
+}
+
+// TestCallNeverWritesReply holds every transport a cache or directory
+// manager attaches to to the Handler contract: a reply is encoded, never
+// written, so a handler may answer every request with one shared reply (a
+// cache manager's clean collect does). Eight goroutines call a handler
+// that returns one reply; under -race a write shows as a data race, the
+// reply must stay field-for-field as it was, and each caller must read its
+// own call's Seq, which the frame header carries.
+func TestCallNeverWritesReply(t *testing.T) {
+	img := image.New()
+	img.Put(image.Entry{Key: "k", Value: []byte("v"), Version: 3, Writer: "w"})
+	shared := &wire.Message{Type: wire.TImage, View: "v", Version: 9, Ops: 2, Img: img}
+	want := *shared
+	wantImg := img.Clone()
+	reply := func(*wire.Message) *wire.Message { return shared }
+	for _, tc := range contractRigs {
+		t.Run(tc.name, func(t *testing.T) {
+			ep, to := tc.rig(t, reply)
+			var (
+				mu   sync.Mutex
+				seqs = map[uint64]bool{}
+				wg   sync.WaitGroup
+			)
+			for range 8 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for range 25 {
+						got, err := ep.Call(to, &wire.Message{Type: wire.TPull, View: "v"})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						mu.Lock()
+						dup := seqs[got.Seq]
+						seqs[got.Seq] = true
+						mu.Unlock()
+						if got.Seq == 0 || dup || got.From != to {
+							t.Errorf("reply seq %d from %q: want a Seq of its own (repeat: %v), from %q", got.Seq, got.From, dup, to)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if !reflect.DeepEqual(*shared, want) {
+				t.Errorf("a transport wrote the reply: %+v, want %+v", *shared, want)
+			}
+			if !reflect.DeepEqual(shared.Img, wantImg) {
+				t.Errorf("a transport wrote the reply's image: %+v, want %+v", shared.Img, wantImg)
+			}
+		})
+	}
+}
+
+// TestKeptRequestReadsZero: a transport recycles a request once its
+// handler has returned, zeroed, so a handler that broke the contract and
+// kept it reads a zero message rather than another call's request. The
+// reply carries an image, so decoding it takes no message from the pool
+// the request went back to.
+func TestKeptRequestReadsZero(t *testing.T) {
+	img := image.New()
+	img.Put(image.Entry{Key: "k", Value: []byte("v")})
+	kept := make(chan *wire.Message, 1)
+	keep := func(req *wire.Message) *wire.Message {
+		select {
+		case kept <- req:
+		default:
+		}
+		return &wire.Message{Type: wire.TImage, Img: img}
+	}
+	for _, tc := range contractRigs {
+		if tc.name == "tcp-server" {
+			continue // its admitting call would be the request kept
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			ep, to := tc.rig(t, keep)
+			if _, err := ep.Call(to, &wire.Message{Type: wire.TPull, View: "v", Since: 7}); err != nil {
+				t.Fatal(err)
+			}
+			if m := <-kept; !reflect.DeepEqual(*m, wire.Message{}) {
+				t.Errorf("kept request reads %+v after its handler returned, want a zero message", *m)
+			}
+		})
+	}
 }

@@ -13,12 +13,12 @@ import (
 
 // TestTCPCallAllocs pins the allocation cost of one warm loopback round
 // trip, counted across both ends of the connection: a client call and a
-// server-initiated call. What remains is the decoded request, the
-// handler's reply and the decoded reply; call records, timers, frames,
-// batch slices, the drainer start, node names and the parked worker that
-// serves the request are all reused. The ceiling is roundTripAllocs: the
-// measured 3, or the race detector's own reading (it drops a quarter of
-// pool puts at random).
+// server-initiated call. What remains is the handler's reply and the
+// decoded reply; call records, timers, frames, batch slices, the drainer
+// start, node names, the parked worker that serves the request and the
+// decoded request itself are all reused. The ceiling is roundTripAllocs:
+// the measured 2, or the race detector's own reading (it drops a quarter
+// of pool puts at random).
 func TestTCPCallAllocs(t *testing.T) {
 	s := newTestServer(t, echoHandler)
 	c := dialTest(t, s, "cm1", echoHandler)

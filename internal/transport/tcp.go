@@ -200,16 +200,29 @@ const maxIdleWorkers = 8
 // over. It exits when the read loop ends, or instead of parking when
 // maxIdleWorkers others are parked already. Each reply is enqueued like
 // every frame, so concurrent replies coalesce into shared flushes.
+//
+// The reply is never written: its frame's header carries the request's
+// Seq and the peer's name, and observers get a stamped copy. The request
+// goes back to the wire pool once the reply is encoded, before the reply
+// is queued, so nothing the caller does after its reply arrives can meet
+// the recycling.
 func (p *peer) worker(req *wire.Message) {
 	defer p.wg.Done()
 	for {
 		reply := p.serve(req)
-		reply.Seq = req.Seq
-		reply.From = p.name
-		if p.obs != nil {
-			p.obs.OnMessage(p.name, req.From, reply)
+		if p.obs != nil && p.obs.active() {
+			r := *reply
+			r.Seq, r.From = req.Seq, p.name
+			p.obs.OnMessage(p.name, req.From, &r)
 		}
-		if err := p.wq.sendAsync(reply); err != nil {
+		f, err := wire.EncodeFrame(reply, req.Seq, p.name)
+		if reply != req {
+			wire.Recycle(req)
+		}
+		if err == nil {
+			err = p.wq.enqueue(f)
+		}
+		if err != nil {
 			p.shutdown(err)
 		}
 		p.serving.Add(-1)
@@ -237,7 +250,7 @@ func (p *peer) serve(req *wire.Message) (reply *wire.Message) {
 	}
 	reply = p.handler(req)
 	if reply == nil {
-		reply = &wire.Message{Type: wire.TAck}
+		reply = bareAck
 	}
 	return reply
 }

@@ -284,9 +284,11 @@ func TestDialHandshake(t *testing.T) {
 	s := newTestServer(t, func(req *wire.Message) *wire.Message {
 		return &wire.Message{Type: wire.TAck}
 	})
-	got := make(chan *wire.Message, 1)
+	// The handler sends what it saw, not req: the client recycles req once
+	// the handler returns.
+	got := make(chan wire.Type, 1)
 	c, err := Dial(s.Addr().String(), "v1", func(req *wire.Message) *wire.Message {
-		got <- req
+		got <- req.Type
 		return &wire.Message{Type: wire.TAck}
 	}, 2*time.Second)
 	if err != nil {
@@ -308,9 +310,8 @@ func TestDialHandshake(t *testing.T) {
 	if _, err := s.Call("v1", &wire.Message{Type: wire.TInvalidate, View: "v1"}); err != nil {
 		t.Fatal(err)
 	}
-	req := <-got
-	if req.Type != wire.TInvalidate {
-		t.Fatalf("client saw %s", req.Type)
+	if typ := <-got; typ != wire.TInvalidate {
+		t.Fatalf("client saw %s", typ)
 	}
 }
 

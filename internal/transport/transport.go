@@ -27,9 +27,12 @@ import (
 	"flecc/internal/wire"
 )
 
-// Handler serves one incoming request and returns the reply. Handlers must
-// not retain req or the returned message after returning; endpoints may
-// reuse them. A nil reply is converted to a bare TAck.
+// Handler serves one incoming request and returns the reply. req is
+// valid until the handler returns: the endpoint then recycles it
+// (wire.Recycle), so a handler keeps what it needs of it (fields, the
+// image) and never the message itself. The reply is encoded and never
+// written, so one reply may answer many requests at once; the frame
+// header carries its Seq and From. A nil reply is sent as a bare TAck.
 type Handler func(req *wire.Message) *wire.Message
 
 // Endpoint is a named node attached to a network.
@@ -62,7 +65,8 @@ type Network interface {
 // observers can watch the same traffic; see Observers for ordering.
 type Observer interface {
 	// OnMessage is invoked once per message with the sending and receiving
-	// node names.
+	// node names. m is valid only during the call: a request is recycled
+	// once its handler returns.
 	OnMessage(from, to string, m *wire.Message)
 }
 
@@ -207,6 +211,9 @@ func (e *inprocEndpoint) Call(to string, req *wire.Message) (*wire.Message, erro
 		out = bareAck
 	}
 	reply, size, err := e.receive(out, seq, to)
+	if out != in {
+		wire.Recycle(in)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +227,8 @@ func (e *inprocEndpoint) Call(to string, req *wire.Message) (*wire.Message, erro
 	return reply, nil
 }
 
-// bareAck stands in for a handler's nil reply. Encoding never writes it.
+// bareAck stands in for a handler's nil reply, on every transport.
+// Transports encode replies and never write them.
 var bareAck = &wire.Message{Type: wire.TAck}
 
 // receive moves m to e as a frame whose header carries seq and from, and

@@ -119,6 +119,11 @@ func (q *writeQueue) sendAs(m *wire.Message, seq uint64, from string) error {
 	if err != nil {
 		return err
 	}
+	return q.enqueue(f)
+}
+
+// enqueue queues an encoded frame, taking ownership of it.
+func (q *writeQueue) enqueue(f *wire.EncodedFrame) error {
 	q.mu.Lock()
 	if q.err != nil {
 		err := q.err

@@ -81,9 +81,9 @@ func (r *repeatFrames) Read(p []byte) (int, error) {
 // buffered wire path. The ceilings are what pooling and the reader's name
 // and key tables buy: the write side is alloc-free for small messages, and
 // the read side allocates only the decoded Message with its image, the
-// entry slice and the values — never the payload buffer, the length
-// header, or a node name or key it has read before. Measured at the
-// ceilings, under -race too.
+// entry slice and one copy of the values — never the payload buffer, the
+// length header, or a node name or key it has read before. Measured at
+// the ceilings, under -race too.
 func TestRoundTripAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -96,12 +96,12 @@ func TestRoundTripAllocs(t *testing.T) {
 		// A one-entry push, the reserve loop's: the Message and its image
 		// (one object), the entry slice and the value.
 		{"one-entry-push", allocTestMessage(1), 3},
-		// A keyed-image push pays per entry for its value copy alone: the
+		// A keyed-image push pays no more than a one-entry one: the
 		// Message and its image are one object, the entry slice is sized
-		// from the declared count, the key and the writer are interned,
-		// images carry no property set, and the write side walks the image
-		// in its own key order.
-		{"keyed-push", allocTestMessage(8), 10},
+		// from the declared count, the values are one copy, the key and
+		// the writer are interned, images carry no property set, and the
+		// write side walks the image in its own key order.
+		{"keyed-push", allocTestMessage(8), 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,5 +131,55 @@ func TestRoundTripAllocs(t *testing.T) {
 				t.Errorf("round-trip allocs/op = %.1f, want <= %.0f", got, tc.max)
 			}
 		})
+	}
+}
+
+// TestDecodedValuesOneCopy: a decoded image's values are one owned copy
+// of the frame's bytes, so decoding an 8-entry image costs as many
+// allocations as decoding a 1-entry one (the message with its image, the
+// entry slice and the values, keys and writers interned). Each value is
+// clipped to its own length: appending to one never reaches the next, and
+// none reads the frame's bytes once it is decoded.
+func TestDecodedValuesOneCopy(t *testing.T) {
+	decoded := func(entries int) (*Message, float64) {
+		m := allocTestMessage(entries)
+		f, err := EncodeFrame(m, m.Seq, m.From)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables := NewTables()
+		got, err := f.Decode(tables) // warms the tables
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := f.Decode(tables); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for i := range f.Bytes() {
+			f.Bytes()[i] = 0xff
+		}
+		f.Release()
+		if !messagesEqual(m, got) {
+			t.Fatalf("%d-entry image reads the frame's bytes after decoding", entries)
+		}
+		return got, allocs
+	}
+	_, one := decoded(1)
+	got, eight := decoded(8)
+	if eight != one {
+		t.Errorf("decoding 8 entries: %v allocs, 1 entry: %v; want the same", eight, one)
+	}
+	ents := got.Img.Entries
+	next := bytes.Clone(ents[1].Value)
+	for i, e := range ents {
+		if cap(e.Value) != len(e.Value) {
+			t.Fatalf("value %d: cap %d past its length %d", i, cap(e.Value), len(e.Value))
+		}
+	}
+	_ = append(ents[0].Value, "overrun"...)
+	if !bytes.Equal(ents[1].Value, next) {
+		t.Errorf("appending to value 0 rewrote value 1: %q, want %q", ents[1].Value, next)
 	}
 }

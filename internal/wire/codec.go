@@ -274,12 +274,23 @@ func (d *Decoder) skip() {
 
 // Bytes reads a uvarint-length-prefixed byte slice (nil when empty).
 func (d *Decoder) Bytes() []byte {
+	v := d.span()
+	if v == nil {
+		return nil
+	}
+	b := make([]byte, len(v))
+	copy(b, v)
+	return b
+}
+
+// span reads a uvarint-length-prefixed byte slice as a subslice of the
+// input (nil when empty): the caller copies it before the input goes.
+func (d *Decoder) span() []byte {
 	n := d.length("bytes", 1)
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:d.off+n])
+	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return b
 }
@@ -451,7 +462,7 @@ func decode(b []byte, t *Tables) (*Message, error) {
 		s.Img = &s.img
 		m = &s.Message
 	} else {
-		m = &Message{}
+		m = messages.Get().(*Message)
 	}
 	m.Type, m.Seq, m.From, m.View = typ, seq, from, view
 	if bits&hasVersion != 0 {
@@ -512,6 +523,24 @@ func decode(b []byte, t *Tables) (*Message, error) {
 	return m, nil
 }
 
+// messages pools the decoded messages that carry no image: a transport
+// hands a request back (Recycle) once its handler has returned. A message
+// with an image is one object with it and is left to the collector.
+var messages = sync.Pool{New: func() any { return new(Message) }}
+
+// Recycle returns a decoded request to the pool once nothing reads it any
+// more: a transport calls it after the request's handler has returned and
+// its reply has been encoded. It zeroes the message first, so a handler
+// that kept its request past return reads a zero message. A message that
+// carries an image is left alone.
+func Recycle(m *Message) {
+	if m == nil || m.Img != nil {
+		return
+	}
+	*m = Message{}
+	messages.Put(m)
+}
+
 // imageEntryMin is the smallest encoded image entry: three empty
 // length-prefixed fields, a one-byte version and the tombstone flag.
 const imageEntryMin = 5
@@ -520,16 +549,22 @@ const imageEntryMin = 5
 // must strictly increase: an unsorted or repeated key fails the decode
 // instead of yielding an image that is not one. Keys and writers go
 // through the decoder's tables when it has them (a FrameReader's).
+//
+// The values of an image that decodes share one owned buffer, sized
+// exactly: each is a capacity-clipped subslice of it, so appending to one
+// value reallocates it instead of reaching its neighbour, and none
+// aliases the input. After an error they may still point into the input.
 func (d *Decoder) ImageEntries(im *image.Image) error {
 	im.Version = vclock.Version(d.Uvarint())
 	n := d.Count(imageEntryMin)
 	if n > 0 {
 		im.Entries = make([]image.Entry, 0, n)
 	}
+	total := 0
 	for i := 0; i < n; i++ {
 		var ent image.Entry
 		ent.Key = d.Key()
-		ent.Value = d.Bytes()
+		ent.Value = d.span()
 		ent.Version = vclock.Version(d.Uvarint())
 		ent.Writer = d.Name()
 		ent.Deleted = d.Bool()
@@ -540,9 +575,23 @@ func (d *Decoder) ImageEntries(im *image.Image) error {
 			d.Fail(fmt.Errorf("wire: image key %q not after %q", ent.Key, im.Entries[i-1].Key))
 			break
 		}
+		total += len(ent.Value)
 		im.Entries = append(im.Entries, ent)
 	}
-	return d.err
+	if d.err != nil || total == 0 {
+		return d.err
+	}
+	// The values still point into the input: move them into one copy.
+	own := make([]byte, 0, total)
+	for i := range im.Entries {
+		v := &im.Entries[i].Value
+		if *v != nil {
+			j := len(own)
+			own = append(own, *v...)
+			*v = own[j:len(own):len(own)]
+		}
+	}
+	return nil
 }
 
 // PropSet reads what Encoder.PropSet wrote. A property with no name, an

@@ -192,6 +192,16 @@ func TestFrameReaderNoAliasing(t *testing.T) {
 			t.Fatalf("message %d corrupted by a later read", i)
 		}
 	}
+	// The values survive whatever the reader does with its scratch next.
+	scratch := fr.scratch[:cap(fr.scratch)]
+	for i := range scratch {
+		scratch[i] = 0xff
+	}
+	for i, want := range msgs {
+		if !messagesEqual(want, got[i]) {
+			t.Fatalf("message %d shares memory with the reader's scratch", i)
+		}
+	}
 	if len(fr.t.names) == 0 {
 		t.Fatal("no node name went through the name table")
 	}
