@@ -8,7 +8,7 @@ package flecc_test
 // frames (cmcost_race_test.go).
 const (
 	cleanFetchAllocs  = 2
-	pushOneOf64Allocs = 10
-	reserveLoopAllocs = 13
-	gatherRoundAllocs = 30 // per op, over gatherSharers-1 legs
+	pushOneOf64Allocs = 9
+	reserveLoopAllocs = 8
+	gatherRoundAllocs = 23 // per op, over gatherSharers-1 legs
 )

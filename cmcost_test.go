@@ -168,12 +168,12 @@ func TestCMCostCleanFetch(t *testing.T) {
 	if r.lastFetch.Type != wire.TImage || r.lastFetch.Img != nil {
 		t.Errorf("clean fetch replied %s with image %v, want an image-less %s", r.lastFetch.Type, r.lastFetch.Img, wire.TImage)
 	}
-	// Measured 2 (the request and the directory's decoded reply), 3 under
-	// -race, against 76 for the same view behind hiddenCodec: the clean
-	// path builds no image, clones no property set and encodes no flight,
-	// answers with one shared reply, and the view's decoded request goes
-	// back to the wire pool. 4 while each clean reply was built afresh and
-	// each decoded request left to the collector.
+	// Measured 2 (the request and the directory's decoded reply, which
+	// the rig keeps), 3 under -race, against 76 for the same view behind
+	// hiddenCodec: the clean path builds no image, clones no property set
+	// and encodes no flight, answers with one shared reply, and the view's
+	// decoded request goes back to the wire pool. 4 while each clean reply
+	// was built afresh and each decoded request left to the collector.
 	if n := testing.AllocsPerRun(100, func() { r.fetch(t) }); n > cleanFetchAllocs {
 		t.Errorf("clean fetch: %v allocs, want <= %d", n, cleanFetchAllocs)
 	}
@@ -202,13 +202,15 @@ func TestCMCostPushOneOf64(t *testing.T) {
 	if got, _ := r.cm.Base().Get(airline.FlightKey(firstFlight + 17)); !strings.Contains(string(got.Value), "|1|") {
 		t.Errorf("base did not adopt the pushed flight: %q", got.Value)
 	}
-	// Measured 10, 11 under -race, against 79 for the same view behind
+	// Measured 9, 10 under -race, against 79 for the same view behind
 	// hiddenCodec; the ceiling leaves no room for work per held flight.
-	// What is left: the round, the view's answer (entry slice, encoded
-	// value, image), the delta's entry slice, the ack, and the decoded
-	// request (message and image, entry slice, value) and ack. The
-	// flight's key is rendered once per record, not per push, and the
-	// delta's image lives in the round.
+	// 10 while the view left its decoded ack to the collector. What is
+	// left: the round, the view's answer (entry slice, encoded value,
+	// image), the delta's entry slice, the rig's ack, and the decoded
+	// request (message and image, entry slice, value). The flight's key
+	// is rendered once per record, not per push, the delta's image lives
+	// in the round, and the decoded ack goes back to the wire pool once
+	// the view has folded it.
 	n := testing.AllocsPerRun(100, func() {
 		r.rs.ConfirmTickets(1, firstFlight+17)
 		if err := r.cm.PushImage(); err != nil {
@@ -270,21 +272,23 @@ func TestReserveLoopAllocs(t *testing.T) {
 	for range 2 * reserveLoopFlights {
 		op() // every flight committed once: the steady state
 	}
-	// Measured 13, 15 under -race: 16 while the store's commit copied the
+	// Measured 8, 12 under -race: 13 while the pull request, the
+	// directory's pull reply and push ack, and their decoded copies were
+	// left to the collector; 16 while the store's commit copied the
 	// delta's entries and wrapped them in an image for the merge and the
 	// decoded pull request was left to the collector, 13 while calls
-	// crossed by pointer
-	// (a stamped copy per call instead of 6 decoded objects per op, and
-	// the empty pull reply carried an image), 15 while the directory's
-	// merge decoded each pushed flight's route into fresh strings, 18
-	// while the view rendered each flight's key per extract and the push
-	// delta's image was allocated apart from its round, 27 while each pull
-	// brought back the flight the previous push committed (48 with
-	// map-backed images). What is left: the pull request, a reply per
-	// call, the decoded pull reply, push (message and image, entry slice,
-	// value) and ack, the round, the view's answer (entry slice, value,
-	// image) and the delta's entry slice. A closure allocated per pull
-	// shows as 14.
+	// crossed by pointer (a stamped copy per call instead of 6 decoded
+	// objects per op, and the empty pull reply carried an image), 15
+	// while the directory's merge decoded each pushed flight's route into
+	// fresh strings, 18 while the view rendered each flight's key per
+	// extract and the push delta's image was allocated apart from its
+	// round, 27 while each pull brought back the flight the previous push
+	// committed (48 with map-backed images). What is left: the decoded
+	// push (message and image, entry slice, value), the round, the view's
+	// answer (entry slice, value, image) and the delta's entry slice.
+	// Every image-less message, sent or decoded, goes back to the wire
+	// pool from whoever holds it last. A closure allocated per pull shows
+	// as 9.
 	if n := testing.AllocsPerRun(200, op); n > reserveLoopAllocs {
 		t.Errorf("reserve+push: %v allocs/op, want <= %d", n, reserveLoopAllocs)
 	}
@@ -338,14 +342,18 @@ func TestCMCostGatherRound(t *testing.T) {
 		op() // every sharer has pushed and merged the others' flights
 	}
 	const legs = gatherSharers - 1
-	// Measured 30 per op, 10 per leg, 37 and 12.33 under -race; 46 while
-	// each clean leg built its own reply, each decoded request was left to
-	// the collector, forEachTarget allocated its round's state and the
-	// store's commit copied the delta; 35 while calls crossed by pointer.
-	// What a leg still costs: its reply's decoded copy, and the pull,
-	// reservation and push of the op spread over its legs. The view's
-	// decoded request goes back to the wire pool, its reply is shared, and
-	// the round is pooled.
+	// Measured 23 per op, 7.67 per leg, 31 and 10.33 under -race; 30
+	// while each leg's decoded reply, the pull request and the directory's
+	// replies were left to the collector; 46 while each clean leg built
+	// its own reply, each decoded request was left to the collector,
+	// forEachTarget allocated its round's state and the store's commit
+	// copied the delta; 35 while calls crossed by pointer. A clean leg
+	// allocates nothing of its own: its request is built once per view,
+	// the view's decoded request goes back to the wire pool, its reply is
+	// shared, the directory hands the reply's decoded copy back once read,
+	// and the round is pooled. What the pin reads is the op's pull,
+	// reservation and push spread over its legs, so one allocation per leg
+	// coming back reads 8.67.
 	const ceiling = float64(gatherRoundAllocs) / legs
 	if n := testing.AllocsPerRun(200, op) / legs; n > ceiling {
 		t.Errorf("gather leg: %.2f allocs, want <= %.2f", n, ceiling)

@@ -214,7 +214,7 @@ func New(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("cache: attach %q: %w", cfg.Name, err)
 	}
 	m.ep = ep
-	if _, err := ep.Call(cfg.Directory, m.registerMsg()); err != nil {
+	if err := discard(ep.Call(cfg.Directory, m.registerMsg())); err != nil {
 		ep.Close()
 		return nil, fmt.Errorf("cache: register %q: %w", cfg.Name, err)
 	}
@@ -288,7 +288,8 @@ func (m *Manager) PullImage() error {
 		m.mu.Unlock()
 		return ErrNotInitialized
 	}
-	req := &wire.Message{Type: wire.TPull, Since: m.seen, Op: m.op}
+	req := wire.NewMessage()
+	req.Type, req.Since, req.Op = wire.TPull, m.seen, m.op
 	if m.acked > m.seen {
 		req.Version = m.acked
 	}
@@ -301,9 +302,12 @@ func (m *Manager) PullImage() error {
 // epoch guard: an invalidate that interleaved with the reply (the epoch
 // moved) supersedes it — the merged data is kept, being the newest the
 // view has, but StartUse refuses it until the view pulls again, since the
-// DM believes this view stopped using the data.
+// DM believes this view stopped using the data. The request and the reply
+// go back to the wire pool once read.
 func (m *Manager) load(req *wire.Message, epoch int) error {
 	reply, err := m.call(req)
+	wire.Recycle(req)
+	defer wire.Recycle(reply)
 	if err != nil {
 		if strings.Contains(err.Error(), wire.ContendedMark) {
 			return fmt.Errorf("%w: %v", ErrInvalidated, err)
@@ -363,13 +367,18 @@ func (m *Manager) EndUse() {
 // base Flecc protocol does not use tokens (mutual exclusion is handled by
 // invalidations); the time-sharing baseline serializes agents with it.
 func (m *Manager) Acquire() error {
-	_, err := m.call(&wire.Message{Type: wire.TAcquire, Op: m.op})
-	return err
+	return discard(m.call(&wire.Message{Type: wire.TAcquire, Op: m.op}))
 }
 
 // Release returns the token obtained with Acquire.
 func (m *Manager) Release() error {
-	_, err := m.call(&wire.Message{Type: wire.TRelease})
+	return discard(m.call(&wire.Message{Type: wire.TRelease}))
+}
+
+// discard hands back the reply of a call whose only news is whether it
+// succeeded: a control call's.
+func discard(reply *wire.Message, err error) error {
+	wire.Recycle(reply)
 	return err
 }
 
@@ -378,7 +387,7 @@ func (m *Manager) Release() error {
 // a quiet session, never between a round's dispatch and its ack.
 func (m *Manager) SetMode(mode wire.Mode) error {
 	_ = m.Flush() // a failed round reports to its own pushers
-	if _, err := m.call(&wire.Message{Type: wire.TSetMode, Mode: mode}); err != nil {
+	if err := discard(m.call(&wire.Message{Type: wire.TSetMode, Mode: mode})); err != nil {
 		return err
 	}
 	m.mu.Lock()
@@ -391,7 +400,7 @@ func (m *Manager) SetMode(mode wire.Mode) error {
 // SetMode, it flushes outstanding push rounds first.
 func (m *Manager) SetProps(props property.Set) error {
 	_ = m.Flush() // a failed round reports to its own pushers
-	if _, err := m.call(&wire.Message{Type: wire.TSetProps, Props: props}); err != nil {
+	if err := discard(m.call(&wire.Message{Type: wire.TSetProps, Props: props})); err != nil {
 		return err
 	}
 	m.mu.Lock()
@@ -437,7 +446,7 @@ func (m *Manager) KillImage() error {
 		return fmt.Errorf("cache: final push: %w", err)
 	}
 	ep := m.endpoint()
-	if _, err := ep.Call(m.dir, &wire.Message{Type: wire.TUnregister}); err != nil {
+	if err := discard(ep.Call(m.dir, &wire.Message{Type: wire.TUnregister})); err != nil {
 		ep.Close()
 		return err
 	}
@@ -692,7 +701,8 @@ func (m *Manager) handleCollect(invalidate bool) *wire.Message {
 	if x.delta.Entries == nil && x.ops == 0 {
 		return cleanCollect
 	}
-	reply := &wire.Message{Type: wire.TImage, Ops: uint32(x.ops)}
+	reply := wire.NewMessage()
+	reply.Type, reply.Ops = wire.TImage, uint32(x.ops)
 	if x.delta.Entries != nil {
 		// A copy of the header: taking &x.delta would move x to the heap
 		// on the clean path too.
@@ -702,7 +712,10 @@ func (m *Manager) handleCollect(invalidate bool) *wire.Message {
 }
 
 // cleanCollect answers every collect that surrenders nothing. It is shared
-// and read-only: transports encode a handler's reply and never write it.
+// and read-only: transports encode a handler's reply and never write it,
+// and the pool did not make it, so wire.Recycle leaves it alone. A reply
+// that surrenders something comes from the pool, and its transport
+// recycles it once encoded.
 var cleanCollect = &wire.Message{Type: wire.TImage}
 
 // handleUpdate applies a DM-initiated update (push-propagation, used by
@@ -716,7 +729,7 @@ func (m *Manager) handleUpdate(req *wire.Message) *wire.Message {
 	if err := m.applyIncomingLocked(req.Img, req.Version); err != nil {
 		return &wire.Message{Type: wire.TErr, Err: err.Error()}
 	}
-	return &wire.Message{Type: wire.TAck}
+	return nil // a bare TAck
 }
 
 // triggerEnv builds the evaluation environment for push/pull triggers:

@@ -192,7 +192,7 @@ func (m *Manager) redial(old transport.Endpoint, attempt int) error {
 		m.netIdx = (m.netIdx + 1) % len(m.nets)
 		return nil
 	}
-	if _, err := ep.Call(m.dir, m.registerMsg()); err != nil {
+	if err := discard(ep.Call(m.dir, m.registerMsg())); err != nil {
 		ep.Close()
 		if !redialable(err) {
 			return fmt.Errorf("cache %s: re-register: %w", m.name, err)
@@ -220,6 +220,7 @@ func (m *Manager) redial(old transport.Endpoint, attempt int) error {
 		}
 		m.mu.Lock()
 		aerr := m.applyIncomingLocked(reply.Img, reply.Version)
+		wire.Recycle(reply)
 		if aerr == nil {
 			// Validity epoch guard: an invalidate that raced the re-pull
 			// (the fresh registration makes this view a target again)

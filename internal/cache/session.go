@@ -226,10 +226,11 @@ func (m *Manager) dispatchLocked() {
 	reply, err := ep.Call(m.dir, &r.req)
 	m.mu.Lock()
 	m.completeRoundLocked(r, reply, err)
+	wire.Recycle(reply)
 }
 
 // cleanAck stands in, read-only, for the reply to a clean round, which
-// never goes out.
+// never goes out. The pool did not make it: wire.Recycle leaves it alone.
 var cleanAck wire.Message
 
 // completeRoundLocked applies one round's outcome. Success folds the

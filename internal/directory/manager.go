@@ -377,7 +377,9 @@ func (m *Manager) handle(req *wire.Message) *wire.Message {
 }
 
 // handleRouted unwraps a router→shard envelope and dispatches the inner
-// message as if the originating view had called directly.
+// message as if the originating view had called directly. The inner
+// request goes back to the wire pool once its handler has returned,
+// unless it is the reply.
 func (m *Manager) handleRouted(req *wire.Message) *wire.Message {
 	inner, err := wire.Decode(req.Blob)
 	if err != nil {
@@ -389,7 +391,11 @@ func (m *Manager) handleRouted(req *wire.Message) *wire.Message {
 	if req.View != "" {
 		inner.From = req.View
 	}
-	return m.handle(inner)
+	reply := m.handle(inner)
+	if reply != inner {
+		wire.Recycle(inner)
+	}
+	return reply
 }
 
 func errf(format string, args ...any) *wire.Message {
@@ -535,7 +541,8 @@ func (m *Manager) serve(vs *viewState, since vclock.Version, skip commitID, quie
 	vs.seen = ver
 	vs.mu.Unlock()
 	m.viewChanged(vs, false)
-	reply := &wire.Message{Type: wire.TImage, Img: img, Version: ver}
+	reply := wire.NewMessage()
+	reply.Type, reply.Img, reply.Version = wire.TImage, img, ver
 	if quiet {
 		held, err := m.Replication().holds(ver)
 		if err != nil {
@@ -918,6 +925,9 @@ func (m *Manager) collect(target string, typ wire.Type) error {
 		req = &wire.Message{Type: typ, View: target}
 	}
 	reply, err := m.callView(target, req)
+	// The reply goes back to the wire pool once read; a commit keeps only
+	// its image.
+	defer wire.Recycle(reply)
 	if err != nil {
 		if transport.IsTransportError(err) {
 			m.evictView(target)
@@ -975,7 +985,9 @@ func (m *Manager) handlePush(req *wire.Message) *wire.Message {
 	// rejected, so the pusher converges on the resolved state. The
 	// replication barrier runs before the ack is released: an
 	// acknowledged push is on the standby unless it is down (semi-sync commit).
-	return m.synced(&wire.Message{Type: wire.TAck, Version: ver, Img: rejected})
+	ack := wire.NewMessage()
+	ack.Type, ack.Version, ack.Img = wire.TAck, ver, rejected
+	return m.synced(ack)
 }
 
 // propagate forwards a freshly committed update to every conflicting
@@ -1025,7 +1037,9 @@ func (m *Manager) propagate(writer string, ver vclock.Version) error {
 		targets = append(targets, other)
 	}
 	return m.forEachTarget(targets, func(other string) error {
-		if _, err := m.callView(other, reqs[other]); err != nil {
+		reply, err := m.callView(other, reqs[other])
+		wire.Recycle(reply)
+		if err != nil {
 			if transport.IsTransportError(err) {
 				// An unreachable recipient is evicted, not allowed to fail
 				// the writer's push; it will catch up on re-register.

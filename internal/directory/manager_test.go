@@ -245,3 +245,58 @@ func TestUnseenCommittedUnknownView(t *testing.T) {
 		t.Fatal("unknown view should report 0")
 	}
 }
+
+// TestRoutedInnerRequestRecycled: a routed envelope's inner request goes
+// back to the wire pool once its handler has returned. A weak view's pull
+// routed through an envelope pays, over the same pull sent directly, the
+// inner request's name, which its decode reads without tables: 1
+// allocation, about 1.3 under -race, whose pool drops a quarter of puts.
+// An inner request left to the collector makes it 2.
+func TestRoutedInnerRequestRecycled(t *testing.T) {
+	_, net, _, _ := newDM(t)
+	view, err := net.Attach("v", func(*wire.Message) *wire.Message { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := net.Attach("router", func(*wire.Message) *wire.Message { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []*wire.Message{
+		{Type: wire.TRegister, View: "v", Props: property.MustSet("P={x}")},
+		{Type: wire.TInit},
+	} {
+		if _, err := view.Call("dm", req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pull := &wire.Message{Type: wire.TPull}
+	env := &wire.Message{Type: wire.TRouted, View: "v", Blob: wire.Encode(&wire.Message{Type: wire.TPull, From: "v"})}
+	cost := func(ep transport.Endpoint, req *wire.Message) float64 {
+		call := func() {
+			reply, err := ep.Call("dm", req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Type != wire.TImage {
+				t.Fatalf("pull answered %s, want %s", reply.Type, wire.TImage)
+			}
+			wire.Recycle(reply)
+		}
+		for range 16 {
+			call()
+		}
+		// AllocsPerRun truncates to whole allocations: 20 calls a run keep
+		// the fraction.
+		const batch = 20
+		return testing.AllocsPerRun(50, func() {
+			for range batch {
+				call()
+			}
+		}) / batch
+	}
+	direct, routed := cost(view, pull), cost(router, env)
+	if routed-direct > 1.5 {
+		t.Errorf("a routed pull: %v allocs, a direct one: %v; want at most 1.5 more", routed, direct)
+	}
+}

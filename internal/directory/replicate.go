@@ -280,7 +280,9 @@ func (m *Manager) handleReplicate(req *wire.Message) *wire.Message {
 	m.ha.mu.Unlock()
 
 	ack := func() *wire.Message {
-		return &wire.Message{Type: wire.TReplAck, Version: m.store.Current(), Since: vclock.Version(m.ha.viewSeq)}
+		a := wire.NewMessage()
+		a.Type, a.Version, a.Since = wire.TReplAck, m.store.Current(), vclock.Version(m.ha.viewSeq)
+		return a
 	}
 	if b.Snap != nil {
 		if b.Since > m.store.Current() || b.ViewSince > m.ha.viewSeq {
@@ -680,6 +682,7 @@ func (r *Replicator) runSender() {
 			// barriers release degraded and the next heartbeat probes.
 			r.degradeLocked()
 		}
+		wire.Recycle(reply)
 	}
 }
 

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -103,5 +104,39 @@ func TestBridgeOverTCP(t *testing.T) {
 		if _, _, ok := shard.IsNode(s); !ok || n == 0 {
 			t.Fatalf("per-shard traffic = %v", per)
 		}
+	}
+}
+
+// TestBridgeSharedReplySurvivesRecycle: the bridge delivers by pointer, so
+// a caller gets the handler's own reply. A handler that answers every
+// request with one shared reply hands the same pointer to each caller;
+// the first caller's wire.Recycle must leave it whole for the next,
+// because the pool did not make it.
+func TestBridgeSharedReplySurvivesRecycle(t *testing.T) {
+	b := shard.NewBridge()
+	defer b.Close()
+	shared := &wire.Message{Type: wire.TImage, View: "v", Version: 9, Ops: 2}
+	if _, err := b.Attach("callee", func(*wire.Message) *wire.Message { return shared }); err != nil {
+		t.Fatal(err)
+	}
+	var callers [2]transport.Endpoint
+	for i := range callers {
+		ep, err := b.Attach(fmt.Sprintf("caller%d", i), func(*wire.Message) *wire.Message { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		callers[i] = ep
+	}
+	first, err := callers[0].Call("callee", &wire.Message{Type: wire.TPull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire.Recycle(first)
+	second, err := callers[1].Call("callee", &wire.Message{Type: wire.TPull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Type != wire.TImage || second.View != "v" || second.Version != 9 || second.Ops != 2 || second.From != "callee" {
+		t.Errorf("second caller reads %+v after the first recycled the shared reply, want type image, view v, version 9, ops 2, from callee", *second)
 	}
 }

@@ -211,3 +211,77 @@ func TestKeptRequestReadsZero(t *testing.T) {
 		})
 	}
 }
+
+// TestKeptReplyReadsZero: a caller may hand a reply it has read back to
+// the wire pool (wire.Recycle). A caller that keeps it past that reads a
+// zero message rather than another call's reply.
+func TestKeptReplyReadsZero(t *testing.T) {
+	reply := func(*wire.Message) *wire.Message { return &wire.Message{Type: wire.TAck, Version: 9} }
+	for _, tc := range contractRigs {
+		t.Run(tc.name, func(t *testing.T) {
+			ep, to := tc.rig(t, reply)
+			got, err := ep.Call(to, &wire.Message{Type: wire.TPull, View: "v"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Type != wire.TAck || got.Version != 9 {
+				t.Fatalf("reply %+v, want an ack of version 9", *got)
+			}
+			wire.Recycle(got)
+			if !reflect.DeepEqual(*got, wire.Message{}) {
+				t.Errorf("kept reply reads %+v after its caller recycled it, want a zero message", *got)
+			}
+		})
+	}
+}
+
+// TestPooledReplyGoesBack: a reply a handler makes with wire.NewMessage
+// belongs to the transport once returned, and the transport recycles it
+// once encoded. With a caller that hands back every reply it reads, such
+// a call allocates less than one whose handler answers with a fresh
+// literal: the handler's reply and the caller's decoded one both come
+// from the pool.
+func TestPooledReplyGoesBack(t *testing.T) {
+	handlers := []transport.Handler{
+		func(*wire.Message) *wire.Message { return &wire.Message{Type: wire.TAck, Version: 9} },
+		func(*wire.Message) *wire.Message {
+			m := wire.NewMessage()
+			m.Type, m.Version = wire.TAck, 9
+			return m
+		},
+	}
+	for _, tc := range contractRigs {
+		t.Run(tc.name, func(t *testing.T) {
+			var allocs [2]float64
+			for i, h := range handlers {
+				ep, to := tc.rig(t, h)
+				req := &wire.Message{Type: wire.TPull, View: "v"}
+				call := func() {
+					reply, err := ep.Call(to, req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if reply.Version != 9 {
+						t.Fatalf("reply %+v, want version 9", *reply)
+					}
+					wire.Recycle(reply)
+				}
+				for range 64 {
+					call()
+				}
+				// AllocsPerRun truncates to whole allocations: 20 calls a
+				// run keep the fraction the race detector's dropped pool
+				// puts add.
+				const batch = 20
+				allocs[i] = testing.AllocsPerRun(50, func() {
+					for range batch {
+						call()
+					}
+				}) / batch
+			}
+			if allocs[1] >= allocs[0] {
+				t.Errorf("a call answered from the pool: %v allocs, with a literal reply: %v; want fewer", allocs[1], allocs[0])
+			}
+		})
+	}
+}

@@ -202,10 +202,10 @@ const maxIdleWorkers = 8
 // every frame, so concurrent replies coalesce into shared flushes.
 //
 // The reply is never written: its frame's header carries the request's
-// Seq and the peer's name, and observers get a stamped copy. The request
-// goes back to the wire pool once the reply is encoded, before the reply
-// is queued, so nothing the caller does after its reply arrives can meet
-// the recycling.
+// Seq and the peer's name, and observers get a stamped copy. The request,
+// and the reply if the pool made it, go back to the wire pool once the
+// reply is encoded, before it is queued, so nothing the caller does after
+// its reply arrives can meet the recycling.
 func (p *peer) worker(req *wire.Message) {
 	defer p.wg.Done()
 	for {
@@ -219,6 +219,7 @@ func (p *peer) worker(req *wire.Message) {
 		if reply != req {
 			wire.Recycle(req)
 		}
+		wire.Recycle(reply)
 		if err == nil {
 			err = p.wq.enqueue(f)
 		}

@@ -32,7 +32,10 @@ import (
 // (wire.Recycle), so a handler keeps what it needs of it (fields, the
 // image) and never the message itself. The reply is encoded and never
 // written, so one reply may answer many requests at once; the frame
-// header carries its Seq and From. A nil reply is sent as a bare TAck.
+// header carries its Seq and From. A reply the pool made (wire.NewMessage,
+// or a reply the handler got from a Call of its own) belongs to the
+// endpoint once returned: it is recycled once encoded, so the handler
+// keeps no pointer to it. A nil reply is sent as a bare TAck.
 type Handler func(req *wire.Message) *wire.Message
 
 // Endpoint is a named node attached to a network.
@@ -41,7 +44,11 @@ type Endpoint interface {
 	Name() string
 	// Call sends req to the named node and waits for its reply. Call
 	// never writes to req; the frame or the callee's copy carries Seq and
-	// From. So one request may be in several calls at once.
+	// From. So one request may be in several calls at once. Call is done
+	// with req when it returns, so a request from wire.NewMessage may go
+	// back to the pool then. The reply is the caller's: once it has read
+	// what it needs (fields, the image), it may hand the reply back with
+	// wire.Recycle, or return it from a handler, whose endpoint does.
 	Call(to string, req *wire.Message) (*wire.Message, error)
 	// Close detaches the endpoint; subsequent Calls fail, and calls to the
 	// endpoint fail at the caller.
@@ -214,6 +221,7 @@ func (e *inprocEndpoint) Call(to string, req *wire.Message) (*wire.Message, erro
 	if out != in {
 		wire.Recycle(in)
 	}
+	wire.Recycle(out)
 	if err != nil {
 		return nil, err
 	}

@@ -462,7 +462,7 @@ func decode(b []byte, t *Tables) (*Message, error) {
 		s.Img = &s.img
 		m = &s.Message
 	} else {
-		m = messages.Get().(*Message)
+		m = NewMessage()
 	}
 	m.Type, m.Seq, m.From, m.View = typ, seq, from, view
 	if bits&hasVersion != 0 {
@@ -523,18 +523,32 @@ func decode(b []byte, t *Tables) (*Message, error) {
 	return m, nil
 }
 
-// messages pools the decoded messages that carry no image: a transport
-// hands a request back (Recycle) once its handler has returned. A message
-// with an image is one object with it and is left to the collector.
+// messages pools the messages that carry no image of their own:
+// NewMessage and the decoder take them from it, marked, and Recycle puts
+// them back. A decoded message with an image is one object with it and is
+// left to the collector.
 var messages = sync.Pool{New: func() any { return new(Message) }}
 
-// Recycle returns a decoded request to the pool once nothing reads it any
-// more: a transport calls it after the request's handler has returned and
-// its reply has been encoded. It zeroes the message first, so a handler
-// that kept its request past return reads a zero message. A message that
-// carries an image is left alone.
+// NewMessage returns a zero message from the pool. Whoever holds it last
+// hands it back with Recycle: a transport once it has encoded it as a
+// handler's reply, a caller once Call has returned it.
+func NewMessage() *Message {
+	m := messages.Get().(*Message)
+	m.pooled = true
+	return m
+}
+
+// Recycle returns a pooled message once nothing reads it any more: a
+// decoded request after its handler has returned, a reply after its
+// caller has read it, a NewMessage once it is encoded. It zeroes the
+// message first, so whoever kept it reads a zero message. Recycle takes
+// only what the pool made: a struct literal, a package-level shared
+// reply, and a decoded message that carries an image are left alone, and
+// so is a message already recycled, until the pool hands it out again.
+// A value copy of a pooled message (r := *m) carries the mark but not the
+// pool's memory: it never goes to Recycle.
 func Recycle(m *Message) {
-	if m == nil || m.Img != nil {
+	if m == nil || !m.pooled {
 		return
 	}
 	*m = Message{}

@@ -223,6 +223,9 @@ type Message struct {
 	Mode Mode
 	// Op tags TAcquire/TPull with the intended operation class.
 	Op OpClass
+	// pooled marks a message the pool made (NewMessage, or a decode that
+	// carries no image): only such a message goes back (Recycle).
+	pooled bool
 	// Since is the version the sender already holds (TPull).
 	Since vclock.Version
 	// Version is the primary version (TAck for push, TImage replies). On
