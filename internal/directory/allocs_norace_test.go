@@ -4,4 +4,4 @@ package directory
 
 // replPushPullAllocs is TestReplBatchFlatInViews' ceiling for one
 // replicated push+pull at 16 views.
-const replPushPullAllocs = 32
+const replPushPullAllocs = 21

@@ -2,6 +2,7 @@ package directory
 
 import (
 	"fmt"
+	"slices"
 
 	"flecc/internal/image"
 	"flecc/internal/vclock"
@@ -73,11 +74,50 @@ const replFormat = 4
 // and no message may promote a standby.
 const replFlagData = 1 << 1
 
-// EncodeReplBatch serializes a batch with the wire package's pooled
-// encoder.
-func EncodeReplBatch(b *ReplBatch) []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
+// batchBuf is a batch with its snapshot, reused for every batch of a
+// replication session: the sender builds each batch into its one
+// (Replicator.buildBatch), the standby decodes each into its one
+// (handleReplicate, under applyMu). What a batchBuf holds is valid until
+// the next build or decode into it; whoever keeps a batch longer keeps
+// its encoding. The image header is reused too, but never its entries or
+// values: a standby hands those to the codec's Merge, which may keep
+// them, so every batch decodes them afresh.
+type batchBuf struct {
+	ReplBatch
+	snap Snapshot
+	img  image.Image
+}
+
+// maxBufRecords caps the records a batch buffer keeps room for. A
+// full-state batch (the first one, or the probe of a recovered standby)
+// can carry thousands of registration records; the next reset drops a
+// buffer grown past the cap instead of holding it for the session.
+const maxBufRecords = 1024
+
+// reset empties the buffer for its next batch. Every record slot is
+// zeroed, so no old record pins a name, a scope or a trigger source.
+func (b *batchBuf) reset() {
+	if b.room() > maxBufRecords {
+		*b = batchBuf{}
+		return
+	}
+	clear(b.Touches)
+	clear(b.Removed)
+	clear(b.snap.Shadow)
+	clear(b.snap.Log)
+	clear(b.snap.Views)
+	b.ReplBatch = ReplBatch{Touches: b.Touches[:0], Removed: b.Removed[:0]}
+	b.snap = Snapshot{Shadow: b.snap.Shadow[:0], Log: b.snap.Log[:0], Views: b.snap.Views[:0]}
+	b.img = image.Image{}
+}
+
+// room returns the most records any of the buffer's slices has room for.
+func (b *batchBuf) room() int {
+	return max(cap(b.Touches), cap(b.Removed), cap(b.snap.Shadow), cap(b.snap.Log), cap(b.snap.Views))
+}
+
+// encodeReplBatch appends a batch's encoding to e.
+func encodeReplBatch(e *wire.Encoder, b *ReplBatch) {
 	e.U8(replFormat)
 	var flags uint8
 	if b.Snap != nil {
@@ -86,7 +126,7 @@ func EncodeReplBatch(b *ReplBatch) []byte {
 	e.U8(flags)
 	e.Uvarint(b.Epoch)
 	if b.Snap == nil {
-		return e.Copy()
+		return
 	}
 	e.Uvarint(uint64(b.Since))
 	e.Uvarint(uint64(b.Snap.Version))
@@ -102,7 +142,6 @@ func EncodeReplBatch(b *ReplBatch) []byte {
 	if b.Img != nil {
 		e.ImageEntries(b.Img)
 	}
-	return e.Copy()
 }
 
 func encodeTouch(e *wire.Encoder, t ViewTouch) {
@@ -131,25 +170,26 @@ func encodeNames(e *wire.Encoder, names []string) {
 	}
 }
 
-// decodeNames reads what encodeNames wrote (nil for an empty list).
-func decodeNames(d *wire.Decoder) []string {
+// decodeNames appends the names encodeNames wrote to dst.
+func decodeNames(d *wire.Decoder, dst []string) []string {
 	n := d.Count(minName)
-	if n == 0 {
-		return nil
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, d.Name())
 	}
-	names := make([]string, n)
-	for i := range names {
-		names[i] = d.Name()
-	}
-	return names
+	return dst
 }
 
-// decodeReplBatch parses EncodeReplBatch's output from d. It is total on
-// hostile input: every length is checked against the bytes that remain
-// before anything is allocated for it. A standby reads its stream with a
-// decoder from its Tables, so the names, keys and scopes the stream
-// repeats cost no allocation.
-func decodeReplBatch(d *wire.Decoder) (*ReplBatch, error) {
+// decodeReplBatch parses encodeReplBatch's output from d into into,
+// which it resets first, and returns the batch. It is total on hostile
+// input: every length is checked against the bytes that remain before
+// anything is allocated for it. A standby reads its stream with a decoder
+// from its Tables, so the names, keys and scopes the stream repeats cost
+// no allocation, and into its one batchBuf, so the records cost none
+// either once the buffer has room for them.
+func decodeReplBatch(d *wire.Decoder, into *batchBuf) (*ReplBatch, error) {
+	into.reset()
+	b := &into.ReplBatch
 	if v := d.U8(); d.Err() == nil && v != replFormat {
 		return nil, fmt.Errorf("directory: unsupported replication batch format %d (want %d)", v, replFormat)
 	}
@@ -157,50 +197,27 @@ func decodeReplBatch(d *wire.Decoder) (*ReplBatch, error) {
 	if d.Err() == nil && flags&^replFlagData != 0 {
 		return nil, fmt.Errorf("directory: replication batch flags %#x: only data (%#x) is defined", flags, replFlagData)
 	}
-	epoch := d.Uvarint()
-	var b *ReplBatch
+	b.Epoch = d.Uvarint()
 	if flags&replFlagData != 0 {
-		// A data batch, its snapshot and its image are one allocation.
-		s := &struct {
-			ReplBatch
-			snap Snapshot
-			img  image.Image
-		}{}
-		b = &s.ReplBatch
-		b.Snap = &s.snap
-		decodeReplData(d, b, &s.img)
-	} else {
-		b = &ReplBatch{}
+		b.Snap = &into.snap
+		b.Since = vclock.Version(d.Uvarint())
+		b.Snap.Version = vclock.Version(d.Uvarint())
+		b.ViewSince = d.Uvarint()
+		b.ViewSeq = d.Uvarint()
+		decodeSnapSections(d, b.Snap)
+		n := d.Count(minTouchRec)
+		b.Touches = slices.Grow(b.Touches, n)
+		for i := 0; i < n; i++ {
+			b.Touches = append(b.Touches, decodeTouch(d))
+		}
+		b.Removed = decodeNames(d, b.Removed)
+		if d.Bool() {
+			b.Img = &into.img
+			_ = d.ImageEntries(b.Img) // latched in d.Err
+		}
 	}
-	b.Epoch = epoch
 	if err := decoded(d, "repl batch"); err != nil {
 		return nil, err
 	}
 	return b, nil
-}
-
-// decodeReplData fills a data batch's fields, b.Snap included, in place;
-// img is where the batch's image goes when it has one.
-func decodeReplData(d *wire.Decoder, b *ReplBatch, img *image.Image) {
-	b.Since = vclock.Version(d.Uvarint())
-	b.Snap.Version = vclock.Version(d.Uvarint())
-	b.ViewSince = d.Uvarint()
-	b.ViewSeq = d.Uvarint()
-	decodeSnapSections(d, b.Snap)
-	if n := d.Count(minTouchRec); n > 0 {
-		b.Touches = make([]ViewTouch, n)
-		for i := range b.Touches {
-			b.Touches[i] = decodeTouch(d)
-		}
-	}
-	b.Removed = decodeNames(d)
-	if d.Bool() {
-		b.Img = img
-		_ = d.ImageEntries(b.Img) // latched in d.Err
-	}
-}
-
-// ReplMessage wraps a batch in its TReplicate envelope.
-func ReplMessage(b *ReplBatch) *wire.Message {
-	return &wire.Message{Type: wire.TReplicate, Blob: EncodeReplBatch(b)}
 }

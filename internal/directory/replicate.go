@@ -62,9 +62,18 @@ const staleEpochMark = "stale epoch"
 // carries every commit ≤ snap.Version — lanes drain into TReplicate
 // batches in version-counter order with no holes.
 func (s *Store) SnapshotSince(since vclock.Version) *Snapshot {
+	snap := &Snapshot{}
+	s.snapshotSince(snap, since)
+	return snap
+}
+
+// snapshotSince is SnapshotSince into dst: it sets dst's version and
+// appends the records to its shadow and log, which the caller has
+// emptied (the replication sender reuses one snapshot for every batch).
+func (s *Store) snapshotSince(dst *Snapshot, since vclock.Version) {
 	s.rlockStore()
 	defer s.runlockStore()
-	snap := &Snapshot{Version: s.counter.Current()}
+	dst.Version = s.counter.Current()
 	for _, st := range s.stripes {
 		start := sort.Search(len(st.dirty), func(i int) bool { return st.dirty[i].version > since })
 		for _, rec := range st.dirty[start:] {
@@ -72,17 +81,16 @@ func (s *Store) SnapshotSince(since vclock.Version) *Snapshot {
 			if !ok || sh.version != rec.version {
 				continue // superseded record; the key's current version has its own
 			}
-			snap.Shadow = append(snap.Shadow, ShadowRec{
+			dst.Shadow = append(dst.Shadow, ShadowRec{
 				Key: rec.key, Version: sh.version, Writer: sh.writer, Deleted: sh.deleted,
 			})
 		}
 	}
-	slices.SortFunc(snap.Shadow, func(a, b ShadowRec) int {
+	slices.SortFunc(dst.Shadow, func(a, b ShadowRec) int {
 		return cmp.Or(cmp.Compare(a.Version, b.Version), strings.Compare(a.Key, b.Key))
 	})
 	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].Version > since })
-	snap.Log = append([]UpdateRec(nil), s.log[i:]...)
-	return snap
+	dst.Log = append(dst.Log, s.log[i:]...)
 }
 
 // AbsorbImage merges replicated primary values into the original
@@ -127,9 +135,11 @@ type haState struct {
 	// standby has applied through. tables, guarded by it too, are the
 	// stream's intern tables: they live as long as the manager, so the
 	// writer names, keys and scopes every batch repeats are decoded once.
+	// batch, guarded by it too, is what every batch decodes into.
 	applyMu sync.Mutex
 	viewSeq uint64
 	tables  *wire.Tables
+	batch   batchBuf
 }
 
 // Epoch returns the manager's current fencing epoch.
@@ -256,7 +266,7 @@ func (m *Manager) handleReplicate(req *wire.Message) *wire.Message {
 	// once applyMu is released.
 	defer m.maybeCompact()
 	defer m.ha.applyMu.Unlock()
-	b, err := decodeReplBatch(m.ha.tables.NewDecoder(req.Blob))
+	b, err := decodeReplBatch(m.ha.tables.NewDecoder(req.Blob), &m.ha.batch)
 	if err != nil {
 		return errf("%v", err)
 	}
@@ -391,9 +401,9 @@ func (m *Manager) installView(hv ViewRecord, replicated bool) error {
 	return nil
 }
 
-// captureViews snapshots every view's registration record, sorted by
-// name so encodings are deterministic.
-func (m *Manager) captureViews() []ViewRecord {
+// captureViews appends every view's registration record to dst, sorted
+// by name so encodings are deterministic.
+func (m *Manager) captureViews(dst []ViewRecord) []ViewRecord {
 	m.vmu.RLock()
 	states := make([]*viewState, 0, len(m.views))
 	for _, vs := range m.views {
@@ -401,12 +411,12 @@ func (m *Manager) captureViews() []ViewRecord {
 	}
 	m.vmu.RUnlock()
 	sort.Slice(states, func(i, j int) bool { return states[i].name < states[j].name })
-	recs := make([]ViewRecord, 0, len(states))
+	dst = slices.Grow(dst, len(states))
 	var dropped ReplBatch // a view unregistered since the map read ships nothing
 	for _, vs := range states {
-		recs = m.captureView(&dropped, recs, vs, true)
+		dst = m.captureView(&dropped, dst, vs, true)
 	}
-	return recs
+	return dst
 }
 
 // CaptureSince captures a snapshot of everything committed after since
@@ -415,7 +425,7 @@ func (m *Manager) captureViews() []ViewRecord {
 // where cache managers resume without re-register/re-pull.
 func (m *Manager) CaptureSince(since vclock.Version) *Snapshot {
 	snap := m.store.SnapshotSince(since)
-	snap.Views = m.captureViews()
+	snap.Views = m.captureViews(nil)
 	return snap
 }
 
@@ -439,18 +449,19 @@ func (m *Manager) unlistedReplicated(listed []ViewRecord) []string {
 	return out
 }
 
-// buildBatch assembles the batch after the given watermarks: the views
-// that changed, then the metadata delta, then — when anything was
-// committed — the primary values behind it (extracted under the empty
-// property set, i.e. everything). Views go first so no record's Seen can
-// exceed the version the batch closes at.
+// buildBatch assembles the batch after the given watermarks into the
+// sender's buffer: the views that changed, then the metadata delta, then
+// — when anything was committed — the primary values behind it
+// (extracted under the empty property set, i.e. everything). Views go
+// first so no record's Seen can exceed the version the batch closes at.
+// The batch is valid until the next build.
 func (r *Replicator) buildBatch(since vclock.Version, viewSince, epoch uint64) (*ReplBatch, error) {
-	b := &ReplBatch{Epoch: epoch, Since: since, ViewSince: viewSince}
-	regs := r.captureViewChanges(b)
-	snap := r.m.store.SnapshotSince(since)
-	snap.Views = regs
-	b.Snap = snap
-	if snap.Version > since {
+	r.buf.reset()
+	b := &r.buf.ReplBatch
+	b.Epoch, b.Since, b.ViewSince, b.Snap = epoch, since, viewSince, &r.buf.snap
+	r.captureViewChanges(b)
+	r.m.store.snapshotSince(b.Snap, since)
+	if b.Snap.Version > since {
 		img, err := r.m.store.Extract(property.NewSet(), since)
 		if err != nil {
 			return nil, fmt.Errorf("directory %s: build repl batch: %w", r.m.name, err)
@@ -524,6 +535,8 @@ type Replicator struct {
 	// journal orders the manager's view changes for shipping (viewlog.go).
 	// Lock order: mu before journal.mu.
 	journal viewJournal
+	// buf is the sender goroutine's: every batch is built into it.
+	buf batchBuf
 
 	batches  *metrics.Counter // batches shipped
 	degraded *metrics.Counter // barriers released with the standby down
@@ -668,7 +681,7 @@ func (r *Replicator) runSender() {
 		var reply *wire.Message
 		if err == nil {
 			r.batches.Inc()
-			reply, err = transport.CallRetry(r.ep, r.name, ReplMessage(batch), r.cfg.Retry)
+			reply, err = r.ship(batch)
 		}
 		r.mu.Lock()
 		switch {
@@ -684,6 +697,20 @@ func (r *Replicator) runSender() {
 		}
 		wire.Recycle(reply)
 	}
+}
+
+// ship encodes a batch into a pooled encoder and sends it as a pooled
+// TReplicate whose Blob is the encoder's buffer: Call is done with its
+// request when it returns, so both go back then.
+func (r *Replicator) ship(b *ReplBatch) (*wire.Message, error) {
+	e := wire.GetEncoder()
+	encodeReplBatch(e, b)
+	req := wire.NewMessage()
+	req.Type, req.Blob = wire.TReplicate, e.Encoded()
+	reply, err := transport.CallRetry(r.ep, r.name, req, r.cfg.Retry)
+	wire.Recycle(req)
+	wire.PutEncoder(e)
+	return reply, err
 }
 
 // applyAckLocked folds one TReplAck into the watermarks. end and viewEnd

@@ -11,6 +11,8 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -25,7 +27,7 @@ import (
 
 // replLink is the primary→standby endpoint of the stream tests: it can
 // lose the next batch before delivery, lose the next ack after delivery,
-// or hold every call until released.
+// hold every call until released, or show each request to a tap.
 type replLink struct {
 	transport.Endpoint
 
@@ -35,10 +37,14 @@ type replLink struct {
 	hold       chan struct{} // non-nil: calls wait for close
 	heldOnce   sync.Once
 	heldSignal chan struct{} // closed when the first call starts waiting
+	tap        func(req *wire.Message)
 }
 
 func (l *replLink) Call(to string, req *wire.Message) (*wire.Message, error) {
 	l.mu.Lock()
+	if l.tap != nil {
+		l.tap(req)
+	}
 	hold := l.hold
 	dropBatch, dropAck := l.dropBatch > 0, false
 	if dropBatch {
@@ -245,6 +251,117 @@ func TestReplicationFullStatePrunesOnlyReplicatedViews(t *testing.T) {
 	}
 	if got := r.sb.Views(); !reflect.DeepEqual(got, []string{"own", "v1"}) {
 		t.Fatalf("standby views = %v, want [own v1]", got)
+	}
+}
+
+// TestReplicationReusedBuffersKeepNoStaleRecord: the sender builds every
+// batch into one buffer and the standby decodes every batch into one, so
+// a record a batch carried must not ride along with a later, smaller
+// one. A batch removes v1 and touches v2 and v3; v1 registers again; a
+// commit ships; then a batch touches v2 alone. Every batch carries just
+// its own records, and the standby still serves v1 and equals the
+// primary.
+func TestReplicationReusedBuffersKeepNoStaleRecord(t *testing.T) {
+	for _, lanes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			r := newStreamRig(t, lanes, ReplConfig{})
+			var shipped *ReplBatch // the tap runs under r.link.mu
+			r.link.mu.Lock()
+			r.link.tap = func(req *wire.Message) {
+				b, err := DecodeReplBatch(req.Blob)
+				if err != nil {
+					t.Errorf("shipped batch does not decode: %v", err)
+					return
+				}
+				shipped = b
+			}
+			r.link.mu.Unlock()
+			// records lists the last shipped batch's records, each as kind
+			// and name.
+			records := func() []string {
+				r.link.mu.Lock()
+				defer r.link.mu.Unlock()
+				b := shipped
+				var out []string
+				for _, s := range b.Snap.Shadow {
+					out = append(out, "shadow "+s.Key)
+				}
+				for _, l := range b.Snap.Log {
+					out = append(out, "log "+l.Writer)
+				}
+				for _, v := range b.Snap.Views {
+					out = append(out, "reg "+v.Name)
+				}
+				for _, tc := range b.Touches {
+					out = append(out, "touch "+tc.Name)
+				}
+				for _, n := range b.Removed {
+					out = append(out, "removed "+n)
+				}
+				if b.Img != nil {
+					for _, e := range b.Img.Entries {
+						out = append(out, "value "+e.Key)
+					}
+				}
+				sort.Strings(out)
+				return out
+			}
+			expect := func(what string, want ...string) {
+				t.Helper()
+				if got := records(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: shipped %q, want %q", what, got, want)
+				}
+			}
+			// touch moves a view's seen version without a request, so that
+			// several changes share the next barrier's batch.
+			touch := func(view string) {
+				vs, _ := r.prim.viewState(view)
+				vs.mu.Lock()
+				vs.seen = r.prim.CurrentVersion()
+				vs.mu.Unlock()
+				r.prim.viewChanged(vs, false)
+			}
+			barrier := func() {
+				t.Helper()
+				if err := r.prim.replBarrier(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			push := func(view, key string) {
+				d := image.New()
+				d.Put(image.Entry{Key: key, Value: []byte("NYC|SFO|200|57|19900")})
+				r.mustSend(view, &wire.Message{Type: wire.TPush, Img: d, Ops: 1})
+			}
+			props := func(i int) property.Set {
+				return property.MustSet(fmt.Sprintf("Flights={%d..%d}", i*4, i*4+3))
+			}
+			for i, v := range []string{"v1", "v2", "v3"} {
+				r.mustSend(v, &wire.Message{Type: wire.TRegister, Props: props(i), Mode: wire.Weak})
+				r.mustSend(v, &wire.Message{Type: wire.TInit})
+			}
+			push("v3", "f/008")
+
+			r.prim.structuralDo(func() { r.prim.dropView("v1") })
+			touch("v2")
+			touch("v3")
+			barrier()
+			expect("removal and touches", "removed v1", "touch v2", "touch v3")
+
+			r.mustSend("v1", &wire.Message{Type: wire.TRegister, Props: props(0), Mode: wire.Weak})
+			expect("registration", "reg v1")
+
+			push("v3", "f/009")
+			expect("commit", "log v3", "shadow f/009", "value f/009")
+
+			touch("v2")
+			barrier()
+			expect("one touch", "touch v2")
+
+			if got, want := r.sb.Views(), r.prim.Views(); !reflect.DeepEqual(got, want) || !slices.Contains(got, "v1") {
+				t.Fatalf("standby views %v, primary %v: v1 must be served", got, want)
+			}
+			r.assertConverged()
+		})
 	}
 }
 
@@ -675,6 +792,16 @@ func FuzzDecodeReplBatch(f *testing.F) {
 		// A standby decodes through its stream tables: fresh or warmed,
 		// they give the same batch or the same error.
 		checkTablesAgree(t, data, b, err)
+		// It decodes into one buffer, too: already holding a larger
+		// batch, the buffer gives the same batch or the same error.
+		into := filledBuf(t)
+		got, gotErr := decodeReplBatch(wire.NewDecoder(data), into)
+		switch {
+		case (err == nil) != (gotErr == nil) || err != nil && gotErr.Error() != err.Error():
+			t.Fatalf("decode into a used buffer: error %v, fresh %v", gotErr, err)
+		case err == nil && !reflect.DeepEqual(emptiedNil(got), emptiedNil(b)):
+			t.Fatalf("decode into a used buffer diverged:\n got %+v\nwant %+v", got, b)
+		}
 		if err != nil {
 			return
 		}
@@ -688,6 +815,111 @@ func FuzzDecodeReplBatch(f *testing.F) {
 			t.Fatal("decode∘encode is not stable")
 		}
 	})
+}
+
+// filledBuf returns a batch buffer that has decoded a batch larger in
+// every section than any fuzz seed.
+func filledBuf(t *testing.T) *batchBuf {
+	t.Helper()
+	big := sampleBatch()
+	for i := 0; i < 3; i++ {
+		big.Snap.Views = append(big.Snap.Views, big.Snap.Views[0])
+		big.Touches = append(big.Touches, big.Touches[0])
+		big.Removed = append(big.Removed, fmt.Sprintf("gone%d", i))
+	}
+	big.Snap.Log = append(big.Snap.Log, UpdateRec{Version: 10, Writer: "v9", Ops: 1})
+	big.Snap.Shadow = append(big.Snap.Shadow, ShadowRec{Key: "f/102", Version: 10, Writer: "v9"})
+	big.Snap.Version = 10
+	big.Epoch, big.Since, big.ViewSince, big.ViewSeq = 7, 3, 4, 11
+	into := new(batchBuf)
+	if _, err := decodeReplBatch(wire.NewDecoder(EncodeReplBatch(big)), into); err != nil {
+		t.Fatal(err)
+	}
+	return into
+}
+
+// emptiedNil returns a copy of b whose empty record slices are nil, so a
+// batch decoded into a reused buffer (empty sections) compares equal to
+// one decoded fresh (nil sections).
+func emptiedNil(b *ReplBatch) ReplBatch {
+	c := *b
+	c.Touches = nilIfEmpty(c.Touches)
+	c.Removed = nilIfEmpty(c.Removed)
+	if c.Snap != nil {
+		snap := *c.Snap
+		snap.Shadow = nilIfEmpty(snap.Shadow)
+		snap.Log = nilIfEmpty(snap.Log)
+		snap.Views = nilIfEmpty(snap.Views)
+		c.Snap = &snap
+	}
+	if c.Img != nil {
+		img := *c.Img
+		img.Entries = nilIfEmpty(img.Entries)
+		c.Img = &img
+	}
+	return c
+}
+
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
+
+// TestReplBatchBuffersBounded: a full-state batch of 4,096 registration
+// records grows the sender's and the standby's batch buffers past
+// maxBufRecords, and the next, steady batch leaves neither with room for
+// more.
+func TestReplBatchBuffersBounded(t *testing.T) {
+	r := newStreamRig(t, 4, ReplConfig{Retry: transport.RetryPolicy{Attempts: 1}})
+	for i := 0; i < 4096; i++ {
+		hv := ViewRecord{ViewTouch: ViewTouch{Name: fmt.Sprintf("v%04d", i)}, Props: property.MustSet(fmt.Sprintf("Flights={%d}", i))}
+		if err := r.prim.installView(hv, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.mustSend("w", &wire.Message{Type: wire.TRegister, Props: property.MustSet("Flights={5000}")})
+	var fullState bool // a batch carried every view's registration record
+	r.link.mu.Lock()
+	r.link.tap = func(req *wire.Message) {
+		if b, err := DecodeReplBatch(req.Blob); err == nil && b.Snap != nil && b.ViewSince == 0 && len(b.Snap.Views) == 4097 {
+			fullState = true
+		}
+	}
+	r.link.mu.Unlock()
+	// Lose a batch: the standby is marked down, and the heartbeat probe
+	// that brings it back up ships full view state.
+	r.link.mu.Lock()
+	r.link.dropBatch = 1
+	r.link.mu.Unlock()
+	r.send("w", &wire.Message{Type: wire.TSetMode, Mode: wire.Weak})
+	if !r.repl.Degraded() {
+		t.Fatal("a lost batch left the standby up")
+	}
+	r.settle("w")
+	standby := func() int {
+		r.sb.ha.applyMu.Lock()
+		defer r.sb.ha.applyMu.Unlock()
+		return r.sb.ha.batch.room()
+	}
+	if got := len(r.sb.Views()); got != 4097 {
+		t.Fatalf("standby holds %d views after full state, want 4097", got)
+	}
+	r.link.mu.Lock()
+	shipped := fullState
+	r.link.mu.Unlock()
+	if !shipped {
+		t.Fatal("the probe shipped no full-state batch")
+	}
+	r.mustSend("w", &wire.Message{Type: wire.TSetMode, Mode: wire.Strong})
+	if got := r.repl.buf.room(); got > maxBufRecords {
+		t.Errorf("sender keeps a %d-record slice after a steady batch, cap %d", got, maxBufRecords)
+	}
+	if got := standby(); got > maxBufRecords {
+		t.Errorf("standby keeps a %d-record slice after a steady batch, cap %d", got, maxBufRecords)
+	}
+	r.assertConverged()
 }
 
 // TestReplicateRefusesOldFormat: a gob-encoded batch (the pre-O(Δ)
@@ -732,13 +964,15 @@ func TestReplBatchAllocs(t *testing.T) {
 	}
 	vs, _ := r.prim.viewState("v03")
 
-	// Build the batches the way the sender does, but keep them: the
-	// standby half below replays them one per measured run.
-	var commits, touches []*ReplBatch
+	// Build the batches the way the sender does, into its one buffer, and
+	// keep their encodings: the standby half below replays them one per
+	// measured run.
+	var commits, touches [][]byte
 	var since vclock.Version = r.prim.CurrentVersion()
 	r.repl.mu.Lock()
 	viewSince := r.repl.ackedView
 	r.repl.mu.Unlock()
+	var lastSince vclock.Version // where the last commit batch started
 	step := func() {
 		d := image.New()
 		d.Put(image.Entry{Key: fmt.Sprintf("f/%03d", 12+len(commits)%4), Value: []byte("NYC|SFO|200|57|19900")})
@@ -749,8 +983,11 @@ func TestReplBatchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		since, viewSince = b.Snap.Version, b.ViewSeq
-		commits = append(commits, b)
+		if len(b.Snap.Shadow) != 1 || len(b.Snap.Log) != 1 || b.Img.Len() != 1 || len(b.Touches)+len(b.Snap.Views)+len(b.Removed) != 0 {
+			t.Fatalf("commit batch is not one key: %+v", b)
+		}
+		lastSince, since, viewSince = since, b.Snap.Version, b.ViewSeq
+		commits = append(commits, EncodeReplBatch(b))
 
 		vs.mu.Lock()
 		vs.seen = since
@@ -759,17 +996,14 @@ func TestReplBatchAllocs(t *testing.T) {
 		if b, err = r.repl.buildBatch(since, viewSince, 0); err != nil {
 			t.Fatal(err)
 		}
+		if len(b.Touches) != 1 || len(b.Removed)+len(b.Snap.Shadow)+len(b.Snap.Log)+len(b.Snap.Views) != 0 || b.Img != nil {
+			t.Fatalf("touch batch is not one touch: %+v", b)
+		}
 		viewSince = b.ViewSeq
-		touches = append(touches, b)
+		touches = append(touches, EncodeReplBatch(b))
 	}
 	for i := 0; i < runs+8; i++ {
 		step()
-	}
-	if b := commits[len(commits)-1]; len(b.Snap.Shadow) != 1 || len(b.Snap.Log) != 1 || b.Img.Len() != 1 || len(b.Touches)+len(b.Snap.Views) != 0 {
-		t.Fatalf("commit batch is not one key: %+v", b)
-	}
-	if b := touches[len(touches)-1]; len(b.Touches) != 1 || len(b.Snap.Shadow)+len(b.Snap.Log)+len(b.Snap.Views) != 0 || b.Img != nil {
-		t.Fatalf("touch batch is not one touch: %+v", b)
 	}
 
 	pin := func(what string, max float64, f func()) {
@@ -778,20 +1012,43 @@ func TestReplBatchAllocs(t *testing.T) {
 			t.Errorf("%s allocs/op = %.1f, want <= %.0f", what, got, max)
 		}
 	}
-	// Encode: the result copy alone; writing the scope reads it in place.
-	pin("encode 1-key batch", 1, func() { EncodeReplBatch(commits[0]) })
-	pin("encode 1-touch batch", 1, func() { EncodeReplBatch(touches[0]) })
+	// Encode, into a pooled encoder: nothing. Writing the scope reads it
+	// in place, and the sender ships the encoder's own buffer.
+	for what, blob := range map[string][]byte{"1-key": commits[0], "1-touch": touches[0]} {
+		b, err := DecodeReplBatch(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin("encode "+what+" batch", 0, func() {
+			e := wire.GetEncoder()
+			encodeReplBatch(e, b)
+			wire.PutEncoder(e)
+		})
+	}
+	// Build + encode, the sender's half: rebuilding the last commit's
+	// batch from where it started reads the same one key. Measured 3.0:
+	// what is left is the values extract (the image, its entries, the
+	// value), which the codec hands over fresh. The records land in the
+	// sender's buffer and the encoding in a pooled encoder.
+	pin("build+encode 1-key batch", 3, func() {
+		b, err := r.repl.buildBatch(lastSince, viewSince, 0)
+		if err != nil || len(b.Snap.Shadow) != 1 || len(b.Snap.Log) != 1 || b.Img.Len() != 1 {
+			t.Fatalf("rebuilt batch is not one key: %v %+v", err, b)
+		}
+		e := wire.GetEncoder()
+		encodeReplBatch(e, b)
+		wire.PutEncoder(e)
+	})
 
-	// Decode + apply on the standby, a fresh batch per run, interleaved as
-	// the stream does: commit n, touch n, commit n+1, ...
+	// Decode + apply on the standby, interleaved as the stream does:
+	// commit n, touch n, commit n+1, ...
 	//
 	// The counter is process-wide, and a collection sets off runtime
 	// background work whose allocations land in whichever run is open
 	// (about one test run in 15 read a stray object). Collection stays off
 	// while counting, so each run counts its decode+apply alone.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	mallocs := func(b *ReplBatch) float64 {
-		blob := EncodeReplBatch(b)
+	mallocs := func(blob []byte) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		reply := r.sb.handleReplicate(&wire.Message{Type: wire.TReplicate, Blob: blob})
@@ -814,20 +1071,27 @@ func TestReplBatchAllocs(t *testing.T) {
 	if got, want := r.sb.CurrentVersion(), since; got != want {
 		t.Fatalf("standby at v%d after replay, want v%d", got, want)
 	}
-	// Measured 6.1 (6.2 under -race) and 3.0 with the standby decoding
-	// through its stream tables; 22.1 and 4.0 when every batch decoded
-	// v03's scope, writer and key afresh. Each ceiling is a whole
-	// allocation above its measurement: the counter is process-wide, and
-	// one stray runtime object in one of the 200 runs had been enough to
-	// fail a pin measured at its ceiling.
-	if commitAllocs > 7 {
-		t.Errorf("decode+apply 1-key batch allocs/op = %.1f, want <= 7", commitAllocs)
+	// Measured 3.1 and 1.0 (under -race too) with the standby decoding
+	// through its stream tables into its one batch buffer; 6.1 and 3.0
+	// when every batch decoded into a fresh batch, and 22.1 and 4.0 when
+	// every batch also decoded v03's scope, writer and key afresh. What is
+	// left is the decoder, and for a 1-key batch its values section,
+	// decoded fresh because the codec's Merge may keep it: the entries and
+	// one copy of the values. Beside these the transport copies the blob
+	// out of its frame before the handler runs (this test hands the blob
+	// over directly), and the sender re-extracts the values (the
+	// build+encode pin above).
+	// Each ceiling is a whole allocation above its measurement: the
+	// counter is process-wide, and one stray runtime object in one of the
+	// 200 runs had been enough to fail a pin measured at its ceiling.
+	if commitAllocs > 4 {
+		t.Errorf("decode+apply 1-key batch allocs/op = %.1f, want <= 4", commitAllocs)
 	}
-	if touchAllocs > 4 {
-		t.Errorf("decode+apply 1-touch batch allocs/op = %.1f, want <= 4", touchAllocs)
+	if touchAllocs > 2 {
+		t.Errorf("decode+apply 1-touch batch allocs/op = %.1f, want <= 2", touchAllocs)
 	}
 	t.Logf("decode+apply allocs/op: 1-key %.1f, 1-touch %.1f; encoded %d and %d bytes",
-		commitAllocs, touchAllocs, len(EncodeReplBatch(commits[0])), len(EncodeReplBatch(touches[0])))
+		commitAllocs, touchAllocs, len(commits[0]), len(touches[0]))
 }
 
 // TestReplBatchFlatInViews pins that the replication stream is O(Δ) in
@@ -905,11 +1169,13 @@ func TestReplBatchFlatInViews(t *testing.T) {
 	// The counts are equal in a plain build. The one alloc of slack is for
 	// -race, whose sync.Pool drops items at random.
 	small := measure(16)
-	// Measured 32, 37 under -race; 36 while the directory's pull reply and
+	// Measured 21, 26 under -race (the highest of 30 runs); 32 and 37
+	// while every replication batch was built, encoded and decoded into
+	// buffers of its own, and 36 while the directory's pull reply and
 	// push ack, the standby's TReplAck and its decoded copy at the sender
-	// were left to the collector. Each of them now goes back to the wire
-	// pool from whoever holds it last: the transport for a reply it
-	// encoded, the sender for the ack it read.
+	// were left to the collector. What is left of the replication share
+	// is the sender's values extract, the standby's decoder and fresh
+	// values section, and the blob the transport copies out of its frame.
 	if small > replPushPullAllocs {
 		t.Errorf("push+pull allocs/op = %.1f at 16 views, want <= %d", small, replPushPullAllocs)
 	}

@@ -14,7 +14,7 @@ import (
 func seededTables() *wire.Tables {
 	tb := wire.NewTables()
 	for _, seed := range replSeeds() {
-		_, _ = decodeReplBatch(tb.NewDecoder(seed))
+		_, _ = decodeReplBatch(tb.NewDecoder(seed), new(batchBuf))
 	}
 	return tb
 }
@@ -27,7 +27,7 @@ func checkTablesAgree(t *testing.T, data []byte, b *ReplBatch, err error) {
 	t.Helper()
 	fresh := wire.NewTables()
 	for i, tb := range []*wire.Tables{fresh, fresh, seededTables()} {
-		got, gotErr := decodeReplBatch(tb.NewDecoder(data))
+		got, gotErr := decodeReplBatch(tb.NewDecoder(data), new(batchBuf))
 		switch {
 		case (err == nil) != (gotErr == nil):
 			t.Fatalf("decode %d through tables: error %v, uncached %v", i, gotErr, err)
@@ -65,7 +65,7 @@ func TestStreamTablesTruncationsAgree(t *testing.T) {
 // through the same tables leaves its names, keys and scopes as they were.
 func TestStreamTablesNoAliasing(t *testing.T) {
 	tb := wire.NewTables()
-	if _, err := decodeReplBatch(tb.NewDecoder(EncodeReplBatch(sampleBatch()))); err != nil {
+	if _, err := decodeReplBatch(tb.NewDecoder(EncodeReplBatch(sampleBatch())), new(batchBuf)); err != nil {
 		t.Fatal(err)
 	}
 	// Half the batch repeats what the tables hold, half is new to them.
@@ -77,7 +77,7 @@ func TestStreamTablesNoAliasing(t *testing.T) {
 	src.Img.Put(image.Entry{Key: "f/200", Value: []byte("seats=1"), Version: 9, Writer: "v7"})
 	src.Touches = append(src.Touches, ViewTouch{Name: "v7", Seen: 9, Phase: PhaseActive})
 	blob := EncodeReplBatch(src)
-	got, err := decodeReplBatch(tb.NewDecoder(blob))
+	got, err := decodeReplBatch(tb.NewDecoder(blob), new(batchBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestStreamTablesNoAliasing(t *testing.T) {
 	other := sampleBatch()
 	other.Snap.Log[0].Props = property.MustSet("Flights={300}")
 	other.Snap.Shadow[0].Key = "f/300"
-	if _, err := decodeReplBatch(tb.NewDecoder(EncodeReplBatch(other))); err != nil {
+	if _, err := decodeReplBatch(tb.NewDecoder(EncodeReplBatch(other)), new(batchBuf)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, src) {

@@ -2,6 +2,7 @@ package directory
 
 import (
 	"fmt"
+	"slices"
 
 	"flecc/internal/property"
 	"flecc/internal/vclock"
@@ -267,30 +268,27 @@ func encodeSnapSections(e *wire.Encoder, snap *Snapshot) {
 	}
 }
 
-// decodeSnapSections reads what encodeSnapSections wrote into snap;
-// errors latch in d.
+// decodeSnapSections appends what encodeSnapSections wrote to snap's
+// sections, each empty or nil on entry; errors latch in d.
 func decodeSnapSections(d *wire.Decoder, snap *Snapshot) {
-	if n := d.Count(minShadowRec); n > 0 {
-		snap.Shadow = make([]ShadowRec, n)
-		for i := range snap.Shadow {
-			snap.Shadow[i] = ShadowRec{
-				Key: d.Key(), Version: vclock.Version(d.Uvarint()), Writer: d.Name(), Deleted: d.Bool(),
-			}
-		}
+	n := d.Count(minShadowRec)
+	snap.Shadow = slices.Grow(snap.Shadow, n)
+	for i := 0; i < n; i++ {
+		snap.Shadow = append(snap.Shadow, ShadowRec{
+			Key: d.Key(), Version: vclock.Version(d.Uvarint()), Writer: d.Name(), Deleted: d.Bool(),
+		})
 	}
-	if n := d.Count(minLogRec); n > 0 {
-		snap.Log = make([]UpdateRec, n)
-		for i := range snap.Log {
-			snap.Log[i] = UpdateRec{
-				Version: vclock.Version(d.Uvarint()), Writer: d.Name(), Props: d.PropSet(),
-				Ops: int(d.Uvarint()), At: vclock.Time(d.Uvarint()),
-			}
-		}
+	n = d.Count(minLogRec)
+	snap.Log = slices.Grow(snap.Log, n)
+	for i := 0; i < n; i++ {
+		snap.Log = append(snap.Log, UpdateRec{
+			Version: vclock.Version(d.Uvarint()), Writer: d.Name(), Props: d.PropSet(),
+			Ops: int(d.Uvarint()), At: vclock.Time(d.Uvarint()),
+		})
 	}
-	if n := d.Count(minRegRec); n > 0 {
-		snap.Views = make([]ViewRecord, n)
-		for i := range snap.Views {
-			snap.Views[i] = ViewRecord{ViewTouch: decodeTouch(d), Props: d.PropSet(), Validity: d.Str()}
-		}
+	n = d.Count(minRegRec)
+	snap.Views = slices.Grow(snap.Views, n)
+	for i := 0; i < n; i++ {
+		snap.Views = append(snap.Views, ViewRecord{ViewTouch: decodeTouch(d), Props: d.PropSet(), Validity: d.Str()})
 	}
 }

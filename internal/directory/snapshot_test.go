@@ -77,7 +77,7 @@ func TestViewListRoundTrip(t *testing.T) {
 	}
 	decode := func(b []byte) ([]string, error) {
 		d := wire.NewDecoder(b)
-		names := decodeNames(d)
+		names := decodeNames(d, nil)
 		return names, decoded(d, "view list")
 	}
 	for _, names := range [][]string{nil, {"a"}, {"v1", "", "v3"}} {

@@ -105,12 +105,12 @@ func (j *viewJournal) trim(upTo uint64) {
 	j.recs = j.recs[:n]
 }
 
-// captureViewChanges fills b's touch and removal records and returns its
-// registration records: everything journaled after b.ViewSince, or — when
-// that watermark is zero or below the journal's floor — every registered
-// view as a registration record, with b.ViewSince reset to 0 to say so.
-// b.ViewSeq closes the batch.
-func (r *Replicator) captureViewChanges(b *ReplBatch) (regs []ViewRecord) {
+// captureViewChanges fills b's view records — touches, removals, and
+// registrations appended to b.Snap.Views: everything journaled after
+// b.ViewSince, or — when that watermark is zero or below the journal's
+// floor — every registered view as a registration record, with
+// b.ViewSince reset to 0 to say so. b.ViewSeq closes the batch.
+func (r *Replicator) captureViewChanges(b *ReplBatch) {
 	m, j := r.m, &r.journal
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -118,15 +118,15 @@ func (r *Replicator) captureViewChanges(b *ReplBatch) (regs []ViewRecord) {
 	b.ViewSeq = j.seq
 	if b.ViewSince == 0 || b.ViewSince < j.floor {
 		b.ViewSince = 0
-		return m.captureViews()
+		b.Snap.Views = m.captureViews(b.Snap.Views)
+		return
 	}
 	i := sort.Search(len(j.recs), func(i int) bool { return j.recs[i].seq > b.ViewSince })
 	for _, rec := range j.recs[i:] {
 		if rec.seq == rec.vs.jSeq {
-			regs = m.captureView(b, regs, rec.vs, rec.vs.jRegSeq > b.ViewSince)
+			b.Snap.Views = m.captureView(b, b.Snap.Views, rec.vs, rec.vs.jRegSeq > b.ViewSince)
 		}
 	}
-	return regs
 }
 
 // captureView records vs's current state as a removal or touch in b, or

@@ -155,6 +155,13 @@ type Extractor interface {
 // props is the scope of the merge, the only one: the image carries none.
 // The empty set means the whole domain.
 //
+// Ownership: Merge may keep the entries' keys and values it is handed,
+// without copying them (flecc.MapCodec stores each Value as it comes);
+// the Image itself is the caller's again once Merge returns. So a caller
+// that reuses its buffers across merges still hands every Merge values
+// of their own: a hot standby decodes each replication batch into one
+// reused record, but each batch's values section afresh.
+//
 // Concurrency contract, for every codec method (Extract, ExtractKeys,
 // Merge): the protocol layers call them outside their own locks, so a
 // codec must be safe for concurrent use. The directory store runs one

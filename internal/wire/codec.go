@@ -123,6 +123,11 @@ func (e *Encoder) Bytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// Encoded returns the encoded bytes in the encoder's own buffer: valid
+// until the encoder is written to again or goes back to the pool. A
+// caller that must keep them takes Copy instead.
+func (e *Encoder) Encoded() []byte { return e.buf }
+
 // Copy returns the encoded bytes in a fresh slice the caller keeps; the
 // encoder itself can go back to the pool.
 func (e *Encoder) Copy() []byte {
