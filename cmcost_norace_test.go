@@ -12,3 +12,6 @@ const (
 	reserveLoopAllocs = 8
 	gatherRoundAllocs = 23 // per op, over gatherSharers-1 legs
 )
+
+// gatherRoundRuns is how many ops the gather pin averages.
+const gatherRoundRuns = 200

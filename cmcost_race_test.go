@@ -12,3 +12,9 @@ const (
 	reserveLoopAllocs = 12
 	gatherRoundAllocs = 31 // per op, over gatherSharers-1 legs
 )
+
+// gatherRoundRuns is how many ops the gather pin averages. AllocsPerRun
+// floors the mean to whole allocations per op, and the drops come at
+// random: over 200 ops the reading rose past the ceiling now and then,
+// over 1,000 the mean holds still.
+const gatherRoundRuns = 1000

@@ -83,7 +83,8 @@ type (
 	ChangeExtractor = image.ChangeExtractor
 	// Conflict is a concurrent-update conflict handed to a Resolver.
 	Conflict = image.Conflict
-	// Resolver adjudicates conflicts.
+	// Resolver adjudicates conflicts; image.Resolver states the contract
+	// every commit holds it to.
 	Resolver = image.Resolver
 	// Props is a set of data properties.
 	Props = property.Set

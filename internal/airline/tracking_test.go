@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -116,7 +117,7 @@ func tombstone(t *testing.T, rs *ReservationSystem, numbers ...int) {
 	t.Helper()
 	img := image.New()
 	for _, n := range numbers {
-		img.Delete(FlightKey(n), 0, "")
+		img.Put(image.Entry{Key: FlightKey(n), Deleted: true})
 	}
 	if err := rs.Merge(img, property.Set{}); err != nil {
 		t.Fatal(err)
@@ -167,7 +168,7 @@ func TestChangeExtractorSinceZeroIsExtract(t *testing.T) {
 		if img == nil {
 			img = image.New()
 		}
-		if !img.Equal(full) {
+		if !slices.EqualFunc(img.Entries, full.Entries, image.Entry.Equal) {
 			t.Fatalf("props %s: ExtractChanged(0) = %v, Extract = %v", props, img.Entries, full.Entries)
 		}
 	}
@@ -215,7 +216,7 @@ func TestChangeExtractorRevisionsAdvance(t *testing.T) {
 	rs.ConfirmTickets(1, 404)
 	img := image.New()
 	img.Put(image.Entry{Key: FlightKey(1), Value: Flight{Capacity: 99}.Encode()})
-	img.Delete(FlightKey(2), 0, "")
+	img.Put(image.Entry{Key: FlightKey(2), Deleted: true})
 	if err := rs.Merge(img, property.Set{}); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestChangeExtractorConcurrent(t *testing.T) {
 					rs.AddFlight(Flight{Number: n, Capacity: 1 << 30, Reserved: i})
 				default:
 					img := image.New()
-					img.Delete(FlightKey(n), 0, "")
+					img.Put(image.Entry{Key: FlightKey(n), Deleted: true})
 					rs.Merge(img, property.Set{})
 				}
 			}

@@ -53,7 +53,7 @@ func (a eqAirline) put(n, val int) {
 // has no delete operation of its own, only tombstones through Merge.
 func (a eqAirline) del(n int) {
 	img := image.New()
-	img.Delete(airline.FlightKey(n), 0, "")
+	img.Put(image.Entry{Key: airline.FlightKey(n), Deleted: true})
 	if err := a.Merge(img, property.Set{}); err != nil {
 		panic(err)
 	}

@@ -290,6 +290,7 @@ func (s *Store) commitGated(writer string, props property.Set, delta *image.Imag
 			if err != nil {
 				return 0, 0, nil, fmt.Errorf("directory: resolve %q: %w", k, err)
 			}
+			winner.Key = k // under the conflict's key, apply stays sorted
 			if winner.Equal(ours) {
 				// The primary's value survives: keep the shadow as-is,
 				// skip the merge for this key, and report the winning
@@ -300,7 +301,6 @@ func (s *Store) commitGated(writer string, props property.Set, delta *image.Imag
 				rejected.Put(ours)
 				continue
 			}
-			winner.Key = k // under the conflict's key, apply stays sorted
 			apply[c.at] = winner
 		}
 		if rejected != nil {

@@ -9,9 +9,9 @@
 // extract or merge call that produces or consumes it is handed the
 // property set (paper §4.1). The application supplies the
 // extract/merge callbacks (Extractor/Merger interfaces); Flecc never
-// interprets entry payloads — it only routes, versions, and (optionally)
-// helps resolve conflicts via the three-way merge helpers here, in the
-// style of Coda and Bayou.
+// interprets entry payloads — it only routes and versions them. Where two
+// views' updates conflict, the directory store hands both sides to the
+// application's Resolver (merge.go), in the style of Coda and Bayou.
 //
 // Ownership: an image returned by an extract, a decoder or a commit
 // belongs to its receiver, which may change it until it hands it on (in
@@ -118,19 +118,8 @@ func (im *Image) Get(key string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Delete records a tombstone for key at the given version.
-func (im *Image) Delete(key string, v vclock.Version, writer string) {
-	im.Put(Entry{Key: key, Version: v, Writer: writer, Deleted: true})
-}
-
 // Len returns the number of entries (including tombstones).
 func (im *Image) Len() int { return len(im.Entries) }
-
-// Equal reports whether two images have equal content (entries compared by
-// Entry.Equal; versions ignored).
-func (im *Image) Equal(o *Image) bool {
-	return slices.EqualFunc(im.Entries, o.Entries, Entry.Equal)
-}
 
 // String summarizes the image for logs.
 func (im *Image) String() string {

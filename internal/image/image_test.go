@@ -30,7 +30,7 @@ func TestImageBasics(t *testing.T) {
 	if got := im.Entries; got[0].Key != "f/1" || got[1].Key != "f/2" {
 		t.Fatalf("entries = %v", got)
 	}
-	im.Delete("f/1", 3, "v2")
+	im.Put(Entry{Key: "f/1", Version: 3, Writer: "v2", Deleted: true})
 	e, _ = im.Get("f/1")
 	if !e.Deleted {
 		t.Fatal("tombstone missing")
@@ -59,9 +59,9 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// Any sequence of Put, Delete and in-place removal leaves the entries
-// sorted with no key twice, and agrees with a map holding the same
-// operations; Get finds exactly the model's keys.
+// Any sequence of Puts, live or tombstone, and in-place removals leaves
+// the entries sorted with no key twice, and agrees with a map holding the
+// same operations; Get finds exactly the model's keys.
 func TestQuickPutGetDelete(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	f := func() bool {
@@ -75,7 +75,7 @@ func TestQuickPutGetDelete(t *testing.T) {
 				im.Put(e)
 				model[k] = e
 			case 2:
-				im.Delete(k, 7, "d")
+				im.Put(Entry{Key: k, Version: 7, Writer: "d", Deleted: true})
 				model[k] = Entry{Key: k, Version: 7, Writer: "d", Deleted: true}
 			default:
 				im.Entries = slices.DeleteFunc(im.Entries, func(e Entry) bool { return e.Key == k })
@@ -136,30 +136,6 @@ func TestEntryEqual(t *testing.T) {
 	}
 }
 
-func TestImageEqualAndDiff(t *testing.T) {
-	a := New()
-	b := New()
-	a.Put(entry("k1", "v", 1, ""))
-	b.Put(entry("k1", "v", 5, "")) // same content
-	if !a.Equal(b) {
-		t.Fatal("images with same content should be equal")
-	}
-	b.Put(entry("k2", "w", 6, ""))
-	if a.Equal(b) {
-		t.Fatal("extra key should break equality")
-	}
-	d := Diff(a, b)
-	if len(d) != 1 || d[0] != "k2" {
-		t.Fatalf("diff = %v", d)
-	}
-	if got := Diff(nil, b); len(got) != 2 {
-		t.Fatalf("diff(nil,b) = %v", got)
-	}
-	if got := Diff(a, nil); len(got) != 1 {
-		t.Fatalf("diff(a,nil) = %v", got)
-	}
-}
-
 func TestFuncCodec(t *testing.T) {
 	c := FuncCodec{
 		ExtractFn: func(props property.Set) (*Image, error) { return New(), nil },
@@ -180,269 +156,10 @@ func TestFuncCodec(t *testing.T) {
 	}
 }
 
-func TestThreeWayMergeFastForward(t *testing.T) {
-	base := New()
-	base.Put(entry("k", "v0", 1, ""))
-	ours := base.Clone()
-	theirs := base.Clone()
-	theirs.Put(entry("k", "v1", 2, "remote"))
-	theirs.Version = 2
-
-	res, err := ThreeWayMerge(base, ours, theirs, MergeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied != 1 || len(res.Conflicts) != 0 {
-		t.Fatalf("res = %+v", res)
-	}
-	e, _ := ours.Get("k")
-	if string(e.Value) != "v1" || ours.Version != 2 {
-		t.Fatalf("ours = %v", ours)
-	}
-}
-
-func TestThreeWayMergeBothSame(t *testing.T) {
-	base := New()
-	base.Put(entry("k", "v0", 1, ""))
-	ours := base.Clone()
-	theirs := base.Clone()
-	ours.Put(entry("k", "same", 2, "a"))
-	theirs.Put(entry("k", "same", 3, "b"))
-	res, err := ThreeWayMerge(base, ours, theirs, MergeOptions{})
-	if err != nil || len(res.Conflicts) != 0 {
-		t.Fatalf("identical changes should not conflict: %+v, %v", res, err)
-	}
-}
-
-func TestThreeWayMergeConflictLWW(t *testing.T) {
-	base := New()
-	base.Put(entry("k", "v0", 1, ""))
-	ours := base.Clone()
-	theirs := base.Clone()
-	ours.Put(entry("k", "mine", 5, "me"))
-	theirs.Put(entry("k", "theirs", 3, "them"))
-
-	res, err := ThreeWayMerge(base, ours, theirs, MergeOptions{Policy: PolicyLastWriterWins})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Conflicts) != 1 || res.KeptOurs != 1 {
-		t.Fatalf("res = %+v", res)
-	}
-	e, _ := ours.Get("k")
-	if string(e.Value) != "mine" {
-		t.Fatalf("LWW kept %q, want mine (v5 > v3)", e.Value)
-	}
-}
-
-func TestThreeWayMergePolicies(t *testing.T) {
-	mk := func() (*Image, *Image, *Image) {
-		base := New()
-		base.Put(entry("k", "v0", 1, ""))
-		ours := base.Clone()
-		theirs := base.Clone()
-		ours.Put(entry("k", "mine", 2, "me"))
-		theirs.Put(entry("k", "theirs", 2, "them"))
-		return base, ours, theirs
-	}
-	base, ours, theirs := mk()
-	if _, err := ThreeWayMerge(base, ours, theirs, MergeOptions{Policy: PolicyOurs}); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := ours.Get("k")
-	if string(e.Value) != "mine" {
-		t.Fatal("PolicyOurs should keep ours")
-	}
-	base, ours, theirs = mk()
-	if _, err := ThreeWayMerge(base, ours, theirs, MergeOptions{Policy: PolicyTheirs}); err != nil {
-		t.Fatal(err)
-	}
-	e, _ = ours.Get("k")
-	if string(e.Value) != "theirs" {
-		t.Fatal("PolicyTheirs should take theirs")
-	}
-	// LWW tie goes to theirs.
-	base, ours, theirs = mk()
-	if _, err := ThreeWayMerge(base, ours, theirs, MergeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	e, _ = ours.Get("k")
-	if string(e.Value) != "theirs" {
-		t.Fatal("LWW tie should take theirs")
-	}
-}
-
-func TestThreeWayMergeResolver(t *testing.T) {
-	base := New()
-	base.Put(entry("k", "10", 1, ""))
-	ours := base.Clone()
-	theirs := base.Clone()
-	ours.Put(entry("k", "7", 2, "me"))
-	theirs.Put(entry("k", "4", 2, "them"))
-
-	// Domain resolver: numeric minimum (airline "seats remaining" style).
-	res, err := ThreeWayMerge(base, ours, theirs, MergeOptions{
-		Resolver: func(c Conflict) (Entry, error) {
-			if string(c.Ours.Value) < string(c.Theirs.Value) {
-				return c.Ours, nil
-			}
-			return c.Theirs, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := ours.Get("k")
-	if string(e.Value) != "4" {
-		t.Fatalf("resolver result = %q", e.Value)
-	}
-	if len(res.Conflicts) != 1 {
-		t.Fatalf("conflicts = %d", len(res.Conflicts))
-	}
-}
-
-func TestThreeWayMergeResolverError(t *testing.T) {
-	base := New()
-	base.Put(entry("k", "v", 1, ""))
-	ours := base.Clone()
-	theirs := base.Clone()
-	ours.Put(entry("k", "a", 2, ""))
-	theirs.Put(entry("k", "b", 2, ""))
-	_, err := ThreeWayMerge(base, ours, theirs, MergeOptions{
-		Resolver: func(c Conflict) (Entry, error) { return Entry{}, fmt.Errorf("boom") },
-	})
-	if err == nil {
-		t.Fatal("resolver error should propagate")
-	}
-}
-
-func TestThreeWayMergeNilBase(t *testing.T) {
-	ours := New()
-	theirs := New()
-	theirs.Put(entry("k", "v", 1, ""))
-	res, err := ThreeWayMerge(nil, ours, theirs, MergeOptions{})
-	if err != nil || res.Applied != 1 {
-		t.Fatalf("nil base merge: %+v, %v", res, err)
-	}
-}
-
-func TestThreeWayMergeNilTheirs(t *testing.T) {
-	ours := New()
-	res, err := ThreeWayMerge(nil, ours, nil, MergeOptions{})
-	if err != nil || res.Applied != 0 {
-		t.Fatalf("nil theirs: %+v, %v", res, err)
-	}
-}
-
-func TestThreeWayMergeDeletionWins(t *testing.T) {
-	base := New()
-	base.Put(entry("k", "v", 1, ""))
-	ours := base.Clone()
-	theirs := base.Clone()
-	theirs.Delete("k", 2, "them")
-	if _, err := ThreeWayMerge(base, ours, theirs, MergeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := ours.Get("k")
-	if !e.Deleted {
-		t.Fatal("remote deletion should fast-forward")
-	}
-}
-
 func TestConflictString(t *testing.T) {
 	c := Conflict{Key: "k", Ours: entry("k", "a", 1, "x"), Theirs: entry("k", "b", 2, "y")}
 	s := c.String()
 	if !strings.Contains(s, "k") || !strings.Contains(s, "x") || !strings.Contains(s, "y") {
 		t.Fatalf("String = %q", s)
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	for p, want := range map[Policy]string{
-		PolicyLastWriterWins: "last-writer-wins",
-		PolicyOurs:           "ours",
-		PolicyTheirs:         "theirs",
-	} {
-		if p.String() != want {
-			t.Fatalf("%d.String() = %q", p, p.String())
-		}
-	}
-}
-
-func genImage(r *rand.Rand, writer string, baseVer vclock.Version) *Image {
-	im := New()
-	n := r.Intn(5)
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("k%d", r.Intn(6))
-		im.Put(entry(k, fmt.Sprintf("%s-%d", writer, r.Intn(3)), baseVer+vclock.Version(r.Intn(4)), writer))
-	}
-	im.Version = baseVer + vclock.Version(r.Intn(5))
-	return im
-}
-
-// Merging theirs into ours makes ours contain theirs' content wherever
-// there was no conflict resolved to ours; with PolicyTheirs, ours must end
-// up containing every key of theirs with theirs' content.
-func TestQuickMergePolicyTheirsAbsorbs(t *testing.T) {
-	r := rand.New(rand.NewSource(40))
-	f := func() bool {
-		base := genImage(r, "base", 0)
-		ours := base.Clone()
-		theirs := base.Clone()
-		// independent mutations
-		om := genImage(r, "ours", 10)
-		tm := genImage(r, "theirs", 10)
-		for _, e := range om.Entries {
-			ours.Put(e)
-		}
-		for _, e := range tm.Entries {
-			theirs.Put(e)
-		}
-		if _, err := ThreeWayMerge(base, ours, theirs, MergeOptions{Policy: PolicyTheirs}); err != nil {
-			return false
-		}
-		for _, te := range theirs.Entries {
-			k := te.Key
-			oe, ok := ours.Get(k)
-			if !ok {
-				return false
-			}
-			// if theirs changed the key, ours must now equal theirs
-			be, baseOK := base.Get(k)
-			if !baseOK || !te.Equal(be) {
-				if !oe.Equal(te) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Merge is idempotent: merging the same theirs twice changes nothing the
-// second time.
-func TestQuickMergeIdempotent(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	f := func() bool {
-		base := genImage(r, "base", 0)
-		ours := base.Clone()
-		theirs := base.Clone()
-		for _, e := range genImage(r, "theirs", 10).Entries {
-			theirs.Put(e)
-		}
-		if _, err := ThreeWayMerge(base, ours, theirs, MergeOptions{}); err != nil {
-			return false
-		}
-		snapshot := ours.Clone()
-		if _, err := ThreeWayMerge(base, ours, theirs, MergeOptions{}); err != nil {
-			return false
-		}
-		return ours.Equal(snapshot)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

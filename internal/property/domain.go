@@ -69,9 +69,6 @@ func Interval(min, max float64) Domain {
 	return Domain{kind: KindInterval, min: min, max: max}
 }
 
-// Point returns the degenerate interval [v, v].
-func Point(v float64) Domain { return Interval(v, v) }
-
 // Discrete returns the discrete domain containing exactly the given members
 // (duplicates removed). An empty member list yields the empty domain.
 func Discrete(members ...string) Domain {

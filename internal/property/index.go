@@ -1,7 +1,5 @@
 package property
 
-import "sort"
-
 // Index is an incrementally maintained posting index over property sets:
 // "which keys have a set that overlaps this set?" in O(log n + matches)
 // instead of a pairwise scan. It is the data structure behind the
@@ -48,12 +46,6 @@ func NewIndex() *Index {
 
 // Len returns the number of indexed keys.
 func (x *Index) Len() int { return len(x.sets) }
-
-// Has reports whether a key is indexed.
-func (x *Index) Has(key string) bool {
-	_, ok := x.sets[key]
-	return ok
-}
 
 // Insert indexes a set under a key, replacing any previous set for the
 // key. The index retains the set (domains are immutable; callers that
@@ -116,16 +108,6 @@ func (x *Index) Remove(key string) {
 			delete(x.names, p.Name)
 		}
 	}
-}
-
-// Update re-indexes a key under a new set (Insert replaces, so Update is
-// an alias that reads as intent at call sites).
-func (x *Index) Update(key string, s Set) { x.Insert(key, s) }
-
-// Stored returns the set currently indexed under key.
-func (x *Index) Stored(key string) (Set, bool) {
-	s, ok := x.sets[key]
-	return s, ok
 }
 
 // Overlapping calls fn once per indexed key whose set overlaps q, in
@@ -205,18 +187,6 @@ func (x *Index) Overlapping(q Set, fn func(key string) bool) {
 			}
 		}
 	}
-}
-
-// OverlapKeys is the slice-returning form of Overlapping, sorted for
-// deterministic output.
-func (x *Index) OverlapKeys(q Set) []string {
-	var out []string
-	x.Overlapping(q, func(key string) bool {
-		out = append(out, key)
-		return true
-	})
-	sort.Strings(out)
-	return out
 }
 
 // numericFootprint returns the smallest interval covering a domain's

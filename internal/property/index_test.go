@@ -8,6 +8,24 @@ import (
 	"testing"
 )
 
+// Has reports whether a key is indexed.
+func (x *Index) Has(key string) bool {
+	_, ok := x.sets[key]
+	return ok
+}
+
+// OverlapKeys is the slice-returning form of Overlapping, sorted for
+// deterministic output.
+func (x *Index) OverlapKeys(q Set) []string {
+	var out []string
+	x.Overlapping(q, func(key string) bool {
+		out = append(out, key)
+		return true
+	})
+	sort.Strings(out)
+	return out
+}
+
 // bruteOverlapKeys is the reference answer: a pairwise scan.
 func bruteOverlapKeys(sets map[string]Set, q Set) []string {
 	var out []string
@@ -76,7 +94,7 @@ func TestIndexNonNumericMembers(t *testing.T) {
 	}
 	// Mixed domain: numeric members in the treap, the rest inverted.
 	x.Insert("mix", NewSet(New("T", Discrete("blue", "7"))))
-	if got := x.OverlapKeys(NewSet(New("T", Point(7)))); !reflect.DeepEqual(got, []string{"mix"}) {
+	if got := x.OverlapKeys(NewSet(New("T", Interval(7, 7)))); !reflect.DeepEqual(got, []string{"mix"}) {
 		t.Fatalf("mixed numeric member = %v", got)
 	}
 	if got := x.OverlapKeys(NewSet(New("T", Discrete("blue")))); !reflect.DeepEqual(got, []string{"mix"}) {
@@ -90,7 +108,7 @@ func TestIndexOverlappingStops(t *testing.T) {
 		x.Insert(fmt.Sprintf("v%02d", i), NewSet(New("F", Interval(0, 100))))
 	}
 	calls := 0
-	x.Overlapping(NewSet(New("F", Point(50))), func(string) bool {
+	x.Overlapping(NewSet(New("F", Interval(50, 50))), func(string) bool {
 		calls++
 		return false
 	})

@@ -2,7 +2,6 @@ package property
 
 import (
 	"hash/fnv"
-	"sort"
 	"strconv"
 )
 
@@ -151,5 +150,3 @@ func segQuery(n *segNode, lo, hi float64, fn func(n *segNode) bool) bool {
 }
 
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
-
-func sortStrings(s []string) { sort.Strings(s) }

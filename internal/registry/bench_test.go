@@ -32,7 +32,7 @@ func skewProps(rng *rand.Rand, i int) property.Set {
 	if i%20 == 0 {
 		return property.NewSet(property.New("H", property.Interval(0, 1)))
 	}
-	return property.NewSet(property.New("K", property.Point(float64(i))))
+	return property.NewSet(property.New("K", property.Interval(float64(i), float64(i))))
 }
 
 func fillRegistry(b *testing.B, r *Registry, n int, skewed bool) []string {

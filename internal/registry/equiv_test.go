@@ -35,7 +35,8 @@ func randDomain(rng *rand.Rand) property.Domain {
 		lo := rng.Float64() * 100
 		return property.Interval(lo, lo+rng.Float64()*15)
 	case 1:
-		return property.Point(float64(rng.Intn(50)))
+		v := float64(rng.Intn(50))
+		return property.Interval(v, v)
 	case 2:
 		lo := rng.Intn(80)
 		return property.DiscreteRange(lo, lo+rng.Intn(8))

@@ -284,7 +284,7 @@ func (r *Router) settle(shard, view string, t wire.Type, props property.Set, pla
 			// Record the new set so future conflict-affinity placements see
 			// it; resolve already refused sets that overlap other shards.
 			r.vprops[view] = props
-			r.pidx.Update(view, r.vprops[view])
+			r.pidx.Insert(view, r.vprops[view])
 		}
 	}
 	r.mu.Unlock()

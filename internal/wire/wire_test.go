@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,7 +58,7 @@ func messagesEqual(a, b *Message) bool {
 		return false
 	}
 	if a.Img != nil {
-		if a.Img.Version != b.Img.Version || !a.Img.Equal(b.Img) {
+		if a.Img.Version != b.Img.Version || !slices.EqualFunc(a.Img.Entries, b.Img.Entries, image.Entry.Equal) {
 			return false
 		}
 		// Entry metadata must survive too.
