@@ -9,7 +9,7 @@ package flecc_test
 const (
 	cleanFetchAllocs  = 3
 	pushOneOf64Allocs = 10
-	reserveLoopAllocs = 12
+	reserveLoopAllocs = 9
 	gatherRoundAllocs = 31 // per op, over gatherSharers-1 legs
 )
 

@@ -253,7 +253,7 @@ func newReserveLoop(tb testing.TB) *airline.TravelAgent {
 }
 
 // TestReserveLoopAllocs pins the allocations of one reserve+push op (a
-// delta pull that leaves out the view's own last push, a one-seat
+// pull, answered locally under the view's exclusive grant, a one-seat
 // reservation, a one-entry push and its commit)
 // through the real cache manager, directory and airline codec. Every
 // layer an image crosses is in it, so a defensive copy or a map-backed
@@ -273,7 +273,10 @@ func TestReserveLoopAllocs(t *testing.T) {
 	for range 2 * reserveLoopFlights {
 		op() // every flight committed once: the steady state
 	}
-	// Measured 8, 12 under -race: 13 while the pull request, the
+	// Measured 8, 9 under -race (12 while the pull went to the directory:
+	// the view is alone on its flights, so it pulls locally under its
+	// exclusive grant, and the race detector's dropped pool puts of the
+	// pull's four messages are gone with them): 13 while the pull request, the
 	// directory's pull reply and push ack, and their decoded copies were
 	// left to the collector; 16 while the store's commit copied the
 	// delta's entries and wrapped them in an image for the merge and the
@@ -288,8 +291,8 @@ func TestReserveLoopAllocs(t *testing.T) {
 	// push (message and image, entry slice, value), the round, the view's
 	// answer (entry slice, value, image) and the delta's entry slice.
 	// Every image-less message, sent or decoded, goes back to the wire
-	// pool from whoever holds it last. A closure allocated per pull shows
-	// as 9.
+	// pool from whoever holds it last. A pull that reaches the directory
+	// is pinned by TestCMCostGatherRound, whose views share their flights.
 	if n := testing.AllocsPerRun(200, op); n > reserveLoopAllocs {
 		t.Errorf("reserve+push: %v allocs/op, want <= %d", n, reserveLoopAllocs)
 	}

@@ -51,6 +51,9 @@ func newObservability(name string, tnet transport.Network, d *deployment) *obser
 	o.reg.RegisterGauge("views_evicted", dm.ViewsEvicted)
 	o.reg.RegisterGauge("conflicts_resolved", func() int64 { return int64(dm.Store().ConflictsSeen()) })
 	o.reg.RegisterGauge("claim_retries", dm.ClaimRetries)
+	o.reg.RegisterGauge("grants", dm.Grants)
+	o.reg.RegisterGauge("revocations", dm.Revocations)
+	o.reg.RegisterGauge("grant_lease_waits", dm.GrantLeaseWaits)
 	o.reg.RegisterGauge("repl_lag", func() int64 { return int64(dm.ReplLag()) })
 	o.reg.RegisterGauge("repl_batches", func() int64 {
 		if r := dm.Replication(); r != nil {

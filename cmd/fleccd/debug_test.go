@@ -159,6 +159,7 @@ func TestReplCountersOnDebug(t *testing.T) {
 func TestMetricNamesPinned(t *testing.T) {
 	want := []string{
 		"gauge claim_retries", "gauge conflicts_resolved", "gauge log_len",
+		"gauge grant_lease_waits", "gauge grants", "gauge revocations",
 		"gauge version", "gauge views", "gauge views_evicted",
 		"latency fanout", "latency pull", "latency push",
 		"gauge spans_completed", "gauge wire_bytes", "gauge wire_flushes", "gauge wire_frames",

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flecc/internal/airline"
+	"flecc/internal/cache"
 	"flecc/internal/directory"
 	"flecc/internal/image"
 	"flecc/internal/property"
@@ -35,7 +36,9 @@ type leaveOutRig struct {
 
 // newLeaveOutRig deploys the named agents. hook, when non-nil, makes
 // every call the agents send; the rig records the TPull replies it
-// returns.
+// returns. An idle peer registered on the same flights shares the group,
+// so the agents' pulls reach the directory: a view alone in its group
+// pulls locally under its grant (TestSoleViewPullsLocally).
 func newLeaveOutRig(t *testing.T, hook callHook, names ...string) *leaveOutRig {
 	t.Helper()
 	r := &leaveOutRig{db: airline.NewReservationSystem(), agents: map[string]*airline.TravelAgent{}}
@@ -67,6 +70,14 @@ func newLeaveOutRig(t *testing.T, hook callHook, names ...string) *leaveOutRig {
 		}
 		return reply, err
 	}}
+	idle, err := cache.New(cache.Config{
+		Name: "idle", Directory: "dm", Net: inproc, Clock: clock, View: airline.NewReservationSystem(),
+		Props: property.NewSet(property.New(airline.PropFlights, property.DiscreteRange(leaveOutFirst, leaveOutFirst+leaveOutFlights-1))),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { idle.KillImage() })
 	for _, name := range names {
 		a, err := airline.NewTravelAgent(airline.AgentConfig{
 			Name: name, Directory: "dm", Net: recorded, Clock: clock, Mode: wire.Weak,
@@ -238,14 +249,15 @@ func TestTwoPushesOnlyLastLeftOut(t *testing.T) {
 
 // set-props makes the view forget its ack: a narrowing one drops keys
 // from base, so base no longer vouches for what the push held, and the
-// next pull names no ack.
+// next pull names no ack. (A widening one makes the next pull a full
+// image: modelcheck's TestWideningSetPropsRefetches.)
 func TestSetPropsForgetsAck(t *testing.T) {
 	r := newLeaveOutRig(t, nil, "a")
 	r.warm(t, "a")
 	n := leaveOutFirst + 1
 	r.reserve(t, "a", n)
 	cm := r.agents["a"].CM
-	for _, to := range []int{leaveOutFirst, leaveOutFirst + leaveOutFlights - 1} {
+	for _, to := range []int{leaveOutFirst + leaveOutFlights - 2, leaveOutFirst + leaveOutFlights - 3} {
 		props := property.NewSet(property.New(airline.PropFlights, property.DiscreteRange(leaveOutFirst, to)))
 		if err := cm.SetProps(props); err != nil {
 			t.Fatal(err)
@@ -255,4 +267,32 @@ func TestSetPropsForgetsAck(t *testing.T) {
 		t.Fatalf("the pull after set-props carried %v, want flight %d", keysOf(img), n)
 	}
 	r.converged(t, "a")
+}
+
+// A set-props that may gain the view keys makes its next pull a full
+// image (seen 0): a wider domain, an added property, a dropped one. One
+// that only narrows a domain keeps seen.
+func TestSetPropsGainingKeysRefetches(t *testing.T) {
+	r := newGrantRig(t, false)
+	cm, v := r.view(t, "a", "P={x,y}; Q={z}")
+	for i, c := range []struct {
+		to   string
+		full bool
+	}{
+		{"P={x}; Q={z}", false},
+		{"P={x,y}; Q={z}", true},
+		{"P={x,y}; Q={z}; R={w}", true},
+		{"P={x,y}; R={w}", true},
+	} {
+		write(t, cm, v, "k", c.to)
+		if err := cm.PullImage(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cm.SetProps(property.MustSet(c.to)); err != nil {
+			t.Fatal(err)
+		}
+		if full := cm.Seen() == 0; full != c.full {
+			t.Errorf("set-props #%d to %s: next pull full %t, want %t", i, c.to, full, c.full)
+		}
+	}
 }

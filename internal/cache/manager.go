@@ -160,6 +160,17 @@ type Manager struct {
 	// cancelTick stops the trigger scheduler.
 	cancelTick func()
 
+	// The directory's exclusive grant (PROTOCOL.md "Exclusive grant"):
+	// while granted holds, PullImage answers locally until grantEnd on
+	// the monotonic clock, if the endpoint is still grantEp, the one the
+	// granting pull went out on. grantGen counts the events that drop a
+	// grant — a collect, SetProps, SetMode, KillImage, a reconnect, a
+	// failed push round — so a pull whose reply raced one is not granted.
+	granted  bool
+	grantEnd time.Time
+	grantEp  transport.Endpoint
+	grantGen uint64
+
 	// Push session (session.go): at most one round in flight, at most one
 	// buffered behind it.
 	inflight    *pushRound
@@ -273,38 +284,85 @@ func (m *Manager) Invalidations() int {
 // InitImage fetches the view's initial data (Figure 2, steps 3–5).
 func (m *Manager) InitImage() error {
 	m.mu.Lock()
-	epoch := m.invalidations
+	g := pullGuard{epoch: m.invalidations, gen: m.grantGen, ep: m.ep}
 	m.mu.Unlock()
-	return m.load(&wire.Message{Type: wire.TInit}, epoch)
+	return m.load(&wire.Message{Type: wire.TInit}, g)
 }
 
 // PullImage updates the view's shared data with the value held by the
 // original component. In strong mode this (transitively) invalidates any
 // conflicting active view; in weak mode the directory manager may first
 // gather peers' pending updates, depending on the validity trigger.
+//
+// While the view holds the directory's exclusive grant it is the only
+// member of its conflict group, and the pull is answered here: no one
+// else can have committed to its data, so the view's own last push ack
+// is all that is new.
 func (m *Manager) PullImage() error {
 	m.mu.Lock()
 	if !m.initialized {
 		m.mu.Unlock()
 		return ErrNotInitialized
 	}
+	if m.grantedLocked() {
+		m.seen = max(m.seen, m.acked)
+		m.base.Version = m.seen
+		m.lastPull = m.clock.Now()
+		m.mu.Unlock()
+		return nil
+	}
 	req := wire.NewMessage()
 	req.Type, req.Since, req.Op = wire.TPull, m.seen, m.op
 	if m.acked > m.seen {
 		req.Version = m.acked
 	}
-	epoch := m.invalidations
+	g := pullGuard{epoch: m.invalidations, gen: m.grantGen, ep: m.ep, sent: time.Now()}
 	m.mu.Unlock()
-	return m.load(req, epoch)
+	return m.load(req, g)
+}
+
+// grantedLocked reports whether a pull may be answered locally: the view
+// holds a grant whose lease has not run out, received on the endpoint it
+// still uses, and its image is valid and the view not killed. Caller
+// holds mu.
+func (m *Manager) grantedLocked() bool {
+	return m.granted && m.valid && !m.killed && m.ep == m.grantEp && time.Now().Before(m.grantEnd)
+}
+
+// dropGrantLocked ends the view's grant, and any grant a pull in flight
+// comes back with. Caller holds mu.
+func (m *Manager) dropGrantLocked() {
+	m.granted = false
+	m.grantGen++
+}
+
+// Granted reports whether the view's next pull would be answered locally.
+func (m *Manager) Granted() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.grantedLocked()
+}
+
+// pullGuard is what a pull notes before its request goes out: the
+// validity epoch, the grant generation, the endpoint and the time. The
+// reply may make the image valid only if no invalidation interleaved, and
+// grant it only if nothing dropped a grant meanwhile; the lease counts
+// from when the request was sent.
+type pullGuard struct {
+	epoch int
+	gen   uint64
+	ep    transport.Endpoint
+	sent  time.Time
 }
 
 // load sends an init or a pull and merges the image it returns. Validity
 // epoch guard: an invalidate that interleaved with the reply (the epoch
 // moved) supersedes it — the merged data is kept, being the newest the
 // view has, but StartUse refuses it until the view pulls again, since the
-// DM believes this view stopped using the data. The request and the reply
-// go back to the wire pool once read.
-func (m *Manager) load(req *wire.Message, epoch int) error {
+// DM believes this view stopped using the data. A granted reply starts a
+// lease under the same guard (pullGuard). The request and the reply go
+// back to the wire pool once read.
+func (m *Manager) load(req *wire.Message, g pullGuard) error {
 	reply, err := m.call(req)
 	wire.Recycle(req)
 	defer wire.Recycle(reply)
@@ -320,8 +378,13 @@ func (m *Manager) load(req *wire.Message, epoch int) error {
 		return err
 	}
 	m.initialized = true
-	if m.invalidations == epoch {
+	if m.invalidations == g.epoch {
 		m.valid = true
+		if reply.Grant && m.grantGen == g.gen && m.ep == g.ep {
+			m.granted = true
+			m.grantEnd = g.sent.Add(wire.GrantLease - wire.GrantMargin)
+			m.grantEp = g.ep
+		}
 	}
 	m.lastPull = m.clock.Now()
 	return nil
@@ -382,10 +445,19 @@ func discard(reply *wire.Message, err error) error {
 	return err
 }
 
+// dropGrant ends the view's grant before a reconfiguration: the directory
+// answers the view's next pull.
+func (m *Manager) dropGrant() {
+	m.mu.Lock()
+	m.dropGrantLocked()
+	m.mu.Unlock()
+}
+
 // SetMode switches the view between strong and weak operation at run time.
 // Outstanding push rounds are flushed first: a mode switch takes effect on
 // a quiet session, never between a round's dispatch and its ack.
 func (m *Manager) SetMode(mode wire.Mode) error {
+	m.dropGrant()
 	_ = m.Flush() // a failed round reports to its own pushers
 	if err := discard(m.call(&wire.Message{Type: wire.TSetMode, Mode: mode})); err != nil {
 		return err
@@ -399,6 +471,7 @@ func (m *Manager) SetMode(mode wire.Mode) error {
 // SetProps installs a new dynamic property set for the view. Like
 // SetMode, it flushes outstanding push rounds first.
 func (m *Manager) SetProps(props property.Set) error {
+	m.dropGrant()
 	_ = m.Flush() // a failed round reports to its own pushers
 	if err := discard(m.call(&wire.Message{Type: wire.TSetProps, Props: props})); err != nil {
 		return err
@@ -424,6 +497,11 @@ func (m *Manager) SetProps(props property.Set) error {
 			return had && !kept
 		})
 	}
+	if !within(props, m.props) {
+		// Keys the view gains were committed before seen just as well:
+		// the next pull is a full image.
+		m.seen = 0
+	}
 	m.props = props
 	// base no longer vouches for every key the last push held.
 	m.acked = 0
@@ -434,6 +512,23 @@ func (m *Manager) SetProps(props property.Set) error {
 	return nil
 }
 
+// within reports whether inner names the same properties as outer, each
+// on a part of its domain in outer: a set-props from outer to inner gains
+// the view no key, whether a codec reads a set's properties as a union or
+// as a conjunction.
+func within(inner, outer property.Set) bool {
+	if inner.Len() != outer.Len() {
+		return false
+	}
+	for _, i := range inner.Properties() {
+		o, ok := outer.Get(i.Name)
+		if !ok || !i.Domain.Intersect(o.Domain).Equal(i.Domain) {
+			return false
+		}
+	}
+	return true
+}
+
 // KillImage pushes any pending changes, unregisters the view, and detaches
 // from the network (Figure 2, steps 20–21). The final push is a round like
 // PushImage's, waits like it for an open use window to close, and is
@@ -441,6 +536,7 @@ func (m *Manager) SetProps(props property.Set) error {
 // resolve ErrClosed) only once it has succeeded, so a KillImage that
 // fails on it can be retried and pushes again.
 func (m *Manager) KillImage() error {
+	m.dropGrant()
 	m.StopTriggers()
 	if err := m.withReconnect(sessionReset, m.finalPush); err != nil {
 		return fmt.Errorf("cache: final push: %w", err)
@@ -679,9 +775,13 @@ func (m *Manager) handle(req *wire.Message) *wire.Message {
 // gathering) and, with invalidate set, its invalidation (Figure 2 steps
 // 12–14 from the view side): wait for any open use window, surrender
 // pending updates, and on an invalidation stop using the data.
+//
+// Every collect ends the view's grant first: the directory revokes a grant
+// with one, and it waits for the answer.
 func (m *Manager) handleCollect(invalidate bool) *wire.Message {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.dropGrantLocked()
 	for m.inUse {
 		m.cond.Wait()
 	}

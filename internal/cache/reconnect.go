@@ -174,6 +174,7 @@ func (m *Manager) redial(old transport.Endpoint, attempt int) error {
 		// endpoint down, so no caller is left waiting on a connection that
 		// is about to be replaced. Their writes stay pending locally.
 		m.failSessionLocked(errors.New("endpoint replaced by reconnect"))
+		m.dropGrantLocked()
 	}
 	m.mu.Unlock()
 	if killed {

@@ -243,6 +243,11 @@ func (m *Manager) completeRoundLocked(r *pushRound, reply *wire.Message, err err
 	if r.done {
 		return // a session reset resolved it while the call was out
 	}
+	if err != nil {
+		// The push may have committed with its ack lost: the next pull
+		// asks the directory, which brings it back.
+		m.dropGrantLocked()
+	}
 	if err != nil && redialable(err) {
 		// A dead link or a "not serving" refusal from a deposed primary:
 		// the reconnect cycle of a synchronous push waiting on the round,

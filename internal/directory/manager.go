@@ -3,6 +3,7 @@ package directory
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,6 +121,13 @@ type viewState struct {
 	// no conflict, else 0. Not replicated: a promoted standby starts at 0
 	// and serves every commit.
 	pushed vclock.Version
+	// granted marks a view this manager granted (grant.go) that has had no
+	// peer since: no one else commits to its data. leaseEnd is when a
+	// grant its cache manager may hold ends — this manager's, or after a
+	// takeover its predecessor's (inheritLeases); zero when none. Neither
+	// is replicated.
+	granted  bool
+	leaseEnd time.Time
 	// replicated marks a view this manager knows only from a primary's
 	// replication stream. Full view state from that stream is
 	// authoritative for exactly these: one it no longer lists is dropped.
@@ -171,6 +179,14 @@ type Manager struct {
 	// claimRetries counts the extra rounds pulls made after losing their
 	// claim to a conflicting pull (the ClaimRetries metric).
 	claimRetries *metrics.Counter
+
+	// grants, revoked and leaseWaits count granted pulls, revocation legs
+	// and revocations that waited a lease out (grant.go). grantBlock holds
+	// new grants off while a CommitLocal revokes; leased is set once any
+	// lease may exist, so a structural change with none looks for none.
+	grants, revoked, leaseWaits *metrics.Counter
+	grantBlock                  atomic.Int32
+	leased                      atomic.Bool
 
 	// Hot-path latency accounting: whole pulls, whole pushes, and the
 	// fan-out rounds inside them.
@@ -225,6 +241,9 @@ func New(name string, primary image.Codec, clock vclock.Clock, net transport.Net
 		views:        map[string]*viewState{},
 		evictions:    metrics.NewCounter(name + ".views_evicted"),
 		claimRetries: metrics.NewCounter(name + ".claim_retries"),
+		grants:       metrics.NewCounter(name + ".grants"),
+		revoked:      metrics.NewCounter(name + ".revocations"),
+		leaseWaits:   metrics.NewCounter(name + ".grant_lease_waits"),
 		latPull:      metrics.NewLatency("pull"),
 		latPush:      metrics.NewLatency("push"),
 		latFanout:    metrics.NewLatency("fanout"),
@@ -245,6 +264,7 @@ func New(name string, primary image.Codec, clock vclock.Clock, net transport.Net
 				return nil, err
 			}
 		}
+		m.inheritLeases()
 	}
 	// A fresh standby's silence clock stays unarmed until the first
 	// replication batch arrives: before it has heard from a primary there
@@ -347,9 +367,7 @@ func (m *Manager) handle(req *wire.Message) *wire.Message {
 	case wire.TRegister, wire.TRouted, wire.TReplicate:
 	default:
 		if vs, ok := m.viewState(req.From); ok && vs.phaseOf() == PhaseLost {
-			// Revival adds conflict edges back; it drains the execution
-			// lanes like any structural change.
-			m.structuralDo(func() { m.transition(vs, evRevived) })
+			m.revive(vs)
 		}
 	}
 	switch req.Type {
@@ -374,6 +392,25 @@ func (m *Manager) handle(req *wire.Message) *wire.Message {
 	default:
 		return errf("directory %s: unexpected message %s", m.name, req.Type)
 	}
+}
+
+// revive moves a lost view back into conflict accounting. Revival adds
+// conflict edges back, so it drains the execution lanes like any
+// structural change, and it revokes the grants of the holders it now
+// conflicts with before the view's request is served: the view's commit
+// lock is held until then, so none of its requests commits or is served
+// first.
+func (m *Manager) revive(vs *viewState) {
+	vs.commitMu.RLock()
+	defer vs.commitMu.RUnlock()
+	var r revocation
+	m.structuralDo(func() {
+		if vs.phaseOf() == PhaseLost {
+			m.transition(vs, evRevived)
+			r = m.joinerRevocations(vs.name)
+		}
+	})
+	m.revoke(r)
 }
 
 // handleRouted unwraps a router→shard envelope and dispatches the inner
@@ -412,12 +449,15 @@ func (m *Manager) handleRegister(req *wire.Message) *wire.Message {
 		return errf("bad validity trigger for %s: %v", view, err)
 	}
 	// Registration changes the conflict structure (it can add edges), so
-	// it drains the execution lanes first. The replication
-	// barrier runs after the lanes are released: a slow standby must not
-	// stall every commit lane for the length of a round trip.
-	return m.synced(m.structural(func() *wire.Message {
+	// it drains the execution lanes first. The grants of the holders the
+	// view now conflicts with are revoked, and the replication barrier
+	// runs, after the lanes are released: a slow holder or standby must
+	// not stall every commit lane for the length of a round trip. The
+	// view is served nothing before its registration is acked.
+	var r revocation
+	reply := m.structural(func() *wire.Message {
 		if m.reg.Has(view) {
-			return m.reRegister(view, req, val)
+			return m.reRegister(view, req, val, &r)
 		}
 		if err := m.reg.Register(view, req.Props); err != nil {
 			return errf("%v", err)
@@ -428,8 +468,11 @@ func (m *Manager) handleRegister(req *wire.Message) *wire.Message {
 		m.views[view] = vs
 		m.vmu.Unlock()
 		m.transition(vs, evRegister)
+		r = m.joinerRevocations(view)
 		return &wire.Message{Type: wire.TAck, Version: m.store.Current()}
-	}))
+	})
+	m.revoke(r)
+	return m.synced(reply)
 }
 
 // reRegister handles a register for a name that is already on the books.
@@ -439,7 +482,13 @@ func (m *Manager) handleRegister(req *wire.Message) *wire.Message {
 // registration with different properties is only accepted over a lost
 // tombstone (the old holder is gone); against a live view it stays an
 // error, as before.
-func (m *Manager) reRegister(view string, req *wire.Message, val trigger.Trigger) *wire.Message {
+//
+// A reconnecting cache manager dropped its grant before it registered
+// again, so its record forgets it. A registration that revives the view or
+// claims its name gives it conflict edges, and r is set to the revocation
+// that must run before the reply; a claim also waits out the lease the
+// name's previous holder may still be reading under.
+func (m *Manager) reRegister(view string, req *wire.Message, val trigger.Trigger, r *revocation) *wire.Message {
 	prev, _ := m.reg.Props(view)
 	vs, _ := m.viewState(view) // registered, so it has a record
 	if prev.Equal(req.Props) {
@@ -448,7 +497,10 @@ func (m *Manager) reRegister(view string, req *wire.Message, val trigger.Trigger
 		vs.validity = val
 		vs.lastOp = req.Op
 		vs.mu.Unlock()
-		m.transition(vs, evReRegister)
+		vs.clearGrant()
+		if m.transition(vs, evReRegister) == PhaseLost {
+			*r = m.joinerRevocations(view)
+		}
 		return &wire.Message{Type: wire.TAck, Version: m.store.Current()}
 	}
 	if vs.phaseOf() != PhaseLost {
@@ -461,8 +513,14 @@ func (m *Manager) reRegister(view string, req *wire.Message, val trigger.Trigger
 	}
 	vs.mu.Lock()
 	vs.mode, vs.seen, vs.validity, vs.lastOp = req.Mode, 0, val, req.Op
+	prevLease := vs.leaseEnd
+	vs.granted, vs.leaseEnd = false, time.Time{}
 	vs.mu.Unlock()
 	m.transition(vs, evClaim)
+	*r = m.joinerRevocations(view)
+	if prevLease.After(r.until) {
+		r.until = prevLease
+	}
 	return &wire.Message{Type: wire.TAck, Version: m.store.Current()}
 }
 
@@ -510,7 +568,7 @@ func (m *Manager) handleInit(req *wire.Message) *wire.Message {
 	// Init activates without invalidating (PROTOCOL.md "Two modeling
 	// decisions").
 	m.transition(vs, evServe)
-	return m.serve(vs, 0, commitID{}, false)
+	return m.serve(vs, 0, commitID{}, false, false)
 }
 
 // serve answers an init or a pull whose view is already active: the
@@ -526,7 +584,9 @@ func (m *Manager) handleInit(req *wire.Message) *wire.Message {
 // nothing but the view's seen: it skips the barrier, and the touch stays
 // on the change stack for the next batch or heartbeat. A standby whose
 // seen lags only errs on the safe side (PROTOCOL.md "Barrier").
-func (m *Manager) serve(vs *viewState, since vclock.Version, skip commitID, quiet bool) *wire.Message {
+//
+// grant says the pull was granted (claimGrant); the reply says so.
+func (m *Manager) serve(vs *viewState, since vclock.Version, skip commitID, quiet, grant bool) *wire.Message {
 	props, _ := m.reg.Props(vs.name)
 	// Under the view's commit lock, no surrender of its own writes is in
 	// flight (collect): the image holds them, so the view cannot take an
@@ -542,7 +602,7 @@ func (m *Manager) serve(vs *viewState, since vclock.Version, skip commitID, quie
 	vs.mu.Unlock()
 	m.viewChanged(vs, false)
 	reply := wire.NewMessage()
-	reply.Type, reply.Img, reply.Version = wire.TImage, img, ver
+	reply.Type, reply.Img, reply.Version, reply.Grant = wire.TImage, img, ver, grant
 	if quiet {
 		held, err := m.Replication().holds(ver)
 		if err != nil {
@@ -596,7 +656,7 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 	vs.mu.Unlock()
 	m.viewChanged(vs, false)
 
-	contacted, wasActive := false, false
+	contacted, wasActive, granted := false, false, false
 	var conflicting []string
 	var epoch uint64
 	for attempt := 0; ; attempt++ {
@@ -623,7 +683,7 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 
 		// 3. Claim the view active, or go round again.
 		var claimed bool
-		if claimed, wasActive = m.claim(vs, conflicting, epoch, mode, req.Op); claimed {
+		if claimed, wasActive, granted = m.claim(vs, conflicting, epoch, mode, req.Op); claimed {
 			break
 		}
 		if attempt+1 == maxClaims {
@@ -633,9 +693,21 @@ func (m *Manager) handlePull(req *wire.Message) *wire.Message {
 		time.Sleep(time.Duration(attempt+1) * claimBackoff)
 	}
 
+	// A primary whose standby is down grants nothing: a standby that
+	// promotes itself meanwhile must not find one standing (PROTOCOL.md
+	// "Exclusive grant").
+	if granted {
+		if r := m.Replication(); r != nil && r.Degraded() {
+			vs.clearGrant()
+			granted = false
+		} else {
+			m.grants.Inc()
+		}
+	}
+
 	// 4. Serve the (now freshest-known) primary data. A pull that contacted
 	// no one, kept its op class and found its view active may be quiet.
-	return m.serve(vs, req.Since, skip, !contacted && !opChanged && wasActive)
+	return m.serve(vs, req.Since, skip, !contacted && !opChanged && wasActive, granted)
 }
 
 // invalidationSet returns the views among conflicting that a pull by
@@ -680,8 +752,9 @@ func (m *Manager) invalidationSet(view string, conflicting []string, mode wire.M
 }
 
 // claim moves vs to active (evServe) if its pull has nothing left to
-// invalidate, and reports whether it did and whether vs was active
-// already. The re-check and the move run under the gate's read side,
+// invalidate, and reports whether it did, whether vs was active already,
+// and whether it granted vs (claimGrant) for an empty conflict set. The
+// re-check and the move run under the gate's read side,
 // which pins the conflict structure, and under vs's conflict-group lane,
 // which orders them against every other claim of the group: of two
 // conflicting pulls, the later claim sees the earlier one active and goes
@@ -691,9 +764,9 @@ func (m *Manager) invalidationSet(view string, conflicting []string, mode wire.M
 // flight awaits it: that view is in no conflict set any more, and its
 // writes would be missing from the image. A claim that finds nothing to
 // invalidate allocates nothing.
-func (m *Manager) claim(vs *viewState, conflicting []string, epoch uint64, mode wire.Mode, op wire.OpClass) (claimed, wasActive bool) {
+func (m *Manager) claim(vs *viewState, conflicting []string, epoch uint64, mode wire.Mode, op wire.OpClass) (claimed, wasActive, granted bool) {
 	if m.leaving.Load() > 0 {
-		return false, false // a dropped view's surrender is still on its way
+		return false, false, false // a dropped view's surrender is still on its way
 	}
 	m.store.gate.RLock()
 	defer m.store.gate.RUnlock()
@@ -704,15 +777,16 @@ func (m *Manager) claim(vs *viewState, conflicting []string, epoch uint64, mode 
 	lane.Lock()
 	defer lane.Unlock()
 	if len(m.invalidationSet(vs.name, conflicting, mode, op)) > 0 {
-		return false, false
+		return false, false, false
 	}
-	return true, m.transition(vs, evServe) == PhaseActive
+	wasActive = m.transition(vs, evServe) == PhaseActive
+	return true, wasActive, len(conflicting) == 0 && m.claimGrant(vs)
 }
 
 // collectLeg is one target's call in a gather (TPull) or invalidation
 // round. what names the request in errors.
 func (m *Manager) collectLeg(target string, typ wire.Type, what string) error {
-	if err := m.collect(target, typ); err != nil {
+	if _, err := m.collect(target, typ); err != nil {
 		return fmt.Errorf("%s %s: %v", what, target, err)
 	}
 	return nil
@@ -891,7 +965,8 @@ func (m *Manager) evictView(target string) {
 // delta it surrenders: TInvalidate also deactivates the view (Figure 2,
 // steps 12–14), TPull fetches without stopping it (weak-mode gathering).
 // An unreachable view is evicted and reported as nil — a dead component
-// must not wedge every conflicting pull forever.
+// must not wedge every conflicting pull forever. answered reports whether
+// the view's cache manager answered at all.
 //
 // The read side of the view's commit lock is held from before the
 // request goes out until the surrendered delta has landed. The view's
@@ -905,7 +980,7 @@ func (m *Manager) evictView(target string) {
 // marked inactive only once every collect to it in flight has landed
 // (collected): a pull that finds the view inactive finds its writes
 // committed.
-func (m *Manager) collect(target string, typ wire.Type) error {
+func (m *Manager) collect(target string, typ wire.Type) (answered bool, err error) {
 	// The registration the target extracts under (Manager.commit), and
 	// its serve generation (collected).
 	_, stamp := m.reg.Scope(target)
@@ -931,20 +1006,20 @@ func (m *Manager) collect(target string, typ wire.Type) error {
 	if err != nil {
 		if transport.IsTransportError(err) {
 			m.evictView(target)
-			return nil
+			return false, nil
 		}
-		return err
+		return true, err
 	}
 	// Rejected winners are not pushed back here: invalidated views must
 	// pull before their next use anyway, and fetched views will see the
 	// winning values on their next pull.
 	if reply.Img != nil && reply.Img.Len() > 0 {
 		if _, _, _, err := m.commit(target, stamp, reply.Img, int(reply.Ops)); err != nil {
-			return err
+			return true, err
 		}
 	}
 	invalidated = typ == wire.TInvalidate
-	return nil
+	return true, nil
 }
 
 func (m *Manager) handlePush(req *wire.Message) *wire.Message {
@@ -969,13 +1044,23 @@ func (m *Manager) handlePush(req *wire.Message) *wire.Message {
 	// has folded its ack, its pulls may leave it out (handlePull). A
 	// resolver merge is stamped with the pusher too but holds other
 	// values: it must come back.
+	// A holder has seen everything up to a clean push of its own: no one
+	// else commits to its data. So its seen moves, and with it the log
+	// compaction floor, although it pulls locally.
 	vs.mu.Lock()
 	vs.pushed = 0
+	advanced := clean && vs.granted && ver > vs.seen
 	if clean {
 		vs.pushed = ver
 	}
+	if advanced {
+		vs.seen = ver
+	}
 	vs.mu.Unlock()
 	vs.commitMu.Unlock()
+	if advanced {
+		m.viewChanged(vs, false)
+	}
 	if m.opts.PropagateOnPush {
 		if err := m.propagate(view, ver); err != nil {
 			return errf("propagate: %v", err)
@@ -1073,17 +1158,30 @@ func (m *Manager) handleSetMode(req *wire.Message) *wire.Message {
 }
 
 func (m *Manager) handleSetProps(req *wire.Message) *wire.Message {
+	// The view's commit lock is held until the holders its new set
+	// conflicts with have dropped their grants: it commits and is served
+	// nothing before. Its own grant its cache manager dropped already.
+	vs, ok := m.viewState(req.From)
+	if ok {
+		vs.commitMu.RLock()
+		defer vs.commitMu.RUnlock()
+	}
 	// A property change rewires conflict groups; drain the lanes so no
 	// commit runs under the group map it invalidates.
-	return m.synced(m.structural(func() *wire.Message {
+	var r revocation
+	reply := m.structural(func() *wire.Message {
 		if err := m.reg.SetProps(req.From, req.Props); err != nil {
 			return errf("%v", err)
 		}
-		if vs, ok := m.viewState(req.From); ok {
+		if ok {
+			vs.clearGrant()
 			m.viewChanged(vs, true)
 		}
+		r = m.joinerRevocations(req.From)
 		return &wire.Message{Type: wire.TAck}
-	}))
+	})
+	m.revoke(r)
+	return m.synced(reply)
 }
 
 // CompactLog drops the update-log records every live view has already
@@ -1201,7 +1299,20 @@ func (m *Manager) CommitLocal(delta *image.Image, ops int) (vclock.Version, erro
 	)
 	// A primary-local commit may touch any key: it commits under the empty
 	// property set, and has no conflict group, so it runs exclusively —
-	// all lanes drained.
+	// all lanes drained. The holders it touches drop their grants first,
+	// and no view is granted until it has landed.
+	m.grantBlock.Add(1)
+	defer m.grantBlock.Add(-1)
+	// The holders it touches are those with a key of the delta in scope;
+	// without the primary's scope test, every holder.
+	scope := m.store.scope
+	touches := func(name string) bool {
+		props, _ := m.reg.Props(name)
+		return scope == nil || delta == nil || slices.ContainsFunc(delta.Entries, func(e image.Entry) bool { return scope.InScope(props, e.Key) })
+	}
+	var r revocation
+	m.structuralDo(func() { r = m.revocations("", touches) })
+	m.revoke(r)
 	m.structuralDo(func() { v, _, _, err = m.store.orCurrent(m.store.commitGated("", property.Set{}, delta, ops)) })
 	m.maybeCompact()
 	if err != nil {

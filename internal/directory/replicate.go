@@ -169,7 +169,12 @@ func (m *Manager) Fenced() bool {
 // (lease-lapse self-promotion: fleccd's standby calls it once the
 // replication stream has been silent past the lease). It returns the new
 // epoch.
+//
+// The views it takes over may hold grants of the old primary, which it
+// never learned of: each counts as a holder for one more lease
+// (inheritLeases).
 func (m *Manager) PromoteSelf() uint64 {
+	m.inheritLeases()
 	m.ha.mu.Lock()
 	defer m.ha.mu.Unlock()
 	m.ha.epoch++

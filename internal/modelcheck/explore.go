@@ -140,7 +140,7 @@ func enumerate(cfg Config, m meta) []Action {
 	}
 	if cfg.SetProps && budget {
 		for i, v := range m.views {
-			if v.alive && !v.propsAlt {
+			if v.alive {
 				out = append(out, Action{Kind: ASetProps, View: i})
 			}
 		}

@@ -117,9 +117,11 @@ func (s *system) verify(a Action, opErr error) error {
 	return nil
 }
 
-// checkPushDurable asserts that every key of an acknowledged push is
-// immediately readable from the primary at the pushed value (the store's
-// default incoming-wins resolution guarantees it).
+// checkPushDurable asserts that every key of an acknowledged push the
+// view's property set names is immediately readable from the primary at
+// the pushed value (the store's default incoming-wins resolution
+// guarantees it). A write made before the view narrowed its set away from
+// the key is dropped by the directory (scopedKV).
 func (s *system) checkPushDurable(v *viewNode, pushed map[string]string) error {
 	if len(pushed) == 0 {
 		return nil
@@ -129,6 +131,9 @@ func (s *system) checkPushDurable(v *viewNode, pushed map[string]string) error {
 		return violationf("push %s: extract primary: %v", v.name, err)
 	}
 	for k, want := range pushed {
+		if !s.shares(v, k) {
+			continue
+		}
 		e, ok := ext.Get(k)
 		if !ok || e.Deleted {
 			return violationf("push %s: acknowledged %s=%q but the key is absent from the primary", v.name, k, want)
@@ -140,9 +145,18 @@ func (s *system) checkPushDurable(v *viewNode, pushed map[string]string) error {
 	return nil
 }
 
+// shares reports whether key k is named by v's property set: the keys a
+// view writes, and the keys its reads are judged on. The model's codec
+// ignores properties, so a view also holds keys outside its set, but the
+// protocol promises it nothing about them: a view alone in its conflict
+// group pulls under a grant, without hearing of other groups' commits.
+func (s *system) shares(v *viewNode, key string) bool {
+	return !v.propsAlt || key == keyName(v.idx%s.cfg.Keys)
+}
+
 // checkPullFresh asserts that right after a successful pull the view
-// agrees with the primary's committed state on every key it has not
-// modified locally since its last synchronization.
+// agrees with the primary's committed state on every key of its property
+// set it has not modified locally since its last synchronization.
 func (s *system) checkPullFresh(v *viewNode) error {
 	ext, err := s.dm().ExtractPrimary(s.fullProps())
 	if err != nil {
@@ -150,7 +164,7 @@ func (s *system) checkPullFresh(v *viewNode) error {
 	}
 	for k := 0; k < s.cfg.Keys; k++ {
 		key := keyName(k)
-		if v.dirty[key] {
+		if v.dirty[key] || !s.shares(v, key) {
 			continue
 		}
 		e, _ := ext.Get(key)
@@ -193,7 +207,7 @@ func (s *system) checkStrongExclusive(v *viewNode) error {
 
 // quiesce runs the weak-convergence probe from the current state: every
 // live view pushes, then every live view pulls, after which every live
-// view must agree with the primary on every key. The probe's actions run
+// view must agree with the primary on every key of its property set. The probe's actions run
 // through apply, so they are themselves invariant-checked; the returned
 // schedule records them for counterexample rendering.
 func (s *system) quiesce() ([]Action, error) {
@@ -234,6 +248,9 @@ func (s *system) quiesce() ([]Action, error) {
 		}
 		for k := 0; k < s.cfg.Keys; k++ {
 			key := keyName(k)
+			if !s.shares(v, key) {
+				continue
+			}
 			var want string
 			if e, ok := ext.Get(key); ok {
 				want = string(e.Value)

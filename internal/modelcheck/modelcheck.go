@@ -130,7 +130,7 @@ type Config struct {
 	// SetModes enables the mode-switch reconfiguration.
 	SetModes bool
 	// SetProps enables the property-change reconfiguration (view i
-	// narrows to the single key k{i mod Keys}).
+	// narrows to the single key k{i mod Keys}, or widens back to all).
 	SetProps bool
 	// Quiesce enables the weak-convergence probe at every newly
 	// discovered state.
@@ -197,7 +197,9 @@ const (
 	APull
 	// ASetMode flips the view's consistency mode (reconfiguration).
 	ASetMode
-	// ASetProps narrows the view's property set (reconfiguration).
+	// ASetProps narrows the view's property set to its one key, or
+	// widens a narrowed one back to every key (reconfiguration): with two
+	// keys, two narrowings split a group and a widening rejoins it.
 	ASetProps
 	// ACrash kills the view's cache manager; its un-pushed writes are
 	// lost and messages to it fail at the network (reconfiguration).

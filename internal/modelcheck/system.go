@@ -53,6 +53,18 @@ func (s *kvstore) Extract(props property.Set) (*image.Image, error) {
 	return image.Of(0, entries), nil
 }
 
+// scopedKV is the model's original component: a kvstore whose keys the
+// property "K" names. As image.Scoper documents, the directory commits a
+// writer's entries only for keys of its registered set — the scoping an
+// exclusive grant relies on: no one else commits to a lone view's keys.
+type scopedKV struct{ *kvstore }
+
+// InScope implements image.Scoper: the empty set names every key.
+func (scopedKV) InScope(props property.Set, key string) bool {
+	p, ok := props.Get("K")
+	return props.IsEmpty() || ok && p.Domain.ContainsMember(key)
+}
+
 // Merge implements image.Merger.
 func (s *kvstore) Merge(img *image.Image, props property.Set) error {
 	for _, e := range img.Entries {
@@ -78,7 +90,8 @@ type viewNode struct {
 	mode wire.Mode
 	// writes counts writes performed (unique-value generation + budget).
 	writes int
-	// propsAlt marks that set-props narrowed the view to its alt set.
+	// propsAlt marks that set-props narrowed the view to its alt set; the
+	// next set-props widens it back to the full set.
 	propsAlt bool
 	// dirty is the set of keys written since the view last synchronized
 	// (push, or surrender via invalidate/gather).
@@ -257,7 +270,7 @@ func newSystem(cfg Config, rec *trace.Recorder) (sys *system, err error) {
 			// replication batches until promote-standby.
 			o := opts
 			o.Standby = i == 1
-			dm, err := directory.New(name, s.prim, clock, net, o)
+			dm, err := directory.New(name, scopedKV{s.prim}, clock, net, o)
 			if err != nil {
 				return nil, err
 			}
@@ -296,7 +309,7 @@ func newSystem(cfg Config, rec *trace.Recorder) (sys *system, err error) {
 		}
 		s.repl = repl
 	} else {
-		dm, err := directory.New("dm", s.prim, clock, net, opts)
+		dm, err := directory.New("dm", scopedKV{s.prim}, clock, net, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -500,12 +513,25 @@ func (s *system) apply(a Action) error {
 
 	case ASetProps:
 		v := s.views[a.View]
-		err := v.cm.SetProps(s.altProps(v.idx))
+		props := s.altProps(v.idx)
+		if v.propsAlt {
+			props = s.fullProps()
+		}
+		err := v.cm.SetProps(props)
 		if err != nil && !s.opLegal(err) {
 			return violationf("set-props %s failed: %v", v.name, err)
 		}
 		if err == nil {
-			v.propsAlt = true
+			v.propsAlt = !v.propsAlt
+			// Like a revival, a property change adds conflict edges
+			// without an invalidation round: a widening legally ends the
+			// strong claims it makes conflict, which begin only at a pull.
+			reg := s.dm().Registry()
+			for _, w := range s.views {
+				if !v.propsAlt && w != v && reg.Conflicts(v.name, w.name) && (v.strongAct || w.strongAct) {
+					v.strongAct, w.strongAct = false, false
+				}
+			}
 		}
 		s.reconfigs++
 		return s.verify(a, err)
@@ -624,8 +650,8 @@ func (s *system) fingerprint() string {
 		fmt.Fprintf(&b, "dm%d ver=%d\n", di, dm.CurrentVersion())
 		for _, name := range reg.Views() {
 			props, _ := reg.Props(name)
-			fmt.Fprintf(&b, " reg %s props=%s mode=%s seen=%d pushed=%d phase=%s\n",
-				name, props, dm.Mode(name), dm.Seen(name), dm.Pushed(name), dm.Phase(name))
+			fmt.Fprintf(&b, " reg %s props=%s mode=%s seen=%d pushed=%d phase=%s granted=%t\n",
+				name, props, dm.Mode(name), dm.Seen(name), dm.Pushed(name), dm.Phase(name), dm.Granted(name))
 		}
 		for _, rec := range dm.Store().Log() {
 			fmt.Fprintf(&b, " log v%d w=%q ops=%d props=%s\n", rec.Version, rec.Writer, rec.Ops, rec.Props)
@@ -644,8 +670,8 @@ func (s *system) fingerprint() string {
 		if !v.alive {
 			continue
 		}
-		fmt.Fprintf(&b, " cm valid=%t pending=%d seen=%d acked=%d mode=%s buffered=%t\n",
-			v.cm.Valid(), v.cm.PendingOps(), v.cm.Seen(), v.cm.Acked(), v.cm.Mode(), v.cm.PushPending())
+		fmt.Fprintf(&b, " cm valid=%t pending=%d seen=%d acked=%d mode=%s buffered=%t granted=%t\n",
+			v.cm.Valid(), v.cm.PendingOps(), v.cm.Seen(), v.cm.Acked(), v.cm.Mode(), v.cm.PushPending(), v.cm.Granted())
 		keys := make([]string, 0, len(v.data.data))
 		for k := range v.data.data {
 			keys = append(keys, k)

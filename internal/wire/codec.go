@@ -28,8 +28,9 @@ const (
 	// v2 appended the Blob payload (routed/migration traffic); v3 dropped
 	// the property set from images (an image is its version and entries);
 	// v4 made lengths, counts and versions uvarints and sends a body field
-	// only when its presence bit is set.
-	codecVersion = 4
+	// only when its presence bit is set; v5 added the Grant bit, which a v4
+	// decoder refuses as unknown.
+	codecVersion = 5
 )
 
 // Presence bits of a message body, in the order the set fields follow the
@@ -48,6 +49,8 @@ const (
 	hasPull
 	hasValidity
 	hasErr
+	// hasGrant carries Message.Grant in the bit alone: no body bytes.
+	hasGrant
 
 	knownFields = 1<<iota - 1
 )
@@ -328,7 +331,7 @@ func (e *Encoder) header(m *Message, seq uint64, from string) {
 }
 
 // presence returns the bitmap of m's set body fields: non-zero numbers,
-// non-empty strings, sets and blobs, and a non-nil image.
+// non-empty strings, sets and blobs, a non-nil image and a grant.
 func presence(m *Message) uint64 {
 	var bits uint64
 	set := func(bit uint64, ok bool) {
@@ -348,6 +351,7 @@ func presence(m *Message) uint64 {
 	set(hasPull, m.Trig.Pull != "")
 	set(hasValidity, m.Trig.Validity != "")
 	set(hasErr, m.Err != "")
+	set(hasGrant, m.Grant)
 	return bits
 }
 
@@ -519,6 +523,7 @@ func decode(b []byte, t *Tables) (*Message, error) {
 	if bits&hasErr != 0 {
 		m.Err = d.Str()
 	}
+	m.Grant = bits&hasGrant != 0
 	if d.err != nil {
 		return nil, d.err
 	}

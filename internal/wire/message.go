@@ -11,6 +11,7 @@ package wire
 
 import (
 	"fmt"
+	"time"
 
 	"flecc/internal/image"
 	"flecc/internal/property"
@@ -160,6 +161,17 @@ const NotServingMark = "not serving"
 // view pulls again.
 const ContendedMark = "pull contended"
 
+// GrantLease is how long an exclusive grant lasts (Message.Grant). The
+// directory counts it from when it decides the grant and waits it out for
+// a holder it cannot reach; the holder counts GrantLease less
+// GrantMargin from when it sent the granting pull, so it stops answering
+// locally before the directory stops waiting (PROTOCOL.md "Exclusive
+// grant").
+const (
+	GrantLease  = 100 * time.Millisecond
+	GrantMargin = GrantLease / 16
+)
+
 // Mode is a view's consistency mode (paper §4: strong vs weak).
 type Mode uint8
 
@@ -251,6 +263,11 @@ type Message struct {
 	Blob []byte
 	// Err is the error text for TErr.
 	Err string
+	// Grant marks a TPull reply that grants the view exclusive use of its
+	// data for GrantLease: it is the only member of its conflict group,
+	// so its cache manager may answer pulls locally until the lease runs
+	// out or the directory revokes it.
+	Grant bool
 }
 
 // IsReply reports whether the message is a reply type.

@@ -225,6 +225,21 @@ func TestDecodeRefusesV2(t *testing.T) {
 // u32 length prefixes and presence bytes for every field.
 const v3Ack = "030ce90300000000000002000000646d000000000000000000000000000094100000000000000000000000000000000000000000000000000000000000000000"
 
+// TestDecodeRefusesV4: a v4 frame is refused at the version byte, not at
+// the first granted reply, whose presence bit a v4 decoder does not know.
+// A v4 ack is a v5 ack under another version byte.
+func TestDecodeRefusesV4(t *testing.T) {
+	msg := Encode(&Message{Type: TAck, Seq: 1, From: "dm", Version: 9})
+	msg[0] = 4
+	if _, err := Decode(msg); err == nil || !strings.Contains(err.Error(), "unsupported codec version 4") {
+		t.Fatalf("Decode of a v4 message: want the version error, got %v", err)
+	}
+	frame := append(binary.LittleEndian.AppendUint32(nil, uint32(len(msg))), msg...)
+	if _, err := NewFrameReader(bytes.NewReader(frame)).Read(); err == nil || !strings.Contains(err.Error(), "unsupported codec version 4") {
+		t.Fatalf("FrameReader on a v4 frame: want the version error, got %v", err)
+	}
+}
+
 // TestDecodeRefusesV3: a v3 frame — fixed-width fields and u32 lengths —
 // is refused outright rather than misread as v4.
 func TestDecodeRefusesV3(t *testing.T) {
@@ -303,6 +318,9 @@ func TestMessageSizes(t *testing.T) {
 		// the reply leaves that push out, so it is empty.
 		{"pull naming an ack", &Message{Type: TPull, Seq: 1002, From: "agent-07", Since: 4243, Version: 4244}, 23},
 		{"empty image reply", &Message{Type: TImage, Seq: 1002, From: "dm", Version: 4244, Img: &image.Image{Version: 4244}}, 18},
+		// A granting reply: the Grant bit is past the bitmap's first
+		// byte, so it costs one byte, and no field follows it.
+		{"granting reply", &Message{Type: TImage, Seq: 1002, From: "dm", Version: 4244, Img: &image.Image{Version: 4244}, Grant: true}, 19},
 		// A clean sharer's fetch: the directory's pull and the empty image
 		// it gets back.
 		{"fetch", &Message{Type: TPull, Seq: 77, From: "dm", View: "agent-07"}, 20},
@@ -322,7 +340,7 @@ func TestMessageSizes(t *testing.T) {
 // TestDecodeRejectsMalformedVarints: each malformed shape is an error,
 // raised without a panic, from Decode and from a FrameReader alike.
 func TestDecodeRejectsMalformedVarints(t *testing.T) {
-	// head is a v4 ack's header: version, Type, Seq 1, From "dm", View "".
+	// head is an ack's header: version, Type, Seq 1, From "dm", View "".
 	head := []byte{codecVersion, byte(TAck), 1, 2, 'd', 'm', 0}
 	with := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{head}, parts...), nil) }
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
