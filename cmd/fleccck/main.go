@@ -42,6 +42,7 @@ func main() {
 		modes     = flag.Bool("modes", def.SetModes, "enable mode-switch reconfigurations")
 		props     = flag.Bool("props", def.SetProps, "enable property-change reconfigurations")
 		quiesce   = flag.Bool("quiesce", def.Quiesce, "probe weak convergence at every state")
+		scoped    = flag.Bool("scoped", def.Scoped, "scope the primary's commits by property (exclusive grants)")
 		maxStates = flag.Int("max-states", 0, "abort after this many states (0 = unlimited)")
 		skipInval = flag.String("skip-invalidate", "", "seed the skip-invalidation mutation for the named view")
 		drop      = flag.Int("drop", 0, "drop the Nth delivered request of every replay (0 = none)")
@@ -61,6 +62,7 @@ func main() {
 		SetModes:        *modes,
 		SetProps:        *props,
 		Quiesce:         *quiesce,
+		Scoped:          *scoped,
 		MaxStates:       *maxStates,
 		SkipInvalidate:  *skipInval,
 		DropMessage:     *drop,

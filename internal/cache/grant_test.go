@@ -14,6 +14,27 @@ import (
 	"flecc/internal/wire"
 )
 
+// scopedKV is a kvView that scopes commits (image.Scoper): a key is in a
+// set's scope when a property of the set has it as a member, and every
+// key is in the empty set's. Only a directory over such a primary grants.
+type scopedKV struct{ *kvView }
+
+func (scopedKV) InScope(props property.Set, key string) bool {
+	if props.IsEmpty() {
+		return true
+	}
+	for _, p := range props.Properties() {
+		if p.Domain.ContainsMember(key) {
+			return true
+		}
+	}
+	return false
+}
+
+// lease is wire.GrantLease on a wall clock (vclock.Real counts
+// milliseconds).
+const lease = time.Duration(wire.GrantLease) * time.Millisecond
+
 // grantRig is a directory and the network its views attach to: in-process,
 // or loopback TCP with every view on its own dialed connection. pulls
 // counts the TPull requests the views send.
@@ -40,7 +61,7 @@ func newGrantRig(t *testing.T, overTCP bool) *grantRig {
 		dmNet, cmNet = inproc, inproc
 	}
 	var err error
-	r.dm, err = directory.New("dm", newKV(nil), r.clock, dmNet, directory.Options{})
+	r.dm, err = directory.New("dm", scopedKV{newKV(nil)}, r.clock, dmNet, directory.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +127,7 @@ func TestSoleViewPullsLocally(t *testing.T) {
 	granted(t, cm)
 	sent := r.pulls.Load()
 	for i := range 3 {
-		write(t, cm, v, "k", string(rune('a'+i)))
+		write(t, cm, v, "x", string(rune('a'+i)))
 		if err := cm.PullImage(); err != nil {
 			t.Fatal(err)
 		}
@@ -153,12 +174,12 @@ func TestJoinerCommitNeverHiddenFromHolder(t *testing.T) {
 				if h.Granted() || r.dm.Granted("h") {
 					t.Fatal("the holder still holds its grant after a view joined its group")
 				}
-				write(t, j, jv, "k", "joiner")
+				write(t, j, jv, "x", "joiner")
 				if err := h.PullImage(); err != nil {
 					t.Fatal(err)
 				}
-				if got := hv.Get("k"); got != "joiner" {
-					t.Fatalf("the holder's pull after the joiner's commit reads k=%q", got)
+				if got := hv.Get("x"); got != "joiner" {
+					t.Fatalf("the holder's pull after the joiner's commit reads x=%q", got)
 				}
 				if r.dm.Revocations() != 1 {
 					t.Fatalf("revocations = %d, want 1", r.dm.Revocations())
@@ -175,13 +196,13 @@ func TestExpiredGrantEndsOnJoin(t *testing.T) {
 	r := newGrantRig(t, false)
 	h, hv := r.view(t, "h", "P={x}")
 	granted(t, h)
-	time.Sleep(wire.GrantLease)
+	time.Sleep(lease)
 	j, jv := r.view(t, "j", "P={x}")
 	if r.dm.Granted("h") {
 		t.Fatal("the directory still counts h as granted after a view joined its group")
 	}
-	write(t, j, jv, "k", "joiner")
-	write(t, h, hv, "m", "holder")
+	write(t, j, jv, "x", "joiner")
+	write(t, h, hv, "x", "holder")
 	if seen := r.dm.Seen("h"); seen >= j.Acked() {
 		t.Fatalf("the holder's push moved its seen to v%d, past the joiner's unseen commit v%d", seen, j.Acked())
 	}
@@ -197,7 +218,7 @@ func TestPartitionedHolderStopsWithinLease(t *testing.T) {
 	inproc := transport.NewInproc()
 	faulty := transport.NewFaulty(inproc, 1)
 	clock := vclock.NewReal()
-	dm, err := directory.New("dm", newKV(nil), clock, faulty, directory.Options{Retry: transport.RetryPolicy{Attempts: 1}})
+	dm, err := directory.New("dm", scopedKV{newKV(nil)}, clock, faulty, directory.Options{Retry: transport.RetryPolicy{Attempts: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +242,8 @@ func TestPartitionedHolderStopsWithinLease(t *testing.T) {
 	granted(t, h)
 	faulty.Partition("dm", "h")
 	j, jv := mk("j") // its registration waits the holder's lease out
-	if served := time.Since(sent); served < wire.GrantLease {
-		t.Fatalf("the joiner was served %v after the holder's grant, inside the %v lease", served, wire.GrantLease)
+	if served := time.Since(sent); served < lease {
+		t.Fatalf("the joiner was served %v after the holder's grant, inside the %v lease", served, lease)
 	}
 	if h.Granted() {
 		t.Fatal("the partitioned holder still answers pulls locally after its lease")
@@ -230,13 +251,13 @@ func TestPartitionedHolderStopsWithinLease(t *testing.T) {
 	if dm.GrantLeaseWaits() != 1 {
 		t.Fatalf("grant lease waits = %d, want 1", dm.GrantLeaseWaits())
 	}
-	write(t, j, jv, "k", "joiner")
+	write(t, j, jv, "x", "joiner")
 	faulty.HealAll()
 	if err := h.PullImage(); err != nil {
 		t.Fatal(err)
 	}
-	if got := hv.Get("k"); got != "joiner" || dm.Phase("h") == directory.PhaseLost {
-		t.Fatalf("the holder's pull after healing reads k=%q, phase %s", got, dm.Phase("h"))
+	if got := hv.Get("x"); got != "joiner" || dm.Phase("h") == directory.PhaseLost {
+		t.Fatalf("the holder's pull after healing reads x=%q, phase %s", got, dm.Phase("h"))
 	}
 }
 
@@ -246,7 +267,7 @@ func TestReconfigurationDropsGrant(t *testing.T) {
 	inproc := transport.NewInproc()
 	faulty := transport.NewFaulty(inproc, 1)
 	clock := vclock.NewReal()
-	dm, err := directory.New("dm", newKV(nil), clock, inproc, directory.Options{})
+	dm, err := directory.New("dm", scopedKV{newKV(nil)}, clock, inproc, directory.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +294,7 @@ func TestReconfigurationDropsGrant(t *testing.T) {
 			if err := cm.StartUse(); err != nil {
 				return err
 			}
-			v.Set("k", "v")
+			v.Set("x", "v")
 			cm.EndUse()
 			faulty.DisconnectNext("h", "dm", 1)
 			return cm.PushImage()
@@ -305,5 +326,48 @@ func TestLocalPullAllocs(t *testing.T) {
 	}
 	if !cm.Granted() {
 		t.Fatal("the grant ran out during the measurement")
+	}
+}
+
+// A directory over a primary that does not scope commits grants nothing:
+// there a view of another conflict group commits every key its codec
+// extracts, also the keys a holder holds, and a local pull would miss it.
+func TestUnscopedPrimaryGrantsNothing(t *testing.T) {
+	inproc := transport.NewInproc()
+	clock := vclock.NewSim()
+	dm, err := directory.New("dm", newKV(nil), clock, inproc, directory.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dm.Close()
+	mk := func(name, props string) (*cache.Manager, *kvView) {
+		v := newKV(nil)
+		cm, err := cache.New(cache.Config{
+			Name: name, Directory: "dm", Net: inproc, View: v,
+			Props: property.MustSet(props), Mode: wire.Weak, Clock: clock,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cm.KillImage() })
+		if err := cm.InitImage(); err != nil {
+			t.Fatal(err)
+		}
+		return cm, v
+	}
+	h, hv := mk("h", "P={x}")
+	o, ov := mk("o", "P={y}")
+	if err := h.PullImage(); err != nil {
+		t.Fatal(err)
+	}
+	if h.Granted() || dm.Grants() != 0 {
+		t.Fatalf("a view alone in its group was granted (%d grants) over an unscoped primary", dm.Grants())
+	}
+	write(t, o, ov, "x", "other")
+	if err := h.PullImage(); err != nil {
+		t.Fatal(err)
+	}
+	if got := hv.Get("x"); got != "other" {
+		t.Fatalf("the sole view's pull after another group's commit reads x=%q", got)
 	}
 }

@@ -249,24 +249,39 @@ func TestTwoPushesOnlyLastLeftOut(t *testing.T) {
 
 // set-props makes the view forget its ack: a narrowing one drops keys
 // from base, so base no longer vouches for what the push held, and the
-// next pull names no ack. (A widening one makes the next pull a full
-// image: modelcheck's TestWideningSetPropsRefetches.)
+// next pull names no ack. Narrowed out of scope and widened back, the
+// pushed flight n comes back with the rest in a full image: the widening
+// may have gained the view keys committed before its seen
+// (TestSetPropsGainingKeysRefetches). Narrowed twice and kept in scope, n
+// comes back alone in a delta.
 func TestSetPropsForgetsAck(t *testing.T) {
-	r := newLeaveOutRig(t, nil, "a")
-	r.warm(t, "a")
-	n := leaveOutFirst + 1
-	r.reserve(t, "a", n)
-	cm := r.agents["a"].CM
-	for _, to := range []int{leaveOutFirst + leaveOutFlights - 2, leaveOutFirst + leaveOutFlights - 3} {
-		props := property.NewSet(property.New(airline.PropFlights, property.DiscreteRange(leaveOutFirst, to)))
-		if err := cm.SetProps(props); err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		to   []int
+		want int // keys the next pull carries, flight n among them
+	}{
+		{"out-and-back", []int{leaveOutFirst, leaveOutFirst + leaveOutFlights - 1}, leaveOutFlights},
+		{"narrowed", []int{leaveOutFirst + leaveOutFlights - 2, leaveOutFirst + leaveOutFlights - 3}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newLeaveOutRig(t, nil, "a")
+			r.warm(t, "a")
+			n := leaveOutFirst + 1
+			r.reserve(t, "a", n)
+			cm := r.agents["a"].CM
+			for _, to := range c.to {
+				props := property.NewSet(property.New(airline.PropFlights, property.DiscreteRange(leaveOutFirst, to)))
+				if err := cm.SetProps(props); err != nil {
+					t.Fatal(err)
+				}
+			}
+			img := r.pull(t, "a")
+			if _, ok := img.Get(airline.FlightKey(n)); !ok || img.Len() != c.want {
+				t.Fatalf("the pull after set-props carried %v, want %d keys with flight %d", keysOf(img), c.want, n)
+			}
+			r.converged(t, "a")
+		})
 	}
-	if img := r.pull(t, "a"); !slices.Equal(keysOf(img), []string{airline.FlightKey(n)}) {
-		t.Fatalf("the pull after set-props carried %v, want flight %d", keysOf(img), n)
-	}
-	r.converged(t, "a")
 }
 
 // A set-props that may gain the view keys makes its next pull a full
@@ -284,7 +299,7 @@ func TestSetPropsGainingKeysRefetches(t *testing.T) {
 		{"P={x,y}; Q={z}; R={w}", true},
 		{"P={x,y}; R={w}", true},
 	} {
-		write(t, cm, v, "k", c.to)
+		write(t, cm, v, "x", c.to)
 		if err := cm.PullImage(); err != nil {
 			t.Fatal(err)
 		}

@@ -162,12 +162,12 @@ type Manager struct {
 
 	// The directory's exclusive grant (PROTOCOL.md "Exclusive grant"):
 	// while granted holds, PullImage answers locally until grantEnd on
-	// the monotonic clock, if the endpoint is still grantEp, the one the
+	// the manager's clock, if the endpoint is still grantEp, the one the
 	// granting pull went out on. grantGen counts the events that drop a
 	// grant — a collect, SetProps, SetMode, KillImage, a reconnect, a
 	// failed push round — so a pull whose reply raced one is not granted.
 	granted  bool
-	grantEnd time.Time
+	grantEnd vclock.Time
 	grantEp  transport.Endpoint
 	grantGen uint64
 
@@ -304,10 +304,11 @@ func (m *Manager) PullImage() error {
 		m.mu.Unlock()
 		return ErrNotInitialized
 	}
-	if m.grantedLocked() {
+	now := m.clock.Now()
+	if m.grantedLocked(now) {
 		m.seen = max(m.seen, m.acked)
 		m.base.Version = m.seen
-		m.lastPull = m.clock.Now()
+		m.lastPull = now
 		m.mu.Unlock()
 		return nil
 	}
@@ -316,17 +317,17 @@ func (m *Manager) PullImage() error {
 	if m.acked > m.seen {
 		req.Version = m.acked
 	}
-	g := pullGuard{epoch: m.invalidations, gen: m.grantGen, ep: m.ep, sent: time.Now()}
+	g := pullGuard{epoch: m.invalidations, gen: m.grantGen, ep: m.ep, sent: now}
 	m.mu.Unlock()
 	return m.load(req, g)
 }
 
 // grantedLocked reports whether a pull may be answered locally: the view
 // holds a grant whose lease has not run out, received on the endpoint it
-// still uses, and its image is valid and the view not killed. Caller
-// holds mu.
-func (m *Manager) grantedLocked() bool {
-	return m.granted && m.valid && !m.killed && m.ep == m.grantEp && time.Now().Before(m.grantEnd)
+// still uses, and its image is valid and the view not killed. now is the
+// manager's clock. Caller holds mu.
+func (m *Manager) grantedLocked(now vclock.Time) bool {
+	return m.granted && m.valid && !m.killed && m.ep == m.grantEp && now < m.grantEnd
 }
 
 // dropGrantLocked ends the view's grant, and any grant a pull in flight
@@ -340,7 +341,7 @@ func (m *Manager) dropGrantLocked() {
 func (m *Manager) Granted() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.grantedLocked()
+	return m.grantedLocked(m.clock.Now())
 }
 
 // pullGuard is what a pull notes before its request goes out: the
@@ -352,7 +353,7 @@ type pullGuard struct {
 	epoch int
 	gen   uint64
 	ep    transport.Endpoint
-	sent  time.Time
+	sent  vclock.Time
 }
 
 // load sends an init or a pull and merges the image it returns. Validity
@@ -382,7 +383,7 @@ func (m *Manager) load(req *wire.Message, g pullGuard) error {
 		m.valid = true
 		if reply.Grant && m.grantGen == g.gen && m.ep == g.ep {
 			m.granted = true
-			m.grantEnd = g.sent.Add(wire.GrantLease - wire.GrantMargin)
+			m.grantEnd = g.sent + wire.GrantLease - wire.GrantMargin
 			m.grantEp = g.ep
 		}
 	}

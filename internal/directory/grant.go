@@ -1,8 +1,7 @@
 package directory
 
 import (
-	"time"
-
+	"flecc/internal/vclock"
 	"flecc/internal/wire"
 )
 
@@ -28,21 +27,28 @@ import (
 // drop its grant before it answers, and the holder's pending writes land
 // as a gather's would. A holder the leg does not reach is evicted, and the
 // directory waits out the lease it recorded instead. No leg and no wait
-// runs under the gate or a lane.
+// runs under the gate or a lane. Grants are not replicated: a manager that
+// takes views over waits one lease before it serves (outwaitPredecessor).
 
 // claimGrant records a grant on vs, served a pull that claimed it with an
-// empty conflict set, and reports whether it did: vs must be active, and
-// no CommitLocal may be revoking. Caller holds the gate's read side and
-// vs's lane, which order it against every structural change and every
-// claim of the group.
+// empty conflict set, and reports whether it did: the primary must scope
+// commits (image.Scoper), vs must be active, and no CommitLocal may be
+// revoking. Caller holds the gate's read side and vs's lane, which order
+// it against every structural change and every claim of the group.
+//
+// Only a scoping primary grants. A view alone in its conflict group
+// learns from a pull only what others committed to its data; without a
+// scope test, a view of another group commits every key its codec
+// extracts, also keys the holder holds, and the holder's local pulls
+// would miss those commits.
 func (m *Manager) claimGrant(vs *viewState) bool {
-	if m.grantBlock.Load() > 0 {
+	if m.store.scope == nil || m.grantBlock.Load() > 0 {
 		return false
 	}
 	vs.mu.Lock()
 	ok := vs.phase == PhaseActive
 	if ok {
-		vs.granted, vs.leaseEnd = true, time.Now().Add(wire.GrantLease)
+		vs.granted, vs.leaseEnd = true, m.clock.Now()+wire.GrantLease
 	}
 	vs.mu.Unlock()
 	if ok {
@@ -56,17 +62,17 @@ func (m *Manager) claimGrant(vs *viewState) bool {
 // a re-registration).
 func (vs *viewState) clearGrant() {
 	vs.mu.Lock()
-	vs.granted, vs.leaseEnd = false, time.Time{}
+	vs.granted, vs.leaseEnd = false, 0
 	vs.mu.Unlock()
 }
 
 // revocation is what a change must do before a holder may get a peer: a
 // leg to each view in legs, which hold this manager's grant, and a wait
-// until the latest lease the manager cannot revoke ends — a predecessor's
-// (inheritLeases), or one whose leg is already out.
+// until the latest lease the manager cannot revoke ends — one whose leg
+// is already out, or a lost name's previous holder's.
 type revocation struct {
 	legs  []string
-	until time.Time
+	until vclock.Time
 }
 
 // revocations collects the revocation for every view but self that is
@@ -78,7 +84,7 @@ func (m *Manager) revocations(self string, touches func(name string) bool) revoc
 	if !m.leased.Load() {
 		return r
 	}
-	now := time.Now()
+	now := m.clock.Now()
 	m.vmu.RLock()
 	defer m.vmu.RUnlock()
 	for name, vs := range m.views {
@@ -88,7 +94,7 @@ func (m *Manager) revocations(self string, touches func(name string) bool) revoc
 		vs.mu.Lock()
 		end, granted := vs.leaseEnd, vs.granted
 		vs.mu.Unlock()
-		running := end.After(now)
+		running := end > now
 		if !granted && !running || !touches(name) {
 			continue
 		}
@@ -101,7 +107,7 @@ func (m *Manager) revocations(self string, touches func(name string) bool) revoc
 		case !running: // the holder stopped reading locally already
 		case granted:
 			r.legs = append(r.legs, name)
-		case end.After(r.until):
+		case end > r.until:
 			r.until = end
 		}
 	}
@@ -125,11 +131,12 @@ func (m *Manager) revoke(r revocation) {
 	m.awaitLease(r.until)
 }
 
-// awaitLease sleeps until end, a lease the manager could not revoke.
-func (m *Manager) awaitLease(end time.Time) {
-	if wait := time.Until(end); wait > 0 {
+// awaitLease waits on the manager's clock until end, a lease the manager
+// could not revoke.
+func (m *Manager) awaitLease(end vclock.Time) {
+	if end > m.clock.Now() {
 		m.leaseWaits.Inc()
-		time.Sleep(wait)
+		vclock.WaitUntil(m.clock, end)
 	}
 }
 
@@ -152,36 +159,24 @@ func (m *Manager) revokeLeg(target string) error {
 		m.awaitLease(end)
 	}
 	vs.mu.Lock()
-	if vs.leaseEnd.Equal(end) {
-		vs.leaseEnd = time.Time{}
+	if vs.leaseEnd == end {
+		vs.leaseEnd = 0
 	}
 	vs.mu.Unlock()
 	return nil
 }
 
-// inheritLeases marks the views a predecessor may have granted as
-// holders until now plus the lease: a manager that takes views over from
-// another — a promoted standby, a restore from a snapshot — never learned
-// of its grants. Those are the views that are the only members of their
-// conflict groups, and the lost ones: a holder gets a peer only after its
-// grant is revoked, or its lease waited out. A change that would give one
-// of them a peer waits that lease out. With the HA lease at least twice
-// wire.GrantLease, a standby that promotes itself finds every such lease
-// over already (PROTOCOL.md "Exclusive grant").
-func (m *Manager) inheritLeases() {
-	end := time.Now().Add(wire.GrantLease)
-	m.vmu.RLock()
-	for name, vs := range m.views {
-		lost := vs.phaseOf() == PhaseLost
-		if !lost && len(m.reg.ConflictingWith(name, false)) > 0 {
-			continue
-		}
-		vs.mu.Lock()
-		vs.granted, vs.leaseEnd = false, end
-		vs.mu.Unlock()
-		m.leased.Store(true)
+// outwaitPredecessor returns once every grant a predecessor may have made
+// has run out. A manager that takes views over from another — a promoted
+// standby, a directory restored from a snapshot — never learned of its
+// grants, so it serves nothing before: each was made before the takeover
+// began, and its holder stops answering locally within a lease of sending
+// the granting pull. A primary that does not scope commits grants
+// nothing, and neither did a predecessor over the same kind of component.
+func (m *Manager) outwaitPredecessor() {
+	if m.store.scope != nil {
+		m.awaitLease(m.clock.Now() + wire.GrantLease)
 	}
-	m.vmu.RUnlock()
 }
 
 // Granted reports whether this manager's grant to view stands: the view
@@ -202,6 +197,7 @@ func (m *Manager) Grants() int64 { return m.grants.Value() }
 // Revocations reports how many grants were revoked.
 func (m *Manager) Revocations() int64 { return m.revoked.Value() }
 
-// GrantLeaseWaits reports how many revocations had to wait out a lease
-// because the holder could not be reached.
+// GrantLeaseWaits reports how many times the manager waited a lease out:
+// a revocation that could not reach its holder, a claim of a lost name
+// whose previous holder's lease still ran, a takeover.
 func (m *Manager) GrantLeaseWaits() int64 { return m.leaseWaits.Value() }

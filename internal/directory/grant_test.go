@@ -14,15 +14,32 @@ import (
 	"flecc/internal/wire"
 )
 
+// scoped is a codec that scopes commits (image.Scoper): a key is in a
+// set's scope when a property of the set has it as a member, and every
+// key is in the empty set's. Only a directory over such a primary grants.
+type scoped struct{ image.Codec }
+
+func (scoped) InScope(props property.Set, key string) bool {
+	if props.IsEmpty() {
+		return true
+	}
+	for _, p := range props.Properties() {
+		if p.Domain.ContainsMember(key) {
+			return true
+		}
+	}
+	return false
+}
+
 // (c) A standby promoted before its predecessor's grants ran out leaves
-// none standing: a holder of the old primary does not read locally past
-// the point where a joiner on the new primary commits. The views reach
-// the serving manager through a forwarder, as a failed-over client's
-// fallback rotation would.
+// none standing: it waits one lease before it serves, so a holder of the
+// old primary does not read locally past the point where a joiner on the
+// new primary commits. The views reach the serving manager through a
+// forwarder, as a failed-over client's fallback rotation would.
 func TestPromotedStandbyLeavesNoGrant(t *testing.T) {
 	net := transport.NewInproc()
 	clock := vclock.NewReal()
-	a, b, _, _ := replPair(t, net, clock, directory.ReplConfig{})
+	a, b := replPairOver(t, net, clock, directory.ReplConfig{}, scoped{newKV()}, scoped{newKV()})
 	var active atomic.Pointer[directory.Manager]
 	active.Store(a)
 	var fwd transport.Endpoint
@@ -49,12 +66,12 @@ func TestPromotedStandbyLeavesNoGrant(t *testing.T) {
 	b.PromoteSelf()
 	active.Store(b)
 	j, jv := newCM(t, net, clock, "j")
-	pushThrough(t, j, jv, "k", "joiner")
+	pushThrough(t, j, jv, "x", "joiner")
 	if err := h.PullImage(); err != nil {
 		t.Fatal(err)
 	}
-	if got := hv.data["k"]; got != "joiner" {
-		t.Fatalf("the old primary's holder reads k=%q after the joiner's commit on the promoted standby", got)
+	if got := hv.data["x"]; got != "joiner" {
+		t.Fatalf("the old primary's holder reads x=%q after the joiner's commit on the promoted standby", got)
 	}
 	if b.GrantLeaseWaits() != 1 {
 		t.Fatalf("the promoted standby waited out %d leases, want 1", b.GrantLeaseWaits())
@@ -64,7 +81,12 @@ func TestPromotedStandbyLeavesNoGrant(t *testing.T) {
 // The primary's own commit revokes the grants of the holders it touches
 // before it lands.
 func TestCommitLocalRevokesGrant(t *testing.T) {
-	dm, net, clock, _ := newDM(t)
+	net, clock := transport.NewInproc(), vclock.NewSim()
+	dm, err := directory.New("dm", scoped{newKV()}, clock, net, directory.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertInvariantsAtCleanup(t, dm)
 	h, hv := newCM(t, net, clock, "h")
 	if err := h.PullImage(); err != nil {
 		t.Fatal(err)
@@ -73,7 +95,7 @@ func TestCommitLocalRevokesGrant(t *testing.T) {
 		t.Fatal("setup: the view alone in its group was not granted")
 	}
 	d := image.New()
-	d.Put(image.Entry{Key: "k", Value: []byte("admin")})
+	d.Put(image.Entry{Key: "x", Value: []byte("admin")})
 	if _, err := dm.CommitLocal(d, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +105,8 @@ func TestCommitLocalRevokesGrant(t *testing.T) {
 	if err := h.PullImage(); err != nil {
 		t.Fatal(err)
 	}
-	if got := hv.data["k"]; got != "admin" {
-		t.Fatalf("the holder reads k=%q after the primary's commit", got)
+	if got := hv.data["x"]; got != "admin" {
+		t.Fatalf("the holder reads x=%q after the primary's commit", got)
 	}
 }
 
@@ -95,7 +117,7 @@ func TestDegradedPrimaryGrantsNothing(t *testing.T) {
 	net := transport.NewInproc()
 	clock := vclock.NewSim()
 	primB := &refusingKV{kv: newKV()}
-	a, _ := replPairOver(t, net, clock, directory.ReplConfig{}, newKV(), primB)
+	a, _ := replPairOver(t, net, clock, directory.ReplConfig{}, scoped{newKV()}, primB)
 	r := a.Replication()
 	view := newKV()
 	cm, err := cache.New(cache.Config{
@@ -109,7 +131,7 @@ func TestDegradedPrimaryGrantsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	primB.refuse.Store(true)
-	pushThrough(t, cm, view, "k", "refused")
+	pushThrough(t, cm, view, "x", "refused")
 	if !r.Degraded() {
 		t.Fatal("setup: a refused batch left the standby up")
 	}

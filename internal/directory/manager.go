@@ -122,12 +122,11 @@ type viewState struct {
 	// and serves every commit.
 	pushed vclock.Version
 	// granted marks a view this manager granted (grant.go) that has had no
-	// peer since: no one else commits to its data. leaseEnd is when a
-	// grant its cache manager may hold ends — this manager's, or after a
-	// takeover its predecessor's (inheritLeases); zero when none. Neither
-	// is replicated.
+	// peer since: no one else commits to its data. leaseEnd is when, on
+	// the manager's clock, a grant its cache manager may hold ends; zero
+	// when none. Neither is replicated.
 	granted  bool
-	leaseEnd time.Time
+	leaseEnd vclock.Time
 	// replicated marks a view this manager knows only from a primary's
 	// replication stream. Full view state from that stream is
 	// authoritative for exactly these: one it no longer lists is dropped.
@@ -264,7 +263,7 @@ func New(name string, primary image.Codec, clock vclock.Clock, net transport.Net
 				return nil, err
 			}
 		}
-		m.inheritLeases()
+		m.outwaitPredecessor()
 	}
 	// A fresh standby's silence clock stays unarmed until the first
 	// replication batch arrives: before it has heard from a primary there
@@ -514,13 +513,11 @@ func (m *Manager) reRegister(view string, req *wire.Message, val trigger.Trigger
 	vs.mu.Lock()
 	vs.mode, vs.seen, vs.validity, vs.lastOp = req.Mode, 0, val, req.Op
 	prevLease := vs.leaseEnd
-	vs.granted, vs.leaseEnd = false, time.Time{}
+	vs.granted, vs.leaseEnd = false, 0
 	vs.mu.Unlock()
 	m.transition(vs, evClaim)
 	*r = m.joinerRevocations(view)
-	if prevLease.After(r.until) {
-		r.until = prevLease
-	}
+	r.until = max(r.until, prevLease)
 	return &wire.Message{Type: wire.TAck, Version: m.store.Current()}
 }
 
@@ -1303,12 +1300,11 @@ func (m *Manager) CommitLocal(delta *image.Image, ops int) (vclock.Version, erro
 	// and no view is granted until it has landed.
 	m.grantBlock.Add(1)
 	defer m.grantBlock.Add(-1)
-	// The holders it touches are those with a key of the delta in scope;
-	// without the primary's scope test, every holder.
-	scope := m.store.scope
+	// The holders it touches are those with a key of the delta in scope:
+	// only a primary with a scope test grants (claimGrant).
 	touches := func(name string) bool {
 		props, _ := m.reg.Props(name)
-		return scope == nil || delta == nil || slices.ContainsFunc(delta.Entries, func(e image.Entry) bool { return scope.InScope(props, e.Key) })
+		return delta == nil || slices.ContainsFunc(delta.Entries, func(e image.Entry) bool { return m.store.scope.InScope(props, e.Key) })
 	}
 	var r revocation
 	m.structuralDo(func() { r = m.revocations("", touches) })

@@ -171,10 +171,10 @@ func (m *Manager) Fenced() bool {
 // epoch.
 //
 // The views it takes over may hold grants of the old primary, which it
-// never learned of: each counts as a holder for one more lease
-// (inheritLeases).
+// never learned of: it waits one lease before it serves, still a standby
+// (outwaitPredecessor).
 func (m *Manager) PromoteSelf() uint64 {
-	m.inheritLeases()
+	m.outwaitPredecessor()
 	m.ha.mu.Lock()
 	defer m.ha.mu.Unlock()
 	m.ha.epoch++

@@ -5,11 +5,12 @@ import "testing"
 // splitRejoin is the bound that reaches an exclusive grant, a joiner and
 // a dropped revocation: two views on two keys split their group by
 // narrowing, one pulls alone and is granted, and a widening rejoins the
-// group. CI runs it clean and with -drop 5, which drops the revocation
-// leg of the schedule below.
+// group. The primary scopes commits, or nothing is granted. CI runs it
+// clean and with -drop 5, which drops the revocation leg of the schedule
+// below.
 func splitRejoin() Config {
 	return Config{Views: 2, Keys: 2, Reconfigs: 3, Depth: 6, WritesPerView: 2,
-		Validity: "staleness < 1", SetProps: true, Quiesce: true}
+		Validity: "staleness < 1", SetProps: true, Quiesce: true, Scoped: true}
 }
 
 // The revocation leg of a widening is dropped: the holder is evicted, the
@@ -59,4 +60,32 @@ func TestWideningSetPropsRefetches(t *testing.T) {
 		t.Fatalf("replay failed at action %d: %v", bad, err)
 	}
 	sys.close()
+}
+
+// A promoted standby serves nothing until its predecessor's grants have
+// run out: v1, granted alone by dm!a, pulls from dm!b after v2's widening
+// there, so the probe's strong pull finds v2 invalidated. A standby that
+// served at once would leave v1 pulling locally, v2 still active.
+func TestPromotionOutwaitsGrants(t *testing.T) {
+	cfg := splitRejoin()
+	cfg.Failover, cfg.Reconfigs = true, 4
+	schedule := []Action{
+		{Kind: ASetProps, View: 0},
+		{Kind: ASetProps, View: 1},
+		{Kind: APull, View: 0},
+		{Kind: ACrashPrimary},
+		{Kind: APromoteStandby},
+		{Kind: ASetProps, View: 1},
+		{Kind: APush, View: 0},
+		{Kind: APush, View: 1},
+		{Kind: APull, View: 0},
+	}
+	sys, bad, err := replay(cfg.withDefaults(), schedule, nil)
+	if err != nil {
+		t.Fatalf("replay failed at action %d: %v", bad, err)
+	}
+	defer sys.close()
+	if waits := sys.dm().GrantLeaseWaits(); waits != 1 {
+		t.Fatalf("the promoted standby waited %d leases out, want 1", waits)
+	}
 }

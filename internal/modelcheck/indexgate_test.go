@@ -20,16 +20,12 @@ import "testing"
 // live migration and its migrate action were deleted; 3104 before the
 // fingerprint held the view's acked and the directory's pushed, which a
 // pull's leave-out rule reads, so states that differ only there no
-// longer merge; 4100 before exclusive grants: a view left alone by its
-// peer's eviction is granted, pulls locally while the directory's seen
-// for it stays at its last push, and a revival revokes the grant with a
-// fetch — each a state of its own, with the grant bits in the
-// fingerprint; with grants disabled the count is 4100 again). The
+// longer merge). The
 // managers run two lanes; lanes hold no protocol state, so the count is
 // the one-lane count.
 // Recompute deliberately (and update EXPERIMENTS.md E14) only when the
 // action set itself changes.
-const defaultBoundStates = 4186
+const defaultBoundStates = 4100
 
 func TestIndexedRegistryStateCountPinned(t *testing.T) {
 	res, err := Explore(DefaultConfig())

@@ -117,11 +117,11 @@ func (s *system) verify(a Action, opErr error) error {
 	return nil
 }
 
-// checkPushDurable asserts that every key of an acknowledged push the
-// view's property set names is immediately readable from the primary at
-// the pushed value (the store's default incoming-wins resolution
-// guarantees it). A write made before the view narrowed its set away from
-// the key is dropped by the directory (scopedKV).
+// checkPushDurable asserts that every key of an acknowledged push is
+// immediately readable from the primary at the pushed value (the store's
+// default incoming-wins resolution guarantees it) — under Config.Scoped,
+// every key the view's set names: a scoping primary drops a write made
+// before the view narrowed its set away from the key.
 func (s *system) checkPushDurable(v *viewNode, pushed map[string]string) error {
 	if len(pushed) == 0 {
 		return nil
@@ -145,18 +145,19 @@ func (s *system) checkPushDurable(v *viewNode, pushed map[string]string) error {
 	return nil
 }
 
-// shares reports whether key k is named by v's property set: the keys a
-// view writes, and the keys its reads are judged on. The model's codec
-// ignores properties, so a view also holds keys outside its set, but the
-// protocol promises it nothing about them: a view alone in its conflict
-// group pulls under a grant, without hearing of other groups' commits.
+// shares reports whether the directory commits v's writes to key and
+// sends v others' commits to it: every key, unless the primary scopes
+// commits (Config.Scoped), and then the keys of v's property set. The
+// model's view codec ignores properties, so a narrowed view still holds
+// keys outside its set, but a scoping primary drops its writes to them
+// and its delta pulls leave them out — with or without a grant.
 func (s *system) shares(v *viewNode, key string) bool {
-	return !v.propsAlt || key == keyName(v.idx%s.cfg.Keys)
+	return !s.cfg.Scoped || !v.propsAlt || key == keyName(v.idx%s.cfg.Keys)
 }
 
 // checkPullFresh asserts that right after a successful pull the view
-// agrees with the primary's committed state on every key of its property
-// set it has not modified locally since its last synchronization.
+// agrees with the primary's committed state on every key it shares
+// (shares) and has not modified locally since its last synchronization.
 func (s *system) checkPullFresh(v *viewNode) error {
 	ext, err := s.dm().ExtractPrimary(s.fullProps())
 	if err != nil {
@@ -207,9 +208,9 @@ func (s *system) checkStrongExclusive(v *viewNode) error {
 
 // quiesce runs the weak-convergence probe from the current state: every
 // live view pushes, then every live view pulls, after which every live
-// view must agree with the primary on every key of its property set. The probe's actions run
-// through apply, so they are themselves invariant-checked; the returned
-// schedule records them for counterexample rendering.
+// view must agree with the primary on every key it shares. The probe's
+// actions run through apply, so they are themselves invariant-checked;
+// the returned schedule records them for counterexample rendering.
 func (s *system) quiesce() ([]Action, error) {
 	if s.primaryDown && s.active == 0 {
 		// No directory is serving between crash-primary and

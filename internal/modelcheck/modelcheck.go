@@ -135,6 +135,13 @@ type Config struct {
 	// Quiesce enables the weak-convergence probe at every newly
 	// discovered state.
 	Quiesce bool
+	// Scoped makes the primary scope commits by property (image.Scoper):
+	// the directory commits a writer's entries, and sends a puller's
+	// delta, only for keys of the view's registered set. Only a scoping
+	// primary grants a view alone in its conflict group exclusive use of
+	// its data. The push, pull and convergence checks then hold a view to
+	// the keys of its set; unscoped, to every key.
+	Scoped bool
 	// MaxStates aborts exploration after this many distinct states
 	// (0 = unlimited). The explorer reports the abort in Result.Aborted.
 	MaxStates int

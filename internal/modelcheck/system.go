@@ -53,16 +53,26 @@ func (s *kvstore) Extract(props property.Set) (*image.Image, error) {
 	return image.Of(0, entries), nil
 }
 
-// scopedKV is the model's original component: a kvstore whose keys the
-// property "K" names. As image.Scoper documents, the directory commits a
-// writer's entries only for keys of its registered set — the scoping an
-// exclusive grant relies on: no one else commits to a lone view's keys.
+// scopedKV is the original component under Config.Scoped: a kvstore whose
+// keys the property "K" names. As image.Scoper documents, the directory
+// commits a writer's entries only for keys of its registered set — the
+// scoping an exclusive grant relies on: no one else commits to a lone
+// view's keys.
 type scopedKV struct{ *kvstore }
 
 // InScope implements image.Scoper: the empty set names every key.
 func (scopedKV) InScope(props property.Set, key string) bool {
 	p, ok := props.Get("K")
 	return props.IsEmpty() || ok && p.Domain.ContainsMember(key)
+}
+
+// primary is the original component the directory managers run over:
+// the shared kvstore, scoped under Config.Scoped.
+func (s *system) primary() image.Codec {
+	if s.cfg.Scoped {
+		return scopedKV{s.prim}
+	}
+	return s.prim
 }
 
 // Merge implements image.Merger.
@@ -270,7 +280,7 @@ func newSystem(cfg Config, rec *trace.Recorder) (sys *system, err error) {
 			// replication batches until promote-standby.
 			o := opts
 			o.Standby = i == 1
-			dm, err := directory.New(name, scopedKV{s.prim}, clock, net, o)
+			dm, err := directory.New(name, s.primary(), clock, net, o)
 			if err != nil {
 				return nil, err
 			}
@@ -309,7 +319,7 @@ func newSystem(cfg Config, rec *trace.Recorder) (sys *system, err error) {
 		}
 		s.repl = repl
 	} else {
-		dm, err := directory.New("dm", scopedKV{s.prim}, clock, net, opts)
+		dm, err := directory.New("dm", s.primary(), clock, net, opts)
 		if err != nil {
 			return nil, err
 		}

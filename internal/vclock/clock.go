@@ -41,6 +41,21 @@ func NewReal() *Real { return &Real{start: time.Now()} }
 // Now implements Clock.
 func (r *Real) Now() Time { return Time(time.Since(r.start) / time.Millisecond) }
 
+// WaitUntil returns once c reads t or later. Under a Sim clock the wait
+// passes in virtual time: the clock is advanced to t, firing no event, as
+// Advance does. Any other clock is taken to follow wall time and slept on.
+func WaitUntil(c Clock, t Time) {
+	if s, ok := c.(*Sim); ok {
+		s.mu.Lock()
+		s.now = max(s.now, t)
+		s.mu.Unlock()
+		return
+	}
+	for now := c.Now(); now < t; now = c.Now() {
+		time.Sleep(time.Duration(t-now) * time.Millisecond)
+	}
+}
+
 // event is a scheduled callback.
 type event struct {
 	at   Time

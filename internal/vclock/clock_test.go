@@ -169,3 +169,22 @@ func TestTimeString(t *testing.T) {
 		t.Fatalf("got %q", Time(1500).String())
 	}
 }
+
+func TestWaitUntil(t *testing.T) {
+	s := NewSim()
+	s.Advance(5)
+	WaitUntil(s, 3)
+	if s.Now() != 5 {
+		t.Fatalf("a wait for the past moved the simulated clock to %v", s.Now())
+	}
+	WaitUntil(s, 40)
+	if s.Now() != 40 {
+		t.Fatalf("a wait left the simulated clock at %v, want 40ms", s.Now())
+	}
+	r := NewReal()
+	end := r.Now() + 3
+	WaitUntil(r, end)
+	if now := r.Now(); now < end {
+		t.Fatalf("the wall-clock wait returned at %v, before %v", now, end)
+	}
+}

@@ -11,7 +11,6 @@ package wire
 
 import (
 	"fmt"
-	"time"
 
 	"flecc/internal/image"
 	"flecc/internal/property"
@@ -161,15 +160,16 @@ const NotServingMark = "not serving"
 // view pulls again.
 const ContendedMark = "pull contended"
 
-// GrantLease is how long an exclusive grant lasts (Message.Grant). The
-// directory counts it from when it decides the grant and waits it out for
-// a holder it cannot reach; the holder counts GrantLease less
-// GrantMargin from when it sent the granting pull, so it stops answering
-// locally before the directory stops waiting (PROTOCOL.md "Exclusive
-// grant").
+// GrantLease is how long an exclusive grant lasts (Message.Grant), in
+// milliseconds of the managers' clocks (vclock: wall time in a daemon,
+// virtual time under a simulated clock). The directory counts it from
+// when it decides the grant and waits it out for a holder it cannot
+// reach; the holder counts GrantLease less GrantMargin from when it sent
+// the granting pull, so it stops answering locally before the directory
+// stops waiting (PROTOCOL.md "Exclusive grant").
 const (
-	GrantLease  = 100 * time.Millisecond
-	GrantMargin = GrantLease / 16
+	GrantLease  vclock.Duration = 100
+	GrantMargin                 = GrantLease / 16
 )
 
 // Mode is a view's consistency mode (paper §4: strong vs weak).
